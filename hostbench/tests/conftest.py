@@ -1,0 +1,11 @@
+"""Self-tests of the benchmark: ``python -m pytest hostbench/tests -q``.
+
+Not collected by the repo's tier-1 run (its ``testpaths`` is ``tests``)."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
