@@ -208,36 +208,9 @@ def stack(xs, axis=0):
 
 
 # ----------------------------------------------------------------------
-# batched-mesh stages (numeric backend only — the batched SUMMA engine
-# falls back to the per-rank path for dryrun ShapeArrays)
+# batched-mesh stage (numeric backend only — the batched SUMMA executor
+# never sees dryrun ShapeArrays)
 # ----------------------------------------------------------------------
-def batched_outer_matmul(astk, bstk, out):
-    """``out[i, j] = astk[i] @ bstk[j]`` as one broadcasted matmul.
-
-    ``(q,1,m,k) @ (1,q,k,n) → (q,q,m,n)``.  numpy's matmul gufunc
-    dispatches every 2-D slice to the same BLAS gemm as ``astk[i] @
-    bstk[j]``, so each slice is bit-identical to the per-rank product.
-    """
-    np.matmul(astk[:, None], bstk[None], out=out)
-    return out
-
-
-def batched_matmul_transb(afull, bstk, out):
-    """``out[i, j] = afull[i, j] @ bstk[j].T`` (SUMMA Alg. 2 stage).
-
-    The transpose is a view, exactly like the per-rank ``ablk @
-    transpose(bblk)``, so the gemm sees the same operands and flags.
-    """
-    np.matmul(afull, bstk.transpose(0, 2, 1)[None], out=out)
-    return out
-
-
-def batched_matmul_transa(astk, bfull, out):
-    """``out[i, j] = astk[i].T @ bfull[i, j]`` (SUMMA Alg. 3 stage)."""
-    np.matmul(astk.transpose(0, 2, 1)[:, None], bfull, out=out)
-    return out
-
-
 def fold_stack_sum(part, axis):
     """Sum a stacked axis of ``part`` by copy-then-in-place-add in index
     order — the exact fold of ``collectives._combine`` (copy the first

@@ -4,20 +4,16 @@ Micro benchmarks isolate one subsystem (collectives, each SUMMA kernel, one
 numeric training step per scheme, instrumentation overhead); macro
 benchmarks run a Table-1-class dryrun stem.  Every workload is pinned —
 fixed sizes, fixed seeds, fixed iteration counts — so wall-clock is
-comparable across commits, and ``macro/optimus_stem_ab`` additionally runs
-the same stem against the pre-optimization hot path
-(:mod:`repro.bench.legacy`) to report a same-run speedup.
+comparable across commits.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 
 from repro.bench.core import bench
-from repro.bench.legacy import pre_optimization
 from repro.config import ModelConfig, tiny_config
 from repro.core import summa
 
@@ -80,9 +76,7 @@ def _summa_kernel(kernel_name: str) -> dict:
     for _ in range(100):
         kernel(mesh, a, b)
     stats = _sim_stats(sim)
-    pool = getattr(sim, "_array_pool", None)
-    if pool is not None:
-        stats["pool_hits"] = pool.stats()["hits"]
+    stats["pool_hits"] = summa._pool_of(sim).stats()["hits"]
     return stats
 
 
@@ -195,156 +189,4 @@ def megatron_stem_bench() -> dict:
         "sim_time": res.forward_time + res.backward_time,
         "throughput_seq_per_s": res.throughput,
         "peak_sim_memory_bytes": res.peak_memory_bytes,
-    }
-
-
-@bench("macro/optimus_stem_ab", repeats=2, gate=False)
-def optimus_stem_ab_bench() -> dict:
-    """Same-run A/B: current hot path vs the pre-optimization seed code.
-
-    Not regression-gated: the ON arm's workload is already gated by
-    ``macro/optimus_stem``; this benchmark's payload is the ``speedup``
-    extra, measured within a single run so machine drift cancels.
-    """
-    from repro.experiments.runner import run_optimus_stem
-
-    def timed(reps: int = 2) -> float:
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            run_optimus_stem(_STEM_CFG, q=4, batch_size=8)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    timed(1)  # warm both code paths' imports
-    on = timed()
-    with pre_optimization():
-        off = timed()
-    return {
-        "wall_time": on,
-        "pre_optimization_wall": off,
-        "speedup": off / on if on else float("inf"),
-    }
-
-
-@bench("macro/summa_batched_ab", repeats=2, gate=False)
-def summa_batched_ab_bench() -> dict:
-    """Same-run A/B: batched-mesh engine vs per-rank SUMMA at q=8.
-
-    Each arm resolves the ``REPRO_SUMMA_*`` flags from the environment
-    *inside the arm* (:func:`repro.core.summa.resolve_env_flags` — per-arm
-    resolution, not the import-time snapshot) after flipping
-    ``REPRO_SUMMA_BATCHED``, and reports the flag set it actually ran with.
-    The two arms must agree bit-exactly on numerics and on every per-rank
-    counter and memory peak; any diff raises, failing the suite — this is
-    the CI equivalence smoke.  Not regression-gated: the per-rank arm's
-    workload is gated by ``micro/summa_*``; the payload is ``speedup``.
-    """
-    from repro.mesh.partition import assemble_blocked_2d
-
-    q, n, iters = 8, 256, 10
-    fields = (
-        "clock", "flops", "flops_gemm", "bytes_comm", "weighted_comm_volume",
-        "compute_time", "comm_time", "num_collectives",
-    )
-
-    def arm(flag: str):
-        os.environ["REPRO_SUMMA_BATCHED"] = flag
-        flags = summa.resolve_env_flags()
-        sim, mesh, a, b = _summa_setup(q=q, n=n)
-        kernels = (summa.summa_ab, summa.summa_abt, summa.summa_atb)
-        for k in kernels:
-            k(mesh, a, b)  # warm plans + pool
-        outs = []
-        t0 = time.perf_counter()
-        for _ in range(iters):
-            outs = [k(mesh, a, b) for k in kernels]
-        wall = time.perf_counter() - t0
-        digest = [assemble_blocked_2d(o) for o in outs]
-        state = {
-            r: tuple(getattr(sim.device(r), f) for f in fields)
-            for r in mesh.ranks
-        }
-        peaks = {
-            r: (sim.device(r).memory.current, sim.device(r).memory.peak)
-            for r in mesh.ranks
-        }
-        return flags, wall, digest, state, peaks
-
-    saved_env = os.environ.get("REPRO_SUMMA_BATCHED")
-    saved_flags = summa.effective_flags()
-    try:
-        off_flags, off_wall, off_digest, off_state, off_peaks = arm("0")
-        on_flags, on_wall, on_digest, on_state, on_peaks = arm("1")
-    finally:
-        if saved_env is None:
-            os.environ.pop("REPRO_SUMMA_BATCHED", None)
-        else:
-            os.environ["REPRO_SUMMA_BATCHED"] = saved_env
-        summa.configure(**saved_flags)
-    if off_flags["batched"] or not on_flags["batched"]:
-        raise AssertionError(f"per-arm flag resolution failed: off={off_flags} on={on_flags}")
-    if not all(np.array_equal(x, y) for x, y in zip(off_digest, on_digest)):
-        raise AssertionError("batched arm numerics diverge from per-rank arm")
-    if off_state != on_state or off_peaks != on_peaks:
-        raise AssertionError("batched arm accounting diverges from per-rank arm")
-    return {
-        "wall_time": on_wall,
-        "per_rank_wall": off_wall,
-        "speedup": off_wall / on_wall if on_wall else float("inf"),
-        "flags_batched_arm": on_flags,
-        "flags_per_rank_arm": off_flags,
-        "equivalent": True,
-        "q": q,
-        "n": n,
-    }
-
-
-@bench("macro/serving_decode_ab", repeats=2, gate=False)
-def serving_decode_ab_bench() -> dict:
-    """Same-run A/B: the serving decode loop under the batched-mesh engine
-    vs per-rank SUMMA.
-
-    The decode forward rides the training linears, so the batched engine's
-    bit-exactness guarantee must extend to serving: both arms' full
-    ``repro-serve-v1`` documents (latencies, goodput, phase attribution,
-    token checksums) must be byte-identical, modulo the flag snapshot.
-    Any diff raises, failing the suite.  Not regression-gated; the payload
-    is the host wall-clock ``speedup`` of the batched arm.
-    """
-    from repro.obs.ledger import canonical_json
-    from repro.serving.report import run_serve
-
-    def arm(flag: str):
-        os.environ["REPRO_SUMMA_BATCHED"] = flag
-        flags = summa.resolve_env_flags()
-        t0 = time.perf_counter()
-        report = run_serve(0, quick=True)
-        wall = time.perf_counter() - t0
-        report.pop("summa_flags")
-        return flags, wall, canonical_json(report)
-
-    saved_env = os.environ.get("REPRO_SUMMA_BATCHED")
-    saved_flags = summa.effective_flags()
-    try:
-        arm("0")  # warm imports/caches off the clock
-        off_flags, off_wall, off_doc = arm("0")
-        on_flags, on_wall, on_doc = arm("1")
-    finally:
-        if saved_env is None:
-            os.environ.pop("REPRO_SUMMA_BATCHED", None)
-        else:
-            os.environ["REPRO_SUMMA_BATCHED"] = saved_env
-        summa.configure(**saved_flags)
-    if off_flags["batched"] or not on_flags["batched"]:
-        raise AssertionError(f"per-arm flag resolution failed: off={off_flags} on={on_flags}")
-    if off_doc != on_doc:
-        raise AssertionError("batched-mesh serving report diverges from per-rank arm")
-    return {
-        "wall_time": on_wall,
-        "per_rank_wall": off_wall,
-        "speedup": off_wall / on_wall if on_wall else float("inf"),
-        "flags_batched_arm": on_flags,
-        "flags_per_rank_arm": off_flags,
-        "equivalent": True,
     }

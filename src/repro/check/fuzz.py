@@ -204,20 +204,20 @@ def run_trial(
     spec: TrialSpec,
     strict: bool = True,
     contracts: bool = True,
-    batched: bool = True,
 ) -> TrialResult:
-    """Serial vs Optimus vs Megatron (vs batched-mesh Optimus) on one
-    fuzzed configuration.
+    """Serial vs Optimus vs Megatron on one fuzzed configuration, with
+    Optimus run under both SUMMA executors.
 
-    The ``batched`` arm re-runs Optimus with the batched-mesh engine
-    forced on and demands *bit-exact* agreement — numerics, per-rank
-    clocks, bytes, memory peaks — with a per-rank Optimus run.  Both A/B
-    runs happen outside the contract checker: the batched engine falls
-    back to the per-rank path whenever the collectives are patched, so
-    running it under the checker would silently compare per-rank against
-    per-rank.
+    The Optimus run under the correctness harness is pinned to the per-rank
+    SUMMA executor; a second Optimus run outside the harness takes the
+    batched executor wherever it is eligible, and must agree with the first
+    *bit-exactly* — numerics, per-rank clocks, bytes, memory peaks.  (The
+    second run cannot happen under the contract checker: patched
+    collectives force the per-rank executor, so it would silently compare
+    per-rank against per-rank.)
     """
     from repro.check.contracts import CollectiveContractChecker
+    from repro.core import summa
     from repro.nn.init import init_transformer_params
     from repro.reference.model import ReferenceTransformer
 
@@ -242,9 +242,14 @@ def run_trial(
     _make_serial_optimizer(spec, params_ref).step(ref_grads)
 
     # --- distributed schemes, under the full correctness harness -----
+    # The checker's patched collectives already force the per-rank SUMMA
+    # executor; pinning it here keeps this arm the per-rank reference when
+    # the checker is off as well.
     checker = CollectiveContractChecker() if contracts else None
+    batched_ready = summa._batched_ready
     schemes = {}
     try:
+        summa._batched_ready = lambda sim: False
         if checker is not None:
             checker.install()
         for scheme in ("optimus", "megatron"):
@@ -254,20 +259,10 @@ def run_trial(
     finally:
         if checker is not None:
             checker.uninstall()
+        summa._batched_ready = batched_ready
 
-    # --- batched-mesh A/B (outside the checker: see docstring) -------
-    batched_ab = None
-    if batched:
-        from repro.core import summa as _summa
-
-        def _optimus_arm(flag: bool):
-            with _summa.optimizations(batched=flag):
-                loss, grads, post, sim = _run_distributed(
-                    spec, cfg, ids, labels, "optimus", strict
-                )
-            return loss, grads, post, _sim_state(sim)
-
-        batched_ab = (_optimus_arm(False), _optimus_arm(True))
+    # --- the batched executor, outside the checker (see docstring) ---
+    batched = _run_distributed(spec, cfg, ids, labels, "optimus", strict)
 
     # --- diff everything ---------------------------------------------
     rtol, atol = TOLERANCES[spec.dtype]
@@ -300,26 +295,27 @@ def run_trial(
                     f"{scheme}: post-step param {name} max diff {d:.3e}"
                 )
 
-    if batched_ab is not None:
-        (l0, g0, p0, s0), (l1, g1, p1, s1) = batched_ab
-        if l0 != l1:
-            result.failures.append(
-                f"batched: loss {l1!r} != per-rank {l0!r} (must be bit-exact)"
-            )
-        for label, ref_d, got_d in (("grad", g0, g1), ("post-step param", p0, p1)):
-            for name in ref_d:
-                if not np.array_equal(ref_d[name], got_d[name]):
-                    d = _diff(got_d[name], ref_d[name])
-                    result.failures.append(
-                        f"batched: {label} {name} not bit-exact "
-                        f"(max diff {d:.3e})"
-                    )
-        if s0 != s1:
-            bad = [r for r in s0 if s0[r] != s1[r]]
-            result.failures.append(
-                f"batched: per-rank accounting diverges on ranks {bad}: "
-                f"{s0[bad[0]]} != {s1[bad[0]]}"
-            )
+    l0, g0, p0, sim0 = schemes["optimus"]
+    l1, g1, p1, sim1 = batched
+    if l0 != l1:
+        result.failures.append(
+            f"batched: loss {l1!r} != per-rank {l0!r} (must be bit-exact)"
+        )
+    for label, ref_d, got_d in (("grad", g0, g1), ("post-step param", p0, p1)):
+        for name in ref_d:
+            if not np.array_equal(ref_d[name], got_d[name]):
+                d = _diff(got_d[name], ref_d[name])
+                result.failures.append(
+                    f"batched: {label} {name} not bit-exact "
+                    f"(max diff {d:.3e})"
+                )
+    s0, s1 = _sim_state(sim0), _sim_state(sim1)
+    if s0 != s1:
+        bad = [r for r in s0 if s0[r] != s1[r]]
+        result.failures.append(
+            f"batched: per-rank accounting diverges on ranks {bad}: "
+            f"{s0[bad[0]]} != {s1[bad[0]]}"
+        )
     result.passed = not result.failures
     return result
 
@@ -332,7 +328,6 @@ def run_check(
     trials: int = 5,
     strict: bool = True,
     contracts: bool = True,
-    batched: bool = True,
     printer: Callable[[str], None] = print,
 ) -> bool:
     """Run ``trials`` fuzzed equivalence trials; True when all pass."""
@@ -341,9 +336,7 @@ def run_check(
     for t in range(trials):
         spec = draw_spec(rng, trial=seed * 10_000 + t)
         try:
-            result = run_trial(
-                spec, strict=strict, contracts=contracts, batched=batched
-            )
+            result = run_trial(spec, strict=strict, contracts=contracts)
         except Exception as exc:  # contract/invariant violations included
             all_ok = False
             printer(f"trial {t}: {spec.describe()}")
@@ -360,9 +353,7 @@ def run_check(
             printer(f"  {f}")
         all_ok = all_ok and result.passed
     printer(
-        "repro check: all trials passed (Optimus ≡ Megatron ≡ serial"
-        + (" ≡ batched" if batched else "")
-        + ")"
+        "repro check: all trials passed (Optimus ≡ Megatron ≡ serial ≡ batched)"
         if all_ok
         else "repro check: EQUIVALENCE FAILURES (see above)"
     )
@@ -374,8 +365,7 @@ def main(
     trials: int = 5,
     strict: bool = True,
     contracts: bool = True,
-    batched: bool = True,
 ) -> int:
     """CLI entry point for ``python -m repro check``."""
     return 0 if run_check(seed=seed, trials=trials, strict=strict,
-                          contracts=contracts, batched=batched) else 1
+                          contracts=contracts) else 1

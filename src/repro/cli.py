@@ -381,10 +381,6 @@ def main(argv=None) -> int:
         help="relative SLO regression threshold (default 0.20)",
     )
     srv.add_argument(
-        "--ab", action="store_true",
-        help="run batched-mesh vs per-rank arms and demand byte equality",
-    )
-    srv.add_argument(
         "--policy", default=None, choices=("reserve", "preempt"),
         help="admission policy: conservative whole-footprint reservation "
         "(default) or prompt-footprint admission with preemption",
@@ -456,10 +452,6 @@ def main(argv=None) -> int:
     chk.add_argument(
         "--no-contracts", action="store_true",
         help="skip collective contract checking",
-    )
-    chk.add_argument(
-        "--no-batched", action="store_true",
-        help="skip the batched-mesh vs per-rank bit-exactness arm",
     )
 
     met = sub.add_parser(
@@ -568,7 +560,6 @@ def main(argv=None) -> int:
             trials=args.trials,
             strict=not args.no_strict,
             contracts=not args.no_contracts,
-            batched=not args.no_batched,
         )
     if args.command == "profile":
         from repro.obs.profile import main as profile_main

@@ -29,6 +29,7 @@ The consumers are :mod:`repro.obs.claims` (the paper-claims scorecard),
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -71,8 +72,13 @@ def config_fingerprint(cfg) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
 
 
+@functools.lru_cache(maxsize=None)
 def git_revision(cwd: Optional[str] = None) -> str:
-    """The current git commit (short), or ``"unknown"`` outside a repo."""
+    """The current git commit (short), or ``"unknown"`` outside a repo.
+
+    Resolved once per process per ``cwd``: it is the default of every
+    :class:`RunRecord`, and a ``git`` fork per record dominated ledger hooks.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short=12", "HEAD"],

@@ -28,7 +28,6 @@ from repro.serving.report import (
     REPORT_SCHEMA,
     compare_reports,
     percentile,
-    run_ab,
     run_preempt_ab,
     run_serve,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "compare_reports",
     "make_engine",
     "percentile",
-    "run_ab",
     "run_preempt_ab",
     "run_serve",
     "run_serve_chaos",

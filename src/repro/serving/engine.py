@@ -13,8 +13,9 @@ Scheme-specific decode forwards reuse the training modules unchanged
 (``Embedding2D``/``Linear2D``/``LayerNorm2D``/``MLP2D`` and their 1-D
 twins) — SUMMA and the Megatron conjugate all-reduces accept any token
 count, so the decode path exercises the exact communication/compute
-accounting of training, including the ``REPRO_SUMMA_BATCHED`` batched-mesh
-engine, which stays bit-exact here (asserted by the serving A/B benchmark).
+accounting of training, including the batched SUMMA executor, which stays
+bit-exact here (``tests/test_serving.py`` compares a whole report with it
+forced off).
 Only attention is new: per-lane causal attention over the sharded KV cache
 (:func:`repro.reference.attention.decode_attention_fwd`), fully local per
 rank in both schemes.

@@ -9,10 +9,7 @@ host-dependent goes in — no wall-clock, no paths, no git state — so two
 runs with the same seed produce byte-identical files (CI diffs them).
 
 The same module carries the SLO regression gate
-(:func:`compare_reports`, used by ``repro serve --compare``) and the
-batched-vs-per-rank bit-exactness check (``--ab``): the decode forward
-rides the SUMMA engine, so flipping ``REPRO_SUMMA_BATCHED`` must change
-*nothing* in the report.
+(:func:`compare_reports`, used by ``repro serve --compare``).
 """
 
 from __future__ import annotations
@@ -438,34 +435,6 @@ def render_sweep(report: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# batched-mesh bit-exactness (--ab)
-# ----------------------------------------------------------------------
-def run_ab(seed: int = 0, quick: bool = True, **kw) -> dict:
-    """Run the whole report under the per-rank and the batched SUMMA engine
-    and demand byte equality — serving inherits the training engines'
-    bit-exactness guarantee or this returns ``equal: False``."""
-    saved = summa.effective_flags()
-    try:
-        summa.configure(batched=False)
-        per_rank = run_serve(seed, quick=quick, **kw)
-        summa.configure(batched=True)
-        batched = run_serve(seed, quick=quick, **kw)
-    finally:
-        summa.configure(**saved)
-    # the flag snapshot is the one field that legitimately differs
-    a = {k: v for k, v in per_rank.items() if k != "summa_flags"}
-    b = {k: v for k, v in batched.items() if k != "summa_flags"}
-    equal = canonical_json(a) == canonical_json(b)
-    return {
-        "report": "repro-serve-ab-v1",
-        "seed": seed,
-        "equal": equal,
-        "per_rank": per_rank,
-        "batched": batched,
-    }
-
-
-# ----------------------------------------------------------------------
 # preemption A/B (--preempt-ab): reserve vs preempt under overload
 # ----------------------------------------------------------------------
 #: an overload profile conservative reservation cannot absorb: long bursts
@@ -751,20 +720,6 @@ def cmd_serve(args) -> int:
         retries=getattr(args, "retries", None),
         max_queue_depth=getattr(args, "max_queue_depth", None),
     )
-    if args.ab:
-        for name in ("policy", "swap_blocks", "swap_gbps", "deadline", "retries",
-                     "max_queue_depth"):
-            kw.pop(name)
-        ab = run_ab(args.seed, quick=args.quick, **kw)
-        if args.out:
-            write_report(ab, args.out)
-        print(render_text(ab["per_rank"]))
-        if not ab["equal"]:
-            print("FAIL: batched-mesh serving report differs from per-rank")
-            return 1
-        print("ok: batched-mesh and per-rank serving reports are byte-identical")
-        return 0
-
     if getattr(args, "alert_rules", None):
         kw["alert_rules"] = _load_alert_rules(args.alert_rules)
     kw["alerts"] = bool(getattr(args, "alerts", False))

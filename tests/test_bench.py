@@ -1,5 +1,5 @@
 """Bench subsystem: CLI, result schema, regression gate, and the hot-path
-optimizations it measures (plan cache, scratch pool, legacy A/B arm)."""
+machinery it measures (SUMMA plan cache, scratch pool)."""
 
 from __future__ import annotations
 
@@ -117,33 +117,40 @@ def _random_operands(mesh, m, k, n, seed=0):
 
 
 class TestPlanCache:
-    def test_bit_exact_and_cost_identical_vs_uncached(self):
-        def run(enabled):
-            with summa.optimizations(plan_cache=enabled, pool=enabled):
-                mesh = make_mesh(2)
-                a, b = _random_operands(mesh, 8, 12, 6)
-                outs = []
-                for _ in range(3):  # repeated calls exercise cache hits
-                    c = summa.summa_ab(mesh, a, b)
-                    da, db = summa.grads_of_ab(mesh, a, b, c)
-                    outs.append((c, da, db))
-                sim = mesh.sim
-                stats = (
-                    sim.elapsed(),
-                    sim.total_flops(),
-                    sim.total_bytes_comm(),
-                    sim.max_weighted_comm_volume(),
-                )
-                return outs, stats
+    def test_miss_and_hit_charge_identically(self):
+        """A planned call charges what building the plan afresh charges:
+        miss/hit/hit on one mesh ≡ three misses on another (its cache is
+        emptied before every call), bit for bit."""
 
-        on, s_on = run(True)
-        off, s_off = run(False)
-        assert s_on == s_off
-        for ts_on, ts_off in zip(on, off):
-            for t1, t2 in zip(ts_on, ts_off):
-                full1 = assemble_blocked_2d(t1)
-                full2 = assemble_blocked_2d(t2)
-                assert np.array_equal(full1, full2)
+        def run(drop_plans):
+            mesh = make_mesh(2)
+            a, b = _random_operands(mesh, 8, 12, 6)
+            outs = []
+
+            def call(kernel, x, y):
+                if drop_plans:
+                    mesh.__dict__.pop("_summa_plans", None)
+                outs.append(kernel(mesh, x, y))
+                return outs[-1]
+
+            for _ in range(3):
+                c = call(summa.summa_ab, a, b)
+                call(summa.summa_abt, c, b)
+                call(summa.summa_atb, a, c)
+            sim = mesh.sim
+            state = [
+                (d.clock, d.flops, d.bytes_comm, d.weighted_comm_volume,
+                 d.compute_time, d.comm_time, d.num_collectives, d.memory.peak)
+                for d in sim.devices
+            ]
+            return outs, state, summa.plan_cache_size(mesh)
+
+        hit, s_hit, n_hit = run(drop_plans=False)
+        miss, s_miss, n_miss = run(drop_plans=True)
+        assert (n_hit, n_miss) == (3, 1)
+        assert s_hit == s_miss
+        for t1, t2 in zip(hit, miss):
+            assert np.array_equal(assemble_blocked_2d(t1), assemble_blocked_2d(t2))
 
     def test_cache_populates_and_hits(self):
         mesh = make_mesh(2)
@@ -237,36 +244,6 @@ class TestInstrumentationFlag:
         assert sim.is_enabled
         sim.strict_invariants = False
         assert not sim.is_enabled
-
-
-class TestLegacyArm:
-    def test_pre_optimization_arm_is_numerically_identical(self):
-        from repro.bench.legacy import pre_optimization
-
-        def run():
-            mesh = make_mesh(2)
-            a, b = _random_operands(mesh, 8, 12, 6)
-            c = summa.summa_ab(mesh, a, b)
-            da, db = summa.grads_of_ab(mesh, a, b, c)
-            return [assemble_blocked_2d(t) for t in (c, da, db)]
-
-        current = run()
-        with pre_optimization():
-            legacy = run()
-        post = run()  # patches must be fully restored
-        for x, y, z in zip(current, legacy, post):
-            assert np.array_equal(x, y)
-            assert np.array_equal(x, z)
-
-    def test_pre_optimization_restores_shape_backend(self):
-        from repro.backend.shape_array import ShapeArray
-        from repro.bench.legacy import pre_optimization
-
-        x = ShapeArray((3, 4), "float32")
-        with pre_optimization():
-            assert ShapeArray((3, 4), "float32").nbytes == 48
-        assert x.nbytes == 48
-        assert (x @ ShapeArray((4, 5), "float32")).shape == (3, 5)
 
 
 class TestSaveResultPreservation:

@@ -88,6 +88,25 @@ class TestRunRecord:
         assert r1.run_id != r3.run_id
         assert len(r1.run_id) == 16
 
+    def test_git_revision_forks_once_per_process(self, monkeypatch):
+        import subprocess
+
+        from repro.obs import ledger
+
+        calls = []
+        real = subprocess.run
+
+        def counting_run(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        ledger.git_revision.cache_clear()
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        r1 = RunRecord(kind="train")
+        r2 = RunRecord(kind="bench")
+        assert len(calls) == 1
+        assert r1.git == r2.git
+
     def test_round_trip(self):
         r = RunRecord(kind="bench", label="suite", extra={"x": 1})
         doc = json.loads(r.to_line())

@@ -22,7 +22,6 @@ from repro.serving.kvcache import (
 from repro.serving.report import (
     compare_reports,
     percentile,
-    run_ab,
     run_serve,
 )
 from repro.serving.scheduler import ContinuousBatchingScheduler, ServingOptions
@@ -318,7 +317,7 @@ class TestDecodeEquivalence:
 
 
 # ----------------------------------------------------------------------
-# report: determinism, A/B, SLO gate
+# report: determinism, executor equivalence, SLO gate
 # ----------------------------------------------------------------------
 class TestReport:
     def test_quick_report_is_byte_deterministic(self):
@@ -331,9 +330,16 @@ class TestReport:
         by_scheme = {e["scheme"]: e for e in rep["schemes"]}
         assert by_scheme["optimus"]["tokens_sha256"] == by_scheme["megatron"]["tokens_sha256"]
 
-    def test_ab_bit_exact(self):
-        ab = run_ab(0, quick=True, requests=6)
-        assert ab["equal"] is True
+    def test_report_identical_under_either_summa_executor(self, monkeypatch):
+        """The decode forward rides SUMMA: forcing the per-rank executor for
+        a whole run must not change the report by a byte."""
+        from repro.core import summa
+        from repro.obs.ledger import canonical_json
+
+        default = run_serve(0, quick=True)
+        monkeypatch.setattr(summa, "_batched_ready", lambda sim: False)
+        per_rank = run_serve(0, quick=True)
+        assert canonical_json(per_rank) == canonical_json(default)
 
     def test_slo_gate_passes_self_and_fails_regression(self):
         rep = run_serve(0, quick=True, requests=6)
@@ -441,15 +447,16 @@ class TestServeCLI:
         assert main(argv + [out1, "--compare", out2]) == 1
         capsys.readouterr()
 
-    def test_serve_ab_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv", [["serve", "--quick", "--ab"], ["check", "--trials", "1", "--no-batched"]]
+    )
+    def test_retired_executor_switches_are_rejected(self, argv, capsys):
         from repro.cli import main
 
-        out = str(tmp_path / "ab.json")
-        rc = main(["serve", "--quick", "--seed", "0", "--requests", "4", "--ab", "--out", out])
-        assert rc == 0
-        with open(out) as f:
-            assert json.load(f)["equal"] is True
-        assert "byte-identical" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -153,8 +153,8 @@ class TestCostAccounting:
 
 
 class TestHotPathRegressions:
-    """Minimal reproductions of accounting bugs found by the batched-vs-
-    per-rank A/B diff (PR 7 satellite sweep)."""
+    """Minimal reproductions of accounting bugs found by diffing the batched
+    executor against the per-rank one (PR 7 satellite sweep)."""
 
     def test_q1_reduce_does_not_leak_pool_buffers(self, rng):
         """q=1: the size-1 reduce is zero-copy, so a pooled partial became
@@ -164,10 +164,9 @@ class TestHotPathRegressions:
 
         mesh = make_mesh(1)
         a = _dist(mesh, rng.normal(size=(4, 4)))
-        with summa_mod.optimizations(pool=True):
-            for _ in range(3):
-                summa_abt(mesh, a, a)
-                summa_atb(mesh, a, a)
+        for _ in range(3):
+            summa_abt(mesh, a, a)
+            summa_atb(mesh, a, a)
         stats = summa_mod._pool_of(mesh.sim).stats()
         assert stats["live"] == 0, f"pooled buffers leaked into outputs: {stats}"
 
@@ -175,7 +174,6 @@ class TestHotPathRegressions:
         """Mixed per-shard dtypes used to collide with the uniform-dtype
         plan (the key looked only at the first shard), silently reusing its
         out-dtype and f32-sized scratch/byte charges for f64 blocks."""
-        from repro.core import summa as summa_mod
         from repro.mesh.dtensor import DTensor
         from repro.mesh.layouts import BLOCKED_2D
 
@@ -191,13 +189,12 @@ class TestHotPathRegressions:
                 for r, s in a32.shards.items()
             }
             amix = DTensor(mesh, BLOCKED_2D, mixed, (8, 8))
-            with summa_mod.optimizations(plan_cache=prime_first):
-                if prime_first:  # prime the cache with the all-f32 plan
-                    summa_ab(mesh, a32, b32)
-                    base = {r: mesh.sim.device(r).bytes_comm for r in mesh.ranks}
-                else:
-                    base = {r: 0.0 for r in mesh.ranks}
-                c = summa_ab(mesh, amix, b32)
+            if prime_first:  # prime the cache with the all-f32 plan
+                summa_ab(mesh, a32, b32)
+                base = {r: mesh.sim.device(r).bytes_comm for r in mesh.ranks}
+            else:  # fresh mesh: nothing cached to collide with
+                base = {r: 0.0 for r in mesh.ranks}
+            c = summa_ab(mesh, amix, b32)
             dtypes = sorted({s.dtype.name for s in c.shards.values()})
             bytes_comm = {
                 r: mesh.sim.device(r).bytes_comm - base[r] for r in mesh.ranks
