@@ -230,36 +230,6 @@ def main(argv=None) -> int:
         help="report what would be dropped without writing anything",
     )
 
-    bch = sub.add_parser(
-        "bench",
-        help="run the pinned micro/macro benchmark suite "
-        "(machine-readable results, optional regression gate)",
-    )
-    bch.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write repro-bench-v1 JSON results (use 'auto' for BENCH_<date>.json)",
-    )
-    bch.add_argument(
-        "--compare", default=None, metavar="BASELINE.json", dest="baseline",
-        help="compare against a baseline; exit 1 on wall-clock regression",
-    )
-    bch.add_argument(
-        "--only", action="append", default=None, metavar="PATTERN",
-        help="run only benchmarks whose name contains PATTERN (repeatable)",
-    )
-    bch.add_argument(
-        "--repeats", type=int, default=None,
-        help="override per-benchmark repeat count",
-    )
-    bch.add_argument(
-        "--threshold", type=float, default=0.20,
-        help="relative wall-clock regression threshold (default 0.20)",
-    )
-    bch.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="append a 'bench' record to this run-ledger JSONL file/dir",
-    )
-
     chaos = sub.add_parser(
         "chaos",
         help="seeded fault-injection campaign: crash/corrupt/retry/restart, "
@@ -310,10 +280,6 @@ def main(argv=None) -> int:
     dash.add_argument(
         "--openmetrics", default=None, metavar="PATH",
         help="OpenMetrics text path (default: <ledger dir>/metrics.txt)",
-    )
-    dash.add_argument(
-        "--baseline", default="benchmarks/baseline.json", metavar="PATH",
-        help="bench baseline for the regression section",
     )
     dash.add_argument(
         "--no-collect", action="store_true",
@@ -504,17 +470,6 @@ def main(argv=None) -> int:
         return compact_main(
             ledger=args.ledger, out=args.out, dry_run=args.dry_run
         )
-    if args.command == "bench":
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(
-            out=args.out,
-            baseline=args.baseline,
-            only=args.only,
-            repeats=args.repeats,
-            threshold=args.threshold,
-            ledger=args.ledger,
-        )
     if args.command == "chaos":
         if args.serve:
             from repro.serving.chaos import SERVE_SCHEMES
@@ -545,7 +500,6 @@ def main(argv=None) -> int:
             ledger=args.ledger,
             out=args.out,
             openmetrics_out=args.openmetrics,
-            baseline=args.baseline,
             no_collect=args.no_collect,
         )
     if args.command == "serve":

@@ -101,7 +101,7 @@ _ATB = _Algo("atb", True, False, (0,), 1)
 
 
 def effective_flags() -> dict:
-    """Read-only description for bench/serve records: the plan cache, the
+    """Read-only description for serve reports and hostbench: the plan cache, the
     scratch pool and batched execution (where eligible) are always on."""
     return {"plan_cache": True, "pool": True, "batched": True}
 

@@ -13,7 +13,7 @@ artifacts performance work is judged against:
 * :mod:`repro.obs.report` — plain-text top-k span and memory reports;
 * :mod:`repro.obs.profile` — the ``python -m repro profile`` driver;
 * :mod:`repro.obs.ledger` — append-only, byte-deterministic JSONL run
-  records shared by the trainer, bench suite, chaos campaigns and stems;
+  records shared by the trainer, chaos campaigns, serving runs and stems;
 * :mod:`repro.obs.openmetrics` — Prometheus/OpenMetrics text exposition
   of metric snapshots (live registry or ledger records), with a grammar
   validator;

@@ -13,14 +13,12 @@ plus an OpenMetrics text file:
 * **trends** — simulated clock, peak memory and communication volume per
   ledger record in append order, plus per-metric sparklines keyed on git
   revision (newest value per revision);
-* **bench regressions** — normalized wall-clock deltas against
-  ``benchmarks/baseline.json``;
 * **run table** — every ledger record with its content-hash ``run_id``.
 
 Unless ``--no-collect`` is passed, missing evidence is collected first
-(a tiny training run, a micro-bench, a quick single-scheme chaos
-campaign, the claim stems), so a bare ``python -m repro dash`` on a fresh
-checkout produces a complete dashboard.
+(a tiny training run, a quick single-scheme chaos campaign, the claim
+stems), so a bare ``python -m repro dash`` on a fresh checkout produces a
+complete dashboard.
 """
 
 from __future__ import annotations
@@ -38,8 +36,6 @@ _STATUS = {  # icon + label: color never carries a verdict alone
     "pass": ("✓", "PASS", "status-good"),
     "fail": ("✗", "FAIL", "status-critical"),
     "no-evidence": ("○", "NO EVIDENCE", "status-muted"),
-    "ok": ("✓", "OK", "status-good"),
-    "regressed": ("✗", "REGRESSED", "status-critical"),
     "fired": ("▲", "FIRED", "status-critical"),
     "quiet": ("✓", "QUIET", "status-good"),
 }
@@ -71,15 +67,6 @@ def _collect_train(ledger: RunLedger, printer) -> None:
         seed=0,
     )
     trainer.train_steps(5)
-
-
-def _collect_bench(ledger: RunLedger, printer) -> None:
-    from repro.bench.cli import append_bench_record
-    from repro.bench.core import run_suite
-
-    printer("collecting evidence: micro-benchmark (micro/collectives)")
-    doc = run_suite(only=["micro/collectives"], repeats=1, printer=lambda _: None)
-    append_bench_record(ledger, doc, only=["micro/collectives"])
 
 
 def _collect_chaos(ledger: RunLedger, printer) -> None:
@@ -136,8 +123,6 @@ def collect(ledger: RunLedger, printer=print) -> None:
         _collect_train(ledger, printer)
     if not any(r.scheme == "pipeline" for r in records):
         _collect_pipeline(ledger, printer)
-    if not kinds.get("bench"):
-        _collect_bench(ledger, printer)
     if not kinds.get("chaos"):
         _collect_chaos(ledger, printer)
     if not kinds.get("serve"):
@@ -350,31 +335,6 @@ def serve_chaos_rows(records: Sequence[RunRecord]) -> List[dict]:
             "clock": r.clock,
         })
     return rows
-
-
-def bench_comparison(records: Sequence[RunRecord], baseline_path: Optional[str],
-                     threshold: float = 0.20) -> List[dict]:
-    """Regression rows from the newest bench record (stored or recomputed)."""
-    bench = None
-    for r in records:
-        if r.kind == "bench":
-            bench = r
-    if bench is None:
-        return []
-    extra = bench.extra or {}
-    rows = extra.get("comparison")
-    if rows is None and baseline_path and os.path.exists(baseline_path):
-        from repro.bench.core import compare, load_results
-
-        results = extra.get("results")
-        if results:
-            rows = [
-                {"name": c.name, "baseline_wall": c.baseline_wall,
-                 "current_wall": c.current_wall, "normalized_wall": c.normalized_wall,
-                 "ratio": c.ratio, "regressed": c.regressed}
-                for c in compare(results, load_results(baseline_path), threshold=threshold)
-            ]
-    return list(rows or [])
 
 
 # ----------------------------------------------------------------------
@@ -853,30 +813,6 @@ def _serve_chaos_section(rows: List[dict]) -> str:
     )
 
 
-def _regressions_section(rows: List[dict]) -> str:
-    if not rows:
-        body = ("<p class='muted'>no baseline comparison in the newest bench "
-                "record (run <code>repro bench --compare benchmarks/baseline.json "
-                "--ledger …</code>)</p>")
-        return f"<section><h2>Bench regressions vs baseline</h2>{body}</section>"
-    trs = []
-    for c in rows:
-        delta = (c["ratio"] - 1.0) * 100.0
-        trs.append(
-            f"<tr><td><code>{html.escape(c['name'])}</code></td>"
-            f"<td>{_status_cell('regressed' if c['regressed'] else 'ok')}</td>"
-            f"<td>{c['baseline_wall'] * 1e3:.1f} ms</td>"
-            f"<td>{c['normalized_wall'] * 1e3:.1f} ms</td>"
-            f"<td>{delta:+.1f}%</td></tr>"
-        )
-    return (
-        "<section><h2>Bench regressions vs baseline</h2>"
-        "<table><tr><th>benchmark</th><th>verdict</th><th>baseline</th>"
-        "<th>current (normalized)</th><th>Δ wall</th></tr>"
-        + "".join(trs) + "</table></section>"
-    )
-
-
 def _runs_section(records: Sequence[RunRecord]) -> str:
     trs = []
     for r in records:
@@ -899,8 +835,7 @@ def _runs_section(records: Sequence[RunRecord]) -> str:
     )
 
 
-def render_html(records: Sequence[RunRecord], card: dict,
-                regressions: List[dict]) -> str:
+def render_html(records: Sequence[RunRecord], card: dict) -> str:
     from repro.obs.ledger import git_revision
 
     kinds: dict = {}
@@ -922,7 +857,6 @@ def render_html(records: Sequence[RunRecord], card: dict,
         + _alerts_section(alerts_rows(records))
         + _serve_chaos_section(serve_chaos_rows(records))
         + _trends_section(trend_series(records), sparkline_series(records))
-        + _regressions_section(regressions)
         + _runs_section(records)
         + "</body></html>"
     )
@@ -955,7 +889,6 @@ def main(
     ledger: Optional[str] = None,
     out: Optional[str] = None,
     openmetrics_out: Optional[str] = None,
-    baseline: str = os.path.join("benchmarks", "baseline.json"),
     no_collect: bool = False,
     printer=print,
 ) -> int:
@@ -971,12 +904,11 @@ def main(
     from repro.obs.openmetrics import validate_openmetrics
 
     card = scorecard(records)
-    regressions = bench_comparison(records, baseline)
     ledger_dir = os.path.dirname(led.path) or "."
     out = out or os.path.join(ledger_dir, DEFAULT_HTML)
     openmetrics_out = openmetrics_out or os.path.join(ledger_dir, DEFAULT_OPENMETRICS)
 
-    html_text = render_html(records, card, regressions)
+    html_text = render_html(records, card)
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     with open(out, "w") as f:
         f.write(html_text)

@@ -1,6 +1,6 @@
 """The run ledger: durable, append-only, machine-readable run records.
 
-Every run of the trainer, the bench suite, a chaos campaign or an
+Every run of the trainer, a chaos campaign, a serving run or an
 experiment stem prints its evidence and — before this module — threw it
 away.  The ledger turns that signal into comparable artifacts: one JSONL
 line per run under ``benchmarks/ledger/``, each a :class:`RunRecord`
@@ -41,7 +41,7 @@ LEDGER_SCHEMA = "repro-ledger-v1"
 DEFAULT_LEDGER_DIR = os.path.join("benchmarks", "ledger")
 DEFAULT_LEDGER_FILE = "ledger.jsonl"
 
-RUN_KINDS = ("train", "bench", "chaos", "experiment", "serve", "serve-chaos")
+RUN_KINDS = ("train", "chaos", "experiment", "serve", "serve-chaos")
 
 
 def canonical_json(doc) -> str:
@@ -113,7 +113,7 @@ def _scheme_of(model) -> Optional[str]:
 class RunRecord:
     """One ledger line: everything needed to compare this run to any other."""
 
-    kind: str  # train | bench | chaos | experiment
+    kind: str  # one of RUN_KINDS
     label: str = ""
     scheme: Optional[str] = None
     seed: Optional[int] = None

@@ -9,7 +9,7 @@ SDC guards (:mod:`repro.resilience.trainer`), and seeded chaos campaigns
 that prove recovery is lossless (:mod:`repro.resilience.chaos`, surfaced
 as ``python -m repro chaos``).  With no injector installed the whole
 machinery costs one attribute read per collective — the same
-zero-overhead-when-off bar as ``repro.check`` and ``repro.bench``.
+zero-overhead-when-off bar as ``repro.check``.
 """
 
 from repro.resilience.faults import (

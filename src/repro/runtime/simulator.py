@@ -70,8 +70,8 @@ class Simulator:
         #: precomputed instrumentation flag: True iff *any* per-call checking
         #: or tracing (strict invariants, span/event tracing) is active.  Hot
         #: paths guard on this single attribute so that disabled-mode
-        #: overhead is two attribute reads (``sim.is_enabled``) — the
-        #: ``micro/instrumentation`` benchmark measures exactly this.
+        #: overhead is two attribute reads (``sim.is_enabled``); hostbench's
+        #: ``hostbench.trace_overhead_ratio`` measures the traced/off cost.
         self.is_enabled = self._strict_invariants or trace
         self.metrics = MetricsRegistry()
         #: fault injector (repro.resilience), or None.  Collectives check

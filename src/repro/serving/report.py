@@ -439,7 +439,8 @@ def render_sweep(report: dict) -> str:
 # ----------------------------------------------------------------------
 #: an overload profile conservative reservation cannot absorb: long bursts
 #: into a small pool, with a deadline that expires queued requests.  The
-#: numbers are part of the report contract (BENCH_pr9.json is committed).
+#: numbers are part of the report contract
+#: (benchmarks/preempt_ab_baseline.json is committed).
 PREEMPT_AB_PROFILE = {
     "arrival": "bursty",
     "rate_rps": 4000.0,

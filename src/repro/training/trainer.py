@@ -159,6 +159,10 @@ class Trainer:
         the SDC guard retry a corrupted step.
         """
         self.optimizer.zero_grad()
+        # §3.2.3: the param_grad region is reused every iteration, not grown
+        buffers = getattr(self.model, "buffers", None)
+        if buffers is not None:
+            buffers.reset_region("param_grad")
         loss = float(self.model.forward(ids, labels))
         if not math.isfinite(loss):
             raise TrainingDivergedError(self.step, loss, self._last_finite_loss)

@@ -1,5 +1,7 @@
 """CLI entry points and the ASCII plotting utility."""
 
+import importlib
+
 import pytest
 
 from repro.cli import COMMANDS, main
@@ -66,8 +68,12 @@ class TestCLI:
         assert "Reproduction report" in empty
 
     def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+        # host time is hostbench/run.py's business: no in-tree bench command
+        for argv in (["frobnicate"], ["bench"], ["dash", "--baseline", "x"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(".bench", "repro")
 
     def test_all_known_commands_registered(self):
         assert set(COMMANDS) == {

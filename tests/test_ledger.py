@@ -103,19 +103,20 @@ class TestRunRecord:
         ledger.git_revision.cache_clear()
         monkeypatch.setattr(subprocess, "run", counting_run)
         r1 = RunRecord(kind="train")
-        r2 = RunRecord(kind="bench")
+        r2 = RunRecord(kind="chaos")
         assert len(calls) == 1
         assert r1.git == r2.git
 
     def test_round_trip(self):
-        r = RunRecord(kind="bench", label="suite", extra={"x": 1})
+        r = RunRecord(kind="chaos", label="suite", extra={"x": 1})
         doc = json.loads(r.to_line())
         back = RunRecord.from_json(doc)
         assert back == r
 
     def test_unknown_kind_and_fields_rejected(self):
-        with pytest.raises(ValueError, match="unknown run kind"):
-            RunRecord(kind="nonsense")
+        for kind in ("nonsense", "bench"):  # "bench" left with the wall-clock gate
+            with pytest.raises(ValueError, match="unknown run kind"):
+                RunRecord(kind=kind)
         with pytest.raises(ValueError, match="unknown ledger record fields"):
             RunRecord.from_json(
                 {"kind": "train", "schema": "repro-ledger-v1", "bogus": 1}
@@ -160,11 +161,11 @@ class TestRunLedger:
         led = RunLedger(str(tmp_path / "ledger.jsonl"))
         led.append(RunRecord(kind="train", label="first", git="x"))
         before = open(led.path, "rb").read()
-        led.append(RunRecord(kind="bench", label="second", git="x"))
+        led.append(RunRecord(kind="chaos", label="second", git="x"))
         after = open(led.path, "rb").read()
         assert after.startswith(before)  # earlier lines are never rewritten
         assert len(led) == 2
-        assert led.kinds() == {"train": 1, "bench": 1}
+        assert led.kinds() == {"train": 1, "chaos": 1}
 
     def test_directory_path_resolves_to_default_file(self, tmp_path):
         led = RunLedger(str(tmp_path) + os.sep)
@@ -181,12 +182,12 @@ class TestRunLedger:
     def test_latest_matches_attributes(self, tmp_path):
         records = [
             RunRecord(kind="train", label="a", git="x"),
-            RunRecord(kind="bench", label="b", git="x"),
+            RunRecord(kind="chaos", label="b", git="x"),
             RunRecord(kind="train", label="c", git="x"),
         ]
         found = latest(records, kind="train")
         assert found.label == "c"
-        assert latest(records, kind="chaos") is None
+        assert latest(records, kind="serve") is None
 
     def test_from_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_LEDGER", raising=False)
@@ -305,21 +306,9 @@ class TestPipelineLedger:
 
 
 # ----------------------------------------------------------------------
-# producers: bench / chaos / experiments
+# producers: chaos / experiments
 # ----------------------------------------------------------------------
 class TestProducers:
-    def test_bench_record_wraps_results_doc(self, tmp_path):
-        from repro.bench.cli import append_bench_record
-
-        led = RunLedger(str(tmp_path / "ledger.jsonl"))
-        doc = {"schema": "repro-bench-v1", "benchmarks": {}, "calibration": {}}
-        run_id = append_bench_record(led, doc, only=["micro"])
-        (rec,) = led.read()
-        assert rec.run_id == run_id
-        assert rec.kind == "bench"
-        assert rec.extra["results"]["schema"] == "repro-bench-v1"
-        assert rec.extra["only"] == ["micro"]
-
     def test_stem_runner_appends_experiment_record(self, tmp_path):
         from repro.experiments.runner import run_optimus_stem
 
@@ -460,7 +449,6 @@ class TestDash:
     def test_collect_covers_all_required_kinds(self, evidence_ledger):
         kinds = evidence_ledger.kinds()
         assert kinds.get("train", 0) >= 1
-        assert kinds.get("bench", 0) >= 1
         assert kinds.get("chaos", 0) >= 1
         assert kinds.get("experiment", 0) >= 4
         schedules = {

@@ -414,7 +414,7 @@ class TestLedgerServe:
         rows = serving_rows(records)
         arms = {(r["scheme"], r["arrival"]) for r in rows}
         assert arms == {("optimus", "poisson"), ("megatron", "poisson")}
-        html_text = render_html(records, scorecard(records), [])
+        html_text = render_html(records, scorecard(records))
         assert "<h2>Serving</h2>" in html_text
         assert "tok/s" in html_text
         assert "<script" not in html_text

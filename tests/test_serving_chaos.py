@@ -3,6 +3,7 @@ recovery phase, the batched-SUMMA fallback regression, the preemption A/B
 gate, and the friendly baseline/scheme error paths."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -118,7 +119,7 @@ class TestServeChaos:
         rows = serve_chaos_rows(records)
         assert [r["scheme"] for r in rows] == ["optimus"]
         assert rows[0]["token_identical"] is True
-        html_text = render_html(records, scorecard(records), [])
+        html_text = render_html(records, scorecard(records))
         assert "<h2>Serving under chaos</h2>" in html_text
 
 
@@ -170,6 +171,14 @@ class TestPreemptAB:
     def test_arms_cover_swap_and_recompute(self, ab):
         arms = {e["policy"] for e in ab["arms"]}
         assert arms == {"reserve", "preempt-swap", "preempt-recompute"}
+
+    def test_full_report_matches_committed_baseline(self, tmp_path):
+        from repro.cli import main as cli_main
+
+        out = tmp_path / "preempt-ab.json"
+        assert cli_main(["serve", "--preempt-ab", "--seed", "0", "--out", str(out)]) == 0
+        root = pathlib.Path(__file__).resolve().parents[1]
+        assert out.read_bytes() == (root / "benchmarks/preempt_ab_baseline.json").read_bytes()
 
 
 class TestFriendlyErrors:
