@@ -2,273 +2,59 @@
 → tied LM head → vocabulary-2D cross-entropy, with distributed activation
 checkpointing and the Fig. 6 buffer schedule.
 
-With checkpointing (the paper's default): during forward only each layer's
-*input* is kept (in the checkpoint region, bsh/p bytes per device per
-layer); all intra-layer activations are dropped and their buffer regions
-reset.  During backward each layer's forward is recomputed from its
-checkpoint before its backward runs — hence the paper's 3× backward compute
-and the 3× backward communication ratio unique to Optimus (communication
-happens inside SUMMA ops, so the re-forward re-pays it; Megatron's
-re-forward re-pays its all-reduces too, giving its 2→... see Table 1
-discussion in §4).  Between layers the activation gradient is cloned into
-the conjunction region so forward/backward buffers can be reset (Fig. 6).
+The stack and its checkpointed loops are
+:class:`repro.nn.transformer.TransformerModel`; this file names the 2-D
+leaves and the buffer rules only Optimus has.  Each checkpointed layer input
+is a ``BLOCKED_2D`` shard (bsh/p bytes per device per layer), and because
+communication happens inside SUMMA ops the re-forward re-pays it — the 3×
+backward communication ratio unique to Optimus (Table 1 discussion in §4).
+Between layers the activation gradient is cloned into the conjunction region
+so forward/backward buffers can be reset (Fig. 6).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
 import numpy as np
 
-from repro.backend import ops
 from repro.backend.shape_array import ShapeArray
-from repro.config import ModelConfig
-from repro.core.buffers import BufferManager
+from repro.core.cls_head import ClassificationHead2D
 from repro.core.embedding import Embedding2D, LMHead2D
-from repro.core.layers import TransformerLayer2D
+from repro.core.layers import LayerNorm2D, TransformerLayer2D
 from repro.core.loss import CrossEntropy2D
-from repro.core.param import DistModule
 from repro.mesh.dtensor import DTensor
+from repro.mesh.layouts import BLOCKED_2D
 from repro.mesh.mesh import Mesh
 from repro.mesh.partition import distribute_row_blocked
-from repro.runtime.events import NULL_SPAN
+from repro.nn.transformer import TransformerModel, hold
 
 
-class OptimusModel(DistModule):
-    """Paper's 2-D tensor-parallel transformer on a q×q mesh."""
+class OptimusModel(TransformerModel):
+    """Paper's 2-D tensor-parallel transformer on a q×q mesh; the arguments
+    after ``mesh`` are :class:`~repro.nn.transformer.TransformerModel`'s."""
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        cfg: ModelConfig,
-        params_global: Dict[str, object],
-        checkpoint_activations: bool = True,
-        buffers: Optional[BufferManager] = None,
-        manage_buffers: bool = True,
-        stem_only: bool = False,
-        fused_attention: bool = False,
-        attention_chunk: int = 64,
-    ):
-        super().__init__()
+    layer_cls, norm_cls = TransformerLayer2D, LayerNorm2D
+    embedding_cls, lm_head_cls = Embedding2D, LMHead2D
+    loss_cls, cls_head_cls = CrossEntropy2D, ClassificationHead2D
+
+    # hostbench patches these on the class that defines them
+    forward = TransformerModel.forward
+    backward = TransformerModel.backward
+    stem_forward = TransformerModel.stem_forward
+    stem_backward = TransformerModel.stem_backward
+
+    def __init__(self, mesh: Mesh, *args, **kwargs):
         self.mesh = mesh
-        self.cfg = cfg
-        self.checkpoint = checkpoint_activations
-        self.stem_only = stem_only
-        self.fused_attention = fused_attention
-        self.buffers = buffers if buffers is not None else BufferManager(
-            mesh.sim, ranks=mesh.ranks, managed=manage_buffers
-        )
-        self.embedding = None
-        self.lm_head = None
-        self.final_ln = None
-        self.loss_fn = None
-        self.cls_head = None
-        if not stem_only:
-            self.embedding = self.register_module(
-                Embedding2D(mesh, cfg, params_global["embedding.table"], self.buffers)
-            )
-        self.layers: List[TransformerLayer2D] = [
-            self.register_module(
-                TransformerLayer2D(
-                    mesh, cfg, l, params_global, self.buffers,
-                    fused_attention=fused_attention,
-                    attention_chunk=attention_chunk,
-                )
-            )
-            for l in range(cfg.num_layers)
-        ]
-        from repro.core.layers import LayerNorm2D  # local import avoids cycle
+        super().__init__(mesh, *args, **kwargs)
 
-        if not stem_only:
-            self.final_ln = self.register_module(
-                LayerNorm2D(
-                    mesh, "final_ln", params_global["final_ln.gamma"],
-                    params_global["final_ln.beta"], cfg.ln_eps, self.buffers,
-                )
-            )
-            self.lm_head = LMHead2D(mesh, self.embedding, self.buffers)
-            self.register_module(self.lm_head)
-            self.loss_fn = CrossEntropy2D(mesh, self.buffers)
-            if "cls_head.weight" in params_global:
-                from repro.core.cls_head import ClassificationHead2D
+    def _validate(self, batch_size: int, include_vocab: bool) -> None:
+        self.cfg.validate_for_optimus(self.mesh.q, batch_size, include_vocab)
 
-                self.cls_head = self.register_module(
-                    ClassificationHead2D(
-                        mesh, cfg, params_global["cls_head.weight"],
-                        params_global["cls_head.bias"], self.buffers,
-                    )
-                )
-
-        self._ckpt_inputs: List[DTensor] = []
-        self._batch_size: Optional[int] = None
-        self._labels: Optional[DTensor] = None
-        self._stem_out: Optional[DTensor] = None
-
-    # ------------------------------------------------------------------
-    # input handling
-    # ------------------------------------------------------------------
     def distribute_tokens(self, ids) -> DTensor:
         """Partition a global [b, s] integer array (or ShapeArray) row-wise."""
         return distribute_row_blocked(self.mesh, ids)
 
-    def synthetic_batch(self, batch_size: int, seed: int = 0):
-        """A reproducible (ids, labels) pair matching the simulator backend."""
-        b, s, v = batch_size, self.cfg.seq_len, self.cfg.vocab_size
-        if self.mesh.backend == "shape":
-            return ShapeArray((b, s), "int64"), ShapeArray((b, s), "int64")
-        rng = np.random.default_rng(seed)
-        return (
-            rng.integers(0, v, size=(b, s)),
-            rng.integers(0, v, size=(b, s)),
-        )
-
-    # ------------------------------------------------------------------
-    # forward / backward
-    # ------------------------------------------------------------------
-    def forward(self, ids, labels=None):
-        """ids/labels are global [b, s] arrays (numeric or ShapeArray).
-
-        Returns the scalar mean loss when labels are given, else the logits
-        DTensor.
-        """
-        cfg = self.cfg
-        b, s = ids.shape
-        if s != cfg.seq_len:
-            raise ValueError(f"sequence length {s} != config seq_len {cfg.seq_len}")
-        cfg.validate_for_optimus(self.mesh.q, b)
-        self._batch_size = b
-        ids_dt = self.distribute_tokens(ids)
-
-        tr = self.mesh.sim.tracer
-        x = self.embedding.forward(ids_dt)
-        self._ckpt_inputs = []
-        for layer in self.layers:
-            if self.checkpoint:
-                self._hold_checkpoint(x)
-                self._ckpt_inputs.append(x)
-            with tr.span("layer", self.mesh.ranks, "layer", index=layer.index,
-                         phase="forward") if tr.enabled else NULL_SPAN:
-                x = layer.forward(x, b)
-            if self.checkpoint:
-                layer.drop_caches()
-                self.buffers.reset_region("forward")
-
-        out = self.final_ln.forward(x)
-        logits = self.lm_head.forward(out)
-        if labels is None:
-            return logits
-        labels_dt = distribute_row_blocked(self.mesh, labels)
-        self._labels = labels_dt
-        return self.loss_fn.forward(logits, labels_dt)
-
-    def backward(self, on_layer_backward=None) -> None:
-        """Backward from the loss; parameter gradients accumulate in place.
-
-        ``on_layer_backward(layer)``, when given, fires right after each
-        transformer layer's backward completes — the hook behind §3.2.3
-        option 2 (immediate per-layer parameter updates, which let the
-        parameter-gradient buffer be reset layer by layer instead of
-        accumulating all N layers' gradients).
-        """
-        if self._batch_size is None:
-            raise RuntimeError("backward before forward")
-        b = self._batch_size
-        dlogits = self.loss_fn.backward()
-        dx = self.lm_head.backward(dlogits)
-        dx = self.final_ln.backward(dx)
-        if self.checkpoint and self.buffers.skip_matmul_outputs:
-            # option 3: re-size the forward buffer for the leaner recompute
-            self.buffers.reset_region("forward")
-            self.buffers.trim_region("forward")
-        tr = self.mesh.sim.tracer
-        for layer in reversed(self.layers):
-            with tr.span("layer", self.mesh.ranks, "layer", index=layer.index,
-                         phase="backward") if tr.enabled else NULL_SPAN:
-                if self.checkpoint:
-                    x_in = self._ckpt_inputs.pop()
-                    self.buffers.in_recompute = True
-                    layer.forward(x_in, b)  # recompute (paper's 3× backward cost)
-                    self.buffers.in_recompute = False
-                dx = self._to_conjunction(layer.backward(dx))
-            if on_layer_backward is not None:
-                on_layer_backward(layer)
-            if self.checkpoint:
-                self.buffers.reset_region("forward")
-                self.buffers.reset_region("backward")
-        self.embedding.backward(dx)
-        if self.checkpoint:
-            self._release_checkpoints()
-        self._batch_size = None
-
-    def loss_and_grads(self, ids, labels):
-        """Convenience: one forward+backward; returns (loss, named grads)."""
-        loss = self.forward(ids, labels)
-        self.backward()
-        return loss, {p.name: p.grad for p in self.parameters()}
-
-    # ------------------------------------------------------------------
-    # classification branch (paper Fig. 1, right side)
-    # ------------------------------------------------------------------
-    def forward_classification(self, ids, cls_labels=None):
-        """Sequence classification via token-0 pooling (Fig. 1).
-
-        ``cls_labels`` is a global [b] integer array; returns the mean loss
-        (or the class-logits DTensor when labels are omitted).
-        """
-        if self.cls_head is None:
-            raise RuntimeError(
-                "model built without cls_head.* parameters "
-                "(init_transformer_params(num_classes=...))"
-            )
-        cfg = self.cfg
-        b, s = ids.shape
-        if s != cfg.seq_len:
-            raise ValueError(f"sequence length {s} != config seq_len {cfg.seq_len}")
-        cfg.validate_for_optimus(self.mesh.q, b)
-        self._batch_size = b
-        x = self.embedding.forward(self.distribute_tokens(ids))
-        self._ckpt_inputs = []
-        for layer in self.layers:
-            if self.checkpoint:
-                self._hold_checkpoint(x)
-                self._ckpt_inputs.append(x)
-            x = layer.forward(x, b)
-            if self.checkpoint:
-                layer.drop_caches()
-                self.buffers.reset_region("forward")
-        out = self.final_ln.forward(x)
-        if cls_labels is None:
-            return self.cls_head.forward(out)
-        labels_dt = distribute_row_blocked(self.mesh, cls_labels)
-        return self.cls_head.forward(out, labels_dt)
-
-    def backward_classification(self) -> None:
-        if self._batch_size is None:
-            raise RuntimeError("backward before forward")
-        b = self._batch_size
-        dx = self.final_ln.backward(self.cls_head.backward())
-        for layer in reversed(self.layers):
-            if self.checkpoint:
-                x_in = self._ckpt_inputs.pop()
-                self.buffers.in_recompute = True
-                layer.forward(x_in, b)
-                self.buffers.in_recompute = False
-            dx = self._to_conjunction(layer.backward(dx))
-            if self.checkpoint:
-                self.buffers.reset_region("forward")
-                self.buffers.reset_region("backward")
-        self.embedding.backward(dx)
-        if self.checkpoint:
-            self._release_checkpoints()
-        self._batch_size = None
-
-    # ------------------------------------------------------------------
-    # stem-only execution (the paper's §5 measurement workload)
-    # ------------------------------------------------------------------
     def _synthetic_activation(self, batch_size: int) -> DTensor:
         """A BLOCKED_2D [b·s, h] activation on the simulator's backend."""
-        from repro.mesh.layouts import BLOCKED_2D
-
         mesh, cfg = self.mesh, self.cfg
         T, h = batch_size * cfg.seq_len, cfg.hidden_size
         q = mesh.q
@@ -281,72 +67,25 @@ class OptimusModel(DistModule):
                 shards[rank] = rng.normal(size=(T // q, h // q))
         return DTensor(mesh, BLOCKED_2D, shards, (T, h))
 
-    def stem_forward(self, batch_size: int) -> DTensor:
-        """Run only the N transformer layers (Tables 2–3 workload)."""
-        self.cfg.validate_for_optimus(self.mesh.q, batch_size, include_vocab=False)
-        self._batch_size = batch_size
-        tr = self.mesh.sim.tracer
-        x = self._synthetic_activation(batch_size)
-        self._ckpt_inputs = []
-        for layer in self.layers:
-            if self.checkpoint:
-                self._hold_checkpoint(x)
-                self._ckpt_inputs.append(x)
-            with tr.span("layer", self.mesh.ranks, "layer", index=layer.index,
-                         phase="forward") if tr.enabled else NULL_SPAN:
-                x = layer.forward(x, batch_size)
-            if self.checkpoint:
-                layer.drop_caches()
-                self.buffers.reset_region("forward")
-        self._stem_out = x
-        return x
-
-    def stem_backward(self) -> DTensor:
-        """Backward through the stem from a synthetic output gradient."""
-        if self._stem_out is None:
-            raise RuntimeError("stem_backward before stem_forward")
-        b = self._batch_size
-        tr = self.mesh.sim.tracer
-        dx = self._stem_out.map(ops.zeros_like)
+    # ------------------------------------------------------------------
+    # memory-region rules (Fig. 6, §3.2.3)
+    # ------------------------------------------------------------------
+    def _before_backward(self) -> None:
         if self.checkpoint and self.buffers.skip_matmul_outputs:
+            # option 3: re-size the forward buffer for the leaner recompute
             self.buffers.reset_region("forward")
             self.buffers.trim_region("forward")
-        for layer in reversed(self.layers):
-            with tr.span("layer", self.mesh.ranks, "layer", index=layer.index,
-                         phase="backward") if tr.enabled else NULL_SPAN:
-                if self.checkpoint:
-                    x_in = self._ckpt_inputs.pop()
-                    self.buffers.in_recompute = True
-                    layer.forward(x_in, b)
-                    self.buffers.in_recompute = False
-                dx = self._to_conjunction(layer.backward(dx))
-            if self.checkpoint:
-                self.buffers.reset_region("forward")
-                self.buffers.reset_region("backward")
-        if self.checkpoint:
-            self._release_checkpoints()
-        self._stem_out = None
-        self._batch_size = None
-        return dx
 
-    # ------------------------------------------------------------------
-    # memory-region bookkeeping
-    # ------------------------------------------------------------------
-    def _hold_checkpoint(self, x: DTensor) -> None:
-        for rank, shard in x.shards.items():
-            self.buffers.hold("checkpoint", rank, ops.nbytes(shard))
-
-    def _release_checkpoints(self) -> None:
-        self.buffers.reset_region("checkpoint")
-        self.buffers.reset_region("conjunction")
-
-    def _to_conjunction(self, dx: DTensor) -> DTensor:
+    def _between_layers(self, dx: DTensor) -> DTensor:
         """Clone the inter-layer gradient into the conjunction region (Fig 6).
 
         The region holds exactly one inter-layer gradient at a time — the
         previous layer's copy is dropped when the next one is cloned in.
         """
         self.buffers.reset_region("conjunction")
-        for rank, shard in dx.shards.items():
-            self.buffers.hold("conjunction", rank, ops.nbytes(shard))
+        hold(self.buffers, "conjunction", dx)
         return dx
+
+    def _release_checkpoints(self) -> None:
+        self.buffers.reset_region("checkpoint")
+        self.buffers.reset_region("conjunction")

@@ -9,7 +9,7 @@ columns of Tables 2–3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.config import ModelConfig
 from repro.core.model import OptimusModel
@@ -65,29 +65,43 @@ def _stem_params(cfg: ModelConfig, dtype: str = "float32"):
     )
 
 
-def _record_stem(ledger, label: str, sim, cfg: ModelConfig, res: StemResult, **mesh):
-    """Append one ``experiment`` ledger record for a completed stem run."""
-    from dataclasses import asdict
-
-    from repro.obs.ledger import json_safe, record_from_sim
-
-    ledger.append(
-        record_from_sim(
-            "experiment",
-            sim,
-            label=label,
-            scheme=res.scheme,
-            config=cfg,
-            mesh=mesh or None,
-            extra=json_safe(
-                {
-                    "workload": "stem",
-                    "batch_size": res.batch_size,
-                    "result": asdict(res),
-                }
-            ),
-        )
+def _run_stem(model, scheme: str, batch_size: int, ledger, run_label: str, **mesh_doc):
+    """Time one stem iteration of a built model; the ledger record (when a
+    ledger is given) carries ``mesh_doc`` as its mesh description."""
+    sim, cfg = model.sim, model.cfg
+    model.stem_forward(batch_size)
+    fwd = sim.elapsed()
+    model.stem_backward()
+    total = sim.elapsed()
+    res = StemResult(
+        scheme=scheme,
+        num_devices=sim.num_ranks,
+        batch_size=batch_size,
+        hidden_size=cfg.hidden_size,
+        num_heads=cfg.num_heads,
+        forward_time=fwd,
+        backward_time=total - fwd,
+        peak_memory_bytes=sim.peak_memory(),
+        compute_time=max(d.compute_time for d in sim.devices),
+        comm_time=max(d.comm_time for d in sim.devices),
     )
+    if ledger is not None:
+        from repro.obs.ledger import json_safe, record_from_sim
+
+        ledger.append(
+            record_from_sim(
+                "experiment",
+                sim,
+                label=run_label,
+                scheme=scheme,
+                config=cfg,
+                mesh=mesh_doc or None,
+                extra=json_safe(
+                    {"workload": "stem", "batch_size": batch_size, "result": asdict(res)}
+                ),
+            )
+        )
+    return res
 
 
 def run_optimus_stem(
@@ -116,29 +130,12 @@ def run_optimus_stem(
         strict_memory=strict_memory,
         trace=trace,
     )
-    mesh = Mesh(sim, q)
     model = OptimusModel(
-        mesh, cfg, _stem_params(cfg), checkpoint_activations=checkpoint, stem_only=True
+        Mesh(sim, q), cfg, _stem_params(cfg), checkpoint_activations=checkpoint, stem_only=True
     )
-    model.stem_forward(batch_size)
-    fwd = sim.elapsed()
-    model.stem_backward()
-    total = sim.elapsed()
-    res = StemResult(
-        scheme="optimus",
-        num_devices=q * q,
-        batch_size=batch_size,
-        hidden_size=cfg.hidden_size,
-        num_heads=cfg.num_heads,
-        forward_time=fwd,
-        backward_time=total - fwd,
-        peak_memory_bytes=sim.peak_memory(),
-        compute_time=max(d.compute_time for d in sim.devices),
-        comm_time=max(d.comm_time for d in sim.devices),
+    return _run_stem(
+        model, "optimus", batch_size, ledger, run_label, q=q, arrangement=arrangement
     )
-    if ledger is not None:
-        _record_stem(ledger, run_label, sim, cfg, res, q=q, arrangement=arrangement)
-    return res
 
 
 def run_megatron_stem(
@@ -166,22 +163,4 @@ def run_megatron_stem(
         checkpoint_layout=checkpoint_layout,
         stem_only=True,
     )
-    model.stem_forward(batch_size)
-    fwd = sim.elapsed()
-    model.stem_backward()
-    total = sim.elapsed()
-    res = StemResult(
-        scheme="megatron",
-        num_devices=p,
-        batch_size=batch_size,
-        hidden_size=cfg.hidden_size,
-        num_heads=cfg.num_heads,
-        forward_time=fwd,
-        backward_time=total - fwd,
-        peak_memory_bytes=sim.peak_memory(),
-        compute_time=max(d.compute_time for d in sim.devices),
-        comm_time=max(d.comm_time for d in sim.devices),
-    )
-    if ledger is not None:
-        _record_stem(ledger, run_label, sim, cfg, res)
-    return res
+    return _run_stem(model, "megatron", batch_size, ledger, run_label)

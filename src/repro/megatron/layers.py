@@ -8,45 +8,24 @@ parallel weights); ``g`` is all-reduce in forward / identity in backward
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.backend import ops
 from repro.comm import collectives as coll
 from repro.comm.group import ProcessGroup
-from repro.config import ModelConfig
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import REPLICATED_1D, SHARDED_1D
 from repro.mesh.partition import distribute_replicated_1d, distribute_sharded_1d
-from repro.reference import functional as F
-from repro.reference.attention import (
-    attention_bwd,
-    attention_fwd,
-    fused_attention_bwd,
-    fused_attention_fwd,
+from repro.nn.transformer import (
+    MLP,
+    SelfAttention,
+    TransformerLayer,
+    charge_elementwise,
+    hold,
 )
-
-_ELEMWISE_COST = {"add": 1.0, "gelu": 10.0, "softmax": 8.0, "layernorm": 8.0}
-
-
-def _hold(buffers: Optional[BufferManager], region: str, dt: DTensor) -> None:
-    if buffers is None:
-        return
-    for rank, shard in dt.shards.items():
-        buffers.hold(region, rank, ops.nbytes(shard))
-
-
-def _charge_elementwise(group: ProcessGroup, dt: DTensor, kind: str) -> None:
-    cost = _ELEMWISE_COST[kind]
-    for rank, shard in dt.shards.items():
-        group.sim.device(rank).compute(cost * shard.size, kind="elementwise")
-
-
-def _gemm_each(group: ProcessGroup, dt_shapes: Dict[int, tuple], n_out) -> None:
-    for rank, (m, k) in dt_shapes.items():
-        group.sim.device(rank).compute(2.0 * m * k * n_out(rank))
+from repro.reference import functional as F
 
 
 # ======================================================================
@@ -103,7 +82,7 @@ class ColumnParallelLinear(DistModule):
             )
         out_shape = (x.global_shape[0], self.weight.data.global_shape[1])
         out = DTensor(self.group, SHARDED_1D(1), shards, out_shape)
-        _hold(self.buffers, "forward", out)
+        hold(self.buffers, "forward", out)
         return out
 
     def backward(self, dy: DTensor) -> DTensor:
@@ -133,7 +112,7 @@ class ColumnParallelLinear(DistModule):
                 DTensor(self.group, SHARDED_1D(0), db, self.bias.data.global_shape)
             )
         dx = DTensor(self.group, REPLICATED_1D, dx_shards, self._x.global_shape)
-        _hold(self.buffers, "backward", dx)
+        hold(self.buffers, "backward", dx)
         self._x = None
         return dx
 
@@ -197,7 +176,7 @@ class RowParallelLinear(DistModule):
             shards[rank] = y
         out_shape = (x.global_shape[0], self.weight.data.global_shape[1])
         out = DTensor(self.group, REPLICATED_1D, shards, out_shape)
-        _hold(self.buffers, "forward", out)
+        hold(self.buffers, "forward", out)
         return out
 
     def backward(self, dy: DTensor) -> DTensor:
@@ -226,7 +205,7 @@ class RowParallelLinear(DistModule):
                 DTensor(self.group, REPLICATED_1D, db, self.bias.data.global_shape)
             )
         dx = DTensor(self.group, SHARDED_1D(1), dx_shards, self._x.global_shape)
-        _hold(self.buffers, "backward", dx)
+        hold(self.buffers, "backward", dx)
         self._x = None
         return dx
 
@@ -272,9 +251,9 @@ class LayerNorm1D(DistModule):
             )
             shards[rank], xhat[rank], inv[rank] = out, x_hat, inv_std
         out_dt = DTensor(self.group, REPLICATED_1D, shards, x.global_shape)
-        _charge_elementwise(self.group, out_dt, "layernorm")
+        charge_elementwise(out_dt, "layernorm")
         self._saved = (xhat, inv)
-        _hold(self.buffers, "forward", out_dt)
+        hold(self.buffers, "forward", out_dt)
         return out_dt
 
     def backward(self, dy: DTensor) -> DTensor:
@@ -294,242 +273,39 @@ class LayerNorm1D(DistModule):
             DTensor(self.group, REPLICATED_1D, db, self.beta.data.global_shape)
         )
         out = DTensor(self.group, REPLICATED_1D, dx, dy.global_shape)
-        _charge_elementwise(self.group, out, "layernorm")
+        charge_elementwise(out, "layernorm")
         self._saved = None
         return out
 
 
 # ======================================================================
-class SelfAttention1D(DistModule):
+# the shared stack (repro.nn.transformer) over the 1-D leaves.  hostbench
+# patches forward/backward on the class that *defines* them, so each class
+# below keeps both in its own namespace.
+# ======================================================================
+class SelfAttention1D(SelfAttention):
     """Megatron self-attention: heads split p ways, b and s replicated."""
 
-    _cache_attrs = ("_saved",)
-
-    def __init__(
-        self,
-        group: ProcessGroup,
-        cfg: ModelConfig,
-        name: str,
-        wqkv,
-        bqkv,
-        wo,
-        bo,
-        buffers: Optional[BufferManager] = None,
-        fused: bool = False,
-        attention_chunk: int = 64,
-    ):
-        super().__init__()
-        self.group = group
-        self.cfg = cfg
-        self.name = name
-        self.buffers = buffers
-        self.fused = fused
-        self.attention_chunk = attention_chunk
-        self.qkv_linear = self.register_module(
-            ColumnParallelLinear(
-                group, f"{name}.qkv", wqkv, bqkv, buffers,
-                weight_name=f"{name}.wqkv", bias_name=f"{name}.bqkv",
-            )
-        )
-        self.out_linear = self.register_module(
-            RowParallelLinear(
-                group, f"{name}.out", wo, bo, buffers,
-                weight_name=f"{name}.wo", bias_name=f"{name}.bo",
-            )
-        )
-        self._saved = None
+    qkv_cls, out_cls = ColumnParallelLinear, RowParallelLinear
+    layout = SHARDED_1D(1)
 
     def forward(self, x: DTensor, batch_size: int) -> DTensor:
-        cfg, group = self.cfg, self.group
-        p = group.size
-        b, s = batch_size, cfg.seq_len
-        n_loc = cfg.num_heads // p
-        d = cfg.head_dim
-        T, h = x.global_shape
-        inv_sqrt_d = 1.0 / math.sqrt(d)
+        return self._forward(x, batch_size, self.cfg.num_heads // self.owner.size)
 
-        qkv = self.qkv_linear.forward(x)  # [T, 3h] column-sharded
-        qs, ks, vs, saved_s, ctx_shards = {}, {}, {}, {}, {}
-        for rank in group.ranks:
-            local = qkv.local(rank).reshape((b, s, n_loc, 3, d))
-            qh = local[:, :, :, 0, :].transpose(0, 2, 1, 3)
-            kh = local[:, :, :, 1, :].transpose(0, 2, 1, 3)
-            vh = local[:, :, :, 2, :].transpose(0, 2, 1, 3)
-            dev = group.sim.device(rank)
-            if self.fused:
-                ctx, m_stat, l_stat = fused_attention_fwd(
-                    qh, kh, vh, chunk=self.attention_chunk
-                )
-                saved_s[rank] = (ctx, m_stat, l_stat)
-                held = ops.nbytes(m_stat) + ops.nbytes(l_stat)
-            else:
-                ctx, probs = attention_fwd(qh, kh, vh)
-                saved_s[rank] = probs
-                held = ops.nbytes(probs)
-                dev.compute(_ELEMWISE_COST["softmax"] * probs.size, kind="elementwise")
-            dev.compute(2.0 * b * n_loc * s * s * d)
-            dev.compute(2.0 * b * n_loc * s * s * d)
-            qs[rank], ks[rank], vs[rank] = qh, kh, vh
-            ctx_shards[rank] = ctx.transpose(0, 2, 1, 3).reshape((T, n_loc * d))
-            if self.buffers is not None:
-                self.buffers.hold("forward", rank, held)
-                self.buffers.hold("forward", rank, ops.nbytes(ctx_shards[rank]))
-        ctx_dt = DTensor(group, SHARDED_1D(1), ctx_shards, (T, h))
-        self._saved = (qs, ks, vs, saved_s, b, s, n_loc, d)
-        return self.out_linear.forward(ctx_dt)
-
-    def backward(self, dy: DTensor) -> DTensor:
-        if self._saved is None:
-            raise RuntimeError(f"{self.name}: backward before forward")
-        group = self.group
-        qs, ks, vs, saved_s, b, s, n_loc, d = self._saved
-        T, h = dy.global_shape
-
-        d_ctx = self.out_linear.backward(dy)  # [T, h] column-sharded
-        dqkv_shards = {}
-        for rank in group.ranks:
-            dc = d_ctx.local(rank).reshape((b, s, n_loc, d)).transpose(0, 2, 1, 3)
-            qh, kh, vh = qs[rank], ks[rank], vs[rank]
-            dev = group.sim.device(rank)
-            if self.fused:
-                ctx, m_stat, l_stat = saved_s[rank]
-                d_q, d_k, d_v = fused_attention_bwd(
-                    qh, kh, vh, ctx, m_stat, l_stat, dc, chunk=self.attention_chunk
-                )
-                n_gemms = 5
-            else:
-                probs = saved_s[rank]
-                d_q, d_k, d_v = attention_bwd(qh, kh, vh, probs, dc)
-                n_gemms = 4
-                dev.compute(_ELEMWISE_COST["softmax"] * probs.size, kind="elementwise")
-            for _ in range(n_gemms):
-                dev.compute(2.0 * b * n_loc * s * s * d)
-
-            def _undo(t):
-                return t.transpose(0, 2, 1, 3)
-
-            dqkv_r = ops.stack([_undo(d_q), _undo(d_k), _undo(d_v)], axis=3)
-            dqkv_shards[rank] = dqkv_r.reshape((T, n_loc * 3 * d))
-        dqkv = DTensor(group, SHARDED_1D(1), dqkv_shards, (T, 3 * h))
-        self._saved = None
-        return self.qkv_linear.backward(dqkv)
+    backward = SelfAttention.backward
 
 
-# ======================================================================
-class MLP1D(DistModule):
+class MLP1D(MLP):
     """Column-parallel fc1 → local GELU → row-parallel fc2."""
 
-    _cache_attrs = ("_pre",)
-
-    def __init__(
-        self,
-        group: ProcessGroup,
-        name: str,
-        w1,
-        b1,
-        w2,
-        b2,
-        buffers: Optional[BufferManager] = None,
-    ):
-        super().__init__()
-        self.group = group
-        self.name = name
-        self.buffers = buffers
-        self.fc1 = self.register_module(
-            ColumnParallelLinear(
-                group, f"{name}.fc1", w1, b1, buffers,
-                weight_name=f"{name}.w1", bias_name=f"{name}.b1",
-            )
-        )
-        self.fc2 = self.register_module(
-            RowParallelLinear(
-                group, f"{name}.fc2", w2, b2, buffers,
-                weight_name=f"{name}.w2", bias_name=f"{name}.b2",
-            )
-        )
-        self._pre: Optional[DTensor] = None
-
-    def forward(self, x: DTensor) -> DTensor:
-        pre = self.fc1.forward(x)
-        self._pre = pre
-        act = pre.map(F.gelu)
-        _charge_elementwise(self.group, act, "gelu")
-        _hold(self.buffers, "forward", act)
-        return self.fc2.forward(act)
-
-    def backward(self, dy: DTensor) -> DTensor:
-        if self._pre is None:
-            raise RuntimeError(f"{self.name}: backward before forward")
-        d_act = self.fc2.backward(dy)
-        d_pre = self._pre.zip_map(d_act, lambda pre, da: F.gelu_bwd(pre, da))
-        _charge_elementwise(self.group, d_pre, "gelu")
-        self._pre = None
-        return self.fc1.backward(d_pre)
+    fc1_cls, fc2_cls = ColumnParallelLinear, RowParallelLinear
+    forward = MLP.forward
+    backward = MLP.backward
 
 
-# ======================================================================
-class TransformerLayer1D(DistModule):
+class TransformerLayer1D(TransformerLayer):
     """Pre-LN Megatron layer, mirroring :class:`TransformerLayer2D`."""
 
-    def __init__(
-        self,
-        group: ProcessGroup,
-        cfg: ModelConfig,
-        layer_index: int,
-        params: dict,
-        buffers: Optional[BufferManager] = None,
-        fused_attention: bool = False,
-        attention_chunk: int = 64,
-    ):
-        super().__init__()
-        self.group = group
-        self.cfg = cfg
-        self.index = layer_index
-        self.buffers = buffers
-        pre = f"layer{layer_index}"
-        self.ln1 = self.register_module(
-            LayerNorm1D(
-                group, f"{pre}.ln1", params[f"{pre}.ln1.gamma"],
-                params[f"{pre}.ln1.beta"], cfg.ln_eps, buffers,
-            )
-        )
-        self.attn = self.register_module(
-            SelfAttention1D(
-                group, cfg, f"{pre}.attn",
-                params[f"{pre}.attn.wqkv"], params[f"{pre}.attn.bqkv"],
-                params[f"{pre}.attn.wo"], params[f"{pre}.attn.bo"], buffers,
-                fused=fused_attention, attention_chunk=attention_chunk,
-            )
-        )
-        self.ln2 = self.register_module(
-            LayerNorm1D(
-                group, f"{pre}.ln2", params[f"{pre}.ln2.gamma"],
-                params[f"{pre}.ln2.beta"], cfg.ln_eps, buffers,
-            )
-        )
-        self.mlp = self.register_module(
-            MLP1D(
-                group, f"{pre}.mlp",
-                params[f"{pre}.mlp.w1"], params[f"{pre}.mlp.b1"],
-                params[f"{pre}.mlp.w2"], params[f"{pre}.mlp.b2"], buffers,
-            )
-        )
-
-    def forward(self, x: DTensor, batch_size: int) -> DTensor:
-        attn_out = self.attn.forward(self.ln1.forward(x), batch_size)
-        x_mid = x + attn_out
-        _charge_elementwise(self.group, x_mid, "add")
-        _hold(self.buffers, "forward", x_mid)
-        mlp_out = self.mlp.forward(self.ln2.forward(x_mid))
-        out = x_mid + mlp_out
-        _charge_elementwise(self.group, out, "add")
-        _hold(self.buffers, "forward", out)
-        return out
-
-    def backward(self, dy: DTensor) -> DTensor:
-        d_ln2_out = self.mlp.backward(dy)
-        d_xmid = dy + self.ln2.backward(d_ln2_out)
-        d_ln1_out = self.attn.backward(d_xmid)
-        dx = d_xmid + self.ln1.backward(d_ln1_out)
-        _charge_elementwise(self.group, dx, "add")
-        return dx
+    norm_cls, attn_cls, mlp_cls = LayerNorm1D, SelfAttention1D, MLP1D
+    forward = TransformerLayer.forward
+    backward = TransformerLayer.backward

@@ -1,6 +1,7 @@
 """The full Megatron baseline model.
 
-Mirrors :class:`repro.core.model.OptimusModel` module-for-module so the two
+The same :class:`repro.nn.transformer.TransformerModel` stack as
+:class:`repro.core.model.OptimusModel`, over the 1-D leaves, so the two
 schemes are compared on identical architectures and identical global
 parameters.
 
@@ -21,7 +22,7 @@ size O(bsh) per device — the memory wall of Fig. 9.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -30,20 +31,30 @@ from repro.backend.shape_array import ShapeArray
 from repro.comm import collectives as coll
 from repro.comm.group import ProcessGroup
 from repro.config import ModelConfig
-from repro.core.buffers import BufferManager
-from repro.core.param import DistModule
+from repro.megatron.cls_head import ClassificationHead1D
 from repro.megatron.embedding import LMHead1D, VocabParallelEmbedding
 from repro.megatron.layers import LayerNorm1D, TransformerLayer1D
 from repro.megatron.loss import VocabParallelCrossEntropy
 from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import REPLICATED_1D
 from repro.mesh.partition import distribute_replicated_1d
-from repro.runtime.events import NULL_SPAN
+from repro.nn.transformer import TransformerModel
 from repro.runtime.simulator import Simulator
 
 
-class MegatronModel(DistModule):
-    """1-D tensor-parallel transformer over a flat group of p devices."""
+class MegatronModel(TransformerModel):
+    """1-D tensor-parallel transformer over a flat group of p devices; the
+    keyword arguments are :class:`~repro.nn.transformer.TransformerModel`'s."""
+
+    layer_cls, norm_cls = TransformerLayer1D, LayerNorm1D
+    embedding_cls, lm_head_cls = VocabParallelEmbedding, LMHead1D
+    loss_cls, cls_head_cls = VocabParallelCrossEntropy, ClassificationHead1D
+
+    # hostbench patches these on the class that defines them
+    forward = TransformerModel.forward
+    backward = TransformerModel.backward
+    stem_forward = TransformerModel.stem_forward
+    stem_backward = TransformerModel.stem_backward
 
     def __init__(
         self,
@@ -52,192 +63,21 @@ class MegatronModel(DistModule):
         params_global: Dict[str, object],
         checkpoint_activations: bool = True,
         checkpoint_layout: str = "distributed",
-        buffers: Optional[BufferManager] = None,
-        manage_buffers: bool = True,
-        stem_only: bool = False,
-        fused_attention: bool = False,
-        attention_chunk: int = 64,
+        **kwargs,
     ):
-        super().__init__()
         if checkpoint_layout not in ("distributed", "replicated"):
             raise ValueError(f"unknown checkpoint layout {checkpoint_layout!r}")
-        self.sim = sim
-        self.cfg = cfg
         self.group = ProcessGroup(sim, sim.ranks, kind="megatron")
-        self.checkpoint = checkpoint_activations
         self.checkpoint_layout = checkpoint_layout
-        self.stem_only = stem_only
-        self.buffers = buffers if buffers is not None else BufferManager(
-            sim, ranks=self.group.ranks, managed=manage_buffers
-        )
-        self.embedding = None
-        self.final_ln = None
-        self.lm_head = None
-        self.loss_fn = None
-        self.cls_head = None
-        if not stem_only:
-            self.embedding = self.register_module(
-                VocabParallelEmbedding(
-                    self.group, cfg, params_global["embedding.table"], self.buffers
-                )
-            )
-        self.fused_attention = fused_attention
-        self.layers: List[TransformerLayer1D] = [
-            self.register_module(
-                TransformerLayer1D(
-                    self.group, cfg, l, params_global, self.buffers,
-                    fused_attention=fused_attention,
-                    attention_chunk=attention_chunk,
-                )
-            )
-            for l in range(cfg.num_layers)
-        ]
-        if not stem_only:
-            self.final_ln = self.register_module(
-                LayerNorm1D(
-                    self.group, "final_ln", params_global["final_ln.gamma"],
-                    params_global["final_ln.beta"], cfg.ln_eps, self.buffers,
-                )
-            )
-            self.lm_head = self.register_module(
-                LMHead1D(self.group, self.embedding, self.buffers)
-            )
-            self.loss_fn = VocabParallelCrossEntropy(self.group, self.buffers)
-            if "cls_head.weight" in params_global:
-                from repro.megatron.cls_head import ClassificationHead1D
+        super().__init__(self.group, cfg, params_global, checkpoint_activations, **kwargs)
 
-                self.cls_head = self.register_module(
-                    ClassificationHead1D(
-                        self.group, cfg, params_global["cls_head.weight"],
-                        params_global["cls_head.bias"], self.buffers,
-                    )
-                )
+    def _validate(self, batch_size: int, include_vocab: bool) -> None:
+        self.cfg.validate_for_megatron(self.group.size, batch_size, include_vocab)
 
-        self._ckpt_inputs: List[object] = []
-        self._batch_size: Optional[int] = None
-        self._stem_out: Optional[DTensor] = None
+    def distribute_tokens(self, ids) -> DTensor:
+        """Replicate a global integer array (or ShapeArray) on every rank."""
+        return distribute_replicated_1d(self.group, ids)
 
-    # ------------------------------------------------------------------
-    def synthetic_batch(self, batch_size: int, seed: int = 0):
-        b, s, v = batch_size, self.cfg.seq_len, self.cfg.vocab_size
-        if self.sim.backend == "shape":
-            return ShapeArray((b, s), "int64"), ShapeArray((b, s), "int64")
-        rng = np.random.default_rng(seed)
-        return (
-            rng.integers(0, v, size=(b, s)),
-            rng.integers(0, v, size=(b, s)),
-        )
-
-    # ------------------------------------------------------------------
-    def forward(self, ids, labels=None):
-        cfg = self.cfg
-        b, s = ids.shape
-        if s != cfg.seq_len:
-            raise ValueError(f"sequence length {s} != config seq_len {cfg.seq_len}")
-        cfg.validate_for_megatron(self.group.size, b)
-        self._batch_size = b
-        ids_dt = distribute_replicated_1d(self.group, ids)
-
-        tr = self.sim.tracer
-        x = self.embedding.forward(ids_dt)
-        self._ckpt_inputs = []
-        for layer in self.layers:
-            if self.checkpoint:
-                self._ckpt_inputs.append(self._store_checkpoint(x))
-            with tr.span("layer", self.group.ranks, "layer", index=layer.index,
-                         phase="forward") if tr.enabled else NULL_SPAN:
-                x = layer.forward(x, b)
-            if self.checkpoint:
-                layer.drop_caches()
-                self.buffers.reset_region("forward")
-
-        out = self.final_ln.forward(x)
-        logits = self.lm_head.forward(out)
-        if labels is None:
-            return logits
-        labels_dt = distribute_replicated_1d(self.group, labels)
-        return self.loss_fn.forward(logits, labels_dt)
-
-    def backward(self) -> None:
-        if self._batch_size is None:
-            raise RuntimeError("backward before forward")
-        b = self._batch_size
-        tr = self.sim.tracer
-        dlogits = self.loss_fn.backward()
-        dx = self.lm_head.backward(dlogits)
-        dx = self.final_ln.backward(dx)
-        for layer in reversed(self.layers):
-            with tr.span("layer", self.group.ranks, "layer", index=layer.index,
-                         phase="backward") if tr.enabled else NULL_SPAN:
-                if self.checkpoint:
-                    x_in = self._restore_checkpoint(self._ckpt_inputs.pop())
-                    layer.forward(x_in, b)
-                dx = layer.backward(dx)
-            if self.checkpoint:
-                self.buffers.reset_region("forward")
-                self.buffers.reset_region("backward")
-        self.embedding.backward(dx)
-        if self.checkpoint:
-            self.buffers.reset_region("checkpoint")
-        self._batch_size = None
-
-    def loss_and_grads(self, ids, labels):
-        loss = self.forward(ids, labels)
-        self.backward()
-        return loss, {p.name: p.grad for p in self.parameters()}
-
-    # ------------------------------------------------------------------
-    # classification branch (paper Fig. 1, right side)
-    # ------------------------------------------------------------------
-    def forward_classification(self, ids, cls_labels=None):
-        """Sequence classification via token-0 pooling (Fig. 1)."""
-        if self.cls_head is None:
-            raise RuntimeError(
-                "model built without cls_head.* parameters "
-                "(init_transformer_params(num_classes=...))"
-            )
-        cfg = self.cfg
-        b, s = ids.shape
-        if s != cfg.seq_len:
-            raise ValueError(f"sequence length {s} != config seq_len {cfg.seq_len}")
-        cfg.validate_for_megatron(self.group.size, b)
-        self._batch_size = b
-        x = self.embedding.forward(distribute_replicated_1d(self.group, ids))
-        self._ckpt_inputs = []
-        for layer in self.layers:
-            if self.checkpoint:
-                self._ckpt_inputs.append(self._store_checkpoint(x))
-            x = layer.forward(x, b)
-            if self.checkpoint:
-                layer.drop_caches()
-                self.buffers.reset_region("forward")
-        out = self.final_ln.forward(x)
-        if cls_labels is None:
-            return self.cls_head.forward(out)
-        labels_dt = distribute_replicated_1d(self.group, cls_labels)
-        return self.cls_head.forward(out, labels_dt)
-
-    def backward_classification(self) -> None:
-        if self._batch_size is None:
-            raise RuntimeError("backward before forward")
-        b = self._batch_size
-        dx = self.final_ln.backward(self.cls_head.backward())
-        for layer in reversed(self.layers):
-            if self.checkpoint:
-                x_in = self._restore_checkpoint(self._ckpt_inputs.pop())
-                layer.forward(x_in, b)
-            dx = layer.backward(dx)
-            if self.checkpoint:
-                self.buffers.reset_region("forward")
-                self.buffers.reset_region("backward")
-        self.embedding.backward(dx)
-        if self.checkpoint:
-            self.buffers.reset_region("checkpoint")
-        self._batch_size = None
-
-    # ------------------------------------------------------------------
-    # stem-only execution (the paper's §5 measurement workload)
-    # ------------------------------------------------------------------
     def _synthetic_activation(self, batch_size: int) -> DTensor:
         """A replicated [b·s, h] activation on the simulator's backend."""
         cfg = self.cfg
@@ -254,60 +94,16 @@ class MegatronModel(DistModule):
                 shards[rank] = base if rank == 0 else base.copy()
         return DTensor(self.group, REPLICATED_1D, shards, (T, h))
 
-    def stem_forward(self, batch_size: int) -> DTensor:
-        """Run only the N transformer layers (Tables 2–3 workload)."""
-        self.cfg.validate_for_megatron(self.group.size, batch_size, include_vocab=False)
-        self._batch_size = batch_size
-        tr = self.sim.tracer
-        x = self._synthetic_activation(batch_size)
-        self._ckpt_inputs = []
-        for layer in self.layers:
-            if self.checkpoint:
-                self._ckpt_inputs.append(self._store_checkpoint(x))
-            with tr.span("layer", self.group.ranks, "layer", index=layer.index,
-                         phase="forward") if tr.enabled else NULL_SPAN:
-                x = layer.forward(x, batch_size)
-            if self.checkpoint:
-                layer.drop_caches()
-                self.buffers.reset_region("forward")
-        self._stem_out = x
-        return x
-
-    def stem_backward(self) -> DTensor:
-        if self._stem_out is None:
-            raise RuntimeError("stem_backward before stem_forward")
-        b = self._batch_size
-        tr = self.sim.tracer
-        dx = self._stem_out.map(ops.zeros_like)
-        for layer in reversed(self.layers):
-            with tr.span("layer", self.group.ranks, "layer", index=layer.index,
-                         phase="backward") if tr.enabled else NULL_SPAN:
-                if self.checkpoint:
-                    x_in = self._restore_checkpoint(self._ckpt_inputs.pop())
-                    layer.forward(x_in, b)
-                dx = layer.backward(dx)
-            if self.checkpoint:
-                self.buffers.reset_region("forward")
-                self.buffers.reset_region("backward")
-        if self.checkpoint:
-            self.buffers.reset_region("checkpoint")
-        self._stem_out = None
-        self._batch_size = None
-        return dx
-
     # ------------------------------------------------------------------
     # checkpoint storage
     # ------------------------------------------------------------------
     def _store_checkpoint(self, x: DTensor):
-        group = self.group
-        p = group.size
         if self.checkpoint_layout == "replicated":
-            for rank in group.ranks:
-                self.buffers.hold("checkpoint", rank, ops.nbytes(x.local(rank)))
-            return ("replicated", x)
+            return super()._store_checkpoint(x)
         # distributed: rank k keeps a ~T/p row slice (uneven when p ∤ T)
+        group = self.group
         T = x.global_shape[0]
-        base, extra = divmod(T, p)
+        base, extra = divmod(T, group.size)
         slices = {}
         start = 0
         for k, rank in enumerate(group.ranks):
@@ -315,11 +111,11 @@ class MegatronModel(DistModule):
             slices[rank] = x.local(rank)[start : start + count]
             start += count
             self.buffers.hold("checkpoint", rank, ops.nbytes(slices[rank]))
-        return ("distributed", slices, x.global_shape)
+        return slices, x.global_shape
 
     def _restore_checkpoint(self, entry) -> DTensor:
-        if entry[0] == "replicated":
-            return entry[1]
-        _, slices, shape = entry
+        if self.checkpoint_layout == "replicated":
+            return entry
+        slices, shape = entry
         gathered = coll.all_gather(self.group, slices, axis=0)
         return DTensor(self.group, REPLICATED_1D, gathered, shape)

@@ -2,6 +2,10 @@
 checking.  Both parallel schemes and the serial reference consume the *same*
 globally-initialized parameter dict, which is what makes bit-level
 equivalence testing between the three implementations possible.
+
+:mod:`repro.nn.transformer` holds the transformer stack both parallel
+schemes subclass; import it by its full name (it builds on ``repro.core``'s
+parameter and buffer classes, which this package must not pull in).
 """
 
 from repro.nn.gradcheck import check_grad, numerical_grad

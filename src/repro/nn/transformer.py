@@ -1,0 +1,584 @@
+"""The transformer stack, written once for every tensor-parallel scheme.
+
+The paper times the *same* N-layer architecture under both schemes (§5);
+they differ only in how a matmul, a layer norm, the embedding / LM head and
+the loss are sharded (§3.2 against the column/row split of §2.2).  So
+everything above those leaves lives here — self-attention, the MLP, the
+pre-LN layer, the model with its one checkpointed forward loop and one
+backward loop, shared by the LM, classification and stem entry points — and
+a scheme is a family of subclasses whose class attributes name its leaves
+(``qkv_cls``, ``norm_cls``, ``embedding_cls``, …) plus the few accounting
+rules that really differ, kept as overridable methods.
+:mod:`repro.core` (Optimus 2-D) and :mod:`repro.megatron` (1-D) are the two
+families; ``docs/parallelism.md`` tabulates them.
+
+``owner`` throughout is what :class:`~repro.mesh.dtensor.DTensor` calls its
+owner: the :class:`~repro.mesh.mesh.Mesh` or flat
+:class:`~repro.comm.group.ProcessGroup` the shards live on — both expose
+``.sim`` and ascending ``.ranks``.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional
+
+import numpy as np
+
+from repro.backend import ops
+from repro.backend.shape_array import ShapeArray
+from repro.config import ModelConfig
+from repro.core.buffers import BufferManager
+from repro.core.param import DistModule
+from repro.mesh.dtensor import DTensor
+from repro.reference import functional as F
+from repro.reference.attention import (
+    attention_bwd,
+    attention_fwd,
+    fused_attention_bwd,
+    fused_attention_fwd,
+)
+from repro.runtime.events import NULL_SPAN
+
+#: clock-model cost (FLOPs per element) of fused elementwise kernels
+ELEMWISE_COST = {"add": 1.0, "gelu": 10.0, "softmax": 8.0, "layernorm": 8.0}
+
+
+def hold(buffers: Optional[BufferManager], region: str, dt: DTensor) -> None:
+    """Account every shard of ``dt`` in a buffer region."""
+    if buffers is None:
+        return
+    for rank, shard in dt.shards.items():
+        buffers.hold(region, rank, ops.nbytes(shard))
+
+
+def charge_elementwise(dt: DTensor, kind: str) -> None:
+    """Charge one fused elementwise kernel over ``dt`` to each owning device."""
+    cost = ELEMWISE_COST[kind]
+    device = dt.owner.sim.device
+    for rank, shard in dt.shards.items():
+        device(rank).compute(cost * shard.size, kind="elementwise")
+
+
+# ======================================================================
+# self-attention — paper §3.2.1
+# ======================================================================
+class SelfAttention(DistModule):
+    """QKV linear → head-local attention → output linear.
+
+    Every scheme keeps s whole on a device, so ``softmax(QKᵀ)V`` is fully
+    local: each rank attends over the ``b_loc`` sequences × ``n_loc`` heads
+    it owns.  A scheme's ``forward(x, batch_size)`` states those two numbers
+    and calls :meth:`_forward`.
+    """
+
+    qkv_cls = out_cls = None  #: the linear leaves
+    layout = None  #: layout of the context and dQKV activations
+    holds_dqkv = False  #: account the dQKV shards in the ``backward`` region
+
+    _cache_attrs = ("_saved",)
+
+    def __init__(
+        self,
+        owner,
+        cfg: ModelConfig,
+        name: str,
+        wqkv,
+        bqkv,
+        wo,
+        bo,
+        buffers: Optional[BufferManager] = None,
+        fused: bool = False,
+        attention_chunk: int = 64,
+    ):
+        super().__init__()
+        self.owner = owner
+        self.cfg = cfg
+        self.name = name
+        self.buffers = buffers
+        self.fused = fused
+        self.attention_chunk = attention_chunk
+        self.qkv_linear = self.register_module(
+            self.qkv_cls(
+                owner, f"{name}.qkv", wqkv, bqkv, buffers,
+                weight_name=f"{name}.wqkv", bias_name=f"{name}.bqkv",
+            )
+        )
+        self.out_linear = self.register_module(
+            self.out_cls(
+                owner, f"{name}.out", wo, bo, buffers,
+                weight_name=f"{name}.wo", bias_name=f"{name}.bo",
+            )
+        )
+        self._saved = None
+
+    def _forward(self, x: DTensor, b_loc: int, n_loc: int) -> DTensor:
+        s, d = self.cfg.seq_len, self.cfg.head_dim
+        T, h = x.global_shape
+        device = self.owner.sim.device
+
+        qkv = self.qkv_linear.forward(x)  # [T, 3h]
+        qs, ks, vs, saved_s, ctx_shards = {}, {}, {}, {}, {}
+        for rank in self.owner.ranks:
+            local = qkv.local(rank).reshape((b_loc, s, n_loc, 3, d))
+            qh = local[:, :, :, 0, :].transpose(0, 2, 1, 3)  # [b_loc, n_loc, s, d]
+            kh = local[:, :, :, 1, :].transpose(0, 2, 1, 3)
+            vh = local[:, :, :, 2, :].transpose(0, 2, 1, 3)
+            dev = device(rank)
+            if self.fused:
+                ctx, m_stat, l_stat = fused_attention_fwd(
+                    qh, kh, vh, chunk=self.attention_chunk
+                )
+                saved_s[rank] = (ctx, m_stat, l_stat)
+                held = ops.nbytes(m_stat) + ops.nbytes(l_stat)
+            else:
+                ctx, probs = attention_fwd(qh, kh, vh)
+                saved_s[rank] = probs
+                held = ops.nbytes(probs)
+                dev.compute(ELEMWISE_COST["softmax"] * probs.size, kind="elementwise")
+            dev.compute(2.0 * b_loc * n_loc * s * s * d)  # QKᵀ
+            dev.compute(2.0 * b_loc * n_loc * s * s * d)  # probs·V
+            qs[rank], ks[rank], vs[rank] = qh, kh, vh
+            ctx_shards[rank] = ctx.transpose(0, 2, 1, 3).reshape(
+                (b_loc * s, n_loc * d)
+            )
+            if self.buffers is not None:
+                self.buffers.hold("forward", rank, held)
+                self.buffers.hold("forward", rank, ops.nbytes(ctx_shards[rank]))
+        self._saved = (qs, ks, vs, saved_s, b_loc, s, n_loc, d)
+        return self.out_linear.forward(
+            DTensor(self.owner, self.layout, ctx_shards, (T, h))
+        )
+
+    def backward(self, dy: DTensor) -> DTensor:
+        if self._saved is None:
+            raise RuntimeError(f"{self.name}: backward before forward")
+        qs, ks, vs, saved_s, b_loc, s, n_loc, d = self._saved
+        T, h = dy.global_shape
+        device = self.owner.sim.device
+
+        d_ctx = self.out_linear.backward(dy)  # [T, h]
+        dqkv_shards = {}
+        for rank in self.owner.ranks:
+            dc = d_ctx.local(rank).reshape((b_loc, s, n_loc, d)).transpose(0, 2, 1, 3)
+            qh, kh, vh = qs[rank], ks[rank], vs[rank]
+            dev = device(rank)
+            if self.fused:
+                ctx, m_stat, l_stat = saved_s[rank]
+                d_q, d_k, d_v = fused_attention_bwd(
+                    qh, kh, vh, ctx, m_stat, l_stat, dc, chunk=self.attention_chunk
+                )
+                n_gemms = 5  # score recompute + four gradient products
+            else:
+                probs = saved_s[rank]
+                d_q, d_k, d_v = attention_bwd(qh, kh, vh, probs, dc)
+                n_gemms = 4
+                dev.compute(ELEMWISE_COST["softmax"] * probs.size, kind="elementwise")
+            for _ in range(n_gemms):
+                dev.compute(2.0 * b_loc * n_loc * s * s * d)
+            # [b,n,s,d] -> [b,s,n,d], restacked as the QKV linear laid them out
+            dqkv_r = ops.stack(
+                [t.transpose(0, 2, 1, 3) for t in (d_q, d_k, d_v)], axis=3
+            )
+            dqkv_shards[rank] = dqkv_r.reshape((b_loc * s, n_loc * 3 * d))
+            if self.holds_dqkv and self.buffers is not None:
+                self.buffers.hold("backward", rank, ops.nbytes(dqkv_shards[rank]))
+        self._saved = None
+        return self.qkv_linear.backward(
+            DTensor(self.owner, self.layout, dqkv_shards, (T, 3 * h))
+        )
+
+
+# ======================================================================
+# MLP
+# ======================================================================
+class MLP(DistModule):
+    """``h → 4h → h`` perceptron: linear, local GELU, linear."""
+
+    fc1_cls = fc2_cls = None  #: the linear leaves
+
+    _cache_attrs = ("_pre",)
+
+    def __init__(
+        self,
+        owner,
+        name: str,
+        w1,
+        b1,
+        w2,
+        b2,
+        buffers: Optional[BufferManager] = None,
+    ):
+        super().__init__()
+        self.owner = owner
+        self.name = name
+        self.buffers = buffers
+        self.fc1 = self.register_module(
+            self.fc1_cls(
+                owner, f"{name}.fc1", w1, b1, buffers,
+                weight_name=f"{name}.w1", bias_name=f"{name}.b1",
+            )
+        )
+        self.fc2 = self.register_module(
+            self.fc2_cls(
+                owner, f"{name}.fc2", w2, b2, buffers,
+                weight_name=f"{name}.w2", bias_name=f"{name}.b2",
+            )
+        )
+        self._pre: Optional[DTensor] = None
+
+    def forward(self, x: DTensor) -> DTensor:
+        pre = self.fc1.forward(x)
+        self._pre = pre
+        act = pre.map(F.gelu)
+        charge_elementwise(act, "gelu")
+        hold(self.buffers, "forward", act)
+        return self.fc2.forward(act)
+
+    def backward(self, dy: DTensor) -> DTensor:
+        if self._pre is None:
+            raise RuntimeError(f"{self.name}: backward before forward")
+        d_act = self.fc2.backward(dy)
+        d_pre = self._pre.zip_map(d_act, lambda pre, da: F.gelu_bwd(pre, da))
+        charge_elementwise(d_pre, "gelu")
+        self._pre = None
+        return self.fc1.backward(d_pre)
+
+
+# ======================================================================
+# transformer layer
+# ======================================================================
+class TransformerLayer(DistModule):
+    """Pre-LN transformer layer: x + Attn(LN1(x)), then x + MLP(LN2(x))."""
+
+    norm_cls = attn_cls = mlp_cls = None  #: the blocks
+
+    def __init__(
+        self,
+        owner,
+        cfg: ModelConfig,
+        layer_index: int,
+        params: dict,
+        buffers: Optional[BufferManager] = None,
+        fused_attention: bool = False,
+        attention_chunk: int = 64,
+    ):
+        super().__init__()
+        self.owner = owner
+        self.cfg = cfg
+        self.index = layer_index
+        self.buffers = buffers
+        pre = f"layer{layer_index}"
+        self.ln1 = self.register_module(
+            self.norm_cls(
+                owner, f"{pre}.ln1", params[f"{pre}.ln1.gamma"],
+                params[f"{pre}.ln1.beta"], cfg.ln_eps, buffers,
+            )
+        )
+        self.attn = self.register_module(
+            self.attn_cls(
+                owner, cfg, f"{pre}.attn",
+                params[f"{pre}.attn.wqkv"], params[f"{pre}.attn.bqkv"],
+                params[f"{pre}.attn.wo"], params[f"{pre}.attn.bo"], buffers,
+                fused=fused_attention, attention_chunk=attention_chunk,
+            )
+        )
+        self.ln2 = self.register_module(
+            self.norm_cls(
+                owner, f"{pre}.ln2", params[f"{pre}.ln2.gamma"],
+                params[f"{pre}.ln2.beta"], cfg.ln_eps, buffers,
+            )
+        )
+        self.mlp = self.register_module(
+            self.mlp_cls(
+                owner, f"{pre}.mlp",
+                params[f"{pre}.mlp.w1"], params[f"{pre}.mlp.b1"],
+                params[f"{pre}.mlp.w2"], params[f"{pre}.mlp.b2"], buffers,
+            )
+        )
+
+    def forward(self, x: DTensor, batch_size: int) -> DTensor:
+        attn_out = self.attn.forward(self.ln1.forward(x), batch_size)
+        x_mid = x + attn_out
+        charge_elementwise(x_mid, "add")
+        hold(self.buffers, "forward", x_mid)
+        mlp_out = self.mlp.forward(self.ln2.forward(x_mid))
+        out = x_mid + mlp_out
+        charge_elementwise(out, "add")
+        hold(self.buffers, "forward", out)
+        return out
+
+    def backward(self, dy: DTensor) -> DTensor:
+        d_ln2_out = self.mlp.backward(dy)
+        d_xmid = dy + self.ln2.backward(d_ln2_out)
+        d_ln1_out = self.attn.backward(d_xmid)
+        dx = d_xmid + self.ln1.backward(d_ln1_out)
+        charge_elementwise(dx, "add")
+        return dx
+
+
+# ======================================================================
+# the model
+# ======================================================================
+class TransformerModel(DistModule):
+    """Embedding → N layers → final LN → tied LM head → cross-entropy, with
+    activation checkpointing.
+
+    With checkpointing (the paper's default) the forward keeps only each
+    layer's *input* (``checkpoint`` region) and resets the ``forward``
+    region after every layer; the backward recomputes each layer from its
+    checkpoint before running its backward — the recompute re-pays the
+    layer's communication, which is where Table 1's backward rows come from.
+    """
+
+    layer_cls = norm_cls = None  #: the blocks
+    embedding_cls = lm_head_cls = loss_cls = cls_head_cls = None  #: the leaves
+
+    def __init__(
+        self,
+        owner,
+        cfg: ModelConfig,
+        params_global: Dict[str, object],
+        checkpoint_activations: bool = True,
+        buffers: Optional[BufferManager] = None,
+        manage_buffers: bool = True,
+        stem_only: bool = False,
+        fused_attention: bool = False,
+        attention_chunk: int = 64,
+    ):
+        super().__init__()
+        self.owner = owner
+        self.sim = owner.sim
+        self.cfg = cfg
+        self.checkpoint = checkpoint_activations
+        self.stem_only = stem_only
+        self.fused_attention = fused_attention
+        self.buffers = buffers if buffers is not None else BufferManager(
+            self.sim, ranks=owner.ranks, managed=manage_buffers
+        )
+        self.embedding = None
+        self.final_ln = None
+        self.lm_head = None
+        self.loss_fn = None
+        self.cls_head = None
+        if not stem_only:
+            self.embedding = self.register_module(
+                self.embedding_cls(
+                    owner, cfg, params_global["embedding.table"], self.buffers
+                )
+            )
+        self.layers: List[TransformerLayer] = [
+            self.register_module(
+                self.layer_cls(
+                    owner, cfg, l, params_global, self.buffers,
+                    fused_attention=fused_attention,
+                    attention_chunk=attention_chunk,
+                )
+            )
+            for l in range(cfg.num_layers)
+        ]
+        if not stem_only:
+            self.final_ln = self.register_module(
+                self.norm_cls(
+                    owner, "final_ln", params_global["final_ln.gamma"],
+                    params_global["final_ln.beta"], cfg.ln_eps, self.buffers,
+                )
+            )
+            self.lm_head = self.register_module(
+                self.lm_head_cls(owner, self.embedding, self.buffers)
+            )
+            self.loss_fn = self.loss_cls(owner, self.buffers)
+            if "cls_head.weight" in params_global:
+                self.cls_head = self.register_module(
+                    self.cls_head_cls(
+                        owner, cfg, params_global["cls_head.weight"],
+                        params_global["cls_head.bias"], self.buffers,
+                    )
+                )
+
+        self._ckpt_inputs: List[object] = []
+        self._batch_size: Optional[int] = None
+        self._stem_out: Optional[DTensor] = None
+
+    # ------------------------------------------------------------------
+    # per-scheme rules
+    # ------------------------------------------------------------------
+    def _validate(self, batch_size: int, include_vocab: bool) -> None:
+        """Raise unless ``cfg`` and ``batch_size`` divide over the devices."""
+        raise NotImplementedError
+
+    def distribute_tokens(self, ids) -> DTensor:
+        """Place a global integer array (ids ``[b, s]``, labels ``[b, s]`` or
+        ``[b]``; numeric or ShapeArray) in the scheme's input layout."""
+        raise NotImplementedError
+
+    def _synthetic_activation(self, batch_size: int) -> DTensor:
+        """A ``[b·s, h]`` stem input in the scheme's activation layout."""
+        raise NotImplementedError
+
+    def _store_checkpoint(self, x: DTensor):
+        """Keep a layer input for the backward recompute; returns the entry
+        :meth:`_restore_checkpoint` turns back into the input."""
+        hold(self.buffers, "checkpoint", x)
+        return x
+
+    def _restore_checkpoint(self, entry) -> DTensor:
+        return entry
+
+    def _before_backward(self) -> None:
+        """Runs once between the head's backward and the layer loop."""
+
+    def _between_layers(self, dx: DTensor) -> DTensor:
+        """Hand a layer's input gradient to the layer below."""
+        return dx
+
+    def _release_checkpoints(self) -> None:
+        self.buffers.reset_region("checkpoint")
+
+    # ------------------------------------------------------------------
+    # the one forward loop and the one backward loop
+    # ------------------------------------------------------------------
+    def _begin_iteration(self, batch_size: int, include_vocab: bool = True) -> None:
+        self._validate(batch_size, include_vocab)
+        # §3.2.3: the param_grad region is reused every iteration, not grown
+        self.buffers.reset_region("param_grad")
+        self._batch_size = batch_size
+
+    def _layers_forward(self, x: DTensor) -> DTensor:
+        b = self._batch_size
+        tr = self.sim.tracer
+        self._ckpt_inputs = []
+        for layer in self.layers:
+            if self.checkpoint:
+                self._ckpt_inputs.append(self._store_checkpoint(x))
+            with tr.span("layer", self.owner.ranks, "layer", index=layer.index,
+                         phase="forward") if tr.enabled else NULL_SPAN:
+                x = layer.forward(x, b)
+            if self.checkpoint:
+                layer.drop_caches()
+                self.buffers.reset_region("forward")
+        return x
+
+    def _layers_backward(self, dx: DTensor, on_layer_backward=None) -> DTensor:
+        b = self._batch_size
+        tr = self.sim.tracer
+        for layer in reversed(self.layers):
+            with tr.span("layer", self.owner.ranks, "layer", index=layer.index,
+                         phase="backward") if tr.enabled else NULL_SPAN:
+                if self.checkpoint:
+                    x_in = self._restore_checkpoint(self._ckpt_inputs.pop())
+                    self.buffers.in_recompute = True
+                    layer.forward(x_in, b)  # recompute (paper's 3× backward cost)
+                    self.buffers.in_recompute = False
+                dx = self._between_layers(layer.backward(dx))
+            if on_layer_backward is not None:
+                on_layer_backward(layer)
+            if self.checkpoint:
+                self.buffers.reset_region("forward")
+                self.buffers.reset_region("backward")
+        return dx
+
+    def _end_iteration(self) -> None:
+        if self.checkpoint:
+            self._release_checkpoints()
+        self._batch_size = None
+
+    # ------------------------------------------------------------------
+    # language modelling
+    # ------------------------------------------------------------------
+    def synthetic_batch(self, batch_size: int, seed: int = 0):
+        """A reproducible (ids, labels) pair matching the simulator backend."""
+        b, s, v = batch_size, self.cfg.seq_len, self.cfg.vocab_size
+        if self.sim.backend == "shape":
+            return ShapeArray((b, s), "int64"), ShapeArray((b, s), "int64")
+        rng = np.random.default_rng(seed)
+        return (
+            rng.integers(0, v, size=(b, s)),
+            rng.integers(0, v, size=(b, s)),
+        )
+
+    def _embed_and_run_layers(self, ids) -> DTensor:
+        b, s = ids.shape
+        if s != self.cfg.seq_len:
+            raise ValueError(f"sequence length {s} != config seq_len {self.cfg.seq_len}")
+        self._begin_iteration(b)
+        return self._layers_forward(self.embedding.forward(self.distribute_tokens(ids)))
+
+    def forward(self, ids, labels=None):
+        """ids/labels are global [b, s] arrays (numeric or ShapeArray).
+
+        Returns the scalar mean loss when labels are given, else the logits
+        DTensor.
+        """
+        out = self.final_ln.forward(self._embed_and_run_layers(ids))
+        logits = self.lm_head.forward(out)
+        if labels is None:
+            return logits
+        return self.loss_fn.forward(logits, self.distribute_tokens(labels))
+
+    def backward(self, on_layer_backward=None) -> None:
+        """Backward from the loss; parameter gradients accumulate in place.
+
+        ``on_layer_backward(layer)``, when given, fires right after each
+        transformer layer's backward completes — the hook behind §3.2.3
+        option 2 (immediate per-layer parameter updates, which let the
+        parameter-gradient buffer be reset layer by layer instead of
+        accumulating all N layers' gradients).
+        """
+        if self._batch_size is None:
+            raise RuntimeError("backward before forward")
+        dx = self.final_ln.backward(self.lm_head.backward(self.loss_fn.backward()))
+        self._before_backward()
+        self.embedding.backward(self._layers_backward(dx, on_layer_backward))
+        self._end_iteration()
+
+    def loss_and_grads(self, ids, labels):
+        """Convenience: one forward+backward; returns (loss, named grads)."""
+        loss = self.forward(ids, labels)
+        self.backward()
+        return loss, {p.name: p.grad for p in self.parameters()}
+
+    # ------------------------------------------------------------------
+    # classification branch (paper Fig. 1, right side)
+    # ------------------------------------------------------------------
+    def forward_classification(self, ids, cls_labels=None):
+        """Sequence classification via token-0 pooling (Fig. 1).
+
+        ``cls_labels`` is a global [b] integer array; returns the mean loss
+        (or the class-logits DTensor when labels are omitted).
+        """
+        if self.cls_head is None:
+            raise RuntimeError(
+                "model built without cls_head.* parameters "
+                "(init_transformer_params(num_classes=...))"
+            )
+        out = self.final_ln.forward(self._embed_and_run_layers(ids))
+        if cls_labels is None:
+            return self.cls_head.forward(out)
+        return self.cls_head.forward(out, self.distribute_tokens(cls_labels))
+
+    def backward_classification(self) -> None:
+        if self._batch_size is None:
+            raise RuntimeError("backward before forward")
+        dx = self.final_ln.backward(self.cls_head.backward())
+        self.embedding.backward(self._layers_backward(dx))
+        self._end_iteration()
+
+    # ------------------------------------------------------------------
+    # stem-only execution (the paper's §5 measurement workload)
+    # ------------------------------------------------------------------
+    def stem_forward(self, batch_size: int) -> DTensor:
+        """Run only the N transformer layers (Tables 2–3 workload)."""
+        self._begin_iteration(batch_size, include_vocab=False)
+        self._stem_out = self._layers_forward(self._synthetic_activation(batch_size))
+        return self._stem_out
+
+    def stem_backward(self) -> DTensor:
+        """Backward through the stem from a synthetic output gradient."""
+        if self._stem_out is None:
+            raise RuntimeError("stem_backward before stem_forward")
+        dx = self._stem_out.zeros_like()
+        self._before_backward()
+        dx = self._layers_backward(dx)
+        self._end_iteration()
+        self._stem_out = None
+        return dx

@@ -9,7 +9,8 @@ prefill and decode interleave freely in one batch and admission/eviction
 happen at every step boundary on the simulated clock (Orca-style
 iteration-level scheduling).
 
-Scheme-specific decode forwards reuse the training modules unchanged
+The decode forward is one :meth:`ServingEngine.step` for both schemes (1-D
+is its one-row case) and reuses the training modules unchanged
 (``Embedding2D``/``Linear2D``/``LayerNorm2D``/``MLP2D`` and their 1-D
 twins) — SUMMA and the Megatron conjugate all-reduces accept any token
 count, so the decode path exercises the exact communication/compute
@@ -35,14 +36,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.comm import collectives as coll
+from repro.comm.group import ProcessGroup
 from repro.config import ModelConfig
-from repro.core.layers import _ELEMWISE_COST
 from repro.core.model import OptimusModel
 from repro.megatron.model import MegatronModel
 from repro.mesh.dtensor import DTensor
-from repro.mesh.layouts import BLOCKED_2D, SHARDED_1D
 from repro.mesh.mesh import Mesh
-from repro.mesh.partition import distribute_replicated_1d, distribute_row_blocked
+from repro.nn.transformer import ELEMWISE_COST, TransformerModel, charge_elementwise
 from repro.reference.attention import decode_attention_fwd
 from repro.resilience.faults import CollectiveTimeoutError, RankCrashError
 from repro.resilience.injector import FaultInjector
@@ -88,7 +88,14 @@ class ServingResult:
 
 
 class ServingEngine:
-    """Shared continuous-batching loop; subclasses provide the forward."""
+    """The continuous-batching loop and the decode step, written once.
+
+    A scheme hands over its model and ``rows`` — the process groups along
+    which one lane's vocabulary (and KV heads) are striped.  Slots are
+    partitioned evenly over the rows: the q mesh rows for Optimus, the one
+    flat group for Megatron, which makes 1-D the one-row case of the same
+    step (no padding, one gather over p stripes).
+    """
 
     scheme = "base"
 
@@ -96,42 +103,50 @@ class ServingEngine:
         self,
         sim: Simulator,
         cfg: ModelConfig,
+        model: TransformerModel,
+        rows: List[ProcessGroup],
+        num_slots: int,
+        block_size: int,
+        blocks_per_group: int,
         options: Optional[ServingOptions] = None,
         injector: Optional[FaultInjector] = None,
     ):
         self.sim = sim
         self.cfg = cfg
+        self.model = model
+        self.rows = rows
+        self.slots_per_row = num_slots // len(rows)
+        self.n_loc = cfg.num_heads // rows[0].size
         self.options = options if options is not None else ServingOptions()
         self.injector = injector
-        self.cache: ShardedKVCache
-        self.scheduler: ContinuousBatchingScheduler
+        self.all_ranks: Sequence[int] = [r for row in rows for r in row.ranks]
+        spr = self.slots_per_row
+        self.cache = ShardedKVCache(
+            sim,
+            [
+                KVShardGroup(gid=i, ranks=row.ranks, slots=tuple(range(i * spr, (i + 1) * spr)))
+                for i, row in enumerate(rows)
+            ],
+            num_layers=cfg.num_layers,
+            heads_loc=self.n_loc,
+            head_dim=cfg.head_dim,
+            block_size=block_size,
+            blocks_per_group=blocks_per_group,
+            dtype="float64",
+        )
         self.swap: Optional[HostSwapSpace] = None
-        self.all_ranks: Sequence[int] = []
-        # telemetry knobs (set by make_engine; harmless defaults otherwise)
-        self.slo: Optional[tuple] = None  # (slo_ttft, slo_tpot) for goodput
-        self.counter_epoch = 0  # OpenMetrics counter reset epoch for this arm
-        self.alerts = None  # Optional[repro.obs.alerts.AlertEngine]
-        self.telemetry: Optional[ServingTelemetry] = None
-
-    def _make_scheduler(self) -> ContinuousBatchingScheduler:
-        """Build the swap tier (if configured) and the scheduler; called by
-        subclasses once ``self.cache`` exists."""
         if self.options.policy == "preempt" and self.options.swap_blocks > 0:
             self.swap = HostSwapSpace(
                 capacity_blocks=self.options.swap_blocks,
                 rank_block_bytes=self.cache.bytes_per_rank_block(),
                 gbps=self.options.swap_gbps,
             )
-        return ContinuousBatchingScheduler(self.cache, self.options, self.swap)
-
-    # -- subclass surface ----------------------------------------------
-    def step(self, entries: List[LaneInput]) -> Dict[int, int]:
-        """One batched decode step; returns {slot: sampled token}."""
-        raise NotImplementedError
-
-    def lanes_in_step(self, entries: List[LaneInput]) -> int:
-        """Total lanes computed (including shape padding)."""
-        raise NotImplementedError
+        self.scheduler = ContinuousBatchingScheduler(self.cache, self.options, self.swap)
+        # telemetry knobs (set by make_engine; harmless defaults otherwise)
+        self.slo: Optional[tuple] = None  # (slo_ttft, slo_tpot) for goodput
+        self.counter_epoch = 0  # OpenMetrics counter reset epoch for this arm
+        self.alerts = None  # Optional[repro.obs.alerts.AlertEngine]
+        self.telemetry: Optional[ServingTelemetry] = None
 
     # ------------------------------------------------------------------
     def _recover(self) -> None:
@@ -294,11 +309,6 @@ class ServingEngine:
         )
 
     # ------------------------------------------------------------------
-    def _charge_attention(self, dev, n_loc: int, ell: int, d: int, probs) -> None:
-        dev.compute(2.0 * n_loc * ell * d)  # q·Kᵀ
-        dev.compute(2.0 * n_loc * ell * d)  # probs·V
-        dev.compute(_ELEMWISE_COST["softmax"] * probs.size, kind="elementwise")
-
     @staticmethod
     def _pick_winner(gathered: np.ndarray, stripes: int) -> np.ndarray:
         """Global argmax from per-stripe ``(max, argmax)`` pairs ``[B, 2k]``.
@@ -316,6 +326,96 @@ class ServingEngine:
             best_val = np.where(better, val, best_val)
             best_idx = np.where(better, idx, best_idx)
         return best_idx
+
+
+    # ------------------------------------------------------------------
+    def _rows_of(self, entries: List[LaneInput]) -> List[List[LaneInput]]:
+        rows: List[List[LaneInput]] = [[] for _ in self.rows]
+        for e in entries:
+            rows[e.slot // self.slots_per_row].append(e)
+        return rows
+
+    def lanes_in_step(self, entries: List[LaneInput]) -> int:
+        """Total lanes computed (including shape padding)."""
+        return len(self.rows) * max(len(r) for r in self._rows_of(entries))
+
+    def step(self, entries: List[LaneInput]) -> Dict[int, int]:
+        """One batched decode step; returns {slot: sampled token}."""
+        cfg, model = self.cfg, self.model
+        n_loc, d = self.n_loc, cfg.head_dim
+        device = self.sim.device
+        rows = self._rows_of(entries)
+        width = max(len(r) for r in rows)
+
+        # every row runs the same lane count: rows with fewer active slots
+        # run padding lanes (token 0, length-1 self-attention, output
+        # discarded) — the static-shape waste the report attributes to
+        # "padding".  One row (1-D) never pads.
+        ids = np.zeros((len(rows) * width, 1), dtype=np.int64)
+        for i, row in enumerate(rows):
+            for w, e in enumerate(row):
+                ids[i * width + w, 0] = e.token
+        x = model.embedding.forward(model.distribute_tokens(ids))
+
+        for layer in model.layers:
+            a = layer.ln1.forward(x)
+            qkv = layer.attn.qkv_linear.forward(a)  # [rows·width, 3h]
+            ctx_shards = {}
+            for row, group in zip(rows, self.rows):
+                real = len(row)  # lanes past it are padding
+                for rank in group.ranks:
+                    local = np.asarray(qkv.local(rank)).reshape((width, n_loc, 3, d))
+                    dev = device(rank)
+                    ctx = np.empty((width, n_loc, d), dtype=local.dtype)
+                    for w in range(width):
+                        k_vec = local[w, :, 1, :]
+                        v_vec = local[w, :, 2, :]
+                        if w < real:
+                            e = row[w]
+                            self.cache.write(e.slot, layer.index, rank, e.pos, k_vec, v_vec)
+                            k_cat, v_cat = self.cache.gather(e.slot, layer.index, rank, e.pos + 1)
+                        else:  # padding lane: fresh K/V only, nothing cached
+                            k_cat = k_vec[:, None, :]
+                            v_cat = v_vec[:, None, :]
+                        c, probs = decode_attention_fwd(local[w, :, 0, :], k_cat, v_cat)
+                        ctx[w] = c
+                        ell = k_cat.shape[1]
+                        dev.compute(2.0 * n_loc * ell * d)  # q·Kᵀ
+                        dev.compute(2.0 * n_loc * ell * d)  # probs·V
+                        dev.compute(ELEMWISE_COST["softmax"] * probs.size, kind="elementwise")
+                    ctx_shards[rank] = ctx.reshape((width, n_loc * d))
+            ctx_dt = DTensor(
+                model.owner, layer.attn.layout, ctx_shards, (len(rows) * width, cfg.hidden_size)
+            )
+            x = x + layer.attn.out_linear.forward(ctx_dt)
+            charge_elementwise(x, "add")
+            x = x + layer.mlp.forward(layer.ln2.forward(x))
+            charge_elementwise(x, "add")
+
+        out = model.final_ln.forward(x)
+        logits = model.lm_head.forward(out)  # [rows·width, v]
+        sampled = self._sample_greedy(logits, rows)
+        model.drop_caches()
+        model.buffers.reset_region("forward")
+        return sampled
+
+    def _sample_greedy(self, logits: DTensor, rows: List[List[LaneInput]]) -> Dict[int, int]:
+        stripes = self.rows[0].size
+        v_loc = self.cfg.vocab_size // stripes
+        sampled: Dict[int, int] = {}
+        for row, group in zip(rows, self.rows):
+            shards = {}
+            for j, rank in enumerate(group.ranks):
+                ll = np.asarray(logits.local(rank))
+                mx = ll.max(axis=1)
+                ix = ll.argmax(axis=1).astype(ll.dtype) + j * v_loc
+                shards[rank] = np.stack([mx, ix], axis=1)  # [width, 2]
+                self.sim.device(rank).compute(2.0 * ll.size, kind="elementwise")
+            gathered = coll.all_gather(group, shards, axis=1)  # [width, 2·stripes]
+            best = self._pick_winner(np.asarray(gathered[group.ranks[0]]), stripes)
+            for w, e in enumerate(row):
+                sampled[e.slot] = int(best[w])
+        return sampled
 
 
 # ======================================================================
@@ -336,127 +436,17 @@ class OptimusServingEngine(ServingEngine):
         options: Optional[ServingOptions] = None,
         injector: Optional[FaultInjector] = None,
     ):
-        super().__init__(sim, cfg, options=options, injector=injector)
         if num_slots % q:
             raise ValueError(f"num_slots {num_slots} not divisible by mesh q={q}")
         cfg.validate_for_optimus(q, num_slots)
-        self.mesh = Mesh(sim, q)
-        self.model = OptimusModel(self.mesh, cfg, params_global, checkpoint_activations=False)
-        self.q = q
-        self.n_loc = cfg.num_heads // q
-        self.slots_per_row = num_slots // q
-        groups = [
-            KVShardGroup(
-                gid=i,
-                ranks=tuple(self.mesh.rank(i, j) for j in range(q)),
-                slots=tuple(range(i * self.slots_per_row, (i + 1) * self.slots_per_row)),
-            )
-            for i in range(q)
-        ]
-        self.cache = ShardedKVCache(
-            sim,
-            groups,
-            num_layers=cfg.num_layers,
-            heads_loc=self.n_loc,
-            head_dim=cfg.head_dim,
-            block_size=block_size,
-            blocks_per_group=blocks_per_group,
-            dtype="float64",
+        mesh = Mesh(sim, q)
+        model = OptimusModel(mesh, cfg, params_global, checkpoint_activations=False)
+        super().__init__(
+            sim, cfg, model, mesh.row_groups, num_slots, block_size, blocks_per_group,
+            options=options, injector=injector,
         )
-        self.scheduler = self._make_scheduler()
-        self.all_ranks = list(self.mesh.ranks)
 
-    # ------------------------------------------------------------------
-    def _rows_of(self, entries: List[LaneInput]) -> List[List[LaneInput]]:
-        rows: List[List[LaneInput]] = [[] for _ in range(self.q)]
-        for e in entries:
-            rows[e.slot // self.slots_per_row].append(e)
-        return rows
-
-    def lanes_in_step(self, entries: List[LaneInput]) -> int:
-        rows = self._rows_of(entries)
-        return self.q * max(len(r) for r in rows)
-
-    def step(self, entries: List[LaneInput]) -> Dict[int, int]:
-        mesh, cfg, model = self.mesh, self.cfg, self.model
-        q, n_loc, d = self.q, self.n_loc, cfg.head_dim
-        rows = self._rows_of(entries)
-        width = max(len(r) for r in rows)
-
-        # BLOCKED_2D needs equal per-row lane counts: rows with fewer active
-        # slots run padding lanes (token 0, length-1 self-attention, output
-        # discarded) — the static-shape waste the report attributes to
-        # "padding".
-        ids = np.zeros((q * width, 1), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for w, e in enumerate(row):
-                ids[i * width + w, 0] = e.token
-        x = model.embedding.forward(distribute_row_blocked(mesh, ids))
-
-        for layer in model.layers:
-            a = layer.ln1.forward(x)
-            qkv = layer.attn.qkv_linear.forward(a)  # [q·width, 3h] blocked
-            ctx_shards = {}
-            for i in range(q):
-                row = rows[i]
-                for j in range(q):
-                    rank = mesh.rank(i, j)
-                    local = np.asarray(qkv.local(rank)).reshape((width, n_loc, 3, d))
-                    dev = mesh.device(rank)
-                    ctx = np.empty((width, n_loc, d), dtype=local.dtype)
-                    for w in range(width):
-                        k_vec = local[w, :, 1, :]
-                        v_vec = local[w, :, 2, :]
-                        if w < len(row):
-                            e = row[w]
-                            self.cache.write(e.slot, layer.index, rank, e.pos, k_vec, v_vec)
-                            k_cat, v_cat = self.cache.gather(e.slot, layer.index, rank, e.pos + 1)
-                        else:  # padding lane: fresh K/V only, nothing cached
-                            k_cat = k_vec[:, None, :]
-                            v_cat = v_vec[:, None, :]
-                        c, probs = decode_attention_fwd(local[w, :, 0, :], k_cat, v_cat)
-                        ctx[w] = c
-                        self._charge_attention(dev, n_loc, k_cat.shape[1], d, probs)
-                    ctx_shards[rank] = ctx.reshape((width, n_loc * d))
-            ctx_dt = DTensor(mesh, BLOCKED_2D, ctx_shards, (q * width, cfg.hidden_size))
-            x = x + layer.attn.out_linear.forward(ctx_dt)
-            self._charge_add(x)
-            x = x + layer.mlp.forward(layer.ln2.forward(x))
-            self._charge_add(x)
-
-        out = model.final_ln.forward(x)
-        logits = model.lm_head.forward(out)  # [q·width, v] blocked
-        sampled = self._sample_greedy(logits, rows, width)
-        model.drop_caches()
-        model.buffers.reset_region("forward")
-        return sampled
-
-    def _charge_add(self, dt: DTensor) -> None:
-        for rank, shard in dt.shards.items():
-            dev = self.mesh.device(rank)
-            dev.compute(_ELEMWISE_COST["add"] * shard.size, kind="elementwise")
-
-    def _sample_greedy(
-        self, logits: DTensor, rows: List[List[LaneInput]], width: int
-    ) -> Dict[int, int]:
-        mesh, q = self.mesh, self.q
-        v_loc = self.cfg.vocab_size // q
-        sampled: Dict[int, int] = {}
-        for i in range(q):
-            grp = mesh.row_group(i)
-            shards = {}
-            for j in range(q):
-                rank = mesh.rank(i, j)
-                ll = np.asarray(logits.local(rank))
-                mx = ll.max(axis=1)
-                ix = ll.argmax(axis=1).astype(ll.dtype) + j * v_loc
-                shards[rank] = np.stack([mx, ix], axis=1)  # [width, 2]
-                mesh.device(rank).compute(2.0 * ll.size, kind="elementwise")
-            gathered = coll.all_gather(grp, shards, axis=1)  # [width, 2q]
-            best = self._pick_winner(np.asarray(gathered[mesh.rank(i, 0)]), stripes=q)
-            for w, e in enumerate(rows[i]):
-                sampled[e.slot] = int(best[w])
-        return sampled
+    step = ServingEngine.step  # hostbench patches it on the scheme's class
 
 
 # ======================================================================
@@ -476,85 +466,14 @@ class MegatronServingEngine(ServingEngine):
         options: Optional[ServingOptions] = None,
         injector: Optional[FaultInjector] = None,
     ):
-        super().__init__(sim, cfg, options=options, injector=injector)
-        p = sim.num_ranks
-        cfg.validate_for_megatron(p, num_slots)
-        self.model = MegatronModel(sim, cfg, params_global, checkpoint_activations=False)
-        self.group = self.model.group
-        self.p = p
-        self.n_loc = cfg.num_heads // p
-        groups = [KVShardGroup(gid=0, ranks=tuple(self.group.ranks), slots=tuple(range(num_slots)))]
-        self.cache = ShardedKVCache(
-            sim,
-            groups,
-            num_layers=cfg.num_layers,
-            heads_loc=self.n_loc,
-            head_dim=cfg.head_dim,
-            block_size=block_size,
-            blocks_per_group=blocks_per_group,
-            dtype="float64",
+        cfg.validate_for_megatron(sim.num_ranks, num_slots)
+        model = MegatronModel(sim, cfg, params_global, checkpoint_activations=False)
+        super().__init__(
+            sim, cfg, model, [model.group], num_slots, block_size, blocks_per_group,
+            options=options, injector=injector,
         )
-        self.scheduler = self._make_scheduler()
-        self.all_ranks = list(self.group.ranks)
 
-    def lanes_in_step(self, entries: List[LaneInput]) -> int:
-        return len(entries)  # replicated activations: no shape padding
-
-    def step(self, entries: List[LaneInput]) -> Dict[int, int]:
-        cfg, model, group = self.cfg, self.model, self.group
-        n_loc, d = self.n_loc, cfg.head_dim
-        B = len(entries)
-
-        ids = np.array([[e.token] for e in entries], dtype=np.int64)
-        x = model.embedding.forward(distribute_replicated_1d(group, ids))
-
-        for layer in model.layers:
-            a = layer.ln1.forward(x)
-            qkv = layer.attn.qkv_linear.forward(a)  # [B, 3h] column-sharded
-            ctx_shards = {}
-            for rank in group.ranks:
-                local = np.asarray(qkv.local(rank)).reshape((B, n_loc, 3, d))
-                dev = group.sim.device(rank)
-                ctx = np.empty((B, n_loc, d), dtype=local.dtype)
-                for w, e in enumerate(entries):
-                    k_vec, v_vec = local[w, :, 1, :], local[w, :, 2, :]
-                    self.cache.write(e.slot, layer.index, rank, e.pos, k_vec, v_vec)
-                    k_cat, v_cat = self.cache.gather(e.slot, layer.index, rank, e.pos + 1)
-                    c, probs = decode_attention_fwd(local[w, :, 0, :], k_cat, v_cat)
-                    ctx[w] = c
-                    self._charge_attention(dev, n_loc, k_cat.shape[1], d, probs)
-                ctx_shards[rank] = ctx.reshape((B, n_loc * d))
-            ctx_dt = DTensor(group, SHARDED_1D(1), ctx_shards, (B, cfg.hidden_size))
-            x = x + layer.attn.out_linear.forward(ctx_dt)
-            self._charge_add(x)
-            x = x + layer.mlp.forward(layer.ln2.forward(x))
-            self._charge_add(x)
-
-        out = model.final_ln.forward(x)
-        logits = model.lm_head.forward(out)  # [B, v] vocab-sharded
-        sampled = self._sample_greedy(logits, entries)
-        model.drop_caches()
-        model.buffers.reset_region("forward")
-        return sampled
-
-    def _charge_add(self, dt: DTensor) -> None:
-        for rank, shard in dt.shards.items():
-            dev = self.group.sim.device(rank)
-            dev.compute(_ELEMWISE_COST["add"] * shard.size, kind="elementwise")
-
-    def _sample_greedy(self, logits: DTensor, entries: List[LaneInput]) -> Dict[int, int]:
-        group, p = self.group, self.p
-        v_loc = self.cfg.vocab_size // p
-        shards = {}
-        for k, rank in enumerate(group.ranks):
-            ll = np.asarray(logits.local(rank))
-            mx = ll.max(axis=1)
-            ix = ll.argmax(axis=1).astype(ll.dtype) + k * v_loc
-            shards[rank] = np.stack([mx, ix], axis=1)  # [B, 2]
-            group.sim.device(rank).compute(2.0 * ll.size, kind="elementwise")
-        gathered = coll.all_gather(group, shards, axis=1)  # [B, 2p]
-        best = self._pick_winner(np.asarray(gathered[group.ranks[0]]), stripes=p)
-        return {e.slot: int(best[w]) for w, e in enumerate(entries)}
+    step = ServingEngine.step  # hostbench patches it on the scheme's class
 
 
 # ======================================================================

@@ -58,15 +58,6 @@ class TrainingDivergedError(RuntimeError):
         )
 
 
-def _find_sim(model):
-    """The simulator behind a model, if any (serial reference has none)."""
-    sim = getattr(model, "sim", None)
-    if sim is not None:
-        return sim
-    mesh = getattr(model, "mesh", None)
-    return getattr(mesh, "sim", None)
-
-
 @dataclass
 class TrainLog:
     losses: List[float] = field(default_factory=list)
@@ -135,7 +126,8 @@ class Trainer:
         self.seed = seed
         self.step = 0
         self.log = TrainLog()
-        self.sim = _find_sim(model)
+        #: the simulator behind the model, if any (the serial reference has none)
+        self.sim = getattr(model, "sim", None)
         self._last_finite_loss: Optional[float] = None
         if metrics is not None:
             self.metrics = metrics
@@ -159,10 +151,6 @@ class Trainer:
         the SDC guard retry a corrupted step.
         """
         self.optimizer.zero_grad()
-        # §3.2.3: the param_grad region is reused every iteration, not grown
-        buffers = getattr(self.model, "buffers", None)
-        if buffers is not None:
-            buffers.reset_region("param_grad")
         loss = float(self.model.forward(ids, labels))
         if not math.isfinite(loss):
             raise TrainingDivergedError(self.step, loss, self._last_finite_loss)

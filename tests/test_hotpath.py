@@ -12,6 +12,7 @@ from repro.config import ModelConfig, tiny_config
 from repro.core import summa
 from repro.core.model import OptimusModel
 from repro.experiments.runner import run_megatron_stem, run_optimus_stem
+from repro.hybrid import DataParallel
 from repro.megatron.model import MegatronModel
 from repro.mesh.partition import assemble_blocked_2d, distribute_blocked_2d
 from repro.nn.init import init_transformer_params
@@ -245,15 +246,27 @@ class TestPinnedSimulatedNumbers:
         assert (res.peak_memory_bytes, res.throughput) == (peak, seq_per_s)
 
 
-@pytest.mark.parametrize("scheme", ["optimus", "megatron"])
+@pytest.mark.parametrize("scheme", ["optimus", "megatron", "hybrid"])
 def test_param_grad_region_is_reused_across_steps(scheme):
     """§3.2.3: ``param_grad`` is one reused region — a multi-step run must
-    not grow the managed arena."""
-    trainer = _tiny_trainer(scheme)
+    not grow the managed arena, under ``Trainer`` or (hybrid) a hand-written
+    loop that bypasses it."""
+    if scheme == "hybrid":
+        cfg = tiny_config(num_layers=2)
+        dp = DataParallel.build(num_replicas=2, q=2, cfg=cfg, seed=1)
+        ids, labels = next(BatchStream.copy_task(cfg, 8, seed=0))
+        sim = dp.sim
+
+        def run(steps):
+            for _ in range(steps):
+                dp.zero_grads()
+                dp.forward_backward(ids, labels)
+    else:
+        trainer = _tiny_trainer(scheme)
+        sim, run = trainer.sim, trainer.train_steps
     footprints = []
     for steps in (1, 3):
-        trainer.train_steps(steps)
-        sim = trainer.sim
+        run(steps)
         grads = [d.memory.by_tag["buffer:param_grad"] for d in sim.devices]
         footprints.append((sim.peak_memory(), grads, _sim_allocs(sim)))
     assert footprints[0] == footprints[1]

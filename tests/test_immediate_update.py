@@ -2,76 +2,89 @@
 
 "We could update the parameters immediately after the backward pass of a
 Transformer layer, and then reset the parameter gradient buffer."
+
+Both schemes run the one ``backward(on_layer_backward=...)`` of the shared
+stack, so every test walks both (in-test, keeping the test ids stable).
 """
 
 import numpy as np
 
-from repro.core import BufferManager, OptimusModel
+from repro.core import OptimusModel
+from repro.megatron import MegatronModel
 from repro.mesh.partition import assemble_any
 from repro.nn import init_transformer_params
+from repro.runtime import Simulator
 from repro.training import SGD, make_immediate_updater
 from tests.conftest import make_mesh
 
+SCHEMES = ("optimus", "megatron")
 
-def _train(cfg, ids, labels, immediate: bool, steps: int = 3):
+
+def _model(scheme, cfg):
     params = init_transformer_params(cfg, seed=1)
-    mesh = make_mesh(2)
-    buffers = BufferManager(mesh.sim, ranks=mesh.ranks, managed=True)
-    model = OptimusModel(mesh, cfg, params, buffers=buffers)
+    if scheme == "optimus":
+        return OptimusModel(make_mesh(2), cfg, params)
+    return MegatronModel(Simulator.for_flat(2), cfg, params)
+
+
+def _train(scheme, cfg, ids, labels, immediate: bool, steps: int = 3):
+    model = _model(scheme, cfg)
     opt = SGD(model.parameters(), lr=0.1)
-    hook = make_immediate_updater(opt, buffers) if immediate else None
+    hook = make_immediate_updater(opt, model.buffers) if immediate else None
     for _ in range(steps):
         opt.zero_grad()
         model.forward(ids, labels)
         model.backward(on_layer_backward=hook)
         opt.step()  # embedding / head / final-LN (layer params already done)
-    return model, buffers
+    return model
 
 
 def test_immediate_updates_match_deferred(cfg, batch):
     """For SGD the per-layer update order is irrelevant: identical weights."""
     ids, labels = batch
-    deferred, _ = _train(cfg, ids, labels, immediate=False)
-    immediate, _ = _train(cfg, ids, labels, immediate=True)
-    for (pd, pi) in zip(deferred.parameters(), immediate.parameters()):
-        assert pd.name == pi.name
-        np.testing.assert_allclose(
-            assemble_any(pd.data), assemble_any(pi.data), rtol=1e-12,
-            err_msg=pd.name,
-        )
+    for scheme in SCHEMES:
+        deferred = _train(scheme, cfg, ids, labels, immediate=False)
+        immediate = _train(scheme, cfg, ids, labels, immediate=True)
+        for (pd, pi) in zip(deferred.parameters(), immediate.parameters()):
+            assert pd.name == pi.name
+            np.testing.assert_allclose(
+                assemble_any(pd.data), assemble_any(pi.data), rtol=1e-12,
+                err_msg=f"{scheme}: {pd.name}",
+            )
 
 
 def test_immediate_updates_shrink_param_grad_buffer(cfg, batch):
     """The point of option 2: the gradient buffer holds one layer, not N."""
     ids, labels = batch
-    _, deferred_buf = _train(cfg, ids, labels, immediate=False, steps=1)
-    _, immediate_buf = _train(cfg, ids, labels, immediate=True, steps=1)
     rank = 0
-    assert immediate_buf.capacity("param_grad", rank) < deferred_buf.capacity(
-        "param_grad", rank
-    )
-    # with 2 layers plus the lm-head gradient, roughly half the arena
-    assert immediate_buf.capacity("param_grad", rank) <= (
-        0.75 * deferred_buf.capacity("param_grad", rank)
-    )
+    for scheme in SCHEMES:
+        deferred_buf = _train(scheme, cfg, ids, labels, immediate=False, steps=1).buffers
+        immediate_buf = _train(scheme, cfg, ids, labels, immediate=True, steps=1).buffers
+        assert immediate_buf.capacity("param_grad", rank) < deferred_buf.capacity(
+            "param_grad", rank
+        ), scheme
+        # with 2 layers plus the lm-head gradient, roughly half the arena
+        assert immediate_buf.capacity("param_grad", rank) <= (
+            0.75 * deferred_buf.capacity("param_grad", rank)
+        ), scheme
 
 
 def test_deferred_step_skips_already_updated_layers(cfg, batch):
     """After immediate layer updates, the trailing full step must not
     re-apply them (their gradients were cleared)."""
     ids, labels = batch
-    params = init_transformer_params(cfg, seed=1)
-    mesh = make_mesh(2)
-    model = OptimusModel(mesh, cfg, params)
-    opt = SGD(model.parameters(), lr=0.1)
-    hook = make_immediate_updater(opt)
-    model.forward(ids, labels)
-    model.backward(on_layer_backward=hook)
-    w_after_hooks = assemble_any(
-        model.named_parameters()["layer0.mlp.w1"].data
-    ).copy()
-    opt.step()
-    np.testing.assert_array_equal(
-        assemble_any(model.named_parameters()["layer0.mlp.w1"].data),
-        w_after_hooks,
-    )
+    for scheme in SCHEMES:
+        model = _model(scheme, cfg)
+        opt = SGD(model.parameters(), lr=0.1)
+        hook = make_immediate_updater(opt)
+        model.forward(ids, labels)
+        model.backward(on_layer_backward=hook)
+        w_after_hooks = assemble_any(
+            model.named_parameters()["layer0.mlp.w1"].data
+        ).copy()
+        opt.step()
+        np.testing.assert_array_equal(
+            assemble_any(model.named_parameters()["layer0.mlp.w1"].data),
+            w_after_hooks,
+            err_msg=scheme,
+        )

@@ -3,6 +3,7 @@ report determinism and the ledger/dash/CLI integration."""
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -324,6 +325,17 @@ class TestReport:
         a = run_serve(0, quick=True)
         b = run_serve(0, quick=True)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_full_report_matches_committed_baseline(self, tmp_path, capsys):
+        """Both engines share one decode ``step()``: any drift in it moves a
+        byte of the full profile."""
+        from repro.cli import main
+
+        out = tmp_path / "serve.json"
+        assert main(["serve", "--seed", "0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        root = pathlib.Path(__file__).resolve().parents[1]
+        assert out.read_bytes() == (root / "benchmarks/serving_baseline.json").read_bytes()
 
     def test_schemes_agree_on_tokens(self):
         rep = run_serve(0, quick=True)
