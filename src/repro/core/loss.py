@@ -1,148 +1,36 @@
 """Vocabulary-2D softmax cross-entropy (paper §3.2.2).
 
 Logits arrive ``BLOCKED_2D`` with global shape ``[T, v]``: each mesh row
-holds a token block, each mesh column a vocabulary stripe.  Per the paper,
-``Σᵢ eˣⁱ`` is summed locally then all-reduced along the SUMMA row; we add
-the standard max-subtraction (one extra row all-reduce of [T_loc, 1]) for
-float stability — it changes no values, only conditioning.  The picked
-logit ``x_l`` lives in exactly one column stripe per token, so a masked
-gather + row all-reduce recovers it everywhere.  The final scalar is the
-token mean, combined across rows with a single column all-reduce of a
-1-element buffer.
+holds a token block, each mesh column a vocabulary stripe.  The body is
+:class:`repro.nn.loss.VocabStripedCrossEntropy`; this file names the groups:
+the three softmax all-reduces run along each SUMMA row, and the rows' sums
+are combined with a single column all-reduce of a 1-element buffer.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.backend import ops
-from repro.backend.shape_array import ShapeArray, is_shape_array
-from repro.comm import collectives as coll
 from repro.core.buffers import BufferManager
-from repro.core.param import DistModule
 from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import BLOCKED_2D, ROW_BLOCKED
 from repro.mesh.mesh import Mesh
+from repro.nn.loss import VocabStripedCrossEntropy
 
 
-class CrossEntropy2D(DistModule):
+class CrossEntropy2D(VocabStripedCrossEntropy):
     """Mean-token cross-entropy over 2-D-partitioned logits."""
 
-    _cache_attrs = ("_saved",)
+    layout = BLOCKED_2D
+    holds_dlogits = True
 
     def __init__(self, mesh: Mesh, buffers: Optional[BufferManager] = None):
-        super().__init__()
-        self.mesh = mesh
-        self.buffers = buffers
-        self._saved = None
+        super().__init__(mesh, mesh.row_groups, mesh.col_groups, buffers)
 
-    # ------------------------------------------------------------------
     def forward(self, logits: DTensor, labels: DTensor):
-        """Returns the scalar mean loss (float in numeric mode)."""
-        if logits.layout != BLOCKED_2D:
-            raise ValueError(f"logits must be BLOCKED_2D, got {logits.layout}")
         if labels.layout != ROW_BLOCKED:
             raise ValueError(f"labels must be ROW_BLOCKED, got {labels.layout}")
-        mesh, q = self.mesh, self.mesh.q
-        T, v = logits.global_shape
-        v_loc = v // q
+        return super().forward(logits, labels)
 
-        # 1) stabilizing max along each row
-        mx = {r: ops.max(logits.local(r), axis=1, keepdims=True) for r in mesh.ranks}
-        mx = self._row_all_reduce(mx, op="max")
-
-        # 2) exp and row-sum
-        e, ssum = {}, {}
-        for rank in mesh.ranks:
-            z = logits.local(rank) - mx[rank]
-            ez = ops.exp(z)
-            e[rank] = ez
-            ssum[rank] = ops.sum(ez, axis=1, keepdims=True)
-            mesh.device(rank).compute(8.0 * ez.size, kind="elementwise")
-        ssum = self._row_all_reduce(ssum, op="sum")
-
-        # 3) pick the label logit from its owning stripe
-        picked = {}
-        for rank in mesh.ranks:
-            _, j = mesh.coords(rank)
-            z = logits.local(rank) - mx[rank]
-            lab = labels.local(rank).reshape((z.shape[0],))
-            picked[rank] = self._masked_pick(z, lab, j * v_loc, v_loc)
-        picked = self._row_all_reduce(picked, op="sum")
-
-        # 4) per-token loss and global mean
-        probs, part = {}, {}
-        for rank in mesh.ranks:
-            probs[rank] = e[rank] / ssum[rank]
-            loss_tok = ops.log(ssum[rank]).reshape((e[rank].shape[0],)) - picked[rank]
-            part[rank] = ops.sum(loss_tok, keepdims=True).reshape((1,))
-            if self.buffers is not None:
-                self.buffers.hold("forward", rank, ops.nbytes(probs[rank]))
-        for j in range(q):
-            grp = mesh.col_group(j)
-            reduced = coll.all_reduce(grp, {r: part[r] for r in grp.ranks})
-            part.update(reduced)
-
-        self._saved = (probs, labels, T, v_loc)
-        total = part[mesh.rank(0, 0)]
-        if is_shape_array(total):
-            return ShapeArray((), total.dtype)
-        return float(np.asarray(total)[0]) / T
-
-    @staticmethod
-    def _masked_pick(z, lab, lo: int, v_loc: int):
-        """Per-token z[t, lab[t]−lo] where the label falls in this stripe."""
-        if is_shape_array(z):
-            return ShapeArray((z.shape[0],), z.dtype)
-        zl = np.asarray(z)
-        ids = np.asarray(lab)
-        mask = (ids >= lo) & (ids < lo + v_loc)
-        out = np.zeros(zl.shape[0], dtype=zl.dtype)
-        rows = np.nonzero(mask)[0]
-        if rows.size:
-            out[rows] = zl[rows, ids[rows] - lo]
-        return out
-
-    def _row_all_reduce(self, shards, op: str):
-        mesh = self.mesh
-        out = dict(shards)
-        for i in range(mesh.q):
-            grp = mesh.row_group(i)
-            reduced = coll.all_reduce(grp, {r: out[r] for r in grp.ranks}, op=op)
-            out.update(reduced)
-        return out
-
-    # ------------------------------------------------------------------
-    def backward(self) -> DTensor:
-        """d logits of the mean loss: (qⱼ − 1[j = label]) / T per token."""
-        if self._saved is None:
-            raise RuntimeError("cross-entropy backward before forward")
-        mesh, q = self.mesh, self.mesh.q
-        probs, labels, T, v_loc = self._saved
-        scale = 1.0 / T
-        shards = {}
-        for rank in mesh.ranks:
-            _, j = mesh.coords(rank)
-            p = probs[rank]
-            g = p * scale
-            shards[rank] = self._subtract_labels(g, labels.local(rank), j * v_loc, v_loc, scale)
-            mesh.device(rank).compute(2.0 * p.size, kind="elementwise")
-            if self.buffers is not None:
-                self.buffers.hold("backward", rank, ops.nbytes(shards[rank]))
-        dlogits = DTensor(mesh, BLOCKED_2D, shards, (T, v_loc * q))
-        self._saved = None
-        return dlogits
-
-    @staticmethod
-    def _subtract_labels(g, lab, lo: int, v_loc: int, scale: float):
-        if is_shape_array(g):
-            return g
-        g = np.asarray(g)
-        ids = np.asarray(lab).reshape(-1)
-        mask = (ids >= lo) & (ids < lo + v_loc)
-        rows = np.nonzero(mask)[0]
-        if rows.size:
-            g[rows, ids[rows] - lo] -= scale
-        return g
+    # hostbench patches these on the class that defines them
+    backward = VocabStripedCrossEntropy.backward

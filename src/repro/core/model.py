@@ -32,6 +32,7 @@ class OptimusModel(TransformerModel):
     """Paper's 2-D tensor-parallel transformer on a q×q mesh; the arguments
     after ``mesh`` are :class:`~repro.nn.transformer.TransformerModel`'s."""
 
+    scheme = "optimus"
     layer_cls, norm_cls = TransformerLayer2D, LayerNorm2D
     embedding_cls, lm_head_cls = Embedding2D, LMHead2D
     loss_cls, cls_head_cls = CrossEntropy2D, ClassificationHead2D

@@ -17,10 +17,10 @@ surpasses Megatron at 64 GPUs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Iterable, List
 
 from repro.config import ModelConfig, table2_weak_scaling, table3_strong_scaling
-from repro.experiments.runner import run_megatron_stem, run_optimus_stem
+from repro.experiments.runner import run_optimus_stem, run_settings
 from repro.utils.tables import format_table
 
 
@@ -43,40 +43,22 @@ def _serial_time(cfg: ModelConfig, batch_size: int) -> float:
     return res.forward_time + res.backward_time
 
 
+def _run(mode: str, settings: Iterable[dict]) -> List[EfficiencyPoint]:
+    return [
+        EfficiencyPoint(
+            mode, res.scheme, res.num_devices,
+            res.forward_time + res.backward_time, _serial_time(cfg, res.batch_size),
+        )
+        for cfg, res in run_settings(settings)
+    ]
+
+
 def run_weak() -> List[EfficiencyPoint]:
-    points: List[EfficiencyPoint] = []
-    for setting in table2_weak_scaling():
-        p = setting["num_devices"]
-        q = int(round(p**0.5))
-        rm = run_megatron_stem(setting["model_megatron"], p, setting["batch_megatron"])
-        t1_m = _serial_time(setting["model_megatron"], setting["batch_megatron"])
-        points.append(
-            EfficiencyPoint("weak", "megatron", p, rm.forward_time + rm.backward_time, t1_m)
-        )
-        ro = run_optimus_stem(setting["model_optimus"], q, setting["batch_optimus"])
-        t1_o = _serial_time(setting["model_optimus"], setting["batch_optimus"])
-        points.append(
-            EfficiencyPoint("weak", "optimus", p, ro.forward_time + ro.backward_time, t1_o)
-        )
-    return points
+    return _run("weak", table2_weak_scaling())
 
 
 def run_strong() -> List[EfficiencyPoint]:
-    points: List[EfficiencyPoint] = []
-    for setting in table3_strong_scaling():
-        p = setting["num_devices"]
-        q = int(round(p**0.5))
-        rm = run_megatron_stem(setting["model_megatron"], p, setting["batch_megatron"])
-        t1_m = _serial_time(setting["model_megatron"], setting["batch_megatron"])
-        points.append(
-            EfficiencyPoint("strong", "megatron", p, rm.forward_time + rm.backward_time, t1_m)
-        )
-        ro = run_optimus_stem(setting["model_optimus"], q, setting["batch_optimus"])
-        t1_o = _serial_time(setting["model_optimus"], setting["batch_optimus"])
-        points.append(
-            EfficiencyPoint("strong", "optimus", p, ro.forward_time + ro.backward_time, t1_o)
-        )
-    return points
+    return _run("strong", table3_strong_scaling())
 
 
 def plot(points: List[EfficiencyPoint], mode: str) -> str:

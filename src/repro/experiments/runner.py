@@ -9,7 +9,9 @@ columns of Tables 2–3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.config import ModelConfig
 from repro.core.model import OptimusModel
@@ -17,6 +19,7 @@ from repro.megatron.model import MegatronModel
 from repro.mesh.mesh import Mesh
 from repro.nn.init import init_transformer_params
 from repro.runtime.simulator import Simulator
+from repro.utils.tables import format_table
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,6 @@ def run_optimus_stem(
     q: int,
     batch_size: int,
     arrangement: str = "bunched",
-    gpus_per_node: int = 4,
     checkpoint: bool = True,
     strict_memory: bool = False,
     ledger=None,
@@ -124,7 +126,6 @@ def run_optimus_stem(
     """
     sim = Simulator.for_mesh(
         q=q,
-        gpus_per_node=gpus_per_node,
         arrangement_kind=arrangement,
         backend="shape",
         strict_memory=strict_memory,
@@ -142,7 +143,6 @@ def run_megatron_stem(
     cfg: ModelConfig,
     p: int,
     batch_size: int,
-    gpus_per_node: int = 4,
     checkpoint: bool = True,
     checkpoint_layout: str = "distributed",
     strict_memory: bool = False,
@@ -152,8 +152,7 @@ def run_megatron_stem(
 ) -> StemResult:
     """One forward + one checkpointed backward of the Megatron stem."""
     sim = Simulator.for_flat(
-        p=p, gpus_per_node=gpus_per_node, backend="shape",
-        strict_memory=strict_memory, trace=trace,
+        p=p, backend="shape", strict_memory=strict_memory, trace=trace
     )
     model = MegatronModel(
         sim,
@@ -164,3 +163,65 @@ def run_megatron_stem(
         stem_only=True,
     )
     return _run_stem(model, "megatron", batch_size, ledger, run_label)
+
+
+def run_stem(scheme: str, cfg: ModelConfig, p: int, batch_size: int, **kw) -> StemResult:
+    """One stem iteration of ``scheme`` on ``p`` devices — the one place a
+    device count becomes a mesh side; ``kw`` goes to the scheme's runner."""
+    if scheme == "megatron":
+        return run_megatron_stem(cfg, p, batch_size, **kw)
+    if scheme != "optimus":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    q = math.isqrt(p)
+    if q * q != p:
+        raise ValueError(f"{p} devices is not a square mesh")
+    return run_optimus_stem(cfg, q, batch_size, **kw)
+
+
+def run_settings(settings: Iterable[dict]) -> Iterator[Tuple[ModelConfig, StemResult]]:
+    """Both schemes' stems (Megatron first) at every row of a scaling table
+    of :mod:`repro.config`; yields each run's config with its result."""
+    for setting in settings:
+        for scheme in ("megatron", "optimus"):
+            cfg = setting[f"model_{scheme}"]
+            yield cfg, run_stem(
+                scheme, cfg, setting["num_devices"], setting[f"batch_{scheme}"]
+            )
+
+
+# ----------------------------------------------------------------------
+# Tables 2–3: the sweep paired with the paper's measured columns
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ScalingRow:
+    result: StemResult
+    paper: Tuple[float, float, float, float]  # fwd/seq, bwd/seq, throughput, inference
+
+    def as_list(self) -> list:
+        r, pp = self.result, self.paper
+        return [
+            r.num_devices, r.scheme, r.batch_size, r.hidden_size, r.num_heads,
+            r.forward_per_seq, pp[0], r.backward_per_seq, pp[1],
+            r.throughput, pp[2], r.inference, pp[3],
+        ]
+
+
+def run_scaling(settings: Iterable[dict], paper: Dict[str, dict]) -> List[ScalingRow]:
+    """Two rows (Megatron, Optimus) per device count of ``settings``;
+    ``paper[scheme][p]`` are the paper's columns for that row."""
+    return [
+        ScalingRow(res, paper[res.scheme][res.num_devices])
+        for _, res in run_settings(settings)
+    ]
+
+
+def render_scaling(rows: List[ScalingRow], title: str) -> str:
+    return format_table(
+        [
+            "p", "scheme", "b", "h", "heads",
+            "fwd/seq", "(paper)", "bwd/seq", "(paper)",
+            "thr", "(paper)", "inf", "(paper)",
+        ],
+        [r.as_list() for r in rows],
+        title=title,
+    )

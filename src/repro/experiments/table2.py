@@ -9,12 +9,10 @@ throughput, inference — use the paper's definitions (§5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.config import table2_weak_scaling
-from repro.experiments.runner import StemResult, run_megatron_stem, run_optimus_stem
-from repro.utils.tables import format_table
+from repro.experiments.runner import ScalingRow, render_scaling, run_scaling
 
 #: The paper's Table 2 values: p -> (fwd/seq, bwd/seq, throughput, inference)
 PAPER_MEGATRON: Dict[int, Tuple[float, float, float, float]] = {
@@ -30,54 +28,18 @@ PAPER_OPTIMUS: Dict[int, Tuple[float, float, float, float]] = {
     64: (0.2589, 0.7935, 0.9502, 3.8625),
 }
 
-
-@dataclass(frozen=True)
-class Table2Row:
-    result: StemResult
-    paper: Tuple[float, float, float, float]
-
-    def as_list(self) -> list:
-        r, pp = self.result, self.paper
-        return [
-            r.num_devices,
-            r.scheme,
-            r.batch_size,
-            r.hidden_size,
-            r.num_heads,
-            r.forward_per_seq,
-            pp[0],
-            r.backward_per_seq,
-            pp[1],
-            r.throughput,
-            pp[2],
-            r.inference,
-            pp[3],
-        ]
+Table2Row = ScalingRow
 
 
 def run() -> List[Table2Row]:
     """All eight rows (four device counts × two schemes)."""
-    rows: List[Table2Row] = []
-    for setting in table2_weak_scaling():
-        p = setting["num_devices"]
-        q = int(round(p**0.5))
-        rm = run_megatron_stem(setting["model_megatron"], p, setting["batch_megatron"])
-        rows.append(Table2Row(rm, PAPER_MEGATRON[p]))
-        ro = run_optimus_stem(setting["model_optimus"], q, setting["batch_optimus"])
-        rows.append(Table2Row(ro, PAPER_OPTIMUS[p]))
-    return rows
+    return run_scaling(
+        table2_weak_scaling(), {"megatron": PAPER_MEGATRON, "optimus": PAPER_OPTIMUS}
+    )
 
 
 def render(rows: List[Table2Row]) -> str:
-    return format_table(
-        [
-            "p", "scheme", "b", "h", "heads",
-            "fwd/seq", "(paper)", "bwd/seq", "(paper)",
-            "thr", "(paper)", "inf", "(paper)",
-        ],
-        [r.as_list() for r in rows],
-        title="Table 2 — weak scaling (simulated vs paper-measured)",
-    )
+    return render_scaling(rows, "Table 2 — weak scaling (simulated vs paper-measured)")
 
 
 def speedup_at(rows: List[Table2Row], p: int) -> Tuple[float, float]:

@@ -9,12 +9,10 @@ both communication and computation are proportional to b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.config import table3_strong_scaling
-from repro.experiments.runner import StemResult, run_megatron_stem, run_optimus_stem
-from repro.utils.tables import format_table
+from repro.experiments.runner import ScalingRow, render_scaling, run_scaling
 
 #: The paper's Table 3 values: p -> (fwd/seq, bwd/seq, throughput, inference)
 PAPER_MEGATRON: Dict[int, Tuple[float, float, float, float]] = {
@@ -32,43 +30,17 @@ PAPER_OPTIMUS: Dict[int, Tuple[float, float, float, float]] = {
     64: (0.1253, 0.3716, 2.0123, 7.9808),
 }
 
-
-@dataclass(frozen=True)
-class Table3Row:
-    result: StemResult
-    paper: Tuple[float, float, float, float]
-
-    def as_list(self) -> list:
-        r, pp = self.result, self.paper
-        return [
-            r.num_devices, r.scheme, r.batch_size, r.hidden_size, r.num_heads,
-            r.forward_per_seq, pp[0], r.backward_per_seq, pp[1],
-            r.throughput, pp[2], r.inference, pp[3],
-        ]
+Table3Row = ScalingRow
 
 
 def run() -> List[Table3Row]:
-    rows: List[Table3Row] = []
-    for setting in table3_strong_scaling():
-        p = setting["num_devices"]
-        q = int(round(p**0.5))
-        rm = run_megatron_stem(setting["model_megatron"], p, setting["batch_megatron"])
-        rows.append(Table3Row(rm, PAPER_MEGATRON[p]))
-        ro = run_optimus_stem(setting["model_optimus"], q, setting["batch_optimus"])
-        rows.append(Table3Row(ro, PAPER_OPTIMUS[p]))
-    return rows
+    return run_scaling(
+        table3_strong_scaling(), {"megatron": PAPER_MEGATRON, "optimus": PAPER_OPTIMUS}
+    )
 
 
 def render(rows: List[Table3Row]) -> str:
-    return format_table(
-        [
-            "p", "scheme", "b", "h", "heads",
-            "fwd/seq", "(paper)", "bwd/seq", "(paper)",
-            "thr", "(paper)", "inf", "(paper)",
-        ],
-        [r.as_list() for r in rows],
-        title="Table 3 — strong scaling (simulated vs paper-measured)",
-    )
+    return render_scaling(rows, "Table 3 — strong scaling (simulated vs paper-measured)")
 
 
 def optimus_trend(rows: List[Table3Row]) -> List[float]:

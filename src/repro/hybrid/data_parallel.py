@@ -37,6 +37,8 @@ from repro.runtime.simulator import Simulator
 class DataParallel:
     """R Optimus replicas + cross-replica gradient averaging."""
 
+    scheme = "hybrid"
+
     def __init__(
         self,
         sim: Simulator,
@@ -92,6 +94,15 @@ class DataParallel:
         return groups
 
     # ------------------------------------------------------------------
+    def forward(self, ids, labels) -> float:
+        """The trainer's entry point.  Replicas must finish their backward
+        before gradients can be averaged, so the whole iteration runs here
+        (:meth:`forward_backward`) and :meth:`backward` has nothing left."""
+        return self.forward_backward(ids, labels)
+
+    def backward(self) -> None:
+        pass
+
     def forward_backward(self, ids, labels) -> float:
         """One hybrid training iteration; returns the global mean loss.
 
@@ -180,16 +191,10 @@ class DataParallel:
         cfg: ModelConfig,
         seed: int = 0,
         backend: str = "numpy",
-        gpus_per_node: int = 4,
         **kw,
     ) -> "DataParallel":
         """Convenience: size a simulator and initialize shared parameters."""
-        total = num_replicas * q * q
-        num_nodes = -(-total // gpus_per_node)
-        from repro.hardware.specs import frontera_rtx
-
-        sim = Simulator(frontera_rtx(num_nodes, gpus_per_node), num_ranks=total,
-                        backend=backend)
+        sim = Simulator.for_flat(num_replicas * q * q, backend=backend)
         dtype = "float32" if backend == "shape" else "float64"
         params = init_transformer_params(cfg, seed=seed, backend=backend, dtype=dtype)
         return cls(sim, cfg, params, num_replicas, q, **kw)

@@ -1,113 +1,30 @@
 """Vocab-parallel softmax cross-entropy (Megatron-LM scheme).
 
-Logits are column-sharded ``[T, v/p]``; labels are replicated.  Three
-all-reduces over the flat group (max, Σe, picked logit) produce identical
-per-token losses on every device; backward is purely local.
+Logits are column-sharded ``[T, v/p]``; labels are replicated.  The one-row
+case of :class:`repro.nn.loss.VocabStripedCrossEntropy`: three all-reduces
+over the flat group (max, Σe, picked logit) produce identical per-token
+losses on every device, there are no other rows to combine with, and
+backward is purely local.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.backend import ops
-from repro.backend.shape_array import ShapeArray, is_shape_array
-from repro.comm import collectives as coll
 from repro.comm.group import ProcessGroup
 from repro.core.buffers import BufferManager
-from repro.core.param import DistModule
-from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import SHARDED_1D
+from repro.nn.loss import VocabStripedCrossEntropy
 
 
-class VocabParallelCrossEntropy(DistModule):
+class VocabParallelCrossEntropy(VocabStripedCrossEntropy):
     """Mean-token cross-entropy over vocabulary-sharded logits."""
 
-    _cache_attrs = ("_saved",)
+    layout = SHARDED_1D(1)
 
     def __init__(self, group: ProcessGroup, buffers: Optional[BufferManager] = None):
-        super().__init__()
-        self.group = group
-        self.buffers = buffers
-        self._saved = None
+        super().__init__(group, [group], [], buffers)
 
-    def forward(self, logits: DTensor, labels: DTensor):
-        group = self.group
-        T, v = logits.global_shape
-        p = group.size
-        v_loc = v // p
-
-        mx = {
-            r: ops.max(logits.local(r), axis=1, keepdims=True) for r in group.ranks
-        }
-        mx = coll.all_reduce(group, mx, op="max")
-
-        e, ssum, picked = {}, {}, {}
-        for k, rank in enumerate(group.ranks):
-            z = logits.local(rank) - mx[rank]
-            ez = ops.exp(z)
-            e[rank] = ez
-            ssum[rank] = ops.sum(ez, axis=1, keepdims=True)
-            lab = labels.local(rank).reshape((T,))
-            picked[rank] = self._masked_pick(z, lab, k * v_loc, v_loc)
-            group.sim.device(rank).compute(8.0 * ez.size, kind="elementwise")
-        ssum = coll.all_reduce(group, ssum)
-        picked = coll.all_reduce(group, picked)
-
-        probs = {}
-        loss_val = None
-        for rank in group.ranks:
-            probs[rank] = e[rank] / ssum[rank]
-            loss_tok = ops.log(ssum[rank]).reshape((T,)) - picked[rank]
-            total = ops.sum(loss_tok)
-            if self.buffers is not None:
-                self.buffers.hold("forward", rank, ops.nbytes(probs[rank]))
-            if loss_val is None:
-                loss_val = total
-        self._saved = (probs, labels, T, v_loc)
-        if is_shape_array(loss_val):
-            return ShapeArray((), loss_val.dtype)
-        return float(loss_val) / T
-
-    @staticmethod
-    def _masked_pick(z, lab, lo, v_loc):
-        if is_shape_array(z):
-            return ShapeArray((z.shape[0],), z.dtype)
-        zl = np.asarray(z)
-        ids = np.asarray(lab)
-        mask = (ids >= lo) & (ids < lo + v_loc)
-        out = np.zeros(zl.shape[0], dtype=zl.dtype)
-        rows = np.nonzero(mask)[0]
-        if rows.size:
-            out[rows] = zl[rows, ids[rows] - lo]
-        return out
-
-    def backward(self) -> DTensor:
-        if self._saved is None:
-            raise RuntimeError("cross-entropy backward before forward")
-        group = self.group
-        probs, labels, T, v_loc = self._saved
-        scale = 1.0 / T
-        shards = {}
-        for k, rank in enumerate(group.ranks):
-            g = probs[rank] * scale
-            shards[rank] = self._subtract_labels(
-                g, labels.local(rank), k * v_loc, v_loc, scale
-            )
-            group.sim.device(rank).compute(2.0 * g.size, kind="elementwise")
-        dlogits = DTensor(group, SHARDED_1D(1), shards, (T, v_loc * group.size))
-        self._saved = None
-        return dlogits
-
-    @staticmethod
-    def _subtract_labels(g, lab, lo, v_loc, scale):
-        if is_shape_array(g):
-            return g
-        g = np.asarray(g)
-        ids = np.asarray(lab).reshape(-1)
-        mask = (ids >= lo) & (ids < lo + v_loc)
-        rows = np.nonzero(mask)[0]
-        if rows.size:
-            g[rows, ids[rows] - lo] -= scale
-        return g
+    # hostbench patches these on the class that defines them
+    forward = VocabStripedCrossEntropy.forward
+    backward = VocabStripedCrossEntropy.backward

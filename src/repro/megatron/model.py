@@ -46,6 +46,7 @@ class MegatronModel(TransformerModel):
     """1-D tensor-parallel transformer over a flat group of p devices; the
     keyword arguments are :class:`~repro.nn.transformer.TransformerModel`'s."""
 
+    scheme = "megatron"
     layer_cls, norm_cls = TransformerLayer1D, LayerNorm1D
     embedding_cls, lm_head_cls = VocabParallelEmbedding, LMHead1D
     loss_cls, cls_head_cls = VocabParallelCrossEntropy, ClassificationHead1D

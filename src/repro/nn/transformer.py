@@ -340,7 +340,6 @@ class TransformerModel(DistModule):
         params_global: Dict[str, object],
         checkpoint_activations: bool = True,
         buffers: Optional[BufferManager] = None,
-        manage_buffers: bool = True,
         stem_only: bool = False,
         fused_attention: bool = False,
         attention_chunk: int = 64,
@@ -353,7 +352,7 @@ class TransformerModel(DistModule):
         self.stem_only = stem_only
         self.fused_attention = fused_attention
         self.buffers = buffers if buffers is not None else BufferManager(
-            self.sim, ranks=owner.ranks, managed=manage_buffers
+            self.sim, ranks=owner.ranks
         )
         self.embedding = None
         self.final_ln = None

@@ -194,7 +194,7 @@ def ensure_claim_records(ledger: RunLedger, printer=None) -> List[str]:
     critical-path attribution summary (clocks and bytes are bit-identical
     with tracing on or off).
     """
-    from repro.experiments.runner import run_megatron_stem, run_optimus_stem
+    from repro.experiments.runner import run_stem
 
     records = ledger.read()
     appended: List[str] = []
@@ -205,17 +205,11 @@ def ensure_claim_records(ledger: RunLedger, printer=None) -> List[str]:
         if printer:
             arr = f" ({arrangement})" if arrangement else ""
             printer(f"collecting claim evidence: {pt['scheme']} p={pt['p']}{arr} stem")
-        if pt["scheme"] == "optimus":
-            q = int(round(pt["p"] ** 0.5))
-            run_optimus_stem(
-                pt["cfg"], q, pt["batch"], ledger=ledger, run_label=CLAIM_LABEL,
-                arrangement=arrangement or "bunched", trace=True,
-            )
-        else:
-            run_megatron_stem(
-                pt["cfg"], pt["p"], pt["batch"], ledger=ledger,
-                run_label=CLAIM_LABEL, trace=True,
-            )
+        placement = {"arrangement": arrangement} if arrangement else {}
+        run_stem(
+            pt["scheme"], pt["cfg"], pt["p"], pt["batch"], ledger=ledger,
+            run_label=CLAIM_LABEL, trace=True, **placement,
+        )
         appended.append(ledger.read()[-1].run_id)
     return appended
 

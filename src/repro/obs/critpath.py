@@ -130,14 +130,26 @@ class _SpanIndex:
     """Per-rank sorted span lists for midpoint-containment lookups."""
 
     def __init__(self, spans, category: str):
-        self._by_rank: Dict[int, Tuple[List[int], List] ] = {}
+        #: rank -> (starts, ends, outer, spans): the rank's spans sorted by
+        #: (start, -end) with their integer-ns bounds, and for each span the
+        #: nearest earlier one that ends later — the only earlier candidate
+        #: left once the span itself ends before the query point
+        self._by_rank: Dict[int, Tuple[List[int], List[int], List[int], List]] = {}
         per_rank: Dict[int, List] = {}
         for s in spans:
             if s.category == category:
-                per_rank.setdefault(s.rank, []).append(s)
+                per_rank.setdefault(s.rank, []).append((_ns(s.t_start), _ns(s.t_end), s))
         for rank, lst in per_rank.items():
-            lst.sort(key=lambda s: (_ns(s.t_start), -_ns(s.t_end)))
-            self._by_rank[rank] = ([_ns(s.t_start) for s in lst], lst)
+            lst.sort(key=lambda t: (t[0], -t[1]))
+            starts, ends, ordered = (list(column) for column in zip(*lst))
+            outer: List[int] = []
+            later_ending: List[int] = []  # earlier spans, ends strictly decreasing
+            for i, end in enumerate(ends):
+                while later_ending and ends[later_ending[-1]] <= end:
+                    later_ending.pop()
+                outer.append(later_ending[-1] if later_ending else -1)
+                later_ending.append(i)
+            self._by_rank[rank] = (starts, ends, outer, ordered)
 
     def enclosing(self, rank: int, start_ns: int, end_ns: int):
         """The innermost span on ``rank`` containing the segment midpoint.
@@ -149,13 +161,13 @@ class _SpanIndex:
         entry = self._by_rank.get(rank)
         if entry is None:
             return None
-        starts, spans = entry
+        starts, ends, outer, spans = entry
         mid = (start_ns + end_ns) // 2
         i = bisect.bisect_right(starts, mid) - 1
         while i >= 0:
-            if _ns(spans[i].t_end) >= mid:
+            if ends[i] >= mid:
                 return spans[i]
-            i -= 1
+            i = outer[i]
         return None
 
 

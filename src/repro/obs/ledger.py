@@ -90,25 +90,6 @@ def git_revision(cwd: Optional[str] = None) -> str:
     return rev if out.returncode == 0 and rev else "unknown"
 
 
-def _scheme_of(model) -> Optional[str]:
-    """Best-effort scheme tag: an explicit ``scheme`` attribute wins, else
-    the class name is matched (serving engines wrap a model of the *other*
-    naming convention, which is what the attribute escape hatch is for)."""
-    scheme = getattr(model, "scheme", None)
-    if isinstance(scheme, str) and scheme:
-        return scheme
-    name = type(model).__name__.lower()
-    for scheme in ("optimus", "megatron", "hybrid", "pipeline"):
-        if scheme in name:
-            return scheme
-    if "serial" in name or "reference" in name:
-        return "serial"
-    inner = getattr(model, "dp", None)
-    if inner is not None and "dataparallel" in type(inner).__name__.lower():
-        return "hybrid"
-    return None
-
-
 @dataclass
 class RunRecord:
     """One ledger line: everything needed to compare this run to any other."""

@@ -28,7 +28,7 @@ from typing import Dict, List
 _US = 1e6  # seconds → trace_event microseconds
 
 
-def chrome_trace(sim, include_memory: bool = True) -> Dict[str, object]:
+def chrome_trace(sim) -> Dict[str, object]:
     """Build a ``trace_event`` dict from the simulator's tracer state."""
     events: List[dict] = []
     has_requests = any(e.kind == "request" for e in sim.tracer.events)
@@ -184,29 +184,28 @@ def chrome_trace(sim, include_memory: bool = True) -> Dict[str, object]:
                 ev["bp"] = "e"
             events.append(ev)
 
-    if include_memory:
-        for rank, samples in sim.memory_timeline().items():
-            for s in samples:
-                events.append(
-                    {
-                        "ph": "C",
-                        "name": "memory",
-                        "pid": rank,
-                        "tid": 0,
-                        "ts": s.t * _US,
-                        "args": {"total": s.total},
-                    }
-                )
-                events.append(
-                    {
-                        "ph": "C",
-                        "name": f"memory:{s.tag}",
-                        "pid": rank,
-                        "tid": 0,
-                        "ts": s.t * _US,
-                        "args": {"bytes": s.tag_bytes},
-                    }
-                )
+    for rank, samples in sim.memory_timeline().items():
+        for s in samples:
+            events.append(
+                {
+                    "ph": "C",
+                    "name": "memory",
+                    "pid": rank,
+                    "tid": 0,
+                    "ts": s.t * _US,
+                    "args": {"total": s.total},
+                }
+            )
+            events.append(
+                {
+                    "ph": "C",
+                    "name": f"memory:{s.tag}",
+                    "pid": rank,
+                    "tid": 0,
+                    "ts": s.t * _US,
+                    "args": {"bytes": s.tag_bytes},
+                }
+            )
 
     # stable ordering: metadata first, then by (pid, tid, ts, -dur) so
     # enclosing slices precede their children at equal timestamps
@@ -219,9 +218,9 @@ def chrome_trace(sim, include_memory: bool = True) -> Dict[str, object]:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(sim, path: str, include_memory: bool = True) -> Dict[str, object]:
+def write_chrome_trace(sim, path: str) -> Dict[str, object]:
     """Serialize :func:`chrome_trace` to ``path``; returns the trace dict."""
-    trace = chrome_trace(sim, include_memory=include_memory)
+    trace = chrome_trace(sim)
     with open(path, "w") as f:
         json.dump(trace, f)
     return trace

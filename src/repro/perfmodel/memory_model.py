@@ -99,7 +99,6 @@ def measure_peak_bytes(
     num_devices: int,
     batch_size: int,
     optimizer_slots: int = 0,
-    gpus_per_node: int = 4,
 ) -> float:
     """Dryrun-measured per-device peak, extrapolated to the full depth.
 
@@ -112,19 +111,11 @@ def measure_peak_bytes(
     """
     import dataclasses
 
-    from repro.experiments.runner import run_megatron_stem, run_optimus_stem
+    from repro.experiments.runner import run_stem
 
     depth = min(cfg.num_layers, 2)
     small = dataclasses.replace(cfg, num_layers=depth)
-    if scheme == "optimus":
-        q = int(round(num_devices**0.5))
-        if q * q != num_devices:
-            raise ValueError(f"{num_devices} devices is not a square mesh")
-        res = run_optimus_stem(small, q, batch_size, gpus_per_node=gpus_per_node)
-    elif scheme == "megatron":
-        res = run_megatron_stem(small, num_devices, batch_size, gpus_per_node=gpus_per_node)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    res = run_stem(scheme, small, num_devices, batch_size)
     elem = 4  # stems run in float32
     extra_layers = cfg.num_layers - depth
     ckpt_per_layer = float(batch_size) * cfg.seq_len * cfg.hidden_size / num_devices * elem

@@ -50,6 +50,8 @@ class _HeadCache:
 class PipelineModel:
     """GPipe / 1F1B pipeline over contiguous layer slices."""
 
+    scheme = "pipeline"
+
     def __init__(
         self,
         sim: Simulator,
@@ -97,12 +99,32 @@ class PipelineModel:
         """Stage-0 activation multiplier of the chosen schedule."""
         return max_in_flight(self.schedule(), 0)
 
+    def describe(self) -> dict:
+        """What a ledger record says about this executor beyond its scheme."""
+        return {
+            "pipeline": {
+                "schedule": self.schedule_name,
+                "num_stages": self.S,
+                "num_micro_batches": self.m,
+            }
+        }
+
     # ------------------------------------------------------------------
+    def forward(self, ids, labels) -> float:
+        """The trainer's entry point.  The schedule interleaves the two
+        passes, so the whole iteration runs here (:meth:`forward_backward`)
+        and :meth:`backward` has nothing left to do."""
+        return self.forward_backward(ids, labels)
+
+    def backward(self) -> None:
+        pass
+
     def forward_backward(self, ids, labels) -> float:
         """One full training iteration; returns the mean-token loss.
 
-        Gradients (all parameters, including embedding/final-LN) accumulate
-        into ``self.grads`` under the global parameter names.
+        Gradients of the *mean* loss (all parameters, including
+        embedding/final-LN; each micro-batch's backward is pre-scaled by
+        1/m) accumulate into ``self.grads`` under the global parameter names.
         """
         cfg, sim, S, m = self.cfg, self.sim, self.S, self.m
         b, s_len = ids.shape
@@ -260,9 +282,3 @@ class PipelineModel:
         if is_shape_array(arr):
             return [ShapeArray((arr.shape[0] // m,) + arr.shape[1:], arr.dtype)] * m
         return np.split(np.asarray(arr), m, axis=0)
-
-    # ------------------------------------------------------------------
-    def scaled_grads(self) -> Dict[str, object]:
-        """Gradients of the *mean* loss (backwards are pre-scaled by 1/m,
-        so this is just ``self.grads``) — named for API clarity."""
-        return self.grads

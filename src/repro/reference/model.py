@@ -20,46 +20,64 @@ Megatron (§2.2) and Optimus (§3.2.1) rely on.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
+from typing import Dict, Tuple
 
 from repro.backend import ops
 from repro.config import ModelConfig
 from repro.reference import functional as F
-
-
-@dataclass
-class _LayerCache:
-    x_in: object = None
-    ln1: tuple = None  # (out, x_hat, inv_std)
-    qkv: object = None  # pre-split [T, 3h]
-    q: object = None
-    k: object = None
-    v: object = None
-    attn_probs: object = None
-    ctx_flat: object = None  # [T, h] input to the output projection
-    attn_ln_out: object = None  # LN1 output, input of the QKV matmul
-    x_mid: object = None  # after attention residual
-    ln2: tuple = None
-    mlp_pre: object = None  # W1 output, pre-GELU
-    mlp_act: object = None  # GELU output
-    ln2_out: object = None
+from repro.reference.stack import LayerStack
 
 
 class ReferenceTransformer:
-    """Ground-truth serial model operating on global parameter arrays."""
+    """Ground-truth serial model operating on global parameter arrays:
+    embedding, one :class:`~repro.reference.stack.LayerStack` over all N
+    layers, and the LM / classification heads."""
+
+    scheme = "serial"
+    sim = None  #: the reference runs on no simulator
 
     def __init__(self, config: ModelConfig, params: Dict[str, object]):
         self.cfg = config
         self.params = params
         self.grads: Dict[str, object] = {}
-        self._caches: List[_LayerCache] = []
+        self.stack = LayerStack(config, params)
         self._final: dict = {}
 
     # ------------------------------------------------------------------
-    # forward
+    # embedding → layers → final LN, shared by both heads
+    # ------------------------------------------------------------------
+    def _embed_and_run_layers(self, ids):
+        """ids [b, s] → final-LN output [b·s, h]; starts a fresh ``_final``."""
+        b, s = ids.shape
+        x = ops.take_rows(self.params["embedding.table"], ids.reshape((b * s,)))
+        x = self.stack.forward(x, b, s)
+        out, x_hat, inv_std = F.layernorm_fwd(
+            x, self.params["final_ln.gamma"], self.params["final_ln.beta"], self.cfg.ln_eps
+        )
+        self._final = {"ids": ids, "s": s, "ln": (x_hat, inv_std), "ln_out": out}
+        return out
+
+    def _layers_backward(self, d_ln_out):
+        """Final-LN, layer and embedding-lookup backward; records every
+        gradient but the table's and returns the lookup's scatter-added
+        token gradients ``[v, h]`` for the head to combine."""
+        fin = self._final
+        x_hat, inv_std = fin["ln"]
+        dx, dgamma, dbeta = F.layernorm_bwd(
+            d_ln_out, x_hat, inv_std, self.params["final_ln.gamma"]
+        )
+        self.grads["final_ln.gamma"] = dgamma
+        self.grads["final_ln.beta"] = dbeta
+        # the stack accumulates (pipeline micro-batches); one iteration assigns
+        self.stack.zero_grads()
+        dx = self.stack.backward(dx)
+        self.grads.update(self.stack.grads)
+        d_table = ops.zeros_like(self.params["embedding.table"])
+        ops.index_add(d_table, fin["ids"].reshape((dx.shape[0],)), dx)
+        return d_table
+
+    # ------------------------------------------------------------------
+    # language modelling
     # ------------------------------------------------------------------
     def forward(self, ids, labels=None):
         """Run the full model.
@@ -67,85 +85,22 @@ class ReferenceTransformer:
         Returns the mean token loss (scalar) when ``labels`` is given,
         otherwise the logits ``[b·s, v]``.
         """
-        cfg = self.cfg
-        b, s = ids.shape
-        T = b * s
-        self._caches = []
-        self._final = {"ids": ids, "b": b, "s": s}
-
-        table = self.params["embedding.table"]
-        x = ops.take_rows(table, ids.reshape((T,)))  # [T, h]
-        for l in range(cfg.num_layers):
-            x = self._layer_forward(l, x, b, s)
-        out, x_hat, inv_std = F.layernorm_fwd(
-            x, self.params["final_ln.gamma"], self.params["final_ln.beta"], cfg.ln_eps
-        )
-        self._final.update({"ln": (x_hat, inv_std), "ln_out": out})
-        logits = out @ ops.transpose(table)  # [T, v]
+        out = self._embed_and_run_layers(ids)
+        logits = out @ ops.transpose(self.params["embedding.table"])  # [T, v]
         if labels is None:
             return logits
+        T = logits.shape[0]
         labels_flat = labels.reshape((T,))
         loss_tok, probs = F.cross_entropy_fwd(logits, labels_flat)
         self._final.update({"probs": probs, "labels": labels_flat})
         return ops.sum(loss_tok) / float(T)
 
-    def _layer_forward(self, l: int, x, b: int, s: int):
-        cfg = self.cfg
-        P = self.params
-        n, d, h = cfg.num_heads, cfg.head_dim, cfg.hidden_size
-        T = b * s
-        c = _LayerCache(x_in=x)
-
-        out1, xh1, inv1 = F.layernorm_fwd(
-            x, P[f"layer{l}.ln1.gamma"], P[f"layer{l}.ln1.beta"], cfg.ln_eps
-        )
-        c.ln1 = (xh1, inv1)
-        c.attn_ln_out = out1
-
-        qkv = out1 @ P[f"layer{l}.attn.wqkv"] + P[f"layer{l}.attn.bqkv"]  # [T, 3h]
-        c.qkv = qkv
-        qkv_r = qkv.reshape((b, s, n, 3, d))
-        # head-major [q_k | k_k | v_k] columns → index the "3" axis
-        q = qkv_r[:, :, :, 0, :].transpose(0, 2, 1, 3)  # [b, n, s, d]
-        k = qkv_r[:, :, :, 1, :].transpose(0, 2, 1, 3)
-        v = qkv_r[:, :, :, 2, :].transpose(0, 2, 1, 3)
-        c.q, c.k, c.v = q, k, v
-
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(d))  # [b, n, s, s]
-        probs = F.softmax(scores)
-        c.attn_probs = probs
-        ctx = probs @ v  # [b, n, s, d]
-        ctx_flat = ctx.transpose(0, 2, 1, 3).reshape((T, h))
-        c.ctx_flat = ctx_flat
-
-        attn_out = ctx_flat @ P[f"layer{l}.attn.wo"] + P[f"layer{l}.attn.bo"]
-        x_mid = x + attn_out
-        c.x_mid = x_mid
-
-        out2, xh2, inv2 = F.layernorm_fwd(
-            x_mid, P[f"layer{l}.ln2.gamma"], P[f"layer{l}.ln2.beta"], cfg.ln_eps
-        )
-        c.ln2 = (xh2, inv2)
-        c.ln2_out = out2
-
-        pre = out2 @ P[f"layer{l}.mlp.w1"] + P[f"layer{l}.mlp.b1"]  # [T, 4h]
-        act = F.gelu(pre)
-        c.mlp_pre, c.mlp_act = pre, act
-        mlp_out = act @ P[f"layer{l}.mlp.w2"] + P[f"layer{l}.mlp.b2"]
-        self._caches.append(c)
-        return x_mid + mlp_out
-
-    # ------------------------------------------------------------------
-    # backward
-    # ------------------------------------------------------------------
     def backward(self) -> Dict[str, object]:
         """Backprop from the mean-token loss; fills and returns ``self.grads``."""
-        cfg = self.cfg
         fin = self._final
         if "probs" not in fin:
             raise RuntimeError("backward() requires a prior forward() with labels")
-        b, s = fin["b"], fin["s"]
-        T = b * s
+        T = fin["probs"].shape[0]
         table = self.params["embedding.table"]
         self.grads = {}
 
@@ -154,80 +109,11 @@ class ReferenceTransformer:
                          backend=ops.backend_of(fin["probs"]))
         dlogits = F.cross_entropy_bwd(fin["probs"], fin["labels"], dloss)  # [T, v]
 
-        # lm-head: logits = ln_out @ tableᵀ
+        # lm-head: logits = ln_out @ tableᵀ, weight-tied with the lookup
         d_ln_out = dlogits @ table
         d_table = ops.transpose(dlogits) @ fin["ln_out"]  # [v, h]
-
-        x_hat, inv_std = fin["ln"]
-        dx, dgamma, dbeta = F.layernorm_bwd(
-            d_ln_out, x_hat, inv_std, self.params["final_ln.gamma"]
-        )
-        self.grads["final_ln.gamma"] = dgamma
-        self.grads["final_ln.beta"] = dbeta
-
-        for l in reversed(range(cfg.num_layers)):
-            dx = self._layer_backward(l, dx, b, s)
-
-        # embedding lookup backward: scatter-add token grads into the table
-        d_table = d_table + self._embedding_scatter(dx, fin["ids"], table)
-        self.grads["embedding.table"] = d_table
+        self.grads["embedding.table"] = d_table + self._layers_backward(d_ln_out)
         return self.grads
-
-    def _embedding_scatter(self, dx, ids, table):
-        ids_flat = ids.reshape((dx.shape[0],))
-        g = ops.zeros_like(table)
-        ops.index_add(g, ids_flat, dx)
-        return g
-
-    def _layer_backward(self, l: int, dy, b: int, s: int):
-        cfg = self.cfg
-        P, G = self.params, self.grads
-        c = self._caches[l]
-        n, d, h = cfg.num_heads, cfg.head_dim, cfg.hidden_size
-        T = b * s
-
-        # ---- MLP branch: y = x_mid + act @ W2 + b2
-        d_act = dy @ ops.transpose(P[f"layer{l}.mlp.w2"])
-        G[f"layer{l}.mlp.w2"] = ops.transpose(c.mlp_act) @ dy
-        G[f"layer{l}.mlp.b2"] = ops.sum(dy, axis=0)
-        d_pre = F.gelu_bwd(c.mlp_pre, d_act)
-        d_out2 = d_pre @ ops.transpose(P[f"layer{l}.mlp.w1"])
-        G[f"layer{l}.mlp.w1"] = ops.transpose(c.ln2_out) @ d_pre
-        G[f"layer{l}.mlp.b1"] = ops.sum(d_pre, axis=0)
-
-        xh2, inv2 = c.ln2
-        d_xmid_ln, dg2, db2 = F.layernorm_bwd(d_out2, xh2, inv2, P[f"layer{l}.ln2.gamma"])
-        G[f"layer{l}.ln2.gamma"] = dg2
-        G[f"layer{l}.ln2.beta"] = db2
-        d_xmid = dy + d_xmid_ln  # residual
-
-        # ---- attention output projection
-        d_ctx_flat = d_xmid @ ops.transpose(P[f"layer{l}.attn.wo"])
-        G[f"layer{l}.attn.wo"] = ops.transpose(c.ctx_flat) @ d_xmid
-        G[f"layer{l}.attn.bo"] = ops.sum(d_xmid, axis=0)
-
-        d_ctx = d_ctx_flat.reshape((b, s, n, d)).transpose(0, 2, 1, 3)  # [b,n,s,d]
-        d_probs = d_ctx @ c.v.transpose(0, 1, 3, 2)  # [b,n,s,s]
-        d_v = c.attn_probs.transpose(0, 1, 3, 2) @ d_ctx  # [b,n,s,d]
-        d_scores = F.softmax_bwd(c.attn_probs, d_probs) * (1.0 / math.sqrt(d))
-        d_q = d_scores @ c.k  # [b,n,s,d]
-        d_k = d_scores.transpose(0, 1, 3, 2) @ c.q
-
-        def _undo(t):  # [b,n,s,d] -> [b,s,n,d]
-            return t.transpose(0, 2, 1, 3)
-
-        d_qkv_r = ops.stack([_undo(d_q), _undo(d_k), _undo(d_v)], axis=3)  # [b,s,n,3,d]
-        d_qkv = d_qkv_r.reshape((T, 3 * h))
-
-        d_out1 = d_qkv @ ops.transpose(P[f"layer{l}.attn.wqkv"])
-        G[f"layer{l}.attn.wqkv"] = ops.transpose(c.attn_ln_out) @ d_qkv
-        G[f"layer{l}.attn.bqkv"] = ops.sum(d_qkv, axis=0)
-
-        xh1, inv1 = c.ln1
-        d_xin_ln, dg1, db1 = F.layernorm_bwd(d_out1, xh1, inv1, P[f"layer{l}.ln1.gamma"])
-        G[f"layer{l}.ln1.gamma"] = dg1
-        G[f"layer{l}.ln1.beta"] = db1
-        return d_xmid + d_xin_ln  # residual into the layer input
 
     # ------------------------------------------------------------------
     # classification branch (paper Fig. 1, right side)
@@ -241,27 +127,15 @@ class ReferenceTransformer:
         """
         if "cls_head.weight" not in self.params:
             raise KeyError("parameters lack cls_head.* (init with num_classes>0)")
-        cfg = self.cfg
-        b, s = ids.shape
-        T = b * s
-        self._caches = []
-        self._final = {"ids": ids, "b": b, "s": s}
-        table = self.params["embedding.table"]
-        x = ops.take_rows(table, ids.reshape((T,)))
-        for l in range(cfg.num_layers):
-            x = self._layer_forward(l, x, b, s)
-        out, x_hat, inv_std = F.layernorm_fwd(
-            x, self.params["final_ln.gamma"], self.params["final_ln.beta"], cfg.ln_eps
-        )
-        self._final.update({"ln": (x_hat, inv_std), "ln_out": out})
-        x0 = out[::s]  # token 0 of every sequence: rows 0, s, 2s, ...
+        out = self._embed_and_run_layers(ids)
+        x0 = out[:: self._final["s"]]  # token 0 of every sequence: rows 0, s, 2s, ...
         logits = x0 @ self.params["cls_head.weight"] + self.params["cls_head.bias"]
         self._final["cls_x0"] = x0
         if cls_labels is None:
             return logits
         loss_seq, probs = F.cross_entropy_fwd(logits, cls_labels)
         self._final.update({"cls_probs": probs, "cls_labels": cls_labels})
-        return ops.sum(loss_seq) / float(b)
+        return ops.sum(loss_seq) / float(logits.shape[0])
 
     def backward_classification(self) -> Dict[str, object]:
         fin = self._final
@@ -270,9 +144,7 @@ class ReferenceTransformer:
                 "backward_classification() requires forward_classification() "
                 "with labels"
             )
-        cfg = self.cfg
-        b, s = fin["b"], fin["s"]
-        T = b * s
+        b = fin["cls_probs"].shape[0]
         self.grads = {}
         dloss = ops.full(
             (b,), 1.0 / b, dtype="float64", backend=ops.backend_of(fin["cls_probs"])
@@ -283,19 +155,8 @@ class ReferenceTransformer:
         self.grads["cls_head.bias"] = ops.sum(dlogits, axis=0)
         dx0 = dlogits @ ops.transpose(w)  # [b, h]
         d_ln_out = ops.zeros_like(fin["ln_out"])
-        d_ln_out[::s] = dx0
-
-        x_hat, inv_std = fin["ln"]
-        dx, dgamma, dbeta = F.layernorm_bwd(
-            d_ln_out, x_hat, inv_std, self.params["final_ln.gamma"]
-        )
-        self.grads["final_ln.gamma"] = dgamma
-        self.grads["final_ln.beta"] = dbeta
-        for l in reversed(range(cfg.num_layers)):
-            dx = self._layer_backward(l, dx, b, s)
-        self.grads["embedding.table"] = self._embedding_scatter(
-            dx, fin["ids"], self.params["embedding.table"]
-        )
+        d_ln_out[:: fin["s"]] = dx0
+        self.grads["embedding.table"] = self._layers_backward(d_ln_out)
         return self.grads
 
     # ------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """A contiguous stack of serial transformer layers with explicit backward.
 
-Factored out of :class:`~repro.reference.model.ReferenceTransformer` so the
-same verified layer math can serve (a) the full serial reference and (b)
-pipeline-parallel stages, which each own a contiguous slice of layers
-(paper §1's other parallelism family, implemented in :mod:`repro.pipeline`).
+The one copy of the ground-truth layer math (pre-LN attention + MLP,
+analytic backward).  :class:`~repro.reference.model.ReferenceTransformer`
+is embedding + one stack over all N layers + head; pipeline-parallel stages
+each own a stack over a contiguous slice of layers (paper §1's other
+parallelism family, implemented in :mod:`repro.pipeline`).
 
 Parameters are read from a shared global dict by absolute layer index, so a
 stack over layers [2, 5) of a 12-layer model uses ``layer2.* … layer4.*``
@@ -23,7 +24,6 @@ from repro.reference import functional as F
 
 @dataclass
 class _LayerCache:
-    x_in: object = None
     ln1: tuple = None
     attn_ln_out: object = None
     q: object = None
@@ -31,7 +31,6 @@ class _LayerCache:
     v: object = None
     attn_probs: object = None
     ctx_flat: object = None
-    x_mid: object = None
     ln2: tuple = None
     ln2_out: object = None
     mlp_pre: object = None
@@ -56,14 +55,16 @@ class LayerStack:
         )
         self.grads: Dict[str, object] = {}
         self._caches: List[_LayerCache] = []
+        self._seq_len = cfg.seq_len
 
     # ------------------------------------------------------------------
-    def forward(self, x, batch_size: int):
-        """x [b·s, h] → activations after every layer in the slice."""
+    def forward(self, x, batch_size: int, seq_len: Optional[int] = None):
+        """x [b·s, h] → activations after every layer in the slice; ``s``
+        is ``cfg.seq_len`` unless given, and is remembered for backward."""
         self._caches = []
-        b, s = batch_size, self.cfg.seq_len
+        self._seq_len = s = seq_len if seq_len is not None else self.cfg.seq_len
         for l in self.layer_indices:
-            x = self._layer_forward(l, x, b, s)
+            x = self._layer_forward(l, x, batch_size, s)
         return x
 
     def backward(self, dy):
@@ -74,17 +75,15 @@ class LayerStack:
         """
         if len(self._caches) != len(self.layer_indices):
             raise RuntimeError("backward before forward (or forward incomplete)")
-        b = self._caches[0].x_in.shape[0] // self.cfg.seq_len
+        s = self._seq_len
+        b = dy.shape[0] // s
         for pos in reversed(range(len(self.layer_indices))):
-            dy = self._layer_backward(pos, dy, b, self.cfg.seq_len)
+            dy = self._layer_backward(pos, dy, b, s)
         self._caches = []
         return dy
 
     def zero_grads(self) -> None:
         self.grads = {}
-
-    def drop_caches(self) -> None:
-        self._caches = []
 
     # cache export/import lets a pipeline engine keep several micro-batches'
     # activations in flight through one LayerStack instance
@@ -106,7 +105,7 @@ class LayerStack:
         cfg, P = self.cfg, self.params
         n, d, h = cfg.num_heads, cfg.head_dim, cfg.hidden_size
         T = b * s
-        c = _LayerCache(x_in=x)
+        c = _LayerCache()
 
         out1, xh1, inv1 = F.layernorm_fwd(
             x, P[f"layer{l}.ln1.gamma"], P[f"layer{l}.ln1.beta"], cfg.ln_eps
@@ -127,7 +126,6 @@ class LayerStack:
         c.ctx_flat = ctx_flat
         attn_out = ctx_flat @ P[f"layer{l}.attn.wo"] + P[f"layer{l}.attn.bo"]
         x_mid = x + attn_out
-        c.x_mid = x_mid
 
         out2, xh2, inv2 = F.layernorm_fwd(
             x_mid, P[f"layer{l}.ln2.gamma"], P[f"layer{l}.ln2.beta"], cfg.ln_eps

@@ -58,31 +58,6 @@ _GRAD_KIND = {"optimus": "reduce", "megatron": "all_reduce", "hybrid": "all_redu
 _BATCH = 4  # divisible by q=2 (Optimus rows) and by R·q = 4 (hybrid)
 
 
-class _HybridAdapter:
-    """Give :class:`~repro.hybrid.data_parallel.DataParallel` the model
-    surface the trainer expects (its ``forward_backward`` is one fused call)."""
-
-    def __init__(self, dp):
-        self.dp = dp
-        self.sim = dp.sim
-        self.cfg = dp.cfg
-
-    def forward(self, ids, labels) -> float:
-        return self.dp.forward_backward(ids, labels)
-
-    def backward(self) -> None:
-        pass  # forward_backward already ran it
-
-    def parameters(self):
-        return self.dp.parameters()
-
-    def gathered_parameters(self):
-        return self.dp.gathered_parameters()
-
-    def drop_caches(self) -> None:
-        self.dp.drop_caches()
-
-
 def _make_model(scheme: str, cfg, param_seed: int = 1, trace: bool = False):
     if scheme == "optimus":
         from repro.core import OptimusModel
@@ -106,7 +81,7 @@ def _make_model(scheme: str, cfg, param_seed: int = 1, trace: bool = False):
 
         dp = DataParallel.build(num_replicas=2, q=2, cfg=cfg, seed=param_seed)
         dp.sim.tracer.enabled = trace
-        return _HybridAdapter(dp)
+        return dp
     raise ValueError(f"unknown scheme {scheme!r} (choose from {SCHEMES})")
 
 

@@ -43,6 +43,14 @@ from repro.training.optim import grad_norm
 from repro.training.trainer import Trainer, TrainingDivergedError, TrainLog
 
 
+#: checkpoint read/write bandwidth charged to the simulated clock (bytes/s)
+IO_BANDWIDTH = 4e9
+#: global gradient norm above which a step is treated as silently corrupted
+SDC_GRAD_NORM_MAX = 1e8
+#: re-executions of one poisoned step before the error propagates
+MAX_STEP_RETRIES = 3
+
+
 class ResilientTrainer(Trainer):
     """Trainer + fault injector + checkpoint/restart + SDC guards."""
 
@@ -53,9 +61,6 @@ class ResilientTrainer(Trainer):
         checkpoint_every: int = 0,
         checkpoint_path=None,
         restart_cost_s: float = 30.0,
-        io_bandwidth: float = 4e9,
-        sdc_grad_norm_max: float = 1e8,
-        max_step_retries: int = 3,
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
@@ -63,9 +68,6 @@ class ResilientTrainer(Trainer):
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = checkpoint_path
         self.restart_cost_s = restart_cost_s
-        self.io_bandwidth = io_bandwidth
-        self.sdc_grad_norm_max = sdc_grad_norm_max
-        self.max_step_retries = max_step_retries
         self.recoveries = []
         self._last_checkpoint = None
         self._ckpt_bytes = 0
@@ -91,11 +93,11 @@ class ResilientTrainer(Trainer):
 
     def _one_step(self) -> float:
         ids, labels = next(self.batches)
-        for attempt in range(self.max_step_retries + 1):
+        for attempt in range(MAX_STEP_RETRIES + 1):
             try:
                 return self._run_step(ids, labels)
             except (SDCDetectedError, TrainingDivergedError):
-                if attempt >= self.max_step_retries:
+                if attempt >= MAX_STEP_RETRIES:
                     raise
                 # discard the poisoned step and re-run the same batch; the
                 # recomputation's cost lands on the simulated clock
@@ -115,11 +117,11 @@ class ResilientTrainer(Trainer):
             )
         with np.errstate(over="ignore"):  # a corrupted 1e308 entry squares to inf
             norm = grad_norm(params)
-        if norm > self.sdc_grad_norm_max:
+        if norm > SDC_GRAD_NORM_MAX:
             self.metrics.counter("resilience/sdc_detected").inc()
             raise SDCDetectedError(
                 f"gradient norm {norm:.3e} exceeds SDC ceiling "
-                f"{self.sdc_grad_norm_max:.3e} at step {self.step}"
+                f"{SDC_GRAD_NORM_MAX:.3e} at step {self.step}"
             )
 
     # ------------------------------------------------------------------
@@ -136,7 +138,7 @@ class ResilientTrainer(Trainer):
         self.metrics.counter("resilience/checkpoints").inc()
         sim = self.sim
         if sim is not None:
-            dt = self._ckpt_bytes / self.io_bandwidth
+            dt = self._ckpt_bytes / IO_BANDWIDTH
             t0 = sim.sync(sim.ranks)
             sim.advance(sim.ranks, dt)
             if sim.tracer.enabled:
@@ -158,7 +160,7 @@ class ResilientTrainer(Trainer):
         drop = getattr(self.model, "drop_caches", None)
         if callable(drop):
             drop()
-        mttr = self.restart_cost_s + self._ckpt_bytes / self.io_bandwidth
+        mttr = self.restart_cost_s + self._ckpt_bytes / IO_BANDWIDTH
         if sim is not None:
             sim.advance(sim.ranks, mttr)
             if sim.tracer.enabled:

@@ -20,10 +20,7 @@ from repro.training.optim import (
 )
 from repro.training.schedule import constant_lr, warmup_cosine
 from repro.training.trainer import (
-    PipelineModelAdapter,
-    PipelineOptimizerAdapter,
-    SerialModelAdapter,
-    SerialOptimizerAdapter,
+    GlobalGradOptimizer,
     Trainer,
     TrainingDivergedError,
     make_pipeline_trainer,
@@ -50,10 +47,7 @@ __all__ = [
     "warmup_cosine",
     "Trainer",
     "TrainingDivergedError",
-    "SerialModelAdapter",
-    "SerialOptimizerAdapter",
-    "PipelineModelAdapter",
-    "PipelineOptimizerAdapter",
+    "GlobalGradOptimizer",
     "make_serial_trainer",
     "make_pipeline_trainer",
 ]

@@ -1,9 +1,13 @@
 """A scheme-agnostic training loop.
 
-Works with :class:`~repro.core.model.OptimusModel`,
-:class:`~repro.megatron.model.MegatronModel` or the serial reference (via
-the :class:`SerialModelAdapter` / :func:`make_serial_trainer` helpers),
-since all of them expose ``forward(ids, labels)`` and ``backward()``.
+Drives any *executor*: an object with ``forward(ids, labels) -> loss`` and
+``backward()``, plus — on the built-in ones — ``scheme``, ``cfg`` and ``sim``
+(``None`` off the simulator).  Optimus, Megatron, the serial reference, the
+pipeline and hybrid data parallelism all are, as the classes stand
+(``docs/parallelism.md`` tabulates them).  The optimizer is anything with
+``zero_grad()`` / ``step()`` / ``lr`` / ``params``; :class:`GlobalGradOptimizer`
+gives that shape to a serial optimizer for the two executors whose gradients
+are a global name → array dict.
 
 When the model runs on a simulator, each step is wrapped in a ``step`` span
 (so traces show ``step > layer > op > collective`` nesting) and per-step
@@ -223,9 +227,9 @@ class Trainer:
     def ledger_record(self, kind: str = "train"):
         """A :class:`~repro.obs.ledger.RunRecord` of this trainer's run so
         far — read-only over counters, metrics and the training log."""
-        from repro.obs.ledger import RunRecord, _scheme_of, json_safe, record_from_sim
+        from repro.obs.ledger import RunRecord, json_safe, record_from_sim
 
-        scheme = _scheme_of(self.model)
+        scheme = getattr(self.model, "scheme", None)
         cfg = getattr(self.model, "cfg", None)
         doc = {
             "steps": self.step,
@@ -235,13 +239,9 @@ class Trainer:
             "comm_fractions": list(self.log.comm_fractions),
             "label": self.run_label,
         }
-        pipe = getattr(self.model, "pipe", None)
-        if pipe is not None and hasattr(pipe, "schedule_name"):
-            doc["pipeline"] = {
-                "schedule": pipe.schedule_name,
-                "num_stages": pipe.S,
-                "num_micro_batches": pipe.m,
-            }
+        describe = getattr(self.model, "describe", None)
+        if describe is not None:
+            doc.update(describe())
         extra = json_safe(doc)
         if self.sim is None:
             return RunRecord(
@@ -314,35 +314,16 @@ class Trainer:
 
 
 # ----------------------------------------------------------------------
-# serial reference adapters
+# executors whose gradients are a global name → array dict
 # ----------------------------------------------------------------------
-class SerialModelAdapter:
-    """Give :class:`~repro.reference.model.ReferenceTransformer` the
-    ``forward()`` / ``backward()`` surface the trainer expects."""
+class GlobalGradOptimizer:
+    """Bridge a serial optimizer (``step(grads)`` over global arrays) to the
+    trainer's ``zero_grad()`` / ``step()`` protocol, for the executors that
+    keep their gradients in ``model.grads`` (serial reference, pipeline)."""
 
-    def __init__(self, ref):
-        self.ref = ref
-        self.cfg = ref.cfg
-        self.params = ref.params
-        self.grads = None
-        self._pending = None
+    params = ()  # no DistParams: grad clipping is a no-op on this path
 
-    def forward(self, ids, labels) -> float:
-        loss, grads = self.ref.loss_and_grads(ids, labels)
-        self._pending = grads
-        return loss
-
-    def backward(self) -> None:
-        self.grads = self._pending
-
-
-class SerialOptimizerAdapter:
-    """Bridge a serial optimizer (explicit grads dict) to the trainer's
-    ``zero_grad()`` / ``step()`` protocol."""
-
-    params = ()  # no DistParams: grad clipping is a no-op on the serial path
-
-    def __init__(self, opt, model: SerialModelAdapter):
+    def __init__(self, opt, model):
         self.opt = opt
         self.model = model
 
@@ -355,10 +336,10 @@ class SerialOptimizerAdapter:
         self.opt.lr = value
 
     def zero_grad(self) -> None:
-        self.model.grads = None
+        self.model.zero_grads()
 
     def step(self) -> None:
-        if self.model.grads is not None:
+        if self.model.grads:
             self.opt.step(self.model.grads)
 
     def state_dict(self) -> dict:
@@ -375,83 +356,18 @@ class SerialOptimizerAdapter:
 
 
 def make_serial_trainer(cfg, batches, optimizer=None, params=None, seed=1, **kw):
-    """A :class:`Trainer` over the serial reference model: builds the model
-    from ``params`` (or a fresh seeded init) and wires both adapters."""
+    """A :class:`Trainer` over the serial reference model, built from
+    ``params`` (or a fresh seeded init)."""
     from repro.nn import init_transformer_params
     from repro.reference import ReferenceTransformer
     from repro.training.optim import SerialAdam
 
     if params is None:
         params = init_transformer_params(cfg, seed=seed)
-    model = SerialModelAdapter(ReferenceTransformer(cfg, params))
+    model = ReferenceTransformer(cfg, params)
     if optimizer is None:
         optimizer = SerialAdam(params, lr=1e-2)
-    return Trainer(model, SerialOptimizerAdapter(optimizer, model), batches, **kw)
-
-
-# ----------------------------------------------------------------------
-# pipeline adapters
-# ----------------------------------------------------------------------
-class PipelineModelAdapter:
-    """Give :class:`~repro.pipeline.engine.PipelineModel` the ``forward()``
-    / ``backward()`` surface the trainer expects.
-
-    The pipeline engine runs forward *and* backward in one fused
-    ``forward_backward`` call (the schedule interleaves them), so
-    ``forward`` runs the whole iteration and ``backward`` is a no-op —
-    gradients are already accumulated in ``pipe.grads`` under the global
-    parameter names when it is called."""
-
-    def __init__(self, pipe):
-        self.pipe = pipe
-        self.cfg = pipe.cfg
-        self.sim = pipe.sim
-        self.params = pipe.params
-
-    def forward(self, ids, labels) -> float:
-        return self.pipe.forward_backward(ids, labels)
-
-    def backward(self) -> None:
-        pass
-
-
-class PipelineOptimizerAdapter:
-    """Bridge a serial optimizer (explicit grads dict) to the trainer's
-    ``zero_grad()`` / ``step()`` protocol, sourcing gradients from the
-    pipeline engine's mean-loss-scaled accumulator."""
-
-    params = ()  # no DistParams: grad clipping is a no-op on this path
-
-    def __init__(self, opt, pipe):
-        self.opt = opt
-        self.pipe = pipe
-
-    @property
-    def lr(self) -> float:
-        return self.opt.lr
-
-    @lr.setter
-    def lr(self, value: float) -> None:
-        self.opt.lr = value
-
-    def zero_grad(self) -> None:
-        self.pipe.zero_grads()
-
-    def step(self) -> None:
-        if self.pipe.grads:
-            self.opt.step(self.pipe.scaled_grads())
-
-    def state_dict(self) -> dict:
-        return self.opt.state_dict()
-
-    def load_state_dict(self, d: dict) -> None:
-        self.opt.load_state_dict(d)
-
-    def state_slots(self):
-        return self.opt.state_slots()
-
-    def load_state_slots(self, slots) -> None:
-        self.opt.load_state_slots(slots)
+    return Trainer(model, GlobalGradOptimizer(optimizer, model), batches, **kw)
 
 
 def make_pipeline_trainer(
@@ -468,10 +384,10 @@ def make_pipeline_trainer(
 ):
     """A :class:`Trainer` over the GPipe/1F1B pipeline engine.
 
-    Builds a flat ``num_stages``-rank simulator (unless one is supplied),
-    wires both pipeline adapters, and — like every trainer — appends a
-    ``train`` ledger record per :meth:`Trainer.train_steps` call whenever a
-    ledger is passed or ``REPRO_LEDGER`` is set."""
+    Builds a flat ``num_stages``-rank simulator (unless one is supplied)
+    and — like every trainer — appends a ``train`` ledger record per
+    :meth:`Trainer.train_steps` call whenever a ledger is passed or
+    ``REPRO_LEDGER`` is set."""
     from repro.nn import init_transformer_params
     from repro.pipeline import PipelineModel
     from repro.runtime import Simulator
@@ -481,7 +397,7 @@ def make_pipeline_trainer(
         params = init_transformer_params(cfg, seed=seed)
     if sim is None:
         sim = Simulator.for_flat(num_stages)
-    pipe = PipelineModel(
+    model = PipelineModel(
         sim,
         cfg,
         params,
@@ -489,8 +405,7 @@ def make_pipeline_trainer(
         schedule=schedule,
         num_stages=num_stages,
     )
-    model = PipelineModelAdapter(pipe)
     if optimizer is None:
         optimizer = SerialAdam(params, lr=1e-2)
     kw.setdefault("seed", seed)
-    return Trainer(model, PipelineOptimizerAdapter(optimizer, pipe), batches, **kw)
+    return Trainer(model, GlobalGradOptimizer(optimizer, model), batches, **kw)

@@ -19,12 +19,15 @@ from repro.mesh.mesh import Mesh
 from repro.nn.init import init_transformer_params
 from repro.obs.critpath import (
     CATEGORIES,
+    _ns,
+    _SpanIndex,
     attribution_summary,
     build_windows,
     critpath_report,
 )
 from repro.obs.flamegraph import render_folded, validate_folded
 from repro.obs.ledger import canonical_json
+from repro.runtime.events import Span
 from repro.runtime.simulator import Simulator
 
 
@@ -402,6 +405,60 @@ class TestDashIntegration:
         assert series["clock"] == [("aaa", 2.0), ("bbb", 3.0)]
         svg = _sparkline(series["clock"])
         assert svg.startswith("<svg") and "polyline" in svg
+
+
+def _linear_scan_enclosing(spans, rank, start_ns, end_ns):
+    """The lookup ``_SpanIndex.enclosing`` replaced, kept as its oracle: walk
+    back over every earlier-starting span until one still covers the midpoint."""
+    mine = sorted(
+        (s for s in spans if s.rank == rank),
+        key=lambda s: (_ns(s.t_start), -_ns(s.t_end)),
+    )
+    mid = (start_ns + end_ns) // 2
+    for s in reversed(mine):
+        if _ns(s.t_start) <= mid <= _ns(s.t_end):
+            return s
+    return None
+
+
+class TestSpanIndex:
+    @staticmethod
+    def _spans(bounds, rank=0):
+        return [
+            Span(f"s{i}", "op", rank, a * 1e-9, b * 1e-9, depth=0, sid=i, parent=None)
+            for i, (a, b) in enumerate(bounds)
+        ]
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            [(0, 100), (10, 40), (15, 20), (50, 90), (60, 70)],  # nested
+            [(0, 10), (20, 30), (40, 50), (60, 70)],  # disjoint
+            [(0, 100), (0, 50), (0, 10), (0, 10)],  # equal starts (and a twin)
+            [(0, 10), (10, 20), (20, 30)],  # touching
+            [(0, 30), (5, 40), (35, 60)],  # overlapping, not nested
+        ],
+        ids=["nested", "disjoint", "equal-start", "touching", "overlapping"],
+    )
+    def test_matches_linear_scan(self, bounds):
+        spans = self._spans(bounds) + self._spans([(0, 5)], rank=1)
+        index = _SpanIndex(spans, "op")
+        for a in range(-2, 112):
+            for width in (0, 1, 7):
+                got = index.enclosing(0, a, a + width)
+                assert got is _linear_scan_enclosing(spans, 0, a, a + width), (a, width)
+        assert index.enclosing(2, 0, 1) is None  # a rank with no spans
+
+    def test_matches_linear_scan_on_a_traced_run(self):
+        sim = _optimus_stem()
+        spans = [s for s in sim.tracer.spans if s.category == "op"]
+        index = _SpanIndex(sim.tracer.spans, "op")
+        end = _ns(sim.elapsed())
+        for rank in range(sim.num_ranks):
+            for a in range(0, end, max(1, end // 400)):
+                assert index.enclosing(rank, a, a + 3) is _linear_scan_enclosing(
+                    spans, rank, a, a + 3
+                )
 
 
 def test_mean_over_categories_matches_numpy():

@@ -53,6 +53,22 @@ def test_three_implementations_agree(cfg, params, batch):
         np.testing.assert_allclose(mg[name], ref_grads[name], rtol=1e-8, atol=1e-11)
 
 
+@pytest.mark.parametrize("scheme", ["optimus", "megatron"])
+def test_cross_entropy_rejects_wrong_logits_layout(cfg, params, batch, scheme):
+    """The one vocabulary cross-entropy checks the layout its scheme names."""
+    ids, labels = batch
+    if scheme == "optimus":
+        model = OptimusModel(make_mesh(2), cfg, params)
+    else:
+        model = MegatronModel(Simulator.for_flat(p=2), cfg, params)
+    logits = model.forward(ids)
+    tokens = model.distribute_tokens(labels)
+    assert logits.layout == model.loss_fn.layout != tokens.layout
+    with pytest.raises(ValueError, match="logits must be"):
+        model.loss_fn.forward(tokens, tokens)
+    assert np.isfinite(model.loss_fn.forward(logits, tokens))
+
+
 def test_training_trajectories_identical(cfg, batch, rng):
     """Five SGD steps: all three implementations produce the same losses."""
     ids, labels = batch

@@ -7,6 +7,7 @@ from repro.backend.shape_array import ShapeArray
 from repro.config import tiny_config
 from repro.nn import init_transformer_params
 from repro.reference import ReferenceTransformer
+from repro.reference.stack import LayerStack
 
 
 @pytest.fixture
@@ -112,6 +113,41 @@ class TestBackward:
         model.loss_and_grads(ids, labels)
         model.zero_grads()
         assert model.grads == {}
+
+
+class TestLayerStackIsTheLayerMath:
+    """The reference owns no layer math: its layer gradients are a
+    stand-alone LayerStack's, bit for bit."""
+
+    @pytest.mark.parametrize("branch", ["lm", "classification"])
+    @pytest.mark.parametrize("seq_len", [8, 5])  # cfg.seq_len and not
+    def test_layer_grads_equal_standalone_stack(self, cfg, rng, branch, seq_len):
+        params = init_transformer_params(cfg, seed=1, num_classes=3)
+        model = ReferenceTransformer(cfg, params)
+        b = 4
+        ids = rng.integers(0, cfg.vocab_size, size=(b, seq_len))
+        seen = {}
+        stack_backward = model.stack.backward
+
+        def spy(dy):
+            seen["dy"] = dy
+            return stack_backward(dy)
+
+        model.stack.backward = spy
+        for _ in range(2):  # the second iteration must assign, not accumulate
+            if branch == "lm":
+                model.forward(ids, rng.integers(0, cfg.vocab_size, size=(b, seq_len)))
+                grads = model.backward()
+            else:
+                model.forward_classification(ids, rng.integers(0, 3, size=(b,)))
+                grads = model.backward_classification()
+
+            alone = LayerStack(cfg, params)
+            alone.forward(params["embedding.table"][ids.reshape(-1)], b, seq_len)
+            alone.backward(seen["dy"])
+            assert set(alone.grads) == {k for k in grads if k.startswith("layer")}
+            for name, g in alone.grads.items():
+                np.testing.assert_array_equal(grads[name], g, err_msg=name)
 
 
 class TestDryrun:

@@ -392,11 +392,9 @@ class TestLedgerServe:
             assert r.counters["total_bytes_comm"] > 0
 
     def test_scheme_of_uses_engine_attribute(self):
-        from repro.obs.ledger import _scheme_of
-
         engine = make_engine("optimus", CFG, PARAMS, 2, 8, 8, 16)
-        assert _scheme_of(engine) == "optimus"
-        assert _scheme_of(engine.model) == "optimus"  # class-name path intact
+        assert engine.scheme == "optimus"
+        assert engine.model.scheme == "optimus"
 
     def test_compact_keeps_newest_per_traffic(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")

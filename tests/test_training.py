@@ -8,12 +8,16 @@ import pytest
 
 from repro.config import tiny_config
 from repro.core import OptimusModel
+from repro.hybrid.data_parallel import DataParallel
+from repro.megatron import MegatronModel
 from repro.mesh import assemble_blocked_2d
 from repro.nn import init_transformer_params
 from repro.reference import ReferenceTransformer
+from repro.runtime import Simulator
 from repro.training import (
     SGD,
     Adam,
+    BatchStream,
     CharCorpus,
     SerialAdam,
     SerialSGD,
@@ -23,6 +27,8 @@ from repro.training import (
     constant_lr,
     copy_task_batch,
     grad_norm,
+    make_pipeline_trainer,
+    make_serial_trainer,
     random_batch,
     warmup_cosine,
 )
@@ -255,6 +261,60 @@ class TestTrainer:
 
         Trainer(model, opt, batches(), log_every=1).train_steps(1)
         assert "step" in capsys.readouterr().out
+
+
+def _executor_trainer(scheme, cfg):
+    """A Trainer over each built-in executor, from the same seed-1 parameters."""
+    batches = BatchStream.copy_task(cfg, 4, seed=0)
+    if scheme == "serial":
+        return make_serial_trainer(cfg, batches)
+    if scheme == "pipeline":
+        return make_pipeline_trainer(cfg, batches, num_micro_batches=2)
+    if scheme == "optimus":
+        model = _make_model(cfg)
+    elif scheme == "megatron":
+        model = MegatronModel(
+            Simulator.for_flat(p=2), cfg, init_transformer_params(cfg, seed=1)
+        )
+    else:
+        model = DataParallel.build(num_replicas=2, q=2, cfg=cfg, seed=1)
+    return Trainer(model, Adam(model.parameters(), lr=1e-2), batches)
+
+
+class TestExecutorProtocol:
+    """Every built-in executor drives the one Trainer as it stands: no
+    adapter, and the ledger record reads the scheme off the executor."""
+
+    SCHEMES = ("serial", "pipeline", "optimus", "megatron", "hybrid")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_trainer_drives_executor(self, scheme):
+        cfg = tiny_config(num_layers=2)
+        trainer = _executor_trainer(scheme, cfg)
+        model = trainer.model
+        assert model.scheme == scheme
+        assert model.cfg is cfg
+        assert (model.sim is None) == (scheme == "serial")
+        assert trainer.sim is model.sim
+
+        log = trainer.train_steps(2)
+        assert len(log.losses) == 2 and log.losses[1] < log.losses[0]
+
+        rec = trainer.ledger_record()
+        assert rec.scheme == scheme
+        assert (rec.mesh or {}).get("q") == (2 if scheme == "optimus" else None)
+        pipeline = {"schedule": "1f1b", "num_stages": 2, "num_micro_batches": 2}
+        assert rec.extra.get("pipeline") == (pipeline if scheme == "pipeline" else None)
+
+    def test_executors_train_the_same_trajectory(self):
+        """One architecture, five executors (paper §2.4): same parameters and
+        batches give the serial losses."""
+        cfg = tiny_config(num_layers=2)
+        losses = {
+            s: _executor_trainer(s, cfg).train_steps(2).losses for s in self.SCHEMES
+        }
+        for scheme in self.SCHEMES[1:]:
+            np.testing.assert_allclose(losses[scheme], losses["serial"], rtol=1e-9)
 
 
 class _DivergingModel:
