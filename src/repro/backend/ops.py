@@ -175,7 +175,13 @@ def reshape(x, shape):
 
 def concatenate(xs, axis=0):
     if any(is_shape_array(x) for x in xs):
-        axis = axis % xs[0].ndim
+        ndim = xs[0].ndim
+        if any(x.ndim != ndim for x in xs):
+            raise ValueError(
+                f"concatenate inputs must share a number of dimensions, got "
+                f"{[tuple(x.shape) for x in xs]}"
+            )
+        axis = axis % ndim
         base = list(xs[0].shape)
         base[axis] = builtins.sum(x.shape[axis] for x in xs)
         for x in xs:
@@ -201,15 +207,19 @@ def split(x, sections, axis=0):
 
 def stack(xs, axis=0):
     if any(is_shape_array(x) for x in xs):
-        s = list(xs[0].shape)
-        s.insert(axis % (xs[0].ndim + 1), len(xs))
+        shape = tuple(xs[0].shape)
+        if any(tuple(x.shape) != shape for x in xs):
+            raise ValueError(
+                f"stack inputs must share a shape, got {[tuple(x.shape) for x in xs]}"
+            )
+        s = list(shape)
+        s.insert(axis % (len(shape) + 1), len(xs))
         return ShapeArray(tuple(s), xs[0].dtype)
     return np.stack(xs, axis=axis)
 
 
 # ----------------------------------------------------------------------
-# batched-mesh stage (numeric backend only — the batched SUMMA executor
-# never sees dryrun ShapeArrays)
+# batched-mesh stage
 # ----------------------------------------------------------------------
 def fold_stack_sum(part, axis):
     """Sum a stacked axis of ``part`` by copy-then-in-place-add in index

@@ -47,7 +47,16 @@ def _broadcast_shapes(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]
 
 
 class ShapeArray:
-    """An array placeholder carrying only ``shape`` and ``dtype``."""
+    """An array placeholder carrying only ``shape`` and ``dtype``.
+
+    Immutable after construction, and relied on to be: every operation
+    returns a new placeholder, writes (``__setitem__`` and the scatter ops of
+    :mod:`repro.backend.ops`) are no-ops, and nothing in ``src/`` assigns
+    ``shape`` or ``dtype`` afterwards.  That is what lets the collectives
+    pass placeholders through un-copied, and
+    :func:`repro.mesh.dtensor.rank_map` and the batched SUMMA executor hand
+    one placeholder to every rank whose result has that shape and dtype.
+    """
 
     __slots__ = ("shape", "dtype")
     __array_priority__ = 100.0  # make numpy defer to our reflected operators

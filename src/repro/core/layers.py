@@ -10,6 +10,7 @@ column broadcasts / reductions (Fig. 5).
 
 from __future__ import annotations
 
+from operator import add
 from typing import Optional
 
 from repro.backend import ops
@@ -17,7 +18,7 @@ from repro.comm import collectives as coll
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.core.summa import grads_of_ab, summa_ab
-from repro.mesh.dtensor import DTensor
+from repro.mesh.dtensor import DTensor, rank_map
 from repro.mesh.layouts import BLOCKED_2D, ROW0_COLS
 from repro.mesh.mesh import Mesh
 from repro.mesh.partition import distribute_blocked_2d, distribute_row0_cols
@@ -28,6 +29,25 @@ from repro.nn.transformer import (
     charge_elementwise,
     hold,
 )
+
+
+def _broadcast_down_columns(mesh: Mesh, param: DistParam) -> dict:
+    """Every rank's copy of a row-0 vector parameter: each block is broadcast
+    down its mesh column (Fig. 5a).  Keys run column by column."""
+    local = {}
+    for j in range(mesh.q):
+        root = mesh.rank(0, j)
+        local.update(coll.broadcast(mesh.col_group(j), param.data.local(root), root))
+    return local
+
+
+def _reduce_up_columns(mesh: Mesh, partials: dict) -> dict:
+    """Sum per-rank partials along each mesh column onto row 0 (Fig. 5b)."""
+    reduced = {}
+    for j in range(mesh.q):
+        group, root = mesh.col_group(j), mesh.rank(0, j)
+        reduced.update(coll.reduce(group, {r: partials[r] for r in group.ranks}, root))
+    return reduced
 
 
 # ======================================================================
@@ -90,15 +110,9 @@ class Linear2D(DistModule):
 
     def _bias_add(self, y: DTensor) -> DTensor:
         """Broadcast each bias block down its column and add (Fig. 5a)."""
-        mesh = self.mesh
-        shards = {}
-        for j in range(mesh.q):
-            root = mesh.rank(0, j)
-            bcast = coll.broadcast(mesh.col_group(j), self.bias.data.local(root), root)
-            for i in range(mesh.q):
-                rank = mesh.rank(i, j)
-                shards[rank] = y.local(rank) + bcast[rank]
-        out = DTensor(mesh, BLOCKED_2D, shards, y.global_shape)
+        bias_l = _broadcast_down_columns(self.mesh, self.bias)
+        shards = rank_map(add, bias_l, y.shards, bias_l)
+        out = DTensor(self.mesh, BLOCKED_2D, shards, y.global_shape)
         charge_elementwise(out, "add")
         return out
 
@@ -120,17 +134,12 @@ class Linear2D(DistModule):
     def _bias_backward(self, dy: DTensor) -> None:
         """Column-reduce the local bias gradients to row 0 (Fig. 5b)."""
         mesh = self.mesh
-        shards = {}
-        for j in range(mesh.q):
-            partials = {}
-            for i in range(mesh.q):
-                rank = mesh.rank(i, j)
-                partials[rank] = ops.sum(dy.local(rank), axis=0)
-            root = mesh.rank(0, j)
-            reduced = coll.reduce(mesh.col_group(j), partials, root)
-            shards[root] = reduced[root]
+        partials = rank_map(lambda dyl: ops.sum(dyl, axis=0), mesh.ranks, dy.shards)
         self.bias.add_grad(
-            DTensor(mesh, ROW0_COLS, shards, self.bias.data.global_shape)
+            DTensor(
+                mesh, ROW0_COLS, _reduce_up_columns(mesh, partials),
+                self.bias.data.global_shape,
+            )
         )
 
 
@@ -173,45 +182,37 @@ class LayerNorm2D(DistModule):
         charge_param_memory(self.beta, mesh.sim)
         self._saved = None
 
-    def _broadcast_param(self, param: DistParam):
-        mesh = self.mesh
-        local = {}
-        for j in range(mesh.q):
-            root = mesh.rank(0, j)
-            bcast = coll.broadcast(mesh.col_group(j), param.data.local(root), root)
-            local.update(bcast)
-        return local
-
     # ------------------------------------------------------------------
     def forward(self, x: DTensor) -> DTensor:
         mesh = self.mesh
         h = x.global_shape[1]
-        # fused [Σx, Σx²] row all-reduce
-        stats = {}
-        for rank in mesh.ranks:
-            xl = x.local(rank)
+
+        def row_sums(xl):
             s1 = ops.sum(xl, axis=1, keepdims=True)
             s2 = ops.sum(xl * xl, axis=1, keepdims=True)
-            stats[rank] = ops.concatenate([s1, s2], axis=1)  # [T_loc, 2]
+            return ops.concatenate([s1, s2], axis=1)  # [T_loc, 2]
+
+        # fused [Σx, Σx²] row all-reduce
+        stats = rank_map(row_sums, mesh.ranks, x.shards)
         for i in range(mesh.q):
             grp = mesh.row_group(i)
             reduced = coll.all_reduce(grp, {r: stats[r] for r in grp.ranks})
             stats.update(reduced)
 
-        gamma_l = self._broadcast_param(self.gamma)
-        beta_l = self._broadcast_param(self.beta)
+        gamma_l = _broadcast_down_columns(mesh, self.gamma)
+        beta_l = _broadcast_down_columns(mesh, self.beta)
 
-        out_shards, xhat_shards, inv_shards = {}, {}, {}
-        for rank in mesh.ranks:
-            xl = x.local(rank)
-            st = stats[rank]
+        def normalize(xl, st, gamma, beta):
             mean = st[:, 0:1] / h
             var = st[:, 1:2] / h - mean * mean
             inv_std = 1.0 / ops.sqrt(var + self.eps)
             x_hat = (xl - mean) * inv_std
-            out_shards[rank] = x_hat * gamma_l[rank] + beta_l[rank]
-            xhat_shards[rank] = x_hat
-            inv_shards[rank] = inv_std
+            return x_hat * gamma + beta, x_hat, inv_std
+
+        normed = rank_map(normalize, mesh.ranks, x.shards, stats, gamma_l, beta_l)
+        out_shards, xhat_shards, inv_shards = {}, {}, {}
+        for rank, (out, x_hat, inv_std) in normed.items():
+            out_shards[rank], xhat_shards[rank], inv_shards[rank] = out, x_hat, inv_std
         out = DTensor(mesh, BLOCKED_2D, out_shards, x.global_shape)
         charge_elementwise(out, "layernorm")
         x_hat_dt = DTensor(mesh, BLOCKED_2D, xhat_shards, x.global_shape)
@@ -226,45 +227,43 @@ class LayerNorm2D(DistModule):
             raise RuntimeError(f"{self.name}: backward before forward")
         mesh = self.mesh
         x_hat_dt, inv_shards, gamma_l = self._saved
+        x_hats = x_hat_dt.shards
         h = dy.global_shape[1]
 
-        dy_hat, sums = {}, {}
-        for rank in mesh.ranks:
-            d = dy.local(rank) * gamma_l[rank]
-            dy_hat[rank] = d
+        def row_sums(dyl, gamma, x_hat):
+            d = dyl * gamma
             t1 = ops.sum(d, axis=1, keepdims=True)
-            t2 = ops.sum(d * x_hat_dt.local(rank), axis=1, keepdims=True)
-            sums[rank] = ops.concatenate([t1, t2], axis=1)
+            t2 = ops.sum(d * x_hat, axis=1, keepdims=True)
+            return d, ops.concatenate([t1, t2], axis=1)
+
+        dy_hat, sums = {}, {}
+        local = rank_map(row_sums, mesh.ranks, dy.shards, gamma_l, x_hats)
+        for rank, (d, st) in local.items():
+            dy_hat[rank], sums[rank] = d, st
         for i in range(mesh.q):
             grp = mesh.row_group(i)
             reduced = coll.all_reduce(grp, {r: sums[r] for r in grp.ranks})
             sums.update(reduced)
 
-        dx_shards = {}
-        for rank in mesh.ranks:
-            st = sums[rank]
-            x_hat = x_hat_dt.local(rank)
-            dx_shards[rank] = inv_shards[rank] * (
-                dy_hat[rank] - st[:, 0:1] / h - x_hat * (st[:, 1:2] / h)
-            )
+        def input_grad(inv_std, d, st, x_hat):
+            return inv_std * (d - st[:, 0:1] / h - x_hat * (st[:, 1:2] / h))
+
+        dx_shards = rank_map(input_grad, mesh.ranks, inv_shards, dy_hat, sums, x_hats)
         dx = DTensor(mesh, BLOCKED_2D, dx_shards, dy.global_shape)
         charge_elementwise(dx, "layernorm")
         hold(self.buffers, "backward", dx)
 
+        def param_grads(dyl, x_hat):
+            dg = ops.sum(dyl * x_hat, axis=0, keepdims=True)
+            db = ops.sum(dyl, axis=0, keepdims=True)
+            return ops.concatenate([dg, db], axis=0)  # [2, h/q]
+
         # dγ, dβ: fuse into one [2, h/q] column reduction to row 0
-        dg_shards, db_shards = {}, {}
-        for j in range(mesh.q):
-            partials = {}
-            for i in range(mesh.q):
-                rank = mesh.rank(i, j)
-                dg = ops.sum(dy.local(rank) * x_hat_dt.local(rank), axis=0, keepdims=True)
-                db = ops.sum(dy.local(rank), axis=0, keepdims=True)
-                partials[rank] = ops.concatenate([dg, db], axis=0)  # [2, h/q]
-            root = mesh.rank(0, j)
-            reduced = coll.reduce(mesh.col_group(j), partials, root)
-            dg_shards[root] = reduced[root][0]
-            db_shards[root] = reduced[root][1]
+        partials = rank_map(param_grads, mesh.ranks, dy.shards, x_hats)
+        reduced = _reduce_up_columns(mesh, partials)
         shape = self.gamma.data.global_shape
+        dg_shards = {root: dgb[0] for root, dgb in reduced.items()}
+        db_shards = {root: dgb[1] for root, dgb in reduced.items()}
         self.gamma.add_grad(DTensor(mesh, ROW0_COLS, dg_shards, shape))
         self.beta.add_grad(DTensor(mesh, ROW0_COLS, db_shards, shape))
         self._saved = None

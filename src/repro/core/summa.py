@@ -46,16 +46,19 @@ as in-place adds in group-rank order, and *replays* the accounting from the
 plan in the per-rank call order (charge-only collectives, per-gemm
 ``device.compute`` and workspace holds) — so clocks, byte counters, weighted
 volumes, memory peaks and trace events/spans are bit-identical between the
-two.
+two.  On a dryrun (``ShapeArray``) plan there is no product to compute: the
+batched executor *is* that replay, plus one output placeholder of the
+plan's block shape and dtype shared by the q² ranks (placeholders are
+immutable) — the shape math is derived once, the charges are made p times.
 
 **Selection** is made per call from what the code observes, never from an
 option: the batched executor runs whenever it is bit-exact, i.e. every
-per-rank block of each operand shares one shape and dtype on a numeric
-q > 1 mesh (:func:`_batched_of`), no fault injector is armed and the
-collectives are unpatched (:func:`_batched_ready`).  Everything else —
-dryrun ShapeArrays, ragged MoE shards, mixed per-shard dtypes, q = 1, an
-armed injector, patched collectives (the contract checker) — takes the
-per-rank executor, which is also the reference the tests compare against.
+per-rank block of each operand shares one shape and dtype on a q > 1 mesh
+(:func:`_batched_of`), no fault injector is armed and the collectives are
+unpatched (:func:`_batched_ready`).  Everything else — ragged MoE shards
+(numeric or dryrun), mixed per-shard dtypes, q = 1, an armed injector,
+patched collectives (the contract checker) — takes the per-rank executor,
+which is also the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ import numpy as np
 
 from repro.backend import ops
 from repro.backend.dtypes import result_float
-from repro.backend.shape_array import is_shape_array
+from repro.backend.shape_array import ShapeArray, is_shape_array
 from repro.comm import collectives as coll
 from repro.core.buffers import ArrayPool, BufferManager
 from repro.mesh.dtensor import DTensor
@@ -145,7 +148,7 @@ class _Plan:
         self.numeric = numeric
         self.out_dtype = out_dtype
         #: lazily-built batched descriptor: ``None`` = not yet examined,
-        #: ``False`` = ineligible (ragged/dryrun/q=1), else a
+        #: ``False`` = ineligible (ragged/q=1), else a
         #: :class:`_BatchedDesc`
         self.batched = None
 
@@ -216,7 +219,16 @@ def _build_plan(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor, numeric: bool) 
                 ablk = operands[0][mesh.rank(i, l) if bcast_a else rank]
                 bblk = operands[1][mesh.rank(l, j) if bcast_b else rank]
                 m, k = ablk.shape[::-1] if algo.ta else ablk.shape
-                n = bblk.shape[0 if algo.tb else 1]
+                k2, n = bblk.shape[::-1] if algo.tb else bblk.shape
+                if k != k2:
+                    # _summa compares only the global K, and no executor is
+                    # bound to multiply these two blocks (a batched dryrun
+                    # multiplies nothing), so the plan is where a bad
+                    # partition is caught
+                    raise ValueError(
+                        f"block inner dims mismatch for {algo.name} at rank {rank}, "
+                        f"step {l}: A block {ablk.shape}, B block {bblk.shape}"
+                    )
                 # workspace holds what this rank received, not what it owns
                 scratch = (ops.nbytes(ablk) if bcast_a else 0) + (
                     ops.nbytes(bblk) if bcast_b else 0
@@ -354,7 +366,7 @@ def _batched_of(plan: _Plan, mesh: Mesh, a: DTensor, b: DTensor):
     desc = plan.batched
     if desc is None:
         desc = False
-        if plan.numeric and mesh.q > 1:
+        if mesh.q > 1:
             sig_a = _uniform_sig(a)
             sig_b = _uniform_sig(b)
             if sig_a is not None and sig_b is not None:
@@ -394,6 +406,7 @@ def _run_batched(mesh, algo, a, b, plan, buffers, desc) -> dict:
     sim = mesh.sim
     tr = sim.tracer
     traced = tr.enabled
+    numeric = plan.numeric
     pool = _pool_of(sim)
     q, grid, shapes = desc
     shards = (a.shards, b.shards)
@@ -412,11 +425,12 @@ def _run_batched(mesh, algo, a, b, plan, buffers, desc) -> dict:
 
     # an operand that is never broadcast is step-invariant: stack its q²
     # blocks once per call (keep the acquired array — the pool releases by
-    # identity, and the (q, q, …) reshape is a different object)
+    # identity, and the (q, q, …) reshape is a different object).  A shape
+    # plan has nothing to stack.
     whole = {
         op: stack(op, [rank for row in grid for rank in row])
         for op in (0, 1)
-        if op not in algo.bcast
+        if numeric and op not in algo.bcast
     }
     views = {op: raw.reshape((q, q) + shapes[op]) for op, raw in whole.items()}
     cstk = None
@@ -432,6 +446,8 @@ def _run_batched(mesh, algo, a, b, plan, buffers, desc) -> dict:
                 _replay_gemms(gemms, buffers)
                 if reduce is not None:
                     coll.charge_only(reduce[0], "reduce", reduce[2])
+            if not numeric:
+                continue  # a shape plan is its accounting
             # the step's q² rank-local products as one broadcasted matmul:
             # numpy dispatches every 2-D slice to the same BLAS gemm, on the
             # same (possibly transposed-view) operands, as the per-rank `@`.
@@ -467,6 +483,14 @@ def _run_batched(mesh, algo, a, b, plan, buffers, desc) -> dict:
                 pool.release(stk)
     for raw in whole.values():
         pool.release(raw)
+    if not numeric:
+        # one immutable output placeholder for the q² ranks, keyed in the
+        # per-rank executor's order (downstream charge loops iterate it):
+        # mesh order for ``ab``, the reduce roots in call order otherwise
+        owners = mesh.ranks if algo.reduce is None else (
+            reduce[1] for _bcasts, groups in plan.steps for _gemms, reduce in groups
+        )
+        return dict.fromkeys(owners, ShapeArray(stack_shape[2:], out_dtype))
     if algo.reduce is None:
         c_shards = {grid[i][j]: cstk[i, j] for i in range(q) for j in range(q)}
     return c_shards

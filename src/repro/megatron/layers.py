@@ -8,6 +8,8 @@ parallel weights); ``g`` is all-reduce in forward / identity in backward
 
 from __future__ import annotations
 
+from functools import partial
+from operator import add, matmul
 from typing import Optional
 
 from repro.backend import ops
@@ -15,7 +17,7 @@ from repro.comm import collectives as coll
 from repro.comm.group import ProcessGroup
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
-from repro.mesh.dtensor import DTensor
+from repro.mesh.dtensor import DTensor, rank_map
 from repro.mesh.layouts import REPLICATED_1D, SHARDED_1D
 from repro.mesh.partition import distribute_replicated_1d, distribute_sharded_1d
 from repro.nn.transformer import (
@@ -26,6 +28,27 @@ from repro.nn.transformer import (
     hold,
 )
 from repro.reference import functional as F
+
+
+def _affine(x, w, b):
+    return x @ w + b
+
+
+def _local_grads(group: ProcessGroup, x: DTensor, dy: DTensor, weight: DTensor, bias):
+    """A parallel linear's rank-local backward products, charged per rank:
+    ``(dW = xᵀ·dy, db = Σ dy ({} without a bias), dy·Wᵀ)``."""
+    ranks = group.ranks
+    dw = rank_map(lambda xl, dyl: ops.transpose(xl) @ dyl, ranks, x.shards, dy.shards)
+    db = {}
+    if bias is not None:
+        db = rank_map(lambda dyl: ops.sum(dyl, axis=0), ranks, dy.shards)
+    dx = rank_map(lambda dyl, w: dyl @ ops.transpose(w), ranks, dy.shards, weight.shards)
+    for rank in ranks:
+        xl, dyl = x.local(rank), dy.local(rank)
+        dev = group.sim.device(rank)
+        dev.compute(2.0 * xl.shape[1] * xl.shape[0] * dyl.shape[1])  # dW
+        dev.compute(2.0 * dyl.shape[0] * dyl.shape[1] * xl.shape[1])  # dx
+    return dw, db, dx
 
 
 # ======================================================================
@@ -70,15 +93,16 @@ class ColumnParallelLinear(DistModule):
         if x.layout != REPLICATED_1D:
             raise ValueError(f"{self.name}: input must be replicated, got {x.layout}")
         self._x = x
-        shards = {}
-        for rank in self.group.ranks:
+        ranks = self.group.ranks
+        weights = self.weight.data.shards
+        if self.bias is None:
+            shards = rank_map(matmul, ranks, x.shards, weights)
+        else:
+            shards = rank_map(_affine, ranks, x.shards, weights, self.bias.data.shards)
+        for rank in ranks:
             xl = x.local(rank)
-            y = xl @ self.weight.data.local(rank)
-            if self.bias is not None:
-                y = y + self.bias.data.local(rank)
-            shards[rank] = y
             self.group.sim.device(rank).compute(
-                2.0 * xl.shape[0] * xl.shape[1] * y.shape[1]
+                2.0 * xl.shape[0] * xl.shape[1] * shards[rank].shape[1]
             )
         out_shape = (x.global_shape[0], self.weight.data.global_shape[1])
         out = DTensor(self.group, SHARDED_1D(1), shards, out_shape)
@@ -88,17 +112,9 @@ class ColumnParallelLinear(DistModule):
     def backward(self, dy: DTensor) -> DTensor:
         if self._x is None:
             raise RuntimeError(f"{self.name}: backward before forward")
-        dw, db, dx_partial = {}, {}, {}
-        for rank in self.group.ranks:
-            xl = self._x.local(rank)
-            dyl = dy.local(rank)
-            dw[rank] = ops.transpose(xl) @ dyl
-            if self.bias is not None:
-                db[rank] = ops.sum(dyl, axis=0)
-            dx_partial[rank] = dyl @ ops.transpose(self.weight.data.local(rank))
-            dev = self.group.sim.device(rank)
-            dev.compute(2.0 * xl.shape[1] * xl.shape[0] * dyl.shape[1])  # dW
-            dev.compute(2.0 * dyl.shape[0] * dyl.shape[1] * xl.shape[1])  # dx
+        dw, db, dx_partial = _local_grads(
+            self.group, self._x, dy, self.weight.data, self.bias
+        )
         # f operator: all-reduce the input gradient
         dx_shards = coll.all_reduce(self.group, dx_partial)
         if self.buffers is not None:
@@ -160,20 +176,16 @@ class RowParallelLinear(DistModule):
         if x.layout.kind != "sharded_1d" or x.layout.axis != 1:
             raise ValueError(f"{self.name}: input must be column-sharded, got {x.layout}")
         self._x = x
-        partial = {}
-        for rank in self.group.ranks:
+        ranks = self.group.ranks
+        partial = rank_map(matmul, ranks, x.shards, self.weight.data.shards)
+        for rank in ranks:
             xl = x.local(rank)
-            partial[rank] = xl @ self.weight.data.local(rank)
             self.group.sim.device(rank).compute(
                 2.0 * xl.shape[0] * xl.shape[1] * partial[rank].shape[1]
             )
-        reduced = coll.all_reduce(self.group, partial)  # g operator
-        shards = {}
-        for rank in self.group.ranks:
-            y = reduced[rank]
-            if self.bias is not None:
-                y = y + self.bias.data.local(rank)
-            shards[rank] = y
+        shards = coll.all_reduce(self.group, partial)  # g operator
+        if self.bias is not None:
+            shards = rank_map(add, ranks, shards, self.bias.data.shards)
         out_shape = (x.global_shape[0], self.weight.data.global_shape[1])
         out = DTensor(self.group, REPLICATED_1D, shards, out_shape)
         hold(self.buffers, "forward", out)
@@ -182,18 +194,9 @@ class RowParallelLinear(DistModule):
     def backward(self, dy: DTensor) -> DTensor:
         if self._x is None:
             raise RuntimeError(f"{self.name}: backward before forward")
-        dw, dx_shards = {}, {}
-        db = {}
-        for rank in self.group.ranks:
-            xl = self._x.local(rank)
-            dyl = dy.local(rank)
-            dw[rank] = ops.transpose(xl) @ dyl
-            if self.bias is not None:
-                db[rank] = ops.sum(dyl, axis=0)
-            dx_shards[rank] = dyl @ ops.transpose(self.weight.data.local(rank))
-            dev = self.group.sim.device(rank)
-            dev.compute(2.0 * xl.shape[1] * xl.shape[0] * dyl.shape[1])
-            dev.compute(2.0 * dyl.shape[0] * dyl.shape[1] * xl.shape[1])
+        dw, db, dx_shards = _local_grads(
+            self.group, self._x, dy, self.weight.data, self.bias
+        )
         if self.buffers is not None:
             for rank, g in dw.items():
                 self.buffers.hold("param_grad", rank, ops.nbytes(g))
@@ -241,14 +244,12 @@ class LayerNorm1D(DistModule):
         self._saved = None
 
     def forward(self, x: DTensor) -> DTensor:
+        normed = rank_map(
+            partial(F.layernorm_fwd, eps=self.eps),
+            self.group.ranks, x.shards, self.gamma.data.shards, self.beta.data.shards,
+        )
         shards, xhat, inv = {}, {}, {}
-        for rank in self.group.ranks:
-            out, x_hat, inv_std = F.layernorm_fwd(
-                x.local(rank),
-                self.gamma.data.local(rank),
-                self.beta.data.local(rank),
-                self.eps,
-            )
+        for rank, (out, x_hat, inv_std) in normed.items():
             shards[rank], xhat[rank], inv[rank] = out, x_hat, inv_std
         out_dt = DTensor(self.group, REPLICATED_1D, shards, x.global_shape)
         charge_elementwise(out_dt, "layernorm")
@@ -260,11 +261,11 @@ class LayerNorm1D(DistModule):
         if self._saved is None:
             raise RuntimeError(f"{self.name}: backward before forward")
         xhat, inv = self._saved
+        grads = rank_map(
+            F.layernorm_bwd, self.group.ranks, dy.shards, xhat, inv, self.gamma.data.shards
+        )
         dx, dg, db = {}, {}, {}
-        for rank in self.group.ranks:
-            dxl, dgl, dbl = F.layernorm_bwd(
-                dy.local(rank), xhat[rank], inv[rank], self.gamma.data.local(rank)
-            )
+        for rank, (dxl, dgl, dbl) in grads.items():
             dx[rank], dg[rank], db[rank] = dxl, dgl, dbl
         self.gamma.add_grad(
             DTensor(self.group, REPLICATED_1D, dg, self.gamma.data.global_shape)

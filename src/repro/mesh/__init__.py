@@ -9,7 +9,7 @@ numpy arrays and shards for tests and I/O.
 """
 
 from repro.mesh import partition
-from repro.mesh.dtensor import DTensor
+from repro.mesh.dtensor import DTensor, rank_map
 from repro.mesh.layouts import (
     BLOCKED_2D,
     COL_BLOCKED,
@@ -43,6 +43,7 @@ __all__ = [
     "SHARDED_1D",
     "REPLICATED_1D",
     "DTensor",
+    "rank_map",
     "partition",
     "distribute_blocked_2d",
     "assemble_blocked_2d",

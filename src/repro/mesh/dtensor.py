@@ -5,7 +5,74 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Tuple
 
 from repro.backend import ops
+from repro.backend.shape_array import ShapeArray
 from repro.mesh.layouts import Layout
+
+
+def _signature(x):
+    """What rank-local math on a placeholder can depend on: ``(shape, dtype)``,
+    nested for a tuple of placeholders; ``None`` for anything else."""
+    if type(x) is ShapeArray:
+        return x.shape, x.dtype.name
+    if type(x) is tuple:
+        sig = tuple(map(_signature, x))
+        return None if None in sig else sig
+    return None
+
+
+def rank_map(fn: Callable, ranks: Iterable[int], *shard_dicts: Dict[int, object]) -> dict:
+    """``{rank: fn(*(d[rank] for d in shard_dicts))}`` in ``ranks`` order —
+    how rank-local math is written.
+
+    On real arrays that is exactly what runs, one ``fn`` call per rank.  On
+    dryrun placeholders the result of rank-local math is a function of the
+    arguments' (shape, dtype) alone and is immutable, so ranks whose
+    arguments agree in that signature share one evaluation and one result
+    (SPMD: every rank runs the same op on a same-shaped slice); ragged
+    shards simply produce several signatures.  Which of the two applies is
+    decided once per call, from the first rank's first argument; a real
+    array anywhere else has no signature and its rank is evaluated alone.
+
+    ``fn`` must be pure and must not close over the rank or anything derived
+    from it.  Simulator charges are per-rank events and stay in the caller's
+    own rank loop, after the math.  ``ranks`` is iterated more than once (a
+    range, a list, a dict or its keys — not a generator).
+    """
+    a = shard_dicts[0]
+    for rank in ranks:  # peek at the first rank's first argument
+        if type(a[rank]) in (ShapeArray, tuple):
+            return _map_sharing_placeholders(fn, ranks, shard_dicts)
+        break
+    # Real arrays: the plain loop.  Every numeric layer runs through here (a
+    # 4-rank serving decode pass ≈ 7 000 times); on 4 shards the generic last
+    # line costs ≈ 2.5 µs a call against ≈ 1.2 µs spelled out, which showed
+    # as +4 % on hostbench's `serve_steady` — hence the three common arities.
+    n = len(shard_dicts)
+    if n == 1:
+        return {r: fn(a[r]) for r in ranks}
+    if n == 2:
+        b = shard_dicts[1]
+        return {r: fn(a[r], b[r]) for r in ranks}
+    if n == 3:
+        _, b, c = shard_dicts
+        return {r: fn(a[r], b[r], c[r]) for r in ranks}
+    return {r: fn(*[d[r] for d in shard_dicts]) for r in ranks}
+
+
+def _map_sharing_placeholders(fn, ranks, shard_dicts) -> dict:
+    # keyed on the signature, never on the placeholders themselves: their
+    # ``==`` is elementwise and truthy, so a hash collision would mis-hit
+    out, shared = {}, {}
+    for rank in ranks:
+        args = [d[rank] for d in shard_dicts]
+        sig = tuple(map(_signature, args))
+        if None in sig:  # a real array among them: this rank is evaluated alone
+            out[rank] = fn(*args)
+        else:
+            if sig not in shared:
+                shared[sig] = fn(*args)
+            out[rank] = shared[sig]
+    return out
 
 
 class DTensor:
@@ -61,27 +128,29 @@ class DTensor:
     # communication-free elementwise helpers
     # ------------------------------------------------------------------
     def map(self, fn: Callable) -> "DTensor":
-        """Apply ``fn`` to every shard; layout and global shape unchanged."""
+        """Apply ``fn`` to every shard (through :func:`rank_map`, so ``fn`` is
+        rank-local math); layout and global shape unchanged."""
         return DTensor(
             self.owner,
             self.layout,
-            {r: fn(x) for r, x in self.shards.items()},
+            rank_map(fn, self.shards, self.shards),
             self.global_shape,
         )
 
     def zip_map(self, other: "DTensor", fn: Callable) -> "DTensor":
-        """Elementwise combine two same-layout DTensors shard by shard."""
+        """Elementwise combine two same-layout DTensors shard by shard
+        (through :func:`rank_map`)."""
         if self.layout != other.layout or self.global_shape != other.global_shape:
             raise ValueError(
                 f"layout/shape mismatch: {self.layout}/{self.global_shape} vs "
                 f"{other.layout}/{other.global_shape}"
             )
-        if set(self.shards) != set(other.shards):
+        if self.shards.keys() != other.shards.keys():
             raise ValueError("rank sets differ")
         return DTensor(
             self.owner,
             self.layout,
-            {r: fn(x, other.shards[r]) for r, x in self.shards.items()},
+            rank_map(fn, self.shards, self.shards, other.shards),
             self.global_shape,
         )
 

@@ -29,7 +29,7 @@ from repro.backend.shape_array import ShapeArray
 from repro.config import ModelConfig
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule
-from repro.mesh.dtensor import DTensor
+from repro.mesh.dtensor import DTensor, rank_map
 from repro.reference import functional as F
 from repro.reference.attention import (
     attention_bwd,
@@ -117,34 +117,40 @@ class SelfAttention(DistModule):
         device = self.owner.sim.device
 
         qkv = self.qkv_linear.forward(x)  # [T, 3h]
-        qs, ks, vs, saved_s, ctx_shards = {}, {}, {}, {}, {}
-        for rank in self.owner.ranks:
-            local = qkv.local(rank).reshape((b_loc, s, n_loc, 3, d))
+
+        def attend(local):
+            local = local.reshape((b_loc, s, n_loc, 3, d))
             qh = local[:, :, :, 0, :].transpose(0, 2, 1, 3)  # [b_loc, n_loc, s, d]
             kh = local[:, :, :, 1, :].transpose(0, 2, 1, 3)
             vh = local[:, :, :, 2, :].transpose(0, 2, 1, 3)
-            dev = device(rank)
             if self.fused:
                 ctx, m_stat, l_stat = fused_attention_fwd(
                     qh, kh, vh, chunk=self.attention_chunk
                 )
-                saved_s[rank] = (ctx, m_stat, l_stat)
-                held = ops.nbytes(m_stat) + ops.nbytes(l_stat)
+                stats = (ctx, m_stat, l_stat)
             else:
                 ctx, probs = attention_fwd(qh, kh, vh)
-                saved_s[rank] = probs
-                held = ops.nbytes(probs)
-                dev.compute(ELEMWISE_COST["softmax"] * probs.size, kind="elementwise")
-            dev.compute(2.0 * b_loc * n_loc * s * s * d)  # QKᵀ
-            dev.compute(2.0 * b_loc * n_loc * s * s * d)  # probs·V
-            qs[rank], ks[rank], vs[rank] = qh, kh, vh
-            ctx_shards[rank] = ctx.transpose(0, 2, 1, 3).reshape(
+                stats = probs
+            return (qh, kh, vh, stats), ctx.transpose(0, 2, 1, 3).reshape(
                 (b_loc * s, n_loc * d)
             )
+
+        saved, ctx_shards = {}, {}
+        for rank, (fwd, ctx) in rank_map(attend, self.owner.ranks, qkv.shards).items():
+            saved[rank], ctx_shards[rank] = fwd, ctx
+            stats = fwd[3]
+            dev = device(rank)
+            if self.fused:
+                held = ops.nbytes(stats[1]) + ops.nbytes(stats[2])
+            else:
+                held = ops.nbytes(stats)
+                dev.compute(ELEMWISE_COST["softmax"] * stats.size, kind="elementwise")
+            dev.compute(2.0 * b_loc * n_loc * s * s * d)  # QKᵀ
+            dev.compute(2.0 * b_loc * n_loc * s * s * d)  # probs·V
             if self.buffers is not None:
                 self.buffers.hold("forward", rank, held)
-                self.buffers.hold("forward", rank, ops.nbytes(ctx_shards[rank]))
-        self._saved = (qs, ks, vs, saved_s, b_loc, s, n_loc, d)
+                self.buffers.hold("forward", rank, ops.nbytes(ctx))
+        self._saved = (saved, b_loc, s, n_loc, d)
         return self.out_linear.forward(
             DTensor(self.owner, self.layout, ctx_shards, (T, h))
         )
@@ -152,34 +158,36 @@ class SelfAttention(DistModule):
     def backward(self, dy: DTensor) -> DTensor:
         if self._saved is None:
             raise RuntimeError(f"{self.name}: backward before forward")
-        qs, ks, vs, saved_s, b_loc, s, n_loc, d = self._saved
+        saved, b_loc, s, n_loc, d = self._saved
         T, h = dy.global_shape
         device = self.owner.sim.device
 
         d_ctx = self.out_linear.backward(dy)  # [T, h]
-        dqkv_shards = {}
-        for rank in self.owner.ranks:
-            dc = d_ctx.local(rank).reshape((b_loc, s, n_loc, d)).transpose(0, 2, 1, 3)
-            qh, kh, vh = qs[rank], ks[rank], vs[rank]
-            dev = device(rank)
+
+        def attend_bwd(dc, fwd):
+            qh, kh, vh, stats = fwd
+            dc = dc.reshape((b_loc, s, n_loc, d)).transpose(0, 2, 1, 3)
             if self.fused:
-                ctx, m_stat, l_stat = saved_s[rank]
-                d_q, d_k, d_v = fused_attention_bwd(
-                    qh, kh, vh, ctx, m_stat, l_stat, dc, chunk=self.attention_chunk
+                d_qkv = fused_attention_bwd(
+                    qh, kh, vh, *stats, dc, chunk=self.attention_chunk
                 )
-                n_gemms = 5  # score recompute + four gradient products
             else:
-                probs = saved_s[rank]
-                d_q, d_k, d_v = attention_bwd(qh, kh, vh, probs, dc)
-                n_gemms = 4
+                d_qkv = attention_bwd(qh, kh, vh, stats, dc)
+            # [b,n,s,d] -> [b,s,n,d], restacked as the QKV linear laid them out
+            return ops.stack(
+                [t.transpose(0, 2, 1, 3) for t in d_qkv], axis=3
+            ).reshape((b_loc * s, n_loc * 3 * d))
+
+        dqkv_shards = rank_map(attend_bwd, self.owner.ranks, d_ctx.shards, saved)
+        # score recompute (fused only) + four gradient products
+        n_gemms = 5 if self.fused else 4
+        for rank in self.owner.ranks:
+            dev = device(rank)
+            if not self.fused:
+                probs = saved[rank][3]
                 dev.compute(ELEMWISE_COST["softmax"] * probs.size, kind="elementwise")
             for _ in range(n_gemms):
                 dev.compute(2.0 * b_loc * n_loc * s * s * d)
-            # [b,n,s,d] -> [b,s,n,d], restacked as the QKV linear laid them out
-            dqkv_r = ops.stack(
-                [t.transpose(0, 2, 1, 3) for t in (d_q, d_k, d_v)], axis=3
-            )
-            dqkv_shards[rank] = dqkv_r.reshape((b_loc * s, n_loc * 3 * d))
             if self.holds_dqkv and self.buffers is not None:
                 self.buffers.hold("backward", rank, ops.nbytes(dqkv_shards[rank]))
         self._saved = None

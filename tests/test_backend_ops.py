@@ -133,6 +133,26 @@ class TestLinalgAndShape:
         assert ops.stack(xs, axis=1).shape == (2, 4, 3)
         assert ops.stack([ShapeArray((2, 3))] * 4, axis=1).shape == (2, 4, 3)
 
+    @pytest.mark.parametrize(
+        "fn, shapes, axis",
+        [
+            (ops.stack, [(2, 3), (2, 4)], 0),
+            (ops.stack, [(2, 3), (2, 3, 1)], 1),
+            (ops.concatenate, [(2, 3), (2, 3, 1)], 0),
+            (ops.concatenate, [(2, 3), (6,)], 1),
+            (ops.concatenate, [(2, 3), (6,)], -1),
+        ],
+    )
+    def test_placeholder_shape_errors_are_numpys(self, fn, shapes, axis):
+        """One placeholder evaluation stands for every rank that shares its
+        signature, so a shape error numpy would raise must not slip by."""
+        with pytest.raises(ValueError):
+            fn([np.zeros(s) for s in shapes], axis=axis)
+        with pytest.raises(ValueError):
+            fn([ShapeArray(s) for s in shapes], axis=axis)
+        with pytest.raises(ValueError):  # a real array among the placeholders
+            fn([ShapeArray(shapes[0]), np.zeros(shapes[1])], axis=axis)
+
 
 class TestGatherScatter:
     def test_take_rows(self, rng):

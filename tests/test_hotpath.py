@@ -270,3 +270,31 @@ def test_param_grad_region_is_reused_across_steps(scheme):
         grads = [d.memory.by_tag["buffer:param_grad"] for d in sim.devices]
         footprints.append((sim.peak_memory(), grads, _sim_allocs(sim)))
     assert footprints[0] == footprints[1]
+
+
+@pytest.mark.parametrize(
+    "stem, small, large, growth",
+    [
+        (run_optimus_stem, {"q": 2}, {"q": 4}, 2.0),
+        (run_megatron_stem, {"p": 2}, {"p": 4}, 1.25),
+    ],
+)
+def test_dryrun_shape_math_is_derived_once_not_per_rank(monkeypatch, stem, small, large, growth):
+    """"Derive once, charge p times" as a count that repeats exactly: 4× the
+    ranks must not mean 4× the placeholders.  What still grows with p is the
+    parameter blocks (one per rank) and the per-group collective results
+    (before ``rank_map``: Optimus 2 242 → 11 450, Megatron 824 → 1 632)."""
+    from repro.backend.shape_array import ShapeArray
+
+    built = []
+    real_init = ShapeArray.__init__
+
+    def counting_init(self, *args, **kw):
+        built[-1] += 1
+        real_init(self, *args, **kw)
+
+    monkeypatch.setattr(ShapeArray, "__init__", counting_init)
+    for kw in (small, large):
+        built.append(0)
+        stem(tiny_config(num_heads=4), batch_size=8, **kw)
+    assert 0 < built[1] <= growth * built[0], built

@@ -54,6 +54,33 @@ class TestForwardProducts:
         with pytest.raises(ValueError):
             summa_atb(mesh, _dist(mesh, a), _dist(mesh, rng.normal(size=(6, 6))))
 
+    @pytest.mark.parametrize("backend", ["numpy", "shape"])
+    @pytest.mark.parametrize(
+        "product, a_block, b_global",
+        [(summa_ab, (2, 3), (6, 4)), (summa_abt, (2, 3), (4, 6)), (summa_atb, (3, 2), (6, 4))],
+    )
+    def test_block_inner_dim_mismatch_is_a_plan_error(self, product, a_block, b_global, backend):
+        """Global K agrees but the blocks do not (hand-built shards: B's 2×2
+        blocks do not tile the global shape it claims).  The plan must
+        refuse — a uniform dryrun multiplies no blocks, so nothing downstream
+        would notice."""
+        from repro.backend import ops
+        from repro.mesh import BLOCKED_2D, DTensor
+
+        mesh = make_mesh(2, backend=backend)
+        mesh.sim.strict_invariants = False
+
+        def tensor(block, global_shape):
+            shards = {r: ops.zeros(block, "float32", backend) for r in mesh.ranks}
+            return DTensor(mesh, BLOCKED_2D, shards, global_shape)
+
+        a = tensor(a_block, (2 * a_block[0], 2 * a_block[1]))
+        with pytest.raises(ValueError, match="block inner dims mismatch") as err:
+            product(mesh, a, tensor((2, 2), b_global))
+        algo = product.__name__.split("_")[1]
+        for named in (f"for {algo} ", "rank 0", str(a_block), "(2, 2)"):
+            assert named in str(err.value)
+
     def test_layout_enforced(self, rng):
         mesh = make_mesh(2)
         a = distribute_replicated(mesh, rng.normal(size=(4, 4)))

@@ -5,6 +5,7 @@ sends every input the batched executor cannot take to the per-rank one."""
 import numpy as np
 import pytest
 
+from repro.backend.shape_array import ShapeArray
 from repro.comm import collectives as coll
 from repro.core import summa
 from repro.core.buffers import BufferManager
@@ -42,14 +43,16 @@ def _operands(mesh, algo, dtype, seed=0):
     return a, b
 
 
-def _execute(executor, algo, q, dtype, calls=2):
+def _execute(executor, algo, q, dtype, calls=2, backend="numpy", with_buffers=True):
     """Run one executor directly, on a fresh traced mesh, ``calls`` times
     (the second call re-uses pooled scratch); everything observable."""
-    mesh = make_mesh(q)
+    mesh = make_mesh(q, backend=backend)
     sim = mesh.sim
     sim.tracer.enabled = True
-    buffers = BufferManager(sim)
+    buffers = BufferManager(sim) if with_buffers else None
     a, b = _operands(mesh, algo, dtype)
+    if backend == "shape":
+        a, b = (x.map(lambda s: ShapeArray(s.shape, s.dtype)) for x in (a, b))
     plan = summa._get_plan(mesh, algo, a, b)
     outs = []
     for _ in range(calls):
@@ -59,7 +62,10 @@ def _execute(executor, algo, q, dtype, calls=2):
             shards = summa._run_batched(mesh, algo, a, b, plan, buffers, desc)
         else:
             shards = summa._run_per_rank(mesh, algo, a, b, plan, buffers)
-        outs.append({r: np.array(s) for r, s in shards.items()})
+        if backend == "shape":  # what a placeholder is: rank order, shape, dtype
+            outs.append([(r, s.shape, s.dtype) for r, s in shards.items()])
+        else:
+            outs.append({r: np.array(s) for r, s in shards.items()})
     assert summa._pool_of(sim).stats()["live"] == 0
     return {
         "outs": outs,
@@ -97,6 +103,20 @@ class TestExecutorsAgree:
         assert ref["state"] == got["state"]
         assert ref["events"] == got["events"]
         assert ref["spans"] == got["spans"]
+
+    @pytest.mark.parametrize("with_buffers", [True, False])
+    @pytest.mark.parametrize("q", [2, 3, 4, 8])
+    @pytest.mark.parametrize("name", sorted(ALGOS))
+    def test_shape_plans_replay_the_same_accounting(self, name, q, with_buffers):
+        """A dryrun plan in the batched executor is its accounting replay plus
+        one shared output placeholder: same shard order / shapes / dtypes,
+        device counters, memory peaks and allocs, trace events and spans as
+        the per-rank executor's q³ placeholder products."""
+        kw = dict(backend="shape", with_buffers=with_buffers)
+        ref = _execute("per_rank", ALGOS[name], q, np.float32, **kw)
+        got = _execute("batched", ALGOS[name], q, np.float32, **kw)
+        assert ref == got
+        assert len(ref["outs"][0]) == q * q
 
     def test_results_match_numpy(self):
         mesh = make_mesh(3)
@@ -165,15 +185,45 @@ class TestSelection:
         summa.summa_ab(mesh, DTensor(mesh, BLOCKED_2D, mixed, (8, 8)), a)
         assert taken == ["_run_per_rank"]
 
-    def test_dryrun_falls_back(self, taken):
-        from repro.backend.shape_array import ShapeArray
-
-        mesh = make_mesh(2, backend="dryrun")
+    def test_uniform_dryrun_takes_the_batched_executor(self, taken):
+        mesh = make_mesh(2, backend="shape")
         shards = {r: ShapeArray((4, 4), "float32") for r in mesh.ranks}
         a = DTensor(mesh, BLOCKED_2D, shards, (8, 8))
         for f in (summa.summa_ab, summa.summa_abt, summa.summa_atb):
-            assert f(mesh, a, a).global_shape == (8, 8)
-        assert taken == ["_run_per_rank"] * 3
+            c = f(mesh, a, a)
+            assert c.global_shape == (8, 8)
+            assert {(s.shape, s.dtype.name) for s in c.shards.values()} == {
+                ((4, 4), "float32")
+            }
+        assert taken == ["_run_batched"] * 3
+
+    @pytest.mark.parametrize("name", sorted(ALGOS))
+    def test_ragged_dryrun_takes_the_per_rank_executor(self, taken, name):
+        """MoE-style placeholders, row blocks sized by routed token counts
+        (the forward ``ab`` and both of its backward products): several
+        block shapes, so there is no one block to share."""
+        mesh = make_mesh(2, backend="shape")
+        tokens, width = [3, 9], 6  # token rows per mesh row; uniform feature block
+
+        def ragged_rows(cols):
+            shards = {
+                mesh.rank(i, j): ShapeArray((tokens[i], cols), "float32")
+                for i in range(2)
+                for j in range(2)
+            }
+            return DTensor(mesh, BLOCKED_2D, shards, (12, 2 * cols))
+
+        uniform = DTensor(
+            mesh, BLOCKED_2D,
+            {r: ShapeArray((width, width), "float32") for r in mesh.ranks},
+            (2 * width, 2 * width),
+        )
+        # atb contracts over the token axis: both operands are ragged
+        b = ragged_rows(4) if name == "atb" else uniform
+        c = getattr(summa, "summa_" + name)(mesh, ragged_rows(width), b)
+        assert taken == ["_run_per_rank"]
+        want = [(width, 4)] * 2 if name == "atb" else [(3, width), (9, width)]
+        assert [c.shards[mesh.rank(i, 0)].shape for i in range(2)] == want
 
     def test_q1_falls_back(self, taken, rng):
         mesh = make_mesh(1)
