@@ -46,16 +46,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.backend.shape_array import is_shape_array
-
-_WRAPPED_OPS = (
-    "broadcast",
-    "reduce",
-    "all_reduce",
-    "all_gather",
-    "reduce_scatter",
-    "scatter",
-    "gather",
-)
+from repro.runtime.events import COLLECTIVE_KINDS
 
 _installed: Optional["CollectiveContractChecker"] = None
 
@@ -175,7 +166,7 @@ class CollectiveContractChecker:
         from repro.comm import collectives as coll_mod
 
         self._originals = {}
-        for name in _WRAPPED_OPS:
+        for name in COLLECTIVE_KINDS:  # each kind is the function of that name
             original = getattr(coll_mod, name)
             wrapper = self._wrap(name, original)
             self._originals[name] = original

@@ -16,11 +16,12 @@ Two hot-path refinements (numerics-neutral, see ``docs/simulator.md``):
 * **single-rank groups are zero-copy** — a collective over one rank moves no
   data, charges nothing, and returns the caller's buffer unchanged instead
   of copying it;
-* **precosted calls** — ``broadcast``/``reduce`` accept an optional
-  ``precost=(dt, nbytes, weighted)`` tuple so a caller that already knows
-  the α–β price (the SUMMA plan cache) skips recomputing byte counts and
-  tree-stage timing on every step.  The charged quantities are identical to
-  the computed ones by construction of the plan.
+* **precosted calls** — every charge is ``group.model.price(kind, moved
+  bytes)``, the ``(dt, nbytes, weighted)`` triple of
+  :meth:`~repro.comm.cost.GroupCommModel.price`.  ``broadcast``/``reduce``
+  accept it as an optional ``precost=`` so a caller that already holds it
+  (the SUMMA plan cache) skips recomputing byte counts and tree-stage timing
+  on every step; the plan asked the same method, so the charge is identical.
 """
 
 from __future__ import annotations
@@ -119,13 +120,9 @@ def broadcast(
         raise ValueError(f"root {root} not in group {group.ranks}")
     if group.size == 1:
         return {root: src}  # zero-copy: nothing moves, nothing is charged
-    if precost is None:
-        nbytes = ops.nbytes(src)
-        dt = group.model.broadcast_time(nbytes)
-        weighted = group.model.broadcast_weighted_volume(nbytes)
-    else:
-        dt, nbytes, weighted = precost
-    _charge(group, "broadcast", dt, nbytes, weighted)
+    _charge(
+        group, "broadcast", *(precost or group.model.price("broadcast", ops.nbytes(src)))
+    )
     return {r: (src if r == root else _copy(src)) for r in group.ranks}
 
 
@@ -182,13 +179,7 @@ def reduce(
         return {root: shards[root]}  # zero-copy: the root already holds the sum
     _check_shards(group, shards)
     acc = _combine(group, shards, op)
-    if precost is None:
-        nbytes = ops.nbytes(acc)
-        dt = group.model.reduce_time(nbytes)
-        weighted = group.model.reduce_weighted_volume(nbytes)
-    else:
-        dt, nbytes, weighted = precost
-    _charge(group, "reduce", dt, nbytes, weighted)
+    _charge(group, "reduce", *(precost or group.model.price("reduce", ops.nbytes(acc))))
     return {root: acc}
 
 
@@ -206,14 +197,7 @@ def all_reduce(group: ProcessGroup, shards: Shards, op: str = "sum") -> Shards:
         return dict(shards)  # zero-copy
     _check_shards(group, shards)
     acc = _combine(group, shards, op)
-    nbytes = ops.nbytes(acc)
-    _charge(
-        group,
-        "all_reduce",
-        group.model.all_reduce_time(nbytes),
-        nbytes,
-        group.model.all_reduce_weighted_volume(nbytes),
-    )
+    _charge(group, "all_reduce", *group.model.price("all_reduce", ops.nbytes(acc)))
     return {r: (acc if i == 0 else _copy(acc)) for i, r in enumerate(group.ranks)}
 
 
@@ -229,14 +213,7 @@ def all_gather(group: ProcessGroup, shards: Shards, axis: int = 0) -> Shards:
         return dict(shards)  # zero-copy: concatenation of one part is itself
     parts = [shards[r] for r in group.ranks]
     full = ops.concatenate(parts, axis=axis)
-    total = ops.nbytes(full)
-    _charge(
-        group,
-        "all_gather",
-        group.model.all_gather_time(total),
-        total,
-        group.model.all_gather_weighted_volume(total),
-    )
+    _charge(group, "all_gather", *group.model.price("all_gather", ops.nbytes(full)))
     return {r: (full if i == 0 else _copy(full)) for i, r in enumerate(group.ranks)}
 
 
@@ -258,14 +235,7 @@ def reduce_scatter(group: ProcessGroup, shards: Shards, axis: int = 0) -> Shards
             f"not divisible by group size {g}"
         )
     pieces = ops.split(acc, g, axis=axis)
-    total = ops.nbytes(acc)
-    _charge(
-        group,
-        "reduce_scatter",
-        group.model.reduce_scatter_time(total),
-        total,
-        group.model.reduce_scatter_weighted_volume(total),
-    )
+    _charge(group, "reduce_scatter", *group.model.price("reduce_scatter", ops.nbytes(acc)))
     return {r: pieces[i] for i, r in enumerate(group.ranks)}
 
 
@@ -288,13 +258,7 @@ def scatter(group: ProcessGroup, full, root: int, axis: int = 0) -> Shards:
     # byte counters, the α–β time, and the weighted volume must all charge
     # this same moved volume or the comm-matrix reconciliation breaks
     moved = ops.nbytes(full) * (g - 1) / g
-    _charge(
-        group,
-        "scatter",
-        group.model.broadcast_time(moved),
-        moved,
-        group.model.broadcast_weighted_volume(moved),
-    )
+    _charge(group, "scatter", *group.model.price("scatter", moved))
     return {r: _copy(pieces[i]) for i, r in enumerate(group.ranks)}
 
 
@@ -316,13 +280,7 @@ def gather(group: ProcessGroup, shards: Shards, root: int, axis: int = 0) -> Sha
     # gather moves (g-1)/g of the result into the root; charge bytes, time,
     # and weighted volume consistently (see scatter)
     moved = ops.nbytes(full) * (g - 1) / g
-    _charge(
-        group,
-        "gather",
-        group.model.reduce_time(moved),
-        moved,
-        group.model.reduce_weighted_volume(moved),
-    )
+    _charge(group, "gather", *group.model.price("gather", moved))
     return {root: full}
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.hardware.arrangement import Arrangement
 from repro.hardware.topology import ClusterTopology, GroupProfile
@@ -54,6 +54,21 @@ RING_EFFICIENCY_INTER = 0.40
 #: Sustained fraction for pipelined tree broadcast/reduce of large blocks —
 #: one bulk transfer per stage pipelines well (~85% of line rate).
 TREE_EFFICIENCY = 0.85
+
+
+#: The price list: collective kind → (time formula, weighted-volume formula),
+#: as method names so a caller that wraps a formula on the class still sees
+#: every call.  Scatter / gather are tree collectives over the moved
+#: ``(g−1)/g`` of the buffer (the caller decides the bytes, not the formula).
+_PRICE = {
+    "broadcast": ("broadcast_time", "broadcast_weighted_volume"),
+    "reduce": ("reduce_time", "reduce_weighted_volume"),
+    "all_reduce": ("all_reduce_time", "all_reduce_weighted_volume"),
+    "all_gather": ("all_gather_time", "all_gather_weighted_volume"),
+    "reduce_scatter": ("reduce_scatter_time", "reduce_scatter_weighted_volume"),
+    "scatter": ("broadcast_time", "broadcast_weighted_volume"),
+    "gather": ("reduce_time", "reduce_weighted_volume"),
+}
 
 
 @dataclass(frozen=True)
@@ -103,6 +118,18 @@ class GroupCommModel:
     def size(self) -> int:
         return self.profile.size
 
+    def price(self, kind: str, nbytes: float) -> Tuple[float, float, float]:
+        """What one ``kind`` collective over ``nbytes`` is charged:
+        ``(dt, nbytes, weighted volume)`` — the simulator's ``Precost`` triple,
+        and the first element is what the critical-path auditor predicts."""
+        try:
+            time_of, volume_of = _PRICE[kind]
+        except KeyError:
+            raise ValueError(
+                f"no price for collective kind {kind!r}: valid kinds are {list(_PRICE)}"
+            ) from None
+        return getattr(self, time_of)(nbytes), nbytes, getattr(self, volume_of)(nbytes)
+
     def _tree_time(self, nbytes: float) -> float:
         g = self.profile.size
         if g <= 1:
@@ -127,19 +154,23 @@ class GroupCommModel:
         """Tree reduction of per-rank buffers of ``nbytes`` to one root."""
         return self._tree_time(nbytes)
 
+    def _ring_step(self) -> Tuple[float, float]:
+        """``(α, effective β)`` of one of a ring collective's serialized steps."""
+        if self.profile.is_intra_node:
+            return self.alpha_intra, self.beta_intra / self.ring_efficiency_intra
+        # a node-contiguous ring crosses each NIC once per step in each
+        # direction; concurrent multi-node rings still divide bandwidth
+        return (
+            self.alpha_inter,
+            self.beta_inter * self.crowding / self.ring_efficiency_inter,
+        )
+
     def all_reduce_time(self, nbytes: float) -> float:
         """Ring all-reduce of a ``nbytes`` buffer (Eq. 5)."""
         g = self.profile.size
         if g <= 1:
             return 0.0
-        if self.profile.is_intra_node:
-            alpha = self.alpha_intra
-            beta = self.beta_intra / self.ring_efficiency_intra
-        else:
-            # a node-contiguous ring crosses each NIC once per step in each
-            # direction; concurrent multi-node rings still divide bandwidth
-            alpha = self.alpha_inter
-            beta = self.beta_inter * self.crowding / self.ring_efficiency_inter
+        alpha, beta = self._ring_step()
         return 2 * (g - 1) * (alpha + beta * nbytes / g)
 
     def all_gather_time(self, total_nbytes: float) -> float:
@@ -147,12 +178,7 @@ class GroupCommModel:
         g = self.profile.size
         if g <= 1:
             return 0.0
-        if self.profile.is_intra_node:
-            alpha = self.alpha_intra
-            beta = self.beta_intra / self.ring_efficiency_intra
-        else:
-            alpha = self.alpha_inter
-            beta = self.beta_inter * self.crowding / self.ring_efficiency_inter
+        alpha, beta = self._ring_step()
         return (g - 1) * (alpha + beta * total_nbytes / g)
 
     def reduce_scatter_time(self, total_nbytes: float) -> float:

@@ -207,9 +207,7 @@ def _build_plan(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor, numeric: bool) 
             for t in range(q):
                 group, root = _line(mesh, op, t, l)
                 nb = ops.nbytes(operands[op][root])
-                model = group.model
-                cost = (model.broadcast_time(nb), nb, model.broadcast_weighted_volume(nb))
-                bcasts.append((op, group, root, cost))
+                bcasts.append((op, group, root, group.model.price("broadcast", nb)))
         groups = []
         for t, cell in enumerate(cells):
             gemms = []
@@ -238,9 +236,7 @@ def _build_plan(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor, numeric: bool) 
             if algo.reduce is not None:
                 group, root = _line(mesh, algo.reduce, t, l)
                 nb = m * n * itemsize
-                model = group.model
-                cost = (model.reduce_time(nb), nb, model.reduce_weighted_volume(nb))
-                reduce = (group, root, cost)
+                reduce = (group, root, group.model.price("reduce", nb))
             groups.append((gemms, reduce))
         steps.append((bcasts, groups))
     return _Plan(steps, numeric, out_dtype)

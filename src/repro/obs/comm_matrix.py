@@ -23,7 +23,7 @@ def comm_matrix(sim, weighted: bool = False) -> List[List[float]]:
     n = sim.num_ranks
     mat = [[0.0] * n for _ in range(n)]
     for e in sim.tracer.events:
-        if e.kind == "compute":
+        if e.category != "comm":
             continue
         volume = e.weighted if weighted else e.nbytes
         if e.kind == "p2p":

@@ -42,25 +42,14 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.runtime.events import COLLECTIVE_KINDS, busy_intervals, to_ns
 
 CRITPATH_SCHEMA = "repro-critpath-v1"
 
 #: attribution categories; every nanosecond lands in exactly one
 CATEGORIES = ("compute", "comm", "stall", "overhead")
-
-#: trace-event kinds priced by the α–β collective model
-COLLECTIVE_KINDS = (
-    "broadcast", "reduce", "all_reduce", "all_gather", "reduce_scatter",
-    "scatter", "gather",
-)
-
-#: trace-event kinds produced by the resilience subsystem
-OVERHEAD_KINDS = ("fault", "checkpoint", "recovery")
-
-
-def _ns(t: float) -> int:
-    return int(round(t * 1e9))
 
 
 @dataclass(frozen=True)
@@ -73,9 +62,6 @@ class Segment:
     category: str  # compute | comm | stall | overhead
     kind: str = ""  # event kind ("compute", "broadcast", …); "" for stalls
     label: str = ""  # kernel kind or process-group kind
-    op: str = ""  # enclosing op span (summa_ab, …), when resolvable
-    layer: str = ""  # enclosing layer span ("layer3.forward"), when resolvable
-    nbytes: float = 0.0
     event_index: int = -1  # index into tracer.events, -1 for stalls
 
     @property
@@ -95,18 +81,25 @@ class Attribution:
     def add(self, category: str, ns: int) -> None:
         setattr(self, category + "_ns", getattr(self, category + "_ns") + ns)
 
+    def merge(self, other: "Attribution") -> None:
+        for c in CATEGORIES:
+            self.add(c, getattr(other, c + "_ns"))
+
+    @classmethod
+    def of(cls, segs: Iterable["Segment"]) -> "Attribution":
+        att = cls()
+        for s in segs:
+            att.add(s.category, s.duration_ns)
+        return att
+
     @property
     def total_ns(self) -> int:
         return self.compute_ns + self.comm_ns + self.stall_ns + self.overhead_ns
 
     def as_dict(self) -> dict:
-        return {
-            "compute_ns": self.compute_ns,
-            "comm_ns": self.comm_ns,
-            "stall_ns": self.stall_ns,
-            "overhead_ns": self.overhead_ns,
-            "total_ns": self.total_ns,
-        }
+        doc = {c + "_ns": getattr(self, c + "_ns") for c in CATEGORIES}
+        doc["total_ns"] = self.total_ns
+        return doc
 
 
 @dataclass
@@ -138,7 +131,7 @@ class _SpanIndex:
         per_rank: Dict[int, List] = {}
         for s in spans:
             if s.category == category:
-                per_rank.setdefault(s.rank, []).append((_ns(s.t_start), _ns(s.t_end), s))
+                per_rank.setdefault(s.rank, []).append((to_ns(s.t_start), to_ns(s.t_end), s))
         for rank, lst in per_rank.items():
             lst.sort(key=lambda t: (t[0], -t[1]))
             starts, ends, ordered = (list(column) for column in zip(*lst))
@@ -179,28 +172,48 @@ def _layer_name(span) -> str:
     return f"layer{idx}.{phase}" if phase else f"layer{idx}"
 
 
+class _SpanLabels:
+    """The enclosing op / layer of a busy segment, resolved on demand.
+
+    Few consumers need them — the op names only the segments on the critical
+    path, the layer only ``by_layer`` and the verbatim segment listing — so
+    each category's index is built the first time it is asked for.
+    """
+
+    def __init__(self, spans):
+        self._spans = spans
+        self._indexes: Dict[str, _SpanIndex] = {}
+
+    def _enclosing(self, category: str, seg: Segment):
+        if seg.event_index < 0:
+            return None  # stalls belong to no span
+        index = self._indexes.get(category)
+        if index is None:
+            index = self._indexes[category] = _SpanIndex(self._spans, category)
+        return index.enclosing(seg.rank, seg.start_ns, seg.end_ns)
+
+    def op(self, seg: Segment) -> str:
+        """Enclosing op span (``summa_ab``, …), ``""`` when unresolvable."""
+        span = self._enclosing("op", seg)
+        return span.name if span is not None else ""
+
+    def layer(self, seg: Segment) -> str:
+        """Enclosing layer span (``layer3.forward``), ``""`` when unresolvable."""
+        span = self._enclosing("layer", seg)
+        return _layer_name(span) if span is not None else ""
+
+
 # ----------------------------------------------------------------------
 # timeline construction
 # ----------------------------------------------------------------------
-def _event_category(kind: str) -> Optional[str]:
-    if kind == "compute":
-        return "compute"
-    if kind in COLLECTIVE_KINDS or kind == "p2p":
-        return "comm"
-    if kind in OVERHEAD_KINDS:
-        return "overhead"
-    return None
-
-
 def build_windows(sim) -> List[Window]:
     """Partition the traced run into per-rank contiguous segment timelines.
 
     Windows come from ``"step"`` spans when the workload recorded them
     (training runs); otherwise the whole run is one window (stems).  Within
-    a window every rank's segments tile ``[start_ns, end_ns]`` exactly:
-    busy atoms from trace events (clipped against one another — a p2p
-    receive that arrives while the receiver is still busy only contributes
-    its uncovered tail), stall segments filling every gap.
+    a window every rank's segments tile ``[start_ns, end_ns]`` exactly: the
+    rank's :func:`~repro.runtime.events.busy_intervals` clipped to the
+    window, stall segments filling every gap.
     """
     tracer = sim.tracer
     step_spans = [s for s in tracer.spans if s.category == "step"]
@@ -214,75 +227,34 @@ def build_windows(sim) -> List[Window]:
             step_no = (group[0].attrs or {}).get("step", len(windows))
             windows.append(Window(
                 label=f"step{step_no}",
-                start_ns=min(_ns(s.t_start) for s in group),
-                end_ns=max(_ns(s.t_end) for s in group),
+                start_ns=min(to_ns(s.t_start) for s in group),
+                end_ns=max(to_ns(s.t_end) for s in group),
             ))
     else:
-        windows.append(Window(label="run", start_ns=0, end_ns=_ns(sim.elapsed())))
+        windows.append(Window(label="run", start_ns=0, end_ns=to_ns(sim.elapsed())))
 
-    layer_index = _SpanIndex(tracer.spans, "layer")
-    op_index = _SpanIndex(tracer.spans, "op")
-
-    # busy atoms: (rank, start_ns, end_ns, category, event, event_index)
-    atoms: Dict[int, List[Tuple[int, int, str, object, int]]] = {
-        r: [] for r in range(sim.num_ranks)
-    }
-    for idx, e in enumerate(tracer.events):
-        category = _event_category(e.kind)
-        if category is None:
-            continue
-        a, b = _ns(e.t_start), _ns(e.t_end)
-        if b <= a:
-            continue
-        if e.kind == "compute":
-            targets: Sequence[int] = (e.ranks[0],)
-        elif e.kind == "p2p":
-            targets = (e.ranks[1],)  # the sender's copy engine does not stall
-        else:
-            targets = e.ranks
-        for r in targets:
-            atoms[r].append((a, b, category, e, idx))
-
+    events = tracer.events
+    busy = busy_intervals(events)
     for w in windows:
         for r in range(sim.num_ranks):
             segs: List[Segment] = []
             cursor = w.start_ns
-            for a, b, category, e, idx in sorted(
-                atoms[r], key=lambda t: (t[0], t[1])
-            ):
-                if b <= w.start_ns or a >= w.end_ns:
-                    continue
+            for a, b, idx in busy.get(r, ()):
                 a, b = max(a, w.start_ns), min(b, w.end_ns)
-                if b <= cursor:
-                    continue  # fully shadowed by earlier activity
-                a = max(a, cursor)
+                if b <= a:
+                    continue  # outside this window
                 if a > cursor:
                     segs.append(Segment(r, cursor, a, "stall"))
-                layer = layer_index.enclosing(r, a, b)
-                op = op_index.enclosing(r, a, b)
+                e = events[idx]
                 segs.append(Segment(
-                    rank=r, start_ns=a, end_ns=b, category=category,
-                    kind=e.kind, label=e.label,
-                    op=op.name if op is not None else "",
-                    layer=_layer_name(layer) if layer is not None else "",
-                    nbytes=e.nbytes, event_index=idx,
+                    rank=r, start_ns=a, end_ns=b, category=e.category,
+                    kind=e.kind, label=e.label, event_index=idx,
                 ))
                 cursor = b
             if cursor < w.end_ns:
                 segs.append(Segment(r, cursor, w.end_ns, "stall"))
             w.timelines[r] = segs
     return windows
-
-
-def attribute_window(w: Window) -> Dict[int, Attribution]:
-    """Per-rank category totals; each rank's total equals the window exactly."""
-    out: Dict[int, Attribution] = {}
-    for rank, segs in sorted(w.timelines.items()):
-        att = Attribution()
-        for s in segs:
-            att.add(s.category, s.duration_ns)
-        out[rank] = att
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -318,10 +290,8 @@ def critical_path(w: Window, events) -> List[Segment]:
     start_rank, start_idx, best_end = -1, None, -1
     for rank in sorted(w.timelines):
         segs = w.timelines[rank]
-        i = len(segs) - 1
-        while i >= 0 and segs[i].category == "stall":
-            i -= 1
-        if i >= 0 and segs[i].end_ns > best_end:
+        i = prev_busy(rank, len(segs))
+        if i is not None and segs[i].end_ns > best_end:
             start_rank, start_idx, best_end = rank, i, segs[i].end_ns
     if start_idx is None:
         return []
@@ -350,7 +320,7 @@ def critical_path(w: Window, events) -> List[Segment]:
                 nxt = (blocker, blocker_idx)
         elif e is not None and seg.kind == "p2p":
             src = e.ranks[0]
-            send_ns = _ns(e.t_start)
+            send_ns = to_ns(e.t_start)
             segs = w.timelines.get(src, [])
             i = len(segs) - 1
             while i >= 0 and (segs[i].category == "stall" or segs[i].end_ns > send_ns):
@@ -396,87 +366,157 @@ class CostAuditor:
         if e.kind == "compute":
             flops = float((e.attrs or {}).get("flops", 0.0))
             return flops / self._sim.cluster.device.effective_flops
+        if e.category != "comm":
+            return None
         if e.kind == "p2p":
             arr = self._sim.arrangement
             return self._sim.topology.p2p_time(
                 arr.gpu_of(e.ranks[0]), arr.gpu_of(e.ranks[1]), e.nbytes
             )
-        if e.kind not in COLLECTIVE_KINDS:
-            return None
-        model = self._model(tuple(sorted(e.ranks)))
-        if e.kind in ("broadcast", "scatter"):
-            return model.broadcast_time(e.nbytes)
-        if e.kind in ("reduce", "gather"):
-            return model.reduce_time(e.nbytes)
-        if e.kind == "all_reduce":
-            return model.all_reduce_time(e.nbytes)
-        if e.kind == "all_gather":
-            return model.all_gather_time(e.nbytes)
-        return model.reduce_scatter_time(e.nbytes)  # reduce_scatter
+        return self._model(tuple(sorted(e.ranks))).price(e.kind, e.nbytes)[0]
 
 
-def _segment_key(seg: Segment) -> str:
-    """Stable aggregation key: category/kind[/label][@op]."""
-    bits = [seg.category]
-    if seg.kind and seg.kind != seg.category:
-        bits.append(seg.kind)
-    if seg.label:
-        bits.append(seg.label)
-    key = "/".join(bits)
-    if seg.op:
-        key += f"@{seg.op}"
-    return key
+def merge_bottlenecks(rows: Iterable[dict], by: str = "key") -> List[dict]:
+    """Fold bottleneck rows that share ``row[by]``, ranked by measured time.
+
+    The one place counts and nanoseconds of several rows are summed, the
+    ranking ``(-measured_ns, row[by])`` is applied and the measured/predicted
+    ratio is taken — per window from the path's segments, and across windows
+    for the ledger summary, the calibration table and the rendered report.
+    """
+    merged: Dict[str, dict] = {}
+    for row in rows:
+        acc = merged.get(row[by])
+        if acc is None:  # a copy: the caller's rows (a loaded document's) stay as they are
+            acc = merged[row[by]] = {**row, "count": 0, "measured_ns": 0, "predicted_ns": 0}
+        for field_ in ("count", "measured_ns", "predicted_ns"):
+            acc[field_] += row[field_]
+    ranked = sorted(merged.values(), key=lambda r: (-r["measured_ns"], r[by]))
+    for row in ranked:
+        row["ratio"] = (
+            row["measured_ns"] / row["predicted_ns"] if row["predicted_ns"] else None
+        )
+    return ranked
 
 
 def rank_bottlenecks(
-    path: List[Segment], events, auditor: CostAuditor
+    path: List[Segment], events, auditor: CostAuditor, labels: _SpanLabels
 ) -> List[dict]:
     """Aggregate path segments by op key; rank by measured time on the path.
 
-    Each entry carries the solo α–β prediction so the two orderings the
-    report exposes — by measured cost and by measured/predicted ratio —
-    come from the same rows.
+    The key is ``category/kind[/label][@op]``.  Each entry carries the solo
+    α–β prediction so the two orderings the report exposes — by measured cost
+    and by measured/predicted ratio — come from the same rows.
     """
-    agg: Dict[str, dict] = {}
+    rows = []
     for seg in path:
         if seg.category == "stall":
             key = "stall/barrier-wait"
         else:
-            key = _segment_key(seg)
-        row = agg.setdefault(key, {
-            "key": key, "category": seg.category, "kind": seg.kind,
-            "count": 0, "measured_ns": 0, "predicted_ns": 0,
-        })
-        row["count"] += 1
-        row["measured_ns"] += seg.duration_ns
+            bits = [seg.category]
+            if seg.kind != seg.category:
+                bits.append(seg.kind)
+            if seg.label:
+                bits.append(seg.label)
+            key = "/".join(bits)
+            op = labels.op(seg)
+            if op:
+                key += f"@{op}"
+        predicted_ns = 0
         if seg.event_index >= 0:
-            pred = auditor.predicted_s(events[seg.event_index])
+            e = events[seg.event_index]
+            pred = auditor.predicted_s(e)
             if pred is not None:
                 # prediction prices the whole event; the segment may be a
                 # clipped tail, so scale by the covered fraction
-                e = events[seg.event_index]
-                full = _ns(e.t_end) - _ns(e.t_start)
+                full = to_ns(e.t_end) - to_ns(e.t_start)
                 frac = seg.duration_ns / full if full > 0 else 0.0
-                row["predicted_ns"] += int(round(pred * 1e9 * frac))
-    rows = sorted(agg.values(), key=lambda r: (-r["measured_ns"], r["key"]))
-    for row in rows:
-        row["ratio"] = (
-            row["measured_ns"] / row["predicted_ns"] if row["predicted_ns"] else None
+                predicted_ns = int(round(pred * 1e9 * frac))
+        rows.append({
+            "key": key, "category": seg.category, "kind": seg.kind, "count": 1,
+            "measured_ns": seg.duration_ns, "predicted_ns": predicted_ns,
+        })
+    return merge_bottlenecks(rows)
+
+
+# ----------------------------------------------------------------------
+# the analysis, and the documents written from it
+# ----------------------------------------------------------------------
+@dataclass
+class WindowAnalysis:
+    """What the analyzer computed for one window, before any document."""
+
+    window: Window
+    per_rank: Dict[int, Attribution]
+    path: List[Segment]
+    path_attribution: Attribution
+    bottlenecks: List[dict]
+
+    @property
+    def conservation_ok(self) -> bool:
+        return all(a.total_ns == self.window.wall_ns for a in self.per_rank.values())
+
+
+@dataclass
+class Analysis:
+    """One pass over a traced run; every critpath document is a view of it."""
+
+    num_ranks: int
+    wall_clock_ns: int
+    windows: List[WindowAnalysis]
+    labels: _SpanLabels
+
+    def totals(self) -> dict:
+        """Run-level category totals: all ranks summed, and the critical path."""
+        per_rank_sum, path_sum = Attribution(), Attribution()
+        for w in self.windows:
+            for att in w.per_rank.values():
+                per_rank_sum.merge(att)
+            path_sum.merge(w.path_attribution)
+        return {
+            "per_rank_sum": per_rank_sum.as_dict(),
+            "critical_path": path_sum.as_dict(),
+        }
+
+    def bottleneck_rows(self) -> Iterable[dict]:
+        return (row for w in self.windows for row in w.bottlenecks)
+
+
+def analyze(sim) -> Analysis:
+    """Windows → per-rank attribution, critical path and bottleneck rows."""
+    if not sim.tracer.events:
+        raise ValueError(
+            "critpath needs a traced run: construct the Simulator with "
+            "trace=True (or set sim.tracer.enabled) before executing"
         )
-    return rows
+    events = sim.tracer.events
+    auditor = CostAuditor(sim)
+    labels = _SpanLabels(sim.tracer.spans)
+    analyses = []
+    for w in build_windows(sim):
+        path = critical_path(w, events)
+        path_att = Attribution.of(path)
+        # the walk's hops are contiguous except for sub-ns rounding and
+        # explicit sender idle gaps; fold the remainder into stall so the
+        # path attribution conserves the window exactly too
+        path_att.stall_ns += w.wall_ns - path_att.total_ns
+        analyses.append(WindowAnalysis(
+            window=w,
+            per_rank={r: Attribution.of(segs) for r, segs in sorted(w.timelines.items())},
+            path=path,
+            path_attribution=path_att,
+            bottlenecks=rank_bottlenecks(path, events, auditor, labels),
+        ))
+    return Analysis(sim.num_ranks, to_ns(sim.elapsed()), analyses, labels)
 
 
-# ----------------------------------------------------------------------
-# the report
-# ----------------------------------------------------------------------
-def _aggregate_by(segs: List[Segment], key_fn) -> Dict[str, Attribution]:
+def _aggregate_by(segs: List[Segment], key_fn) -> Dict[str, dict]:
     out: Dict[str, Attribution] = {}
     for s in segs:
         key = key_fn(s)
-        if not key:
-            continue
-        out.setdefault(key, Attribution()).add(s.category, s.duration_ns)
-    return out
+        if key:
+            out.setdefault(key, Attribution()).add(s.category, s.duration_ns)
+    return {k: v.as_dict() for k, v in sorted(out.items())}
 
 
 def critpath_report(sim, max_path_segments: int = 512) -> dict:
@@ -488,81 +528,45 @@ def critpath_report(sim, max_path_segments: int = 512) -> dict:
     only the verbatim per-segment listing; aggregates always cover the
     whole path, and ``path_truncated`` says when the listing was cut.
     """
-    if not sim.tracer.events:
-        raise ValueError(
-            "critpath needs a traced run: construct the Simulator with "
-            "trace=True (or set sim.tracer.enabled) before executing"
-        )
-    events = sim.tracer.events
-    auditor = CostAuditor(sim)
-    windows = build_windows(sim)
+    analysis = analyze(sim)
+    labels = analysis.labels
     win_docs = []
-    run_total = Attribution()
-    path_total = Attribution()
-    for w in windows:
-        per_rank = attribute_window(w)
-        conservation_ok = all(
-            att.total_ns == w.wall_ns for att in per_rank.values()
-        )
-        path = critical_path(w, events)
-        path_att = Attribution()
-        for s in path:
-            path_att.add(s.category, s.duration_ns)
-        # the walk's hops are contiguous except for sub-ns rounding and
-        # explicit sender idle gaps; fold the remainder into stall so the
-        # path attribution conserves the window exactly too
-        slack = w.wall_ns - path_att.total_ns
-        path_att.stall_ns += slack
-        bottlenecks = rank_bottlenecks(path, events, auditor)
+    for wa in analysis.windows:
+        w, path = wa.window, wa.path
         all_segs = [s for segs in w.timelines.values() for s in segs]
-        for att in per_rank.values():
-            for c in CATEGORIES:
-                run_total.add(c, getattr(att, c + "_ns"))
-        for c in CATEGORIES:
-            path_total.add(c, getattr(path_att, c + "_ns"))
-        seg_docs = [
-            {
-                "rank": s.rank, "start_ns": s.start_ns, "end_ns": s.end_ns,
-                "category": s.category, "kind": s.kind, "label": s.label,
-                "op": s.op, "layer": s.layer,
-            }
-            for s in path[:max_path_segments]
-        ]
         win_docs.append({
             "label": w.label,
             "start_ns": w.start_ns,
             "end_ns": w.end_ns,
             "wall_ns": w.wall_ns,
-            "conservation_ok": conservation_ok,
+            "conservation_ok": wa.conservation_ok,
             "per_rank": [
-                {"rank": r, **att.as_dict()} for r, att in sorted(per_rank.items())
+                {"rank": r, **att.as_dict()} for r, att in sorted(wa.per_rank.items())
             ],
-            "by_layer": {
-                k: v.as_dict()
-                for k, v in sorted(_aggregate_by(all_segs, lambda s: s.layer).items())
-            },
-            "by_kind": {
-                k: v.as_dict()
-                for k, v in sorted(_aggregate_by(all_segs, lambda s: s.kind).items())
-            },
+            "by_layer": _aggregate_by(all_segs, labels.layer),
+            "by_kind": _aggregate_by(all_segs, lambda s: s.kind),
             "critical_path": {
                 "num_segments": len(path),
                 "path_truncated": len(path) > max_path_segments,
-                **path_att.as_dict(),
-                "segments": seg_docs,
+                **wa.path_attribution.as_dict(),
+                "segments": [
+                    {
+                        "rank": s.rank, "start_ns": s.start_ns, "end_ns": s.end_ns,
+                        "category": s.category, "kind": s.kind, "label": s.label,
+                        "op": labels.op(s), "layer": labels.layer(s),
+                    }
+                    for s in path[:max_path_segments]
+                ],
             },
-            "bottlenecks": bottlenecks,
+            "bottlenecks": wa.bottlenecks,
         })
     return {
         "schema": CRITPATH_SCHEMA,
-        "num_ranks": sim.num_ranks,
-        "num_windows": len(windows),
-        "wall_clock_ns": _ns(sim.elapsed()),
+        "num_ranks": analysis.num_ranks,
+        "num_windows": len(win_docs),
+        "wall_clock_ns": analysis.wall_clock_ns,
         "windows": win_docs,
-        "totals": {
-            "per_rank_sum": run_total.as_dict(),
-            "critical_path": path_total.as_dict(),
-        },
+        "totals": analysis.totals(),
     }
 
 
@@ -574,31 +578,16 @@ def attribution_summary(sim) -> dict:
     enough to commit per ledger line, rich enough for the dashboard's
     Attribution section.
     """
-    doc = critpath_report(sim, max_path_segments=0)
-    bottlenecks: Dict[str, dict] = {}
-    for w in doc["windows"]:
-        for row in w["bottlenecks"]:
-            acc = bottlenecks.setdefault(row["key"], {
-                "key": row["key"], "category": row["category"],
-                "measured_ns": 0, "predicted_ns": 0, "count": 0,
-            })
-            acc["measured_ns"] += row["measured_ns"]
-            acc["predicted_ns"] += row["predicted_ns"]
-            acc["count"] += row["count"]
-    top = sorted(
-        bottlenecks.values(), key=lambda r: (-r["measured_ns"], r["key"])
-    )[:8]
+    analysis = analyze(sim)
+    top = merge_bottlenecks(analysis.bottleneck_rows())[:8]
     for row in top:
-        row["ratio"] = (
-            row["measured_ns"] / row["predicted_ns"] if row["predicted_ns"] else None
-        )
+        del row["kind"]  # the key already spells it
     return {
         "schema": CRITPATH_SCHEMA,
-        "wall_clock_ns": doc["wall_clock_ns"],
-        "num_windows": doc["num_windows"],
-        "conservation_ok": all(w["conservation_ok"] for w in doc["windows"]),
-        "per_rank_sum": doc["totals"]["per_rank_sum"],
-        "critical_path": doc["totals"]["critical_path"],
+        "wall_clock_ns": analysis.wall_clock_ns,
+        "num_windows": len(analysis.windows),
+        "conservation_ok": all(w.conservation_ok for w in analysis.windows),
+        **analysis.totals(),
         "top_bottlenecks": top,
     }
 
@@ -619,22 +608,14 @@ def calibration_suggestion(sim, experiment: str, scheme: str) -> dict:
     run cannot separate α from β; that needs a multi-size regression), it
     just localizes and quantifies the disagreement so a human can act.
     """
-    doc = critpath_report(sim, max_path_segments=0)
-    by_kind: Dict[str, dict] = {}
-    for w in doc["windows"]:
-        for row in w["bottlenecks"]:
-            if not row["kind"] or not row["predicted_ns"]:
-                continue  # stalls and un-priced kinds carry no signal
-            acc = by_kind.setdefault(row["kind"], {
-                "kind": row["kind"], "category": row["category"],
-                "count": 0, "measured_ns": 0, "predicted_ns": 0,
-            })
-            acc["count"] += row["count"]
-            acc["measured_ns"] += row["measured_ns"]
-            acc["predicted_ns"] += row["predicted_ns"]
-    kinds = sorted(by_kind.values(), key=lambda r: (-r["measured_ns"], r["kind"]))
+    analysis = analyze(sim)
+    kinds = merge_bottlenecks(
+        # stalls and un-priced kinds carry no signal
+        (r for r in analysis.bottleneck_rows() if r["kind"] and r["predicted_ns"]),
+        by="kind",
+    )
     for row in kinds:
-        row["ratio"] = row["measured_ns"] / row["predicted_ns"]
+        del row["key"]  # the first of the many keys folded under this kind
 
     def _weighted_scale(category: str) -> Optional[float]:
         rows = [r for r in kinds if r["category"] == category]
@@ -647,9 +628,9 @@ def calibration_suggestion(sim, experiment: str, scheme: str) -> dict:
         "basis": {
             "experiment": experiment,
             "scheme": scheme,
-            "num_ranks": doc["num_ranks"],
-            "num_windows": doc["num_windows"],
-            "wall_clock_ns": doc["wall_clock_ns"],
+            "num_ranks": analysis.num_ranks,
+            "num_windows": len(analysis.windows),
+            "wall_clock_ns": analysis.wall_clock_ns,
         },
         "kinds": kinds,
         "suggestion": {
@@ -725,23 +706,16 @@ def render_report(doc: dict, top: int = 12) -> str:
                f"{doc['num_windows']} window(s), "
                f"wall {_fmt_ns(doc['wall_clock_ns'])}"),
     ))
-    merged: Dict[str, dict] = {}
-    for w in doc["windows"]:
-        for row in w["bottlenecks"]:
-            acc = merged.setdefault(row["key"], dict(row))
-            if acc is not row:
-                acc["count"] += row["count"]
-                acc["measured_ns"] += row["measured_ns"]
-                acc["predicted_ns"] += row["predicted_ns"]
-    rows = []
-    for row in sorted(merged.values(), key=lambda r: (-r["measured_ns"], r["key"]))[:top]:
-        ratio = (row["measured_ns"] / row["predicted_ns"]
-                 if row["predicted_ns"] else None)
-        rows.append([
+    rows = [
+        [
             row["key"], row["count"], _fmt_ns(row["measured_ns"]),
             _fmt_ns(row["predicted_ns"]) if row["predicted_ns"] else "—",
-            f"{ratio:.2f}" if ratio is not None else "—",
-        ])
+            f"{row['ratio']:.2f}" if row["ratio"] is not None else "—",
+        ]
+        for row in merge_bottlenecks(
+            row for w in doc["windows"] for row in w["bottlenecks"]
+        )[:top]
+    ]
     out.append(format_table(
         ["op (critical path)", "count", "measured", "predicted (solo α–β)",
          "meas/pred"],

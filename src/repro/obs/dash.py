@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import html
 import os
+from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
+from repro.obs.critpath import CATEGORIES
 from repro.obs.ledger import RunLedger, RunRecord
 
 DEFAULT_HTML = "dash.html"
@@ -116,9 +118,7 @@ def collect(ledger: RunLedger, printer=print) -> None:
     from repro.obs.claims import ensure_claim_records
 
     records = ledger.read()
-    kinds: dict = {}
-    for r in records:
-        kinds[r.kind] = kinds.get(r.kind, 0) + 1
+    kinds = Counter(r.kind for r in records)
     if not kinds.get("train"):
         _collect_train(ledger, printer)
     if not any(r.scheme == "pipeline" for r in records):
@@ -148,6 +148,14 @@ def _fmt_secs(t: Optional[float]) -> str:
     return "—" if t is None else f"{t:.3f} s"
 
 
+def _fmt_ms(t: Optional[float]) -> str:
+    return "—" if t is None else f"{t * 1e3:.3f} ms"
+
+
+def _num(v, spec: str = ".4g") -> str:
+    return "—" if v is None else format(v, spec)
+
+
 def _record_label(r: RunRecord) -> str:
     bits = [r.kind]
     if r.scheme:
@@ -157,19 +165,24 @@ def _record_label(r: RunRecord) -> str:
     return "/".join(bits)
 
 
+def _trend_values(r: RunRecord) -> dict:
+    """The record's trended metrics that have a value: clock / memory / comm."""
+    c = r.counters or {}
+    values = {
+        "clock": r.clock,
+        "memory": c.get("peak_memory_bytes") or None,
+        "comm": c.get("total_bytes_comm") or None,
+    }
+    return {name: float(v) for name, v in values.items() if v is not None}
+
+
 def trend_series(records: Sequence[RunRecord]) -> dict:
     """(label, value) series for the clock / memory / comm trend charts."""
-    clock, memory, comm = [], [], []
+    series: dict = {"clock": [], "memory": [], "comm": []}
     for r in records:
-        label = _record_label(r)
-        if r.clock is not None:
-            clock.append((label, float(r.clock)))
-        c = r.counters or {}
-        if c.get("peak_memory_bytes"):
-            memory.append((label, float(c["peak_memory_bytes"])))
-        if c.get("total_bytes_comm"):
-            comm.append((label, float(c["total_bytes_comm"])))
-    return {"clock": clock, "memory": memory, "comm": comm}
+        for name, value in _trend_values(r).items():
+            series[name].append((_record_label(r), value))
+    return series
 
 
 def sparkline_series(records: Sequence[RunRecord]) -> dict:
@@ -184,13 +197,8 @@ def sparkline_series(records: Sequence[RunRecord]) -> dict:
         rev = r.git or "unknown"
         if rev not in revs:
             revs.append(rev)
-        if r.clock is not None:
-            per_metric["clock"][rev] = float(r.clock)
-        c = r.counters or {}
-        if c.get("peak_memory_bytes"):
-            per_metric["memory"][rev] = float(c["peak_memory_bytes"])
-        if c.get("total_bytes_comm"):
-            per_metric["comm"][rev] = float(c["total_bytes_comm"])
+        for name, value in _trend_values(r).items():
+            per_metric[name][rev] = value
     return {
         name: [(rev, vals[rev]) for rev in revs if rev in vals]
         for name, vals in per_metric.items()
@@ -217,16 +225,26 @@ def attribution_rows(records: Sequence[RunRecord]) -> List[dict]:
     return rows
 
 
-def serving_rows(records: Sequence[RunRecord]) -> List[dict]:
-    """Newest serve record per (scheme, arrival) arm, in label order."""
+def _arm(r: RunRecord) -> Tuple[str, str]:
+    return r.scheme or "?", (r.extra or {}).get("arrival") or "?"
+
+
+def _newest_by(records: Sequence[RunRecord], kind: Optional[str], key_fn) -> List[Tuple]:
+    """``(key, record)`` for the newest record of ``kind`` (``None``: any) per
+    ``key_fn(record)``, in key order; a ``None`` key leaves the record out."""
     newest: dict = {}
     for r in records:
-        if r.kind != "serve":
-            continue
-        e = r.extra or {}
-        newest[(r.scheme or "?", e.get("arrival") or "?")] = r
+        if kind in (None, r.kind):
+            key = key_fn(r)
+            if key is not None:
+                newest[key] = r
+    return sorted(newest.items())
+
+
+def serving_rows(records: Sequence[RunRecord]) -> List[dict]:
+    """Newest serve record per (scheme, arrival) arm, in label order."""
     rows = []
-    for (scheme, arrival), r in sorted(newest.items()):
+    for (scheme, arrival), r in _newest_by(records, "serve", _arm):
         e = r.extra or {}
         rows.append({
             "record": _record_label(r),
@@ -255,18 +273,12 @@ def sweep_series(records: Sequence[RunRecord]) -> dict:
     with fewer than two distinct rates are dropped (a single point is a
     table row, not a curve).
     """
-    newest: dict = {}
-    for r in records:
-        if r.kind != "serve":
-            continue
-        e = r.extra or {}
-        rate = e.get("rate_rps")
-        if rate is None:
-            continue
-        newest[(r.scheme or "?", e.get("arrival") or "?", float(rate))] = r
+    def arm_at_rate(r: RunRecord):
+        rate = (r.extra or {}).get("rate_rps")
+        return None if rate is None else (*_arm(r), float(rate))
+
     out: dict = {"p99_e2e_s": {}, "goodput": {}}
-    for (scheme, arrival, rate) in sorted(newest):
-        r = newest[(scheme, arrival, rate)]
+    for (scheme, arrival, rate), r in _newest_by(records, "serve", arm_at_rate):
         e = r.extra or {}
         label = f"{scheme}/{arrival}"
         if e.get("p99_e2e_s") is not None:
@@ -285,18 +297,11 @@ def sweep_series(records: Sequence[RunRecord]) -> dict:
 
 def alerts_rows(records: Sequence[RunRecord]) -> List[dict]:
     """Newest serve record per (scheme, arrival) that carries alert totals."""
-    newest: dict = {}
-    for r in records:
-        if r.kind != "serve":
-            continue
-        e = r.extra or {}
-        if "alerts" not in e:
-            continue
-        newest[(r.scheme or "?", e.get("arrival") or "?")] = r
     rows = []
-    for (scheme, arrival), r in sorted(newest.items()):
-        e = r.extra or {}
-        a = e["alerts"]
+    for (scheme, arrival), r in _newest_by(
+        records, "serve", lambda r: _arm(r) if "alerts" in (r.extra or {}) else None
+    ):
+        a = r.extra["alerts"]
         rows.append({
             "record": _record_label(r),
             "run_id": r.run_id,
@@ -311,13 +316,8 @@ def alerts_rows(records: Sequence[RunRecord]) -> List[dict]:
 
 def serve_chaos_rows(records: Sequence[RunRecord]) -> List[dict]:
     """Newest serve-chaos record per scheme, in scheme order."""
-    newest: dict = {}
-    for r in records:
-        if r.kind != "serve-chaos":
-            continue
-        newest[r.scheme or "?"] = r
     rows = []
-    for scheme, r in sorted(newest.items()):
+    for scheme, r in _newest_by(records, "serve-chaos", lambda r: r.scheme or "?"):
         e = r.extra or {}
         rows.append({
             "record": _record_label(r),
@@ -476,15 +476,12 @@ def _line_chart(series: dict, fmt=lambda v: f"{v:.3g}",
     return svg + "<p class='muted'>" + " &nbsp; ".join(legend) + "</p>"
 
 
-_ATT_CATEGORIES = ("compute", "comm", "stall", "overhead")
-
-
 def _att_bar(split: dict) -> str:
     """A stacked category bar (percentages live in the adjacent cells)."""
     total = split.get("total_ns") or 1
     w, h = 220, 12
     x, parts = 0.0, []
-    for cat in _ATT_CATEGORIES:
+    for cat in CATEGORIES:
         ns = split.get(f"{cat}_ns", 0)
         wpx = ns / total * w
         if wpx <= 0:
@@ -576,66 +573,75 @@ def _status_cell(status: str) -> str:
     return f'<span class="{cls}">{icon}&nbsp;{label}</span>'
 
 
-def _claims_section(card: dict) -> str:
-    def num(v, spec=".4g"):
-        return "—" if v is None else format(v, spec)
+def _table_section(title, intro, empty_hint, headers, row_cells, after="") -> str:
+    """One dashboard ``<section>``: heading, muted intro, one table, ``after``.
 
-    rows = []
-    for c in card["claims"]:
-        band = "" if not c["band"] else f"[{c['band'][0]:g}, {c['band'][1]:g}]"
-        rows.append(
-            f"<tr><td>{html.escape(c['title'])}</td>"
-            f"<td>{_status_cell(c['status'])}</td>"
-            f"<td>{num(c['measured'])}</td><td>{num(c['predicted'])}</td>"
-            f"<td>{num(c['ratio'], '.3f')}</td>"
-            f"<td>{band}</td><td class='muted'>{html.escape(c['detail'])}</td></tr>"
-        )
-    head = (f"{card['num_pass']} pass · {card['num_fail']} fail · "
-            f"{card['num_no_evidence']} without evidence")
+    ``row_cells`` holds one list of cell HTML strings per row (a
+    ``(html, css_class)`` pair styles its ``<td>``).  With no rows and an
+    ``empty_hint``, the hint stands in for intro and table.
+    """
+    if not row_cells and empty_hint:
+        return f"<section><h2>{title}</h2><p class='muted'>{empty_hint}</p></section>"
+
+    def td(cell) -> str:
+        if isinstance(cell, tuple):
+            return f"<td class='{cell[1]}'>{cell[0]}</td>"
+        return f"<td>{cell}</td>"
+
     return (
-        f"<section><h2>Paper-claims scorecard</h2><p class='muted'>{head}</p>"
-        "<table><tr><th>claim</th><th>verdict</th><th>measured</th>"
-        "<th>predicted</th><th>measured/predicted</th><th>band</th>"
-        "<th>detail</th></tr>" + "".join(rows) + "</table></section>"
+        f"<section><h2>{title}</h2>"
+        + (f"<p class='muted'>{intro}</p>" if intro else "")
+        + "<table><tr>" + "".join(f"<th>{h}</th>" for h in headers) + "</tr>"
+        + "".join("<tr>" + "".join(map(td, cells)) + "</tr>" for cells in row_cells)
+        + f"</table>{after}</section>"
+    )
+
+
+def _claims_section(card: dict) -> str:
+    return _table_section(
+        "Paper-claims scorecard",
+        f"{card['num_pass']} pass · {card['num_fail']} fail · "
+        f"{card['num_no_evidence']} without evidence",
+        None,
+        ["claim", "verdict", "measured", "predicted", "measured/predicted", "band",
+         "detail"],
+        [
+            [
+                html.escape(c["title"]), _status_cell(c["status"]),
+                _num(c["measured"]), _num(c["predicted"]), _num(c["ratio"], ".3f"),
+                "" if not c["band"] else f"[{c['band'][0]:g}, {c['band'][1]:g}]",
+                (html.escape(c["detail"]), "muted"),
+            ]
+            for c in card["claims"]
+        ],
     )
 
 
 def _attribution_section(rows: List[dict]) -> str:
-    if not rows:
-        body = ("<p class='muted'>no traced records yet (run "
-                "<code>repro critpath …</code> or any stem with tracing to "
-                "attach attribution summaries to the ledger)</p>")
-        return f"<section><h2>Attribution (critical path)</h2>{body}</section>"
-    trs = []
-    for row in rows:
+    def cells(row: dict) -> list:
         split = row["split"]
         total = split.get("total_ns") or 1
-        pct = {
-            cat: 100.0 * split.get(f"{cat}_ns", 0) / total
-            for cat in _ATT_CATEGORIES
-        }
-        ratio = row["top_ratio"]
         top = html.escape(row["top_key"])
-        if ratio is not None:
-            top += f" ({ratio:.2f}× predicted)"
-        trs.append(
-            f"<tr><td>{html.escape(row['record'])}</td>"
-            f"<td>{row['wall_clock_ns'] / 1e9:.6f} s</td>"
-            f"<td>{pct['compute']:.1f}%</td><td>{pct['comm']:.1f}%</td>"
-            f"<td>{pct['stall']:.1f}%</td><td>{pct['overhead']:.1f}%</td>"
-            f"<td>{_att_bar(split)}</td>"
-            f"<td>{_status_cell('pass' if row['conservation_ok'] else 'fail')}</td>"
-            f"<td><code>{top}</code></td></tr>"
-        )
-    return (
-        "<section><h2>Attribution (critical path)</h2>"
-        "<p class='muted'>per-rank nanosecond attribution from "
-        "<code>repro.obs.critpath</code>; conservation means attributed time "
-        "equals wall-clock on every rank, exactly</p>"
-        "<table><tr><th>record</th><th>wall clock</th><th>compute</th>"
-        "<th>comm</th><th>stall</th><th>overhead</th><th>split</th>"
-        "<th>conservation</th><th>top bottleneck</th></tr>"
-        + "".join(trs) + "</table></section>"
+        if row["top_ratio"] is not None:
+            top += f" ({row['top_ratio']:.2f}× predicted)"
+        return [
+            html.escape(row["record"]), f"{row['wall_clock_ns'] / 1e9:.6f} s",
+            *(f"{100.0 * split.get(f'{cat}_ns', 0) / total:.1f}%"
+              for cat in CATEGORIES),
+            _att_bar(split),
+            _status_cell("pass" if row["conservation_ok"] else "fail"),
+            f"<code>{top}</code>",
+        ]
+
+    return _table_section(
+        "Attribution (critical path)",
+        "per-rank nanosecond attribution from <code>repro.obs.critpath</code>; "
+        "conservation means attributed time equals wall-clock on every rank, exactly",
+        "no traced records yet (run <code>repro critpath …</code> or any stem with "
+        "tracing to attach attribution summaries to the ledger)",
+        ["record", "wall clock", *CATEGORIES, "split", "conservation",
+         "top bottleneck"],
+        [cells(row) for row in rows],
     )
 
 
@@ -667,29 +673,6 @@ def _trends_section(series: dict, sparks: dict) -> str:
 
 
 def _serving_section(rows: List[dict]) -> str:
-    if not rows:
-        body = ("<p class='muted'>no serve records yet (run "
-                "<code>repro serve --quick --ledger …</code> to play a seeded "
-                "traffic trace through the decode engines)</p>")
-        return f"<section><h2>Serving</h2>{body}</section>"
-
-    def num(v, spec=".4g"):
-        return "—" if v is None else format(v, spec)
-
-    trs = []
-    for row in rows:
-        p99 = row["p99_e2e_s"]
-        trs.append(
-            f"<tr><td>{html.escape(row['scheme'])}</td>"
-            f"<td>{html.escape(row['arrival'])}</td>"
-            f"<td>{row['ranks'] if row['ranks'] is not None else '—'}</td>"
-            f"<td>{num(row['requests'], 'd') if row['requests'] is not None else '—'}</td>"
-            f"<td>{num(row['rate_rps'], '.0f')}</td>"
-            f"<td>{'—' if p99 is None else f'{p99 * 1e3:.3f} ms'}</td>"
-            f"<td>{num(row['goodput'], '.1f')}</td>"
-            f"<td>{num(row['slo_attainment'], '.2f')}</td>"
-            f"<td><code>{row['run_id']}</code></td></tr>"
-        )
     chart = _bar_chart(
         [
             (f"{row['scheme']}/{row['arrival']}", float(row["goodput"]))
@@ -698,17 +681,27 @@ def _serving_section(rows: List[dict]) -> str:
         ],
         fmt=lambda v: f"{v:.0f} tok/s",
     )
-    return (
-        "<section><h2>Serving</h2>"
-        "<p class='muted'>continuous-batching decode over the 2-D and 1-D "
-        "stacks (<code>repro serve</code>): SLO-gated goodput per "
-        "scheme × arrival profile, newest record per arm</p>"
-        "<table><tr><th>scheme</th><th>arrival</th><th>ranks</th>"
-        "<th>requests</th><th>rate (req/s)</th><th>p99 e2e</th>"
-        "<th>goodput (tok/s)</th><th>SLO attainment</th><th>run_id</th></tr>"
-        + "".join(trs) + "</table>"
-        "<h3 class='muted'>Goodput (SLO-compliant tokens per simulated second)</h3>"
-        + chart + "</section>"
+    return _table_section(
+        "Serving",
+        "continuous-batching decode over the 2-D and 1-D stacks "
+        "(<code>repro serve</code>): SLO-gated goodput per scheme × arrival "
+        "profile, newest record per arm",
+        "no serve records yet (run <code>repro serve --quick --ledger …</code> to "
+        "play a seeded traffic trace through the decode engines)",
+        ["scheme", "arrival", "ranks", "requests", "rate (req/s)", "p99 e2e",
+         "goodput (tok/s)", "SLO attainment", "run_id"],
+        [
+            [
+                html.escape(row["scheme"]), html.escape(row["arrival"]),
+                _num(row["ranks"], ""), _num(row["requests"], "d"),
+                _num(row["rate_rps"], ".0f"), _fmt_ms(row["p99_e2e_s"]),
+                _num(row["goodput"], ".1f"), _num(row["slo_attainment"], ".2f"),
+                f"<code>{row['run_id']}</code>",
+            ]
+            for row in rows
+        ],
+        after="<h3 class='muted'>Goodput (SLO-compliant tokens per simulated "
+        "second)</h3>" + chart,
     )
 
 
@@ -740,107 +733,78 @@ def _sweep_section(series: dict) -> str:
 
 
 def _alerts_section(rows: List[dict]) -> str:
-    if not rows:
-        body = ("<p class='muted'>no alert-bearing serve records yet (run "
-                "<code>repro serve --alerts --ledger …</code> to evaluate the "
-                "stock SLO rules inline)</p>")
-        return f"<section><h2>Alerts</h2>{body}</section>"
-    trs = []
-    for row in rows:
-        fired = row["fired"]
-        rules = ", ".join(row["rules_fired"]) or "—"
-        trs.append(
-            f"<tr><td>{html.escape(row['scheme'])}</td>"
-            f"<td>{html.escape(row['arrival'])}</td>"
-            f"<td>{_status_cell('fired' if fired else 'quiet')}</td>"
-            f"<td>{fired}</td><td>{row['resolved']}</td>"
-            f"<td><code>{html.escape(rules)}</code></td>"
-            f"<td><code>{row['run_id']}</code></td></tr>"
-        )
-    return (
-        "<section><h2>Alerts</h2>"
-        "<p class='muted'>deterministic SLO alerting evaluated inline on the "
-        "simulated clock (<code>repro serve --alerts</code>): firing totals "
-        "per arm, newest alert-bearing record per scheme × arrival</p>"
-        "<table><tr><th>scheme</th><th>arrival</th><th>verdict</th>"
-        "<th>fired</th><th>resolved</th><th>rules fired</th><th>run_id</th>"
-        "</tr>" + "".join(trs) + "</table></section>"
+    return _table_section(
+        "Alerts",
+        "deterministic SLO alerting evaluated inline on the simulated clock "
+        "(<code>repro serve --alerts</code>): firing totals per arm, newest "
+        "alert-bearing record per scheme × arrival",
+        "no alert-bearing serve records yet (run <code>repro serve --alerts "
+        "--ledger …</code> to evaluate the stock SLO rules inline)",
+        ["scheme", "arrival", "verdict", "fired", "resolved", "rules fired", "run_id"],
+        [
+            [
+                html.escape(row["scheme"]), html.escape(row["arrival"]),
+                _status_cell("fired" if row["fired"] else "quiet"),
+                row["fired"], row["resolved"],
+                f"<code>{html.escape(', '.join(row['rules_fired']) or '—')}</code>",
+                f"<code>{row['run_id']}</code>",
+            ]
+            for row in rows
+        ],
     )
 
 
 def _serve_chaos_section(rows: List[dict]) -> str:
-    if not rows:
-        body = ("<p class='muted'>no serve-chaos records yet (run "
-                "<code>repro chaos --serve --quick --ledger …</code> to replay "
-                "seeded traffic through a fault-injected decode loop)</p>")
-        return f"<section><h2>Serving under chaos</h2>{body}</section>"
-
-    def num(v, spec=".4g"):
-        return "—" if v is None else format(v, spec)
-
-    def count(v):
-        return "—" if v is None else format(v, "d")
-
-    trs = []
-    for row in rows:
-        rec_s = row["recovery_s"]
-        ident = row["token_identical"]
-        trs.append(
-            f"<tr><td>{html.escape(row['scheme'])}</td>"
-            f"<td>{html.escape(row['arrival'] or '—')}</td>"
-            f"<td>{count(row['requests'])}</td>"
-            f"<td>{_status_cell('pass' if ident else 'fail')}</td>"
-            f"<td>{count(row['crashes'])}</td>"
-            f"<td>{count(row['retries'])}</td>"
-            f"<td>{count(row['recovered_steps'])}</td>"
-            f"<td>{'—' if rec_s is None else f'{rec_s * 1e3:.3f} ms'}</td>"
-            f"<td>{num(row['goodput'], '.1f')}</td>"
-            f"<td>{_status_cell('pass' if row['ok'] else 'fail')}</td>"
-            f"<td><code>{row['run_id']}</code></td></tr>"
-        )
-    return (
-        "<section><h2>Serving under chaos</h2>"
-        "<p class='muted'>fault-injected decode (<code>repro chaos --serve"
-        "</code>): rank crashes, flaky links and stragglers recovered by "
-        "step re-execution; token-identical means the chaos arm produced "
-        "byte-for-byte the same tokens as a fault-free run of the same "
-        "seed</p>"
-        "<table><tr><th>scheme</th><th>arrival</th><th>requests</th>"
-        "<th>token-identical</th><th>crashes</th><th>retries</th>"
-        "<th>recovered steps</th><th>recovery time</th>"
-        "<th>goodput (tok/s)</th><th>verdict</th><th>run_id</th></tr>"
-        + "".join(trs) + "</table></section>"
+    return _table_section(
+        "Serving under chaos",
+        "fault-injected decode (<code>repro chaos --serve</code>): rank crashes, "
+        "flaky links and stragglers recovered by step re-execution; "
+        "token-identical means the chaos arm produced byte-for-byte the same "
+        "tokens as a fault-free run of the same seed",
+        "no serve-chaos records yet (run <code>repro chaos --serve --quick "
+        "--ledger …</code> to replay seeded traffic through a fault-injected "
+        "decode loop)",
+        ["scheme", "arrival", "requests", "token-identical", "crashes", "retries",
+         "recovered steps", "recovery time", "goodput (tok/s)", "verdict", "run_id"],
+        [
+            [
+                html.escape(row["scheme"]), html.escape(row["arrival"] or "—"),
+                _num(row["requests"], "d"),
+                _status_cell("pass" if row["token_identical"] else "fail"),
+                _num(row["crashes"], "d"), _num(row["retries"], "d"),
+                _num(row["recovered_steps"], "d"), _fmt_ms(row["recovery_s"]),
+                _num(row["goodput"], ".1f"),
+                _status_cell("pass" if row["ok"] else "fail"),
+                f"<code>{row['run_id']}</code>",
+            ]
+            for row in rows
+        ],
     )
 
 
 def _runs_section(records: Sequence[RunRecord]) -> str:
-    trs = []
-    for r in records:
-        c = r.counters or {}
-        trs.append(
-            f"<tr><td><code>{r.run_id}</code></td><td>{html.escape(r.kind)}</td>"
-            f"<td>{html.escape(r.scheme or '—')}</td>"
-            f"<td>{html.escape(r.label or '—')}</td>"
-            f"<td>{(r.mesh or {}).get('ranks', '—')}</td>"
-            f"<td>{_fmt_secs(r.clock)}</td>"
-            f"<td>{_fmt_bytes(c.get('peak_memory_bytes'))}</td>"
-            f"<td>{_fmt_bytes(c.get('total_bytes_comm'))}</td>"
-            f"<td><code>{html.escape(r.git)}</code></td></tr>"
-        )
-    return (
-        "<section><h2>Run ledger</h2>"
-        "<table><tr><th>run_id</th><th>kind</th><th>scheme</th><th>label</th>"
-        "<th>ranks</th><th>sim clock</th><th>peak mem</th><th>comm</th>"
-        "<th>git</th></tr>" + "".join(trs) + "</table></section>"
+    return _table_section(
+        "Run ledger", "", None,
+        ["run_id", "kind", "scheme", "label", "ranks", "sim clock", "peak mem",
+         "comm", "git"],
+        [
+            [
+                f"<code>{r.run_id}</code>", html.escape(r.kind), html.escape(r.scheme or "—"),
+                html.escape(r.label or "—"), (r.mesh or {}).get("ranks", "—"),
+                _fmt_secs(r.clock),
+                _fmt_bytes((r.counters or {}).get("peak_memory_bytes")),
+                _fmt_bytes((r.counters or {}).get("total_bytes_comm")),
+                f"<code>{html.escape(r.git)}</code>",
+            ]
+            for r in records
+        ],
     )
 
 
 def render_html(records: Sequence[RunRecord], card: dict) -> str:
     from repro.obs.ledger import git_revision
 
-    kinds: dict = {}
-    for r in records:
-        kinds[r.kind] = kinds.get(r.kind, 0) + 1
+    kinds = Counter(r.kind for r in records)
     counts = " · ".join(f"{n} {k}" for k, n in sorted(kinds.items())) or "empty"
     return (
         "<!DOCTYPE html><html><head><meta charset='utf-8'>"
@@ -866,14 +830,9 @@ def render_openmetrics_for_records(records: Sequence[RunRecord]) -> str:
     """OpenMetrics text of the newest record per kind (run_id/kind labels)."""
     from repro.obs.openmetrics import render_export
 
-    newest: dict = {}
-    for r in records:
-        if r.metrics:
-            newest[r.kind] = r
     # merge all kinds into one exposition; kind/run_id labels keep series distinct
     merged: List[dict] = []
-    for kind in sorted(newest):
-        r = newest[kind]
+    for _kind, r in _newest_by(records, None, lambda r: r.kind if r.metrics else None):
         for e in r.metrics:
             e = dict(e)
             e["labels"] = dict(e.get("labels") or {})

@@ -8,11 +8,14 @@ joined by ``;``, followed by a space and an integer count — here the
 integer is **nanoseconds of simulated time**.
 
 Stacks are rebuilt exactly from the tracer's span records (each rank's
-``sid``/``parent`` links), with flat trace events (compute kernels,
-collectives, p2p receives) nested under their innermost enclosing span.
-Every frame's *self* time is its duration minus the time covered by its
-children, so a stack's value never double-counts and the per-rank root
-frames sum to that rank's busy time.  Lines are emitted sorted, values are
+``sid``/``parent`` links).  The leaves are the rank's
+:func:`~repro.runtime.events.busy_intervals` — the same disjoint slices the
+critical-path analyzer tiles its windows with — each hung under its
+innermost enclosing span, and only leaves carry a value.  So no nanosecond
+is counted twice, annotation events (serving ``request`` / ``alert``
+markers) never become frames, and a rank's lines sum to exactly the busy
+time :mod:`repro.obs.critpath` attributes to it; idle time is not drawn
+(stall analysis lives there).  Lines are emitted sorted, values are
 deterministic integers, and frame names are sanitized (no spaces or
 semicolons), so the same seeded run always produces byte-identical output.
 """
@@ -22,6 +25,8 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
+from repro.runtime.events import busy_intervals, to_ns
+
 _FRAME_BAD = re.compile(r"[;\s]+")
 
 
@@ -30,22 +35,14 @@ def _frame(name: str) -> str:
     return _FRAME_BAD.sub("_", str(name).strip()) or "_"
 
 
-def _ns(t: float) -> int:
-    return int(round(t * 1e9))
-
-
 class _Node:
     __slots__ = ("name", "start_ns", "end_ns", "children")
 
-    def __init__(self, name: str, start_ns: int, end_ns: int):
+    def __init__(self, name: str, start_ns: int = 0, end_ns: int = 0):
         self.name = name
         self.start_ns = start_ns
         self.end_ns = end_ns
         self.children: List["_Node"] = []
-
-    @property
-    def duration_ns(self) -> int:
-        return self.end_ns - self.start_ns
 
 
 def _span_frame(span) -> str:
@@ -60,79 +57,42 @@ def _span_frame(span) -> str:
 
 
 def _event_frame(e) -> str:
-    if e.kind == "compute":
-        return _frame(f"compute:{e.label}" if e.label else "compute")
-    if e.label:
-        return _frame(f"{e.kind}:{e.label}")
-    return _frame(e.kind)
+    return _frame(f"{e.kind}:{e.label}" if e.label else e.kind)
 
 
-def _build_rank_tree(rank: int, spans, events) -> _Node:
-    """A root node whose children are the rank's top-level spans + events."""
-    horizon = 0
-    for s in spans:
-        horizon = max(horizon, _ns(s.t_end))
-    for e, _targets in events:
-        horizon = max(horizon, _ns(e.t_end))
-    root = _Node(_frame(f"rank{rank}"), 0, horizon)
+def _span_tree(rank: int, spans) -> _Node:
+    """A root node whose descendants are the rank's spans, nested as recorded."""
+    root = _Node(_frame(f"rank{rank}"))
     by_sid: Dict[int, _Node] = {}
     # parents appear with smaller depth; build shallow-to-deep
-    for s in sorted(spans, key=lambda s: (s.depth, _ns(s.t_start), s.sid)):
-        node = _Node(_span_frame(s), _ns(s.t_start), _ns(s.t_end))
+    for s in sorted(spans, key=lambda s: (s.depth, to_ns(s.t_start), s.sid)):
+        node = _Node(_span_frame(s), to_ns(s.t_start), to_ns(s.t_end))
         parent = by_sid.get(s.parent) if s.parent is not None else None
         (parent or root).children.append(node)
         by_sid[s.sid] = node
-
-    def innermost(node: _Node, a: int, b: int) -> _Node:
-        for child in node.children:
-            if child.start_ns <= a and child.end_ns >= b:
-                return innermost(child, a, b)
-        return node
-
-    for e, _targets in sorted(events, key=lambda t: (_ns(t[0].t_start), t[0].kind)):
-        a, b = _ns(e.t_start), _ns(e.t_end)
-        if b <= a:
-            continue
-        innermost(root, a, b).children.append(_Node(_event_frame(e), a, b))
     return root
 
 
 def folded_stacks(sim) -> List[Tuple[str, int]]:
-    """All (stack, self-ns) pairs for a traced run, sorted by stack."""
-    tracer = sim.tracer
+    """All (stack, busy-ns) pairs for a traced run, sorted by stack."""
+    events = sim.tracer.events
     per_rank_spans: Dict[int, list] = {}
-    for s in tracer.spans:
+    for s in sim.tracer.spans:
         per_rank_spans.setdefault(s.rank, []).append(s)
-    per_rank_events: Dict[int, list] = {}
-    for e in tracer.events:
-        if e.kind == "compute":
-            targets = (e.ranks[0],)
-        elif e.kind == "p2p":
-            targets = (e.ranks[1],)
-        else:
-            targets = e.ranks
-        for r in targets:
-            per_rank_events.setdefault(r, []).append((e, r))
-
     totals: Dict[str, int] = {}
-
-    def walk(node: _Node, prefix: str) -> None:
-        stack = f"{prefix};{node.name}" if prefix else node.name
-        child_ns = sum(c.duration_ns for c in node.children)
-        self_ns = node.duration_ns - child_ns
-        if self_ns > 0:
-            totals[stack] = totals.get(stack, 0) + self_ns
-        for c in node.children:
-            walk(c, stack)
-
-    for rank in sorted(set(per_rank_spans) | set(per_rank_events)):
-        root = _build_rank_tree(
-            rank, per_rank_spans.get(rank, []), per_rank_events.get(rank, [])
-        )
-        for child in root.children:
-            walk(child, root.name)
-        # uncovered time under the rank root is idle; keep flamegraphs
-        # busy-only (stall analysis lives in repro.obs.critpath)
+    for rank, slices in busy_intervals(events).items():
+        root = _span_tree(rank, per_rank_spans.get(rank, ()))
+        for a, b, idx in slices:
+            node, frames = root, []
+            while node is not None:  # descend to the innermost enclosing span
+                frames.append(node.name)
+                node = next(
+                    (c for c in node.children if c.start_ns <= a and c.end_ns >= b),
+                    None,
+                )
+            frames.append(_event_frame(events[idx]))
+            stack = ";".join(frames)
+            totals[stack] = totals.get(stack, 0) + (b - a)
     return sorted(totals.items())
 
 

@@ -25,7 +25,17 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
+from repro.runtime.events import OVERHEAD_KINDS
+
 _US = 1e6  # seconds → trace_event microseconds
+
+
+def _slice(name: str, cat: str, pid: int, tid: int, timed, args) -> dict:
+    """One complete (``ph: X``) slice covering ``timed`` — a span or an event."""
+    return {
+        "ph": "X", "name": name, "cat": cat, "pid": pid, "tid": tid,
+        "ts": timed.t_start * _US, "dur": timed.duration * _US, "args": args,
+    }
 
 
 def chrome_trace(sim) -> Dict[str, object]:
@@ -52,18 +62,7 @@ def chrome_trace(sim) -> Dict[str, object]:
     for s in sim.tracer.spans:
         args = dict(s.attrs)
         args["sid"] = s.sid
-        events.append(
-            {
-                "ph": "X",
-                "name": s.name,
-                "cat": s.category,
-                "pid": s.rank,
-                "tid": 0,
-                "ts": s.t_start * _US,
-                "dur": s.duration * _US,
-                "args": args,
-            }
-        )
+        events.append(_slice(s.name, s.category, s.rank, 0, s, args))
 
     # flat events: compute, collectives, point-to-point, serving lifecycle
     flow_id = 0
@@ -73,19 +72,7 @@ def chrome_trace(sim) -> Dict[str, object]:
             attrs = dict(e.attrs or {})
             rid = attrs.get("rid")
             name = f"req{rid}:{e.label}" if rid is not None else e.label
-            for pid in e.ranks:
-                events.append(
-                    {
-                        "ph": "X",
-                        "name": name,
-                        "cat": "request",
-                        "pid": pid,
-                        "tid": 2,
-                        "ts": e.t_start * _US,
-                        "dur": e.duration * _US,
-                        "args": attrs,
-                    }
-                )
+            events.extend(_slice(name, "request", pid, 2, e, attrs) for pid in e.ranks)
             if rid is not None:
                 request_chains.setdefault(rid, []).append(
                     (e.t_start, e.ranks[0], name)
@@ -105,35 +92,14 @@ def chrome_trace(sim) -> Dict[str, object]:
                     }
                 )
         elif e.kind == "compute":
-            events.append(
-                {
-                    "ph": "X",
-                    "name": f"compute:{e.label}" if e.label else "compute",
-                    "cat": "compute",
-                    "pid": e.ranks[0],
-                    "tid": 0,
-                    "ts": e.t_start * _US,
-                    "dur": e.duration * _US,
-                    "args": dict(e.attrs or {}),
-                }
-            )
+            name = f"compute:{e.label}" if e.label else "compute"
+            events.append(_slice(name, "compute", e.ranks[0], 0, e, dict(e.attrs or {})))
         elif e.kind == "p2p":
             src, dst = e.ranks
             flow_id += 1
             args = {"nbytes": e.nbytes, "src": src, "dst": dst}
             for pid, name in ((src, f"p2p→{dst}"), (dst, f"p2p←{src}")):
-                events.append(
-                    {
-                        "ph": "X",
-                        "name": name,
-                        "cat": "p2p",
-                        "pid": pid,
-                        "tid": 1,
-                        "ts": e.t_start * _US,
-                        "dur": e.duration * _US,
-                        "args": args,
-                    }
-                )
+                events.append(_slice(name, "p2p", pid, 1, e, args))
             events.append(
                 {"ph": "s", "id": flow_id, "name": "p2p", "cat": "p2p",
                  "pid": src, "tid": 1, "ts": e.t_start * _US}
@@ -143,11 +109,7 @@ def chrome_trace(sim) -> Dict[str, object]:
                  "pid": dst, "tid": 1, "ts": e.t_end * _US}
             )
         else:  # grouped event (collective or resilience) — one slice per rank
-            cat = (
-                "resilience"
-                if e.kind in ("fault", "checkpoint", "recovery")
-                else "collective"
-            )
+            cat = "resilience" if e.kind in OVERHEAD_KINDS else "collective"
             name = f"{e.kind}:{e.label}" if cat == "resilience" and e.label else e.kind
             args = {
                 "nbytes": e.nbytes,
@@ -155,19 +117,7 @@ def chrome_trace(sim) -> Dict[str, object]:
                 "group": e.label,
                 "ranks": list(e.ranks),
             }
-            for pid in e.ranks:
-                events.append(
-                    {
-                        "ph": "X",
-                        "name": name,
-                        "cat": cat,
-                        "pid": pid,
-                        "tid": 0,
-                        "ts": e.t_start * _US,
-                        "dur": e.duration * _US,
-                        "args": args,
-                    }
-                )
+            events.extend(_slice(name, cat, pid, 0, e, args) for pid in e.ranks)
 
     # one flow chain per request id: arrows link the request's slices
     # across scheduler steps (and across ranks after a migration/swap-in)

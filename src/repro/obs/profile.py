@@ -23,27 +23,36 @@ from repro.obs.report import collective_report, memory_report, top_spans
 from repro.utils.tables import format_bytes, format_table
 
 
-def _stem_profile(cfg, scheme: str, q: int, batch_size: int, mem_timeline: bool):
-    """One traced forward+backward of a paper stem (shape backend)."""
+def _traced_model(
+    scheme: str, cfg, params, mem_timeline: bool, p: int = 4, backend: str = "numpy", **kw
+):
+    """``(sim, model)``: Optimus on a 2×2 mesh, or Megatron on ``p`` flat ranks."""
     from repro.core.model import OptimusModel
     from repro.megatron.model import MegatronModel
     from repro.mesh.mesh import Mesh
-    from repro.nn.init import init_transformer_params
     from repro.runtime.simulator import Simulator
+
+    if scheme == "optimus":
+        sim = Simulator.for_mesh(q=2, backend=backend, trace=True)
+    else:
+        sim = Simulator.for_flat(p=p, backend=backend, trace=True)
+    if mem_timeline:  # before the model distributes its parameters
+        sim.enable_memory_timeline()
+    if scheme == "optimus":
+        return sim, OptimusModel(Mesh(sim, 2), cfg, params, **kw)
+    return sim, MegatronModel(sim, cfg, params, **kw)
+
+
+def _stem_profile(cfg, scheme: str, batch_size: int, mem_timeline: bool):
+    """One traced forward+backward of a paper stem (shape backend)."""
+    from repro.nn.init import init_transformer_params
 
     params = init_transformer_params(
         cfg, backend="shape", dtype="float32", include_embedding=False
     )
-    if scheme == "optimus":
-        sim = Simulator.for_mesh(q=q, backend="shape", trace=True)
-        if mem_timeline:
-            sim.enable_memory_timeline()
-        model = OptimusModel(Mesh(sim, q), cfg, params, stem_only=True)
-    else:
-        sim = Simulator.for_flat(p=q * q, backend="shape", trace=True)
-        if mem_timeline:
-            sim.enable_memory_timeline()
-        model = MegatronModel(sim, cfg, params, stem_only=True)
+    sim, model = _traced_model(
+        scheme, cfg, params, mem_timeline, backend="shape", stem_only=True
+    )
     model.stem_forward(batch_size)
     model.stem_backward()
     return sim
@@ -54,29 +63,17 @@ def _tiny_profile(scheme: str, mem_timeline: bool):
     import numpy as np
 
     from repro.config import tiny_config
-    from repro.core.model import OptimusModel
-    from repro.megatron.model import MegatronModel
-    from repro.mesh.mesh import Mesh
     from repro.nn.init import init_transformer_params
-    from repro.runtime.simulator import Simulator
 
     # heads must divide p=4 for the Megatron path; use the same config for
     # both schemes so their profiles are comparable
     cfg = tiny_config(num_layers=2, num_heads=4, hidden_size=16)
-    params = init_transformer_params(cfg, seed=1)
     rng = np.random.default_rng(0)
     ids = rng.integers(0, cfg.vocab_size, size=(4, cfg.seq_len))
     labels = rng.integers(0, cfg.vocab_size, size=(4, cfg.seq_len))
-    if scheme == "optimus":
-        sim = Simulator.for_mesh(q=2, trace=True)
-        if mem_timeline:
-            sim.enable_memory_timeline()
-        model = OptimusModel(Mesh(sim, 2), cfg, params)
-    else:
-        sim = Simulator.for_flat(p=4, trace=True)
-        if mem_timeline:
-            sim.enable_memory_timeline()
-        model = MegatronModel(sim, cfg, params)
+    sim, model = _traced_model(
+        scheme, cfg, init_transformer_params(cfg, seed=1), mem_timeline
+    )
     model.forward(ids, labels)
     model.backward()
     return sim
@@ -85,19 +82,15 @@ def _tiny_profile(scheme: str, mem_timeline: bool):
 def _train_profile(scheme: str, mem_timeline: bool):
     """Two traced optimizer steps of the tiny model (metrics included)."""
     from repro.config import tiny_config
-    from repro.core.model import OptimusModel
-    from repro.mesh.mesh import Mesh
     from repro.nn.init import init_transformer_params
-    from repro.runtime.simulator import Simulator
     from repro.training.data import random_batch
     from repro.training.optim import SGD
     from repro.training.trainer import Trainer
 
-    cfg = tiny_config(num_layers=2)
-    sim = Simulator.for_mesh(q=2, trace=True)
-    if mem_timeline:
-        sim.enable_memory_timeline()
-    model = OptimusModel(Mesh(sim, 2), cfg, init_transformer_params(cfg, seed=1))
+    cfg = tiny_config(num_layers=2)  # 6 heads: Megatron trains on p=2
+    sim, model = _traced_model(
+        scheme, cfg, init_transformer_params(cfg, seed=1), mem_timeline, p=2
+    )
     opt = SGD(model.parameters(), lr=0.1, sim=sim)
     batches = (random_batch(cfg, 4, seed=i) for i in range(1000))
     Trainer(model, opt, batches).train_steps(2)
@@ -159,7 +152,7 @@ def run_profile(
     """Run the traced workload for ``experiment`` and return its Simulator."""
     if experiment in STEM_EXPERIMENTS:
         cfg, batch = _experiment_cfg(experiment)
-        return _stem_profile(cfg, scheme, q=2, batch_size=batch, mem_timeline=mem_timeline)
+        return _stem_profile(cfg, scheme, batch, mem_timeline)
     if experiment == "tiny":
         return _tiny_profile(scheme, mem_timeline)
     if experiment == "train":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.runtime.events import Tracer
+from repro.runtime.events import Tracer, busy_intervals
 from repro.runtime.simulator import Simulator
 
 
@@ -93,10 +93,8 @@ def collective_stats(tracer: Tracer) -> Dict[str, CollectiveStats]:
     """
     agg: Dict[str, List] = {}
     for e in tracer.events:
-        # request/alert are serving-lifecycle annotations, not traffic
-        if e.kind in ("compute", "request", "alert"):
-            continue
-        agg.setdefault(e.kind, []).append(e)
+        if e.category not in ("compute", None):  # kernels, annotations: no traffic
+            agg.setdefault(e.kind, []).append(e)
     return {
         kind: CollectiveStats(
             kind=kind,
@@ -124,53 +122,24 @@ class RankActivity:
         return self.busy_time / self.total_time if self.total_time else 0.0
 
 
-def _union_length(intervals: List) -> float:
-    """Total length of a union of (start, end) intervals."""
-    if not intervals:
-        return 0.0
-    intervals = sorted(intervals)
-    total = 0.0
-    cur_start, cur_end = intervals[0]
-    for s, e in intervals[1:]:
-        if s > cur_end:
-            total += cur_end - cur_start
-            cur_start, cur_end = s, e
-        else:
-            cur_end = max(cur_end, e)
-    return total + (cur_end - cur_start)
-
-
 def rank_activity(
     tracer: Tracer, num_ranks: int, elapsed: Optional[float] = None
 ) -> List[RankActivity]:
     """Per-rank busy/idle fractions from trace events alone.
 
-    Busy intervals are compute slices, collective participation, and the
-    *receiving* side of point-to-point transfers (the sender's copy engine
-    does not stall its compute stream).  Overlaps are unioned, so a rank is
-    never more than 100% busy.  Unlike :func:`device_breakdowns`, this needs
-    only a tracer — e.g. one loaded back from an exported trace.
+    Busy time is the rank's :func:`~repro.runtime.events.busy_intervals`
+    (compute slices, collective participation, the *receiving* side of
+    point-to-point transfers; overlaps clipped, so a rank is never more than
+    100% busy).  Unlike :func:`device_breakdowns`, this needs only a tracer —
+    e.g. one loaded back from an exported trace.
     """
-    per_rank: Dict[int, List] = {r: [] for r in range(num_ranks)}
-    for e in tracer.events:
-        if e.duration <= 0:
-            continue
-        if e.kind in ("request", "alert"):  # annotations, not occupancy
-            continue
-        if e.kind == "compute":
-            targets = (e.ranks[0],)
-        elif e.kind == "p2p":
-            targets = (e.ranks[1],)
-        else:
-            targets = e.ranks
-        for r in targets:
-            per_rank[r].append((e.t_start, e.t_end))
+    busy_ns = busy_intervals(tracer.events)
     horizon = elapsed
     if horizon is None:
         horizon = max((e.t_end for e in tracer.events), default=0.0)
     out = []
     for r in range(num_ranks):
-        busy = _union_length(per_rank[r])
+        busy = sum(b - a for a, b, _ in busy_ns.get(r, ())) / 1e9
         out.append(
             RankActivity(
                 rank=r,

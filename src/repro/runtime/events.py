@@ -5,7 +5,10 @@ Two complementary record types, both stamped in *simulated* time:
 * :class:`TraceEvent` — flat, per-occurrence records of collectives,
   point-to-point transfers and compute kernels.  These carry the byte and
   β-weighted volumes the cost model charged, and back the communication
-  matrix and the collective-stats aggregations.
+  matrix and the collective-stats aggregations.  What a kind *means* — its
+  attribution category, the ranks it occupies, the nanosecond rounding — is
+  defined here once (:attr:`TraceEvent.category`, :attr:`TraceEvent.occupied`,
+  :func:`to_ns`, :func:`busy_intervals`) and read by every trace consumer.
 
 * :class:`Span` — hierarchical, per-rank regions (``step > layer > op >
   collective``) opened and closed with :meth:`Tracer.span`.  Each rank in a
@@ -25,9 +28,33 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 
+#: grouped collectives, priced by :meth:`repro.comm.cost.GroupCommModel.price`
+COLLECTIVE_KINDS = (
+    "broadcast", "reduce", "all_reduce", "all_gather", "reduce_scatter",
+    "scatter", "gather",
+)
+#: resilience subsystem: simulated time on every listed rank, no bytes
+OVERHEAD_KINDS = ("fault", "checkpoint", "recovery")
+#: serving lifecycle markers: neither time nor bytes
+ANNOTATION_KINDS = ("request", "alert")
+
+_CATEGORY = {
+    "compute": "compute",
+    "p2p": "comm",
+    **dict.fromkeys(COLLECTIVE_KINDS, "comm"),
+    **dict.fromkeys(OVERHEAD_KINDS, "overhead"),
+    **dict.fromkeys(ANNOTATION_KINDS),
+}
+
+
+def to_ns(t: float) -> int:
+    """Simulated seconds as the whole nanoseconds every trace reader counts in."""
+    return int(round(t * 1e9))
+
+
 @dataclass(frozen=True)
 class TraceEvent:
-    kind: str  # "broadcast", "reduce", "all_reduce", "p2p", "compute", ...
+    kind: str  # "compute", "p2p" or one of the kind tuples above
     ranks: Tuple[int, ...]
     t_start: float
     t_end: float
@@ -39,6 +66,52 @@ class TraceEvent:
     @property
     def duration(self) -> float:
         return self.t_end - self.t_start
+
+    @property
+    def category(self) -> Optional[str]:
+        """``"compute"`` | ``"comm"`` | ``"overhead"``; ``None`` for annotations."""
+        return _CATEGORY.get(self.kind)
+
+    @property
+    def occupied(self) -> Tuple[int, ...]:
+        """The ranks whose timeline this event fills.
+
+        A kernel runs on its first rank; a point-to-point transfer stalls
+        only the receiver (the sender's copy engine does not block its
+        compute stream); grouped events hold every participant; annotations
+        hold nobody.
+        """
+        if self.kind == "compute":
+            return self.ranks[:1]
+        if self.kind == "p2p":
+            return self.ranks[1:]
+        return self.ranks if self.category is not None else ()
+
+
+def busy_intervals(events) -> Dict[int, List[Tuple[int, int, int]]]:
+    """Per rank, the sorted disjoint ``(start_ns, end_ns, event index)`` slices
+    its events occupy.
+
+    Overlaps are clipped in start order — an event that begins while the rank
+    is still busy (a p2p arrival, say) contributes only its uncovered tail,
+    and one that is fully shadowed contributes nothing — so the slices of a
+    rank sum to its busy time with no nanosecond counted twice.
+    """
+    atoms: Dict[int, List[Tuple[int, int, int]]] = {}
+    for idx, e in enumerate(events):
+        a, b = to_ns(e.t_start), to_ns(e.t_end)
+        if b > a:
+            for r in e.occupied:
+                atoms.setdefault(r, []).append((a, b, idx))
+    for rank, slices in atoms.items():
+        slices.sort()
+        clipped, cursor = [], 0  # simulated clocks start at zero
+        for a, b, idx in slices:
+            if b > cursor:
+                clipped.append((max(a, cursor), b, idx))
+                cursor = b
+        atoms[rank] = clipped
+    return atoms
 
 
 @dataclass(frozen=True)

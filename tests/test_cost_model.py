@@ -134,3 +134,87 @@ def test_log2_stages_property(n):
         assert s == pytest.approx(math.log2(n))
     else:
         assert s == 0.0
+
+
+class TestPriceList:
+    """`GroupCommModel.price` is the one kind → formula map: the collectives
+    charge it, the SUMMA planner caches it, the critpath auditor predicts it."""
+
+    @staticmethod
+    def _groups():
+        from repro.comm.group import ProcessGroup
+        from repro.mesh.mesh import Mesh
+        from repro.runtime.simulator import Simulator
+
+        flat = Simulator.for_flat(p=4, trace=True)
+        yield "intra-node", ProcessGroup(flat, range(4)), True
+        for kind in ("naive", "bunched"):
+            mesh = Mesh(Simulator.for_mesh(q=4, arrangement_kind=kind, trace=True), 4)
+            col = mesh.col_groups[0]
+            assert not col.model.profile.is_intra_node
+            yield f"{kind}-row", mesh.row_groups[0], False
+            yield f"{kind}-col", col, False
+
+    @staticmethod
+    def _call(kind, group, rows):
+        """Issue one real collective; returns the bytes it should be priced on."""
+        import numpy as np
+
+        from repro.comm import collectives as coll
+
+        g, root = group.size, group.ranks[1]
+        shard = np.ones((rows * g, 3))
+        shards = {r: shard for r in group.ranks}
+        if kind == "broadcast":
+            coll.broadcast(group, shard, root)
+        elif kind == "scatter":
+            coll.scatter(group, shard, root)
+            return shard.nbytes * (g - 1) / g
+        elif kind in ("reduce", "gather"):
+            getattr(coll, kind)(group, shards, root)
+            if kind == "gather":
+                return g * shard.nbytes * (g - 1) / g
+        else:
+            getattr(coll, kind)(group, shards)
+            if kind == "all_gather":
+                return g * shard.nbytes
+        return shard.nbytes
+
+    def test_every_collective_charges_its_price(self):
+        from repro.obs.critpath import CostAuditor
+        from repro.runtime.events import COLLECTIVE_KINDS
+
+        crowded = False
+        for name, group, solo in self._groups():
+            sim = group.sim
+            auditor = CostAuditor(sim)
+            crowded = crowded or group.model.crowding > 1
+            for kind in COLLECTIVE_KINDS:
+                for rows in (1, 7, 256):
+                    dev = sim.device(group.ranks[0])
+                    t0 = sim.sync(sim.ranks)
+                    before = (dev.bytes_comm, dev.weighted_comm_volume)
+                    moved = self._call(kind, group, rows)
+                    dt, nbytes, weighted = group.model.price(kind, moved)
+                    where = (name, kind, rows)
+                    assert nbytes == moved and dt > 0, where
+                    assert [sim.device(r).clock for r in group.ranks] == (
+                        [t0 + dt] * group.size
+                    ), where
+                    assert dev.bytes_comm == before[0] + nbytes, where
+                    assert dev.weighted_comm_volume == before[1] + weighted, where
+                    e = sim.tracer.events[-1]
+                    assert (e.kind, e.nbytes, e.weighted) == (kind, nbytes, weighted), where
+                    assert e.category == "comm" and e.occupied == group.ranks
+                    if solo:  # no sibling crowding: the audit is the charge
+                        assert auditor.predicted_s(e) == dt, where
+                    else:
+                        assert auditor.predicted_s(e) <= dt, where
+        assert crowded, "no case exercised NIC crowding"
+
+    def test_unknown_kind_names_the_valid_ones(self):
+        m = _model([0, 1, 2, 3], num_nodes=1)
+        with pytest.raises(ValueError, match="all_reduce.*gather"):
+            m.price("all_to_all", 1e6)
+        with pytest.raises(ValueError, match="p2p"):
+            m.price("p2p", 1e6)  # topology.p2p_time is a different model

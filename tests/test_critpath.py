@@ -19,7 +19,6 @@ from repro.mesh.mesh import Mesh
 from repro.nn.init import init_transformer_params
 from repro.obs.critpath import (
     CATEGORIES,
-    _ns,
     _SpanIndex,
     attribution_summary,
     build_windows,
@@ -27,7 +26,8 @@ from repro.obs.critpath import (
 )
 from repro.obs.flamegraph import render_folded, validate_folded
 from repro.obs.ledger import canonical_json
-from repro.runtime.events import Span
+from repro.obs.profile import run_profile
+from repro.runtime.events import Span, to_ns
 from repro.runtime.simulator import Simulator
 
 
@@ -108,6 +108,56 @@ class TestConservation:
     def test_untraced_run_raises(self):
         with pytest.raises(ValueError, match="trace"):
             critpath_report(_optimus_stem(trace=False))
+
+
+class TestOneAnalysis:
+    """Summary, calibration and the rendered table are views of one analysis."""
+
+    def test_summary_and_calibration_skip_the_report_only_work(self, monkeypatch):
+        from repro.obs import critpath
+
+        sim = _optimus_stem(backend="shape")
+        doc = critpath_report(sim)
+        assert doc["windows"][0]["by_layer"], "stem has layer spans"
+
+        def unused(*_a, **_k):
+            raise AssertionError("per-layer / per-kind documents are report-only")
+
+        monkeypatch.setattr(critpath, "_aggregate_by", unused)
+        monkeypatch.setattr(critpath, "_layer_name", unused)
+        summary = attribution_summary(sim)
+        calib = critpath.calibration_suggestion(sim, "stem", "optimus")
+        assert summary["per_rank_sum"] == doc["totals"]["per_rank_sum"]
+        assert summary["critical_path"] == doc["totals"]["critical_path"]
+        rows = doc["windows"][0]["bottlenecks"]  # one window: nothing to fold
+        assert summary["top_bottlenecks"] == [
+            {k: v for k, v in r.items() if k != "kind"} for r in rows[:8]
+        ]
+        assert sum(r["measured_ns"] for r in calib["kinds"]) == sum(
+            r["measured_ns"] for r in rows if r["predicted_ns"]
+        )
+
+    def test_merge_folds_windows_once(self):
+        from repro.obs.critpath import merge_bottlenecks, render_report
+        from repro.obs.profile import run_profile
+
+        doc = critpath_report(run_profile("train"))
+        assert doc["num_windows"] == 2
+        rows = [r for w in doc["windows"] for r in w["bottlenecks"]]
+        before = json.dumps(rows)
+        merged = merge_bottlenecks(rows)
+        assert json.dumps(rows) == before  # the document's rows are not touched
+        for field in ("count", "measured_ns", "predicted_ns"):
+            assert sum(r[field] for r in merged) == sum(r[field] for r in rows)
+        assert [r["measured_ns"] for r in merged] == sorted(
+            (r["measured_ns"] for r in merged), reverse=True
+        )
+        # the rendered table shows the folded rows, not twice the first window
+        top = merged[0]
+        line = next(
+            ln for ln in render_report(doc).splitlines() if ln.split()[:1] == [top["key"]]
+        )
+        assert line.split()[1] == str(top["count"])
 
 
 class TestDeterminism:
@@ -196,21 +246,28 @@ class TestFoldedFlamegraph:
         assert validate_folded(text) is None
 
     def test_self_times_sum_to_busy_time(self):
-        sim = _optimus_stem()
-        per_rank: dict = {}
-        for line in render_folded(sim).splitlines():
-            stack, _, value = line.rpartition(" ")
-            rank = stack.split(";", 1)[0]
-            per_rank[rank] = per_rank.get(rank, 0) + int(value)
-        # flamegraph is busy-only: each rank's frames sum to its busy ns
-        windows = build_windows(sim)
-        busy: dict = {}
-        for w in windows:
-            for r, segs in w.timelines.items():
-                busy[f"rank{r}"] = busy.get(f"rank{r}", 0) + sum(
-                    s.duration_ns for s in segs if s.category != "stall"
-                )
-        assert per_rank == busy
+        # the serving traces carry request / alert annotations and events that
+        # overlap on a rank: rank 0 read 45 384 987 "busy" ns against critpath's
+        # 12 529 548 before both readers shared one busy-interval helper
+        for sim in (
+            _optimus_stem(),
+            run_profile("serve", scheme="optimus"),
+            run_profile("serve", scheme="megatron"),
+        ):
+            per_rank: dict = {}
+            for line in render_folded(sim).splitlines():
+                stack, _, value = line.rpartition(" ")
+                frames = stack.split(";")
+                assert not any(f.startswith(("request:", "alert:")) for f in frames)
+                per_rank[frames[0]] = per_rank.get(frames[0], 0) + int(value)
+            # flamegraph is busy-only: each rank's frames sum to its busy ns
+            busy: dict = {}
+            for w in build_windows(sim):
+                for r, segs in w.timelines.items():
+                    busy[f"rank{r}"] = busy.get(f"rank{r}", 0) + sum(
+                        s.duration_ns for s in segs if s.category != "stall"
+                    )
+            assert per_rank == busy
 
     def test_validator_rejects_malformed_lines(self):
         assert validate_folded("a;b notanumber\n") is not None
@@ -412,11 +469,11 @@ def _linear_scan_enclosing(spans, rank, start_ns, end_ns):
     back over every earlier-starting span until one still covers the midpoint."""
     mine = sorted(
         (s for s in spans if s.rank == rank),
-        key=lambda s: (_ns(s.t_start), -_ns(s.t_end)),
+        key=lambda s: (to_ns(s.t_start), -to_ns(s.t_end)),
     )
     mid = (start_ns + end_ns) // 2
     for s in reversed(mine):
-        if _ns(s.t_start) <= mid <= _ns(s.t_end):
+        if to_ns(s.t_start) <= mid <= to_ns(s.t_end):
             return s
     return None
 
@@ -453,7 +510,7 @@ class TestSpanIndex:
         sim = _optimus_stem()
         spans = [s for s in sim.tracer.spans if s.category == "op"]
         index = _SpanIndex(sim.tracer.spans, "op")
-        end = _ns(sim.elapsed())
+        end = to_ns(sim.elapsed())
         for rank in range(sim.num_ranks):
             for a in range(0, end, max(1, end // 400)):
                 assert index.enclosing(rank, a, a + 3) is _linear_scan_enclosing(

@@ -447,6 +447,16 @@ class TestProfileCLI:
 
         assert main(["profile", "tiny", "--scheme", "megatron"]) == 0
         assert "[megatron]" in capsys.readouterr().out
+        # `train` used to print this banner over an Optimus 2×2 mesh
+        assert main(["profile", "train", "--scheme", "megatron"]) == 0
+        assert "profiled train [megatron]: 2 ranks" in capsys.readouterr().out
+        from repro.obs.profile import run_profile
+
+        spans = run_profile("train", scheme="megatron").tracer.spans
+        assert spans and not any(s.name.startswith("summa_") for s in spans)
+        assert any(
+            s.name.startswith("summa_") for s in run_profile("train").tracer.spans
+        )
 
     def test_profile_rejects_unknown_experiment(self):
         from repro.cli import main
