@@ -40,6 +40,7 @@ delivers (see the ablation benchmark).
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -87,7 +88,7 @@ class ArrayPool:
     def acquire(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """A C-contiguous uninitialized array of ``shape``/``dtype``."""
         dt = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize if shape else dt.itemsize
+        nbytes = int(math.prod(shape)) * dt.itemsize
         cls = self._class_of(max(nbytes, 1))
         free = self._free.get(cls)
         if free:

@@ -153,12 +153,17 @@ class _Plan:
         self.batched = None
 
 
-def _dtype_sig(mesh: Mesh, x: DTensor):
+def _dtype_sig(mesh: Mesh, x: DTensor, numeric: bool):
     # Per-rank dtypes, not just the DTensor-level (first shard's) dtype:
     # non-strict mode permits mixed per-shard dtypes, and a mixed tensor
     # colliding with the uniform plan would reuse the wrong out-dtype and
     # wrong scratch/broadcast byte counts (stale-cache bug, PR 7).
+    # np.dtype objects key by value with a C-level hash (their ``.name`` is a
+    # Python-level property); a placeholder's DType keys by its plain
+    # ``name`` attribute rather than a dataclass __hash__ per rank.
     shards = x.shards
+    if numeric:
+        return tuple(shards[r].dtype for r in mesh.ranks)
     return tuple(shards[r].dtype.name for r in mesh.ranks)
 
 
@@ -253,8 +258,8 @@ def _get_plan(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor) -> _Plan:
         b.global_shape,
         _shape_sig(mesh, a),
         _shape_sig(mesh, b),
-        _dtype_sig(mesh, a),
-        _dtype_sig(mesh, b),
+        _dtype_sig(mesh, a, numeric),
+        _dtype_sig(mesh, b, numeric),
         numeric,
     )
     plan = cache.get(key)

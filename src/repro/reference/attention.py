@@ -10,8 +10,9 @@ proposal: attention computed over key/value chunks with an online softmax
 
 Both the unfused helpers (materialized probabilities) and the fused ones
 share this file; the distributed layers pick via their ``fused`` flag.
-Everything runs on the dispatching backend, so dryrun memory accounting
-sees the reduction too.
+They run on the dispatching backend, so dryrun memory accounting sees the
+reduction too.  The serving decode kernel (:func:`decode_attention_fwd`) is
+NumPy only: a KV cache always holds real arrays.
 
 Forward saves only O(b·n·s) softmax statistics (running max ``m`` and
 normalizer ``l``); backward recomputes each chunk's probabilities from Q, K
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import math
 from typing import Tuple
+
+import numpy as np
 
 from repro.backend import ops
 from repro.reference.functional import softmax, softmax_bwd
@@ -51,20 +54,29 @@ def attention_bwd(q, k, v, probs, d_out):
     return d_q, d_k, d_v
 
 
-def decode_attention_fwd(q_vec, k_cache, v_cache):
-    """Single-token attention over a KV cache (the serving decode step).
+def decode_attention_fwd(q, k_slab, v_slab, block_table, mask):
+    """Paged single-token attention for a batch of lanes (the serving decode step).
 
-    ``q_vec`` is the new token's query ``[n, d]``; ``k_cache``/``v_cache``
-    hold the ``ℓ`` cached positions as ``[n, ℓ, d]`` (the new token's own
-    K/V already appended, making the step causal by construction — a token
-    only ever sees positions ``≤`` its own).  Returns ``(context [n, d],
-    probs [n, ℓ])``.
+    ``q`` is each lane's new query ``[W, n, d]``.  A lane's cached positions
+    live in fixed-size blocks of the ``[blocks, n, bs, d]`` slabs, addressed
+    through its row of ``block_table`` ``[W, nb]`` (a shorter table is padded
+    with any valid block id).  ``mask`` ``[W, nb·bs]`` is True at the
+    positions the lane holds, the new token's own K/V already written — a
+    token only ever sees positions ``≤`` its own, so the step is causal by
+    construction.  What the other positions contain (a previous owner's K/V,
+    NaN) never reaches the output.  One lane over one block of ``ℓ``
+    positions is the ``W = nb = 1`` case.  Returns the contexts ``[W, n, d]``.
     """
-    d = q_vec.shape[-1]
-    scores = (k_cache @ q_vec[:, :, None])[:, :, 0] * (1.0 / math.sqrt(d))
-    probs = softmax(scores)
-    ctx = (probs[:, None, :] @ v_cache)[:, 0, :]
-    return ctx, probs
+    lanes, nb = block_table.shape
+    _, n, bs, d = k_slab.shape
+    flat = (lanes, n, nb * bs, d)
+    k = k_slab.take(block_table, axis=0).transpose(0, 2, 1, 3, 4).reshape(flat)
+    v = v_slab.take(block_table, axis=0).transpose(0, 2, 1, 3, 4).reshape(flat)
+    live = mask[:, None, :]
+    scores = np.where(live, (k @ q[:, :, :, None])[:, :, :, 0] * (1.0 / math.sqrt(d)), -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return (probs[:, :, None, :] @ np.where(live[:, :, :, None], v, 0.0))[:, :, 0, :]
 
 
 # ----------------------------------------------------------------------

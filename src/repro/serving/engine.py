@@ -17,9 +17,12 @@ count, so the decode path exercises the exact communication/compute
 accounting of training, including the batched SUMMA executor, which stays
 bit-exact here (``tests/test_serving.py`` compares a whole report with it
 forced off).
-Only attention is new: per-lane causal attention over the sharded KV cache
-(:func:`repro.reference.attention.decode_attention_fwd`), fully local per
-rank in both schemes.
+Only attention is new: paged causal attention over the sharded KV cache
+(:func:`repro.reference.attention.decode_attention_fwd`).  Both schemes
+partition the heads and never the sequence, so the head shards of one shard
+group concatenate: the step writes, gathers and attends a group's lanes in
+one call each per layer, and every rank is still charged its own lanes'
+attention events one by one.
 
 Greedy sampling is distributed and *priced*: each rank finds its local
 vocabulary stripe's (max, argmax), the candidates are all-gathered along
@@ -31,7 +34,7 @@ vocabulary index, matching a serial ``argmax``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +50,12 @@ from repro.reference.attention import decode_attention_fwd
 from repro.resilience.faults import CollectiveTimeoutError, RankCrashError
 from repro.resilience.injector import FaultInjector
 from repro.runtime.simulator import Simulator
-from repro.serving.kvcache import HostSwapSpace, KVShardGroup, ShardedKVCache
+from repro.serving.kvcache import (
+    HostSwapSpace,
+    KVShardGroup,
+    LaneAddresses,
+    ShardedKVCache,
+)
 from repro.serving.scheduler import (
     ContinuousBatchingScheduler,
     ServingOptions,
@@ -64,6 +72,31 @@ class LaneInput:
     slot: int
     token: int
     pos: int  # KV position this token is written to (== tokens fed so far)
+
+
+@dataclass(frozen=True)
+class RowPlan:
+    """One shard group's share of a decode step, the same for its ranks and
+    for every layer."""
+
+    entries: List[LaneInput]  # the real lanes; the row's later lanes are padding
+    #: where the real lanes' new K/V goes and which blocks and positions they
+    #: then read; None without a real lane
+    address: Optional[LaneAddresses]
+    #: per lane, padding included: (FLOPs of q·Kᵀ and of probs·V, softmax
+    #: FLOPs) on one rank at the lane's context length (1 for padding)
+    costs: List[Tuple[float, float]]
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    rows: List[RowPlan]
+    width: int  # lanes every row runs
+
+    @property
+    def total_lanes(self) -> int:
+        """Lanes computed (including shape padding)."""
+        return len(self.rows) * self.width
 
 
 @dataclass
@@ -132,8 +165,9 @@ class ServingEngine:
             head_dim=cfg.head_dim,
             block_size=block_size,
             blocks_per_group=blocks_per_group,
-            dtype="float64",
+            dtype=model.layers[0].attn.qkv_linear.weight.data.dtype,
         )
+        self.step_plan: Optional[StepPlan] = None  # of the last step()
         self.swap: Optional[HostSwapSpace] = None
         if self.options.policy == "preempt" and self.options.swap_blocks > 0:
             self.swap = HostSwapSpace(
@@ -243,7 +277,7 @@ class ServingEngine:
             t1 = self.sim.elapsed()
             dt = t1 - t0
 
-            total_lanes = self.lanes_in_step(entries)
+            total_lanes = self.step_plan.total_lanes
             decode_lanes = len(entries) - prefill_lanes
             pad_lanes = total_lanes - len(entries)
             attribution["prefill"] += dt * prefill_lanes / total_lanes
@@ -329,31 +363,40 @@ class ServingEngine:
 
 
     # ------------------------------------------------------------------
-    def _rows_of(self, entries: List[LaneInput]) -> List[List[LaneInput]]:
-        rows: List[List[LaneInput]] = [[] for _ in self.rows]
+    def _plan_step(self, entries: List[LaneInput]) -> StepPlan:
+        n_loc, d = self.n_loc, self.cfg.head_dim
+        by_row: List[List[LaneInput]] = [[] for _ in self.rows]
         for e in entries:
-            rows[e.slot // self.slots_per_row].append(e)
-        return rows
-
-    def lanes_in_step(self, entries: List[LaneInput]) -> int:
-        """Total lanes computed (including shape padding)."""
-        return len(self.rows) * max(len(r) for r in self._rows_of(entries))
+            by_row[e.slot // self.slots_per_row].append(e)
+        # every row runs the same lane count: rows with fewer active slots
+        # run padding lanes (token 0, length-1 self-attention, output
+        # discarded) — the static-shape waste the report attributes to
+        # "padding".  One row (1-D) never pads.
+        width = max(len(r) for r in by_row)
+        rows = []
+        for row in by_row:
+            ells = [e.pos + 1 for e in row] + [1] * (width - len(row))
+            costs = [
+                (2.0 * n_loc * ell * d, ELEMWISE_COST["softmax"] * (n_loc * ell)) for ell in ells
+            ]
+            address = None
+            if row:
+                address = self.cache.address([e.slot for e in row], [e.pos for e in row])
+            rows.append(RowPlan(row, address, costs))
+        return StepPlan(rows, width)
 
     def step(self, entries: List[LaneInput]) -> Dict[int, int]:
         """One batched decode step; returns {slot: sampled token}."""
         cfg, model = self.cfg, self.model
         n_loc, d = self.n_loc, cfg.head_dim
         device = self.sim.device
-        rows = self._rows_of(entries)
-        width = max(len(r) for r in rows)
+        plan = self.step_plan = self._plan_step(entries)
+        width = plan.width
+        g = self.rows[0].size  # ranks per shard group: together they hold every head
 
-        # every row runs the same lane count: rows with fewer active slots
-        # run padding lanes (token 0, length-1 self-attention, output
-        # discarded) — the static-shape waste the report attributes to
-        # "padding".  One row (1-D) never pads.
-        ids = np.zeros((len(rows) * width, 1), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for w, e in enumerate(row):
+        ids = np.zeros((plan.total_lanes, 1), dtype=np.int64)
+        for i, row in enumerate(plan.rows):
+            for w, e in enumerate(row.entries):
                 ids[i * width + w, 0] = e.token
         x = model.embedding.forward(model.distribute_tokens(ids))
 
@@ -361,31 +404,38 @@ class ServingEngine:
             a = layer.ln1.forward(x)
             qkv = layer.attn.qkv_linear.forward(a)  # [rows·width, 3h]
             ctx_shards = {}
-            for row, group in zip(rows, self.rows):
-                real = len(row)  # lanes past it are padding
-                for rank in group.ranks:
-                    local = np.asarray(qkv.local(rank)).reshape((width, n_loc, 3, d))
-                    dev = device(rank)
-                    ctx = np.empty((width, n_loc, d), dtype=local.dtype)
-                    for w in range(width):
-                        k_vec = local[w, :, 1, :]
-                        v_vec = local[w, :, 2, :]
-                        if w < real:
-                            e = row[w]
-                            self.cache.write(e.slot, layer.index, rank, e.pos, k_vec, v_vec)
-                            k_cat, v_cat = self.cache.gather(e.slot, layer.index, rank, e.pos + 1)
-                        else:  # padding lane: fresh K/V only, nothing cached
-                            k_cat = k_vec[:, None, :]
-                            v_cat = v_vec[:, None, :]
-                        c, probs = decode_attention_fwd(local[w, :, 0, :], k_cat, v_cat)
-                        ctx[w] = c
-                        ell = k_cat.shape[1]
-                        dev.compute(2.0 * n_loc * ell * d)  # q·Kᵀ
-                        dev.compute(2.0 * n_loc * ell * d)  # probs·V
-                        dev.compute(ELEMWISE_COST["softmax"] * probs.size, kind="elementwise")
-                    ctx_shards[rank] = ctx.reshape((width, n_loc * d))
+            for gid, (row, group) in enumerate(zip(plan.rows, self.rows)):
+                ranks = group.ranks
+                # the group's head shards concatenate in group-rank order
+                fused = np.concatenate([qkv.local(r) for r in ranks], axis=1).reshape(
+                    (width, cfg.num_heads, 3, d)
+                )
+                real = len(row.entries)
+                # per rank [width, n_loc·d], filled through a lane-major view
+                ctx = np.empty((g, width, n_loc * d), dtype=fused.dtype)
+                by_lane = ctx.reshape((g, width, n_loc, d)).transpose(1, 0, 2, 3)
+                # a padding lane attends to its own fresh K/V only (nothing
+                # cached): softmax over one position is 1, the context is V
+                if real < width:
+                    by_lane[real:] = fused[real:, :, 2].reshape((-1, g, n_loc, d))
+                if real:
+                    at = row.address
+                    self.cache.write_lanes(
+                        gid, layer.index, at, fused[:real, :, 1], fused[:real, :, 2]
+                    )
+                    k_slab, v_slab = self.cache.slabs[gid][layer.index]
+                    by_lane[:real] = decode_attention_fwd(
+                        fused[:real, :, 0], k_slab, v_slab, at.table, at.mask
+                    ).reshape((real, g, n_loc, d))
+                for j, rank in enumerate(ranks):
+                    ctx_shards[rank] = ctx[j]
+                    compute = device(rank).compute
+                    for gemm, softmax in row.costs:
+                        compute(gemm)  # q·Kᵀ
+                        compute(gemm)  # probs·V
+                        compute(softmax, kind="elementwise")
             ctx_dt = DTensor(
-                model.owner, layer.attn.layout, ctx_shards, (len(rows) * width, cfg.hidden_size)
+                model.owner, layer.attn.layout, ctx_shards, (plan.total_lanes, cfg.hidden_size)
             )
             x = x + layer.attn.out_linear.forward(ctx_dt)
             charge_elementwise(x, "add")
@@ -394,7 +444,7 @@ class ServingEngine:
 
         out = model.final_ln.forward(x)
         logits = model.lm_head.forward(out)  # [rows·width, v]
-        sampled = self._sample_greedy(logits, rows)
+        sampled = self._sample_greedy(logits, [row.entries for row in plan.rows])
         model.drop_caches()
         model.buffers.reset_region("forward")
         return sampled

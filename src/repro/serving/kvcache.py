@@ -18,22 +18,28 @@ preemption) and freed when the sequence is evicted; the preemptive policy
 instead reserves only the known prefix and grows on demand
 (:meth:`ShardedKVCache.ensure_capacity`), spilling preempted victims to a
 :class:`HostSwapSpace` — a host-memory tier metered under its own
-``"kvswap"`` tag with transfer time priced on the simulated clock.  Backing
-arrays come from the shared :class:`~repro.core.buffers.ArrayPool`
-free-list, and every block allocation/free is charged to the owning
-simulated devices' memory meters under the ``"kvcache"`` tag, so serving
-peaks show up in ledger watermarks.
+``"kvswap"`` tag with transfer time priced on the simulated clock.
+
+Host storage is one zero-initialised K and one V *slab* per shard group per
+layer, ``[blocks_per_group, G·n_loc, block_size, d]``: the G ranks' head
+shards concatenated in group-rank order (rank j's shard is the head slice
+``[j·n_loc, (j+1)·n_loc)``), addressed through the per-slot block tables, so
+the decode step reads a whole group's lanes with one block-table gather
+(:func:`repro.reference.attention.decode_attention_fwd`).  A freed block
+keeps its contents until the next owner overwrites them; readers mask by
+length.  Device bytes are still charged per block per rank: every block
+allocation/free goes to the owning simulated devices' memory meters under
+the ``"kvcache"`` tag, so serving peaks show up in ledger watermarks.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.buffers import ArrayPool
 from repro.runtime.memory import MemoryMeter
 
 KV_MEMORY_TAG = "kvcache"
@@ -91,23 +97,22 @@ class HostSwapSpace:
 
 @dataclass
 class SwapTicket:
-    """A swapped-out sequence: its K/V arrays parked in host memory.
+    """A swapped-out sequence: its K/V blocks parked in host memory.
 
-    The array objects themselves move (no copy), so a swap-out/swap-in
-    round trip is bit-exact by construction.  Tickets are bound to the
-    shard group they came from — per-rank shards only make sense on the
-    ranks that produced them.
+    The block contents are copied out of the group's slabs and copied back
+    into whichever block ids :meth:`ShardedKVCache.swap_in` draws, so a
+    round trip is bit-exact.  Tickets are bound to the shard group they came
+    from — per-rank shards only make sense on the ranks that produced them.
     """
 
     slot: int
     gid: int
-    stores: List[Dict[Tuple[int, int], Tuple]]  # one per block, in table order
+    #: per layer, (K, V) of the sequence's blocks in table order,
+    #: each ``[num_blocks, G·n_loc, block_size, d]``
+    layers: List[Tuple[np.ndarray, np.ndarray]]
+    num_blocks: int
     length: int  # committed token count at swap-out
     num_ranks: int
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.stores)
 
 
 class KVBlockPool:
@@ -147,6 +152,17 @@ class KVBlockPool:
 
 
 @dataclass(frozen=True)
+class LaneAddresses:
+    """Where one decode step's ``W`` lanes of one shard group write their
+    new token and what they then read (:meth:`ShardedKVCache.address`)."""
+
+    blocks: np.ndarray  # [W] the block each lane's new K/V goes to
+    offsets: np.ndarray  # [W] its position inside that block
+    table: np.ndarray  # [W, nb] the blocks each lane reads; short tables padded with block 0
+    mask: np.ndarray  # [W, nb·block_size] True at the positions the lane holds
+
+
+@dataclass(frozen=True)
 class KVShardGroup:
     """One replication group of the cache: which ranks store which slots."""
 
@@ -168,7 +184,6 @@ class ShardedKVCache:
         block_size: int,
         blocks_per_group: int,
         dtype: str = "float64",
-        pool: Optional[ArrayPool] = None,
     ):
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
@@ -179,7 +194,6 @@ class ShardedKVCache:
         self.head_dim = head_dim
         self.block_size = block_size
         self.dtype = np.dtype(dtype)
-        self.pool = pool if pool is not None else ArrayPool()
         self.pools: Dict[int, KVBlockPool] = {
             g.gid: KVBlockPool(g.gid, blocks_per_group) for g in self.groups
         }
@@ -189,8 +203,17 @@ class ShardedKVCache:
                 if s in self._group_of_slot:
                     raise ValueError(f"slot {s} assigned to two shard groups")
                 self._group_of_slot[s] = g
-        #: (gid, block_id) -> {(layer, rank): (k [n_loc, bs, d], v [n_loc, bs, d])}
-        self._storage: Dict[Tuple[int, int], Dict[Tuple[int, int], Tuple]] = {}
+        #: gid -> per layer (K, V), each [blocks_per_group, G·n_loc, block_size, d]
+        self.slabs: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        self._heads_of: Dict[int, slice] = {}  # rank -> its head slice of the slab
+        for g in self.groups:
+            shape = (blocks_per_group, len(g.ranks) * heads_loc, block_size, head_dim)
+            self.slabs[g.gid] = [
+                (np.zeros(shape, self.dtype), np.zeros(shape, self.dtype))
+                for _ in range(num_layers)
+            ]
+            for j, rank in enumerate(g.ranks):
+                self._heads_of[rank] = slice(j * heads_loc, (j + 1) * heads_loc)
         self._tables: Dict[int, List[int]] = {}  # slot -> block ids, in order
         self._lengths: Dict[int, int] = {}  # slot -> committed token count
 
@@ -225,19 +248,17 @@ class ShardedKVCache:
 
     # ------------------------------------------------------------------
     def _charge_blocks(self, g: KVShardGroup, block_ids: Sequence[int]) -> None:
-        """Back freshly allocated block ids with arrays and device bytes."""
+        """Charge freshly allocated block ids to the group's devices."""
         nbytes = self.bytes_per_rank_block()
-        shape = (self.heads_loc, self.block_size, self.head_dim)
-        for b in block_ids:
-            store: Dict[Tuple[int, int], Tuple] = {}
+        for _ in block_ids:
             for rank in g.ranks:
                 self.sim.device(rank).memory.alloc(nbytes, tag=KV_MEMORY_TAG)
-                for layer in range(self.num_layers):
-                    store[(layer, rank)] = (
-                        self.pool.acquire(shape, self.dtype),
-                        self.pool.acquire(shape, self.dtype),
-                    )
-            self._storage[(g.gid, b)] = store
+
+    def _refund_blocks(self, g: KVShardGroup, block_ids: Sequence[int]) -> None:
+        nbytes = self.bytes_per_rank_block()
+        for _ in block_ids:
+            for rank in g.ranks:
+                self.sim.device(rank).memory.free(nbytes, tag=KV_MEMORY_TAG)
 
     def reserve(self, slot: int, kv_positions: int) -> None:
         """Allocate (and charge) every block for ``kv_positions`` tokens.
@@ -276,24 +297,16 @@ class ShardedKVCache:
         g = self.group_of(slot)
         block_ids = self._tables.pop(slot)
         self._lengths.pop(slot)
-        nbytes = self.bytes_per_rank_block()
-        for b in block_ids:
-            store = self._storage.pop((g.gid, b))
-            for (_layer, _rank), (k, v) in store.items():
-                self.pool.release(k)
-                self.pool.release(v)
-            for rank in g.ranks:
-                self.sim.device(rank).memory.free(nbytes, tag=KV_MEMORY_TAG)
+        self._refund_blocks(g, block_ids)
         self.pools[g.gid].release(block_ids)
 
     # ------------------------------------------------------------------
     def swap_out(self, slot: int, swap: HostSwapSpace) -> SwapTicket:
         """Spill a slot's K/V blocks to the host tier.
 
-        The backing arrays move into the returned ticket untouched (no
-        copy, bit-exact), device meters and pool ids are released, host
-        bytes are charged, and the group's ranks pay the transfer time on
-        the simulated clock.
+        The blocks' contents are copied into the returned ticket, device
+        meters and pool ids are released, host bytes are charged, and the
+        group's ranks pay the transfer time on the simulated clock.
         """
         g = self.group_of(slot)
         block_ids = self._tables.pop(slot)
@@ -307,11 +320,8 @@ class ShardedKVCache:
                 f"holding {swap.blocks_held} of {swap.capacity_blocks}"
             )
         nbytes = self.bytes_per_rank_block()
-        stores = []
-        for b in block_ids:
-            stores.append(self._storage.pop((g.gid, b)))
-            for rank in g.ranks:
-                self.sim.device(rank).memory.free(nbytes, tag=KV_MEMORY_TAG)
+        layers = [(k[block_ids], v[block_ids]) for k, v in self.slabs[g.gid]]
+        self._refund_blocks(g, block_ids)
         self.pools[g.gid].release(block_ids)
         host_bytes = len(block_ids) * nbytes * len(g.ranks)
         swap.meter.alloc(host_bytes, tag=KV_SWAP_TAG)
@@ -323,7 +333,12 @@ class ShardedKVCache:
         self.sim.sync(g.ranks)
         self.sim.advance(g.ranks, dt)
         return SwapTicket(
-            slot=slot, gid=g.gid, stores=stores, length=length, num_ranks=len(g.ranks)
+            slot=slot,
+            gid=g.gid,
+            layers=layers,
+            num_blocks=len(block_ids),
+            length=length,
+            num_ranks=len(g.ranks),
         )
 
     def can_swap_in(self, slot: int, ticket: SwapTicket) -> bool:
@@ -333,9 +348,9 @@ class ShardedKVCache:
     def swap_in(self, slot: int, ticket: SwapTicket, swap: HostSwapSpace) -> None:
         """Restore a swapped-out sequence into ``slot`` (same shard group).
 
-        Reverses :meth:`swap_out`: fresh block ids, the ticket's arrays
-        re-attached verbatim, device bytes re-charged, host bytes freed,
-        transfer time paid again.
+        Reverses :meth:`swap_out`: fresh block ids, the ticket's contents
+        copied into them, device bytes re-charged, host bytes freed, transfer
+        time paid again.
         """
         if slot in self._tables:
             raise RuntimeError(f"slot {slot} already reserved")
@@ -348,10 +363,10 @@ class ShardedKVCache:
             )
         block_ids = self.pools[g.gid].allocate(ticket.num_blocks)
         nbytes = self.bytes_per_rank_block()
-        for b, store in zip(block_ids, ticket.stores):
-            self._storage[(g.gid, b)] = store
-            for rank in g.ranks:
-                self.sim.device(rank).memory.alloc(nbytes, tag=KV_MEMORY_TAG)
+        for (k, v), (k_held, v_held) in zip(self.slabs[g.gid], ticket.layers):
+            k[block_ids] = k_held
+            v[block_ids] = v_held
+        self._charge_blocks(g, block_ids)
         self._tables[slot] = block_ids
         self._lengths[slot] = ticket.length
         host_bytes = ticket.num_blocks * nbytes * len(g.ranks)
@@ -365,43 +380,54 @@ class ShardedKVCache:
 
     def discard_ticket(self, ticket: SwapTicket, swap: HostSwapSpace) -> None:
         """Drop a swapped-out sequence without restoring it (deadline abort):
-        arrays go back to the free-list, host bytes are uncharged, no
-        transfer is paid (dropping is free)."""
-        for store in ticket.stores:
-            for (_layer, _rank), (k, v) in store.items():
-                self.pool.release(k)
-                self.pool.release(v)
+        host bytes are uncharged, no transfer is paid (dropping is free)."""
         host_bytes = ticket.num_blocks * self.bytes_per_rank_block() * ticket.num_ranks
         swap.meter.free(host_bytes, tag=KV_SWAP_TAG)
         swap.blocks_held -= ticket.num_blocks
-        ticket.stores.clear()
+        ticket.layers.clear()
 
     # ------------------------------------------------------------------
+    def address(self, slots: Sequence[int], positions: Sequence[int]) -> LaneAddresses:
+        """Block-table addressing of one decode step's lanes of one shard
+        group: lane ``i`` appends cache position ``positions[i]`` of
+        ``slots[i]`` and then reads ``[0, positions[i]]``."""
+        bs = self.block_size
+        pos = np.asarray(positions)
+        last = pos // bs  # the table entry each lane writes into
+        table = np.zeros((len(slots), int(last.max()) + 1), dtype=np.intp)
+        for i, slot in enumerate(slots):
+            used = last[i] + 1
+            table[i, :used] = self._tables[slot][:used]
+        return LaneAddresses(
+            blocks=table[np.arange(len(slots)), last],
+            offsets=pos % bs,
+            table=table,
+            mask=np.arange(table.shape[1] * bs) <= pos[:, None],
+        )
+
+    def write_lanes(self, gid: int, layer: int, at: LaneAddresses, k, v) -> None:
+        """Store one new token's K/V per lane (``[W, G·n_loc, d]``)."""
+        k_slab, v_slab = self.slabs[gid][layer]
+        k_slab[at.blocks, :, at.offsets] = k
+        v_slab[at.blocks, :, at.offsets] = v
+
     def write(self, slot: int, layer: int, rank: int, pos: int, k_vec, v_vec) -> None:
         """Store one token's K/V (``[n_loc, d]``) at cache position ``pos``."""
-        g = self.group_of(slot)
-        table = self._tables[slot]
         b, off = divmod(pos, self.block_size)
-        k_arr, v_arr = self._storage[(g.gid, table[b])][(layer, rank)]
-        k_arr[:, off, :] = k_vec
-        v_arr[:, off, :] = v_vec
+        block = self._tables[slot][b]
+        k_slab, v_slab = self.slabs[self.group_of(slot).gid][layer]
+        k_slab[block, self._heads_of[rank], off] = k_vec
+        v_slab[block, self._heads_of[rank], off] = v_vec
 
     def gather(self, slot: int, layer: int, rank: int, upto: int):
         """K/V for positions ``[0, upto)`` as ``[n_loc, upto, d]`` arrays."""
-        g = self.group_of(slot)
-        table = self._tables[slot]
-        bs = self.block_size
-        nblocks = -(-upto // bs)
-        if nblocks == 1:
-            k_arr, v_arr = self._storage[(g.gid, table[0])][(layer, rank)]
-            return k_arr[:, :upto, :], v_arr[:, :upto, :]
-        ks, vs = [], []
-        for b in range(nblocks):
-            k_arr, v_arr = self._storage[(g.gid, table[b])][(layer, rank)]
-            hi = min(bs, upto - b * bs)
-            ks.append(k_arr[:, :hi, :])
-            vs.append(v_arr[:, :hi, :])
-        return np.concatenate(ks, axis=1), np.concatenate(vs, axis=1)
+        blocks = self._tables[slot][: -(-upto // self.block_size)]
+        heads = self._heads_of[rank]
+        shape = (self.heads_loc, len(blocks) * self.block_size, self.head_dim)
+        return tuple(
+            slab[blocks, heads].transpose(1, 0, 2, 3).reshape(shape)[:, :upto]
+            for slab in self.slabs[self.group_of(slot).gid][layer]
+        )
 
     def commit(self, slot: int) -> None:
         """Advance the committed length after a token's K/V is fully written."""

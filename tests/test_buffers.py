@@ -1,8 +1,9 @@
 """The §3.2.3 buffer manager: regions, managed/unmanaged semantics, ablations."""
 
+import numpy as np
 import pytest
 
-from repro.core.buffers import REGIONS, BufferManager
+from repro.core.buffers import REGIONS, ArrayPool, BufferManager
 from repro.runtime import Simulator
 
 
@@ -111,3 +112,19 @@ class TestValidation:
         m.release_all()
         assert sim.device(0).memory.current == 0
         assert m.total_capacity(0) == 0
+
+
+class TestArrayPoolSizing:
+    @pytest.mark.parametrize(
+        "shape, nbytes, size_class",
+        [((), 8, 8), ((0,), 0, 1), ((3, 0, 2), 0, 1), ((3, 5, 7), 840, 1024)],
+    )
+    def test_nbytes_and_size_class(self, shape, nbytes, size_class):
+        pool = ArrayPool()
+        x = pool.acquire(shape, np.float64)
+        assert x.shape == shape and x.dtype == np.float64 and x.nbytes == nbytes
+        assert (pool.hits, pool.misses) == (0, 1)
+        pool.release(x)
+        assert pool.stats()["free_bytes"] == size_class
+        y = pool.acquire(shape, np.float64)  # the same class: served from the list
+        assert y.shape == shape and (pool.hits, pool.misses) == (1, 1)

@@ -298,3 +298,62 @@ def test_dryrun_shape_math_is_derived_once_not_per_rank(monkeypatch, stem, small
         built.append(0)
         stem(tiny_config(num_heads=4), batch_size=8, **kw)
     assert 0 < built[1] <= growth * built[0], built
+
+
+# the SimDevice.compute calls of each decode step, counted before the paged
+# rewrite: attention is still charged rank × lane × (gemm, gemm, softmax)
+_DECODE_CHARGES = {
+    "optimus": [208, 232, 232, 232, 208, 208, 184, 184, 184, 184, 184, 184, 184, 184],
+    "megatron": [136, 136, 160, 160, 136, 136, 112, 112, 112, 112, 112, 112, 112, 112, 112],
+}
+
+
+@pytest.mark.parametrize("scheme", ["optimus", "megatron"])
+def test_decode_step_attends_once_per_shard_group_and_charges_per_lane(monkeypatch, scheme):
+    """Host work per step is one attention call per shard group per layer
+    and no per-lane ``gather``; the simulated charge sequence is per rank
+    per lane, as it always was."""
+    from repro.runtime.device import SimDevice
+    from repro.serving import engine as serving_engine
+    from repro.serving.kvcache import ShardedKVCache
+    from repro.serving.traffic import Request
+
+    calls = {"kernel": 0, "gather": 0, "compute": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        serving_engine, "decode_attention_fwd",
+        counted("kernel", serving_engine.decode_attention_fwd),
+    )
+    monkeypatch.setattr(ShardedKVCache, "gather", counted("gather", ShardedKVCache.gather))
+    monkeypatch.setattr(SimDevice, "compute", counted("compute", SimDevice.compute))
+
+    cfg = tiny_config(num_heads=4)
+    eng = serving_engine.make_engine(
+        scheme, cfg, init_transformer_params(cfg, seed=1), 2, 8, 8, 16
+    )
+    per_step = []
+    step = type(eng).step
+
+    def watched(self, entries):
+        before = dict(calls)
+        out = step(self, entries)
+        per_step.append({k: calls[k] - before[k] for k in calls})
+        return out
+
+    monkeypatch.setattr(type(eng), "step", watched)
+    specs = [(0.0, (5, 11, 23), 4), (0.0, (40, 1), 3), (0.0002, (7, 7, 7, 9, 13, 2, 30, 19, 44), 5)]
+    eng.run([Request(rid=i, arrival=a, prompt=p, max_new=m) for i, (a, p, m) in enumerate(specs)])
+
+    assert [s["compute"] for s in per_step] == _DECODE_CHARGES[scheme]
+    assert all(s["gather"] == 0 for s in per_step)
+    budget = len(eng.rows) * cfg.num_layers
+    assert all(0 < s["kernel"] <= budget for s in per_step)
+    # a mesh row whose slots are all idle runs padding lanes only: no call
+    assert scheme == "megatron" or any(s["kernel"] < budget for s in per_step)

@@ -7,15 +7,20 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.config import tiny_config
 from repro.nn.init import init_transformer_params
 from repro.obs.ledger import RunLedger, RunRecord, compact
+from repro.reference.attention import attention_fwd, decode_attention_fwd
 from repro.reference.functional import gelu, layernorm_fwd
 from repro.runtime.simulator import Simulator
 from repro.serving.engine import make_engine
 from repro.serving.kvcache import (
     KV_MEMORY_TAG,
+    HostSwapSpace,
     KVBlockPool,
     KVShardGroup,
     ShardedKVCache,
@@ -143,6 +148,46 @@ class TestKVCache:
         np.testing.assert_array_equal(k_cat, ks.transpose(1, 0, 2))
         np.testing.assert_array_equal(v_cat, vs.transpose(1, 0, 2))
 
+    def test_swap_round_trip_through_reused_blocks_is_bit_exact(self):
+        sim = Simulator.for_flat(2)
+        cache = _flat_cache(sim, block_size=2, blocks=6, layers=2)
+        swap = HostSwapSpace(8, cache.bytes_per_rank_block())
+        rng = np.random.default_rng(3)
+
+        def fill(slot, count):
+            for pos in range(count):
+                for layer in range(2):
+                    for rank in sim.ranks:
+                        cache.write(slot, layer, rank, pos, *rng.normal(size=(2, 2, 3)))
+                cache.commit(slot)
+
+        def snapshot(slot, count):
+            return [
+                cache.gather(slot, layer, rank, count)
+                for layer in range(2)
+                for rank in sim.ranks
+            ]
+
+        cache.reserve(0, kv_positions=5)  # blocks 0, 1, 2
+        fill(0, 5)
+        before = [(k.copy(), v.copy()) for k, v in snapshot(0, 5)]
+        ticket = cache.swap_out(0, swap)
+        cache.reserve(1, kv_positions=4)  # takes the freed blocks 0, 1 ...
+        fill(1, 4)  # ... and overwrites what slot 0 left in them
+        cache.swap_in(2, ticket, swap)
+        assert cache._tables[2] == [2, 3, 4]  # not where it was swapped out from
+        assert cache.length(2) == 5
+        for (k0, v0), (k1, v1) in zip(before, snapshot(2, 5)):
+            np.testing.assert_array_equal(k0, k1)
+            np.testing.assert_array_equal(v0, v1)
+        assert swap.meter.current == 0 and swap.blocks_held == 0
+
+        cache.discard_ticket(cache.swap_out(1, swap), swap)
+        cache.free(2)
+        assert swap.meter.current == 0 and swap.blocks_held == 0
+        assert all(sim.device(r).memory.by_tag.get(KV_MEMORY_TAG, 0) == 0 for r in sim.ranks)
+        assert cache.pools[0].in_use == 0
+
     def test_equal_per_device_bytes_across_schemes(self):
         """The report's blocks scaling keeps per-device KV bytes equal."""
         q, blocks, bs = 2, 12, 8
@@ -151,6 +196,172 @@ class TestKVCache:
         assert opt.cache.per_device_capacity_bytes() == meg.cache.per_device_capacity_bytes()
         # and the shard itself is O(bsh/p): q× thinner heads on q²/q× ranks
         assert meg.cache.bytes_per_rank_block() * q == opt.cache.bytes_per_rank_block()
+
+
+class KVCacheMachine(RuleBasedStateMachine):
+    """Whatever order blocks are drawn, grown, freed and swapped in,
+    ``gather`` returns what was written and no block has two owners."""
+
+    SLOTS, LAYERS, BS, BLOCKS = 3, 2, 2, 5
+
+    def __init__(self):
+        super().__init__()
+        self.sim = Simulator.for_flat(2)
+        self.cache = _flat_cache(
+            self.sim,
+            slots=self.SLOTS,
+            block_size=self.BS,
+            blocks=self.BLOCKS,
+            layers=self.LAYERS,
+            heads=2,
+            d=3,
+        )
+        self.swap = HostSwapSpace(4, self.cache.bytes_per_rank_block())
+        self.written = {}  # resident slot -> {(layer, rank): [(k, v) per position]}
+        self.parked = []  # (ticket, what its slot had written)
+        self.stamp = 0.0
+
+    def _free_slots(self):
+        return [s for s in range(self.SLOTS) if s not in self.written]
+
+    @precondition(lambda self: self._free_slots())
+    @rule(positions=st.integers(1, 4), pick=st.integers(0, 2))
+    def reserve(self, positions, pick):
+        free = self._free_slots()
+        slot = free[pick % len(free)]
+        if self.cache.can_reserve(slot, positions):
+            self.cache.reserve(slot, positions)
+            self.written[slot] = {
+                (layer, r): [] for layer in range(self.LAYERS) for r in self.sim.ranks
+            }
+
+    @precondition(lambda self: self.written)
+    @rule(pick=st.integers(0, 2))
+    def append(self, pick):
+        slot = sorted(self.written)[pick % len(self.written)]
+        pos = self.cache.length(slot)
+        if not self.cache.ensure_capacity(slot, pos + 1):
+            return
+        for (layer, rank), seen in self.written[slot].items():
+            self.stamp += 1.0
+            k = np.full((2, 3), self.stamp)
+            self.cache.write(slot, layer, rank, pos, k, -k)
+            seen.append((k, -k))
+        self.cache.commit(slot)
+
+    @precondition(lambda self: self.written)
+    @rule(pick=st.integers(0, 2))
+    def free(self, pick):
+        slot = sorted(self.written)[pick % len(self.written)]
+        self.cache.free(slot)
+        del self.written[slot]
+
+    @precondition(lambda self: self.written)
+    @rule(pick=st.integers(0, 2))
+    def swap_out(self, pick):
+        slot = sorted(self.written)[pick % len(self.written)]
+        if self.swap.can_hold(self.cache.blocks_of(slot)):
+            self.parked.append((self.cache.swap_out(slot, self.swap), self.written.pop(slot)))
+
+    @precondition(lambda self: self.parked and self._free_slots())
+    @rule(pick=st.integers(0, 2))
+    def swap_in(self, pick):
+        free = self._free_slots()
+        slot = free[pick % len(free)]
+        ticket, seen = self.parked[0]
+        if self.cache.can_swap_in(slot, ticket):
+            self.cache.swap_in(slot, ticket, self.swap)
+            self.written[slot] = seen
+            self.parked.pop(0)
+
+    @invariant()
+    def gather_returns_what_was_written(self):
+        for slot, shards in self.written.items():
+            for (layer, rank), seen in shards.items():
+                assert self.cache.length(slot) == len(seen)
+                if seen:
+                    k, v = self.cache.gather(slot, layer, rank, len(seen))
+                    np.testing.assert_array_equal(k, np.stack([s[0] for s in seen], axis=1))
+                    np.testing.assert_array_equal(v, np.stack([s[1] for s in seen], axis=1))
+
+    @invariant()
+    def no_block_in_two_tables(self):
+        held = [b for slot in self.written for b in self.cache._tables[slot]]
+        assert len(held) == len(set(held)) == self.cache.pools[0].in_use
+        assert self.swap.blocks_held == sum(t.num_blocks for t, _ in self.parked)
+
+
+KVCacheMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=30, deadline=None)
+TestKVCacheStateMachine = KVCacheMachine.TestCase
+
+
+# ----------------------------------------------------------------------
+# paged decode attention
+# ----------------------------------------------------------------------
+def _paged_lanes(lengths, bs=4, n=3, d=5, blocks=24, seed=0):
+    """Ragged lanes scattered over shuffled blocks of fresh slabs: returns the
+    kernel's arguments and each lane's dense ``(k, v)`` ``[n, ℓ, d]``."""
+    rng = np.random.default_rng(seed)
+    k_slab = rng.normal(size=(blocks, n, bs, d))  # stale contents everywhere
+    v_slab = rng.normal(size=(blocks, n, bs, d))
+    ids = iter(rng.permutation(blocks))
+    nb = max(-(-ell // bs) for ell in lengths)
+    table = np.zeros((len(lengths), nb), dtype=np.intp)
+    dense = []
+    for w, ell in enumerate(lengths):
+        k, v = rng.normal(size=(2, n, ell, d))
+        dense.append((k, v))
+        for b in range(-(-ell // bs)):
+            table[w, b] = next(ids)
+            hi = min(bs, ell - b * bs)
+            k_slab[table[w, b], :, :hi] = k[:, b * bs : b * bs + hi]
+            v_slab[table[w, b], :, :hi] = v[:, b * bs : b * bs + hi]
+    mask = np.arange(nb * bs) < np.asarray(lengths)[:, None]
+    q = rng.normal(size=(len(lengths), n, d))
+    return (q, k_slab, v_slab, table, mask), dense
+
+
+class TestPagedDecodeAttention:
+    LENGTHS = [1, 3, 4, 5, 9, 12, 13, 16, 1]  # 1–4 blocks of 4
+
+    def test_matches_causal_attention_per_lane(self):
+        args, dense = _paged_lanes(self.LENGTHS)
+        ctx = decode_attention_fwd(*args)
+        assert ctx.shape == (len(self.LENGTHS), 3, 5)
+        for w, (k, v) in enumerate(dense):
+            # the newest token sees every cached position: one query row of
+            # plain attention over the lane's dense K/V
+            want, _ = attention_fwd(args[0][w][None, :, None, :], k[None], v[None])
+            np.testing.assert_allclose(ctx[w], want[0, :, 0, :], rtol=1e-12, atol=0)
+            if k.shape[1] == 1:
+                np.testing.assert_array_equal(ctx[w], v[:, 0, :])
+
+    def test_single_lane_is_the_batch_of_one(self):
+        args, _ = _paged_lanes(self.LENGTHS)
+        q, k_slab, v_slab, table, mask = args
+        ctx = decode_attention_fwd(*args)
+        for w in range(len(self.LENGTHS)):
+            lane = slice(w, w + 1)
+            one = decode_attention_fwd(q[lane], k_slab, v_slab, table[lane], mask[lane])
+            np.testing.assert_allclose(one[0], ctx[w], rtol=1e-12, atol=0)
+
+    def test_stale_blocks_never_leak(self):
+        """A reused block keeps its previous owner's K/V: nothing outside a
+        lane's own ``[0, ℓ)`` may reach its context — not even NaN."""
+        args, _ = _paged_lanes(self.LENGTHS)
+        q, k_slab, v_slab, table, mask = args
+        clean = decode_attention_fwd(*args)
+        bs = k_slab.shape[2]
+        poisoned = np.ones(k_slab.shape[:1] + (bs,), dtype=bool)  # [block, position]
+        for w, ell in enumerate(self.LENGTHS):
+            for b in range(-(-ell // bs)):
+                poisoned[table[w, b], : min(bs, ell - b * bs)] = False
+        for slab in (k_slab, v_slab):
+            slab.transpose(0, 2, 1, 3)[poisoned] = np.nan
+        assert np.isnan(k_slab).any() and np.isnan(v_slab).any()
+        ctx = decode_attention_fwd(q, k_slab, v_slab, table, mask)
+        assert np.isfinite(ctx).all()
+        np.testing.assert_array_equal(ctx, clean)
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +504,20 @@ class TestDecodeEquivalence:
         for r in self.REQS:
             expect = _serial_greedy_decode(CFG, PARAMS, r.prompt, r.max_new)
             assert got[r.rid] == expect, f"rid {r.rid}"
+
+    def test_float32_model_gets_a_float32_cache(self):
+        """The KV cache holds what the model computes: a 4-byte model is not
+        priced (device bytes, watermark, swap transfers) at 8 bytes."""
+        params32 = init_transformer_params(CFG, seed=1, dtype="float32")
+        engine = make_engine("optimus", CFG, params32, 2, 8, 8, 16)
+        assert engine.cache.dtype == np.float32
+        wide = make_engine("optimus", CFG, PARAMS, 2, 8, 8, 16).cache
+        assert wide.dtype == np.float64  # every committed baseline
+        assert 2 * engine.cache.bytes_per_rank_block() == wide.bytes_per_rank_block()
+        result = engine.run(self.REQS)
+        got = {s.request.rid: list(s.generated) for s in result.completed}
+        for r in self.REQS:
+            assert got[r.rid] == _serial_greedy_decode(CFG, params32, r.prompt, r.max_new)
 
     def test_batching_invariance(self):
         """slots=2 (sequential-ish) and slots=8 (batched) sample the same
