@@ -75,13 +75,11 @@ def _copy(x):
 
 
 def _charge(group: ProcessGroup, kind: str, dt: float, nbytes: float, weighted: float):
-    sim = group.sim
-    if group.size <= 1:
+    devices = group.devices
+    if len(devices) <= 1:
         return  # a single-rank group moves no data and costs nothing
-    t0 = sim.sync(group.ranks)
-    sim.advance(group.ranks, dt)
-    for r in group.ranks:
-        sim.device(r).charge_comm(dt, nbytes, weighted)
+    sim = group.sim
+    t0 = sim.charge_collective(devices, dt, nbytes, weighted)
     # guard before touching the tracer: when tracing is off the hot SUMMA
     # loop must not pay for argument construction
     if sim.tracer.enabled:

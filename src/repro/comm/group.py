@@ -31,6 +31,9 @@ class ProcessGroup:
                 raise ValueError(f"rank {r} outside simulator of {sim.num_ranks} ranks")
         self.sim = sim
         self.ranks: Tuple[int, ...] = ranks
+        #: the ranks' devices, in group order — what a collective charge
+        #: iterates (``Simulator.devices`` is never rebound)
+        self.devices = tuple(sim.devices[r] for r in ranks)
         self.kind = kind
         self.model = GroupCommModel.build(
             sim.topology, sim.arrangement, ranks, siblings=siblings
@@ -45,9 +48,6 @@ class ProcessGroup:
 
     def contains(self, rank: int) -> bool:
         return rank in self.ranks
-
-    def devices(self):
-        return [self.sim.device(r) for r in self.ranks]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessGroup(kind={self.kind!r}, ranks={self.ranks})"

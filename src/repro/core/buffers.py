@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -174,6 +174,8 @@ class BufferManager:
     def hold(self, region: str, rank: int, nbytes: int) -> int:
         """Logically place ``nbytes`` in a region; returns bytes held."""
         nbytes = int(nbytes)
+        if nbytes < 0:
+            raise ValueError("negative allocation")
         region = self._canonical(region)
         st = self._regions[region][rank]
         mem = self.sim.device(rank).memory
@@ -189,6 +191,52 @@ class BufferManager:
         else:
             mem.alloc(nbytes, self._tag(region))
         return nbytes
+
+    def hold_many(self, region: str, holds: Sequence[Tuple[int, int]]) -> None:
+        """:meth:`hold` each ``(rank, nbytes)`` of ``holds`` (integer byte
+        counts), in order, from one frame.  A hold that fits its managed
+        arena only moves the usage mark; arena growth and unmanaged mode go
+        through :meth:`hold`, so allocations, gauges and a strict-capacity
+        OOM happen where a ``hold`` loop has them.  No rank is touched if any
+        entry is negative."""
+        for _rank, nbytes in holds:
+            if nbytes < 0:
+                raise ValueError("negative allocation")
+        region = self._canonical(region)
+        regions = self._regions[region]
+        managed = self.managed
+        for rank, nbytes in holds:
+            st = regions[rank]
+            if managed and st.usage + nbytes <= st.capacity:
+                st.usage += nbytes
+            else:
+                self.hold(region, rank, nbytes)
+
+    def compute_in_workspace(self, ranks: Sequence[int], nbytes: int, flops: float) -> None:
+        """SUMMA's workspace pattern on each of ``ranks``: hold ``nbytes`` of
+        workspace, charge one ``flops`` gemm, release.  When every rank's
+        managed arena already fits the block nothing observable happens to
+        memory, and the gemms are one :meth:`Simulator.charge_compute`;
+        otherwise (an arena must grow, or unmanaged mode, where the free is
+        stamped after the gemm) each rank runs the three calls."""
+        if nbytes < 0:
+            raise ValueError("negative allocation")
+        if flops < 0:
+            raise ValueError("negative flops")
+        sim = self.sim
+        if self.managed:
+            regions = self._regions["workspace"]
+            for rank in ranks:
+                st = regions[rank]
+                if st.usage + nbytes > st.capacity:
+                    break
+            else:
+                sim.charge_compute(ranks, ((flops, "gemm"),))
+                return
+        for rank in ranks:
+            self.hold("workspace", rank, nbytes)
+            sim.devices[rank].compute(flops)
+            self.release("workspace", rank, nbytes)
 
     def release(self, region: str, rank: int, nbytes: int) -> None:
         """Logically release ``nbytes``; frees real memory in unmanaged mode."""

@@ -125,9 +125,7 @@ class Linear2D(DistModule):
         dx, dw = grads_of_ab(self.mesh, self._x, self.weight.data, dy, self.buffers)
         self.weight.add_grad(dw)
         hold(self.buffers, "backward", dx)
-        if self.buffers is not None:
-            for rank, shard in dw.shards.items():
-                self.buffers.hold("param_grad", rank, ops.nbytes(shard))
+        hold(self.buffers, "param_grad", dw)
         self._x = None
         return dx
 

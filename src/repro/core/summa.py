@@ -44,12 +44,13 @@ products as one broadcasted ``np.matmul`` (``ab``:
 ``(q,1,m,k) @ (1,q,k,n) → (q,q,m,n)``), folds the reduces of ``abt``/``atb``
 as in-place adds in group-rank order, and *replays* the accounting from the
 plan in the per-rank call order (charge-only collectives, per-gemm
-``device.compute`` and workspace holds) — so clocks, byte counters, weighted
-volumes, memory peaks and trace events/spans are bit-identical between the
-two.  On a dryrun (``ShapeArray``) plan there is no product to compute: the
-batched executor *is* that replay, plus one output placeholder of the
-plan's block shape and dtype shared by the q² ranks (placeholders are
-immutable) — the shape math is derived once, the charges are made p times.
+compute charges and workspace holds, issued a gemm group at a time) — so
+clocks, byte counters, weighted volumes, memory peaks and trace
+events/spans are bit-identical between the two.  On a dryrun
+(``ShapeArray``) plan there is no product to compute: the batched executor
+*is* that replay, plus one output placeholder of the plan's block shape and
+dtype shared by the q² ranks (placeholders are immutable) — the shape math
+is derived once, the charges are made p times.
 
 **Selection** is made per call from what the code observes, never from an
 option: the batched executor runs whenever it is bit-exact, i.e. every
@@ -349,6 +350,11 @@ class _BatchedDesc(NamedTuple):
     q: int
     grid: list  # grid[i][j] = mesh rank of coordinate (i, j)
     shapes: tuple  # uniform per-rank block shape of (A, B)
+    #: the gemm accounting of every step: the ranks of each gemm group in
+    #: call order, and the one (flops, scratch bytes) uniform blocks give
+    lines: list
+    flops: float
+    scratch: int
 
 
 def _uniform_sig(x: DTensor):
@@ -373,7 +379,12 @@ def _batched_of(plan: _Plan, mesh: Mesh, a: DTensor, b: DTensor):
             if sig_a is not None and sig_b is not None:
                 q = mesh.q
                 grid = [[mesh.rank(i, j) for j in range(q)] for i in range(q)]
-                desc = _BatchedDesc(q, grid, (sig_a[0], sig_b[0]))
+                groups = plan.steps[0][1]
+                lines = [[gemm[0] for gemm in gemms] for gemms, _reduce in groups]
+                _rank, _dev, flops, scratch, _shape = groups[0][0][0]
+                desc = _BatchedDesc(
+                    q, grid, (sig_a[0], sig_b[0]), lines, flops, scratch
+                )
         plan.batched = desc
     return desc or None
 
@@ -389,18 +400,14 @@ def _batched_ready(sim) -> bool:
     )
 
 
-def _replay_gemms(gemms, buffers) -> None:
+def _replay_gemms(sim, ranks, flops, scratch, buffers) -> None:
     """Charge a group's gemm accounting in exact per-rank order: workspace
     hold, device compute, workspace release — identical to the per-rank
     executor minus the numeric product."""
-    for rank, dev, flops, scratch, _shape in gemms:
-        if buffers is not None:
-            buffers.hold("workspace", rank, scratch)
-        try:
-            dev.compute(flops)
-        finally:
-            if buffers is not None:
-                buffers.release("workspace", rank, scratch)
+    if buffers is None:
+        sim.charge_compute(ranks, ((flops, "gemm"),))
+    else:
+        buffers.compute_in_workspace(ranks, scratch, flops)
 
 
 def _run_batched(mesh, algo, a, b, plan, buffers, desc) -> dict:
@@ -409,7 +416,7 @@ def _run_batched(mesh, algo, a, b, plan, buffers, desc) -> dict:
     traced = tr.enabled
     numeric = plan.numeric
     pool = _pool_of(sim)
-    q, grid, shapes = desc
+    q, grid, shapes, lines, flops, scratch = desc
     shards = (a.shards, b.shards)
     dtypes = (a.dtype, b.dtype)
     out_dtype = plan.out_dtype
@@ -443,8 +450,8 @@ def _run_batched(mesh, algo, a, b, plan, buffers, desc) -> dict:
             # accounting replay, exact per-rank order
             for _op, group, _root, cost in bcasts:
                 coll.charge_only(group, "broadcast", cost)
-            for gemms, reduce in groups:
-                _replay_gemms(gemms, buffers)
+            for ranks, (_gemms, reduce) in zip(lines, groups):
+                _replay_gemms(sim, ranks, flops, scratch, buffers)
                 if reduce is not None:
                     coll.charge_only(reduce[0], "reduce", reduce[2])
             if not numeric:

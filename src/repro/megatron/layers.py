@@ -34,20 +34,36 @@ def _affine(x, w, b):
     return x @ w + b
 
 
+def _charge_matmul(group: ProcessGroup, x: DTensor, out_shards: dict) -> None:
+    """Charge every rank its local ``x @ W`` product.  1-D shards are
+    equal-sized (``distribute_sharded_1d`` rejects a non-divisible axis), so
+    the first rank's shapes are every rank's."""
+    rank = group.ranks[0]
+    xl = x.local(rank)
+    group.sim.charge_compute(
+        group.ranks,
+        ((2.0 * xl.shape[0] * xl.shape[1] * out_shards[rank].shape[1], "gemm"),),
+    )
+
+
 def _local_grads(group: ProcessGroup, x: DTensor, dy: DTensor, weight: DTensor, bias):
     """A parallel linear's rank-local backward products, charged per rank:
-    ``(dW = xᵀ·dy, db = Σ dy ({} without a bias), dy·Wᵀ)``."""
+    ``(dW = xᵀ·dy, db = Σ dy ({} without a bias), dy·Wᵀ)``; the charge is
+    sized from the first rank like :func:`_charge_matmul`'s."""
     ranks = group.ranks
     dw = rank_map(lambda xl, dyl: ops.transpose(xl) @ dyl, ranks, x.shards, dy.shards)
     db = {}
     if bias is not None:
         db = rank_map(lambda dyl: ops.sum(dyl, axis=0), ranks, dy.shards)
     dx = rank_map(lambda dyl, w: dyl @ ops.transpose(w), ranks, dy.shards, weight.shards)
-    for rank in ranks:
-        xl, dyl = x.local(rank), dy.local(rank)
-        dev = group.sim.device(rank)
-        dev.compute(2.0 * xl.shape[1] * xl.shape[0] * dyl.shape[1])  # dW
-        dev.compute(2.0 * dyl.shape[0] * dyl.shape[1] * xl.shape[1])  # dx
+    xl, dyl = x.local(ranks[0]), dy.local(ranks[0])
+    group.sim.charge_compute(
+        ranks,
+        (
+            (2.0 * xl.shape[1] * xl.shape[0] * dyl.shape[1], "gemm"),  # dW
+            (2.0 * dyl.shape[0] * dyl.shape[1] * xl.shape[1], "gemm"),  # dx
+        ),
+    )
     return dw, db, dx
 
 
@@ -99,11 +115,7 @@ class ColumnParallelLinear(DistModule):
             shards = rank_map(matmul, ranks, x.shards, weights)
         else:
             shards = rank_map(_affine, ranks, x.shards, weights, self.bias.data.shards)
-        for rank in ranks:
-            xl = x.local(rank)
-            self.group.sim.device(rank).compute(
-                2.0 * xl.shape[0] * xl.shape[1] * shards[rank].shape[1]
-            )
+        _charge_matmul(self.group, x, shards)
         out_shape = (x.global_shape[0], self.weight.data.global_shape[1])
         out = DTensor(self.group, SHARDED_1D(1), shards, out_shape)
         hold(self.buffers, "forward", out)
@@ -117,12 +129,9 @@ class ColumnParallelLinear(DistModule):
         )
         # f operator: all-reduce the input gradient
         dx_shards = coll.all_reduce(self.group, dx_partial)
-        if self.buffers is not None:
-            for rank, g in dw.items():
-                self.buffers.hold("param_grad", rank, ops.nbytes(g))
-        self.weight.add_grad(
-            DTensor(self.group, SHARDED_1D(1), dw, self.weight.data.global_shape)
-        )
+        dw_dt = DTensor(self.group, SHARDED_1D(1), dw, self.weight.data.global_shape)
+        hold(self.buffers, "param_grad", dw_dt)
+        self.weight.add_grad(dw_dt)
         if self.bias is not None:
             self.bias.add_grad(
                 DTensor(self.group, SHARDED_1D(0), db, self.bias.data.global_shape)
@@ -178,11 +187,7 @@ class RowParallelLinear(DistModule):
         self._x = x
         ranks = self.group.ranks
         partial = rank_map(matmul, ranks, x.shards, self.weight.data.shards)
-        for rank in ranks:
-            xl = x.local(rank)
-            self.group.sim.device(rank).compute(
-                2.0 * xl.shape[0] * xl.shape[1] * partial[rank].shape[1]
-            )
+        _charge_matmul(self.group, x, partial)
         shards = coll.all_reduce(self.group, partial)  # g operator
         if self.bias is not None:
             shards = rank_map(add, ranks, shards, self.bias.data.shards)
@@ -197,12 +202,9 @@ class RowParallelLinear(DistModule):
         dw, db, dx_shards = _local_grads(
             self.group, self._x, dy, self.weight.data, self.bias
         )
-        if self.buffers is not None:
-            for rank, g in dw.items():
-                self.buffers.hold("param_grad", rank, ops.nbytes(g))
-        self.weight.add_grad(
-            DTensor(self.group, SHARDED_1D(0), dw, self.weight.data.global_shape)
-        )
+        dw_dt = DTensor(self.group, SHARDED_1D(0), dw, self.weight.data.global_shape)
+        hold(self.buffers, "param_grad", dw_dt)
+        self.weight.add_grad(dw_dt)
         if self.bias is not None:
             self.bias.add_grad(
                 DTensor(self.group, REPLICATED_1D, db, self.bias.data.global_shape)

@@ -111,7 +111,9 @@ class MegatronModel(TransformerModel):
             count = base + (1 if k < extra else 0)
             slices[rank] = x.local(rank)[start : start + count]
             start += count
-            self.buffers.hold("checkpoint", rank, ops.nbytes(slices[rank]))
+        self.buffers.hold_many(
+            "checkpoint", [(rank, ops.nbytes(s)) for rank, s in slices.items()]
+        )
         return slices, x.global_shape
 
     def _restore_checkpoint(self, entry) -> DTensor:

@@ -28,15 +28,17 @@ def rank_map(fn: Callable, ranks: Iterable[int], *shard_dicts: Dict[int, object]
     dryrun placeholders the result of rank-local math is a function of the
     arguments' (shape, dtype) alone and is immutable, so ranks whose
     arguments agree in that signature share one evaluation and one result
-    (SPMD: every rank runs the same op on a same-shaped slice); ragged
-    shards simply produce several signatures.  Which of the two applies is
-    decided once per call, from the first rank's first argument; a real
-    array anywhere else has no signature and its rank is evaluated alone.
+    (SPMD: every rank runs the same op on a same-shaped slice; ranks that
+    all hold the *same objects* are recognised without a per-rank pass);
+    ragged shards simply produce several signatures.  Which of the two
+    applies is decided once per call, from the first rank's first argument;
+    a real array anywhere else has no signature and its rank is evaluated
+    alone.
 
     ``fn`` must be pure and must not close over the rank or anything derived
-    from it.  Simulator charges are per-rank events and stay in the caller's
-    own rank loop, after the math.  ``ranks`` is iterated more than once (a
-    range, a list, a dict or its keys — not a generator).
+    from it.  Simulator charges are per-rank events and are made by the
+    caller, after the math.  ``ranks`` is iterated more than once (a range,
+    a list, a dict or its keys — not a generator).
     """
     a = shard_dicts[0]
     for rank in ranks:  # peek at the first rank's first argument
@@ -60,6 +62,17 @@ def rank_map(fn: Callable, ranks: Iterable[int], *shard_dicts: Dict[int, object]
 
 
 def _map_sharing_placeholders(fn, ranks, shard_dicts) -> dict:
+    # every rank already holds the same objects (the batched SUMMA executor
+    # and earlier rank_maps hand all ranks one placeholder): one evaluation,
+    # without building an argument list and a signature per rank
+    firsts = []
+    for d in shard_dicts:
+        first = next(iter(d.values()))
+        if _signature(first) is None or len(set(map(id, d.values()))) != 1:
+            break
+        firsts.append(first)
+    else:
+        return dict.fromkeys(ranks, fn(*firsts))
     # keyed on the signature, never on the placeholders themselves: their
     # ``==`` is elementwise and truthy, so a hash collision would mis-hit
     out, shared = {}, {}

@@ -20,6 +20,7 @@ owner: the :class:`~repro.mesh.mesh.Mesh` or flat
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -42,21 +43,42 @@ from repro.runtime.events import NULL_SPAN
 #: clock-model cost (FLOPs per element) of fused elementwise kernels
 ELEMWISE_COST = {"add": 1.0, "gelu": 10.0, "softmax": 8.0, "layernorm": 8.0}
 
+_size = attrgetter("size")
+
+
+def _runs(shards: Dict[int, object], measure):
+    """``(measure(shard), ranks)`` for each maximal run of consecutive shards
+    that measure the same — one run unless the shards are ragged (MoE expert
+    blocks).  Ranks sharing one object (a dryrun placeholder) are measured
+    once."""
+    last = value = None
+    ranks: List[int] = []
+    for rank, shard in shards.items():
+        if shard is not last:
+            last, measured = shard, measure(shard)
+            if ranks and measured != value:
+                yield value, ranks
+                ranks = []
+            value = measured
+        ranks.append(rank)
+    if ranks:
+        yield value, ranks
+
 
 def hold(buffers: Optional[BufferManager], region: str, dt: DTensor) -> None:
     """Account every shard of ``dt`` in a buffer region."""
     if buffers is None:
         return
-    for rank, shard in dt.shards.items():
-        buffers.hold(region, rank, ops.nbytes(shard))
+    for nbytes, ranks in _runs(dt.shards, ops.nbytes):
+        buffers.hold_many(region, [(rank, nbytes) for rank in ranks])
 
 
 def charge_elementwise(dt: DTensor, kind: str) -> None:
     """Charge one fused elementwise kernel over ``dt`` to each owning device."""
     cost = ELEMWISE_COST[kind]
-    device = dt.owner.sim.device
-    for rank, shard in dt.shards.items():
-        device(rank).compute(cost * shard.size, kind="elementwise")
+    charge_compute = dt.owner.sim.charge_compute
+    for size, ranks in _runs(dt.shards, _size):
+        charge_compute(ranks, ((cost * size, "elementwise"),))
 
 
 # ======================================================================
@@ -114,7 +136,7 @@ class SelfAttention(DistModule):
     def _forward(self, x: DTensor, b_loc: int, n_loc: int) -> DTensor:
         s, d = self.cfg.seq_len, self.cfg.head_dim
         T, h = x.global_shape
-        device = self.owner.sim.device
+        ranks = self.owner.ranks
 
         qkv = self.qkv_linear.forward(x)  # [T, 3h]
 
@@ -136,20 +158,24 @@ class SelfAttention(DistModule):
             )
 
         saved, ctx_shards = {}, {}
-        for rank, (fwd, ctx) in rank_map(attend, self.owner.ranks, qkv.shards).items():
+        for rank, (fwd, ctx) in rank_map(attend, ranks, qkv.shards).items():
             saved[rank], ctx_shards[rank] = fwd, ctx
-            stats = fwd[3]
-            dev = device(rank)
-            if self.fused:
-                held = ops.nbytes(stats[1]) + ops.nbytes(stats[2])
-            else:
-                held = ops.nbytes(stats)
-                dev.compute(ELEMWISE_COST["softmax"] * stats.size, kind="elementwise")
-            dev.compute(2.0 * b_loc * n_loc * s * s * d)  # QKᵀ
-            dev.compute(2.0 * b_loc * n_loc * s * s * d)  # probs·V
-            if self.buffers is not None:
-                self.buffers.hold("forward", rank, held)
-                self.buffers.hold("forward", rank, ops.nbytes(ctx))
+        # ``attend`` reshapes every rank's shard to the same [b_loc, n_loc, s, d]
+        # heads, so one rank's statistics size every rank's charges
+        stats = saved[ranks[0]][3]
+        gemm = (2.0 * b_loc * n_loc * s * s * d, "gemm")  # QKᵀ, and probs·V
+        if self.fused:
+            held = ops.nbytes(stats[1]) + ops.nbytes(stats[2])
+            charges = (gemm, gemm)
+        else:
+            held = ops.nbytes(stats)
+            charges = ((ELEMWISE_COST["softmax"] * stats.size, "elementwise"), gemm, gemm)
+        self.owner.sim.charge_compute(ranks, charges)
+        if self.buffers is not None:
+            ctx_bytes = ops.nbytes(ctx_shards[ranks[0]])
+            self.buffers.hold_many(
+                "forward", [(rank, n) for rank in ranks for n in (held, ctx_bytes)]
+            )
         self._saved = (saved, b_loc, s, n_loc, d)
         return self.out_linear.forward(
             DTensor(self.owner, self.layout, ctx_shards, (T, h))
@@ -160,7 +186,7 @@ class SelfAttention(DistModule):
             raise RuntimeError(f"{self.name}: backward before forward")
         saved, b_loc, s, n_loc, d = self._saved
         T, h = dy.global_shape
-        device = self.owner.sim.device
+        ranks = self.owner.ranks
 
         d_ctx = self.out_linear.backward(dy)  # [T, h]
 
@@ -178,22 +204,21 @@ class SelfAttention(DistModule):
                 [t.transpose(0, 2, 1, 3) for t in d_qkv], axis=3
             ).reshape((b_loc * s, n_loc * 3 * d))
 
-        dqkv_shards = rank_map(attend_bwd, self.owner.ranks, d_ctx.shards, saved)
-        # score recompute (fused only) + four gradient products
-        n_gemms = 5 if self.fused else 4
-        for rank in self.owner.ranks:
-            dev = device(rank)
-            if not self.fused:
-                probs = saved[rank][3]
-                dev.compute(ELEMWISE_COST["softmax"] * probs.size, kind="elementwise")
-            for _ in range(n_gemms):
-                dev.compute(2.0 * b_loc * n_loc * s * s * d)
-            if self.holds_dqkv and self.buffers is not None:
-                self.buffers.hold("backward", rank, ops.nbytes(dqkv_shards[rank]))
-        self._saved = None
-        return self.qkv_linear.backward(
-            DTensor(self.owner, self.layout, dqkv_shards, (T, 3 * h))
+        dqkv = DTensor(
+            self.owner, self.layout,
+            rank_map(attend_bwd, ranks, d_ctx.shards, saved), (T, 3 * h),
         )
+        gemm = (2.0 * b_loc * n_loc * s * s * d, "gemm")
+        if self.fused:  # score recompute + four gradient products
+            charges = (gemm,) * 5
+        else:
+            probs = saved[ranks[0]][3]  # same size on every rank, see _forward
+            charges = ((ELEMWISE_COST["softmax"] * probs.size, "elementwise"),) + (gemm,) * 4
+        self.owner.sim.charge_compute(ranks, charges)
+        if self.holds_dqkv:
+            hold(self.buffers, "backward", dqkv)
+        self._saved = None
+        return self.qkv_linear.backward(dqkv)
 
 
 # ======================================================================

@@ -17,7 +17,7 @@ execute numerically.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.hardware.arrangement import Arrangement, linear_arrangement, make_arrangement
 from repro.hardware.specs import ClusterSpec, frontera_rtx
@@ -139,6 +139,61 @@ class Simulator:
     def advance(self, ranks: Sequence[int], dt: float) -> None:
         for r in ranks:
             self.devices[r].clock += dt
+
+    # ------------------------------------------------------------------
+    # bulk charges: an SPMD program issues the same charge on every rank of
+    # a group, and what that costs the host is the Python call per event, not
+    # the arithmetic — so each entry point below makes its charges from one
+    # frame.  Every charge is still a per-rank event (own clock, own
+    # counters, own trace record); ``SimDevice.compute`` / ``charge_comm``
+    # and ``sync`` + ``advance`` stay the single-device definitions, and
+    # ``tests/test_bulk_charges.py`` holds the two equal.
+    # ------------------------------------------------------------------
+    def charge_compute(self, ranks: Iterable[int], charges: Iterable[Tuple[float, str]]) -> None:
+        """Charge the ``(flops, kind)`` sequence on each of ``ranks`` —
+        ``for r in ranks: for flops, kind in charges:
+        device(r).compute(flops, kind)``, rank-major, so trace events keep
+        that order.  Nothing is charged if any ``flops`` is negative."""
+        # every device of a simulator shares ``cluster.device``; the division
+        # is SimDevice.compute's own (a reciprocal would round differently)
+        effective_flops = self.cluster.device.effective_flops
+        timed = []
+        for flops, kind in charges:
+            if flops < 0:
+                raise ValueError("negative flops")
+            timed.append((flops, kind, flops / effective_flops))
+        devices = self.devices
+        tr = self.tracer
+        traced = tr.enabled
+        for rank in ranks:
+            d = devices[rank]
+            for flops, kind, dt in timed:
+                d.flops += flops
+                if kind == "gemm":
+                    d.flops_gemm += flops
+                d.compute_time += dt
+                t0 = d.clock
+                d.clock = t1 = t0 + dt
+                if traced:
+                    tr.record(
+                        "compute", (rank,), t0, t1, label=kind, attrs={"flops": flops}
+                    )
+
+    def charge_collective(
+        self, devices: Sequence[SimDevice], dt: float, nbytes: float, weighted: float
+    ) -> float:
+        """One collective over ``devices`` (a group's, see
+        :attr:`~repro.comm.group.ProcessGroup.devices`): barrier, advance by
+        ``dt`` and one ``charge_comm`` each; returns the barrier time."""
+        t0 = max([d.clock for d in devices])
+        t1 = t0 + dt
+        for d in devices:
+            d.clock = t1
+            d.comm_time += dt
+            d.bytes_comm += nbytes
+            d.weighted_comm_volume += weighted
+            d.num_collectives += 1
+        return t0
 
     def elapsed(self) -> float:
         """Simulated wall-clock of the job so far (slowest rank)."""

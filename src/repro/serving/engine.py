@@ -83,9 +83,10 @@ class RowPlan:
     #: where the real lanes' new K/V goes and which blocks and positions they
     #: then read; None without a real lane
     address: Optional[LaneAddresses]
-    #: per lane, padding included: (FLOPs of q·Kᵀ and of probs·V, softmax
-    #: FLOPs) on one rank at the lane's context length (1 for padding)
-    costs: List[Tuple[float, float]]
+    #: what attention charges each rank per layer — per lane, padding
+    #: included, (q·Kᵀ, probs·V, softmax) at the lane's context length (1 for
+    #: padding) — as a ``Simulator.charge_compute`` sequence
+    costs: List[Tuple[float, str]]
 
 
 @dataclass(frozen=True)
@@ -376,9 +377,11 @@ class ServingEngine:
         rows = []
         for row in by_row:
             ells = [e.pos + 1 for e in row] + [1] * (width - len(row))
-            costs = [
-                (2.0 * n_loc * ell * d, ELEMWISE_COST["softmax"] * (n_loc * ell)) for ell in ells
-            ]
+            costs = []
+            for ell in ells:
+                gemm = (2.0 * n_loc * ell * d, "gemm")
+                softmax = (ELEMWISE_COST["softmax"] * (n_loc * ell), "elementwise")
+                costs += (gemm, gemm, softmax)
             address = None
             if row:
                 address = self.cache.address([e.slot for e in row], [e.pos for e in row])
@@ -389,7 +392,6 @@ class ServingEngine:
         """One batched decode step; returns {slot: sampled token}."""
         cfg, model = self.cfg, self.model
         n_loc, d = self.n_loc, cfg.head_dim
-        device = self.sim.device
         plan = self.step_plan = self._plan_step(entries)
         width = plan.width
         g = self.rows[0].size  # ranks per shard group: together they hold every head
@@ -427,13 +429,8 @@ class ServingEngine:
                     by_lane[:real] = decode_attention_fwd(
                         fused[:real, :, 0], k_slab, v_slab, at.table, at.mask
                     ).reshape((real, g, n_loc, d))
-                for j, rank in enumerate(ranks):
-                    ctx_shards[rank] = ctx[j]
-                    compute = device(rank).compute
-                    for gemm, softmax in row.costs:
-                        compute(gemm)  # q·Kᵀ
-                        compute(gemm)  # probs·V
-                        compute(softmax, kind="elementwise")
+                ctx_shards.update(zip(ranks, ctx))
+                self.sim.charge_compute(ranks, row.costs)
             ctx_dt = DTensor(
                 model.owner, layer.attn.layout, ctx_shards, (plan.total_lanes, cfg.hidden_size)
             )
@@ -460,7 +457,8 @@ class ServingEngine:
                 mx = ll.max(axis=1)
                 ix = ll.argmax(axis=1).astype(ll.dtype) + j * v_loc
                 shards[rank] = np.stack([mx, ix], axis=1)  # [width, 2]
-                self.sim.device(rank).compute(2.0 * ll.size, kind="elementwise")
+            # every stripe is [width, v_loc]
+            self.sim.charge_compute(group.ranks, ((2.0 * ll.size, "elementwise"),))
             gathered = coll.all_gather(group, shards, axis=1)  # [width, 2·stripes]
             best = self._pick_winner(np.asarray(gathered[group.ranks[0]]), stripes)
             for w, e in enumerate(row):

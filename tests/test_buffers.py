@@ -105,6 +105,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             m.release("forward", 0, 20)
 
+    @pytest.mark.parametrize("managed", [True, False])
+    def test_negative_hold_rejected_in_both_modes(self, managed):
+        """A managed hold used to take a negative byte count as a silent,
+        unchecked release; only the unmanaged meter refused it."""
+        sim, m = _mgr(managed=managed)
+        m.hold("forward", 0, 100)
+        with pytest.raises(ValueError, match="negative allocation"):
+            m.hold("forward", 0, -60)
+        assert m.usage("forward", 0) == 100
+        assert sim.device(0).memory.current == 100
+
+    @pytest.mark.parametrize("managed", [True, False])
+    def test_bulk_hold_validates_before_touching_any_rank(self, managed):
+        sim, m = _mgr(managed=managed)
+        with pytest.raises(ValueError, match="negative allocation"):
+            m.hold_many("forward", [(0, 100), (1, -1)])
+        with pytest.raises(ValueError, match="negative allocation"):
+            m.compute_in_workspace([0, 1], -8, 1.0)
+        with pytest.raises(ValueError, match="negative flops"):
+            m.compute_in_workspace([0, 1], 8, -1.0)
+        assert [m.usage(r, k) for r in ("forward", "workspace") for k in (0, 1)] == [0] * 4
+        assert [d.memory.num_allocs for d in sim.devices] == [0, 0]
+        assert sim.elapsed() == 0.0
+
     def test_release_all(self):
         sim, m = _mgr(managed=True)
         for region in REGIONS:

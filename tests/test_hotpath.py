@@ -300,8 +300,9 @@ def test_dryrun_shape_math_is_derived_once_not_per_rank(monkeypatch, stem, small
     assert 0 < built[1] <= growth * built[0], built
 
 
-# the SimDevice.compute calls of each decode step, counted before the paged
-# rewrite: attention is still charged rank × lane × (gemm, gemm, softmax)
+# the simulated compute events ("compute" trace records) of each decode step,
+# counted as SimDevice.compute calls before the paged rewrite and before the
+# bulk charges: attention is still charged rank × lane × (gemm, gemm, softmax)
 _DECODE_CHARGES = {
     "optimus": [208, 232, 232, 232, 208, 208, 184, 184, 184, 184, 184, 184, 184, 184],
     "megatron": [136, 136, 160, 160, 136, 136, 112, 112, 112, 112, 112, 112, 112, 112, 112],
@@ -313,12 +314,11 @@ def test_decode_step_attends_once_per_shard_group_and_charges_per_lane(monkeypat
     """Host work per step is one attention call per shard group per layer
     and no per-lane ``gather``; the simulated charge sequence is per rank
     per lane, as it always was."""
-    from repro.runtime.device import SimDevice
     from repro.serving import engine as serving_engine
     from repro.serving.kvcache import ShardedKVCache
     from repro.serving.traffic import Request
 
-    calls = {"kernel": 0, "gather": 0, "compute": 0}
+    calls = {"kernel": 0, "gather": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kw):
@@ -332,19 +332,23 @@ def test_decode_step_attends_once_per_shard_group_and_charges_per_lane(monkeypat
         counted("kernel", serving_engine.decode_attention_fwd),
     )
     monkeypatch.setattr(ShardedKVCache, "gather", counted("gather", ShardedKVCache.gather))
-    monkeypatch.setattr(SimDevice, "compute", counted("compute", SimDevice.compute))
 
     cfg = tiny_config(num_heads=4)
     eng = serving_engine.make_engine(
         scheme, cfg, init_transformer_params(cfg, seed=1), 2, 8, 8, 16
     )
+    eng.sim.tracer.enabled = True
     per_step = []
     step = type(eng).step
 
+    def computes():
+        return len(eng.sim.tracer.of_kind("compute"))
+
     def watched(self, entries):
-        before = dict(calls)
+        before = dict(calls, compute=computes())
         out = step(self, entries)
-        per_step.append({k: calls[k] - before[k] for k in calls})
+        now = dict(calls, compute=computes())
+        per_step.append({k: now[k] - before[k] for k in now})
         return out
 
     monkeypatch.setattr(type(eng), "step", watched)

@@ -113,6 +113,64 @@ class TestPlaceholders:
         assert got[1][0] == 1.0 and got[2][0] == 5.0
 
 
+class TestSharedPlaceholders:
+    """Every rank holding the *same* placeholder objects (what the batched
+    SUMMA executor and an earlier ``rank_map`` hand out) is one evaluation
+    with no per-rank signature pass."""
+
+    @pytest.fixture
+    def signatures(self, monkeypatch):
+        seen = []
+        real = dtensor._signature
+        monkeypatch.setattr(
+            dtensor, "_signature", lambda x: seen.append(x) or real(x)
+        )
+        return seen
+
+    def test_same_result_as_the_per_rank_pass(self, calls, signatures):
+        ranks = [2, 0, 3, 1]
+        one, pair = ShapeArray((4, 3), "float32"), (ShapeArray((4, 1)), ShapeArray((1, 3)))
+        xs, ys = dict.fromkeys(range(4), one), dict.fromkeys(range(4), pair)
+
+        def fn(x, y):
+            return x * y[0] + y[1]
+
+        got = rank_map(_spy(calls, fn), ranks, xs, ys)
+        assert len(calls) == 1 and calls[0][0] is one and calls[0][1] is pair
+        assert len(signatures) == 4  # one per argument (the pair nests two more)
+        # the per-rank pass on equal-but-distinct placeholders: same dict
+        distinct = {r: ShapeArray((4, 3), "float32") for r in range(4)}
+        want = rank_map(fn, ranks, distinct, ys)
+        assert list(got) == list(want) == ranks
+        assert all(got[r] is got[2] for r in ranks) and all(want[r] is want[2] for r in ranks)
+        assert (got[2].shape, got[2].dtype) == (want[2].shape, want[2].dtype)
+
+    def test_ranks_may_be_the_shard_dict_itself(self, calls):
+        xs = dict.fromkeys([5, 1, 3], ShapeArray((2, 2)))
+        got = rank_map(_spy(calls, lambda x: x.T), xs, xs)
+        assert list(got) == [5, 1, 3] and len(calls) == 1
+
+    def test_one_distinct_object_takes_the_per_rank_pass(self, calls, signatures):
+        shared = ShapeArray((2, 2))
+        xs = dict.fromkeys(range(4), shared)
+        ys = dict(xs)
+        ys[3] = ShapeArray((2, 2))  # equal signature, another object
+        got = rank_map(_spy(calls, lambda x, y: x + y), range(4), xs, ys)
+        assert len(calls) == 1 and len(signatures) > 4  # shared by signature instead
+        assert all(got[r] is got[0] for r in range(4))
+
+    def test_ragged_and_mixed_calls_do_not_take_it(self, calls):
+        xs = dict.fromkeys(range(3), ShapeArray((2,), "float64"))
+        ragged = {0: ShapeArray((2, 1)), 1: ShapeArray((2, 5)), 2: ShapeArray((2, 1))}
+        got = rank_map(_spy(calls, lambda x, y: y.sum(axis=0)), range(3), xs, ragged)
+        assert len(calls) == 2 and got[1].shape == (5,) and got[0] is got[2]
+        del calls[:]
+        real = np.ones(2)
+        mixed = dict.fromkeys(range(3), real)  # one object, but it has no signature
+        got = rank_map(_spy(calls, lambda x, y: x + y), range(3), xs, mixed)
+        assert len(calls) == 3 and all(c[1] is real for c in calls)
+
+
 # ----------------------------------------------------------------------
 # the whole stem: shared evaluations + batched shape plans against the
 # naive per-rank loop + the per-rank SUMMA executor

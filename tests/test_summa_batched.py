@@ -43,13 +43,16 @@ def _operands(mesh, algo, dtype, seed=0):
     return a, b
 
 
-def _execute(executor, algo, q, dtype, calls=2, backend="numpy", with_buffers=True):
+def _execute(
+    executor, algo, q, dtype, calls=2, backend="numpy", with_buffers=True, managed=True
+):
     """Run one executor directly, on a fresh traced mesh, ``calls`` times
     (the second call re-uses pooled scratch); everything observable."""
     mesh = make_mesh(q, backend=backend)
     sim = mesh.sim
     sim.tracer.enabled = True
-    buffers = BufferManager(sim) if with_buffers else None
+    sim.enable_memory_timeline()
+    buffers = BufferManager(sim, managed=managed) if with_buffers else None
     a, b = _operands(mesh, algo, dtype)
     if backend == "shape":
         a, b = (x.map(lambda s: ShapeArray(s.shape, s.dtype)) for x in (a, b))
@@ -70,6 +73,7 @@ def _execute(executor, algo, q, dtype, calls=2, backend="numpy", with_buffers=Tr
     return {
         "outs": outs,
         "state": _state(sim),
+        "timeline": sim.memory_timeline(),
         "events": [repr(e) for e in sim.tracer.events],
         "spans": [repr(s) for s in sim.tracer.spans],
     }
@@ -117,6 +121,23 @@ class TestExecutorsAgree:
         got = _execute("batched", ALGOS[name], q, np.float32, **kw)
         assert ref == got
         assert len(ref["outs"][0]) == q * q
+
+    @pytest.mark.parametrize("backend", ["numpy", "shape"])
+    @pytest.mark.parametrize("name", sorted(ALGOS))
+    def test_unmanaged_workspace_keeps_hold_compute_release_order(self, name, backend):
+        """Unmanaged buffers with the memory timeline on are the one
+        configuration where a gemm's place between its workspace alloc and
+        free is observable: the free is stamped with the clock after it."""
+        kw = dict(backend=backend, managed=False)
+        ref = _execute("per_rank", ALGOS[name], 3, np.float32, **kw)
+        got = _execute("batched", ALGOS[name], 3, np.float32, **kw)
+        assert ref["timeline"] == got["timeline"]
+        assert ref["state"] == got["state"] and ref["events"] == got["events"]
+        frees = [
+            (a, b) for samples in ref["timeline"].values()
+            for a, b in zip(samples, samples[1:]) if b.total < a.total
+        ]
+        assert frees and all(b.t > a.t for a, b in frees)
 
     def test_results_match_numpy(self):
         mesh = make_mesh(3)
