@@ -16,6 +16,9 @@
    end of a run;
 3. **isolation**: no two ranks' output buffers alias each other (a shared
    buffer would let one simulated device silently corrupt another).
+   Isolation is asserted on collective *outputs*; the read-only results of
+   replicated rank-local math (:func:`repro.mesh.dtensor.replica_map`) are
+   shared by design and never pass through here as outputs.
 
 On the dryrun (ShapeArray) backend the oracle degrades to shape checking;
 conservation and synchronization are still enforced.

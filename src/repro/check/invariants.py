@@ -166,6 +166,8 @@ def _validate_replicated(dt, name) -> None:
         )
     for r in ranks[1:]:
         s = dt.shards[r]
+        if s is ref:  # one shared object (replica_map): replicated by construction
+            continue
         if tuple(s.shape) != dt.global_shape:
             _fail(dt, name, f"rank {r} replica shape {tuple(s.shape)} != global")
         if not _bit_identical(ref, s):

@@ -17,7 +17,8 @@ from repro.comm.group import ProcessGroup
 from repro.config import ModelConfig
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
-from repro.mesh.dtensor import DTensor
+from repro.megatron.layers import require_replicated
+from repro.mesh.dtensor import DTensor, replica_map
 from repro.mesh.layouts import REPLICATED_1D
 from repro.mesh.partition import distribute_replicated_1d
 from repro.reference import functional as F
@@ -52,28 +53,32 @@ class ClassificationHead1D(DistModule):
         self._saved = None
 
     def forward(self, ln_out: DTensor, cls_labels: Optional[DTensor] = None):
+        require_replicated("cls_head", "input", ln_out)
+        if cls_labels is not None:
+            require_replicated("cls_head", "labels", cls_labels)
         group, s = self.group, self.cfg.seq_len
-        b = ln_out.global_shape[0] // s
+        b, h = ln_out.global_shape[0] // s, ln_out.global_shape[1]
+
+        def pooled_logits(x, w, bias):
+            x0l = x[::s]  # [b, h]
+            return x0l, x0l @ w + bias
+
         x0, logits = {}, {}
-        for rank in group.ranks:
-            x0[rank] = ln_out.local(rank)[::s]  # [b, h]
-            logits[rank] = (
-                x0[rank] @ self.weight.data.local(rank) + self.bias.data.local(rank)
-            )
-            group.sim.device(rank).compute(
-                2.0 * b * x0[rank].shape[1] * self.num_classes
-            )
+        for rank, (x0l, out) in replica_map(
+            pooled_logits, group, ln_out.shards, self.weight.data.shards, self.bias.data.shards
+        ).items():
+            x0[rank], logits[rank] = x0l, out
+        group.sim.charge_compute(group.ranks, ((2.0 * b * h * self.num_classes, "gemm"),))
         if cls_labels is None:
             self._saved = None
             return DTensor(group, REPLICATED_1D, logits, (b, self.num_classes))
-        probs, loss_val = {}, None
-        for rank in group.ranks:
-            loss_seq, p = F.cross_entropy_fwd(logits[rank], cls_labels.local(rank))
-            probs[rank] = p
-            if loss_val is None:
-                loss_val = ops.sum(loss_seq)
-            if self.buffers is not None:
-                self.buffers.hold("forward", rank, ops.nbytes(p))
+        losses = replica_map(F.cross_entropy_fwd, group, logits, cls_labels.shards)
+        probs = {rank: p for rank, (_loss_seq, p) in losses.items()}
+        loss_val = ops.sum(losses[group.ranks[0]][0])
+        if self.buffers is not None:
+            self.buffers.hold_many(
+                "forward", [(rank, ops.nbytes(p)) for rank, p in probs.items()]
+            )
         self._saved = (x0, probs, cls_labels, b, ln_out)
         if is_shape_array(loss_val):
             return ShapeArray((), loss_val.dtype)
@@ -84,24 +89,25 @@ class ClassificationHead1D(DistModule):
             raise RuntimeError("classification backward before forward with labels")
         group, s = self.group, self.cfg.seq_len
         x0, probs, cls_labels, b, ln_out = self._saved
+        h = ln_out.global_shape[1]
         scale = 1.0 / b
-        dw, db, out_shards = {}, {}, {}
-        for rank in group.ranks:
-            lab = cls_labels.local(rank)
+
+        def grads(p, lab, x0l, w, xl):
             dl = ops.full(
-                (lab.shape[0],), scale, dtype="float64",
-                backend=ops.backend_of(probs[rank]),
+                (lab.shape[0],), scale, dtype="float64", backend=ops.backend_of(p)
             )
-            dlogits = F.cross_entropy_bwd(probs[rank], lab, dl)
-            dw[rank] = ops.transpose(x0[rank]) @ dlogits
-            db[rank] = ops.sum(dlogits, axis=0)
-            dx0 = dlogits @ ops.transpose(self.weight.data.local(rank))
-            d_out = ops.zeros_like(ln_out.local(rank))
-            d_out[::s] = dx0
-            out_shards[rank] = d_out
-            dev = group.sim.device(rank)
-            dev.compute(2.0 * x0[rank].shape[1] * b * self.num_classes)
-            dev.compute(2.0 * b * self.num_classes * x0[rank].shape[1])
+            dlogits = F.cross_entropy_bwd(p, lab, dl)
+            d_out = ops.zeros_like(xl)
+            d_out[::s] = dlogits @ ops.transpose(w)
+            return ops.transpose(x0l) @ dlogits, ops.sum(dlogits, axis=0), d_out
+
+        dw, db, out_shards = {}, {}, {}
+        for rank, (dwl, dbl, d_out) in replica_map(
+            grads, group, probs, cls_labels.shards, x0, self.weight.data.shards, ln_out.shards
+        ).items():
+            dw[rank], db[rank], out_shards[rank] = dwl, dbl, d_out
+        gemm = (2.0 * h * b * self.num_classes, "gemm")  # dW and dx0 cost the same
+        group.sim.charge_compute(group.ranks, (gemm, gemm))
         self.weight.add_grad(
             DTensor(group, REPLICATED_1D, dw, self.weight.data.global_shape)
         )

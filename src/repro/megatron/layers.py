@@ -17,7 +17,7 @@ from repro.comm import collectives as coll
 from repro.comm.group import ProcessGroup
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
-from repro.mesh.dtensor import DTensor, rank_map
+from repro.mesh.dtensor import DTensor, rank_map, replica_map
 from repro.mesh.layouts import REPLICATED_1D, SHARDED_1D
 from repro.mesh.partition import distribute_replicated_1d, distribute_sharded_1d
 from repro.nn.transformer import (
@@ -46,15 +46,30 @@ def _charge_matmul(group: ProcessGroup, x: DTensor, out_shards: dict) -> None:
     )
 
 
+def require_replicated(name: str, what: str, x: DTensor) -> None:
+    """Replicated math is evaluated on one replica (:func:`replica_map`), so
+    the layout is checked, not assumed."""
+    if x.layout != REPLICATED_1D:
+        raise ValueError(f"{name}: {what} must be replicated, got {x.layout}")
+
+
+def _column_sums(dyl):
+    return ops.sum(dyl, axis=0)
+
+
 def _local_grads(group: ProcessGroup, x: DTensor, dy: DTensor, weight: DTensor, bias):
     """A parallel linear's rank-local backward products, charged per rank:
     ``(dW = xᵀ·dy, db = Σ dy ({} without a bias), dy·Wᵀ)``; the charge is
-    sized from the first rank like :func:`_charge_matmul`'s."""
+    sized from the first rank like :func:`_charge_matmul`'s.  A replicated
+    ``dy`` (row-parallel) has one ``db`` for all ranks."""
     ranks = group.ranks
     dw = rank_map(lambda xl, dyl: ops.transpose(xl) @ dyl, ranks, x.shards, dy.shards)
     db = {}
     if bias is not None:
-        db = rank_map(lambda dyl: ops.sum(dyl, axis=0), ranks, dy.shards)
+        if dy.layout == REPLICATED_1D:
+            db = replica_map(_column_sums, group, dy.shards)
+        else:
+            db = rank_map(_column_sums, ranks, dy.shards)
     dx = rank_map(lambda dyl, w: dyl @ ops.transpose(w), ranks, dy.shards, weight.shards)
     xl, dyl = x.local(ranks[0]), dy.local(ranks[0])
     group.sim.charge_compute(
@@ -106,8 +121,7 @@ class ColumnParallelLinear(DistModule):
         self._x: Optional[DTensor] = None
 
     def forward(self, x: DTensor) -> DTensor:
-        if x.layout != REPLICATED_1D:
-            raise ValueError(f"{self.name}: input must be replicated, got {x.layout}")
+        require_replicated(self.name, "input", x)
         self._x = x
         ranks = self.group.ranks
         weights = self.weight.data.shards
@@ -190,7 +204,7 @@ class RowParallelLinear(DistModule):
         _charge_matmul(self.group, x, partial)
         shards = coll.all_reduce(self.group, partial)  # g operator
         if self.bias is not None:
-            shards = rank_map(add, ranks, shards, self.bias.data.shards)
+            shards = replica_map(add, self.group, shards, self.bias.data.shards)
         out_shape = (x.global_shape[0], self.weight.data.global_shape[1])
         out = DTensor(self.group, REPLICATED_1D, shards, out_shape)
         hold(self.buffers, "forward", out)
@@ -199,6 +213,7 @@ class RowParallelLinear(DistModule):
     def backward(self, dy: DTensor) -> DTensor:
         if self._x is None:
             raise RuntimeError(f"{self.name}: backward before forward")
+        require_replicated(self.name, "output gradient", dy)
         dw, db, dx_shards = _local_grads(
             self.group, self._x, dy, self.weight.data, self.bias
         )
@@ -246,9 +261,10 @@ class LayerNorm1D(DistModule):
         self._saved = None
 
     def forward(self, x: DTensor) -> DTensor:
-        normed = rank_map(
+        require_replicated(self.name, "input", x)
+        normed = replica_map(
             partial(F.layernorm_fwd, eps=self.eps),
-            self.group.ranks, x.shards, self.gamma.data.shards, self.beta.data.shards,
+            self.group, x.shards, self.gamma.data.shards, self.beta.data.shards,
         )
         shards, xhat, inv = {}, {}, {}
         for rank, (out, x_hat, inv_std) in normed.items():
@@ -262,9 +278,10 @@ class LayerNorm1D(DistModule):
     def backward(self, dy: DTensor) -> DTensor:
         if self._saved is None:
             raise RuntimeError(f"{self.name}: backward before forward")
+        require_replicated(self.name, "output gradient", dy)
         xhat, inv = self._saved
-        grads = rank_map(
-            F.layernorm_bwd, self.group.ranks, dy.shards, xhat, inv, self.gamma.data.shards
+        grads = replica_map(
+            F.layernorm_bwd, self.group, dy.shards, xhat, inv, self.gamma.data.shards
         )
         dx, dg, db = {}, {}, {}
         for rank, (dxl, dgl, dbl) in grads.items():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Tuple
 
+import numpy as np
+
 from repro.backend import ops
 from repro.backend.shape_array import ShapeArray
 from repro.mesh.layouts import Layout
@@ -88,6 +90,50 @@ def _map_sharing_placeholders(fn, ranks, shard_dicts) -> dict:
     return out
 
 
+def replica_map(fn: Callable, group, *shard_dicts: Dict[int, object]) -> dict:
+    """:func:`rank_map` for rank-local math whose operands are **all
+    replicated** over ``group`` (layout ``REPLICATED_1D``): ``fn`` runs once,
+    on the first rank's replicas, and every rank of ``group.ranks`` is handed
+    that one result, marked read-only.
+
+    The per-rank loop would evaluate the same pure ``fn`` on bit-identical
+    inputs ``p`` times; one evaluation gives the same values by determinism,
+    not by tolerance.  Only a call site whose operands are replicated *by
+    layout* may use this — equal shapes or equal values are never inspected.
+    The simulated devices each still do the work: charges, buffer holds and
+    trace events stay per rank, made by the caller.
+
+    A shared result is immutable (a write through any rank's handle raises
+    instead of changing ``p`` ranks).  Three cases keep :func:`rank_map`'s
+    per-rank evaluation: dryrun placeholders (which share by signature
+    there), a one-rank group, and an armed fault injector — message
+    corruption replaces *one* rank's all-reduce result, so "replicated"
+    tensors may then legitimately differ.  If ``fn`` hands back one of its
+    operands (an identity, ``np.asarray``) nothing is frozen and the
+    per-rank dict is returned, so an owned buffer never turns read-only.
+    """
+    ranks = group.ranks
+    first = ranks[0]
+    inj = group.sim.fault_injector
+    if (
+        len(ranks) == 1
+        or type(shard_dicts[0][first]) in (ShapeArray, tuple)
+        or (inj is not None and inj.armed)
+    ):
+        return rank_map(fn, ranks, *shard_dicts)
+    firsts = [d[first] for d in shard_dicts]
+    result = fn(*firsts)
+    parts = result if type(result) is tuple else (result,)
+    for part in parts:
+        for operand in firsts:
+            if part is operand:  # handed back, not computed: stays owned
+                return rank_map(fn, ranks, *shard_dicts)
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    return dict.fromkeys(ranks, result)
+
+
 class DTensor:
     """A logical global tensor stored as per-rank shards.
 
@@ -140,19 +186,28 @@ class DTensor:
     # ------------------------------------------------------------------
     # communication-free elementwise helpers
     # ------------------------------------------------------------------
+    def _rank_local(self, fn: Callable, *shard_dicts) -> dict:
+        """``fn`` over the shards: once when the layout says they are replicas
+        (:func:`replica_map`), per rank otherwise (:func:`rank_map`)."""
+        if self.layout.kind == "replicated_1d":
+            return replica_map(fn, self.owner, *shard_dicts)
+        return rank_map(fn, self.shards, *shard_dicts)
+
     def map(self, fn: Callable) -> "DTensor":
-        """Apply ``fn`` to every shard (through :func:`rank_map`, so ``fn`` is
-        rank-local math); layout and global shape unchanged."""
+        """Apply ``fn`` to every shard (``fn`` is rank-local math: through
+        :func:`rank_map`, or :func:`replica_map` on a ``REPLICATED_1D``
+        tensor, whose result shards are then shared and read-only); layout
+        and global shape unchanged."""
         return DTensor(
             self.owner,
             self.layout,
-            rank_map(fn, self.shards, self.shards),
+            self._rank_local(fn, self.shards),
             self.global_shape,
         )
 
     def zip_map(self, other: "DTensor", fn: Callable) -> "DTensor":
         """Elementwise combine two same-layout DTensors shard by shard
-        (through :func:`rank_map`)."""
+        (rank-local math, routed like :meth:`map`)."""
         if self.layout != other.layout or self.global_shape != other.global_shape:
             raise ValueError(
                 f"layout/shape mismatch: {self.layout}/{self.global_shape} vs "
@@ -163,7 +218,7 @@ class DTensor:
         return DTensor(
             self.owner,
             self.layout,
-            rank_map(fn, self.shards, self.shards, other.shards),
+            self._rank_local(fn, self.shards, other.shards),
             self.global_shape,
         )
 
@@ -180,14 +235,20 @@ class DTensor:
 
     __rmul__ = __mul__
 
+    def _owned(self, fn: Callable) -> "DTensor":
+        """A fresh writable buffer per rank, whatever the layout."""
+        return DTensor(
+            self.owner, self.layout, rank_map(fn, self.shards, self.shards), self.global_shape
+        )
+
     def copy(self) -> "DTensor":
-        return self.map(ops.copy)
+        return self._owned(ops.copy)
 
     def astype(self, dtype) -> "DTensor":
         return self.map(lambda x: ops.astype(x, dtype))
 
     def zeros_like(self) -> "DTensor":
-        return self.map(ops.zeros_like)
+        return self._owned(ops.zeros_like)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

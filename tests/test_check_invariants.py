@@ -147,6 +147,37 @@ class TestStrictMode:
         model.forward(ids, labels)
         model.backward()
 
+    def test_strict_and_contract_checks_accept_shared_replicas(self, cfg, batch):
+        """Megatron's replicated math hands every rank one read-only array:
+        replication by construction for the validator, and never a
+        collective *output* for the isolation check."""
+        from repro.check import contract_checks
+        from repro.megatron import MegatronModel
+        from repro.runtime import Simulator
+
+        ids, labels = batch
+        params = init_transformer_params(cfg, seed=1)
+        model = MegatronModel(Simulator.for_flat(p=2, strict_invariants=True), cfg, params)
+        with contract_checks() as checker:
+            model.forward(ids, labels)
+            model.backward()
+        assert checker.calls["all_reduce"] > 0
+        gamma = model.final_ln.gamma.grad
+        assert gamma.local(0) is gamma.local(1)
+        validate_dtensor(gamma)
+
+    def test_replica_compare_is_kept_for_distinct_buffers(self, rng):
+        from repro.comm.group import ProcessGroup
+        from repro.mesh.layouts import REPLICATED_1D
+        from repro.runtime import Simulator
+
+        group = ProcessGroup(Simulator.for_flat(p=2), (0, 1))
+        a = rng.normal(size=(3,))
+        validate_dtensor(DTensor(group, REPLICATED_1D, {0: a, 1: a}, (3,)))
+        validate_dtensor(DTensor(group, REPLICATED_1D, {0: a, 1: a.copy()}, (3,)))
+        with pytest.raises(InvariantViolation, match="differ bitwise"):
+            validate_dtensor(DTensor(group, REPLICATED_1D, {0: a, 1: a + 1.0}, (3,)))
+
     def test_disabled_by_default_and_togglable(self, rng):
         mesh = make_mesh(2, strict_invariants=False)
         shards = {r: rng.normal(size=(4, 3)) for r in mesh.ranks}

@@ -150,6 +150,24 @@ class TestDistributedClassification:
             model.forward_classification(ids, labels)
 
 
+def test_megatron_head_needs_replicated_input(cfg, cls_setup, rng):
+    from repro.mesh.partition import distribute_sharded_1d
+
+    params, ids, labels = cls_setup
+    model = MegatronModel(Simulator.for_flat(p=2), cfg, params)
+    T = ids.size
+    sliced = distribute_sharded_1d(
+        model.group, rng.normal(size=(T, 2 * cfg.hidden_size)), axis=1
+    )
+    with pytest.raises(ValueError, match=r"cls_head: input must be replicated.*sharded_1d"):
+        model.cls_head.forward(sliced)
+    replicated = model.distribute_tokens(rng.normal(size=(T, cfg.hidden_size)))
+    with pytest.raises(ValueError, match=r"cls_head: labels must be replicated"):
+        model.cls_head.forward(
+            replicated, distribute_sharded_1d(model.group, labels, axis=0)
+        )
+
+
 class TestRow0BlockrowsLayout:
     def test_roundtrip(self, rng):
         mesh = make_mesh(3)

@@ -309,29 +309,36 @@ _DECODE_CHARGES = {
 }
 
 
+def _counted(counts, key, fn):
+    """``fn``, counting its calls in ``counts[key]``."""
+
+    def wrapper(*args, **kw):
+        counts[key] += 1
+        return fn(*args, **kw)
+
+    return wrapper
+
+
 @pytest.mark.parametrize("scheme", ["optimus", "megatron"])
 def test_decode_step_attends_once_per_shard_group_and_charges_per_lane(monkeypatch, scheme):
-    """Host work per step is one attention call per shard group per layer
-    and no per-lane ``gather``; the simulated charge sequence is per rank
-    per lane, as it always was."""
+    """Host work per step is one attention call per shard group per layer,
+    no per-lane ``gather`` and (Megatron, whose norms are replicated math)
+    one ``layernorm_fwd`` per norm, not per rank; the simulated charge
+    sequence is per rank per lane, as it always was."""
+    from repro.reference import functional as F
     from repro.serving import engine as serving_engine
     from repro.serving.kvcache import ShardedKVCache
     from repro.serving.traffic import Request
 
-    calls = {"kernel": 0, "gather": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kw):
-            calls[name] += 1
-            return fn(*args, **kw)
-
-        return wrapper
-
+    calls = {"kernel": 0, "gather": 0, "layernorm": 0}
     monkeypatch.setattr(
         serving_engine, "decode_attention_fwd",
-        counted("kernel", serving_engine.decode_attention_fwd),
+        _counted(calls, "kernel", serving_engine.decode_attention_fwd),
     )
-    monkeypatch.setattr(ShardedKVCache, "gather", counted("gather", ShardedKVCache.gather))
+    monkeypatch.setattr(
+        ShardedKVCache, "gather", _counted(calls, "gather", ShardedKVCache.gather)
+    )
+    monkeypatch.setattr(F, "layernorm_fwd", _counted(calls, "layernorm", F.layernorm_fwd))
 
     cfg = tiny_config(num_heads=4)
     eng = serving_engine.make_engine(
@@ -357,7 +364,34 @@ def test_decode_step_attends_once_per_shard_group_and_charges_per_lane(monkeypat
 
     assert [s["compute"] for s in per_step] == _DECODE_CHARGES[scheme]
     assert all(s["gather"] == 0 for s in per_step)
+    if scheme == "megatron":
+        assert {s["layernorm"] for s in per_step} == {2 * cfg.num_layers + 1}
     budget = len(eng.rows) * cfg.num_layers
     assert all(0 < s["kernel"] <= budget for s in per_step)
     # a mesh row whose slots are all idle runs padding lanes only: no call
     assert scheme == "megatron" or any(s["kernel"] < budget for s in per_step)
+
+
+@pytest.mark.parametrize("p", [4, 16])
+def test_megatron_replicated_layernorm_runs_once_per_group_not_per_rank(monkeypatch, p):
+    """hostbench's ``train_numeric`` model: 4 layers × 2 norms × (forward +
+    checkpoint recompute) + the final norm = 17 forward kernels and 9
+    backward, whatever p is (per rank it was 272 / 144 at p = 16)."""
+    from repro.reference import functional as F
+    from repro.training import Adam
+
+    cfg = ModelConfig(
+        vocab_size=3200, hidden_size=128, num_heads=16, num_layers=4, seq_len=32,
+        dtype="float64",
+    )
+    params = init_transformer_params(cfg, seed=0, dtype="float64")
+    model = MegatronModel(Simulator.for_flat(p), cfg, params)
+    trainer = Trainer(
+        model, Adam(model.parameters(), lr=1e-3), BatchStream.copy_task(cfg, 8, seed=0)
+    )
+    counts = {"fwd": 0, "bwd": 0}
+    # the layers look both up on the module at call time
+    monkeypatch.setattr(F, "layernorm_fwd", _counted(counts, "fwd", F.layernorm_fwd))
+    monkeypatch.setattr(F, "layernorm_bwd", _counted(counts, "bwd", F.layernorm_bwd))
+    trainer.train_steps(1)
+    assert counts == {"fwd": 17, "bwd": 9}

@@ -96,6 +96,25 @@ class TestLayerInputValidation:
         with pytest.raises(ValueError):
             lin.forward(distribute_replicated_1d(g, rng.normal(size=(4, 4))))
 
+    def test_row_backward_needs_replicated_gradient(self, rng):
+        g = _group(2)
+        lin = RowParallelLinear(g, "r", rng.normal(size=(4, 4)), rng.normal(size=4))
+        lin.forward(distribute_sharded_1d(g, rng.normal(size=(4, 4)), axis=1))
+        with pytest.raises(ValueError, match=r"r: .*replicated.*sharded_1d"):
+            lin.backward(distribute_sharded_1d(g, rng.normal(size=(4, 4)), axis=1))
+
+    def test_layernorm_needs_replicated(self, rng):
+        """A column slice would be normalised over the wrong width (and, with
+        one evaluation per group, every rank would get rank 0's slice)."""
+        g = _group(2)
+        ln = LayerNorm1D(g, "ln", rng.normal(size=4), rng.normal(size=4))
+        sliced = distribute_sharded_1d(g, rng.normal(size=(6, 8)), axis=1)
+        with pytest.raises(ValueError, match=r"ln: input must be replicated.*sharded_1d"):
+            ln.forward(sliced)
+        ln.forward(distribute_replicated_1d(g, rng.normal(size=(6, 4))))
+        with pytest.raises(ValueError, match=r"ln: output gradient must be replicated"):
+            ln.backward(distribute_sharded_1d(g, rng.normal(size=(6, 8)), axis=1))
+
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_layernorm1d_matches_functional(p, rng):
