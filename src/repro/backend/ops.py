@@ -221,16 +221,20 @@ def stack(xs, axis=0):
 # ----------------------------------------------------------------------
 # batched-mesh stage
 # ----------------------------------------------------------------------
-def fold_stack_sum(part, axis):
+def fold_stack_sum(part, axis, out=None):
     """Sum a stacked axis of ``part`` by copy-then-in-place-add in index
     order — the exact fold of ``collectives._combine`` (copy the first
     shard, then ``np.add(acc, b, out=acc)`` in group-rank order), so each
-    output slice is bit-identical to the per-rank reduce."""
-    p = np.moveaxis(part, axis, 0)
-    acc = p[0].copy()
-    for t in range(1, p.shape[0]):
-        np.add(acc, p[t], out=acc)
-    return acc
+    output slice is bit-identical to the per-rank reduce.  The sum goes to
+    ``out`` when given (any view of the right shape), else a new array."""
+    lead = (slice(None),) * axis
+    if out is None:
+        out = part[lead + (0,)].copy()
+    else:
+        np.copyto(out, part[lead + (0,)])
+    for t in range(1, part.shape[axis]):
+        np.add(out, part[lead + (t,)], out=out)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,9 @@ Contracts, by layout kind (``q`` = mesh dimension, ``g`` = group size,
   by mesh row 0 only.
 * ``rank0`` — a single shard holding the full array.
 
+A DTensor that carries a block stack (``dt.blocks``) must also keep every
+shard a view of its stack entry, with the entry's shape and dtype.
+
 Replica bit-identity is only checkable on the numpy backend; dryrun
 ShapeArrays carry no values, so strict mode degrades to pure shape/
 ownership checking there.
@@ -264,3 +267,32 @@ def validate_dtensor(dt, name: str = "") -> None:
         _fail(dt, name, f"unknown layout kind {dt.layout.kind!r}")
     _check_dtypes(dt, name)
     validator(dt, name)
+    if getattr(dt, "blocks", None) is not None:
+        _validate_blocks(dt, name)
+
+
+def _validate_blocks(dt, name) -> None:
+    """A block stack's invariant (``DTensor.from_blocks``): every shard is
+    a view of its stack entry — ``blocks[i, j]`` for mesh coordinate
+    (i, j), ``blocks[j]`` for a row-0 layout, a size-1 leading axis shared
+    along that mesh axis — with the entry's shape and dtype."""
+    mesh = _mesh_of(dt)
+    if mesh is None:
+        _fail(dt, name, "a block stack requires a Mesh owner")
+    blocks = dt.blocks
+    lead = blocks.ndim - len(dt.global_shape)
+    block_shape = tuple(blocks.shape[lead:])
+    for rank, shard in dt.shards.items():
+        i, j = mesh.coords(rank)
+        if lead == 1:
+            entry = blocks[j % blocks.shape[0]]
+        else:
+            entry = blocks[i % blocks.shape[0], j % blocks.shape[1]]
+        if tuple(shard.shape) != block_shape or shard.dtype != blocks.dtype:
+            _fail(
+                dt, name,
+                f"rank {rank} shard {tuple(shard.shape)}/{shard.dtype} is not its "
+                f"block-stack entry {block_shape}/{blocks.dtype}",
+            )
+        if not np.shares_memory(shard, entry):
+            _fail(dt, name, f"rank {rank} shard is not a view of its block-stack entry")

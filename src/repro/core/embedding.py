@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend import ops
 from repro.backend.shape_array import ShapeArray, is_shape_array
 from repro.comm import collectives as coll
 from repro.config import ModelConfig
@@ -25,7 +24,8 @@ from repro.core.summa import summa_ab, summa_abt, summa_atb
 from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import BLOCKED_2D, ROW_BLOCKED
 from repro.mesh.mesh import Mesh
-from repro.mesh.partition import distribute_blocked_2d
+from repro.mesh.partition import distribute_blocked_2d, zeros_blocked_2d
+from repro.nn.transformer import hold
 
 
 class Embedding2D(DistModule):
@@ -62,11 +62,9 @@ class Embedding2D(DistModule):
         T_loc = (b // q) * s
         self._ids = ids
 
-        out = {
-            rank: ops.zeros((T_loc, h_loc), dtype=self.table.data.dtype,
-                            backend=mesh.backend)
-            for rank in mesh.ranks
-        }
+        out = zeros_blocked_2d(mesh, (T_loc, h_loc), self.table.data.dtype, (b * s, h))
+        charge_compute = mesh.sim.charge_compute
+        stripe = ((T_loc * h_loc, "elementwise"),)
         for l in range(q):
             lo = l * v_loc
             for j in range(q):
@@ -74,17 +72,13 @@ class Embedding2D(DistModule):
                 bcast = coll.broadcast(
                     mesh.col_group(j), self.table.data.local(root), root
                 )
-                for i in range(q):
-                    rank = mesh.rank(i, j)
-                    block = bcast[rank]
+                ranks = [mesh.rank(i, j) for i in range(q)]
+                for rank in ranks:
                     idvec = ids.local(rank).reshape((T_loc,))
-                    self._gather_stripe(out[rank], block, idvec, lo, v_loc)
-                    mesh.device(rank).compute(T_loc * h_loc, kind="elementwise")
-        out_dt = DTensor(mesh, BLOCKED_2D, out, (b * s, h))
-        if self.buffers is not None:
-            for rank, shard in out_dt.shards.items():
-                self.buffers.hold("forward", rank, ops.nbytes(shard))
-        return out_dt
+                    self._gather_stripe(out.local(rank), bcast[rank], idvec, lo, v_loc)
+                charge_compute(ranks, stripe)
+        hold(self.buffers, "forward", out)
+        return out
 
     @staticmethod
     def _gather_stripe(out, block, idvec, lo: int, v_loc: int) -> None:
@@ -158,9 +152,7 @@ class LMHead2D(DistModule):
     def forward(self, x: DTensor) -> DTensor:
         self._x = x
         logits = summa_abt(self.mesh, x, self.embedding.table.data, self.buffers)
-        if self.buffers is not None:
-            for rank, shard in logits.shards.items():
-                self.buffers.hold("forward", rank, ops.nbytes(shard))
+        hold(self.buffers, "forward", logits)
         return logits
 
     def backward(self, dlogits: DTensor) -> DTensor:
@@ -170,8 +162,6 @@ class LMHead2D(DistModule):
         dx = summa_ab(self.mesh, dlogits, self.embedding.table.data, self.buffers)
         d_table = summa_atb(self.mesh, dlogits, self._x, self.buffers)
         self.embedding.table.add_grad(d_table)
-        if self.buffers is not None:
-            for rank, shard in dx.shards.items():
-                self.buffers.hold("backward", rank, ops.nbytes(shard))
+        hold(self.buffers, "backward", dx)
         self._x = None
         return dx

@@ -10,16 +10,16 @@ column broadcasts / reductions (Fig. 5).
 
 from __future__ import annotations
 
-from operator import add
 from typing import Optional
 
 from repro.backend import ops
 from repro.comm import collectives as coll
+from repro.core import summa
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.core.summa import grads_of_ab, summa_ab
-from repro.mesh.dtensor import DTensor, rank_map
-from repro.mesh.layouts import BLOCKED_2D, ROW0_COLS
+from repro.mesh.dtensor import DTensor, block_map, rank_map
+from repro.mesh.layouts import BLOCKED_2D, COL_BLOCKED, ROW0_COLS
 from repro.mesh.mesh import Mesh
 from repro.mesh.partition import distribute_blocked_2d, distribute_row0_cols
 from repro.nn.transformer import (
@@ -31,14 +31,77 @@ from repro.nn.transformer import (
 )
 
 
-def _broadcast_down_columns(mesh: Mesh, param: DistParam) -> dict:
+def _stacked(mesh: Mesh, x: DTensor) -> bool:
+    """Whether a collective over ``x`` replays its accounting and folds the
+    numbers on ``x``'s block stack: ``x`` carries one on ``mesh`` and the
+    shared gate (:func:`repro.core.summa._batched_ready`) holds.  Otherwise
+    the real per-rank collectives run (placeholders, ragged shards, q = 1,
+    another owner, an armed injector, patched collectives)."""
+    return x.blocks is not None and x.owner is mesh and summa._batched_ready(mesh.sim)
+
+
+def _precosts(mesh: Mesh, lines: str, kind: str, block) -> list:
+    """``(group, precost)`` of a ``kind`` collective over ``block``-sized
+    buffers on each of the mesh's ``lines`` (``"row_groups"`` /
+    ``"col_groups"``), priced once per mesh and block size — what the
+    per-rank collective would price on every call."""
+    cache = getattr(mesh, "_line_precosts", None)
+    if cache is None:
+        cache = mesh._line_precosts = {}
+    nbytes = ops.nbytes(block)
+    costs = cache.get((lines, kind, nbytes))
+    if costs is None:
+        costs = cache[lines, kind, nbytes] = [
+            (group, group.model.price(kind, nbytes)) for group in getattr(mesh, lines)
+        ]
+    return costs
+
+
+def _broadcast_down_columns(mesh: Mesh, param: DistParam) -> DTensor:
     """Every rank's copy of a row-0 vector parameter: each block is broadcast
-    down its mesh column (Fig. 5a).  Keys run column by column."""
+    down its mesh column (Fig. 5a).  A ``COL_BLOCKED`` DTensor keyed column
+    by column.  Stacked, it is a read-only-by-use broadcast view of the
+    parameter's stack (no rank writes it; a fault injector, which would,
+    forces the per-rank path)."""
+    data = param.data
+    if _stacked(mesh, data):
+        # a parameter's stack is updated in place and never rebound, so its
+        # view is built once per mesh (the entry pins ``data``: its id stays
+        # unique); the broadcasts are charged on every call
+        views = mesh.__dict__.setdefault("_column_views", {})
+        entry = views.get(id(data))
+        if entry is None:
+            order = [rank for group in mesh.col_groups for rank in group.ranks]
+            view = DTensor.from_blocks(
+                mesh, COL_BLOCKED, data.blocks[None], data.global_shape, order
+            )
+            costs = _precosts(mesh, "col_groups", "broadcast", data.blocks[0])
+            entry = views[id(data)] = (data, costs, view)
+        _data, costs, view = entry
+        for group, cost in costs:
+            coll.charge_only(group, "broadcast", cost)
+        return view
     local = {}
     for j in range(mesh.q):
         root = mesh.rank(0, j)
-        local.update(coll.broadcast(mesh.col_group(j), param.data.local(root), root))
-    return local
+        local.update(coll.broadcast(mesh.col_group(j), data.local(root), root))
+    return DTensor(mesh, COL_BLOCKED, local, data.global_shape)
+
+
+def _all_reduce_rows(mesh: Mesh, x: DTensor) -> DTensor:
+    """Sum ``x``'s blocks along each mesh row, every member keeping the sum
+    (the row statistics of §3.2.2).  Stacked, the fold is
+    ``collectives._combine``'s (copy column 0, add columns 1… in order) and
+    the row's members share the sum, a size-1 column axis of the stack."""
+    if _stacked(mesh, x):
+        for group, cost in _precosts(mesh, "row_groups", "all_reduce", x.blocks[0, 0]):
+            coll.charge_only(group, "all_reduce", cost)
+        total = ops.fold_stack_sum(x.blocks, axis=1)
+        return DTensor.from_blocks(mesh, BLOCKED_2D, total[:, None], x.global_shape, x.shards)
+    shards = dict(x.shards)
+    for group in mesh.row_groups:
+        shards.update(coll.all_reduce(group, {r: shards[r] for r in group.ranks}))
+    return DTensor(mesh, BLOCKED_2D, shards, x.global_shape)
 
 
 def _reduce_up_columns(mesh: Mesh, partials: dict) -> dict:
@@ -48,6 +111,10 @@ def _reduce_up_columns(mesh: Mesh, partials: dict) -> dict:
         group, root = mesh.col_group(j), mesh.rank(0, j)
         reduced.update(coll.reduce(group, {r: partials[r] for r in group.ranks}, root))
     return reduced
+
+
+def _add_bias(bias, y):
+    return y + bias[..., None, :]
 
 
 # ======================================================================
@@ -109,10 +176,10 @@ class Linear2D(DistModule):
         return y
 
     def _bias_add(self, y: DTensor) -> DTensor:
-        """Broadcast each bias block down its column and add (Fig. 5a)."""
-        bias_l = _broadcast_down_columns(self.mesh, self.bias)
-        shards = rank_map(add, bias_l, y.shards, bias_l)
-        out = DTensor(self.mesh, BLOCKED_2D, shards, y.global_shape)
+        """Broadcast each bias block down its column and add (Fig. 5a); the
+        sum is keyed like the broadcast, column by column."""
+        bias = _broadcast_down_columns(self.mesh, self.bias)
+        out = block_map(_add_bias, self.mesh, bias, y)
         charge_elementwise(out, "add")
         return out
 
@@ -184,38 +251,32 @@ class LayerNorm2D(DistModule):
     def forward(self, x: DTensor) -> DTensor:
         mesh = self.mesh
         h = x.global_shape[1]
+        eps = self.eps
 
+        # trailing axes only: the same bodies serve one block and a stack
         def row_sums(xl):
-            s1 = ops.sum(xl, axis=1, keepdims=True)
-            s2 = ops.sum(xl * xl, axis=1, keepdims=True)
-            return ops.concatenate([s1, s2], axis=1)  # [T_loc, 2]
-
-        # fused [Σx, Σx²] row all-reduce
-        stats = rank_map(row_sums, mesh.ranks, x.shards)
-        for i in range(mesh.q):
-            grp = mesh.row_group(i)
-            reduced = coll.all_reduce(grp, {r: stats[r] for r in grp.ranks})
-            stats.update(reduced)
-
-        gamma_l = _broadcast_down_columns(mesh, self.gamma)
-        beta_l = _broadcast_down_columns(mesh, self.beta)
+            s1 = ops.sum(xl, axis=-1, keepdims=True)
+            s2 = ops.sum(xl * xl, axis=-1, keepdims=True)
+            return ops.concatenate([s1, s2], axis=-1)  # [T_loc, 2]
 
         def normalize(xl, st, gamma, beta):
-            mean = st[:, 0:1] / h
-            var = st[:, 1:2] / h - mean * mean
-            inv_std = 1.0 / ops.sqrt(var + self.eps)
+            mean = st[..., 0:1] / h
+            var = st[..., 1:2] / h - mean * mean
+            inv_std = 1.0 / ops.sqrt(var + eps)
             x_hat = (xl - mean) * inv_std
-            return x_hat * gamma + beta, x_hat, inv_std
+            return x_hat * gamma[..., None, :] + beta[..., None, :], x_hat, inv_std
 
-        normed = rank_map(normalize, mesh.ranks, x.shards, stats, gamma_l, beta_l)
-        out_shards, xhat_shards, inv_shards = {}, {}, {}
-        for rank, (out, x_hat, inv_std) in normed.items():
-            out_shards[rank], xhat_shards[rank], inv_shards[rank] = out, x_hat, inv_std
-        out = DTensor(mesh, BLOCKED_2D, out_shards, x.global_shape)
+        # fused [Σx, Σx²] row all-reduce
+        stats = _all_reduce_rows(mesh, block_map(row_sums, mesh, x))
+        gamma = _broadcast_down_columns(mesh, self.gamma)
+        beta = _broadcast_down_columns(mesh, self.beta)
+        out, x_hat, inv_std = block_map(normalize, mesh, x, stats, gamma, beta)
         charge_elementwise(out, "layernorm")
-        x_hat_dt = DTensor(mesh, BLOCKED_2D, xhat_shards, x.global_shape)
-        self._saved = (x_hat_dt, inv_shards, gamma_l)
-        hold(self.buffers, "forward", x_hat_dt)
+        # the saved γ may be the parameter's own memory: no optimizer step
+        # falls between a layer's forward and its backward (immediate
+        # updates and checkpoint recompute included)
+        self._saved = (x_hat, inv_std, gamma)
+        hold(self.buffers, "forward", x_hat)
         hold(self.buffers, "forward", out)
         return out
 
@@ -224,8 +285,8 @@ class LayerNorm2D(DistModule):
         if self._saved is None:
             raise RuntimeError(f"{self.name}: backward before forward")
         mesh = self.mesh
-        x_hat_dt, inv_shards, gamma_l = self._saved
-        x_hats = x_hat_dt.shards
+        x_hat_dt, inv_std, gamma = self._saved
+        x_hats, inv_shards, gamma_l = x_hat_dt.shards, inv_std.shards, gamma.shards
         h = dy.global_shape[1]
 
         def row_sums(dyl, gamma, x_hat):

@@ -38,15 +38,18 @@ It is computed once per distinct key and cached on the mesh.
 **Executors.**  The *per-rank* executor issues every broadcast and reduce
 through :mod:`repro.comm.collectives` and multiplies one rank's blocks at a
 time (partials go through the simulator's
-:class:`~repro.core.buffers.ArrayPool`).  The *batched* executor stacks the
-step's blocks along leading mesh axes and computes all q² rank-local
-products as one broadcasted ``np.matmul`` (``ab``:
-``(q,1,m,k) @ (1,q,k,n) → (q,q,m,n)``), folds the reduces of ``abt``/``atb``
-as in-place adds in group-rank order, and *replays* the accounting from the
-plan in the per-rank call order (charge-only collectives, per-gemm
-compute charges and workspace holds, issued a gemm group at a time) — so
-clocks, byte counters, weighted volumes, memory peaks and trace
-events/spans are bit-identical between the two.  On a dryrun
+:class:`~repro.core.buffers.ArrayPool`).  The *batched* executor computes
+all q² rank-local products of a step as one broadcasted ``np.matmul`` over
+the blocks stacked along leading mesh axes (``ab``:
+``(q,1,m,k) @ (1,q,k,n) → (q,q,m,n)``) — an operand that carries a block
+stack (:meth:`~repro.mesh.dtensor.DTensor.from_blocks`) is read as views
+``A[:, l]`` / ``B[l]``, any other is copied into a pooled stack — writes
+the output's block stack (``abt``/``atb`` fold each reduced line into
+``C[:, l]`` / ``C[l]`` as in-place adds in group-rank order), and *replays*
+the accounting from the plan in the per-rank call order (charge-only
+collectives, per-gemm compute charges and workspace holds, issued a gemm
+group at a time) — so clocks, byte counters, weighted volumes, memory peaks
+and trace events/spans are bit-identical between the two.  On a dryrun
 (``ShapeArray``) plan there is no product to compute: the batched executor
 *is* that replay, plus one output placeholder of the plan's block shape and
 dtype shared by the q² ranks (placeholders are immutable) — the shape math
@@ -86,6 +89,7 @@ from repro.runtime.events import NULL_SPAN
 #: the original function rebinds these too, and the comparison still holds.
 _PRISTINE_BROADCAST = coll.broadcast
 _PRISTINE_REDUCE = coll.reduce
+_PRISTINE_ALL_REDUCE = coll.all_reduce
 
 
 class _Algo(NamedTuple):
@@ -248,21 +252,38 @@ def _build_plan(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor, numeric: bool) 
     return _Plan(steps, numeric, out_dtype)
 
 
+def _block_sig(x: DTensor, numeric: bool):
+    """``(block shape, dtype)`` when every shard shares both — known in O(1)
+    from a block stack, else checked shard by shard — or None (ragged)."""
+    if x.blocks is not None:
+        return x.blocks.shape[x.blocks.ndim - 2:], x.blocks.dtype
+    sig = _uniform_sig(x)
+    if sig is None or numeric:
+        return sig
+    return sig[0], sig[1].name
+
+
 def _get_plan(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor) -> _Plan:
     numeric = not is_shape_array(next(iter(a.shards.values())))
     cache = getattr(mesh, "_summa_plans", None)
     if cache is None:
         cache = mesh._summa_plans = {}
-    key = (
-        algo.name,
-        a.global_shape,
-        b.global_shape,
-        _shape_sig(mesh, a),
-        _shape_sig(mesh, b),
-        _dtype_sig(mesh, a, numeric),
-        _dtype_sig(mesh, b, numeric),
-        numeric,
-    )
+    sig_a = _block_sig(a, numeric)
+    sig_b = _block_sig(b, numeric) if sig_a is not None else None
+    if sig_b is not None:  # uniform blocks: one shape and dtype per operand
+        key = (algo.name, a.global_shape, b.global_shape, sig_a, sig_b, numeric)
+    else:
+        key = (
+            "ragged",
+            algo.name,
+            a.global_shape,
+            b.global_shape,
+            _shape_sig(mesh, a),
+            _shape_sig(mesh, b),
+            _dtype_sig(mesh, a, numeric),
+            _dtype_sig(mesh, b, numeric),
+            numeric,
+        )
     plan = cache.get(key)
     if plan is None:
         plan = cache[key] = _build_plan(mesh, algo, a, b, numeric)
@@ -355,6 +376,11 @@ class _BatchedDesc(NamedTuple):
     lines: list
     flops: float
     scratch: int
+    stack_shape: tuple  # (q, q) + output block: the output's block stack
+    #: ``(rank, (i, j))`` of every output block, in the per-rank executor's
+    #: key order (downstream charge loops iterate it): mesh order for
+    #: ``ab``, the reduce roots in call order otherwise
+    owners: list
 
 
 def _uniform_sig(x: DTensor):
@@ -363,7 +389,9 @@ def _uniform_sig(x: DTensor):
     first = next(it)
     shape, dtype = first.shape, first.dtype
     for s in it:
-        if s.shape != shape or s.dtype != dtype:
+        # dtypes are interned: identity settles equal ones without a
+        # Python-level ``DType.__eq__`` per placeholder shard
+        if s.shape != shape or (s.dtype is not dtype and s.dtype != dtype):
             return None
     return tuple(shape), dtype
 
@@ -381,9 +409,18 @@ def _batched_of(plan: _Plan, mesh: Mesh, a: DTensor, b: DTensor):
                 grid = [[mesh.rank(i, j) for j in range(q)] for i in range(q)]
                 groups = plan.steps[0][1]
                 lines = [[gemm[0] for gemm in gemms] for gemms, _reduce in groups]
-                _rank, _dev, flops, scratch, _shape = groups[0][0][0]
+                _rank, _dev, flops, scratch, out_shape = groups[0][0][0]
+                if groups[0][1] is None:  # ab: every block, mesh order
+                    roots = mesh.ranks
+                else:
+                    roots = [
+                        reduce[1]
+                        for _bcasts, step_groups in plan.steps
+                        for _gemms, reduce in step_groups
+                    ]
                 desc = _BatchedDesc(
-                    q, grid, (sig_a[0], sig_b[0]), lines, flops, scratch
+                    q, grid, (sig_a[0], sig_b[0]), lines, flops, scratch,
+                    (q, q) + out_shape, [(r, mesh.coords(r)) for r in roots],
                 )
         plan.batched = desc
     return desc or None
@@ -391,12 +428,17 @@ def _batched_of(plan: _Plan, mesh: Mesh, a: DTensor, b: DTensor):
 
 def _batched_ready(sim) -> bool:
     """Runtime gates the plan cannot capture: unpatched collectives and a
-    disarmed fault injector (both need the per-rank call sequence)."""
+    disarmed fault injector (both need the per-rank call sequence).  The one
+    gate of every host-side batched path: this executor,
+    :func:`repro.mesh.dtensor.block_map` and the stacked row all-reduce and
+    column broadcasts of :mod:`repro.core.layers`."""
     inj = sim.fault_injector
     if inj is not None and inj.armed:
         return False
     return (
-        coll.broadcast is _PRISTINE_BROADCAST and coll.reduce is _PRISTINE_REDUCE
+        coll.broadcast is _PRISTINE_BROADCAST
+        and coll.reduce is _PRISTINE_REDUCE
+        and coll.all_reduce is _PRISTINE_ALL_REDUCE
     )
 
 
@@ -410,39 +452,49 @@ def _replay_gemms(sim, ranks, flops, scratch, buffers) -> None:
         buffers.compute_in_workspace(ranks, scratch, flops)
 
 
-def _run_batched(mesh, algo, a, b, plan, buffers, desc) -> dict:
+def _full_stack(x: DTensor, mesh: Mesh):
+    """``x``'s ``(q, q) + block`` stack when it carries one on ``mesh``."""
+    blocks = x.blocks
+    if blocks is not None and x.owner is mesh and blocks.shape[:2] == (mesh.q, mesh.q):
+        return blocks
+    return None
+
+
+def _run_batched(mesh, algo, a, b, plan, buffers, desc, out=None) -> dict:
+    """Numeric plans write the output block stack ``out`` (allocated here
+    when not given) and return its views keyed in the per-rank executor's
+    order; operands that carry a block stack are read in place."""
     sim = mesh.sim
     tr = sim.tracer
     traced = tr.enabled
     numeric = plan.numeric
-    pool = _pool_of(sim)
-    q, grid, shapes, lines, flops, scratch = desc
+    q, grid, shapes, lines, flops, scratch, stack_shape, owners = desc
     shards = (a.shards, b.shards)
     dtypes = (a.dtype, b.dtype)
     out_dtype = plan.out_dtype
-    stack_shape = (
-        q, q, shapes[0][1 if algo.ta else 0], shapes[1][0 if algo.tb else 1]
-    )
+    pool = _pool_of(sim)
+    acquired = []  # pool arrays to release (by identity) when the call ends
 
     def stack(op, ranks):
         """Operand ``op``'s blocks on ``ranks`` along a new leading axis."""
-        out = pool.acquire((len(ranks),) + shapes[op], dtypes[op])
+        stk = pool.acquire((len(ranks),) + shapes[op], dtypes[op])
         for t, rank in enumerate(ranks):
-            out[t] = shards[op][rank]
-        return out
+            stk[t] = shards[op][rank]
+        acquired.append(stk)
+        return stk
 
-    # an operand that is never broadcast is step-invariant: stack its q²
-    # blocks once per call (keep the acquired array — the pool releases by
-    # identity, and the (q, q, …) reshape is a different object).  A shape
-    # plan has nothing to stack.
-    whole = {
-        op: stack(op, [rank for row in grid for rank in row])
-        for op in (0, 1)
-        if numeric and op not in algo.bcast
-    }
-    views = {op: raw.reshape((q, q) + shapes[op]) for op, raw in whole.items()}
-    cstk = None
-    c_shards = {}
+    # A block stack is read as views (A_il over rows i: A[:, l]; B_lj over
+    # columns j: B[l]); an operand without one is copied into a pooled stack,
+    # once per call when it is never broadcast.  A shape plan has nothing to
+    # stack.
+    stacks = [_full_stack(a, mesh), _full_stack(b, mesh)] if numeric else [None, None]
+    for op in (0, 1):
+        if numeric and op not in algo.bcast and stacks[op] is None:
+            everyone = [rank for row in grid for rank in row]
+            stacks[op] = stack(op, everyone).reshape((q, q) + shapes[op])
+    if numeric and out is None:
+        out = np.empty(stack_shape, out_dtype)
+    part = None  # one scratch partial per call, reused by every step
     for l, (bcasts, groups) in enumerate(plan.steps):
         with tr.span(
             "summa_step", mesh.ranks, "summa", algo=algo.name, step=l
@@ -460,48 +512,41 @@ def _run_batched(mesh, algo, a, b, plan, buffers, desc) -> dict:
             # numpy dispatches every 2-D slice to the same BLAS gemm, on the
             # same (possibly transposed-view) operands, as the per-rank `@`.
             # A_il is stacked over rows i (shared by all j), B_lj over columns j
-            held = {
-                op: stack(op, [grid[t][l] for t in range(q)] if op == 0 else grid[l])
-                for op in algo.bcast
-            }
-            x = held[0][:, None] if 0 in held else views[0]
-            y = held[1][None] if 1 in held else views[1]
+            if 0 in algo.bcast:
+                x = (stack(0, [grid[t][l] for t in range(q)]) if stacks[0] is None
+                     else stacks[0][:, l])[:, None]
+            else:
+                x = stacks[0]
+            if 1 in algo.bcast:
+                y = (stack(1, grid[l]) if stacks[1] is None else stacks[1][l])[None]
+            else:
+                y = stacks[1]
             if algo.ta:
                 x = x.swapaxes(-1, -2)
             if algo.tb:
                 y = y.swapaxes(-1, -2)
-            if cstk is None and algo.reduce is None:
-                # the output backing must outlive the call (shards are views
-                # into it), so it is never pool-owned
-                cstk = np.matmul(x, y, out=np.empty(stack_shape, out_dtype))
+            if algo.reduce is None and l == 0:
+                np.matmul(x, y, out=out)
+                continue
+            part = np.matmul(x, y, out=part)
+            if algo.reduce is None:
+                np.add(out, part, out=out)
             else:
-                part = pool.acquire(stack_shape, out_dtype)
-                np.matmul(x, y, out=part)
-                if algo.reduce is None:
-                    np.add(cstk, part, out=cstk)
-                else:
-                    # fold the reduced line's members (stack axis j for a row
-                    # reduce, i for a column reduce) in group-rank order:
-                    # copy-then-add is exactly collectives._combine
-                    out_l = ops.fold_stack_sum(part, axis=1 - algo.reduce)
-                    for t, (_gemms, reduce) in enumerate(groups):
-                        c_shards[reduce[1]] = out_l[t]
-                pool.release(part)
-            for stk in held.values():
-                pool.release(stk)
-    for raw in whole.values():
-        pool.release(raw)
+                # fold the reduced line's members (stack axis j for a row
+                # reduce, i for a column reduce) in group-rank order into the
+                # step's output line (column l of C, resp. row l): copy-then-add
+                # is exactly collectives._combine
+                line = out[:, l] if algo.reduce == 0 else out[l]
+                ops.fold_stack_sum(part, axis=1 - algo.reduce, out=line)
+    for stk in acquired:
+        pool.release(stk)
     if not numeric:
-        # one immutable output placeholder for the q² ranks, keyed in the
-        # per-rank executor's order (downstream charge loops iterate it):
-        # mesh order for ``ab``, the reduce roots in call order otherwise
-        owners = mesh.ranks if algo.reduce is None else (
-            reduce[1] for _bcasts, groups in plan.steps for _gemms, reduce in groups
+        # one immutable output placeholder for the q² ranks (downstream
+        # charge loops iterate the keys)
+        return dict.fromkeys(
+            [rank for rank, _ij in owners], ShapeArray(stack_shape[2:], out_dtype)
         )
-        return dict.fromkeys(owners, ShapeArray(stack_shape[2:], out_dtype))
-    if algo.reduce is None:
-        c_shards = {grid[i][j]: cstk[i, j] for i in range(q) for j in range(q)}
-    return c_shards
+    return {rank: out[ij] for rank, ij in owners}
 
 
 # ----------------------------------------------------------------------
@@ -520,13 +565,18 @@ def _summa(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor, buffers) -> DTensor:
     sim = mesh.sim
     desc = _batched_of(plan, mesh, a, b)
     tr = sim.tracer
+    blocks = None
     with tr.span(
         "summa_" + algo.name, mesh.ranks, "op", M=M, K=K, N=N, q=mesh.q
     ) if tr.enabled else NULL_SPAN:
         if desc is not None and _batched_ready(sim):
-            c_shards = _run_batched(mesh, algo, a, b, plan, buffers, desc)
+            if plan.numeric:
+                blocks = np.empty(desc.stack_shape, plan.out_dtype)
+            c_shards = _run_batched(mesh, algo, a, b, plan, buffers, desc, blocks)
         else:
             c_shards = _run_per_rank(mesh, algo, a, b, plan, buffers)
+    if blocks is not None:
+        return DTensor.from_blocks(mesh, BLOCKED_2D, blocks, (M, N), c_shards)
     return DTensor(mesh, BLOCKED_2D, c_shards, (M, N))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.backend import ops
 from repro.backend.shape_array import ShapeArray
-from repro.mesh.layouts import Layout
+from repro.mesh.layouts import BLOCKED_2D, Layout
 
 
 def _signature(x):
@@ -134,6 +134,69 @@ def replica_map(fn: Callable, group, *shard_dicts: Dict[int, object]) -> dict:
     return dict.fromkeys(ranks, result)
 
 
+def block_map(fn: Callable, mesh, *operands) -> "DTensor":
+    """Rank-local math over 2-D blocked operands (DTensors on ``mesh``):
+    ``fn`` maps each rank's blocks to its result block(s), 2-D with the
+    input's rows.  Returns a ``BLOCKED_2D`` DTensor — a tuple of them when
+    ``fn`` returns a tuple — keyed in ``operands[0]``'s shard order.
+
+    When every operand carries a block stack on ``mesh`` (see
+    :meth:`DTensor.from_blocks`) and the gate of SUMMA's batched executor
+    (:func:`repro.core.summa._batched_ready`) holds, ``fn``
+    runs **once, on the stacks**: the mesh axes are two more leading axes,
+    so ``fn`` must address blocks by trailing axes (``axis=-1``,
+    ``st[..., 0:1]``, a vector as ``v[..., None, :]``) and the same body
+    serves a shard and a stack.  Elementwise ops act per element and a
+    reduction over a stack's contiguous last axis equals the per-block one,
+    so the result blocks equal the per-rank results bit for bit.  Otherwise
+    (placeholders, ragged or mixed-dtype shards, q = 1, an operand owned
+    elsewhere, an armed injector, patched collectives) it is
+    :func:`rank_map` over the shards.  Charges stay per rank, made by the
+    caller.
+    """
+    order = operands[0].shards
+    for op in operands:
+        if op.blocks is None or op.owner is not mesh:
+            break
+    else:
+        import repro.core.summa  # the shared gate; core.summa imports this module
+
+        if repro.core.summa._batched_ready(mesh.sim):
+            result = fn(*[op.blocks for op in operands])
+            parts = result if type(result) is tuple else (result,)
+            # a stack holds arrays: anything else (a conversion to dryrun
+            # placeholders) is made rank by rank below
+            if all(type(part) is np.ndarray for part in parts):
+                stacked = tuple(_stacked_result(mesh, part, order) for part in parts)
+                return stacked if type(result) is tuple else stacked[0]
+    per_rank = rank_map(fn, order, *[op.shards for op in operands])
+    first = next(iter(per_rank.values()))
+    if type(first) is not tuple:
+        return _blocked_result(mesh, per_rank)
+    parts = [{} for _ in first]
+    for rank, result in per_rank.items():
+        for part, block in zip(parts, result):
+            part[rank] = block
+    return tuple(_blocked_result(mesh, part) for part in parts)
+
+
+def _stacked_result(mesh, blocks, order) -> "DTensor":
+    q = mesh.q
+    return DTensor.from_blocks(
+        mesh, BLOCKED_2D, blocks, (q * blocks.shape[-2], q * blocks.shape[-1]), order
+    )
+
+
+def _blocked_result(mesh, shards: dict) -> "DTensor":
+    # rows: the row blocks' heights down mesh column 0 (ragged MoE blocks
+    # included); columns: q equal column blocks
+    column0 = mesh.col_groups[0].ranks
+    rows = 0
+    for rank in column0:
+        rows += shards[rank].shape[0]
+    return DTensor(mesh, BLOCKED_2D, shards, (rows, mesh.q * shards[column0[0]].shape[1]))
+
+
 class DTensor:
     """A logical global tensor stored as per-rank shards.
 
@@ -142,10 +205,13 @@ class DTensor:
     The class is deliberately thin — distributed *math* lives in the model
     modules, which know which collectives each operation needs; DTensor only
     carries data, shape bookkeeping, and elementwise conveniences that
-    require no communication.
+    require no communication.  A numeric 2-D tensor on a q > 1 mesh may
+    also carry its shards as one block stack (``blocks``, built only by
+    :meth:`from_blocks`), which :func:`block_map` and SUMMA compute on once
+    per mesh.
     """
 
-    __slots__ = ("owner", "layout", "shards", "global_shape")
+    __slots__ = ("owner", "layout", "shards", "global_shape", "blocks")
 
     def __init__(
         self,
@@ -157,7 +223,9 @@ class DTensor:
         self.owner = owner
         self.layout = layout
         self.shards = dict(shards)
-        self.global_shape = tuple(int(s) for s in global_shape)
+        self.global_shape = tuple(map(int, global_shape))
+        #: the block stack the shards are views of, or None (see from_blocks)
+        self.blocks = None
         # strict mode (repro.check): validate the layout contract at every
         # construction site.  ``is_enabled`` is the simulator's precomputed
         # instrumentation flag, so with all checking off this guard costs two
@@ -167,6 +235,38 @@ class DTensor:
             from repro.check.invariants import validate_dtensor
 
             validate_dtensor(self)
+
+    @classmethod
+    def from_blocks(cls, owner, layout: Layout, blocks, global_shape, order) -> "DTensor":
+        """A DTensor on mesh ``owner`` whose shards are views of one array.
+
+        ``blocks`` is the **block stack**: ``(q, q) + block`` indexed by mesh
+        coordinate for a mesh-wide layout, ``(q,) + block`` indexed by
+        column for a row-0 layout (``ROW0_COLS``).  A leading axis of size 1
+        is a block shared along that mesh axis (a broadcast view: row
+        statistics after a row all-reduce, a row-0 vector sent down the
+        columns).  ``order`` lists the ranks in the key order of the shards
+        — part of the output, since charges and buffer holds are issued in
+        shard order.  The invariant ``shards[rank(i, j)]`` *is the memory
+        of* ``blocks[i, j]`` holds by construction; nothing rebinds a shard
+        afterwards (``partition.scatter_any`` writes through the views).
+        """
+        q = owner.q
+        if blocks.ndim - len(global_shape) == 1:
+            a = blocks.shape[0]
+            local = [blocks[j % a] for j in range(q)]
+        else:
+            a, b = blocks.shape[:2]
+            local = [blocks[i % a, j % b] for i in range(q) for j in range(q)]
+        off = owner.rank_offset
+        dt = cls(owner, layout, {r: local[r - off] for r in order}, global_shape)
+        dt.blocks = blocks
+        sim = owner.sim
+        if sim.is_enabled and sim.strict_invariants:  # now with the stack
+            from repro.check.invariants import validate_dtensor
+
+            validate_dtensor(dt)
+        return dt
 
     # ------------------------------------------------------------------
     @property
@@ -187,17 +287,21 @@ class DTensor:
     # communication-free elementwise helpers
     # ------------------------------------------------------------------
     def _rank_local(self, fn: Callable, *shard_dicts) -> dict:
-        """``fn`` over the shards: once when the layout says they are replicas
-        (:func:`replica_map`), per rank otherwise (:func:`rank_map`)."""
+        """``fn`` over the shards of a non-blocked layout: once when the
+        layout says they are replicas (:func:`replica_map`), per rank
+        otherwise (:func:`rank_map`)."""
         if self.layout.kind == "replicated_1d":
             return replica_map(fn, self.owner, *shard_dicts)
         return rank_map(fn, self.shards, *shard_dicts)
 
     def map(self, fn: Callable) -> "DTensor":
-        """Apply ``fn`` to every shard (``fn`` is rank-local math: through
-        :func:`rank_map`, or :func:`replica_map` on a ``REPLICATED_1D``
-        tensor, whose result shards are then shared and read-only); layout
-        and global shape unchanged."""
+        """Apply the elementwise ``fn`` to every shard (rank-local math:
+        through :func:`block_map` on a ``BLOCKED_2D`` tensor, :func:`replica_map`
+        on a ``REPLICATED_1D`` one, whose result shards are then shared and
+        read-only, :func:`rank_map` otherwise); layout and global shape
+        unchanged."""
+        if self.layout.kind == "blocked_2d":
+            return block_map(fn, self.owner, self)
         return DTensor(
             self.owner,
             self.layout,
@@ -215,6 +319,8 @@ class DTensor:
             )
         if self.shards.keys() != other.shards.keys():
             raise ValueError("rank sets differ")
+        if self.layout.kind == "blocked_2d":
+            return block_map(fn, self.owner, self, other)
         return DTensor(
             self.owner,
             self.layout,

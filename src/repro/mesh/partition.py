@@ -41,13 +41,25 @@ def block_slice(dim: int, parts: int, index: int) -> slice:
 # ----------------------------------------------------------------------
 # 2-D mesh layouts
 # ----------------------------------------------------------------------
+def _stackable(mesh: Mesh, a) -> bool:
+    """Numeric data on a q > 1 mesh is stored as one block stack."""
+    return mesh.q > 1 and isinstance(a, np.ndarray)
+
+
 def distribute_blocked_2d(mesh: Mesh, a) -> DTensor:
-    """Split a 2-D matrix into q×q blocks; coord (i, j) gets block (i, j)."""
+    """Split a 2-D matrix into q×q blocks; coord (i, j) gets block (i, j).
+
+    Numeric data on a q > 1 mesh is copied into one ``(q, q, M/q, N/q)``
+    block stack (the shards are its views, so in-place updates of a shard
+    are updates of the stack); otherwise the shards are slices of ``a``."""
     if a.ndim != 2:
         raise ValueError(f"blocked_2d requires a 2-D matrix, got shape {a.shape}")
     q = mesh.q
-    _check_divisible(a.shape[0], q, "rows")
-    _check_divisible(a.shape[1], q, "cols")
+    m = _check_divisible(a.shape[0], q, "rows")
+    n = _check_divisible(a.shape[1], q, "cols")
+    if _stackable(mesh, a):
+        blocks = np.ascontiguousarray(a.reshape(q, m, q, n).swapaxes(1, 2))
+        return DTensor.from_blocks(mesh, BLOCKED_2D, blocks, a.shape, mesh.ranks)
     shards = {}
     for i in range(q):
         ri = block_slice(a.shape[0], q, i)
@@ -55,6 +67,20 @@ def distribute_blocked_2d(mesh: Mesh, a) -> DTensor:
             cj = block_slice(a.shape[1], q, j)
             shards[mesh.rank(i, j)] = a[ri, cj]
     return DTensor(mesh, BLOCKED_2D, shards, a.shape)
+
+
+def zeros_blocked_2d(mesh: Mesh, block_shape, dtype, global_shape) -> DTensor:
+    """A zero ``BLOCKED_2D`` tensor of uniform blocks, keyed in mesh order
+    — one block stack when numeric on a q > 1 mesh."""
+    if mesh.q > 1 and mesh.backend != "shape":
+        stack_shape = (mesh.q, mesh.q) + tuple(block_shape)
+        blocks = ops.zeros(stack_shape, dtype=dtype, backend=mesh.backend)
+        return DTensor.from_blocks(mesh, BLOCKED_2D, blocks, global_shape, mesh.ranks)
+    shards = {
+        rank: ops.zeros(block_shape, dtype=dtype, backend=mesh.backend)
+        for rank in mesh.ranks
+    }
+    return DTensor(mesh, BLOCKED_2D, shards, global_shape)
 
 
 def assemble_blocked_2d(dt: DTensor) -> object:
@@ -87,11 +113,18 @@ def assemble_row_blocked(dt: DTensor) -> object:
 
 
 def distribute_row0_cols(mesh: Mesh, a) -> DTensor:
-    """Split a 1-D vector into q blocks hosted by mesh row 0 (paper Fig. 5)."""
+    """Split a 1-D vector into q blocks hosted by mesh row 0 (paper Fig. 5);
+    numeric data on a q > 1 mesh is copied into one ``(q, n/q)`` stack
+    indexed by column."""
     if a.ndim != 1:
         raise ValueError(f"row0_cols requires a 1-D vector, got shape {a.shape}")
     q = mesh.q
-    _check_divisible(a.shape[0], q, "vector")
+    n = _check_divisible(a.shape[0], q, "vector")
+    if _stackable(mesh, a):
+        blocks = a.reshape(q, n).copy()
+        return DTensor.from_blocks(
+            mesh, ROW0_COLS, blocks, a.shape, [mesh.rank(0, j) for j in range(q)]
+        )
     shards = {mesh.rank(0, j): a[block_slice(a.shape[0], q, j)] for j in range(q)}
     return DTensor(mesh, ROW0_COLS, shards, a.shape)
 

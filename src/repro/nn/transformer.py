@@ -46,30 +46,35 @@ ELEMWISE_COST = {"add": 1.0, "gelu": 10.0, "softmax": 8.0, "layernorm": 8.0}
 _size = attrgetter("size")
 
 
-def _runs(shards: Dict[int, object], measure):
+def _runs(dt: DTensor, measure) -> list:
     """``(measure(shard), ranks)`` for each maximal run of consecutive shards
     that measure the same — one run unless the shards are ragged (MoE expert
-    blocks).  Ranks sharing one object (a dryrun placeholder) are measured
-    once."""
+    blocks).  A block stack's shards are uniform by construction and ranks
+    sharing one object (a dryrun placeholder) are measured once."""
+    shards = dt.shards
+    if dt.blocks is not None:
+        return [(measure(next(iter(shards.values()))), list(shards))]
+    runs = []
     last = value = None
     ranks: List[int] = []
     for rank, shard in shards.items():
         if shard is not last:
             last, measured = shard, measure(shard)
             if ranks and measured != value:
-                yield value, ranks
+                runs.append((value, ranks))
                 ranks = []
             value = measured
         ranks.append(rank)
     if ranks:
-        yield value, ranks
+        runs.append((value, ranks))
+    return runs
 
 
 def hold(buffers: Optional[BufferManager], region: str, dt: DTensor) -> None:
     """Account every shard of ``dt`` in a buffer region."""
     if buffers is None:
         return
-    for nbytes, ranks in _runs(dt.shards, ops.nbytes):
+    for nbytes, ranks in _runs(dt, ops.nbytes):
         buffers.hold_many(region, [(rank, nbytes) for rank in ranks])
 
 
@@ -77,7 +82,7 @@ def charge_elementwise(dt: DTensor, kind: str) -> None:
     """Charge one fused elementwise kernel over ``dt`` to each owning device."""
     cost = ELEMWISE_COST[kind]
     charge_compute = dt.owner.sim.charge_compute
-    for size, ranks in _runs(dt.shards, _size):
+    for size, ranks in _runs(dt, _size):
         charge_compute(ranks, ((cost * size, "elementwise"),))
 
 

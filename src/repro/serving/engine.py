@@ -44,6 +44,7 @@ from repro.config import ModelConfig
 from repro.core.model import OptimusModel
 from repro.megatron.model import MegatronModel
 from repro.mesh.dtensor import DTensor
+from repro.mesh.layouts import BLOCKED_2D
 from repro.mesh.mesh import Mesh
 from repro.nn.transformer import ELEMWISE_COST, TransformerModel, charge_elementwise
 from repro.reference.attention import decode_attention_fwd
@@ -405,7 +406,9 @@ class ServingEngine:
         for layer in model.layers:
             a = layer.ln1.forward(x)
             qkv = layer.attn.qkv_linear.forward(a)  # [rows·width, 3h]
-            ctx_shards = {}
+            # every rank's context [width, n_loc·d], one array [rows, g, …]
+            # in group-rank order (Optimus: the q×q block stack)
+            contexts = np.empty((len(self.rows), g, width, n_loc * d), dtype=qkv.dtype)
             for gid, (row, group) in enumerate(zip(plan.rows, self.rows)):
                 ranks = group.ranks
                 # the group's head shards concatenate in group-rank order
@@ -413,8 +416,8 @@ class ServingEngine:
                     (width, cfg.num_heads, 3, d)
                 )
                 real = len(row.entries)
-                # per rank [width, n_loc·d], filled through a lane-major view
-                ctx = np.empty((g, width, n_loc * d), dtype=fused.dtype)
+                # the group's contexts, filled through a lane-major view
+                ctx = contexts[gid]
                 by_lane = ctx.reshape((g, width, n_loc, d)).transpose(1, 0, 2, 3)
                 # a padding lane attends to its own fresh K/V only (nothing
                 # cached): softmax over one position is 1, the context is V
@@ -429,11 +432,8 @@ class ServingEngine:
                     by_lane[:real] = decode_attention_fwd(
                         fused[:real, :, 0], k_slab, v_slab, at.table, at.mask
                     ).reshape((real, g, n_loc, d))
-                ctx_shards.update(zip(ranks, ctx))
                 self.sim.charge_compute(ranks, row.costs)
-            ctx_dt = DTensor(
-                model.owner, layer.attn.layout, ctx_shards, (plan.total_lanes, cfg.hidden_size)
-            )
+            ctx_dt = self._context(contexts, (plan.total_lanes, cfg.hidden_size))
             x = x + layer.attn.out_linear.forward(ctx_dt)
             charge_elementwise(x, "add")
             x = x + layer.mlp.forward(layer.ln2.forward(x))
@@ -445,6 +445,18 @@ class ServingEngine:
         model.drop_caches()
         model.buffers.reset_region("forward")
         return sampled
+
+    def _context(self, contexts: np.ndarray, global_shape) -> DTensor:
+        """The attention context as the output linear's input: every rank
+        its ``contexts[row, member]``, keyed in row order."""
+        flat = contexts.reshape((-1,) + contexts.shape[2:])
+        model = self.model
+        return DTensor(
+            model.owner,
+            model.layers[0].attn.layout,
+            dict(zip(self.all_ranks, flat)),
+            global_shape,
+        )
 
     def _sample_greedy(self, logits: DTensor, rows: List[List[LaneInput]]) -> Dict[int, int]:
         stripes = self.rows[0].size
@@ -495,6 +507,15 @@ class OptimusServingEngine(ServingEngine):
         )
 
     step = ServingEngine.step  # hostbench patches it on the scheme's class
+
+    def _context(self, contexts: np.ndarray, global_shape) -> DTensor:
+        # q rows of q members: ``contexts`` is the q×q block stack of a
+        # BLOCKED_2D tensor, its rows in mesh order (block stacks are for
+        # q > 1 meshes)
+        mesh = self.model.owner
+        if mesh.q == 1:
+            return super()._context(contexts, global_shape)
+        return DTensor.from_blocks(mesh, BLOCKED_2D, contexts, global_shape, mesh.ranks)
 
 
 # ======================================================================

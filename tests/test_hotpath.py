@@ -129,13 +129,29 @@ class TestArrayPool:
         assert pool.stats()["free_buffers"] == 0
 
     def test_summa_reuses_pool_across_calls(self):
+        """Operands without a block stack are stacked through the pool."""
+        from repro.mesh.dtensor import DTensor
+
         mesh = make_mesh(2)
-        a, b = _random_operands(mesh, 8, 12, 6)
+        a, b = (
+            DTensor(x.owner, x.layout, x.shards, x.global_shape)
+            for x in _random_operands(mesh, 8, 12, 6)
+        )
+        assert a.blocks is None and b.blocks is None
         for _ in range(3):
             summa.summa_ab(mesh, a, b)
         pool = mesh.sim._array_pool
         assert pool.stats()["hits"] > 0
         assert pool.stats()["live"] == 0  # everything released after the call
+
+    def test_stacked_ab_acquires_no_pool_scratch(self):
+        mesh = make_mesh(2)
+        a, b = _random_operands(mesh, 8, 12, 6)
+        assert a.blocks is not None and b.blocks is not None
+        for _ in range(3):
+            summa.summa_ab(mesh, a, b)
+        stats = summa._pool_of(mesh.sim).stats()
+        assert stats["hits"] == stats["misses"] == stats["live"] == 0
 
 
 class TestInstrumentationFlag:
