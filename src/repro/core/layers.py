@@ -14,11 +14,10 @@ from typing import Optional
 
 from repro.backend import ops
 from repro.comm import collectives as coll
-from repro.core import summa
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.core.summa import grads_of_ab, summa_ab
-from repro.mesh.dtensor import DTensor, block_map, rank_map
+from repro.mesh.dtensor import DTensor, block_map, on_stacks, rank_map
 from repro.mesh.layouts import BLOCKED_2D, COL_BLOCKED, ROW0_COLS
 from repro.mesh.mesh import Mesh
 from repro.mesh.partition import distribute_blocked_2d, distribute_row0_cols
@@ -29,15 +28,6 @@ from repro.nn.transformer import (
     charge_elementwise,
     hold,
 )
-
-
-def _stacked(mesh: Mesh, x: DTensor) -> bool:
-    """Whether a collective over ``x`` replays its accounting and folds the
-    numbers on ``x``'s block stack: ``x`` carries one on ``mesh`` and the
-    shared gate (:func:`repro.core.summa._batched_ready`) holds.  Otherwise
-    the real per-rank collectives run (placeholders, ragged shards, q = 1,
-    another owner, an armed injector, patched collectives)."""
-    return x.blocks is not None and x.owner is mesh and summa._batched_ready(mesh.sim)
 
 
 def _precosts(mesh: Mesh, lines: str, kind: str, block) -> list:
@@ -60,27 +50,24 @@ def _precosts(mesh: Mesh, lines: str, kind: str, block) -> list:
 def _broadcast_down_columns(mesh: Mesh, param: DistParam) -> DTensor:
     """Every rank's copy of a row-0 vector parameter: each block is broadcast
     down its mesh column (Fig. 5a).  A ``COL_BLOCKED`` DTensor keyed column
-    by column.  Stacked, it is a read-only-by-use broadcast view of the
-    parameter's stack (no rank writes it; a fault injector, which would,
-    forces the per-rank path)."""
+    by column.  With :func:`on_stacks`, the broadcasts are charged and the
+    result is a read-only-by-use broadcast view of the parameter's stack (no
+    rank writes it; a fault injector, which would, forces the per-rank
+    path)."""
     data = param.data
-    if _stacked(mesh, data):
-        # a parameter's stack is updated in place and never rebound, so its
-        # view is built once per mesh (the entry pins ``data``: its id stays
-        # unique); the broadcasts are charged on every call
-        views = mesh.__dict__.setdefault("_column_views", {})
-        entry = views.get(id(data))
-        if entry is None:
+    if on_stacks(mesh, data):
+        for group, cost in _precosts(mesh, "col_groups", "broadcast", data.blocks[0]):
+            coll.charge_only(group, "broadcast", cost)
+        # the stack is updated in place, so the view stays current: it is
+        # kept on the parameter and rebuilt only if ``param.data`` is replaced
+        cached = getattr(param, "_column_view", None)
+        if cached is None or cached[0] is not data:
             order = [rank for group in mesh.col_groups for rank in group.ranks]
             view = DTensor.from_blocks(
                 mesh, COL_BLOCKED, data.blocks[None], data.global_shape, order
             )
-            costs = _precosts(mesh, "col_groups", "broadcast", data.blocks[0])
-            entry = views[id(data)] = (data, costs, view)
-        _data, costs, view = entry
-        for group, cost in costs:
-            coll.charge_only(group, "broadcast", cost)
-        return view
+            cached = param._column_view = (data, view)
+        return cached[1]
     local = {}
     for j in range(mesh.q):
         root = mesh.rank(0, j)
@@ -90,10 +77,10 @@ def _broadcast_down_columns(mesh: Mesh, param: DistParam) -> DTensor:
 
 def _all_reduce_rows(mesh: Mesh, x: DTensor) -> DTensor:
     """Sum ``x``'s blocks along each mesh row, every member keeping the sum
-    (the row statistics of §3.2.2).  Stacked, the fold is
+    (the row statistics of §3.2.2).  With :func:`on_stacks`, the fold is
     ``collectives._combine``'s (copy column 0, add columns 1… in order) and
     the row's members share the sum, a size-1 column axis of the stack."""
-    if _stacked(mesh, x):
+    if on_stacks(mesh, x):
         for group, cost in _precosts(mesh, "row_groups", "all_reduce", x.blocks[0, 0]):
             coll.charge_only(group, "all_reduce", cost)
         total = ops.fold_stack_sum(x.blocks, axis=1)

@@ -76,7 +76,7 @@ from repro.backend.dtypes import result_float
 from repro.backend.shape_array import ShapeArray, is_shape_array
 from repro.comm import collectives as coll
 from repro.core.buffers import ArrayPool, BufferManager
-from repro.mesh.dtensor import DTensor
+from repro.mesh.dtensor import DTensor, on_stacks
 from repro.mesh.layouts import BLOCKED_2D
 from repro.mesh.mesh import Mesh
 from repro.runtime.events import NULL_SPAN
@@ -453,17 +453,18 @@ def _replay_gemms(sim, ranks, flops, scratch, buffers) -> None:
 
 
 def _full_stack(x: DTensor, mesh: Mesh):
-    """``x``'s ``(q, q) + block`` stack when it carries one on ``mesh``."""
-    blocks = x.blocks
-    if blocks is not None and x.owner is mesh and blocks.shape[:2] == (mesh.q, mesh.q):
-        return blocks
+    """``x``'s stack when :func:`~repro.mesh.dtensor.on_stacks` holds and it
+    is a full ``(q, q) + block`` one (no axis shared along the mesh)."""
+    if on_stacks(mesh, x) and x.blocks.shape[:2] == (mesh.q, mesh.q):
+        return x.blocks
     return None
 
 
-def _run_batched(mesh, algo, a, b, plan, buffers, desc, out=None) -> dict:
-    """Numeric plans write the output block stack ``out`` (allocated here
-    when not given) and return its views keyed in the per-rank executor's
-    order; operands that carry a block stack are read in place."""
+def _run_batched(mesh, algo, a, b, plan, buffers, desc, out) -> dict:
+    """Numeric plans write the output block stack ``out`` (``desc.stack_shape``
+    of ``plan.out_dtype``; None for a shape plan) and return its views keyed
+    in the per-rank executor's order; operands that carry a block stack are
+    read in place."""
     sim = mesh.sim
     tr = sim.tracer
     traced = tr.enabled
@@ -492,8 +493,6 @@ def _run_batched(mesh, algo, a, b, plan, buffers, desc, out=None) -> dict:
         if numeric and op not in algo.bcast and stacks[op] is None:
             everyone = [rank for row in grid for rank in row]
             stacks[op] = stack(op, everyone).reshape((q, q) + shapes[op])
-    if numeric and out is None:
-        out = np.empty(stack_shape, out_dtype)
     part = None  # one scratch partial per call, reused by every step
     for l, (bcasts, groups) in enumerate(plan.steps):
         with tr.span(

@@ -29,6 +29,7 @@ from repro.comm.group import ProcessGroup
 from repro.config import ModelConfig
 from repro.core.model import OptimusModel
 from repro.core.param import DistParam
+from repro.mesh.dtensor import DTensor
 from repro.mesh.mesh import Mesh
 from repro.nn.init import init_transformer_params
 from repro.runtime.simulator import Simulator
@@ -131,7 +132,12 @@ class DataParallel:
         return np.split(np.asarray(arr), self.R, axis=0)
 
     def _sync_gradients(self) -> None:
-        """All-reduce every gradient shard across replicas and average."""
+        """All-reduce every gradient shard across replicas and average.
+
+        Each replica's gradient is replaced by a fresh DTensor of the averaged
+        shards (same key order), never patched shard by shard: a gradient may
+        carry a block stack its shards are views of, and later rank-local math
+        (clipping, loss scaling) computes on that stack."""
         if self.R == 1:
             return
         by_name = [
@@ -139,19 +145,23 @@ class DataParallel:
         ]
         inv_r = 1.0 / self.R
         for name, by_pos in self._sync_groups.items():
+            grads = []
+            for r, params in enumerate(by_name):
+                g = params[name].grad
+                if g is None:
+                    raise RuntimeError(f"{name}: replica {r} has no gradient")
+                grads.append(g)
+            averaged = [dict(g.shards) for g in grads]
             for rank0, group in by_pos.items():
-                shards = {}
-                for r, params in enumerate(by_name):
-                    p = params[name]
-                    if p.grad is None:
-                        raise RuntimeError(f"{name}: replica {r} has no gradient")
-                    # replica r holds this shard at rank0 + r·q² == group.ranks[r]
-                    shards[group.ranks[r]] = p.grad.shards[group.ranks[r]]
+                # replica r holds this shard at rank0 + r·q² == group.ranks[r]
+                shards = {
+                    group.ranks[r]: g.shards[group.ranks[r]] for r, g in enumerate(grads)
+                }
                 reduced = coll.all_reduce(group, shards)
-                for r, params in enumerate(by_name):
-                    params[name].grad.shards[group.ranks[r]] = (
-                        reduced[group.ranks[r]] * inv_r
-                    )
+                for r, avg in enumerate(averaged):
+                    avg[group.ranks[r]] = reduced[group.ranks[r]] * inv_r
+            for params, g, avg in zip(by_name, grads, averaged):
+                params[name].grad = DTensor(g.owner, g.layout, avg, g.global_shape)
 
     # ------------------------------------------------------------------
     def parameters(self) -> List[DistParam]:

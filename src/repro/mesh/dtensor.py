@@ -134,41 +134,49 @@ def replica_map(fn: Callable, group, *shard_dicts: Dict[int, object]) -> dict:
     return dict.fromkeys(ranks, result)
 
 
+def on_stacks(mesh, *operands) -> bool:
+    """Whether host math over ``operands`` (DTensors) runs once on their
+    block stacks: every operand carries one on ``mesh`` (see
+    :meth:`DTensor.from_blocks`) and the gate of SUMMA's batched executor
+    (:func:`repro.core.summa._batched_ready`) holds.  The one test
+    :func:`block_map`, the stacked collectives of :mod:`repro.core.layers`
+    and SUMMA's operand reads make.  A stack exists only for uniform numeric
+    blocks on a q > 1 mesh, so placeholders, ragged or mixed-dtype shards,
+    q = 1, an operand owned elsewhere, an armed injector and patched
+    collectives all answer False."""
+    for op in operands:
+        if op.blocks is None or op.owner is not mesh:
+            return False
+    import repro.core.summa  # the shared gate; core.summa imports this module
+
+    return repro.core.summa._batched_ready(mesh.sim)
+
+
 def block_map(fn: Callable, mesh, *operands) -> "DTensor":
     """Rank-local math over 2-D blocked operands (DTensors on ``mesh``):
     ``fn`` maps each rank's blocks to its result block(s), 2-D with the
     input's rows.  Returns a ``BLOCKED_2D`` DTensor — a tuple of them when
     ``fn`` returns a tuple — keyed in ``operands[0]``'s shard order.
 
-    When every operand carries a block stack on ``mesh`` (see
-    :meth:`DTensor.from_blocks`) and the gate of SUMMA's batched executor
-    (:func:`repro.core.summa._batched_ready`) holds, ``fn``
-    runs **once, on the stacks**: the mesh axes are two more leading axes,
-    so ``fn`` must address blocks by trailing axes (``axis=-1``,
-    ``st[..., 0:1]``, a vector as ``v[..., None, :]``) and the same body
-    serves a shard and a stack.  Elementwise ops act per element and a
-    reduction over a stack's contiguous last axis equals the per-block one,
-    so the result blocks equal the per-rank results bit for bit.  Otherwise
-    (placeholders, ragged or mixed-dtype shards, q = 1, an operand owned
-    elsewhere, an armed injector, patched collectives) it is
+    When :func:`on_stacks` holds, ``fn`` runs **once, on the stacks**: the
+    mesh axes are two more leading axes, so ``fn`` must address blocks by
+    trailing axes (``axis=-1``, ``st[..., 0:1]``, a vector as
+    ``v[..., None, :]``) and the same body serves a shard and a stack.
+    Elementwise ops act per element and a reduction over a stack's
+    contiguous last axis equals the per-block one, so the result blocks
+    equal the per-rank results bit for bit.  Otherwise it is
     :func:`rank_map` over the shards.  Charges stay per rank, made by the
     caller.
     """
     order = operands[0].shards
-    for op in operands:
-        if op.blocks is None or op.owner is not mesh:
-            break
-    else:
-        import repro.core.summa  # the shared gate; core.summa imports this module
-
-        if repro.core.summa._batched_ready(mesh.sim):
-            result = fn(*[op.blocks for op in operands])
-            parts = result if type(result) is tuple else (result,)
-            # a stack holds arrays: anything else (a conversion to dryrun
-            # placeholders) is made rank by rank below
-            if all(type(part) is np.ndarray for part in parts):
-                stacked = tuple(_stacked_result(mesh, part, order) for part in parts)
-                return stacked if type(result) is tuple else stacked[0]
+    if on_stacks(mesh, *operands):
+        result = fn(*[op.blocks for op in operands])
+        parts = result if type(result) is tuple else (result,)
+        # a stack holds arrays: anything else (a conversion to dryrun
+        # placeholders) is made rank by rank below
+        if all(type(part) is np.ndarray for part in parts):
+            out = tuple(_stacked_result(mesh, part, order) for part in parts)
+            return out if type(result) is tuple else out[0]
     per_rank = rank_map(fn, order, *[op.shards for op in operands])
     first = next(iter(per_rank.values()))
     if type(first) is not tuple:
@@ -208,7 +216,7 @@ class DTensor:
     require no communication.  A numeric 2-D tensor on a q > 1 mesh may
     also carry its shards as one block stack (``blocks``, built only by
     :meth:`from_blocks`), which :func:`block_map` and SUMMA compute on once
-    per mesh.
+    per mesh when :func:`on_stacks` says so.
     """
 
     __slots__ = ("owner", "layout", "shards", "global_shape", "blocks")

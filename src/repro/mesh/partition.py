@@ -41,9 +41,10 @@ def block_slice(dim: int, parts: int, index: int) -> slice:
 # ----------------------------------------------------------------------
 # 2-D mesh layouts
 # ----------------------------------------------------------------------
-def _stackable(mesh: Mesh, a) -> bool:
-    """Numeric data on a q > 1 mesh is stored as one block stack."""
-    return mesh.q > 1 and isinstance(a, np.ndarray)
+def _stackable(mesh: Mesh, backend: str) -> bool:
+    """Numeric data (``backend``: the data's, see ``ops.backend_of``) on a
+    q > 1 mesh is stored as one block stack."""
+    return mesh.q > 1 and backend == ops.NUMPY
 
 
 def distribute_blocked_2d(mesh: Mesh, a) -> DTensor:
@@ -57,7 +58,7 @@ def distribute_blocked_2d(mesh: Mesh, a) -> DTensor:
     q = mesh.q
     m = _check_divisible(a.shape[0], q, "rows")
     n = _check_divisible(a.shape[1], q, "cols")
-    if _stackable(mesh, a):
+    if _stackable(mesh, ops.backend_of(a)):
         blocks = np.ascontiguousarray(a.reshape(q, m, q, n).swapaxes(1, 2))
         return DTensor.from_blocks(mesh, BLOCKED_2D, blocks, a.shape, mesh.ranks)
     shards = {}
@@ -72,7 +73,7 @@ def distribute_blocked_2d(mesh: Mesh, a) -> DTensor:
 def zeros_blocked_2d(mesh: Mesh, block_shape, dtype, global_shape) -> DTensor:
     """A zero ``BLOCKED_2D`` tensor of uniform blocks, keyed in mesh order
     — one block stack when numeric on a q > 1 mesh."""
-    if mesh.q > 1 and mesh.backend != "shape":
+    if _stackable(mesh, mesh.backend):
         stack_shape = (mesh.q, mesh.q) + tuple(block_shape)
         blocks = ops.zeros(stack_shape, dtype=dtype, backend=mesh.backend)
         return DTensor.from_blocks(mesh, BLOCKED_2D, blocks, global_shape, mesh.ranks)
@@ -120,7 +121,7 @@ def distribute_row0_cols(mesh: Mesh, a) -> DTensor:
         raise ValueError(f"row0_cols requires a 1-D vector, got shape {a.shape}")
     q = mesh.q
     n = _check_divisible(a.shape[0], q, "vector")
-    if _stackable(mesh, a):
+    if _stackable(mesh, ops.backend_of(a)):
         blocks = a.reshape(q, n).copy()
         return DTensor.from_blocks(
             mesh, ROW0_COLS, blocks, a.shape, [mesh.rank(0, j) for j in range(q)]

@@ -13,6 +13,7 @@ from repro.check.invariants import InvariantViolation, validate_dtensor
 from repro.config import tiny_config
 from repro.core import layers, summa
 from repro.core.model import OptimusModel
+from repro.hybrid import DataParallel
 from repro.mesh import block_map, rank_map
 from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import BLOCKED_2D
@@ -28,7 +29,7 @@ from repro.runtime.simulator import Simulator
 from repro.serving import report as serving_report
 from repro.serving.scheduler import ServingOptions
 from repro.serving.traffic import TrafficGenerator
-from repro.training import SGD, BatchStream, Trainer
+from repro.training import SGD, BatchStream, DynamicLossScaler, Trainer
 from tests.conftest import make_mesh
 
 
@@ -324,6 +325,42 @@ def test_serving_is_identical_to_the_per_rank_path(policy, monkeypatch):
     assert stacked[0] == per_rank[0]
     assert stacked[1] == per_rank[1]
     assert stacked[2] == per_rank[2]
+
+
+def _train_data_parallel(clip, scaled):
+    """R = 2 replicas of a q = 2 mesh, strict, with gradient clipping or loss
+    scaling — both rescale the averaged gradients through ``DTensor.map``."""
+    cfg = tiny_config(hidden_size=48, num_heads=12, vocab_size=48)
+    sim = Simulator.for_flat(8, strict_invariants=True)
+    dp = DataParallel(sim, cfg, init_transformer_params(cfg, seed=3), 2, 2)
+    opt = SGD(dp.parameters(), lr=0.05, momentum=0.9)
+    trainer = Trainer(
+        dp, opt, BatchStream.copy_task(cfg, 8, seed=5), printer=lambda s: None,
+        max_grad_norm=1e-2 if clip else None,
+        scaler=DynamicLossScaler(opt, init_scale=2.0**4) if scaled else None,
+    )
+    losses = trainer.train_steps(2).losses
+    for model in dp.replicas:
+        model.validate_invariants()
+    replicas = [
+        {p.name: [np.array(s) for s in p.data.shards.values()] for p in model.parameters()}
+        for model in dp.replicas
+    ]
+    return losses, replicas
+
+
+@pytest.mark.parametrize("clip,scaled", [(True, False), (False, True)])
+def test_data_parallel_rescaling_keeps_the_averaged_gradients(clip, scaled, monkeypatch):
+    stacked_losses, stacked = _train_data_parallel(clip, scaled)
+    _force_per_rank(monkeypatch)
+    per_rank_losses, per_rank = _train_data_parallel(clip, scaled)
+    assert stacked_losses == per_rank_losses
+    for name in stacked[0]:
+        for r in range(2):  # replicas stay identical, on either path
+            for got, want in zip(stacked[r][name], per_rank[0][name]):
+                assert np.array_equal(got, want), (name, r)
+            for got, want in zip(per_rank[r][name], per_rank[0][name]):
+                assert np.array_equal(got, want), (name, r)
 
 
 def test_strict_forward_backward_under_contract_checks():

@@ -62,7 +62,8 @@ def _execute(
         if executor == "batched":
             desc = summa._batched_of(plan, mesh, a, b)
             assert desc is not None
-            shards = summa._run_batched(mesh, algo, a, b, plan, buffers, desc)
+            out = np.empty(desc.stack_shape, plan.out_dtype) if plan.numeric else None
+            shards = summa._run_batched(mesh, algo, a, b, plan, buffers, desc, out)
         else:
             shards = summa._run_per_rank(mesh, algo, a, b, plan, buffers)
         if backend == "shape":  # what a placeholder is: rank order, shape, dtype
