@@ -99,20 +99,24 @@ class Embedding2D(DistModule):
             raise RuntimeError("embedding backward before forward")
         mesh, q = self.mesh, self.mesh.q
         v, h = self.table.data.global_shape
+        b, s = self._ids.global_shape
         v_loc, h_loc = v // q, h // q
+        T_loc = (b // q) * s
+        charge_compute = mesh.sim.charge_compute
+        stripe = ((T_loc * h_loc, "elementwise"),)
         grad_shards = {}
         for l in range(q):
             lo = l * v_loc
             for j in range(q):
+                ranks = [mesh.rank(i, j) for i in range(q)]
                 partials = {}
-                for i in range(q):
-                    rank = mesh.rank(i, j)
+                for rank in ranks:
                     d = d_out.local(rank)
-                    idvec = self._ids.local(rank).reshape((d.shape[0],))
+                    idvec = self._ids.local(rank).reshape((T_loc,))
                     partials[rank] = self._scatter_stripe(
                         d, idvec, lo, v_loc, h_loc, mesh.backend
                     )
-                    mesh.device(rank).compute(d.size, kind="elementwise")
+                charge_compute(ranks, stripe)
                 root = mesh.rank(l, j)
                 reduced = coll.reduce(mesh.col_group(j), partials, root)
                 grad_shards[root] = reduced[root]

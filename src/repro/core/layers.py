@@ -17,7 +17,7 @@ from repro.comm import collectives as coll
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.core.summa import grads_of_ab, summa_ab
-from repro.mesh.dtensor import DTensor, block_map, on_stacks, rank_map
+from repro.mesh.dtensor import DTensor, block_map, on_stacks
 from repro.mesh.layouts import BLOCKED_2D, COL_BLOCKED, ROW0_COLS
 from repro.mesh.mesh import Mesh
 from repro.mesh.partition import distribute_blocked_2d, distribute_row0_cols
@@ -91,13 +91,33 @@ def _all_reduce_rows(mesh: Mesh, x: DTensor) -> DTensor:
     return DTensor(mesh, BLOCKED_2D, shards, x.global_shape)
 
 
-def _reduce_up_columns(mesh: Mesh, partials: dict) -> dict:
-    """Sum per-rank partials along each mesh column onto row 0 (Fig. 5b)."""
+def _reduce_up_columns(mesh: Mesh, partials: DTensor, shape) -> tuple:
+    """Sum ``partials``' ``[k, n]`` blocks along each mesh column onto row 0
+    (Fig. 5b): the k rows of the sums as k ``ROW0_COLS`` vectors of global
+    ``shape``, keyed by column root.  With :func:`on_stacks`, the fold is
+    ``collectives._combine``'s (copy row 0, add rows 1… in order) over the
+    stack's mesh-row axis."""
+    roots = [mesh.rank(0, j) for j in range(mesh.q)]
+    if on_stacks(mesh, partials):
+        for group, cost in _precosts(mesh, "col_groups", "reduce", partials.blocks[0, 0]):
+            coll.charge_only(group, "reduce", cost)
+        total = ops.fold_stack_sum(partials.blocks, axis=0)  # [q, k, n] by column
+        return tuple(
+            DTensor.from_blocks(mesh, ROW0_COLS, total[:, t], shape, roots)
+            for t in range(total.shape[1])
+        )
     reduced = {}
-    for j in range(mesh.q):
-        group, root = mesh.col_group(j), mesh.rank(0, j)
-        reduced.update(coll.reduce(group, {r: partials[r] for r in group.ranks}, root))
-    return reduced
+    for j, root in enumerate(roots):
+        group = mesh.col_group(j)
+        reduced.update(coll.reduce(group, {r: partials.shards[r] for r in group.ranks}, root))
+    return tuple(
+        DTensor(mesh, ROW0_COLS, {root: sums[t] for root, sums in reduced.items()}, shape)
+        for t in range(reduced[roots[0]].shape[0])
+    )
+
+
+def _column_sums(dy):
+    return ops.sum(dy, axis=-2, keepdims=True)
 
 
 def _add_bias(bias, y):
@@ -185,14 +205,9 @@ class Linear2D(DistModule):
 
     def _bias_backward(self, dy: DTensor) -> None:
         """Column-reduce the local bias gradients to row 0 (Fig. 5b)."""
-        mesh = self.mesh
-        partials = rank_map(lambda dyl: ops.sum(dyl, axis=0), mesh.ranks, dy.shards)
-        self.bias.add_grad(
-            DTensor(
-                mesh, ROW0_COLS, _reduce_up_columns(mesh, partials),
-                self.bias.data.global_shape,
-            )
-        )
+        partials = block_map(_column_sums, self.mesh, dy)
+        (grad,) = _reduce_up_columns(self.mesh, partials, self.bias.data.global_shape)
+        self.bias.add_grad(grad)
 
 
 # ======================================================================
@@ -272,46 +287,37 @@ class LayerNorm2D(DistModule):
         if self._saved is None:
             raise RuntimeError(f"{self.name}: backward before forward")
         mesh = self.mesh
-        x_hat_dt, inv_std, gamma = self._saved
-        x_hats, inv_shards, gamma_l = x_hat_dt.shards, inv_std.shards, gamma.shards
+        x_hat, inv_std, gamma = self._saved
         h = dy.global_shape[1]
 
-        def row_sums(dyl, gamma, x_hat):
-            d = dyl * gamma
-            t1 = ops.sum(d, axis=1, keepdims=True)
-            t2 = ops.sum(d * x_hat, axis=1, keepdims=True)
-            return d, ops.concatenate([t1, t2], axis=1)
+        # trailing axes only, as in forward; ``x_hat`` leads each call so every
+        # result is keyed in its (the layer input's, mesh) order
+        def row_sums(x_hat, dyl, gamma):
+            d = dyl * gamma[..., None, :]
+            t1 = ops.sum(d, axis=-1, keepdims=True)
+            t2 = ops.sum(d * x_hat, axis=-1, keepdims=True)
+            return d, ops.concatenate([t1, t2], axis=-1)
 
-        dy_hat, sums = {}, {}
-        local = rank_map(row_sums, mesh.ranks, dy.shards, gamma_l, x_hats)
-        for rank, (d, st) in local.items():
-            dy_hat[rank], sums[rank] = d, st
-        for i in range(mesh.q):
-            grp = mesh.row_group(i)
-            reduced = coll.all_reduce(grp, {r: sums[r] for r in grp.ranks})
-            sums.update(reduced)
+        def input_grad(x_hat, inv_std, d, st):
+            return inv_std * (d - st[..., 0:1] / h - x_hat * (st[..., 1:2] / h))
 
-        def input_grad(inv_std, d, st, x_hat):
-            return inv_std * (d - st[:, 0:1] / h - x_hat * (st[:, 1:2] / h))
+        def param_grads(x_hat, dyl):
+            dg = ops.sum(dyl * x_hat, axis=-2, keepdims=True)
+            db = ops.sum(dyl, axis=-2, keepdims=True)
+            return ops.concatenate([dg, db], axis=-2)  # [2, h/q]
 
-        dx_shards = rank_map(input_grad, mesh.ranks, inv_shards, dy_hat, sums, x_hats)
-        dx = DTensor(mesh, BLOCKED_2D, dx_shards, dy.global_shape)
+        # Σ dŷ and Σ x̂·dŷ: one fused row all-reduce
+        dy_hat, sums = block_map(row_sums, mesh, x_hat, dy, gamma)
+        sums = _all_reduce_rows(mesh, sums)
+        dx = block_map(input_grad, mesh, x_hat, inv_std, dy_hat, sums)
         charge_elementwise(dx, "layernorm")
         hold(self.buffers, "backward", dx)
 
-        def param_grads(dyl, x_hat):
-            dg = ops.sum(dyl * x_hat, axis=0, keepdims=True)
-            db = ops.sum(dyl, axis=0, keepdims=True)
-            return ops.concatenate([dg, db], axis=0)  # [2, h/q]
-
         # dγ, dβ: fuse into one [2, h/q] column reduction to row 0
-        partials = rank_map(param_grads, mesh.ranks, dy.shards, x_hats)
-        reduced = _reduce_up_columns(mesh, partials)
-        shape = self.gamma.data.global_shape
-        dg_shards = {root: dgb[0] for root, dgb in reduced.items()}
-        db_shards = {root: dgb[1] for root, dgb in reduced.items()}
-        self.gamma.add_grad(DTensor(mesh, ROW0_COLS, dg_shards, shape))
-        self.beta.add_grad(DTensor(mesh, ROW0_COLS, db_shards, shape))
+        partials = block_map(param_grads, mesh, x_hat, dy)
+        dg, db = _reduce_up_columns(mesh, partials, self.gamma.data.global_shape)
+        self.gamma.add_grad(dg)
+        self.beta.add_grad(db)
         self._saved = None
         return dx
 

@@ -41,10 +41,10 @@ time (partials go through the simulator's
 :class:`~repro.core.buffers.ArrayPool`).  The *batched* executor computes
 all q² rank-local products of a step as one broadcasted ``np.matmul`` over
 the blocks stacked along leading mesh axes (``ab``:
-``(q,1,m,k) @ (1,q,k,n) → (q,q,m,n)``) — an operand that carries a block
-stack (:meth:`~repro.mesh.dtensor.DTensor.from_blocks`) is read as views
-``A[:, l]`` / ``B[l]``, any other is copied into a pooled stack — writes
-the output's block stack (``abt``/``atb`` fold each reduced line into
+``(q,1,m,k) @ (1,q,k,n) → (q,q,m,n)``) — read as views ``A[:, l]`` /
+``B[l]`` of the operands' block stacks
+(:meth:`~repro.mesh.dtensor.DTensor.from_blocks`) — writes the output's
+block stack (``abt``/``atb`` fold each reduced line into
 ``C[:, l]`` / ``C[l]`` as in-place adds in group-rank order), and *replays*
 the accounting from the plan in the per-rank call order (charge-only
 collectives, per-gemm compute charges and workspace holds, issued a gemm
@@ -59,10 +59,12 @@ is derived once, the charges are made p times.
 option: the batched executor runs whenever it is bit-exact, i.e. every
 per-rank block of each operand shares one shape and dtype on a q > 1 mesh
 (:func:`_batched_of`), no fault injector is armed and the collectives are
-unpatched (:func:`_batched_ready`).  Everything else — ragged MoE shards
+unpatched (:func:`_batched_ready`), and numeric operands carry full block
+stacks (:func:`_takes_batched`).  Everything else — ragged MoE shards
 (numeric or dryrun), mixed per-shard dtypes, q = 1, an armed injector,
-patched collectives (the contract checker) — takes the per-rank executor,
-which is also the reference the tests compare against.
+patched collectives (the contract checker), a numeric operand without a
+stack — takes the per-rank executor, which is also the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -368,9 +370,6 @@ def _run_per_rank(mesh, algo, a, b, plan, buffers) -> dict:
 class _BatchedDesc(NamedTuple):
     """Stacking descriptor for one plan."""
 
-    q: int
-    grid: list  # grid[i][j] = mesh rank of coordinate (i, j)
-    shapes: tuple  # uniform per-rank block shape of (A, B)
     #: the gemm accounting of every step: the ranks of each gemm group in
     #: call order, and the one (flops, scratch bytes) uniform blocks give
     lines: list
@@ -406,7 +405,6 @@ def _batched_of(plan: _Plan, mesh: Mesh, a: DTensor, b: DTensor):
             sig_b = _uniform_sig(b)
             if sig_a is not None and sig_b is not None:
                 q = mesh.q
-                grid = [[mesh.rank(i, j) for j in range(q)] for i in range(q)]
                 groups = plan.steps[0][1]
                 lines = [[gemm[0] for gemm in gemms] for gemms, _reduce in groups]
                 _rank, _dev, flops, scratch, out_shape = groups[0][0][0]
@@ -419,8 +417,8 @@ def _batched_of(plan: _Plan, mesh: Mesh, a: DTensor, b: DTensor):
                         for _gemms, reduce in step_groups
                     ]
                 desc = _BatchedDesc(
-                    q, grid, (sig_a[0], sig_b[0]), lines, flops, scratch,
-                    (q, q) + out_shape, [(r, mesh.coords(r)) for r in roots],
+                    lines, flops, scratch, (q, q) + out_shape,
+                    [(r, mesh.coords(r)) for r in roots],
                 )
         plan.batched = desc
     return desc or None
@@ -452,47 +450,30 @@ def _replay_gemms(sim, ranks, flops, scratch, buffers) -> None:
         buffers.compute_in_workspace(ranks, scratch, flops)
 
 
-def _full_stack(x: DTensor, mesh: Mesh):
-    """``x``'s stack when :func:`~repro.mesh.dtensor.on_stacks` holds and it
-    is a full ``(q, q) + block`` one (no axis shared along the mesh)."""
-    if on_stacks(mesh, x) and x.blocks.shape[:2] == (mesh.q, mesh.q):
-        return x.blocks
-    return None
+def _takes_batched(mesh: Mesh, plan: _Plan, a: DTensor, b: DTensor) -> bool:
+    """Whether an eligible plan runs batched: a shape plan whenever
+    :func:`_batched_ready` holds; a numeric one when
+    :func:`~repro.mesh.dtensor.on_stacks` holds for both operands and both
+    stacks are full ``(q, q) + block`` ones (no axis shared along the mesh).
+    Any other numeric operand takes the per-rank executor."""
+    if not plan.numeric:
+        return _batched_ready(mesh.sim)
+    full = (mesh.q, mesh.q)
+    return on_stacks(mesh, a, b) and a.blocks.shape[:2] == full == b.blocks.shape[:2]
 
 
 def _run_batched(mesh, algo, a, b, plan, buffers, desc, out) -> dict:
-    """Numeric plans write the output block stack ``out`` (``desc.stack_shape``
-    of ``plan.out_dtype``; None for a shape plan) and return its views keyed
-    in the per-rank executor's order; operands that carry a block stack are
-    read in place."""
+    """Numeric plans read both operands' block stacks in place (A_il over
+    rows i as ``A[:, l]``, B_lj over columns j as ``B[l]``) and write the
+    output block stack ``out`` (``desc.stack_shape`` of ``plan.out_dtype``;
+    None for a shape plan), returning its views keyed in the per-rank
+    executor's order."""
     sim = mesh.sim
     tr = sim.tracer
     traced = tr.enabled
     numeric = plan.numeric
-    q, grid, shapes, lines, flops, scratch, stack_shape, owners = desc
-    shards = (a.shards, b.shards)
-    dtypes = (a.dtype, b.dtype)
-    out_dtype = plan.out_dtype
-    pool = _pool_of(sim)
-    acquired = []  # pool arrays to release (by identity) when the call ends
-
-    def stack(op, ranks):
-        """Operand ``op``'s blocks on ``ranks`` along a new leading axis."""
-        stk = pool.acquire((len(ranks),) + shapes[op], dtypes[op])
-        for t, rank in enumerate(ranks):
-            stk[t] = shards[op][rank]
-        acquired.append(stk)
-        return stk
-
-    # A block stack is read as views (A_il over rows i: A[:, l]; B_lj over
-    # columns j: B[l]); an operand without one is copied into a pooled stack,
-    # once per call when it is never broadcast.  A shape plan has nothing to
-    # stack.
-    stacks = [_full_stack(a, mesh), _full_stack(b, mesh)] if numeric else [None, None]
-    for op in (0, 1):
-        if numeric and op not in algo.bcast and stacks[op] is None:
-            everyone = [rank for row in grid for rank in row]
-            stacks[op] = stack(op, everyone).reshape((q, q) + shapes[op])
+    lines, flops, scratch, stack_shape, owners = desc
+    stack_a, stack_b = (a.blocks, b.blocks) if numeric else (None, None)
     part = None  # one scratch partial per call, reused by every step
     for l, (bcasts, groups) in enumerate(plan.steps):
         with tr.span(
@@ -511,15 +492,8 @@ def _run_batched(mesh, algo, a, b, plan, buffers, desc, out) -> dict:
             # numpy dispatches every 2-D slice to the same BLAS gemm, on the
             # same (possibly transposed-view) operands, as the per-rank `@`.
             # A_il is stacked over rows i (shared by all j), B_lj over columns j
-            if 0 in algo.bcast:
-                x = (stack(0, [grid[t][l] for t in range(q)]) if stacks[0] is None
-                     else stacks[0][:, l])[:, None]
-            else:
-                x = stacks[0]
-            if 1 in algo.bcast:
-                y = (stack(1, grid[l]) if stacks[1] is None else stacks[1][l])[None]
-            else:
-                y = stacks[1]
+            x = stack_a[:, l, None] if 0 in algo.bcast else stack_a
+            y = stack_b[None, l] if 1 in algo.bcast else stack_b
             if algo.ta:
                 x = x.swapaxes(-1, -2)
             if algo.tb:
@@ -537,13 +511,11 @@ def _run_batched(mesh, algo, a, b, plan, buffers, desc, out) -> dict:
                 # is exactly collectives._combine
                 line = out[:, l] if algo.reduce == 0 else out[l]
                 ops.fold_stack_sum(part, axis=1 - algo.reduce, out=line)
-    for stk in acquired:
-        pool.release(stk)
     if not numeric:
         # one immutable output placeholder for the q² ranks (downstream
         # charge loops iterate the keys)
         return dict.fromkeys(
-            [rank for rank, _ij in owners], ShapeArray(stack_shape[2:], out_dtype)
+            [rank for rank, _ij in owners], ShapeArray(stack_shape[2:], plan.out_dtype)
         )
     return {rank: out[ij] for rank, ij in owners}
 
@@ -568,7 +540,7 @@ def _summa(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor, buffers) -> DTensor:
     with tr.span(
         "summa_" + algo.name, mesh.ranks, "op", M=M, K=K, N=N, q=mesh.q
     ) if tr.enabled else NULL_SPAN:
-        if desc is not None and _batched_ready(sim):
+        if desc is not None and _takes_batched(mesh, plan, a, b):
             if plan.numeric:
                 blocks = np.empty(desc.stack_shape, plan.out_dtype)
             c_shards = _run_batched(mesh, algo, a, b, plan, buffers, desc, blocks)

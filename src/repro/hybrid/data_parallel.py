@@ -29,7 +29,7 @@ from repro.comm.group import ProcessGroup
 from repro.config import ModelConfig
 from repro.core.model import OptimusModel
 from repro.core.param import DistParam
-from repro.mesh.dtensor import DTensor
+from repro.mesh.dtensor import DTensor, on_stacks
 from repro.mesh.mesh import Mesh
 from repro.nn.init import init_transformer_params
 from repro.runtime.simulator import Simulator
@@ -137,7 +137,8 @@ class DataParallel:
         Each replica's gradient is replaced by a fresh DTensor of the averaged
         shards (same key order), never patched shard by shard: a gradient may
         carry a block stack its shards are views of, and later rank-local math
-        (clipping, loss scaling) computes on that stack."""
+        (clipping, loss scaling, the optimizer) computes on that stack.  Under
+        :func:`on_stacks` the averages fill a fresh stack of their own."""
         if self.R == 1:
             return
         by_name = [
@@ -151,6 +152,14 @@ class DataParallel:
                 if g is None:
                     raise RuntimeError(f"{name}: replica {r} has no gradient")
                 grads.append(g)
+            stacked = [
+                DTensor.from_blocks(
+                    g.owner, g.layout, np.empty_like(g.blocks), g.global_shape, g.shards
+                )
+                if on_stacks(g.owner, g)
+                else None
+                for g in grads
+            ]
             averaged = [dict(g.shards) for g in grads]
             for rank0, group in by_pos.items():
                 # replica r holds this shard at rank0 + r·q² == group.ranks[r]
@@ -158,10 +167,16 @@ class DataParallel:
                     group.ranks[r]: g.shards[group.ranks[r]] for r, g in enumerate(grads)
                 }
                 reduced = coll.all_reduce(group, shards)
-                for r, avg in enumerate(averaged):
-                    avg[group.ranks[r]] = reduced[group.ranks[r]] * inv_r
-            for params, g, avg in zip(by_name, grads, averaged):
-                params[name].grad = DTensor(g.owner, g.layout, avg, g.global_shape)
+                for r, (avg, out) in enumerate(zip(averaged, stacked)):
+                    rank = group.ranks[r]
+                    if out is None:
+                        avg[rank] = reduced[rank] * inv_r
+                    else:  # bit-identical to the product above
+                        np.multiply(reduced[rank], inv_r, out=out.shards[rank])
+            for params, g, avg, out in zip(by_name, grads, averaged, stacked):
+                if out is None:
+                    out = DTensor(g.owner, g.layout, avg, g.global_shape)
+                params[name].grad = out
 
     # ------------------------------------------------------------------
     def parameters(self) -> List[DistParam]:

@@ -27,7 +27,7 @@ from repro.comm import collectives as coll
 from repro.comm.group import ProcessGroup
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule
-from repro.mesh.dtensor import DTensor
+from repro.mesh.dtensor import DTensor, on_stacks
 
 
 def _stripe_hits(lab, lo: int, v_loc: int):
@@ -130,7 +130,9 @@ class VocabStripedCrossEntropy(DistModule):
         for grp in self.cols:
             part.update(coll.all_reduce(grp, {r: part[r] for r in grp.ranks}))
 
-        self._saved = (probs, labels, T, v_loc)
+        # the logits' block stack shape when dlogits is to be one
+        stack = logits.blocks.shape if on_stacks(self.owner, logits) else None
+        self._saved = (probs, labels, T, v_loc, stack)
         total = part[ranks[0]]
         if is_shape_array(total):
             return ShapeArray((), total.dtype)
@@ -141,12 +143,15 @@ class VocabStripedCrossEntropy(DistModule):
         if self._saved is None:
             raise RuntimeError("cross-entropy backward before forward")
         device = self.owner.sim.device
-        probs, labels, T, v_loc = self._saved
+        probs, labels, T, v_loc, stack = self._saved
         scale = 1.0 / T
+        if stack is not None:  # each rank writes its slot of one block stack
+            stack = np.empty(stack, next(iter(probs.values())).dtype)
         shards = {}
-        for row in self.rows:
+        for i, row in enumerate(self.rows):
             for k, rank in enumerate(row.ranks):
-                g = probs[rank] * scale
+                p = probs[rank]
+                g = p * scale if stack is None else np.multiply(p, scale, out=stack[i, k])
                 shards[rank] = stripe_subtract(
                     g, labels.local(rank), k * v_loc, v_loc, scale
                 )
@@ -154,6 +159,7 @@ class VocabStripedCrossEntropy(DistModule):
                 if self.holds_dlogits and self.buffers is not None:
                     self.buffers.hold("backward", rank, ops.nbytes(shards[rank]))
         self._saved = None
-        return DTensor(
-            self.owner, self.layout, shards, (T, v_loc * self.rows[0].size)
-        )
+        shape = (T, v_loc * self.rows[0].size)
+        if stack is None:
+            return DTensor(self.owner, self.layout, shards, shape)
+        return DTensor.from_blocks(self.owner, self.layout, stack, shape, shards)

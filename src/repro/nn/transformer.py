@@ -30,7 +30,7 @@ from repro.backend.shape_array import ShapeArray
 from repro.config import ModelConfig
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule
-from repro.mesh.dtensor import DTensor, rank_map
+from repro.mesh.dtensor import DTensor, on_stacks, rank_map
 from repro.reference import functional as F
 from repro.reference.attention import (
     attention_bwd,
@@ -89,6 +89,35 @@ def charge_elementwise(dt: DTensor, kind: str) -> None:
 # ======================================================================
 # self-attention — paper §3.2.1
 # ======================================================================
+def _stack_out(owner, layout, x: DTensor, cols: int, dtype, global_shape):
+    """Where rank-local results of ``cols`` columns over ``x``'s blocks go
+    when :func:`on_stacks` holds for ``x`` and they share its dtype: a new
+    block stack shaped like ``x``'s, as a DTensor keyed in mesh order whose
+    shards are the slots each rank writes.  Otherwise None, and each rank
+    returns a fresh array."""
+    if not on_stacks(owner, x) or x.blocks.dtype != dtype:
+        return None
+    blocks = np.empty(x.blocks.shape[:-1] + (cols,), dtype)
+    return DTensor.from_blocks(owner, layout, blocks, global_shape, owner.ranks)
+
+
+def _heads_to_rows(heads, slot):
+    """``[b, n, s, d]`` head tensors (the context, or Q/K/V's three
+    gradients) as the ``[b·s, n·k·d]`` rows a linear reads, heads
+    interleaved as the QKV linear lays them out: written into ``slot`` (a
+    block-stack slot), or a fresh array when it is None."""
+    b, n, s, d = heads[0].shape
+    k = len(heads)
+    if slot is not None:
+        rows = slot.reshape((b, s, n, k, d))
+        for i, t in enumerate(heads):
+            rows[:, :, :, i] = t.transpose(0, 2, 1, 3)
+        return slot
+    parts = [t.transpose(0, 2, 1, 3) for t in heads]
+    rows = parts[0] if k == 1 else ops.stack(parts, axis=3)
+    return rows.reshape((b * s, n * k * d))
+
+
 class SelfAttention(DistModule):
     """QKV linear → head-local attention → output linear.
 
@@ -144,8 +173,9 @@ class SelfAttention(DistModule):
         ranks = self.owner.ranks
 
         qkv = self.qkv_linear.forward(x)  # [T, 3h]
+        out = _stack_out(self.owner, self.layout, qkv, n_loc * d, qkv.dtype, (T, h))
 
-        def attend(local):
+        def attend(local, slot=None):
             local = local.reshape((b_loc, s, n_loc, 3, d))
             qh = local[:, :, :, 0, :].transpose(0, 2, 1, 3)  # [b_loc, n_loc, s, d]
             kh = local[:, :, :, 1, :].transpose(0, 2, 1, 3)
@@ -158,12 +188,11 @@ class SelfAttention(DistModule):
             else:
                 ctx, probs = attention_fwd(qh, kh, vh)
                 stats = probs
-            return (qh, kh, vh, stats), ctx.transpose(0, 2, 1, 3).reshape(
-                (b_loc * s, n_loc * d)
-            )
+            return (qh, kh, vh, stats), _heads_to_rows((ctx,), slot)
 
         saved, ctx_shards = {}, {}
-        for rank, (fwd, ctx) in rank_map(attend, ranks, qkv.shards).items():
+        slots = () if out is None else (out.shards,)
+        for rank, (fwd, ctx) in rank_map(attend, ranks, qkv.shards, *slots).items():
             saved[rank], ctx_shards[rank] = fwd, ctx
         # ``attend`` reshapes every rank's shard to the same [b_loc, n_loc, s, d]
         # heads, so one rank's statistics size every rank's charges
@@ -182,9 +211,9 @@ class SelfAttention(DistModule):
                 "forward", [(rank, n) for rank in ranks for n in (held, ctx_bytes)]
             )
         self._saved = (saved, b_loc, s, n_loc, d)
-        return self.out_linear.forward(
-            DTensor(self.owner, self.layout, ctx_shards, (T, h))
-        )
+        if out is None:
+            out = DTensor(self.owner, self.layout, ctx_shards, (T, h))
+        return self.out_linear.forward(out)
 
     def backward(self, dy: DTensor) -> DTensor:
         if self._saved is None:
@@ -194,8 +223,10 @@ class SelfAttention(DistModule):
         ranks = self.owner.ranks
 
         d_ctx = self.out_linear.backward(dy)  # [T, h]
+        dtype = saved[ranks[0]][0].dtype  # of the QKV heads
+        dqkv = _stack_out(self.owner, self.layout, d_ctx, n_loc * 3 * d, dtype, (T, 3 * h))
 
-        def attend_bwd(dc, fwd):
+        def attend_bwd(dc, fwd, slot=None):
             qh, kh, vh, stats = fwd
             dc = dc.reshape((b_loc, s, n_loc, d)).transpose(0, 2, 1, 3)
             if self.fused:
@@ -204,15 +235,12 @@ class SelfAttention(DistModule):
                 )
             else:
                 d_qkv = attention_bwd(qh, kh, vh, stats, dc)
-            # [b,n,s,d] -> [b,s,n,d], restacked as the QKV linear laid them out
-            return ops.stack(
-                [t.transpose(0, 2, 1, 3) for t in d_qkv], axis=3
-            ).reshape((b_loc * s, n_loc * 3 * d))
+            return _heads_to_rows(d_qkv, slot)
 
-        dqkv = DTensor(
-            self.owner, self.layout,
-            rank_map(attend_bwd, ranks, d_ctx.shards, saved), (T, 3 * h),
-        )
+        slots = () if dqkv is None else (dqkv.shards,)
+        shards = rank_map(attend_bwd, ranks, d_ctx.shards, saved, *slots)
+        if dqkv is None:
+            dqkv = DTensor(self.owner, self.layout, shards, (T, 3 * h))
         gemm = (2.0 * b_loc * n_loc * s * s * d, "gemm")
         if self.fused:  # score recompute + four gradient products
             charges = (gemm,) * 5
@@ -229,12 +257,39 @@ class SelfAttention(DistModule):
 # ======================================================================
 # MLP
 # ======================================================================
+def _gelu(pre: DTensor):
+    """GELU over ``pre`` and the ``1 + erf(x/√2)`` term its backward reuses,
+    kept raw — ``pre``'s block stack's when it is on one, else ``{rank:
+    term}`` — so a forward-only pass builds no second DTensor."""
+    owner = pre.owner
+    if on_stacks(owner, pre):
+        act, term = F.gelu_fwd(pre.blocks)
+        return DTensor.from_blocks(owner, pre.layout, act, pre.global_shape, pre.shards), term
+    parts = rank_map(F.gelu_fwd, pre.shards, pre.shards)
+    act = {rank: a for rank, (a, _) in parts.items()}
+    return DTensor(owner, pre.layout, act, pre.global_shape), {
+        rank: term for rank, (_, term) in parts.items()
+    }
+
+
+def _gelu_backward(pre: DTensor, term, d_act: DTensor) -> DTensor:
+    """d pre from :func:`_gelu`'s erf term, keyed like ``pre``."""
+    owner = pre.owner
+    if type(term) is not dict:  # the forward ran on pre's stack
+        if on_stacks(owner, pre, d_act):
+            d_pre = F.gelu_bwd_from(pre.blocks, term, d_act.blocks)
+            return DTensor.from_blocks(owner, pre.layout, d_pre, pre.global_shape, pre.shards)
+        term = DTensor.from_blocks(owner, pre.layout, term, pre.global_shape, pre.shards).shards
+    shards = rank_map(F.gelu_bwd_from, pre.shards, pre.shards, term, d_act.shards)
+    return DTensor(owner, pre.layout, shards, pre.global_shape)
+
+
 class MLP(DistModule):
     """``h → 4h → h`` perceptron: linear, local GELU, linear."""
 
     fc1_cls = fc2_cls = None  #: the linear leaves
 
-    _cache_attrs = ("_pre",)
+    _cache_attrs = ("_pre", "_gelu_term")
 
     def __init__(
         self,
@@ -263,11 +318,12 @@ class MLP(DistModule):
             )
         )
         self._pre: Optional[DTensor] = None
+        self._gelu_term = None
 
     def forward(self, x: DTensor) -> DTensor:
         pre = self.fc1.forward(x)
         self._pre = pre
-        act = pre.map(F.gelu)
+        act, self._gelu_term = _gelu(pre)
         charge_elementwise(act, "gelu")
         hold(self.buffers, "forward", act)
         return self.fc2.forward(act)
@@ -276,9 +332,9 @@ class MLP(DistModule):
         if self._pre is None:
             raise RuntimeError(f"{self.name}: backward before forward")
         d_act = self.fc2.backward(dy)
-        d_pre = self._pre.zip_map(d_act, lambda pre, da: F.gelu_bwd(pre, da))
+        d_pre = _gelu_backward(self._pre, self._gelu_term, d_act)
         charge_elementwise(d_pre, "gelu")
-        self._pre = None
+        self._pre = self._gelu_term = None
         return self.fc1.backward(d_pre)
 
 

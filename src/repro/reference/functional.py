@@ -24,20 +24,40 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # ----------------------------------------------------------------------
 # GELU (exact erf formulation, as in BERT/Megatron)
 # ----------------------------------------------------------------------
+def _erf_term(x):
+    return 1.0 + ops.erf(x / _SQRT_2)
+
+
 def gelu(x):
     """GELU(x) = 0.5 · x · (1 + erf(x/√2))."""
-    return 0.5 * x * (1.0 + ops.erf(x / _SQRT_2))
+    return 0.5 * x * _erf_term(x)
 
 
-def gelu_grad(x):
-    """dGELU/dx = Φ(x) + x·φ(x) with Φ the normal CDF, φ the pdf."""
-    cdf = 0.5 * (1.0 + ops.erf(x / _SQRT_2))
+def gelu_fwd(x):
+    """``(GELU(x), 1 + erf(x/√2))``: the activation and the erf term
+    :func:`gelu_bwd_from` consumes, so the backward evaluates no second erf."""
+    term = _erf_term(x)
+    return 0.5 * x * term, term
+
+
+def _gelu_grad(x, term):
+    cdf = 0.5 * term
     pdf = _INV_SQRT_2PI * ops.exp(-0.5 * x * x)
     return cdf + x * pdf
 
 
+def gelu_grad(x):
+    """dGELU/dx = Φ(x) + x·φ(x) with Φ the normal CDF, φ the pdf."""
+    return _gelu_grad(x, _erf_term(x))
+
+
 def gelu_bwd(x, dy):
     return dy * gelu_grad(x)
+
+
+def gelu_bwd_from(x, term, dy):
+    """:func:`gelu_bwd` from the erf term :func:`gelu_fwd` returned."""
+    return dy * _gelu_grad(x, term)
 
 
 # ----------------------------------------------------------------------

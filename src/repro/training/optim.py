@@ -23,12 +23,23 @@ import numpy as np
 from repro.backend import ops
 from repro.backend.shape_array import is_shape_array
 from repro.core.param import DistParam
+from repro.mesh.dtensor import DTensor, on_stacks
 
 _UNIQUE_LAYOUTS = {"blocked_2d", "sharded_1d", "row0_cols"}
 
+#: ``_update`` scratch of the per-shard path: numpy allocates each temporary
+_TEMPORARIES = (None, None)
+
 
 class _DistOptimizerBase:
-    """Shared machinery: state allocation, update dispatch, flop charging."""
+    """Shared machinery: state allocation, update dispatch, flop charging.
+
+    A parameter whose data, gradient and state slots all carry block stacks
+    (:func:`~repro.mesh.dtensor.on_stacks`) is updated once, on the stacks,
+    and charged with one :meth:`~repro.runtime.simulator.Simulator.charge_compute`
+    in its shard order; any other (Megatron, q = 1, placeholders, the tied
+    embedding table, whose gradient adds a per-rank scatter) shard by shard.
+    Both run the one elementwise ``_update``, so the values are the same."""
 
     n_state_slots = 0  # extra arrays per parameter (momentum, adam m/v, ...)
 
@@ -39,48 +50,94 @@ class _DistOptimizerBase:
         self.lr = lr
         self.sim = sim  # optional: charge state memory and update flops
         self.t = 0
+        #: an iteration's first step advanced ``t`` and more may follow (the
+        #: immediate updater's per-layer steps); a full step ends it
+        self._mid_iteration = False
         self._state: Dict[int, dict] = {}
         for p in self.params:
             self._state[id(p)] = self._init_state(p)
+        self._scratch: Dict[np.dtype, np.ndarray] = {}
 
     def _init_state(self, p: DistParam) -> dict:
-        state = {
-            "slots": [
-                {r: ops.zeros_like(s) for r, s in p.data.shards.items()}
-                for _ in range(self.n_state_slots)
-            ]
-        }
+        """State slots shaped like ``p.data``: a zero block stack when it
+        carries one, else a zero array per shard."""
+        data = p.data
+        slots = []
+        for _ in range(self.n_state_slots):
+            if data.blocks is None:
+                slots.append(data.zeros_like())
+            else:
+                slots.append(
+                    DTensor.from_blocks(
+                        data.owner, data.layout, np.zeros_like(data.blocks),
+                        data.global_shape, data.shards,
+                    )
+                )
         if self.sim is not None and self.n_state_slots:
-            for rank, shard in p.data.shards.items():
+            for rank, shard in data.shards.items():
                 self.sim.device(rank).memory.alloc(
                     self.n_state_slots * ops.nbytes(shard), "optimizer_state"
                 )
-        return state
+        return {"slots": slots}
 
     def zero_grad(self) -> None:
+        self._mid_iteration = False
         for p in self.params:
             p.zero_grad()
 
     def step(self, subset: Optional[Iterable[DistParam]] = None) -> None:
         """Apply one update; ``subset`` supports per-layer immediate updates
-        (the paper's §3.2.3 option 2)."""
-        self.t += 1
+        (the paper's §3.2.3 option 2).  The step count ``t`` advances once
+        per iteration: at its first step, which is a subset step when layers
+        update immediately and the closing full step otherwise."""
+        if not self._mid_iteration:
+            self.t += 1
+        self._mid_iteration = subset is not None
         for p in subset if subset is not None else self.params:
-            if p.grad is None:
-                continue
-            state = self._state[id(p)]
-            for rank, shard in p.data.shards.items():
-                g = p.grad.shards[rank]
-                if self.sim is not None:
-                    self.sim.device(rank).compute(
-                        self._flops_per_element() * shard.size, kind="elementwise"
-                    )
-                if is_shape_array(shard):
-                    continue  # dryrun: accounting only
-                self._update_shard(shard, g, state, rank)
+            if p.grad is not None:
+                self._update_param(p)
+
+    def _update_param(self, p: DistParam) -> None:
+        data, grad = p.data, p.grad
+        slots = self._state[id(p)]["slots"]
+        flops = self._flops_per_element()
+        sim = self.sim
+        if on_stacks(data.owner, data, grad, *slots) and grad.blocks.shape == data.blocks.shape:
+            if sim is not None:
+                size = next(iter(data.shards.values())).size
+                sim.charge_compute(data.shards, ((flops * size, "elementwise"),))
+            x, g = data.blocks, grad.blocks
+            self._update(x, g, [s.blocks for s in slots], self._scratch_for(x, g))
+            return
+        slot_shards = [s.shards for s in slots]
+        for rank, shard in data.shards.items():
+            if sim is not None:
+                sim.device(rank).compute(flops * shard.size, kind="elementwise")
+            if is_shape_array(shard):
+                continue  # dryrun: accounting only
+            shard_slots = [d[rank] for d in slot_shards]
+            self._update(shard, grad.shards[rank], shard_slots, _TEMPORARIES)
+
+    def _scratch_for(self, x, g) -> tuple:
+        """Two temporaries shaped like the stack ``x`` for ``_update``'s
+        ``out=``: views of one flat buffer per dtype, sized once by the
+        largest stacked parameter, never one per parameter.  ``(None, None)``
+        — numpy's own temporaries and promotion — when ``x`` and ``g`` differ
+        in dtype."""
+        if x.dtype != g.dtype:
+            return _TEMPORARIES
+        flat = self._scratch.get(x.dtype)
+        if flat is None:
+            largest = max(p.data.blocks.size for p in self.params if p.data.blocks is not None)
+            flat = self._scratch[x.dtype] = np.empty(2 * largest, x.dtype)
+        n = x.size
+        return flat[:n].reshape(x.shape), flat[n : 2 * n].reshape(x.shape)
 
     # subclass hooks -----------------------------------------------------
-    def _update_shard(self, shard, grad, state, rank) -> None:  # pragma: no cover
+    def _update(self, x, g, slots, scratch) -> None:  # pragma: no cover
+        """Update ``x`` (a shard or a block stack) in place from its gradient
+        ``g`` and state ``slots`` (the matching shards or stacks), with the
+        two ``scratch`` arrays (or None) as ``out=`` temporaries."""
         raise NotImplementedError
 
     def _flops_per_element(self) -> float:  # pragma: no cover
@@ -94,6 +151,7 @@ class _DistOptimizerBase:
     def load_state_dict(self, d: dict) -> None:
         self.t = int(d["t"])
         self.lr = float(d["lr"])
+        self._mid_iteration = False
 
     def state_slots(self) -> Dict[str, List[np.ndarray]]:
         """Per-parameter state arrays (momentum, Adam m/v) as *global*
@@ -103,7 +161,6 @@ class _DistOptimizerBase:
         Data-parallel replicas share parameter names with bit-identical
         state; the first occurrence wins.
         """
-        from repro.mesh.dtensor import DTensor
         from repro.mesh.partition import assemble_any
 
         out: Dict[str, List[np.ndarray]] = {}
@@ -111,22 +168,14 @@ class _DistOptimizerBase:
             if p.name in out:
                 continue  # replicated copy (data parallelism)
             slots = self._state[id(p)]["slots"]
-            if any(is_shape_array(s) for slot in slots for s in slot.values()):
+            if any(is_shape_array(s) for slot in slots for s in slot.shards.values()):
                 raise ValueError("cannot checkpoint optimizer state in dryrun mode")
-            out[p.name] = [
-                np.asarray(
-                    assemble_any(
-                        DTensor(p.data.owner, p.data.layout, slot, p.data.global_shape)
-                    )
-                )
-                for slot in slots
-            ]
+            out[p.name] = [np.asarray(assemble_any(slot)) for slot in slots]
         return out
 
     def load_state_slots(self, slots: Dict[str, List[np.ndarray]]) -> None:
         """Restore :meth:`state_slots` output in place (every replica of a
         shared name is restored)."""
-        from repro.mesh.dtensor import DTensor
         from repro.mesh.partition import scatter_any
 
         for p in self.params:
@@ -140,9 +189,7 @@ class _DistOptimizerBase:
                     f"expected {len(local)}"
                 )
             for slot, a in zip(local, arrays):
-                scatter_any(
-                    DTensor(p.data.owner, p.data.layout, slot, p.data.global_shape), a
-                )
+                scatter_any(slot, a)
 
 
 class SGD(_DistOptimizerBase):
@@ -161,16 +208,15 @@ class SGD(_DistOptimizerBase):
         self.n_state_slots = 1 if momentum else 0
         super().__init__(params, lr, sim)
 
-    def _update_shard(self, shard, grad, state, rank) -> None:
-        g = np.asarray(grad)
+    def _update(self, x, g, slots, scratch) -> None:
         if self.weight_decay:
-            shard *= 1.0 - self.lr * self.weight_decay
+            x *= 1.0 - self.lr * self.weight_decay
         if self.momentum:
-            buf = state["slots"][0][rank]
+            buf = slots[0]
             buf *= self.momentum
             buf += g
             g = buf
-        shard -= self.lr * g
+        x -= np.multiply(g, self.lr, out=scratch[0])
 
     def _flops_per_element(self) -> float:
         # update (mul+sub) + momentum (mul+add) + decoupled decay (one mul)
@@ -194,20 +240,23 @@ class Adam(_DistOptimizerBase):
         self.weight_decay = weight_decay
         super().__init__(params, lr, sim)
 
-    def _update_shard(self, shard, grad, state, rank) -> None:
+    def _update(self, x, g, slots, scratch) -> None:
+        # the operations (and their order) of the textbook update, through
+        # the scratch arrays when given: bit-identical to the temporaries
         b1, b2 = self.betas
-        g = np.asarray(grad)
+        s0, s1 = scratch
         if self.weight_decay:
-            g = g + self.weight_decay * np.asarray(shard)
-        m = state["slots"][0][rank]
-        v = state["slots"][1][rank]
+            g = np.add(g, np.multiply(x, self.weight_decay, out=s0), out=s0)
+        m, v = slots
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(g, 1 - b1, out=s1)
         v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1**self.t)
-        vhat = v / (1 - b2**self.t)
-        shard -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        gg = np.multiply(g, 1 - b2, out=s1)
+        v += np.multiply(gg, g, out=gg)
+        mhat = np.divide(m, 1 - b1**self.t, out=s0)
+        vhat = np.divide(v, 1 - b2**self.t, out=s1)
+        denom = np.add(np.sqrt(vhat, out=vhat), self.eps, out=vhat)
+        x -= np.divide(np.multiply(mhat, self.lr, out=mhat), denom, out=mhat)
 
     def _flops_per_element(self) -> float:
         # moments + bias correction + update, plus the coupled-L2 mul/add
@@ -221,7 +270,7 @@ def make_immediate_updater(optimizer, buffers=None):
     Pass the returned callable as ``model.backward(on_layer_backward=...)``.
     The optimizer's later full ``step()`` skips these parameters (their
     gradients are cleared), so mixing immediate and deferred updates in one
-    iteration is safe.
+    iteration is safe; the iteration advances the step count once.
     """
 
     def _update(layer) -> None:

@@ -155,6 +155,32 @@ class TestBlockMap:
         for rank in mesh.ranks:
             assert np.array_equal(stacked.local(rank), per_rank.local(rank))
 
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_backward_results_are_keyed_like_the_per_rank_path(self, forced, monkeypatch):
+        """A SUMMA ``abt`` output (the usual ``dy``) is keyed column by
+        column; LayerNorm's ``dx`` must still come out in mesh order and the
+        vector gradients by column root, on either path."""
+        mesh = make_mesh(3)
+        if forced:
+            _force_per_rank(monkeypatch)
+        ln = layers.LayerNorm2D(mesh, "ln", np.arange(1.0, 10.0), np.zeros(9))
+        lin = layers.Linear2D(mesh, "fc", np.ones((9, 9)), np.arange(9.0))
+        x = _blocked(mesh, (6, 9), seed=1)
+        col_major = [mesh.rank(i, j) for j in range(3) for i in range(3)]
+        y = _blocked(mesh, (6, 9), seed=2)
+        dy = DTensor.from_blocks(mesh, BLOCKED_2D, y.blocks, y.global_shape, col_major)
+        if forced:
+            x, dy = _plain(x), _plain(dy)
+        ln.forward(x)
+        dx = ln.backward(dy)
+        lin._bias_backward(dy)
+        assert (dx.blocks is None) == forced
+        assert list(dx.shards) == list(mesh.ranks)
+        roots = [mesh.rank(0, j) for j in range(3)]
+        for p in (ln.gamma, ln.beta, lin.bias):
+            assert list(p.grad.shards) == roots, p.name
+            assert (p.grad.blocks is None) == forced, p.name
+
     def test_map_and_zip_map_run_once(self):
         mesh = make_mesh(2)
         x = _blocked(mesh)
@@ -329,10 +355,21 @@ def test_serving_is_identical_to_the_per_rank_path(policy, monkeypatch):
 
 def _train_data_parallel(clip, scaled):
     """R = 2 replicas of a q = 2 mesh, strict, with gradient clipping or loss
-    scaling — both rescale the averaged gradients through ``DTensor.map``."""
+    scaling — both rescale the averaged gradients through ``DTensor.map``.
+    Also records, right after each sync, which gradients carry a stack."""
     cfg = tiny_config(hidden_size=48, num_heads=12, vocab_size=48)
     sim = Simulator.for_flat(8, strict_invariants=True)
     dp = DataParallel(sim, cfg, init_transformer_params(cfg, seed=3), 2, 2)
+    synced = {}
+    sync = dp._sync_gradients
+
+    def recording_sync():
+        sync()
+        for model in dp.replicas:
+            for p in model.parameters():
+                synced[p.name] = p.grad.blocks is not None
+
+    dp._sync_gradients = recording_sync
     opt = SGD(dp.parameters(), lr=0.05, momentum=0.9)
     trainer = Trainer(
         dp, opt, BatchStream.copy_task(cfg, 8, seed=5), printer=lambda s: None,
@@ -346,14 +383,14 @@ def _train_data_parallel(clip, scaled):
         {p.name: [np.array(s) for s in p.data.shards.values()] for p in model.parameters()}
         for model in dp.replicas
     ]
-    return losses, replicas
+    return losses, replicas, synced
 
 
 @pytest.mark.parametrize("clip,scaled", [(True, False), (False, True)])
 def test_data_parallel_rescaling_keeps_the_averaged_gradients(clip, scaled, monkeypatch):
-    stacked_losses, stacked = _train_data_parallel(clip, scaled)
+    stacked_losses, stacked, stacked_synced = _train_data_parallel(clip, scaled)
     _force_per_rank(monkeypatch)
-    per_rank_losses, per_rank = _train_data_parallel(clip, scaled)
+    per_rank_losses, per_rank, per_rank_synced = _train_data_parallel(clip, scaled)
     assert stacked_losses == per_rank_losses
     for name in stacked[0]:
         for r in range(2):  # replicas stay identical, on either path
@@ -361,6 +398,10 @@ def test_data_parallel_rescaling_keeps_the_averaged_gradients(clip, scaled, monk
                 assert np.array_equal(got, want), (name, r)
             for got, want in zip(per_rank[r][name], per_rank[0][name]):
                 assert np.array_equal(got, want), (name, r)
+    # averaged into stacks of their own (the tied table's gradient adds the
+    # embedding's per-rank scatter, so it never has one); none when forced
+    assert stacked_synced == {name: name != "embedding.table" for name in stacked_synced}
+    assert not any(per_rank_synced.values())
 
 
 def test_strict_forward_backward_under_contract_checks():
@@ -377,3 +418,133 @@ def test_strict_forward_backward_under_contract_checks():
     assert np.isfinite(loss)
     model.validate_invariants()
     assert model.layers[0].mlp.fc1.weight.data.blocks is not None
+
+
+# ----------------------------------------------------------------------
+# combinations: the backward, the loss gradient and the optimizer step run
+# on stacks, composed with every training feature that touches gradients
+# ----------------------------------------------------------------------
+_COMBOS = {
+    # name: (q, optimizer, options)
+    "sgd-ckpt": (2, "sgd", {}),
+    "adam-ckpt": (3, "adam", {}),
+    "adam-no-ckpt-fused": (2, "adam", dict(checkpoint=False, fused=True)),
+    "sgd-fused-immediate": (3, "sgd", dict(fused=True, immediate=True)),
+    "adam-no-ckpt-immediate": (2, "adam", dict(checkpoint=False, immediate=True)),
+    "adam-dp-clip": (2, "adam", dict(replicas=2, clip=True)),
+    "sgd-dp-scaled-strict": (2, "sgd", dict(replicas=2, scaled=True, strict=True)),
+    "adam-clip-scaled-strict": (3, "adam", dict(clip=True, scaled=True, strict=True)),
+    "adam-strict-contracts": (2, "adam", dict(strict=True, contracts=True)),
+}
+
+
+def _train_combo(q, optimizer, checkpoint=True, fused=False, immediate=False,
+                 replicas=1, clip=False, scaled=False, strict=False, contracts=False):
+    from contextlib import nullcontext
+
+    from repro.check.contracts import contract_checks
+    from repro.training import Adam, make_immediate_updater
+
+    cfg = tiny_config(hidden_size=24, num_heads=6, vocab_size=24)
+    params = init_transformer_params(cfg, seed=3)
+    model_kw = dict(checkpoint_activations=checkpoint, fused_attention=fused)
+    if replicas > 1:
+        sim = Simulator.for_flat(replicas * q * q, strict_invariants=strict, trace=True)
+        model = DataParallel(sim, cfg, params, replicas, q, **model_kw)
+        models = model.replicas
+    else:
+        sim = Simulator.for_mesh(q=q, strict_invariants=strict, trace=True)
+        model = OptimusModel(Mesh(sim, q), cfg, params, **model_kw)
+        models = [model]
+    if optimizer == "sgd":
+        opt = SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=0.01)
+    else:
+        opt = Adam(model.parameters(), lr=1e-2, weight_decay=0.01)
+    batches = BatchStream.copy_task(cfg, 4 * q * replicas, seed=5)
+    with contract_checks() if contracts else nullcontext():
+        if immediate:  # §3.2.3 option 2: no global clip / unscale to wait for
+            hook = make_immediate_updater(opt, model.buffers)
+            losses = []
+            for _ in range(2):
+                ids, labels = next(batches)
+                opt.zero_grad()
+                losses.append(model.forward(ids, labels))
+                model.backward(on_layer_backward=hook)
+                opt.step()
+        else:
+            trainer = Trainer(
+                model, opt, batches, printer=lambda s: None,
+                max_grad_norm=5e-2 if clip else None,
+                scaler=DynamicLossScaler(opt, init_scale=2.0**4) if scaled else None,
+            )
+            losses = trainer.train_steps(2).losses
+    if strict:
+        for m in models:
+            m.validate_invariants()
+
+    def shards(dt):
+        return None if dt is None else [(r, s.dtype, s.tobytes()) for r, s in dt.shards.items()]
+
+    tensors = [
+        (p.name, shards(p.data), shards(p.grad)) for m in models for p in m.parameters()
+    ]
+    slots = {name: [a.tobytes() for a in arrays] for name, arrays in opt.state_slots().items()}
+    pool = summa._pool_of(sim)  # the per-rank SUMMA executor's scratch
+    observed = (losses, tensors, slots, opt.t, sim.watermarks(), list(sim.tracer.events))
+    return observed, pool.hits + pool.misses
+
+
+@pytest.mark.parametrize("combo", sorted(_COMBOS))
+def test_training_combinations_are_identical_to_the_per_rank_path(combo, monkeypatch):
+    """Losses, every parameter / gradient / optimizer-state shard (bytes,
+    dtype and key order), the step count, watermarks and the raw event
+    list."""
+    q, optimizer, options = _COMBOS[combo]
+    stacked, per_rank_products = _train_combo(q, optimizer, **options)
+    # every SUMMA operand arrived stacked (the contract checker forces all
+    # collectives, and so every product, per rank)
+    assert (per_rank_products > 0) == options.get("contracts", False)
+    _force_per_rank(monkeypatch)
+    per_rank, _ = _train_combo(q, optimizer, **options)
+    assert stacked[5], "the tracer recorded nothing"
+    names = ("losses", "tensors", "optimizer state", "step count", "watermarks", "events")
+    for name, got, want in zip(names, stacked, per_rank):
+        assert got == want, name
+
+
+def test_optimizer_state_round_trips_through_stacked_slots(monkeypatch):
+    """Adam's moments live on the parameters' stacks; ``state_slots`` reads
+    the same global arrays as the per-rank slots, and ``load_state_slots``
+    writes back through the shards into the stacks."""
+    from repro.training import Adam
+
+    def trained():
+        cfg = tiny_config(hidden_size=24, num_heads=6, vocab_size=24)
+        model = OptimusModel(Mesh(Simulator.for_mesh(q=2), 2), cfg, init_transformer_params(cfg))
+        opt = Adam(model.parameters(), lr=1e-2)
+        Trainer(
+            model, opt, BatchStream.copy_task(cfg, 8, seed=5), printer=lambda s: None
+        ).train_steps(2)
+        return model, opt
+
+    model, opt = trained()
+    w1 = model.layers[0].mlp.fc1.weight
+    m, v = opt._state[id(w1)]["slots"]
+    assert m.blocks is not None and m.blocks.shape == w1.data.blocks.shape
+    saved = opt.state_slots()
+    with monkeypatch.context() as forced:
+        _force_per_rank(forced)
+        _, per_rank_opt = trained()
+        want = per_rank_opt.state_slots()
+    assert saved.keys() == want.keys()
+    for name in saved:
+        for got, ref in zip(saved[name], want[name]):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+    fresh_model, fresh = trained()
+    fresh.load_state_slots({name: [a * 2.0 for a in arrays] for name, arrays in saved.items()})
+    m2, _ = fresh._state[id(fresh_model.layers[0].mlp.fc1.weight)]["slots"]
+    assert np.array_equal(m2.blocks, m.blocks * 2.0)
+    fresh.load_state_slots(saved)
+    for name, arrays in fresh.state_slots().items():
+        for got, ref in zip(arrays, saved[name]):
+            assert got.tobytes() == ref.tobytes(), name

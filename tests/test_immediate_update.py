@@ -14,7 +14,7 @@ from repro.megatron import MegatronModel
 from repro.mesh.partition import assemble_any
 from repro.nn import init_transformer_params
 from repro.runtime import Simulator
-from repro.training import SGD, make_immediate_updater
+from repro.training import SGD, Adam, make_immediate_updater
 from tests.conftest import make_mesh
 
 SCHEMES = ("optimus", "megatron")
@@ -88,3 +88,42 @@ def test_deferred_step_skips_already_updated_layers(cfg, batch):
             w_after_hooks,
             err_msg=scheme,
         )
+
+
+def _train_stateful(scheme, cfg, ids, labels, make_opt, immediate: bool, steps: int = 2):
+    model = _model(scheme, cfg)
+    opt = make_opt(model.parameters())
+    hook = make_immediate_updater(opt, model.buffers) if immediate else None
+    for _ in range(steps):
+        opt.zero_grad()
+        model.forward(ids, labels)
+        model.backward(on_layer_backward=hook)
+        opt.step()
+    return model, opt
+
+
+def test_stateful_optimizers_count_one_step_per_iteration(cfg, batch):
+    """Adam's bias correction and SGD's momentum see the same step count and
+    the same gradients whether layers update immediately or all at once:
+    identical parameters and optimizer state, and ``t`` counts iterations."""
+    ids, labels = batch
+    optimizers = {
+        "adam": lambda params: Adam(params, lr=1e-2),
+        "sgd-momentum": lambda params: SGD(params, lr=0.1, momentum=0.9),
+    }
+    for scheme in SCHEMES:
+        for name, make_opt in optimizers.items():
+            deferred, opt_d = _train_stateful(scheme, cfg, ids, labels, make_opt, False)
+            immediate, opt_i = _train_stateful(scheme, cfg, ids, labels, make_opt, True)
+            assert opt_i.t == opt_d.t == 2, (scheme, name)
+            assert opt_i.state_dict()["t"] == 2, (scheme, name)
+            for pd, pi in zip(deferred.parameters(), immediate.parameters()):
+                assert pd.name == pi.name
+                assert np.array_equal(
+                    assemble_any(pd.data), assemble_any(pi.data)
+                ), (scheme, name, pd.name)
+            slots_d, slots_i = opt_d.state_slots(), opt_i.state_slots()
+            assert slots_d.keys() == slots_i.keys()
+            for key in slots_d:
+                for a, b in zip(slots_d[key], slots_i[key]):
+                    assert np.array_equal(a, b), (scheme, name, key)

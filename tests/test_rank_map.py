@@ -7,7 +7,6 @@ import pytest
 
 from repro.backend.shape_array import ShapeArray
 from repro.config import tiny_config
-from repro.core import layers as core_layers
 from repro.core import summa
 from repro.core.model import OptimusModel
 from repro.experiments import runner
@@ -211,7 +210,7 @@ def test_dryrun_stem_is_identical_to_the_naive_per_rank_run(monkeypatch, scheme,
     got = _stem(scheme, p, fused)
     assert bool(taken) == (scheme == "optimus")  # uniform shape plans batch
 
-    for module in (dtensor, transformer, core_layers, megatron_layers):
+    for module in (dtensor, transformer, megatron_layers):
         monkeypatch.setattr(module, "rank_map", naive_rank_map)
     monkeypatch.setattr(summa, "_batched_ready", lambda sim: False)
     del taken[:]
