@@ -172,24 +172,26 @@ class BufferManager:
         return f"buffer:{region}"
 
     def hold(self, region: str, rank: int, nbytes: int) -> int:
-        """Logically place ``nbytes`` in a region; returns bytes held."""
+        """Logically place ``nbytes`` in a region; returns bytes held.  A
+        strict-capacity OOM leaves the region as it was."""
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("negative allocation")
         region = self._canonical(region)
         st = self._regions[region][rank]
         mem = self.sim.device(rank).memory
-        st.usage += nbytes
+        usage = st.usage + nbytes
         if self.managed:
-            if st.usage > st.capacity:
-                mem.alloc(st.usage - st.capacity, self._tag(region))
-                st.capacity = st.usage
+            if usage > st.capacity:
+                mem.alloc(usage - st.capacity, self._tag(region))
+                st.capacity = usage
                 # arena growths are rare — publish the new high-water mark
                 self.sim.metrics.gauge(
                     "buffer_capacity_bytes", region=region, rank=rank
                 ).set(st.capacity)
         else:
             mem.alloc(nbytes, self._tag(region))
+        st.usage = usage
         return nbytes
 
     def hold_many(self, region: str, holds: Sequence[Tuple[int, int]]) -> None:

@@ -195,6 +195,22 @@ def test_an_overflow_stops_the_bulk_call_at_the_binding_rank(managed):
     )
 
 
+@pytest.mark.parametrize("managed", [True, False], ids=["managed", "unmanaged"])
+def test_an_overflowing_hold_leaves_its_region_unchanged(managed):
+    """The refused bytes are not counted as held, so resetting the region
+    afterwards frees exactly what was allocated."""
+    program = [
+        ("hold", "workspace", [0], ("uniform", 3795)),
+        ("hold", "workspace", [0], ("uniform", 4103)),
+        ("hold", "workspace", [0], ("uniform", 4103)),
+        ("reset", "workspace"),
+    ]
+    seen = _assert_equivalent(2, managed, 12_000, program)
+    assert seen["ooms"] == [("hold", 0, 4103, 7898)]
+    assert ("workspace", 0, 0, 7898 if managed else 0) in seen["regions"]
+    assert seen["by tag"][0]["buffer:workspace"] == (7898 if managed else 0)
+
+
 def test_negative_flops_charge_nothing():
     sim = Simulator.for_flat(p=3, trace=True)
     with pytest.raises(ValueError, match="negative flops"):
