@@ -16,9 +16,11 @@
    end of a run;
 3. **isolation**: no two ranks' output buffers alias each other (a shared
    buffer would let one simulated device silently corrupt another).
-   Isolation is asserted on collective *outputs*; the read-only results of
-   replicated rank-local math (:func:`repro.mesh.dtensor.replica_map`) are
-   shared by design and never pass through here as outputs.
+   Isolation is asserted on collective *outputs*; the shared read-only
+   entries of stacked math (:func:`repro.mesh.dtensor.block_map`,
+   :mod:`repro.comm.stacked`) never pass through here: the installed
+   checker patches the collectives, which closes that path's gate, so every
+   call is made per rank.
 
 On the dryrun (ShapeArray) backend the oracle degrades to shape checking;
 conservation and synchronization are still enforced.

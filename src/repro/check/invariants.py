@@ -28,14 +28,16 @@ Contracts, by layout kind (``q`` = mesh dimension, ``g`` = group size,
   all copies bit-identical.
 * ``sharded_1d`` — split along ``layout.axis`` into g equal shards, one
   per group rank, in rank order.
+* ``partial_1d`` — every group rank holds one addend of the global shape.
 * ``row0_cols`` — 1-D vector split into q equal blocks hosted by the q
   devices of mesh row 0 only (paper Fig. 5).
 * ``row0_blockrows`` — 2-D matrix split along axis 0 into q blocks hosted
   by mesh row 0 only.
 * ``rank0`` — a single shard holding the full array.
 
-A DTensor that carries a block stack (``dt.blocks``) must also keep every
-shard a view of its stack entry, with the entry's shape and dtype.
+A DTensor that carries a stack (``dt.blocks``) must also keep every shard a
+view of its stack entry, with the entry's shape and dtype; replicas that
+all view one ``(1,)`` entry are bit-identical by construction.
 
 Replica bit-identity is only checkable on the numpy backend; dryrun
 ShapeArrays carry no values, so strict mode degrades to pure shape/
@@ -167,10 +169,11 @@ def _validate_replicated(dt, name) -> None:
             dt, name,
             f"replica shape {tuple(ref.shape)} != global {dt.global_shape}",
         )
+    blocks = getattr(dt, "blocks", None)
+    if blocks is not None and len(blocks) == 1:
+        return  # every rank views one stack entry (checked with the stack)
     for r in ranks[1:]:
         s = dt.shards[r]
-        if s is ref:  # one shared object (replica_map): replicated by construction
-            continue
         if tuple(s.shape) != dt.global_shape:
             _fail(dt, name, f"rank {r} replica shape {tuple(s.shape)} != global")
         if not _bit_identical(ref, s):
@@ -198,6 +201,13 @@ def _validate_sharded_1d(dt, name) -> None:
         got = tuple(dt.shards[r].shape)
         if got != expected:
             _fail(dt, name, f"rank {r} shard shape {got} != {expected}")
+
+
+def _validate_partial_1d(dt, name) -> None:
+    _require_ranks(dt, name, dt.owner.ranks)
+    for r, s in dt.shards.items():
+        if tuple(s.shape) != dt.global_shape:
+            _fail(dt, name, f"rank {r} addend shape {tuple(s.shape)} != global")
 
 
 def _validate_row0_cols(dt, name) -> None:
@@ -248,6 +258,7 @@ _VALIDATORS = {
     "col_blocked": _validate_col_blocked,
     "replicated": _validate_replicated,
     "replicated_1d": _validate_replicated,
+    "partial_1d": _validate_partial_1d,
     "sharded_1d": _validate_sharded_1d,
     "row0_cols": _validate_row0_cols,
     "row0_blockrows": _validate_row0_blockrows,
@@ -272,21 +283,27 @@ def validate_dtensor(dt, name: str = "") -> None:
 
 
 def _validate_blocks(dt, name) -> None:
-    """A block stack's invariant (``DTensor.from_blocks``): every shard is
-    a view of its stack entry — ``blocks[i, j]`` for mesh coordinate
+    """A stack's invariant (``DTensor.from_blocks``): every shard is a view
+    of its stack entry — on a mesh ``blocks[i, j]`` for mesh coordinate
     (i, j), ``blocks[j]`` for a row-0 layout, a size-1 leading axis shared
-    along that mesh axis — with the entry's shape and dtype."""
-    mesh = _mesh_of(dt)
-    if mesh is None:
-        _fail(dt, name, "a block stack requires a Mesh owner")
+    along that mesh axis; on a flat group ``blocks[k]`` for group position
+    k, or the one entry of a ``(1,)`` stack — with the entry's shape and
+    dtype."""
     blocks = dt.blocks
     lead = blocks.ndim - len(dt.global_shape)
     block_shape = tuple(blocks.shape[lead:])
+    mesh = _mesh_of(dt)
+    if mesh is None:
+        position = {rank: k for k, rank in enumerate(dt.owner.ranks)}
+        if lead != 1 or len(blocks) not in (1, len(position)):
+            _fail(dt, name, f"stack {blocks.shape} is not (1,) or (g,) + shard")
     for rank, shard in dt.shards.items():
-        i, j = mesh.coords(rank)
-        if lead == 1:
-            entry = blocks[j % blocks.shape[0]]
+        if mesh is None:
+            entry = blocks[position[rank] % len(blocks)]
+        elif lead == 1:
+            entry = blocks[mesh.coords(rank)[1] % blocks.shape[0]]
         else:
+            i, j = mesh.coords(rank)
             entry = blocks[i % blocks.shape[0], j % blocks.shape[1]]
         if tuple(shard.shape) != block_shape or shard.dtype != blocks.dtype:
             _fail(

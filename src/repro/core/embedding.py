@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.backend.shape_array import ShapeArray, is_shape_array
+from repro.backend import ops
 from repro.comm import collectives as coll
 from repro.config import ModelConfig
 from repro.core.buffers import BufferManager
@@ -24,7 +22,8 @@ from repro.core.summa import summa_ab, summa_abt, summa_atb
 from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import BLOCKED_2D, ROW_BLOCKED
 from repro.mesh.mesh import Mesh
-from repro.mesh.partition import distribute_blocked_2d, zeros_blocked_2d
+from repro.mesh.partition import distribute_blocked_2d, zeros_stacked
+from repro.nn.loss import stripe_lookup, stripe_scatter
 from repro.nn.transformer import hold
 
 
@@ -62,7 +61,7 @@ class Embedding2D(DistModule):
         T_loc = (b // q) * s
         self._ids = ids
 
-        out = zeros_blocked_2d(mesh, (T_loc, h_loc), self.table.data.dtype, (b * s, h))
+        out = zeros_stacked(mesh, BLOCKED_2D, (T_loc, h_loc), self.table.data.dtype, (b * s, h))
         charge_compute = mesh.sim.charge_compute
         stripe = ((T_loc * h_loc, "elementwise"),)
         for l in range(q):
@@ -75,22 +74,10 @@ class Embedding2D(DistModule):
                 ranks = [mesh.rank(i, j) for i in range(q)]
                 for rank in ranks:
                     idvec = ids.local(rank).reshape((T_loc,))
-                    self._gather_stripe(out.local(rank), bcast[rank], idvec, lo, v_loc)
+                    stripe_lookup(out.local(rank), bcast[rank], idvec, lo, v_loc)
                 charge_compute(ranks, stripe)
         hold(self.buffers, "forward", out)
         return out
-
-    @staticmethod
-    def _gather_stripe(out, block, idvec, lo: int, v_loc: int) -> None:
-        """out[t] += block[ids[t] − lo] for tokens whose id is in the stripe."""
-        if is_shape_array(out):
-            return  # dryrun: shapes already correct, data-dependent mask skipped
-        ids = np.asarray(idvec)
-        mask = (ids >= lo) & (ids < lo + v_loc)
-        if not mask.any():
-            return
-        rows = np.nonzero(mask)[0]
-        out[rows] += np.asarray(block)[ids[rows] - lo]
 
     # ------------------------------------------------------------------
     def backward(self, d_out: DTensor) -> None:
@@ -113,27 +100,14 @@ class Embedding2D(DistModule):
                 for rank in ranks:
                     d = d_out.local(rank)
                     idvec = self._ids.local(rank).reshape((T_loc,))
-                    partials[rank] = self._scatter_stripe(
-                        d, idvec, lo, v_loc, h_loc, mesh.backend
-                    )
+                    partials[rank] = ops.zeros((v_loc, h_loc), dtype=d.dtype, backend=mesh.backend)
+                    stripe_scatter(partials[rank], d, idvec, lo, v_loc)
                 charge_compute(ranks, stripe)
                 root = mesh.rank(l, j)
                 reduced = coll.reduce(mesh.col_group(j), partials, root)
                 grad_shards[root] = reduced[root]
         self.table.add_grad(DTensor(mesh, BLOCKED_2D, grad_shards, (v, h)))
         self._ids = None
-
-    @staticmethod
-    def _scatter_stripe(d, idvec, lo, v_loc, h_loc, backend):
-        if is_shape_array(d):
-            return ShapeArray((v_loc, h_loc), d.dtype)
-        g = np.zeros((v_loc, h_loc), dtype=np.asarray(d).dtype)
-        ids = np.asarray(idvec)
-        mask = (ids >= lo) & (ids < lo + v_loc)
-        rows = np.nonzero(mask)[0]
-        if rows.size:
-            np.add.at(g, ids[rows] - lo, np.asarray(d)[rows])
-        return g
 
 
 class LMHead2D(DistModule):

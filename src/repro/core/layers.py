@@ -14,6 +14,7 @@ from typing import Optional
 
 from repro.backend import ops
 from repro.comm import collectives as coll
+from repro.comm.stacked import all_reduce_rows, precosts
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.core.summa import grads_of_ab, summa_ab
@@ -30,23 +31,6 @@ from repro.nn.transformer import (
 )
 
 
-def _precosts(mesh: Mesh, lines: str, kind: str, block) -> list:
-    """``(group, precost)`` of a ``kind`` collective over ``block``-sized
-    buffers on each of the mesh's ``lines`` (``"row_groups"`` /
-    ``"col_groups"``), priced once per mesh and block size — what the
-    per-rank collective would price on every call."""
-    cache = getattr(mesh, "_line_precosts", None)
-    if cache is None:
-        cache = mesh._line_precosts = {}
-    nbytes = ops.nbytes(block)
-    costs = cache.get((lines, kind, nbytes))
-    if costs is None:
-        costs = cache[lines, kind, nbytes] = [
-            (group, group.model.price(kind, nbytes)) for group in getattr(mesh, lines)
-        ]
-    return costs
-
-
 def _broadcast_down_columns(mesh: Mesh, param: DistParam) -> DTensor:
     """Every rank's copy of a row-0 vector parameter: each block is broadcast
     down its mesh column (Fig. 5a).  A ``COL_BLOCKED`` DTensor keyed column
@@ -56,7 +40,7 @@ def _broadcast_down_columns(mesh: Mesh, param: DistParam) -> DTensor:
     path)."""
     data = param.data
     if on_stacks(mesh, data):
-        for group, cost in _precosts(mesh, "col_groups", "broadcast", data.blocks[0]):
+        for group, cost in precosts(mesh, "col_groups", "broadcast", data.blocks[0]):
             coll.charge_only(group, "broadcast", cost)
         # the stack is updated in place, so the view stays current: it is
         # kept on the parameter and rebuilt only if ``param.data`` is replaced
@@ -75,22 +59,6 @@ def _broadcast_down_columns(mesh: Mesh, param: DistParam) -> DTensor:
     return DTensor(mesh, COL_BLOCKED, local, data.global_shape)
 
 
-def _all_reduce_rows(mesh: Mesh, x: DTensor) -> DTensor:
-    """Sum ``x``'s blocks along each mesh row, every member keeping the sum
-    (the row statistics of §3.2.2).  With :func:`on_stacks`, the fold is
-    ``collectives._combine``'s (copy column 0, add columns 1… in order) and
-    the row's members share the sum, a size-1 column axis of the stack."""
-    if on_stacks(mesh, x):
-        for group, cost in _precosts(mesh, "row_groups", "all_reduce", x.blocks[0, 0]):
-            coll.charge_only(group, "all_reduce", cost)
-        total = ops.fold_stack_sum(x.blocks, axis=1)
-        return DTensor.from_blocks(mesh, BLOCKED_2D, total[:, None], x.global_shape, x.shards)
-    shards = dict(x.shards)
-    for group in mesh.row_groups:
-        shards.update(coll.all_reduce(group, {r: shards[r] for r in group.ranks}))
-    return DTensor(mesh, BLOCKED_2D, shards, x.global_shape)
-
-
 def _reduce_up_columns(mesh: Mesh, partials: DTensor, shape) -> tuple:
     """Sum ``partials``' ``[k, n]`` blocks along each mesh column onto row 0
     (Fig. 5b): the k rows of the sums as k ``ROW0_COLS`` vectors of global
@@ -99,7 +67,7 @@ def _reduce_up_columns(mesh: Mesh, partials: DTensor, shape) -> tuple:
     stack's mesh-row axis."""
     roots = [mesh.rank(0, j) for j in range(mesh.q)]
     if on_stacks(mesh, partials):
-        for group, cost in _precosts(mesh, "col_groups", "reduce", partials.blocks[0, 0]):
+        for group, cost in precosts(mesh, "col_groups", "reduce", partials.blocks[0, 0]):
             coll.charge_only(group, "reduce", cost)
         total = ops.fold_stack_sum(partials.blocks, axis=0)  # [q, k, n] by column
         return tuple(
@@ -186,7 +154,7 @@ class Linear2D(DistModule):
         """Broadcast each bias block down its column and add (Fig. 5a); the
         sum is keyed like the broadcast, column by column."""
         bias = _broadcast_down_columns(self.mesh, self.bias)
-        out = block_map(_add_bias, self.mesh, bias, y)
+        out = block_map(_add_bias, self.mesh, bias, y, layout=BLOCKED_2D)
         charge_elementwise(out, "add")
         return out
 
@@ -269,7 +237,7 @@ class LayerNorm2D(DistModule):
             return x_hat * gamma[..., None, :] + beta[..., None, :], x_hat, inv_std
 
         # fused [Σx, Σx²] row all-reduce
-        stats = _all_reduce_rows(mesh, block_map(row_sums, mesh, x))
+        stats = all_reduce_rows(mesh, block_map(row_sums, mesh, x))
         gamma = _broadcast_down_columns(mesh, self.gamma)
         beta = _broadcast_down_columns(mesh, self.beta)
         out, x_hat, inv_std = block_map(normalize, mesh, x, stats, gamma, beta)
@@ -308,7 +276,7 @@ class LayerNorm2D(DistModule):
 
         # Σ dŷ and Σ x̂·dŷ: one fused row all-reduce
         dy_hat, sums = block_map(row_sums, mesh, x_hat, dy, gamma)
-        sums = _all_reduce_rows(mesh, sums)
+        sums = all_reduce_rows(mesh, sums)
         dx = block_map(input_grad, mesh, x_hat, inv_std, dy_hat, sums)
         charge_elementwise(dx, "layernorm")
         hold(self.buffers, "backward", dx)

@@ -427,9 +427,10 @@ def _batched_of(plan: _Plan, mesh: Mesh, a: DTensor, b: DTensor):
 def _batched_ready(sim) -> bool:
     """Runtime gates the plan cannot capture: unpatched collectives and a
     disarmed fault injector (both need the per-rank call sequence).  The one
-    gate of every host-side batched path: this executor,
-    :func:`repro.mesh.dtensor.block_map` and the stacked row all-reduce and
-    column broadcasts of :mod:`repro.core.layers`."""
+    gate of every host-side batched path, on both schemes: this executor,
+    :func:`repro.mesh.dtensor.block_map`, the stacked collectives of
+    :mod:`repro.comm.stacked` and :mod:`repro.core.layers` and the
+    optimizer's stacked update."""
     inj = sim.fault_injector
     if inj is not None and inj.armed:
         return False

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-
 from repro.backend import ops
 from repro.backend.shape_array import ShapeArray, is_shape_array
 from repro.comm.group import ProcessGroup
@@ -18,9 +17,9 @@ from repro.config import ModelConfig
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.megatron.layers import require_replicated
-from repro.mesh.dtensor import DTensor, replica_map
-from repro.mesh.layouts import REPLICATED_1D
+from repro.mesh.dtensor import DTensor, block_map
 from repro.mesh.partition import distribute_replicated_1d
+from repro.nn.transformer import hold
 from repro.reference import functional as F
 
 
@@ -63,22 +62,14 @@ class ClassificationHead1D(DistModule):
             x0l = x[::s]  # [b, h]
             return x0l, x0l @ w + bias
 
-        x0, logits = {}, {}
-        for rank, (x0l, out) in replica_map(
-            pooled_logits, group, ln_out.shards, self.weight.data.shards, self.bias.data.shards
-        ).items():
-            x0[rank], logits[rank] = x0l, out
+        x0, logits = block_map(pooled_logits, group, ln_out, self.weight.data, self.bias.data)
         group.sim.charge_compute(group.ranks, ((2.0 * b * h * self.num_classes, "gemm"),))
         if cls_labels is None:
             self._saved = None
-            return DTensor(group, REPLICATED_1D, logits, (b, self.num_classes))
-        losses = replica_map(F.cross_entropy_fwd, group, logits, cls_labels.shards)
-        probs = {rank: p for rank, (_loss_seq, p) in losses.items()}
-        loss_val = ops.sum(losses[group.ranks[0]][0])
-        if self.buffers is not None:
-            self.buffers.hold_many(
-                "forward", [(rank, ops.nbytes(p)) for rank, p in probs.items()]
-            )
+            return logits
+        losses, probs = block_map(F.cross_entropy_fwd, group, logits, cls_labels)
+        loss_val = ops.sum(losses.local(group.ranks[0]))
+        hold(self.buffers, "forward", probs)
         self._saved = (x0, probs, cls_labels, b, ln_out)
         if is_shape_array(loss_val):
             return ShapeArray((), loss_val.dtype)
@@ -101,18 +92,10 @@ class ClassificationHead1D(DistModule):
             d_out[::s] = dlogits @ ops.transpose(w)
             return ops.transpose(x0l) @ dlogits, ops.sum(dlogits, axis=0), d_out
 
-        dw, db, out_shards = {}, {}, {}
-        for rank, (dwl, dbl, d_out) in replica_map(
-            grads, group, probs, cls_labels.shards, x0, self.weight.data.shards, ln_out.shards
-        ).items():
-            dw[rank], db[rank], out_shards[rank] = dwl, dbl, d_out
+        dw, db, d_out = block_map(grads, group, probs, cls_labels, x0, self.weight.data, ln_out)
         gemm = (2.0 * h * b * self.num_classes, "gemm")  # dW and dx0 cost the same
         group.sim.charge_compute(group.ranks, (gemm, gemm))
-        self.weight.add_grad(
-            DTensor(group, REPLICATED_1D, dw, self.weight.data.global_shape)
-        )
-        self.bias.add_grad(
-            DTensor(group, REPLICATED_1D, db, self.bias.data.global_shape)
-        )
+        self.weight.add_grad(dw)
+        self.bias.add_grad(db)
         self._saved = None
-        return DTensor(group, REPLICATED_1D, out_shards, ln_out.global_shape)
+        return d_out

@@ -9,20 +9,20 @@ vocab-parallel cross-entropy without any gather of the full logits.
 
 from __future__ import annotations
 
+from operator import matmul
 from typing import Optional
 
-import numpy as np
-
-from repro.backend import ops
-from repro.backend.shape_array import ShapeArray, is_shape_array
-from repro.comm import collectives as coll
+from repro.comm import stacked
 from repro.comm.group import ProcessGroup
 from repro.config import ModelConfig
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
-from repro.mesh.dtensor import DTensor
-from repro.mesh.layouts import REPLICATED_1D, SHARDED_1D
-from repro.mesh.partition import distribute_sharded_1d
+from repro.megatron.layers import abt, atb
+from repro.mesh.dtensor import DTensor, block_map
+from repro.mesh.layouts import PARTIAL_1D, SHARDED_1D
+from repro.mesh.partition import distribute_sharded_1d, zeros_stacked
+from repro.nn.loss import stripe_lookup, stripe_scatter
+from repro.nn.transformer import hold
 
 
 class VocabParallelEmbedding(DistModule):
@@ -50,39 +50,24 @@ class VocabParallelEmbedding(DistModule):
         self._ids: Optional[DTensor] = None
 
     def forward(self, ids: DTensor) -> DTensor:
-        """ids REPLICATED_1D [b, s] → replicated activations [b·s, h]."""
+        """ids REPLICATED_1D [b, s] → replicated activations [b·s, h]: each
+        rank gathers its stripe into its slot of the partial sums, which an
+        all-reduce adds up."""
         group = self.group
-        v, h = self.table.data.global_shape
-        p = group.size
-        v_loc = v // p
+        table = self.table.data
+        v, h = table.global_shape
+        v_loc = v // group.size
         b, s = ids.global_shape
         T = b * s
         self._ids = ids
 
-        partial = {}
+        partials = zeros_stacked(group, PARTIAL_1D, (T, h), table.dtype, (T, h))
         for k, rank in enumerate(group.ranks):
             idvec = ids.local(rank).reshape((T,))
-            partial[rank] = self._stripe_lookup(
-                self.table.data.local(rank), idvec, k * v_loc, v_loc, h, group.sim.backend
-            )
-            group.sim.device(rank).compute(T * h, kind="elementwise")
-        shards = coll.all_reduce(group, partial)
-        out = DTensor(group, REPLICATED_1D, shards, (T, h))
-        if self.buffers is not None:
-            for rank, shard in out.shards.items():
-                self.buffers.hold("forward", rank, ops.nbytes(shard))
-        return out
-
-    @staticmethod
-    def _stripe_lookup(table_l, idvec, lo, v_loc, h, backend):
-        if is_shape_array(table_l) or is_shape_array(idvec):
-            return ShapeArray((idvec.size, h), table_l.dtype)
-        ids = np.asarray(idvec)
-        out = np.zeros((ids.size, h), dtype=np.asarray(table_l).dtype)
-        mask = (ids >= lo) & (ids < lo + v_loc)
-        rows = np.nonzero(mask)[0]
-        if rows.size:
-            out[rows] = np.asarray(table_l)[ids[rows] - lo]
+            stripe_lookup(partials.local(rank), table.local(rank), idvec, k * v_loc, v_loc)
+        group.sim.charge_compute(group.ranks, ((T * h, "elementwise"),))
+        out = stacked.all_reduce(group, partials)
+        hold(self.buffers, "forward", out)
         return out
 
     def backward(self, d_out: DTensor) -> None:
@@ -91,28 +76,15 @@ class VocabParallelEmbedding(DistModule):
             raise RuntimeError("embedding backward before forward")
         group = self.group
         v, h = self.table.data.global_shape
-        p = group.size
-        v_loc = v // p
-        grads = {}
+        v_loc = v // group.size
+        T = d_out.global_shape[0]
+        grads = zeros_stacked(group, SHARDED_1D(0), (v_loc, h), d_out.dtype, (v, h))
         for k, rank in enumerate(group.ranks):
-            d = d_out.local(rank)
-            idvec = self._ids.local(rank).reshape((d.shape[0],))
-            grads[rank] = self._stripe_scatter(d, idvec, k * v_loc, v_loc, h)
-            group.sim.device(rank).compute(d.size, kind="elementwise")
-        self.table.add_grad(DTensor(group, SHARDED_1D(0), grads, (v, h)))
+            idvec = self._ids.local(rank).reshape((T,))
+            stripe_scatter(grads.local(rank), d_out.local(rank), idvec, k * v_loc, v_loc)
+        group.sim.charge_compute(group.ranks, ((T * h, "elementwise"),))
+        self.table.add_grad(grads)
         self._ids = None
-
-    @staticmethod
-    def _stripe_scatter(d, idvec, lo, v_loc, h):
-        if is_shape_array(d):
-            return ShapeArray((v_loc, h), d.dtype)
-        g = np.zeros((v_loc, h), dtype=np.asarray(d).dtype)
-        ids = np.asarray(idvec)
-        mask = (ids >= lo) & (ids < lo + v_loc)
-        rows = np.nonzero(mask)[0]
-        if rows.size:
-            np.add.at(g, ids[rows] - lo, np.asarray(d)[rows])
-        return g
 
 
 class LMHead1D(DistModule):
@@ -135,37 +107,31 @@ class LMHead1D(DistModule):
     def forward(self, x: DTensor) -> DTensor:
         group = self.group
         self._x = x
-        v, h = self.embedding.table.data.global_shape
-        shards = {}
-        for rank in group.ranks:
-            xl = x.local(rank)
-            tl = self.embedding.table.data.local(rank)
-            shards[rank] = xl @ ops.transpose(tl)
-            group.sim.device(rank).compute(2.0 * xl.shape[0] * h * tl.shape[0])
-        out = DTensor(group, SHARDED_1D(1), shards, (x.global_shape[0], v))
-        if self.buffers is not None:
-            for rank, shard in out.shards.items():
-                self.buffers.hold("forward", rank, ops.nbytes(shard))
+        table = self.embedding.table.data
+        h = table.global_shape[1]
+        out = block_map(abt, group, x, table, layout=SHARDED_1D(1))
+        xl, tl = x.local(group.ranks[0]), table.local(group.ranks[0])
+        group.sim.charge_compute(group.ranks, ((2.0 * xl.shape[0] * h * tl.shape[0], "gemm"),))
+        hold(self.buffers, "forward", out)
         return out
 
     def backward(self, dlogits: DTensor) -> DTensor:
         if self._x is None:
             raise RuntimeError("lm-head backward before forward")
         group = self.group
-        dx_partial, d_table = {}, {}
-        for rank in group.ranks:
-            dl = dlogits.local(rank)
-            tl = self.embedding.table.data.local(rank)
-            xl = self._x.local(rank)
-            dx_partial[rank] = dl @ tl
-            d_table[rank] = ops.transpose(dl) @ xl
-            dev = group.sim.device(rank)
-            dev.compute(2.0 * dl.shape[0] * dl.shape[1] * tl.shape[1])
-            dev.compute(2.0 * dl.shape[1] * dl.shape[0] * xl.shape[1])
-        dx_shards = coll.all_reduce(group, dx_partial)
-        self.embedding.table.add_grad(
-            DTensor(group, SHARDED_1D(0), d_table, self.embedding.table.data.global_shape)
+        table = self.embedding.table.data
+        dx_partials = block_map(matmul, group, dlogits, table, layout=PARTIAL_1D)
+        d_table = block_map(atb, group, dlogits, self._x, layout=table.layout)
+        rank = group.ranks[0]
+        dl, tl, xl = dlogits.local(rank), table.local(rank), self._x.local(rank)
+        group.sim.charge_compute(
+            group.ranks,
+            (
+                (2.0 * dl.shape[0] * dl.shape[1] * tl.shape[1], "gemm"),
+                (2.0 * dl.shape[1] * dl.shape[0] * xl.shape[1], "gemm"),
+            ),
         )
-        dx = DTensor(group, REPLICATED_1D, dx_shards, self._x.global_shape)
+        dx = stacked.all_reduce(group, dx_partials)
+        self.embedding.table.add_grad(d_table)
         self._x = None
         return dx

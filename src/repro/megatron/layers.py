@@ -13,12 +13,12 @@ from operator import add, matmul
 from typing import Optional
 
 from repro.backend import ops
-from repro.comm import collectives as coll
+from repro.comm import stacked
 from repro.comm.group import ProcessGroup
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
-from repro.mesh.dtensor import DTensor, rank_map, replica_map
-from repro.mesh.layouts import REPLICATED_1D, SHARDED_1D
+from repro.mesh.dtensor import DTensor, block_map
+from repro.mesh.layouts import PARTIAL_1D, REPLICATED_1D, SHARDED_1D
 from repro.mesh.partition import distribute_replicated_1d, distribute_sharded_1d
 from repro.nn.transformer import (
     MLP,
@@ -30,11 +30,26 @@ from repro.nn.transformer import (
 from repro.reference import functional as F
 
 
+# rank-local bodies, trailing axes only: each serves a shard and a stack
 def _affine(x, w, b):
-    return x @ w + b
+    return x @ w + b[..., None, :]
 
 
-def _charge_matmul(group: ProcessGroup, x: DTensor, out_shards: dict) -> None:
+def atb(a, b):
+    """``aᵀ·b``."""
+    return a.swapaxes(-1, -2) @ b
+
+
+def abt(a, b):
+    """``a·bᵀ``."""
+    return a @ b.swapaxes(-1, -2)
+
+
+def _column_sums(dy):
+    return ops.sum(dy, axis=-2)
+
+
+def _charge_matmul(group: ProcessGroup, x: DTensor, weight: DTensor) -> None:
     """Charge every rank its local ``x @ W`` product.  1-D shards are
     equal-sized (``distribute_sharded_1d`` rejects a non-divisible axis), so
     the first rank's shapes are every rank's."""
@@ -42,35 +57,29 @@ def _charge_matmul(group: ProcessGroup, x: DTensor, out_shards: dict) -> None:
     xl = x.local(rank)
     group.sim.charge_compute(
         group.ranks,
-        ((2.0 * xl.shape[0] * xl.shape[1] * out_shards[rank].shape[1], "gemm"),),
+        ((2.0 * xl.shape[0] * xl.shape[1] * weight.local(rank).shape[1], "gemm"),),
     )
 
 
 def require_replicated(name: str, what: str, x: DTensor) -> None:
-    """Replicated math is evaluated on one replica (:func:`replica_map`), so
+    """Replicated math is evaluated on one replica (:func:`block_map`), so
     the layout is checked, not assumed."""
     if x.layout != REPLICATED_1D:
         raise ValueError(f"{name}: {what} must be replicated, got {x.layout}")
 
 
-def _column_sums(dyl):
-    return ops.sum(dyl, axis=0)
-
-
-def _local_grads(group: ProcessGroup, x: DTensor, dy: DTensor, weight: DTensor, bias):
+def _local_grads(group: ProcessGroup, x: DTensor, dy: DTensor, weight: DTensor, bias, dx_layout):
     """A parallel linear's rank-local backward products, charged per rank:
-    ``(dW = xᵀ·dy, db = Σ dy ({} without a bias), dy·Wᵀ)``; the charge is
-    sized from the first rank like :func:`_charge_matmul`'s.  A replicated
-    ``dy`` (row-parallel) has one ``db`` for all ranks."""
-    ranks = group.ranks
-    dw = rank_map(lambda xl, dyl: ops.transpose(xl) @ dyl, ranks, x.shards, dy.shards)
-    db = {}
+    ``(dW = xᵀ·dy, db = Σ dy (None without a bias), dy·Wᵀ)``, the last of
+    ``dx_layout``; the charge is sized from the first rank like
+    :func:`_charge_matmul`'s.  A replicated ``dy`` (row-parallel) has one
+    ``db`` for all ranks."""
+    dw = block_map(atb, group, x, dy, layout=weight.layout)
+    db = None
     if bias is not None:
-        if dy.layout == REPLICATED_1D:
-            db = replica_map(_column_sums, group, dy.shards)
-        else:
-            db = rank_map(_column_sums, ranks, dy.shards)
-    dx = rank_map(lambda dyl, w: dyl @ ops.transpose(w), ranks, dy.shards, weight.shards)
+        db = block_map(_column_sums, group, dy, layout=bias.data.layout)
+    dx = block_map(abt, group, dy, weight, layout=dx_layout)
+    ranks = group.ranks
     xl, dyl = x.local(ranks[0]), dy.local(ranks[0])
     group.sim.charge_compute(
         ranks,
@@ -83,8 +92,9 @@ def _local_grads(group: ProcessGroup, x: DTensor, dy: DTensor, weight: DTensor, 
 
 
 # ======================================================================
-class ColumnParallelLinear(DistModule):
-    """W split along columns; input replicated, output column-sharded."""
+class _ParallelLinear(DistModule):
+    """A linear with W split along ``weight_axis`` over the flat group; the
+    bias is placed by ``distribute_bias``."""
 
     _cache_attrs = ("_x",)
 
@@ -105,33 +115,34 @@ class ColumnParallelLinear(DistModule):
         self.weight = self.register_param(
             DistParam(
                 weight_name or f"{name}.weight",
-                distribute_sharded_1d(group, weight_global, axis=1),
+                distribute_sharded_1d(group, weight_global, axis=self.weight_axis),
             )
         )
         charge_param_memory(self.weight, group.sim)
         self.bias: Optional[DistParam] = None
         if bias_global is not None:
             self.bias = self.register_param(
-                DistParam(
-                    bias_name or f"{name}.bias",
-                    distribute_sharded_1d(group, bias_global, axis=0),
-                )
+                DistParam(bias_name or f"{name}.bias", self.distribute_bias(group, bias_global))
             )
             charge_param_memory(self.bias, group.sim)
         self._x: Optional[DTensor] = None
 
+
+class ColumnParallelLinear(_ParallelLinear):
+    """W split along columns; input replicated, output column-sharded."""
+
+    weight_axis = 1
+    distribute_bias = staticmethod(partial(distribute_sharded_1d, axis=0))
+
     def forward(self, x: DTensor) -> DTensor:
         require_replicated(self.name, "input", x)
         self._x = x
-        ranks = self.group.ranks
-        weights = self.weight.data.shards
+        weight = self.weight.data
         if self.bias is None:
-            shards = rank_map(matmul, ranks, x.shards, weights)
+            out = block_map(matmul, self.group, x, weight, layout=weight.layout)
         else:
-            shards = rank_map(_affine, ranks, x.shards, weights, self.bias.data.shards)
-        _charge_matmul(self.group, x, shards)
-        out_shape = (x.global_shape[0], self.weight.data.global_shape[1])
-        out = DTensor(self.group, SHARDED_1D(1), shards, out_shape)
+            out = block_map(_affine, self.group, x, weight, self.bias.data, layout=weight.layout)
+        _charge_matmul(self.group, x, weight)
         hold(self.buffers, "forward", out)
         return out
 
@@ -139,74 +150,37 @@ class ColumnParallelLinear(DistModule):
         if self._x is None:
             raise RuntimeError(f"{self.name}: backward before forward")
         dw, db, dx_partial = _local_grads(
-            self.group, self._x, dy, self.weight.data, self.bias
+            self.group, self._x, dy, self.weight.data, self.bias, PARTIAL_1D
         )
         # f operator: all-reduce the input gradient
-        dx_shards = coll.all_reduce(self.group, dx_partial)
-        dw_dt = DTensor(self.group, SHARDED_1D(1), dw, self.weight.data.global_shape)
-        hold(self.buffers, "param_grad", dw_dt)
-        self.weight.add_grad(dw_dt)
+        dx = stacked.all_reduce(self.group, dx_partial)
+        hold(self.buffers, "param_grad", dw)
+        self.weight.add_grad(dw)
         if self.bias is not None:
-            self.bias.add_grad(
-                DTensor(self.group, SHARDED_1D(0), db, self.bias.data.global_shape)
-            )
-        dx = DTensor(self.group, REPLICATED_1D, dx_shards, self._x.global_shape)
+            self.bias.add_grad(db)
         hold(self.buffers, "backward", dx)
         self._x = None
         return dx
 
 
 # ======================================================================
-class RowParallelLinear(DistModule):
+class RowParallelLinear(_ParallelLinear):
     """W split along rows; input column-sharded, output replicated (g op)."""
 
-    _cache_attrs = ("_x",)
-
-    def __init__(
-        self,
-        group: ProcessGroup,
-        name: str,
-        weight_global,
-        bias_global=None,
-        buffers: Optional[BufferManager] = None,
-        weight_name: Optional[str] = None,
-        bias_name: Optional[str] = None,
-    ):
-        super().__init__()
-        self.group = group
-        self.name = name
-        self.buffers = buffers
-        self.weight = self.register_param(
-            DistParam(
-                weight_name or f"{name}.weight",
-                distribute_sharded_1d(group, weight_global, axis=0),
-            )
-        )
-        charge_param_memory(self.weight, group.sim)
-        self.bias: Optional[DistParam] = None
-        if bias_global is not None:
-            # bias is added after the all-reduce, replicated on every device
-            self.bias = self.register_param(
-                DistParam(
-                    bias_name or f"{name}.bias",
-                    distribute_replicated_1d(group, bias_global),
-                )
-            )
-            charge_param_memory(self.bias, group.sim)
-        self._x: Optional[DTensor] = None
+    weight_axis = 0
+    # the bias is added after the all-reduce, replicated on every device
+    distribute_bias = staticmethod(distribute_replicated_1d)
 
     def forward(self, x: DTensor) -> DTensor:
         if x.layout.kind != "sharded_1d" or x.layout.axis != 1:
             raise ValueError(f"{self.name}: input must be column-sharded, got {x.layout}")
         self._x = x
-        ranks = self.group.ranks
-        partial = rank_map(matmul, ranks, x.shards, self.weight.data.shards)
-        _charge_matmul(self.group, x, partial)
-        shards = coll.all_reduce(self.group, partial)  # g operator
+        weight = self.weight.data
+        partials = block_map(matmul, self.group, x, weight, layout=PARTIAL_1D)
+        _charge_matmul(self.group, x, weight)
+        out = stacked.all_reduce(self.group, partials)  # g operator
         if self.bias is not None:
-            shards = replica_map(add, self.group, shards, self.bias.data.shards)
-        out_shape = (x.global_shape[0], self.weight.data.global_shape[1])
-        out = DTensor(self.group, REPLICATED_1D, shards, out_shape)
+            out = block_map(add, self.group, out, self.bias.data)
         hold(self.buffers, "forward", out)
         return out
 
@@ -214,17 +188,13 @@ class RowParallelLinear(DistModule):
         if self._x is None:
             raise RuntimeError(f"{self.name}: backward before forward")
         require_replicated(self.name, "output gradient", dy)
-        dw, db, dx_shards = _local_grads(
-            self.group, self._x, dy, self.weight.data, self.bias
+        dw, db, dx = _local_grads(
+            self.group, self._x, dy, self.weight.data, self.bias, self._x.layout
         )
-        dw_dt = DTensor(self.group, SHARDED_1D(0), dw, self.weight.data.global_shape)
-        hold(self.buffers, "param_grad", dw_dt)
-        self.weight.add_grad(dw_dt)
+        hold(self.buffers, "param_grad", dw)
+        self.weight.add_grad(dw)
         if self.bias is not None:
-            self.bias.add_grad(
-                DTensor(self.group, REPLICATED_1D, db, self.bias.data.global_shape)
-            )
-        dx = DTensor(self.group, SHARDED_1D(1), dx_shards, self._x.global_shape)
+            self.bias.add_grad(db)
         hold(self.buffers, "backward", dx)
         self._x = None
         return dx
@@ -262,40 +232,26 @@ class LayerNorm1D(DistModule):
 
     def forward(self, x: DTensor) -> DTensor:
         require_replicated(self.name, "input", x)
-        normed = replica_map(
+        out, x_hat, inv_std = block_map(
             partial(F.layernorm_fwd, eps=self.eps),
-            self.group, x.shards, self.gamma.data.shards, self.beta.data.shards,
+            self.group, x, self.gamma.data, self.beta.data,
         )
-        shards, xhat, inv = {}, {}, {}
-        for rank, (out, x_hat, inv_std) in normed.items():
-            shards[rank], xhat[rank], inv[rank] = out, x_hat, inv_std
-        out_dt = DTensor(self.group, REPLICATED_1D, shards, x.global_shape)
-        charge_elementwise(out_dt, "layernorm")
-        self._saved = (xhat, inv)
-        hold(self.buffers, "forward", out_dt)
-        return out_dt
+        charge_elementwise(out, "layernorm")
+        self._saved = (x_hat, inv_std)
+        hold(self.buffers, "forward", out)
+        return out
 
     def backward(self, dy: DTensor) -> DTensor:
         if self._saved is None:
             raise RuntimeError(f"{self.name}: backward before forward")
         require_replicated(self.name, "output gradient", dy)
-        xhat, inv = self._saved
-        grads = replica_map(
-            F.layernorm_bwd, self.group, dy.shards, xhat, inv, self.gamma.data.shards
-        )
-        dx, dg, db = {}, {}, {}
-        for rank, (dxl, dgl, dbl) in grads.items():
-            dx[rank], dg[rank], db[rank] = dxl, dgl, dbl
-        self.gamma.add_grad(
-            DTensor(self.group, REPLICATED_1D, dg, self.gamma.data.global_shape)
-        )
-        self.beta.add_grad(
-            DTensor(self.group, REPLICATED_1D, db, self.beta.data.global_shape)
-        )
-        out = DTensor(self.group, REPLICATED_1D, dx, dy.global_shape)
-        charge_elementwise(out, "layernorm")
+        x_hat, inv_std = self._saved
+        dx, dg, db = block_map(F.layernorm_bwd, self.group, dy, x_hat, inv_std, self.gamma.data)
+        self.gamma.add_grad(dg)
+        self.beta.add_grad(db)
+        charge_elementwise(dx, "layernorm")
         self._saved = None
-        return out
+        return dx
 
 
 # ======================================================================

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.backend import ops
 from repro.backend.shape_array import ShapeArray
-from repro.comm import collectives as coll
+from repro.comm import stacked
 from repro.comm.group import ProcessGroup
 from repro.config import ModelConfig
 from repro.megatron.cls_head import ClassificationHead1D
@@ -83,17 +83,10 @@ class MegatronModel(TransformerModel):
         """A replicated [b·s, h] activation on the simulator's backend."""
         cfg = self.cfg
         T, h = batch_size * cfg.seq_len, cfg.hidden_size
-        shards = {}
-        rng = np.random.default_rng(0)
-        base = None
-        for rank in self.group.ranks:
-            if self.sim.backend == "shape":
-                shards[rank] = ShapeArray((T, h), "float32")
-            else:
-                if base is None:
-                    base = rng.normal(size=(T, h))
-                shards[rank] = base if rank == 0 else base.copy()
-        return DTensor(self.group, REPLICATED_1D, shards, (T, h))
+        if self.sim.backend == "shape":
+            shards = {rank: ShapeArray((T, h), "float32") for rank in self.group.ranks}
+            return DTensor(self.group, REPLICATED_1D, shards, (T, h))
+        return distribute_replicated_1d(self.group, np.random.default_rng(0).normal(size=(T, h)))
 
     # ------------------------------------------------------------------
     # checkpoint storage
@@ -114,11 +107,11 @@ class MegatronModel(TransformerModel):
         self.buffers.hold_many(
             "checkpoint", [(rank, ops.nbytes(s)) for rank, s in slices.items()]
         )
-        return slices, x.global_shape
+        # the slices are views of x: keeping x holds no more host memory, and
+        # tells the gather whether x was on a stack
+        return x, slices
 
     def _restore_checkpoint(self, entry) -> DTensor:
         if self.checkpoint_layout == "replicated":
             return entry
-        slices, shape = entry
-        gathered = coll.all_gather(self.group, slices, axis=0)
-        return DTensor(self.group, REPLICATED_1D, gathered, shape)
+        return stacked.all_gather(self.group, *entry)

@@ -9,7 +9,7 @@ numpy arrays and shards for tests and I/O.
 """
 
 from repro.mesh import partition
-from repro.mesh.dtensor import DTensor, block_map, rank_map, replica_map
+from repro.mesh.dtensor import DTensor, block_map, rank_map
 from repro.mesh.layouts import (
     BLOCKED_2D,
     COL_BLOCKED,
@@ -45,7 +45,6 @@ __all__ = [
     "DTensor",
     "rank_map",
     "block_map",
-    "replica_map",
     "partition",
     "distribute_blocked_2d",
     "assemble_blocked_2d",

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Dict, Iterable, Tuple
 
 import numpy as np
 
 from repro.backend import ops
 from repro.backend.shape_array import ShapeArray
-from repro.mesh.layouts import BLOCKED_2D, Layout
+from repro.mesh.layouts import Layout
 
 
 def _signature(x):
@@ -90,119 +91,124 @@ def _map_sharing_placeholders(fn, ranks, shard_dicts) -> dict:
     return out
 
 
-def replica_map(fn: Callable, group, *shard_dicts: Dict[int, object]) -> dict:
-    """:func:`rank_map` for rank-local math whose operands are **all
-    replicated** over ``group`` (layout ``REPLICATED_1D``): ``fn`` runs once,
-    on the first rank's replicas, and every rank of ``group.ranks`` is handed
-    that one result, marked read-only.
-
-    The per-rank loop would evaluate the same pure ``fn`` on bit-identical
-    inputs ``p`` times; one evaluation gives the same values by determinism,
-    not by tolerance.  Only a call site whose operands are replicated *by
-    layout* may use this — equal shapes or equal values are never inspected.
-    The simulated devices each still do the work: charges, buffer holds and
-    trace events stay per rank, made by the caller.
-
-    A shared result is immutable (a write through any rank's handle raises
-    instead of changing ``p`` ranks).  Three cases keep :func:`rank_map`'s
-    per-rank evaluation: dryrun placeholders (which share by signature
-    there), a one-rank group, and an armed fault injector — message
-    corruption replaces *one* rank's all-reduce result, so "replicated"
-    tensors may then legitimately differ.  If ``fn`` hands back one of its
-    operands (an identity, ``np.asarray``) nothing is frozen and the
-    per-rank dict is returned, so an owned buffer never turns read-only.
-    """
-    ranks = group.ranks
-    first = ranks[0]
-    inj = group.sim.fault_injector
-    if (
-        len(ranks) == 1
-        or type(shard_dicts[0][first]) in (ShapeArray, tuple)
-        or (inj is not None and inj.armed)
-    ):
-        return rank_map(fn, ranks, *shard_dicts)
-    firsts = [d[first] for d in shard_dicts]
-    result = fn(*firsts)
-    parts = result if type(result) is tuple else (result,)
-    for part in parts:
-        for operand in firsts:
-            if part is operand:  # handed back, not computed: stays owned
-                return rank_map(fn, ranks, *shard_dicts)
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            part.flags.writeable = False
-    return dict.fromkeys(ranks, result)
-
-
-def on_stacks(mesh, *operands) -> bool:
+def on_stacks(owner, *operands) -> bool:
     """Whether host math over ``operands`` (DTensors) runs once on their
-    block stacks: every operand carries one on ``mesh`` (see
-    :meth:`DTensor.from_blocks`) and the gate of SUMMA's batched executor
+    stacks: every operand carries one on ``owner`` (a mesh or a flat group,
+    see :meth:`DTensor.from_blocks`) and the gate of SUMMA's batched executor
     (:func:`repro.core.summa._batched_ready`) holds.  The one test
-    :func:`block_map`, the stacked collectives of :mod:`repro.core.layers`
-    and SUMMA's operand reads make.  A stack exists only for uniform numeric
-    blocks on a q > 1 mesh, so placeholders, ragged or mixed-dtype shards,
-    q = 1, an operand owned elsewhere, an armed injector and patched
-    collectives all answer False."""
+    :func:`block_map`, the stacked collectives of :mod:`repro.comm.stacked`,
+    the optimizer and SUMMA's operand reads make.  A stack exists only for
+    uniform numeric shards on more than one rank, so placeholders, ragged or
+    mixed-dtype shards, q = 1 or p = 1, an operand owned elsewhere, an armed
+    injector and patched collectives all answer False."""
     for op in operands:
-        if op.blocks is None or op.owner is not mesh:
+        if op.blocks is None or op.owner is not owner:
             return False
-    import repro.core.summa  # the shared gate; core.summa imports this module
+    # the shared gate, looked up per call (tests monkeypatch it); core.summa
+    # imports this module, and the package imports core.summa, so it is
+    # loaded — found without an import statement's cost on this hot path
+    return sys.modules["repro.core.summa"]._batched_ready(owner.sim)
 
-    return repro.core.summa._batched_ready(mesh.sim)
 
+def block_map(fn: Callable, owner, *operands, layout: Layout = None):
+    """Rank-local math over DTensors on ``owner`` (a mesh or a flat group):
+    ``fn`` maps each rank's shards to its result shard(s).  Returns a DTensor
+    of ``layout`` (default: the first operand's) — a tuple of them when
+    ``fn`` returns a tuple — keyed in ``operands[0]``'s shard order, its
+    global shape derived from the result shard's.
 
-def block_map(fn: Callable, mesh, *operands) -> "DTensor":
-    """Rank-local math over 2-D blocked operands (DTensors on ``mesh``):
-    ``fn`` maps each rank's blocks to its result block(s), 2-D with the
-    input's rows.  Returns a ``BLOCKED_2D`` DTensor — a tuple of them when
-    ``fn`` returns a tuple — keyed in ``operands[0]``'s shard order.
-
-    When :func:`on_stacks` holds, ``fn`` runs **once, on the stacks**: the
-    mesh axes are two more leading axes, so ``fn`` must address blocks by
+    When :func:`on_stacks` holds, ``fn`` runs **once**.  If every operand is
+    ``REPLICATED_1D`` it runs on one replica (entry 0 of each stack) — the
+    operands are equal by layout, so one evaluation is every rank's — and
+    each result is a ``(1,)`` stack all ranks view, read-only.  Otherwise it
+    runs on the stacks, a replicated operand as its ``(1,)`` entry: the mesh
+    or group axes are leading axes, so ``fn`` must address shards by
     trailing axes (``axis=-1``, ``st[..., 0:1]``, a vector as
-    ``v[..., None, :]``) and the same body serves a shard and a stack.
-    Elementwise ops act per element and a reduction over a stack's
-    contiguous last axis equals the per-block one, so the result blocks
-    equal the per-rank results bit for bit.  Otherwise it is
-    :func:`rank_map` over the shards.  Charges stay per rank, made by the
-    caller.
+    ``v[..., None, :]``, ``swapaxes(-1, -2)``) and the same body serves a
+    shard and a stack.  Elementwise ops act per element, a reduction over a
+    stack's contiguous last axes equals the per-shard one and a batched
+    ``matmul`` hands each slice to the same BLAS gemm, so the results equal
+    the per-rank ones bit for bit.  Otherwise — and when ``fn`` hands back
+    one of its replicas, which must stay owned — it is :func:`rank_map` over
+    the shards.  Charges stay per rank, made by the caller.
     """
-    order = operands[0].shards
-    if on_stacks(mesh, *operands):
-        result = fn(*[op.blocks for op in operands])
+    first = operands[0]
+    if layout is None:
+        layout = first.layout
+    order = first.shards
+    if on_stacks(owner, *operands):
+        once = True
+        for op in operands:
+            if op.layout.kind != "replicated_1d":
+                once = False
+                break
+        if once:  # any rank's replica: the first one's shard view
+            rank = next(iter(order))
+            args = [op.shards[rank] for op in operands]
+        else:
+            args = [
+                op.blocks[:1] if op.layout.kind == "replicated_1d" else op.blocks
+                for op in operands
+            ]
+        result = fn(*args)
         parts = result if type(result) is tuple else (result,)
-        # a stack holds arrays: anything else (a conversion to dryrun
-        # placeholders) is made rank by rank below
-        if all(type(part) is np.ndarray for part in parts):
-            out = tuple(_stacked_result(mesh, part, order) for part in parts)
-            return out if type(result) is tuple else out[0]
+        if _stackable_results(parts, args if once else ()):
+            lead = first.blocks.ndim - len(first.global_shape)
+            out = []
+            for part in parts:
+                if once:
+                    part = part[None]
+                shape = _global_shape(owner, layout, part.shape[lead:])
+                out.append(DTensor.from_blocks(owner, layout, part, shape, order))
+            return tuple(out) if type(result) is tuple else out[0]
     per_rank = rank_map(fn, order, *[op.shards for op in operands])
     first = next(iter(per_rank.values()))
     if type(first) is not tuple:
-        return _blocked_result(mesh, per_rank)
+        return _per_rank_result(owner, layout, per_rank)
     parts = [{} for _ in first]
     for rank, result in per_rank.items():
-        for part, block in zip(parts, result):
-            part[rank] = block
-    return tuple(_blocked_result(mesh, part) for part in parts)
+        for part, shard in zip(parts, result):
+            part[rank] = shard
+    return tuple(_per_rank_result(owner, layout, part) for part in parts)
 
 
-def _stacked_result(mesh, blocks, order) -> "DTensor":
-    q = mesh.q
-    return DTensor.from_blocks(
-        mesh, BLOCKED_2D, blocks, (q * blocks.shape[-2], q * blocks.shape[-1]), order
-    )
+def _stackable_results(parts, replicas) -> bool:
+    """Whether ``parts`` can become stacks: arrays all (anything else — a
+    conversion to dryrun placeholders — is made rank by rank), none of them
+    one of the ``replicas`` handed back, which must stay owned."""
+    for part in parts:
+        if type(part) is not np.ndarray:
+            return False
+        for replica in replicas:
+            if part is replica:
+                return False
+    return True
 
 
-def _blocked_result(mesh, shards: dict) -> "DTensor":
+def _global_shape(owner, layout: Layout, shard) -> tuple:
+    """The global shape of a ``layout`` tensor whose shards are ``shard``-shaped."""
+    kind = layout.kind
+    if kind == "blocked_2d":
+        return (owner.q * shard[0], owner.q * shard[1])
+    if kind == "sharded_1d":
+        axis = layout.axis % len(shard)
+        return shard[:axis] + (len(owner.ranks) * shard[axis],) + shard[axis + 1 :]
+    if kind in ("row_blocked", "col_blocked", "row0_cols", "row0_blockrows"):
+        return (owner.q * shard[0],) + shard[1:]
+    return shard  # every rank holds the whole tensor (or an addend of it)
+
+
+def _per_rank_result(owner, layout, shards: dict) -> "DTensor":
+    if layout.kind != "blocked_2d":
+        first = next(iter(shards.values()))
+        return DTensor(owner, layout, shards, _global_shape(owner, layout, tuple(first.shape)))
     # rows: the row blocks' heights down mesh column 0 (ragged MoE blocks
     # included); columns: q equal column blocks
-    column0 = mesh.col_groups[0].ranks
+    column0 = owner.col_groups[0].ranks
     rows = 0
     for rank in column0:
         rows += shards[rank].shape[0]
-    return DTensor(mesh, BLOCKED_2D, shards, (rows, mesh.q * shards[column0[0]].shape[1]))
+    return DTensor(owner, layout, shards, (rows, owner.q * shards[column0[0]].shape[1]))
 
 
 class DTensor:
@@ -213,10 +219,10 @@ class DTensor:
     The class is deliberately thin — distributed *math* lives in the model
     modules, which know which collectives each operation needs; DTensor only
     carries data, shape bookkeeping, and elementwise conveniences that
-    require no communication.  A numeric 2-D tensor on a q > 1 mesh may
-    also carry its shards as one block stack (``blocks``, built only by
+    require no communication.  Uniform numeric shards on more than one rank
+    may also be carried as one stack (``blocks``, built only by
     :meth:`from_blocks`), which :func:`block_map` and SUMMA compute on once
-    per mesh when :func:`on_stacks` says so.
+    per mesh or group when :func:`on_stacks` says so.
     """
 
     __slots__ = ("owner", "layout", "shards", "global_shape", "blocks")
@@ -246,31 +252,51 @@ class DTensor:
 
     @classmethod
     def from_blocks(cls, owner, layout: Layout, blocks, global_shape, order) -> "DTensor":
-        """A DTensor on mesh ``owner`` whose shards are views of one array.
+        """A DTensor on ``owner`` whose shards are views of one array.
 
-        ``blocks`` is the **block stack**: ``(q, q) + block`` indexed by mesh
-        coordinate for a mesh-wide layout, ``(q,) + block`` indexed by
-        column for a row-0 layout (``ROW0_COLS``).  A leading axis of size 1
-        is a block shared along that mesh axis (a broadcast view: row
+        ``blocks`` is the **stack**.  On a mesh: ``(q, q) + block`` indexed
+        by mesh coordinate for a mesh-wide layout, ``(q,) + block`` indexed
+        by column for a row-0 layout (``ROW0_COLS``); a leading axis of size
+        1 is a block shared along that mesh axis (a broadcast view: row
         statistics after a row all-reduce, a row-0 vector sent down the
-        columns).  ``order`` lists the ranks in the key order of the shards
-        — part of the output, since charges and buffer holds are issued in
-        shard order.  The invariant ``shards[rank(i, j)]`` *is the memory
-        of* ``blocks[i, j]`` holds by construction; nothing rebinds a shard
-        afterwards (``partition.scatter_any`` writes through the views).
+        columns).  On a flat group: ``(p,) + shard`` indexed by group
+        position (a ``(1, p) + shard`` array, one row of members, is read as
+        that), or ``(1,) + shape``, one entry every rank views — marked
+        read-only, since a write through one rank's handle would change all
+        p (stacks are for more than one rank).  ``order`` lists the ranks in
+        the key order of the shards — part of the output, since charges and
+        buffer holds are issued in shard order.  The invariant
+        ``shards[rank]`` *is the memory of* its entry holds by construction;
+        nothing rebinds a shard afterwards (``partition.scatter_any`` writes
+        through the views).
         """
-        q = owner.q
-        if blocks.ndim - len(global_shape) == 1:
-            a = blocks.shape[0]
-            local = [blocks[j % a] for j in range(q)]
+        q = getattr(owner, "q", None)
+        if q is None:  # a flat group
+            if blocks.ndim - len(global_shape) > 1:
+                blocks = blocks.reshape((-1,) + blocks.shape[-len(global_shape) :])
+            if len(blocks) == 1:
+                blocks.setflags(write=False)
+                shards = dict.fromkeys(order, blocks[0])
+            else:
+                local = dict(zip(owner.ranks, blocks))
+                shards = {r: local[r] for r in order}
         else:
-            a, b = blocks.shape[:2]
-            local = [blocks[i % a, j % b] for i in range(q) for j in range(q)]
-        off = owner.rank_offset
-        dt = cls(owner, layout, {r: local[r - off] for r in order}, global_shape)
-        dt.blocks = blocks
+            if blocks.ndim - len(global_shape) == 1:
+                a = blocks.shape[0]
+                local = [blocks[j % a] for j in range(q)]
+            else:
+                a, b = blocks.shape[:2]
+                local = [blocks[i % a, j % b] for i in range(q) for j in range(q)]
+            off = owner.rank_offset
+            shards = {r: local[r - off] for r in order}
+        # __init__'s fields, without its copy of ``shards`` and its check,
+        # which would run before the stack is set (stacked math builds a
+        # DTensor per result, so this is a hot path)
+        dt = cls.__new__(cls)
+        dt.owner, dt.layout, dt.shards, dt.blocks = owner, layout, shards, blocks
+        dt.global_shape = tuple(global_shape)
         sim = owner.sim
-        if sim.is_enabled and sim.strict_invariants:  # now with the stack
+        if sim.is_enabled and sim.strict_invariants:
             from repro.check.invariants import validate_dtensor
 
             validate_dtensor(dt)
@@ -294,28 +320,12 @@ class DTensor:
     # ------------------------------------------------------------------
     # communication-free elementwise helpers
     # ------------------------------------------------------------------
-    def _rank_local(self, fn: Callable, *shard_dicts) -> dict:
-        """``fn`` over the shards of a non-blocked layout: once when the
-        layout says they are replicas (:func:`replica_map`), per rank
-        otherwise (:func:`rank_map`)."""
-        if self.layout.kind == "replicated_1d":
-            return replica_map(fn, self.owner, *shard_dicts)
-        return rank_map(fn, self.shards, *shard_dicts)
-
     def map(self, fn: Callable) -> "DTensor":
-        """Apply the elementwise ``fn`` to every shard (rank-local math:
-        through :func:`block_map` on a ``BLOCKED_2D`` tensor, :func:`replica_map`
-        on a ``REPLICATED_1D`` one, whose result shards are then shared and
-        read-only, :func:`rank_map` otherwise); layout and global shape
+        """Apply the elementwise ``fn`` to every shard (rank-local math,
+        through :func:`block_map`: once on a stack, a ``REPLICATED_1D``
+        result then shared and read-only); layout and global shape
         unchanged."""
-        if self.layout.kind == "blocked_2d":
-            return block_map(fn, self.owner, self)
-        return DTensor(
-            self.owner,
-            self.layout,
-            self._rank_local(fn, self.shards),
-            self.global_shape,
-        )
+        return block_map(fn, self.owner, self)
 
     def zip_map(self, other: "DTensor", fn: Callable) -> "DTensor":
         """Elementwise combine two same-layout DTensors shard by shard
@@ -327,14 +337,7 @@ class DTensor:
             )
         if self.shards.keys() != other.shards.keys():
             raise ValueError("rank sets differ")
-        if self.layout.kind == "blocked_2d":
-            return block_map(fn, self.owner, self, other)
-        return DTensor(
-            self.owner,
-            self.layout,
-            self._rank_local(fn, self.shards, other.shards),
-            self.global_shape,
-        )
+        return block_map(fn, self.owner, self, other)
 
     def __add__(self, other: "DTensor") -> "DTensor":
         return self.zip_map(other, lambda a, b: a + b)

@@ -12,6 +12,8 @@ A layout names *how* a logical global tensor is spread over ranks:
 * ``REPLICATED`` — full copy everywhere (Megatron activations, loss scalars).
 * ``SHARDED_1D`` / ``REPLICATED_1D`` — flat-group layouts for the Megatron
   baseline: split along one axis over all p ranks, or fully replicated.
+* ``PARTIAL_1D`` — p same-shaped addends of one flat-group tensor (a
+  row-parallel product before Megatron's all-reduce makes it replicated).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ ROW_BLOCKED = Layout("row_blocked")
 COL_BLOCKED = Layout("col_blocked")
 REPLICATED = Layout("replicated")
 REPLICATED_1D = Layout("replicated_1d")
+PARTIAL_1D = Layout("partial_1d")
 
 # Vector parameters of non-SUMMA ops (bias, LN affine): hosted *only* by the
 # q devices of mesh row 0, split into q column blocks (paper Fig. 5).  They

@@ -4,7 +4,8 @@ These helpers implement the layouts of :mod:`repro.mesh.layouts` for both
 backends (real ndarrays and dryrun ShapeArrays — basic slicing works on
 both).  They model *initial placement* and *test-time inspection*, so they
 charge no communication: a real job would materialize parameters directly on
-their owning devices.
+their owning devices.  Every ``distribute_*`` copies numeric data, so what
+a model later writes into its shards never reaches the caller's arrays.
 """
 
 from __future__ import annotations
@@ -38,21 +39,36 @@ def block_slice(dim: int, parts: int, index: int) -> slice:
     return slice(index * step, (index + 1) * step)
 
 
+def _stackable(owner, backend: str) -> bool:
+    """Numeric data (``backend``: the data's, see ``ops.backend_of``) on
+    more than one rank (a q > 1 mesh, a p > 1 group) is stored as one
+    stack."""
+    return len(owner.ranks) > 1 and backend == ops.NUMPY
+
+
+def zeros_stacked(owner, layout, block_shape, dtype, global_shape) -> DTensor:
+    """A zero tensor of uniform blocks on every rank of ``owner``, keyed in
+    its order (a mesh's ``BLOCKED_2D``, a flat group's layouts) — one
+    ``(q, q)`` / ``(p,)`` stack when numeric on more than one rank."""
+    backend = owner.sim.backend
+    ranks = owner.ranks
+    if _stackable(owner, backend):
+        lead = (owner.q, owner.q) if layout.kind == "blocked_2d" else (len(ranks),)
+        blocks = ops.zeros(lead + tuple(block_shape), dtype=dtype, backend=backend)
+        return DTensor.from_blocks(owner, layout, blocks, global_shape, ranks)
+    shards = {rank: ops.zeros(block_shape, dtype=dtype, backend=backend) for rank in ranks}
+    return DTensor(owner, layout, shards, global_shape)
+
+
 # ----------------------------------------------------------------------
 # 2-D mesh layouts
 # ----------------------------------------------------------------------
-def _stackable(mesh: Mesh, backend: str) -> bool:
-    """Numeric data (``backend``: the data's, see ``ops.backend_of``) on a
-    q > 1 mesh is stored as one block stack."""
-    return mesh.q > 1 and backend == ops.NUMPY
-
-
 def distribute_blocked_2d(mesh: Mesh, a) -> DTensor:
     """Split a 2-D matrix into q×q blocks; coord (i, j) gets block (i, j).
 
     Numeric data on a q > 1 mesh is copied into one ``(q, q, M/q, N/q)``
     block stack (the shards are its views, so in-place updates of a shard
-    are updates of the stack); otherwise the shards are slices of ``a``."""
+    are updates of the stack); otherwise the shards are copied slices."""
     if a.ndim != 2:
         raise ValueError(f"blocked_2d requires a 2-D matrix, got shape {a.shape}")
     q = mesh.q
@@ -66,22 +82,8 @@ def distribute_blocked_2d(mesh: Mesh, a) -> DTensor:
         ri = block_slice(a.shape[0], q, i)
         for j in range(q):
             cj = block_slice(a.shape[1], q, j)
-            shards[mesh.rank(i, j)] = a[ri, cj]
+            shards[mesh.rank(i, j)] = _replica(a[ri, cj])
     return DTensor(mesh, BLOCKED_2D, shards, a.shape)
-
-
-def zeros_blocked_2d(mesh: Mesh, block_shape, dtype, global_shape) -> DTensor:
-    """A zero ``BLOCKED_2D`` tensor of uniform blocks, keyed in mesh order
-    — one block stack when numeric on a q > 1 mesh."""
-    if _stackable(mesh, mesh.backend):
-        stack_shape = (mesh.q, mesh.q) + tuple(block_shape)
-        blocks = ops.zeros(stack_shape, dtype=dtype, backend=mesh.backend)
-        return DTensor.from_blocks(mesh, BLOCKED_2D, blocks, global_shape, mesh.ranks)
-    shards = {
-        rank: ops.zeros(block_shape, dtype=dtype, backend=mesh.backend)
-        for rank in mesh.ranks
-    }
-    return DTensor(mesh, BLOCKED_2D, shards, global_shape)
 
 
 def assemble_blocked_2d(dt: DTensor) -> object:
@@ -104,7 +106,7 @@ def distribute_row_blocked(mesh: Mesh, a) -> DTensor:
         block = a[block_slice(a.shape[0], q, i)]
         for j in range(q):
             rank = mesh.rank(i, j)
-            shards[rank] = block if j == 0 else _replica(block)
+            shards[rank] = _replica(block)
     return DTensor(mesh, ROW_BLOCKED, shards, a.shape)
 
 
@@ -126,7 +128,7 @@ def distribute_row0_cols(mesh: Mesh, a) -> DTensor:
         return DTensor.from_blocks(
             mesh, ROW0_COLS, blocks, a.shape, [mesh.rank(0, j) for j in range(q)]
         )
-    shards = {mesh.rank(0, j): a[block_slice(a.shape[0], q, j)] for j in range(q)}
+    shards = {mesh.rank(0, j): _replica(a[block_slice(a.shape[0], q, j)]) for j in range(q)}
     return DTensor(mesh, ROW0_COLS, shards, a.shape)
 
 
@@ -142,7 +144,7 @@ def distribute_row0_blockrows(mesh: Mesh, a) -> DTensor:
     q = mesh.q
     _check_divisible(a.shape[0], q, "rows")
     shards = {
-        mesh.rank(0, j): a[block_slice(a.shape[0], q, j)] for j in range(q)
+        mesh.rank(0, j): _replica(a[block_slice(a.shape[0], q, j)]) for j in range(q)
     }
     return DTensor(mesh, ROW0_BLOCKROWS, shards, a.shape)
 
@@ -238,7 +240,7 @@ def scatter_any(dt: DTensor, a) -> None:
 
 
 def distribute_replicated(mesh: Mesh, a) -> DTensor:
-    shards = {r: (a if r == 0 else _replica(a)) for r in mesh.ranks}
+    shards = {r: _replica(a) for r in mesh.ranks}
     return DTensor(mesh, REPLICATED, shards, a.shape)
 
 
@@ -246,11 +248,16 @@ def distribute_replicated(mesh: Mesh, a) -> DTensor:
 # flat (1-D / Megatron) layouts
 # ----------------------------------------------------------------------
 def distribute_sharded_1d(group: ProcessGroup, a, axis: int) -> DTensor:
-    """Split ``a`` along ``axis`` into ``group.size`` equal shards."""
+    """Split ``a`` along ``axis`` into ``group.size`` equal shards — numeric
+    data on p > 1 ranks copied into one ``(p,) + shard`` stack."""
     axis = axis % a.ndim
     _check_divisible(a.shape[axis], group.size, f"axis {axis}")
     pieces = ops.split(a, group.size, axis=axis)
-    shards = {r: pieces[k] for k, r in enumerate(group.ranks)}
+    if _stackable(group, ops.backend_of(a)):
+        return DTensor.from_blocks(
+            group, SHARDED_1D(axis), np.stack(pieces), a.shape, group.ranks
+        )
+    shards = {r: _replica(pieces[k]) for k, r in enumerate(group.ranks)}
     return DTensor(group, SHARDED_1D(axis), shards, a.shape)
 
 
@@ -260,7 +267,13 @@ def assemble_sharded_1d(dt: DTensor) -> object:
 
 
 def distribute_replicated_1d(group: ProcessGroup, a) -> DTensor:
-    shards = {r: (a if k == 0 else _replica(a)) for k, r in enumerate(group.ranks)}
+    """A copy of ``a`` on every rank — numeric data on p > 1 ranks as one
+    ``(p,) + shape`` stack of owned copies (parameters are updated in place,
+    and each rank keeps its own; replicated math still reads one)."""
+    if _stackable(group, ops.backend_of(a)):
+        blocks = np.repeat(np.asarray(a)[None], group.size, axis=0)
+        return DTensor.from_blocks(group, REPLICATED_1D, blocks, a.shape, group.ranks)
+    shards = {r: _replica(a) for r in group.ranks}
     return DTensor(group, REPLICATED_1D, shards, a.shape)
 
 

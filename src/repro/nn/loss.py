@@ -9,6 +9,8 @@ max-subtraction (one extra row all-reduce of [T_loc, 1]) for float stability
 exactly one stripe per token, so a masked gather + row all-reduce recovers it
 everywhere.  Rows hold different tokens, so the token mean is finished by an
 all-reduce of each rank's 1-element sum along every group of ``cols``.
+The embeddings gather and scatter their vocabulary stripes with the same
+stripe test (:func:`stripe_lookup`, :func:`stripe_scatter`).
 
 A scheme names its groups and layout: Optimus has the q mesh rows and
 combines them down the q mesh columns; Megatron's flat group is the one-row
@@ -36,6 +38,28 @@ def _stripe_hits(lab, lo: int, v_loc: int):
     ids = np.asarray(lab).reshape(-1)
     rows = np.nonzero((ids >= lo) & (ids < lo + v_loc))[0]
     return rows, ids[rows] - lo
+
+
+def stripe_lookup(out, table, ids, lo: int, v_loc: int) -> None:
+    """``out[t] += table[ids[t] − lo]``, in place, for the tokens whose id
+    falls in the stripe ``[lo, lo + v_loc)`` — an embedding's gather of one
+    vocabulary stripe (nothing to do on placeholders)."""
+    if is_shape_array(out):
+        return
+    rows, cols = _stripe_hits(ids, lo, v_loc)
+    if rows.size:
+        out[rows] += np.asarray(table)[cols]
+
+
+def stripe_scatter(grad, d, ids, lo: int, v_loc: int) -> None:
+    """``grad[ids[t] − lo] += d[t]``, in place, for the tokens whose id
+    falls in the stripe — :func:`stripe_lookup`'s backward (repeated ids
+    accumulate)."""
+    if is_shape_array(grad):
+        return
+    rows, cols = _stripe_hits(ids, lo, v_loc)
+    if rows.size:
+        np.add.at(grad, cols, np.asarray(d)[rows])
 
 
 def stripe_pick(z, lab, lo: int, v_loc: int):
@@ -130,7 +154,7 @@ class VocabStripedCrossEntropy(DistModule):
         for grp in self.cols:
             part.update(coll.all_reduce(grp, {r: part[r] for r in grp.ranks}))
 
-        # the logits' block stack shape when dlogits is to be one
+        # the logits' stack shape when dlogits is to be one
         stack = logits.blocks.shape if on_stacks(self.owner, logits) else None
         self._saved = (probs, labels, T, v_loc, stack)
         total = part[ranks[0]]
@@ -145,13 +169,15 @@ class VocabStripedCrossEntropy(DistModule):
         device = self.owner.sim.device
         probs, labels, T, v_loc, stack = self._saved
         scale = 1.0 / T
-        if stack is not None:  # each rank writes its slot of one block stack
+        if stack is not None:  # each rank writes its slot of one stack
             stack = np.empty(stack, next(iter(probs.values())).dtype)
+            # rows × members: the (q, q) mesh stack, a (p,) group stack as (1, p)
+            slots = stack.reshape((len(self.rows), -1) + stack.shape[-2:])
         shards = {}
         for i, row in enumerate(self.rows):
             for k, rank in enumerate(row.ranks):
                 p = probs[rank]
-                g = p * scale if stack is None else np.multiply(p, scale, out=stack[i, k])
+                g = p * scale if stack is None else np.multiply(p, scale, out=slots[i, k])
                 shards[rank] = stripe_subtract(
                     g, labels.local(rank), k * v_loc, v_loc, scale
                 )

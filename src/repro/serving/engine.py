@@ -44,7 +44,6 @@ from repro.config import ModelConfig
 from repro.core.model import OptimusModel
 from repro.megatron.model import MegatronModel
 from repro.mesh.dtensor import DTensor
-from repro.mesh.layouts import BLOCKED_2D
 from repro.mesh.mesh import Mesh
 from repro.nn.transformer import ELEMWISE_COST, TransformerModel, charge_elementwise
 from repro.reference.attention import decode_attention_fwd
@@ -448,15 +447,14 @@ class ServingEngine:
 
     def _context(self, contexts: np.ndarray, global_shape) -> DTensor:
         """The attention context as the output linear's input: every rank
-        its ``contexts[row, member]``, keyed in row order."""
-        flat = contexts.reshape((-1,) + contexts.shape[2:])
-        model = self.model
-        return DTensor(
-            model.owner,
-            model.layers[0].attn.layout,
-            dict(zip(self.all_ranks, flat)),
-            global_shape,
-        )
+        its ``contexts[row, member]``, keyed in row order — the stack of the
+        mesh or of the one-row flat group (stacks are for more than one
+        rank)."""
+        owner = self.model.owner
+        layout = self.model.layers[0].attn.layout
+        if len(self.all_ranks) == 1:
+            return DTensor(owner, layout, {self.all_ranks[0]: contexts[0, 0]}, global_shape)
+        return DTensor.from_blocks(owner, layout, contexts, global_shape, self.all_ranks)
 
     def _sample_greedy(self, logits: DTensor, rows: List[List[LaneInput]]) -> Dict[int, int]:
         stripes = self.rows[0].size
@@ -507,15 +505,6 @@ class OptimusServingEngine(ServingEngine):
         )
 
     step = ServingEngine.step  # hostbench patches it on the scheme's class
-
-    def _context(self, contexts: np.ndarray, global_shape) -> DTensor:
-        # q rows of q members: ``contexts`` is the q×q block stack of a
-        # BLOCKED_2D tensor, its rows in mesh order (block stacks are for
-        # q > 1 meshes)
-        mesh = self.model.owner
-        if mesh.q == 1:
-            return super()._context(contexts, global_shape)
-        return DTensor.from_blocks(mesh, BLOCKED_2D, contexts, global_shape, mesh.ranks)
 
 
 # ======================================================================

@@ -34,10 +34,10 @@ _TEMPORARIES = (None, None)
 class _DistOptimizerBase:
     """Shared machinery: state allocation, update dispatch, flop charging.
 
-    A parameter whose data, gradient and state slots all carry block stacks
+    A parameter whose data, gradient and state slots all carry stacks
     (:func:`~repro.mesh.dtensor.on_stacks`) is updated once, on the stacks,
     and charged with one :meth:`~repro.runtime.simulator.Simulator.charge_compute`
-    in its shard order; any other (Megatron, q = 1, placeholders, the tied
+    in its shard order; any other (q = 1, p = 1, placeholders, the 2-D tied
     embedding table, whose gradient adds a per-rank scatter) shard by shard.
     Both run the one elementwise ``_update``, so the values are the same."""
 
@@ -102,7 +102,12 @@ class _DistOptimizerBase:
         slots = self._state[id(p)]["slots"]
         flops = self._flops_per_element()
         sim = self.sim
-        if on_stacks(data.owner, data, grad, *slots) and grad.blocks.shape == data.blocks.shape:
+        # a replicated gradient may be one (1,) entry for a (p,) parameter
+        # stack: broadcast, the elementwise update is the same per rank
+        if on_stacks(data.owner, data, grad, *slots) and (
+            grad.blocks.shape[1:] == data.blocks.shape[1:]
+            and len(grad.blocks) in (1, len(data.blocks))
+        ):
             if sim is not None:
                 size = next(iter(data.shards.values())).size
                 sim.charge_compute(data.shards, ((flops * size, "elementwise"),))

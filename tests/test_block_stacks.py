@@ -10,18 +10,23 @@ import pytest
 
 from repro.backend.shape_array import ShapeArray
 from repro.check.invariants import InvariantViolation, validate_dtensor
+from repro.comm.group import ProcessGroup
 from repro.config import tiny_config
 from repro.core import layers, summa
 from repro.core.model import OptimusModel
 from repro.hybrid import DataParallel
+from repro.megatron.layers import RowParallelLinear
+from repro.megatron.model import MegatronModel
 from repro.mesh import block_map, rank_map
 from repro.mesh.dtensor import DTensor
-from repro.mesh.layouts import BLOCKED_2D
+from repro.mesh.layouts import BLOCKED_2D, REPLICATED_1D, SHARDED_1D
 from repro.mesh.mesh import Mesh
 from repro.mesh.partition import (
     assemble_any,
     distribute_blocked_2d,
+    distribute_replicated_1d,
     distribute_row0_cols,
+    distribute_sharded_1d,
     scatter_any,
 )
 from repro.nn.init import init_transformer_params
@@ -108,6 +113,51 @@ class TestFromBlocks:
         dt.shards[mesh.rank(0, 1)] = np.zeros((4, 6), np.float32)
         with pytest.raises(InvariantViolation):
             validate_dtensor(dt)
+
+
+class TestFlatGroupStacks:
+    """Megatron's 1-D layouts: ``(p,) + shard`` by group position, a shared
+    ``(1,) + shape`` for replicated results."""
+
+    def test_sharded_and_replicated_stacks_follow_group_positions(self):
+        group = ProcessGroup(Simulator.for_flat(4), (2, 0, 3, 1))
+        a = np.arange(4.0 * 8).reshape(4, 8)
+        sh = distribute_sharded_1d(group, a, axis=1)
+        assert sh.blocks.shape == (4, 4, 2) and sh.blocks.flags.c_contiguous
+        assert list(sh.shards) == [2, 0, 3, 1]
+        for k, rank in enumerate(group.ranks):
+            assert np.shares_memory(sh.local(rank), sh.blocks[k])
+            assert np.array_equal(sh.local(rank), a[:, 2 * k : 2 * k + 2])
+        rep = distribute_replicated_1d(group, a)
+        assert rep.blocks.shape == (4, 4, 8)  # owned copies, one per rank
+        assert all(rep.local(r).flags.writeable for r in group.ranks)
+        assert np.array_equal(assemble_any(sh), a) and np.array_equal(assemble_any(rep), a)
+        validate_dtensor(sh)
+        validate_dtensor(rep)
+
+    def test_a_one_row_array_reads_as_the_group_stack(self):
+        group = ProcessGroup(Simulator.for_flat(3), (0, 1, 2))
+        row = np.arange(3.0 * 2 * 5).reshape(1, 3, 2, 5)
+        dt = DTensor.from_blocks(group, SHARDED_1D(1), row, (2, 15), group.ranks)
+        assert dt.blocks.shape == (3, 2, 5)
+        assert all(np.shares_memory(dt.local(k), row[0, k]) for k in range(3))
+        validate_dtensor(dt)
+
+    def test_a_shared_entry_is_read_only_and_strict_mode_checks_views(self):
+        group = ProcessGroup(Simulator.for_flat(3), (0, 1, 2))
+        group.sim.enable_strict_invariants()
+        one = DTensor.from_blocks(group, REPLICATED_1D, np.ones((1, 4)), (4,), group.ranks)
+        assert not one.local(1).flags.writeable and one.local(0) is one.local(2)
+        sh = distribute_sharded_1d(group, np.arange(6.0), axis=0)
+        sh.shards[1] = sh.local(1).copy()
+        with pytest.raises(InvariantViolation, match="not a view"):
+            validate_dtensor(sh)
+
+    def test_no_stack_on_placeholders_or_one_rank(self):
+        solo = ProcessGroup(Simulator.for_flat(1), (0,))
+        assert distribute_sharded_1d(solo, np.ones((2, 4)), axis=1).blocks is None
+        group = ProcessGroup(Simulator.for_flat(2, backend="shape"), (0, 1))
+        assert distribute_replicated_1d(group, ShapeArray((2, 4), "float32")).blocks is None
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +313,19 @@ class TestGate:
     def test_q1(self):
         mesh = make_mesh(1)
         assert self._per_rank(mesh, _blocked(mesh))
+
+    def test_contract_checker_sees_megatron_per_rank_collectives(self):
+        from repro.check.contracts import CollectiveContractChecker
+
+        group = ProcessGroup(Simulator.for_flat(2), (0, 1))
+        rng = np.random.default_rng(0)
+        row = RowParallelLinear(group, "fc", rng.standard_normal((8, 4)), np.zeros(4))
+        x = distribute_sharded_1d(group, rng.standard_normal((3, 8)), axis=1)
+        checker = CollectiveContractChecker()
+        with checker:
+            out = row.forward(x)
+        assert out.blocks is None and checker.calls == {"all_reduce": 1}
+        assert row.forward(x).blocks.shape == (1, 3, 4)  # uninstalled: stacked again
 
     def test_foreign_mesh_operand(self):
         sim = Simulator.for_mesh(q=2)
@@ -439,16 +502,23 @@ _COMBOS = {
 
 
 def _train_combo(q, optimizer, checkpoint=True, fused=False, immediate=False,
-                 replicas=1, clip=False, scaled=False, strict=False, contracts=False):
+                 replicas=1, clip=False, scaled=False, strict=False, contracts=False,
+                 megatron=None):
+    """``megatron``: train a ``MegatronModel`` on ``q`` ranks with that
+    checkpoint layout instead of Optimus on a q×q mesh."""
     from contextlib import nullcontext
 
     from repro.check.contracts import contract_checks
     from repro.training import Adam, make_immediate_updater
 
-    cfg = tiny_config(hidden_size=24, num_heads=6, vocab_size=24)
+    cfg = tiny_config(hidden_size=24, num_heads=4 if megatron else 6, vocab_size=24)
     params = init_transformer_params(cfg, seed=3)
     model_kw = dict(checkpoint_activations=checkpoint, fused_attention=fused)
-    if replicas > 1:
+    if megatron:
+        sim = Simulator.for_flat(q, strict_invariants=strict, trace=True)
+        model = MegatronModel(sim, cfg, params, checkpoint_layout=megatron, **model_kw)
+        models = [model]
+    elif replicas > 1:
         sim = Simulator.for_flat(replicas * q * q, strict_invariants=strict, trace=True)
         model = DataParallel(sim, cfg, params, replicas, q, **model_kw)
         models = model.replicas
@@ -460,7 +530,7 @@ def _train_combo(q, optimizer, checkpoint=True, fused=False, immediate=False,
         opt = SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=0.01)
     else:
         opt = Adam(model.parameters(), lr=1e-2, weight_decay=0.01)
-    batches = BatchStream.copy_task(cfg, 4 * q * replicas, seed=5)
+    batches = BatchStream.copy_task(cfg, 4 if megatron else 4 * q * replicas, seed=5)
     with contract_checks() if contracts else nullcontext():
         if immediate:  # §3.2.3 option 2: no global clip / unscale to wait for
             hook = make_immediate_updater(opt, model.buffers)
@@ -510,6 +580,84 @@ def test_training_combinations_are_identical_to_the_per_rank_path(combo, monkeyp
     names = ("losses", "tensors", "optimizer state", "step count", "watermarks", "events")
     for name, got, want in zip(names, stacked, per_rank):
         assert got == want, name
+
+
+_MEGATRON_COMBOS = {
+    # name: (p, optimizer, options)
+    "sgd-distributed": (2, "sgd", dict(megatron="distributed")),
+    "adam-replicated": (4, "adam", dict(megatron="replicated")),
+    "adam-no-ckpt-fused": (2, "adam", dict(megatron="distributed", checkpoint=False, fused=True)),
+    "sgd-fused-immediate": (4, "sgd", dict(megatron="distributed", fused=True, immediate=True)),
+    "adam-clip-scaled-strict": (
+        4, "adam", dict(megatron="distributed", clip=True, scaled=True, strict=True)
+    ),
+    "adam-strict-contracts": (2, "adam", dict(megatron="replicated", strict=True, contracts=True)),
+}
+
+
+@pytest.mark.parametrize("combo", sorted(_MEGATRON_COMBOS))
+def test_megatron_training_combinations_are_identical_to_the_per_rank_path(combo, monkeypatch):
+    """The same matrix over Megatron's ``(p,)`` / ``(1,)`` stacks: both
+    checkpoint layouts, fused attention, immediate updates, clipping, loss
+    scaling, strict mode and the contract checker (which forces every
+    collective, and so every stacked site, per rank)."""
+    p, optimizer, options = _MEGATRON_COMBOS[combo]
+    stacked, _ = _train_combo(p, optimizer, **options)
+    _force_per_rank(monkeypatch)
+    per_rank, _ = _train_combo(p, optimizer, **options)
+    assert stacked[5], "the tracer recorded nothing"
+    names = ("losses", "tensors", "optimizer state", "step count", "watermarks", "events")
+    for name, got, want in zip(names, stacked, per_rank):
+        assert got == want, name
+
+
+def _serve_megatron(policy):
+    cfg = tiny_config(num_heads=4)
+    params = init_transformer_params(cfg, seed=serving_report.PARAM_SEED)
+    requests = TrafficGenerator(
+        0, cfg.vocab_size, arrival="bursty", rate_rps=4000.0, num_requests=12, burst_size=6
+    ).generate()
+    options = ServingOptions(policy="preempt", swap_blocks=6) if policy == "preempt" else None
+    entry, sim = serving_report.run_arm(
+        "megatron", cfg, params, requests, q=2, slots=8, block_size=8,
+        blocks=6 if policy == "preempt" else 12,
+        slo_ttft=0.005, slo_tpot=0.0005, options=options, trace=True,
+    )
+    return entry, sim.watermarks(), list(sim.tracer.events)
+
+
+@pytest.mark.parametrize("policy", ["reserve", "preempt"])
+def test_megatron_serving_is_identical_to_the_per_rank_path(policy, monkeypatch):
+    stacked = _serve_megatron(policy)
+    _force_per_rank(monkeypatch)
+    per_rank = _serve_megatron(policy)
+    if policy == "preempt":
+        assert stacked[0]["lifecycle"]["preempted"] > 0
+    assert stacked[2], "the tracer recorded nothing"
+    assert stacked == per_rank
+
+
+@pytest.mark.parametrize(
+    "scheme, n", [("megatron", 1), ("megatron", 2), ("optimus", 1), ("optimus", 2)]
+)
+def test_training_leaves_the_callers_arrays_alone(scheme, n):
+    """A model owns copies of the global parameters it was built from: a
+    training step writes its shards, never ``params_global``."""
+    from repro.training import Adam
+
+    cfg = tiny_config(num_layers=1)
+    params = init_transformer_params(cfg, seed=1)
+    before = {name: a.copy() for name, a in params.items()}
+    if scheme == "megatron":
+        model = MegatronModel(Simulator.for_flat(n), cfg, params)
+    else:
+        model = OptimusModel(Mesh(Simulator.for_mesh(q=n), n), cfg, params)
+    Trainer(
+        model, Adam(model.parameters(), lr=1e-2), BatchStream.copy_task(cfg, 2 * n, seed=0),
+        printer=lambda s: None,
+    ).train_steps(1)
+    assert {n for n, a in params.items() if not np.array_equal(a, before[n])} == set()
+    assert not np.array_equal(assemble_any(model.parameters()[0].data), before["embedding.table"])
 
 
 def test_optimizer_state_round_trips_through_stacked_slots(monkeypatch):

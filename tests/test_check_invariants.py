@@ -148,9 +148,10 @@ class TestStrictMode:
         model.backward()
 
     def test_strict_and_contract_checks_accept_shared_replicas(self, cfg, batch):
-        """Megatron's replicated math hands every rank one read-only array:
-        replication by construction for the validator, and never a
-        collective *output* for the isolation check."""
+        """Megatron's replicated math hands every rank one read-only ``(1,)``
+        stack entry: replication by construction for the validator.  The
+        contract checker closes the stacked path's gate, so under it every
+        rank owns its buffers and no shared entry is a collective *output*."""
         from repro.check import contract_checks
         from repro.megatron import MegatronModel
         from repro.runtime import Simulator
@@ -158,12 +159,18 @@ class TestStrictMode:
         ids, labels = batch
         params = init_transformer_params(cfg, seed=1)
         model = MegatronModel(Simulator.for_flat(p=2, strict_invariants=True), cfg, params)
+        model.forward(ids, labels)
+        model.backward()
+        gamma = model.final_ln.gamma.grad
+        assert gamma.local(0) is gamma.local(1) and len(gamma.blocks) == 1
+        validate_dtensor(gamma)
+        model.zero_grads()
         with contract_checks() as checker:
             model.forward(ids, labels)
             model.backward()
         assert checker.calls["all_reduce"] > 0
         gamma = model.final_ln.gamma.grad
-        assert gamma.local(0) is gamma.local(1)
+        assert gamma.blocks is None and gamma.local(0) is not gamma.local(1)
         validate_dtensor(gamma)
 
     def test_replica_compare_is_kept_for_distinct_buffers(self, rng):

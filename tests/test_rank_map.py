@@ -10,7 +10,6 @@ from repro.config import tiny_config
 from repro.core import summa
 from repro.core.model import OptimusModel
 from repro.experiments import runner
-from repro.megatron import layers as megatron_layers
 from repro.megatron.model import MegatronModel
 from repro.mesh import Mesh, dtensor, rank_map
 from repro.nn import transformer
@@ -210,7 +209,7 @@ def test_dryrun_stem_is_identical_to_the_naive_per_rank_run(monkeypatch, scheme,
     got = _stem(scheme, p, fused)
     assert bool(taken) == (scheme == "optimus")  # uniform shape plans batch
 
-    for module in (dtensor, transformer, megatron_layers):
+    for module in (dtensor, transformer):
         monkeypatch.setattr(module, "rank_map", naive_rank_map)
     monkeypatch.setattr(summa, "_batched_ready", lambda sim: False)
     del taken[:]

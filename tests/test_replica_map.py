@@ -1,6 +1,8 @@
-"""``replica_map``: rank-local math on ``REPLICATED_1D`` operands is evaluated
-once and shared read-only — and whole Megatron runs cannot tell it from the
-per-rank ``rank_map`` loop, bit for bit."""
+"""Replicated math on a flat group: ``block_map`` over ``REPLICATED_1D``
+stacks evaluates once, on one replica, and hands every rank one read-only
+``(1,)`` entry — and whole Megatron runs cannot tell it from the forced
+per-rank path, bit for bit.  The stack layouts themselves and the
+training / serving matrices are in ``tests/test_block_stacks.py``."""
 
 import numpy as np
 import pytest
@@ -8,10 +10,10 @@ import pytest
 from repro.backend.shape_array import ShapeArray
 from repro.comm.group import ProcessGroup
 from repro.config import tiny_config
-from repro.megatron import cls_head as megatron_cls_head
-from repro.megatron import layers as megatron_layers
+from repro.core import summa
 from repro.megatron.model import MegatronModel
-from repro.mesh import dtensor, rank_map, replica_map
+from repro.mesh import block_map
+from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import REPLICATED_1D
 from repro.mesh.partition import distribute_replicated_1d
 from repro.nn.init import init_transformer_params
@@ -23,24 +25,15 @@ from repro.serving.traffic import TrafficGenerator
 from repro.training import SGD, BatchStream, Trainer
 
 
-def per_rank(fn, group, *shard_dicts):
-    """What every converted site did before: the plain per-rank loop."""
-    return rank_map(fn, group.ranks, *shard_dicts)
-
-
 def _force_per_rank(monkeypatch):
-    for module in (dtensor, megatron_layers, megatron_cls_head):
-        monkeypatch.setattr(module, "replica_map", per_rank)
+    """The one gate of every host-side stacked path."""
+    monkeypatch.setattr(summa, "_batched_ready", lambda sim: False)
 
 
 @pytest.fixture
 def group():
     sim = Simulator.for_flat(4)
     return ProcessGroup(sim, (2, 0, 3, 1))
-
-
-def _replicas(group, a):
-    return {r: a.copy() for r in group.ranks}
 
 
 def _spy(calls, fn):
@@ -51,37 +44,45 @@ def _spy(calls, fn):
     return spied
 
 
+def _shared(dt) -> bool:
+    return len({id(s) for s in dt.shards.values()}) == 1
+
+
 class TestOneEvaluation:
     def test_fn_runs_once_on_the_first_ranks_replicas(self, group, rng):
-        xs, ys = _replicas(group, rng.normal(size=(3, 2))), _replicas(group, rng.normal(size=(2,)))
+        xs = distribute_replicated_1d(group, rng.normal(size=(3, 2)))
+        ys = distribute_replicated_1d(group, rng.normal(size=(2,)))
+        assert xs.blocks.shape == (4, 3, 2)  # owned copies, one per rank
         calls = []
-        got = replica_map(_spy(calls, lambda x, y: x + y), group, xs, ys)
+        got = block_map(_spy(calls, lambda x, y: x + y), group, xs, ys)
         first = group.ranks[0]
-        assert len(calls) == 1 and calls[0][0] is xs[first] and calls[0][1] is ys[first]
-        assert tuple(got) == group.ranks
-        assert all(got[r] is got[first] for r in group.ranks)
-        np.testing.assert_array_equal(got[first], xs[first] + ys[first])
+        assert len(calls) == 1
+        assert np.shares_memory(calls[0][0], xs.local(first))
+        assert np.shares_memory(calls[0][1], ys.local(first))
+        assert tuple(got.shards) == group.ranks
+        assert got.blocks.shape == (1, 3, 2) and _shared(got)
+        np.testing.assert_array_equal(got.local(first), xs.local(first) + ys.local(first))
 
     def test_results_are_read_only_through_tuples_and_operands_stay_writable(self, group, rng):
-        xs = _replicas(group, rng.normal(size=(3, 2)))
-        before = {r: x.copy() for r, x in xs.items()}
-        got = replica_map(lambda x: (x * 2, x.sum(axis=0)), group, xs)
-        doubled, sums = got[group.ranks[-1]]
-        for arr in (doubled, sums):
+        xs = distribute_replicated_1d(group, rng.normal(size=(3, 2)))
+        before = {r: x.copy() for r, x in xs.shards.items()}
+        doubled, sums = block_map(lambda x: (x * 2, x.sum(axis=0)), group, xs)
+        for dt in (doubled, sums):
+            arr = dt.local(group.ranks[-1])
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
         for r in group.ranks:
-            assert xs[r].flags.writeable
-            np.testing.assert_array_equal(xs[r], before[r])
+            assert xs.local(r).flags.writeable
+            np.testing.assert_array_equal(xs.local(r), before[r])
 
     @pytest.mark.parametrize("fn", [lambda x: x, lambda x: (x.sum(), x)], ids=["bare", "in-tuple"])
     def test_an_fn_that_returns_its_operand_freezes_nothing(self, group, rng, fn):
-        xs = _replicas(group, rng.normal(size=(3,)))
-        got = replica_map(fn, group, xs)
+        xs = distribute_replicated_1d(group, rng.normal(size=(3,)))
+        got = block_map(fn, group, xs)
+        out = got[1] if isinstance(got, tuple) else got
         for r in group.ranks:
-            out = got[r][1] if isinstance(got[r], tuple) else got[r]
-            assert out is xs[r] and out.flags.writeable
+            assert out.local(r) is xs.local(r) and out.local(r).flags.writeable
 
     def test_a_dtensor_map_that_hands_shards_back_keeps_them_owned(self, group, rng):
         dt = distribute_replicated_1d(group, rng.normal(size=(3,)))
@@ -94,28 +95,32 @@ class TestOneEvaluation:
 
 class TestPerRankCases:
     def test_placeholders_take_rank_map(self, group):
-        xs = {r: ShapeArray((4, 3), "float32") for r in group.ranks}
+        xs = DTensor(
+            group, REPLICATED_1D, {r: ShapeArray((4, 3), "float32") for r in group.ranks}, (4, 3)
+        )
         calls = []
-        got = replica_map(_spy(calls, lambda x: x.T), group, xs)
+        got = block_map(_spy(calls, lambda x: x.T), group, xs)
         assert len(calls) == 1  # rank_map's own sharing by signature
-        assert tuple(got) == group.ranks and got[0].shape == (3, 4)
+        assert tuple(got.shards) == group.ranks and got.local(0).shape == (3, 4)
+        assert got.blocks is None and got.global_shape == (3, 4)
 
     def test_a_one_rank_group_takes_rank_map(self, rng):
         solo = ProcessGroup(Simulator.for_flat(1), (0,))
-        got = replica_map(lambda x: x * 2, solo, {0: rng.normal(size=(2,))})
-        assert got[0].flags.writeable
+        x = distribute_replicated_1d(solo, rng.normal(size=(2,)))
+        assert x.blocks is None
+        assert block_map(lambda a: a * 2, solo, x).local(0).flags.writeable
 
     def test_an_armed_injector_takes_rank_map(self, group, rng):
-        xs = _replicas(group, rng.normal(size=(3,)))
+        xs = distribute_replicated_1d(group, rng.normal(size=(3,)))
         injector = FaultInjector(FaultSchedule()).install(group.sim)
         calls = []
-        got = replica_map(_spy(calls, lambda x: x * 2), group, xs)
-        assert len(calls) == len(group.ranks) and tuple(got) == group.ranks
-        assert len({id(v) for v in got.values()}) == len(group.ranks)
-        assert all(v.flags.writeable for v in got.values())
+        got = block_map(_spy(calls, lambda x: x * 2), group, xs)
+        assert len(calls) == len(group.ranks) and tuple(got.shards) == group.ranks
+        assert got.blocks is None
+        assert len({id(v) for v in got.shards.values()}) == len(group.ranks)
+        assert all(v.flags.writeable for v in got.shards.values())
         injector.uninstall()
-        shared = replica_map(lambda x: x * 2, group, xs)
-        assert shared[0] is shared[1]
+        assert _shared(block_map(lambda x: x * 2, group, xs))
 
 
 class TestDTensorRouting:
@@ -124,12 +129,12 @@ class TestDTensorRouting:
 
         rep = distribute_replicated_1d(group, rng.normal(size=(4, 4)))
         total = rep + rep * 2.0
-        assert total.layout == REPLICATED_1D
-        assert all(total.local(r) is total.local(0) for r in group.ranks)
+        assert total.layout == REPLICATED_1D and _shared(total)
         assert not total.local(0).flags.writeable
         np.testing.assert_array_equal(total.local(0), rep.local(0) + rep.local(0) * 2.0)
         sh = distribute_sharded_1d(group, rng.normal(size=(4, 4)), axis=1)
-        assert len({id(s) for s in (sh + sh).shards.values()}) == 4
+        both = sh + sh
+        assert both.blocks.shape == (4, 4, 1) and len({id(s) for s in both.shards.values()}) == 4
 
     def test_copy_and_zeros_like_hand_out_owned_buffers(self, group, rng):
         rep = distribute_replicated_1d(group, rng.normal(size=(4,)))
@@ -142,7 +147,7 @@ class TestDTensorRouting:
 
 
 # ----------------------------------------------------------------------
-# whole runs: shared versus forced per-rank
+# whole runs: stacked versus forced per-rank
 # ----------------------------------------------------------------------
 def _train(p, checkpoint, monkeypatch=None):
     if monkeypatch is not None:
@@ -172,7 +177,7 @@ def _some_grad_is_shared(run) -> bool:
 def _assert_shards_equal(got, want):
     assert got.keys() == want.keys()
     for name in want:
-        assert got[name].keys() == want[name].keys(), name
+        assert list(got[name]) == list(want[name]), name
         for rank, shard in want[name].items():
             assert np.array_equal(got[name][rank], shard), (name, rank)
 
@@ -185,7 +190,7 @@ def test_train_steps_are_bit_identical_to_the_per_rank_run(monkeypatch, p, check
     assert shared["losses"] == naive["losses"]
     _assert_shards_equal(shared["grads"], naive["grads"])
     _assert_shards_equal(shared["data"], naive["data"])
-    # the patch really forced the loop: only the shared run aliases replicas
+    # the patch really forced the loop: only the stacked run shares replicas
     assert _some_grad_is_shared(shared) and not _some_grad_is_shared(naive)
     assert shared["watermarks"] == naive["watermarks"]
     assert shared["events"] == naive["events"]
@@ -232,6 +237,7 @@ def test_classification_head_is_bit_identical_to_the_per_rank_run(monkeypatch, r
         }
 
     shared = run()
+    assert shared["logits"]["logits"][0] is shared["logits"]["logits"][2]  # one (1,) entry
     _force_per_rank(monkeypatch)
     naive = run()
     assert shared["loss"] == naive["loss"]
