@@ -64,9 +64,8 @@ def moe_demo() -> None:
 
 
 def _gather(p):
-    from repro.core.cls_head import assemble_row0_blockrows
     from repro.mesh.layouts import BLOCKED_2D
-    from repro.mesh.partition import assemble_row0_cols
+    from repro.mesh.partition import assemble_row0_blockrows, assemble_row0_cols
 
     if p.data.layout == BLOCKED_2D:
         return assemble_blocked_2d(p.data)

@@ -1,13 +1,25 @@
-"""Collectives over stacks, shared by both schemes.
+"""Collectives along every row or column of a mesh, or over one flat group,
+shared by both schemes.  Only loops with per-line math between the calls
+(SUMMA's plan executor, the 2-D embedding's vocabulary stripes, the serving
+engine's greedy sampler) run collectives over mesh lines elsewhere.
 
-When :func:`~repro.mesh.dtensor.on_stacks` holds, a collective's data
-movement is one NumPy expression over the operand's stack — a fold in
+The paper moves every non-SUMMA parameter one way — hosted on mesh row 0,
+broadcast down the columns in forward, its gradient reduced back up them
+(Fig. 5) — and completes partial sums one way, by a row all-reduce
+(§3.2.2).  :func:`per_line` is the per-rank loop: the real collective of
+:mod:`repro.comm.collectives` on each line in turn, over that line's
+members' shards.  Callers holding raw ``{rank: shard}`` dicts (the
+vocabulary-striped loss, the classification head, the MoE gate) use it
+directly; the DTensor collectives below fall back to it.
+
+When :func:`~repro.mesh.dtensor.on_stacks` holds, a DTensor collective's
+data movement is one NumPy expression over the operand's stack — a fold in
 ``collectives._combine``'s order, one concatenate — and its α–β accounting
-is replayed with :func:`~repro.comm.collectives.charge_only`, group by group
+is replayed with :func:`~repro.comm.collectives.charge_only`, line by line
 in the per-rank call order, at a price cached per owner and buffer size.
 The result is one entry the members view: a size-1 axis of the stack (on a
-flat group, read-only).  Otherwise the per-rank collectives run, which is
-what the contract checker and a fault injector observe.
+flat group, read-only).  Otherwise :func:`per_line` runs, which is what the
+contract checker and a fault injector observe.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from __future__ import annotations
 from repro.backend import ops
 from repro.comm import collectives as coll
 from repro.mesh.dtensor import DTensor, on_stacks
-from repro.mesh.layouts import BLOCKED_2D, REPLICATED_1D
+from repro.mesh.layouts import BLOCKED_2D, COL_BLOCKED, REPLICATED_1D, ROW0_COLS
 
 
 def precosts(owner, lines, kind: str, block) -> list:
@@ -40,6 +52,24 @@ def _groups(owner, lines) -> list:
     return [owner] if lines is None else getattr(owner, lines)
 
 
+def per_line(groups, kind: str, shards: dict, op: str = "sum") -> dict:
+    """The per-rank ``kind`` collective (``"all_reduce"`` with ``op``,
+    ``"reduce"`` or ``"broadcast"``) on each of ``groups`` in turn, over its
+    members' ``shards``; a rooted one is rooted at the group's first member
+    (mesh row 0 on a column), and a broadcast reads only the roots' shards.
+    Returns the groups' results merged in group order."""
+    out = {}
+    for group in groups:
+        root = group.ranks[0]
+        if kind == "broadcast":
+            out.update(coll.broadcast(group, shards[root], root))
+        elif kind == "reduce":
+            out.update(coll.reduce(group, {r: shards[r] for r in group.ranks}, root))
+        else:
+            out.update(coll.all_reduce(group, {r: shards[r] for r in group.ranks}, op=op))
+    return out
+
+
 def _all_reduce(owner, lines, axis: int, x: DTensor, layout) -> DTensor:
     """Sum ``x``'s shards over each of ``owner``'s ``lines``, every member
     keeping the sum; on stacks the fold runs over stack axis ``axis``."""
@@ -50,10 +80,8 @@ def _all_reduce(owner, lines, axis: int, x: DTensor, layout) -> DTensor:
         total = ops.fold_stack_sum(x.blocks, axis=axis)
         shared = total.reshape(total.shape[:axis] + (1,) + total.shape[axis:])
         return DTensor.from_blocks(owner, layout, shared, x.global_shape, x.shards)
-    shards = dict(x.shards)
-    for group in _groups(owner, lines):
-        shards.update(coll.all_reduce(group, {r: shards[r] for r in group.ranks}))
-    return DTensor(owner, layout, shards, x.global_shape)
+    summed = per_line(_groups(owner, lines), "all_reduce", x.shards)
+    return DTensor(owner, layout, {**x.shards, **summed}, x.global_shape)
 
 
 def all_reduce_rows(mesh, x: DTensor) -> DTensor:
@@ -80,3 +108,51 @@ def all_gather(group, x: DTensor, parts: dict) -> DTensor:
             coll.charge_only(g, "all_gather", cost)
         return DTensor.from_blocks(group, REPLICATED_1D, full[None], x.global_shape, group.ranks)
     return DTensor(group, REPLICATED_1D, coll.all_gather(group, parts), x.global_shape)
+
+
+def broadcast_down_columns(mesh, param) -> DTensor:
+    """Every rank's copy of a parameter hosted on mesh row 0 (``ROW0_COLS``
+    or ``ROW0_BLOCKROWS``; ``param`` a :class:`~repro.core.param.DistParam`):
+    each block is broadcast down its mesh column (Fig. 5a).  A
+    ``COL_BLOCKED`` DTensor keyed column by column.  With :func:`on_stacks`,
+    the broadcasts are charged and the result is a read-only-by-use
+    broadcast view of the parameter's stack (no rank writes it; a fault
+    injector, which would, forces the per-rank path)."""
+    data = param.data
+    if on_stacks(mesh, data):
+        for group, cost in precosts(mesh, "col_groups", "broadcast", data.blocks[0]):
+            coll.charge_only(group, "broadcast", cost)
+        # the stack is updated in place, so the view stays current: it is
+        # kept on the parameter and rebuilt only if ``param.data`` is replaced
+        cached = getattr(param, "_column_view", None)
+        if cached is None or cached[0] is not data:
+            order = [rank for group in mesh.col_groups for rank in group.ranks]
+            view = DTensor.from_blocks(
+                mesh, COL_BLOCKED, data.blocks[None], data.global_shape, order
+            )
+            cached = param._column_view = (data, view)
+        return cached[1]
+    local = per_line(mesh.col_groups, "broadcast", data.shards)
+    return DTensor(mesh, COL_BLOCKED, local, data.global_shape)
+
+
+def reduce_up_columns(mesh, partials: DTensor, shape) -> tuple:
+    """Sum ``partials``' ``[k, n]`` blocks along each mesh column onto row 0
+    (Fig. 5b): the k rows of the sums as k ``ROW0_COLS`` vectors of global
+    ``shape``, keyed by column root.  With :func:`on_stacks`, the fold is
+    ``collectives._combine``'s (copy row 0, add rows 1… in order) over the
+    stack's mesh-row axis."""
+    roots = [group.ranks[0] for group in mesh.col_groups]
+    if on_stacks(mesh, partials):
+        for group, cost in precosts(mesh, "col_groups", "reduce", partials.blocks[0, 0]):
+            coll.charge_only(group, "reduce", cost)
+        total = ops.fold_stack_sum(partials.blocks, axis=0)  # [q, k, n] by column
+        return tuple(
+            DTensor.from_blocks(mesh, ROW0_COLS, total[:, t], shape, roots)
+            for t in range(total.shape[1])
+        )
+    reduced = per_line(mesh.col_groups, "reduce", partials.shards)
+    return tuple(
+        DTensor(mesh, ROW0_COLS, {root: sums[t] for root, sums in reduced.items()}, shape)
+        for t in range(reduced[roots[0]].shape[0])
+    )

@@ -26,16 +26,15 @@ import numpy as np
 from repro.backend import ops
 from repro.backend.shape_array import ShapeArray, is_shape_array
 from repro.comm import collectives as coll
+from repro.comm.stacked import broadcast_down_columns, per_line
 from repro.config import ModelConfig
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import BLOCKED_2D, RANK0, ROW0_BLOCKROWS, ROW_BLOCKED
 from repro.mesh.mesh import Mesh
-from repro.mesh.partition import (  # re-exported for backward compatibility
-    assemble_row0_blockrows,  # noqa: F401
-    distribute_row0_blockrows,
-)
+from repro.mesh.partition import distribute_row0_blockrows
+from repro.nn.transformer import hold
 from repro.reference import functional as F
 
 
@@ -73,53 +72,38 @@ class ClassificationHead2D(DistModule):
     # ------------------------------------------------------------------
     def forward(self, ln_out: DTensor, cls_labels: Optional[DTensor] = None):
         """ln_out BLOCKED_2D [b·s, h]; cls_labels ROW_BLOCKED [b] or None."""
-        mesh, q, s = self.mesh, self.mesh.q, self.cfg.seq_len
+        mesh, s, C = self.mesh, self.cfg.seq_len, self.num_classes
 
         # broadcast W_j down each column (Fig. 5a) and the bias to everyone
-        w_local = {}
-        for j in range(q):
-            root = mesh.rank(0, j)
-            w_local.update(
-                coll.broadcast(mesh.col_group(j), self.weight.data.local(root), root)
-            )
+        w_local = broadcast_down_columns(mesh, self.weight).shards
         root00 = mesh.rank(0, 0)
         bias_local = coll.broadcast(mesh.world, self.bias.data.local(root00), root00)
 
         x0, partial = {}, {}
         for rank in mesh.ranks:
-            x0[rank] = ln_out.local(rank)[::s]  # [b/q, h/q]
+            x0[rank] = ln_out.local(rank)[::s]  # [b/q, h/q], alike on every rank
             partial[rank] = x0[rank] @ w_local[rank]
-            mesh.device(rank).compute(
-                2.0 * x0[rank].shape[0] * x0[rank].shape[1] * self.num_classes
-            )
-        logits = {}
-        for i in range(q):
-            grp = mesh.row_group(i)
-            logits.update(coll.all_reduce(grp, {r: partial[r] for r in grp.ranks}))
+        rows, cols = x0[root00].shape
+        mesh.sim.charge_compute(mesh.ranks, ((2.0 * rows * cols * C, "gemm"),))
+        logits = per_line(mesh.row_groups, "all_reduce", partial)
         for rank in mesh.ranks:
             logits[rank] = logits[rank] + bias_local[rank]
 
         if cls_labels is None:
             self._saved = None
             b = ln_out.global_shape[0] // s
-            return DTensor(mesh, ROW_BLOCKED, logits, (b, self.num_classes))
+            return DTensor(mesh, ROW_BLOCKED, logits, (b, C))
 
         if cls_labels.layout != ROW_BLOCKED:
             raise ValueError(f"cls labels must be ROW_BLOCKED, got {cls_labels.layout}")
         b = cls_labels.global_shape[0]
         probs, part = {}, {}
         for rank in mesh.ranks:
-            lab = cls_labels.local(rank)
-            loss_seq, p = F.cross_entropy_fwd(logits[rank], lab)
-            probs[rank] = p
+            loss_seq, probs[rank] = F.cross_entropy_fwd(logits[rank], cls_labels.local(rank))
             part[rank] = ops.sum(loss_seq, keepdims=True).reshape((1,))
-            if self.buffers is not None:
-                self.buffers.hold("forward", rank, ops.nbytes(p))
-        for j in range(q):
-            grp = mesh.col_group(j)
-            part.update(coll.all_reduce(grp, {r: part[r] for r in grp.ranks}))
+        hold(self.buffers, "forward", DTensor(mesh, ROW_BLOCKED, probs, (b, C)))
+        total = per_line(mesh.col_groups, "all_reduce", part)[root00]
         self._saved = (x0, w_local, probs, cls_labels, b, ln_out)
-        total = part[mesh.rank(0, 0)]
         if is_shape_array(total):
             return ShapeArray((), total.dtype)
         return float(np.asarray(total)[0]) / b
@@ -129,40 +113,28 @@ class ClassificationHead2D(DistModule):
         """Returns d(ln_out) as a BLOCKED_2D DTensor."""
         if self._saved is None:
             raise RuntimeError("classification backward before forward with labels")
-        mesh, q, s = self.mesh, self.mesh.q, self.cfg.seq_len
+        mesh, s, C = self.mesh, self.cfg.seq_len, self.num_classes
         x0, w_local, probs, cls_labels, b, ln_out = self._saved
         scale = 1.0 / b
+        root00 = mesh.rank(0, 0)
 
         dlogits = {}
         for rank in mesh.ranks:
-            lab = cls_labels.local(rank)
-            dl = ops.full(
-                (lab.shape[0],), scale, dtype="float64",
-                backend=ops.backend_of(probs[rank]),
-            )
-            dlogits[rank] = F.cross_entropy_bwd(probs[rank], lab, dl)
+            p, lab = probs[rank], cls_labels.local(rank)
+            dl = ops.full((lab.shape[0],), scale, dtype=p.dtype, backend=ops.backend_of(p))
+            dlogits[rank] = F.cross_entropy_bwd(p, lab, dl)
 
         # dW: partial per device, column-reduce to row 0 (Fig. 5b)
-        dw_shards = {}
-        for j in range(q):
-            partials = {}
-            for i in range(q):
-                rank = mesh.rank(i, j)
-                partials[rank] = ops.transpose(x0[rank]) @ dlogits[rank]
-                mesh.device(rank).compute(
-                    2.0 * x0[rank].shape[1] * x0[rank].shape[0] * self.num_classes
-                )
-            root = mesh.rank(0, j)
-            dw_shards[root] = coll.reduce(mesh.col_group(j), partials, root)[root]
-        self.weight.add_grad(
-            DTensor(mesh, ROW0_BLOCKROWS, dw_shards, self.weight.data.global_shape)
-        )
+        partials = {r: ops.transpose(x0[r]) @ dlogits[r] for r in mesh.ranks}
+        rows, cols = x0[root00].shape
+        mesh.sim.charge_compute(mesh.ranks, ((2.0 * cols * rows * C, "gemm"),))
+        dw = per_line(mesh.col_groups, "reduce", partials)
+        self.weight.add_grad(DTensor(mesh, ROW0_BLOCKROWS, dw, self.weight.data.global_shape))
 
         # dbias: sum over each row's sequences, then over rows (column 0)
         db_partials = {
             r: ops.sum(dlogits[r], axis=0) for r in mesh.col_group(0).ranks
         }
-        root00 = mesh.rank(0, 0)
         db = coll.reduce(mesh.col_group(0), db_partials, root00)
         self.bias.add_grad(
             DTensor(mesh, RANK0, {root00: db[root00]}, self.bias.data.global_shape)
@@ -172,13 +144,11 @@ class ClassificationHead2D(DistModule):
         out_shards = {}
         for rank in mesh.ranks:
             dx0 = dlogits[rank] @ ops.transpose(w_local[rank])
-            mesh.device(rank).compute(
-                2.0 * dx0.shape[0] * self.num_classes * dx0.shape[1]
-            )
             d_out = ops.zeros_like(ln_out.local(rank))
             d_out[::s] = dx0
             out_shards[rank] = d_out
-            if self.buffers is not None:
-                self.buffers.hold("backward", rank, ops.nbytes(d_out))
+        mesh.sim.charge_compute(mesh.ranks, ((2.0 * dx0.shape[0] * C * dx0.shape[1], "gemm"),))
+        d_ln = DTensor(mesh, BLOCKED_2D, out_shards, ln_out.global_shape)
+        hold(self.buffers, "backward", d_ln)
         self._saved = None
-        return DTensor(mesh, BLOCKED_2D, out_shards, ln_out.global_shape)
+        return d_ln

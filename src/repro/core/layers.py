@@ -5,7 +5,8 @@ Every activation DTensor here is ``BLOCKED_2D`` with global shape
 whole sequences, since T/q = (b/q)·s), mesh column j owns feature block j.
 Parameters of SUMMA-style matmuls are ``BLOCKED_2D``; vector parameters
 (biases, LN affine) live on mesh row 0 in ``ROW0_COLS`` layout and move via
-column broadcasts / reductions (Fig. 5).
+column broadcasts / reductions (Fig. 5), which with the row all-reduces
+are :mod:`repro.comm.stacked`'s.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.backend import ops
-from repro.comm import collectives as coll
-from repro.comm.stacked import all_reduce_rows, precosts
+from repro.comm.stacked import all_reduce_rows, broadcast_down_columns, reduce_up_columns
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.core.summa import grads_of_ab, summa_ab
-from repro.mesh.dtensor import DTensor, block_map, on_stacks
-from repro.mesh.layouts import BLOCKED_2D, COL_BLOCKED, ROW0_COLS
+from repro.mesh.dtensor import DTensor, block_map
+from repro.mesh.layouts import BLOCKED_2D
 from repro.mesh.mesh import Mesh
 from repro.mesh.partition import distribute_blocked_2d, distribute_row0_cols
 from repro.nn.transformer import (
@@ -29,59 +29,6 @@ from repro.nn.transformer import (
     charge_elementwise,
     hold,
 )
-
-
-def _broadcast_down_columns(mesh: Mesh, param: DistParam) -> DTensor:
-    """Every rank's copy of a row-0 vector parameter: each block is broadcast
-    down its mesh column (Fig. 5a).  A ``COL_BLOCKED`` DTensor keyed column
-    by column.  With :func:`on_stacks`, the broadcasts are charged and the
-    result is a read-only-by-use broadcast view of the parameter's stack (no
-    rank writes it; a fault injector, which would, forces the per-rank
-    path)."""
-    data = param.data
-    if on_stacks(mesh, data):
-        for group, cost in precosts(mesh, "col_groups", "broadcast", data.blocks[0]):
-            coll.charge_only(group, "broadcast", cost)
-        # the stack is updated in place, so the view stays current: it is
-        # kept on the parameter and rebuilt only if ``param.data`` is replaced
-        cached = getattr(param, "_column_view", None)
-        if cached is None or cached[0] is not data:
-            order = [rank for group in mesh.col_groups for rank in group.ranks]
-            view = DTensor.from_blocks(
-                mesh, COL_BLOCKED, data.blocks[None], data.global_shape, order
-            )
-            cached = param._column_view = (data, view)
-        return cached[1]
-    local = {}
-    for j in range(mesh.q):
-        root = mesh.rank(0, j)
-        local.update(coll.broadcast(mesh.col_group(j), data.local(root), root))
-    return DTensor(mesh, COL_BLOCKED, local, data.global_shape)
-
-
-def _reduce_up_columns(mesh: Mesh, partials: DTensor, shape) -> tuple:
-    """Sum ``partials``' ``[k, n]`` blocks along each mesh column onto row 0
-    (Fig. 5b): the k rows of the sums as k ``ROW0_COLS`` vectors of global
-    ``shape``, keyed by column root.  With :func:`on_stacks`, the fold is
-    ``collectives._combine``'s (copy row 0, add rows 1… in order) over the
-    stack's mesh-row axis."""
-    roots = [mesh.rank(0, j) for j in range(mesh.q)]
-    if on_stacks(mesh, partials):
-        for group, cost in precosts(mesh, "col_groups", "reduce", partials.blocks[0, 0]):
-            coll.charge_only(group, "reduce", cost)
-        total = ops.fold_stack_sum(partials.blocks, axis=0)  # [q, k, n] by column
-        return tuple(
-            DTensor.from_blocks(mesh, ROW0_COLS, total[:, t], shape, roots)
-            for t in range(total.shape[1])
-        )
-    reduced = {}
-    for j, root in enumerate(roots):
-        group = mesh.col_group(j)
-        reduced.update(coll.reduce(group, {r: partials.shards[r] for r in group.ranks}, root))
-    return tuple(
-        DTensor(mesh, ROW0_COLS, {root: sums[t] for root, sums in reduced.items()}, shape)
-        for t in range(reduced[roots[0]].shape[0])
-    )
 
 
 def _column_sums(dy):
@@ -153,7 +100,7 @@ class Linear2D(DistModule):
     def _bias_add(self, y: DTensor) -> DTensor:
         """Broadcast each bias block down its column and add (Fig. 5a); the
         sum is keyed like the broadcast, column by column."""
-        bias = _broadcast_down_columns(self.mesh, self.bias)
+        bias = broadcast_down_columns(self.mesh, self.bias)
         out = block_map(_add_bias, self.mesh, bias, y, layout=BLOCKED_2D)
         charge_elementwise(out, "add")
         return out
@@ -174,7 +121,7 @@ class Linear2D(DistModule):
     def _bias_backward(self, dy: DTensor) -> None:
         """Column-reduce the local bias gradients to row 0 (Fig. 5b)."""
         partials = block_map(_column_sums, self.mesh, dy)
-        (grad,) = _reduce_up_columns(self.mesh, partials, self.bias.data.global_shape)
+        (grad,) = reduce_up_columns(self.mesh, partials, self.bias.data.global_shape)
         self.bias.add_grad(grad)
 
 
@@ -238,8 +185,8 @@ class LayerNorm2D(DistModule):
 
         # fused [Σx, Σx²] row all-reduce
         stats = all_reduce_rows(mesh, block_map(row_sums, mesh, x))
-        gamma = _broadcast_down_columns(mesh, self.gamma)
-        beta = _broadcast_down_columns(mesh, self.beta)
+        gamma = broadcast_down_columns(mesh, self.gamma)
+        beta = broadcast_down_columns(mesh, self.beta)
         out, x_hat, inv_std = block_map(normalize, mesh, x, stats, gamma, beta)
         charge_elementwise(out, "layernorm")
         # the saved γ may be the parameter's own memory: no optimizer step
@@ -283,7 +230,7 @@ class LayerNorm2D(DistModule):
 
         # dγ, dβ: fuse into one [2, h/q] column reduction to row 0
         partials = block_map(param_grads, mesh, x_hat, dy)
-        dg, db = _reduce_up_columns(mesh, partials, self.gamma.data.global_shape)
+        dg, db = reduce_up_columns(mesh, partials, self.gamma.data.global_shape)
         self.gamma.add_grad(dg)
         self.beta.add_grad(db)
         self._saved = None

@@ -33,14 +33,14 @@ import numpy as np
 
 from repro.backend import ops
 from repro.backend.shape_array import ShapeArray, is_shape_array
-from repro.comm import collectives as coll
+from repro.comm.stacked import broadcast_down_columns, per_line
 from repro.core.buffers import BufferManager
-from repro.core.cls_head import ROW0_BLOCKROWS, distribute_row0_blockrows
 from repro.core.layers import Linear2D
 from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.mesh.dtensor import DTensor
-from repro.mesh.layouts import BLOCKED_2D
+from repro.mesh.layouts import BLOCKED_2D, ROW0_BLOCKROWS
 from repro.mesh.mesh import Mesh
+from repro.mesh.partition import distribute_row0_blockrows
 from repro.reference import functional as F
 
 
@@ -101,23 +101,12 @@ class MoE2D(DistModule):
     # gate
     # ------------------------------------------------------------------
     def _gate_logits(self, x: DTensor):
-        mesh, q = self.mesh, self.mesh.q
-        w_local = {}
-        for j in range(q):
-            root = mesh.rank(0, j)
-            w_local.update(
-                coll.broadcast(mesh.col_group(j), self.gate.data.local(root), root)
-            )
-        partial = {}
-        for rank in mesh.ranks:
-            xl = x.local(rank)
-            partial[rank] = xl @ w_local[rank]
-            mesh.device(rank).compute(2.0 * xl.shape[0] * xl.shape[1] * self.E)
-        logits = {}
-        for i in range(q):
-            grp = mesh.row_group(i)
-            logits.update(coll.all_reduce(grp, {r: partial[r] for r in grp.ranks}))
-        return logits, w_local
+        mesh = self.mesh
+        w_local = broadcast_down_columns(mesh, self.gate).shards
+        partial = {r: x.local(r) @ w_local[r] for r in mesh.ranks}
+        rows, cols = x.local(mesh.rank(0, 0)).shape  # every rank's token block
+        mesh.sim.charge_compute(mesh.ranks, ((2.0 * rows * cols * self.E, "gemm"),))
+        return per_line(mesh.row_groups, "all_reduce", partial), w_local
 
     # ------------------------------------------------------------------
     def forward(self, x: DTensor) -> Tuple[DTensor, object]:
@@ -137,7 +126,8 @@ class MoE2D(DistModule):
                 s = np.argmax(np.asarray(p), axis=-1)
                 sel[rank] = s
                 scale[rank] = np.asarray(p)[np.arange(p.shape[0]), s]
-            mesh.device(rank).compute(8.0 * p.size, kind="elementwise")
+        # every rank holds a whole [T/q, h/q] token block: one charge serves all
+        mesh.sim.charge_compute(mesh.ranks, ((8.0 * p.size, "elementwise"),))
 
         # dispatch: per mesh row, gather each expert's tokens and run its MLP
         out = {rank: ops.zeros_like(x.local(rank)) for rank in mesh.ranks}
@@ -185,7 +175,7 @@ class MoE2D(DistModule):
                 y_shards[rank] = out[rank]
             else:
                 y_shards[rank] = out[rank] * np.asarray(scale[rank])[:, None]
-            mesh.device(rank).compute(out[rank].size, kind="elementwise")
+        mesh.sim.charge_compute(mesh.ranks, ((out[rank].size, "elementwise"),))
         y = DTensor(mesh, BLOCKED_2D, y_shards, (T, h))
 
         aux, frac = self._aux_loss(gprobs, sel, T)
@@ -202,7 +192,7 @@ class MoE2D(DistModule):
 
     def _aux_loss(self, gprobs, sel, T: int):
         """Switch aux loss: E·Σₑ fₑ·mₑ over the *global* batch."""
-        mesh, q, E = self.mesh, self.mesh.q, self.E
+        mesh, E = self.mesh, self.E
         stats = {}
         for rank in mesh.ranks:
             p = gprobs[rank]
@@ -213,11 +203,7 @@ class MoE2D(DistModule):
                 stats[rank] = np.stack([counts, np.asarray(p).sum(axis=0)])
         # each row's devices hold identical stats; one per-row copy summed
         # over rows via a column all-reduce gives the global statistics
-        for j in range(q):
-            grp = mesh.col_group(j)
-            reduced = coll.all_reduce(grp, {r: stats[r] for r in grp.ranks})
-            stats.update(reduced)
-        st = stats[mesh.rank(0, 0)]
+        st = per_line(mesh.col_groups, "all_reduce", stats)[mesh.rank(0, 0)]
         if is_shape_array(st):
             return ShapeArray((), st.dtype), st
         frac = np.asarray(st)[0] / T
@@ -228,7 +214,7 @@ class MoE2D(DistModule):
     def backward(self, dy: DTensor, d_aux: float = 1.0) -> DTensor:
         if self._saved is None:
             raise RuntimeError("MoE backward before forward")
-        mesh, q, E = self.mesh, self.mesh.q, self.E
+        mesh, E = self.mesh, self.E
         (x, gprobs, sel, scale, out, rows_by_expert, pre_by_expert,
          te_by_expert, w_local, frac, T) = self._saved
         h = x.global_shape[1]
@@ -243,12 +229,7 @@ class MoE2D(DistModule):
                 d_out[rank] = np.asarray(dyl) * np.asarray(scale[rank])[:, None]
                 d_scale[rank] = (np.asarray(dyl) * out[rank]).sum(axis=-1)
         # d_scale needs the full h contraction: complete it across the row
-        for i in range(q):
-            grp = mesh.row_group(i)
-            reduced = coll.all_reduce(
-                grp, {r: d_scale[r] for r in grp.ranks}
-            )
-            d_scale.update(reduced)
+        d_scale = per_line(mesh.row_groups, "all_reduce", d_scale)
 
         dx = {rank: ops.zeros_like(x.local(rank)) for rank in mesh.ranks}
         for e in range(E):
@@ -267,9 +248,8 @@ class MoE2D(DistModule):
                 self._scatter_add_rows(dx[rank], rows[rank], d_xe.local(rank))
 
         # gate backward
-        dw_partials = {j: {} for j in range(q)}
+        dw_partials = {}
         for rank in mesh.ranks:
-            i, j = mesh.coords(rank)
             p = gprobs[rank]
             if is_shape_array(p):
                 d_glogits = ShapeArray(p.shape, p.dtype)
@@ -279,18 +259,14 @@ class MoE2D(DistModule):
                 d_gp += d_aux * self.aux_loss_coef * E * np.asarray(frac)[None, :] / T
                 d_glogits = F.softmax_bwd(np.asarray(p), d_gp)
             xl = x.local(rank)
-            dw_partials[j][rank] = ops.transpose(xl) @ d_glogits
+            dw_partials[rank] = ops.transpose(xl) @ d_glogits
             dx[rank] = dx[rank] + d_glogits @ ops.transpose(w_local[rank])
-            dev = mesh.device(rank)
-            dev.compute(2.0 * xl.shape[1] * xl.shape[0] * E)
-            dev.compute(2.0 * xl.shape[0] * E * xl.shape[1])
-        dw_shards = {}
-        for j in range(q):
-            root = mesh.rank(0, j)
-            dw_shards[root] = coll.reduce(mesh.col_group(j), dw_partials[j], root)[root]
-        self.gate.add_grad(
-            DTensor(mesh, ROW0_BLOCKROWS, dw_shards, self.gate.data.global_shape)
+        rows, cols = xl.shape  # every rank's token block
+        mesh.sim.charge_compute(
+            mesh.ranks, ((2.0 * cols * rows * E, "gemm"), (2.0 * rows * E * cols, "gemm"))
         )
+        dw = per_line(mesh.col_groups, "reduce", dw_partials)
+        self.gate.add_grad(DTensor(mesh, ROW0_BLOCKROWS, dw, self.gate.data.global_shape))
         self._saved = None
         return DTensor(mesh, BLOCKED_2D, dx, x.global_shape)
 

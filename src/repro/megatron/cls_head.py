@@ -85,7 +85,7 @@ class ClassificationHead1D(DistModule):
 
         def grads(p, lab, x0l, w, xl):
             dl = ops.full(
-                (lab.shape[0],), scale, dtype="float64", backend=ops.backend_of(p)
+                (lab.shape[0],), scale, dtype=p.dtype, backend=ops.backend_of(p)
             )
             dlogits = F.cross_entropy_bwd(p, lab, dl)
             d_out = ops.zeros_like(xl)

@@ -25,11 +25,12 @@ import numpy as np
 
 from repro.backend import ops
 from repro.backend.shape_array import ShapeArray, is_shape_array
-from repro.comm import collectives as coll
 from repro.comm.group import ProcessGroup
+from repro.comm.stacked import per_line
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule
 from repro.mesh.dtensor import DTensor, on_stacks
+from repro.nn.transformer import hold
 
 
 def _stripe_hits(lab, lo: int, v_loc: int):
@@ -106,23 +107,18 @@ class VocabStripedCrossEntropy(DistModule):
         self.buffers = buffers
         self._saved = None
 
-    def _all_reduce_rows(self, shards, op: str = "sum"):
-        out = {}
-        for row in self.rows:
-            out.update(coll.all_reduce(row, {r: shards[r] for r in row.ranks}, op=op))
-        return out
-
     # ------------------------------------------------------------------
     def forward(self, logits: DTensor, labels: DTensor):
         """Returns the scalar mean loss (float in numeric mode)."""
         if logits.layout != self.layout:
             raise ValueError(f"logits must be {self.layout}, got {logits.layout}")
-        ranks, device = self.owner.ranks, self.owner.sim.device
+        ranks = self.owner.ranks
         T, v = logits.global_shape
         v_loc = v // self.rows[0].size
 
         # 1) stabilizing max along each row
-        mx = self._all_reduce_rows(
+        mx = per_line(
+            self.rows, "all_reduce",
             {r: ops.max(logits.local(r), axis=1, keepdims=True) for r in ranks},
             op="max",
         )
@@ -137,9 +133,10 @@ class VocabStripedCrossEntropy(DistModule):
                 ssum[rank] = ops.sum(ez, axis=1, keepdims=True)
                 lab = labels.local(rank).reshape((z.shape[0],))
                 picked[rank] = stripe_pick(z, lab, k * v_loc, v_loc)
-                device(rank).compute(8.0 * ez.size, kind="elementwise")
-        ssum = self._all_reduce_rows(ssum)
-        picked = self._all_reduce_rows(picked)
+        # every rank's block has ``ez``'s shape
+        self.owner.sim.charge_compute(ranks, ((8.0 * ez.size, "elementwise"),))
+        ssum = per_line(self.rows, "all_reduce", ssum)
+        picked = per_line(self.rows, "all_reduce", picked)
 
         # 3) per-token loss, summed over each rank's tokens
         probs, part = {}, {}
@@ -147,12 +144,10 @@ class VocabStripedCrossEntropy(DistModule):
             probs[rank] = e[rank] / ssum[rank]
             loss_tok = ops.log(ssum[rank]).reshape((e[rank].shape[0],)) - picked[rank]
             part[rank] = ops.sum(loss_tok, keepdims=True).reshape((1,))
-            if self.buffers is not None:
-                self.buffers.hold("forward", rank, ops.nbytes(probs[rank]))
+        hold(self.buffers, "forward", DTensor(self.owner, self.layout, probs, (T, v)))
 
         # 4) the global mean: combine the rows' sums
-        for grp in self.cols:
-            part.update(coll.all_reduce(grp, {r: part[r] for r in grp.ranks}))
+        part.update(per_line(self.cols, "all_reduce", part))
 
         # the logits' stack shape when dlogits is to be one
         stack = logits.blocks.shape if on_stacks(self.owner, logits) else None
@@ -166,7 +161,6 @@ class VocabStripedCrossEntropy(DistModule):
         """d logits of the mean loss: (qⱼ − 1[j = label]) / T per token."""
         if self._saved is None:
             raise RuntimeError("cross-entropy backward before forward")
-        device = self.owner.sim.device
         probs, labels, T, v_loc, stack = self._saved
         scale = 1.0 / T
         if stack is not None:  # each rank writes its slot of one stack
@@ -181,11 +175,13 @@ class VocabStripedCrossEntropy(DistModule):
                 shards[rank] = stripe_subtract(
                     g, labels.local(rank), k * v_loc, v_loc, scale
                 )
-                device(rank).compute(2.0 * g.size, kind="elementwise")
-                if self.holds_dlogits and self.buffers is not None:
-                    self.buffers.hold("backward", rank, ops.nbytes(shards[rank]))
+        self.owner.sim.charge_compute(shards, ((2.0 * g.size, "elementwise"),))
         self._saved = None
         shape = (T, v_loc * self.rows[0].size)
         if stack is None:
-            return DTensor(self.owner, self.layout, shards, shape)
-        return DTensor.from_blocks(self.owner, self.layout, stack, shape, shards)
+            dlogits = DTensor(self.owner, self.layout, shards, shape)
+        else:
+            dlogits = DTensor.from_blocks(self.owner, self.layout, stack, shape, shards)
+        if self.holds_dlogits:
+            hold(self.buffers, "backward", dlogits)
+        return dlogits

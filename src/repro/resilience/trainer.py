@@ -27,6 +27,7 @@ Log entries past the restored step are truncated on rollback, so
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Optional
 
@@ -116,7 +117,9 @@ class ResilientTrainer(Trainer):
                 f"non-finite gradients after backward at step {self.step}"
             )
         with np.errstate(over="ignore"):  # a corrupted 1e308 entry squares to inf
-            norm = grad_norm(params)
+            # every copy: corruption may hit any data-parallel replica, which
+            # the global norm counts once
+            norm = math.hypot(*[grad_norm([p]) for p in params])
         if norm > SDC_GRAD_NORM_MAX:
             self.metrics.counter("resilience/sdc_detected").inc()
             raise SDCDetectedError(

@@ -2,11 +2,11 @@
 
 Distributed optimizers update each :class:`DistParam` shard in place on its
 owning device.  Because every layout either owns each scalar exactly once
-(BLOCKED_2D, SHARDED_1D, ROW0_COLS) or replicates both parameter and
-gradient identically (REPLICATED_1D, LN/bias in Megatron), a purely local
-update preserves consistency — no parameter synchronization collective is
-ever needed, exactly as in the paper's design where "a same parameter is
-hosted and updated in a single device" (§3.2.2).
+(BLOCKED_2D, SHARDED_1D, ROW0_COLS, ROW0_BLOCKROWS, RANK0) or replicates
+both parameter and gradient identically (REPLICATED_1D, LN/bias in
+Megatron), a purely local update preserves consistency — no parameter
+synchronization collective is ever needed, exactly as in the paper's design
+where "a same parameter is hosted and updated in a single device" (§3.2.2).
 
 In dryrun mode the arithmetic is skipped (placeholders carry no data) but
 optimizer-state memory is still charged, so the Fig. 9 memory search sees
@@ -25,7 +25,9 @@ from repro.backend.shape_array import is_shape_array
 from repro.core.param import DistParam
 from repro.mesh.dtensor import DTensor, on_stacks
 
-_UNIQUE_LAYOUTS = {"blocked_2d", "sharded_1d", "row0_cols"}
+#: layouts whose shards are copies of one another (every other layout's
+#: shards are distinct parts of the tensor)
+_COPY_LAYOUTS = {"replicated", "replicated_1d", "row_blocked", "col_blocked"}
 
 #: ``_update`` scratch of the per-shard path: numpy allocates each temporary
 _TEMPORARIES = (None, None)
@@ -385,15 +387,19 @@ class SerialAdam:
 # gradient utilities
 # ----------------------------------------------------------------------
 def grad_norm(params: Iterable[DistParam]) -> float:
-    """Global L2 norm of all gradients, counting each scalar exactly once."""
+    """Global L2 norm of all gradients, counting each scalar exactly once:
+    one copy of a replicated layout, and one parameter per name (data-parallel
+    replicas share names and gradients; the first occurrence wins)."""
     total = 0.0
+    seen = set()
     for p in params:
-        if p.grad is None:
+        if p.grad is None or p.name in seen:
             continue
-        if p.grad.layout.kind in _UNIQUE_LAYOUTS:
-            shards = p.grad.shards.values()
-        else:  # replicated layouts: any single copy carries the full gradient
+        seen.add(p.name)
+        if p.grad.layout.kind in _COPY_LAYOUTS:
             shards = [next(iter(p.grad.shards.values()))]
+        else:
+            shards = p.grad.shards.values()
         for s in shards:
             if is_shape_array(s):
                 return float("nan")

@@ -11,6 +11,7 @@ import pytest
 from repro.backend.shape_array import ShapeArray
 from repro.check.invariants import InvariantViolation, validate_dtensor
 from repro.comm.group import ProcessGroup
+from repro.comm.stacked import broadcast_down_columns
 from repro.config import tiny_config
 from repro.core import layers, summa
 from repro.core.model import OptimusModel
@@ -281,7 +282,7 @@ class TestGate:
         inj = FaultInjector(FaultSchedule()).install(mesh.sim)
         try:
             assert self._per_rank(mesh, x)
-            assert layers._broadcast_down_columns(
+            assert broadcast_down_columns(
                 mesh, layers.LayerNorm2D(mesh, "ln", np.ones(12), np.zeros(12)).gamma
             ).blocks is None
         finally:

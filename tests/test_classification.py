@@ -4,13 +4,15 @@ equivalence (serial / Optimus 2D / Megatron 1D)."""
 import numpy as np
 import pytest
 
+from repro.check import contract_checks
 from repro.core import OptimusModel
-from repro.core.cls_head import assemble_row0_blockrows, distribute_row0_blockrows
 from repro.megatron import MegatronModel
 from repro.mesh import assemble_blocked_2d
+from repro.mesh.partition import assemble_row0_blockrows, distribute_row0_blockrows
 from repro.nn import init_transformer_params
 from repro.reference import ReferenceTransformer
 from repro.runtime import Simulator
+from repro.training import SGD
 from tests.conftest import make_mesh
 
 NUM_CLASSES = 2
@@ -148,6 +150,50 @@ class TestDistributedClassification:
         model = OptimusModel(make_mesh(2), cfg, params)  # no cls params
         with pytest.raises(RuntimeError):
             model.forward_classification(ids, labels)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_optimus_head_trains_strict_under_contract_checks(cfg, cls_setup, q):
+    """Every collective of a training step checked against its serial
+    oracle, every DTensor against its layout contract."""
+    params, ids, labels = cls_setup
+    ref = ReferenceTransformer(cfg, params)
+    ref_loss = float(ref.forward_classification(ids, labels))
+    ref_grads = ref.backward_classification()
+
+    model = OptimusModel(make_mesh(q, strict_invariants=True), cfg, params)
+    with contract_checks():
+        loss = model.forward_classification(ids, labels)
+        model.backward_classification()
+        SGD(model.parameters(), lr=0.1).step()
+    assert loss == pytest.approx(ref_loss, abs=1e-10)
+    head = model.cls_head
+    np.testing.assert_allclose(
+        assemble_row0_blockrows(head.weight.grad), ref_grads["cls_head.weight"], rtol=1e-8
+    )
+    np.testing.assert_allclose(
+        assemble_row0_blockrows(head.weight.data),
+        params["cls_head.weight"] - 0.1 * ref_grads["cls_head.weight"], rtol=1e-8,
+    )
+    np.testing.assert_allclose(
+        head.bias.grad.local(0), ref_grads["cls_head.bias"], rtol=1e-8, atol=1e-12
+    )
+    model.validate_invariants()
+
+
+@pytest.mark.parametrize("scheme", ["optimus", "megatron"])
+def test_float32_head_keeps_gradient_dtypes(cfg, rng, scheme):
+    params = init_transformer_params(cfg, seed=1, dtype="float32", num_classes=NUM_CLASSES)
+    ids = rng.integers(0, cfg.vocab_size, size=(6, cfg.seq_len))
+    labels = rng.integers(0, NUM_CLASSES, size=6)
+    if scheme == "optimus":
+        model = OptimusModel(make_mesh(2), cfg, params)
+    else:
+        model = MegatronModel(Simulator.for_flat(p=2), cfg, params)
+    model.forward_classification(ids, labels)
+    model.backward_classification()
+    for p in model.parameters():
+        assert p.grad.dtype == p.data.dtype == np.float32, p.name
 
 
 def test_megatron_head_needs_replicated_input(cfg, cls_setup, rng):

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend.shape_array import ShapeArray
-from repro.core.cls_head import assemble_row0_blockrows
+from repro.check import contract_checks
 from repro.core.moe import MoE2D, _balanced_counts
 from repro.mesh import Mesh, assemble_blocked_2d, distribute_blocked_2d
 from repro.mesh.layouts import BLOCKED_2D
-from repro.mesh.partition import assemble_row0_cols
+from repro.mesh.partition import assemble_row0_blockrows, assemble_row0_cols
 from repro.reference.moe import ReferenceMoE, init_moe_params
 from repro.runtime import Simulator
+from repro.training import SGD
 from tests.conftest import make_mesh
 
 H, E, T = 12, 3, 24
@@ -137,6 +138,34 @@ class TestMoE2D:
         for name, g_ref in ref.grads.items():
             np.testing.assert_allclose(grads[name], g_ref, rtol=1e-9, atol=1e-12,
                                        err_msg=name)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_trains_strict_under_contract_checks(self, moe_setup, q):
+        """Every collective of a training step checked against its serial
+        oracle, every DTensor against its layout contract."""
+        params, x, dy = moe_setup
+        ref = ReferenceMoE(params, E)
+        y_ref, aux_ref = ref.forward(x)
+        dx_ref = ref.backward(dy)
+
+        mesh = make_mesh(q, strict_invariants=True)
+        moe = MoE2D(mesh, params, E)
+        with contract_checks():
+            y, aux = moe.forward(distribute_blocked_2d(mesh, x))
+            dx = moe.backward(distribute_blocked_2d(mesh, dy))
+            grads = self._grads(moe)
+            SGD(moe.parameters(), lr=0.1).step()
+        np.testing.assert_allclose(assemble_blocked_2d(y), y_ref, rtol=1e-10, atol=1e-13)
+        assert aux == pytest.approx(aux_ref, rel=1e-10)
+        np.testing.assert_allclose(assemble_blocked_2d(dx), dx_ref, rtol=1e-9, atol=1e-12)
+        for name, g_ref in ref.grads.items():
+            np.testing.assert_allclose(grads[name], g_ref, rtol=1e-9, atol=1e-12,
+                                       err_msg=name)
+        np.testing.assert_allclose(
+            assemble_row0_blockrows(moe.gate.data),
+            params["moe.gate.weight"] - 0.1 * ref.grads["moe.gate.weight"], rtol=1e-9,
+        )
+        moe.validate_invariants()
 
     def test_moe_traffic_is_gate_only_plus_expert_summa(self, moe_setup):
         """§6 claim: the only MoE-specific collectives are the small gate

@@ -8,9 +8,11 @@ import pytest
 
 from repro.config import tiny_config
 from repro.core import OptimusModel
+from repro.core.param import DistParam
 from repro.hybrid.data_parallel import DataParallel
 from repro.megatron import MegatronModel
 from repro.mesh import assemble_blocked_2d
+from repro.mesh.partition import distribute_row0_blockrows
 from repro.nn import init_transformer_params
 from repro.reference import ReferenceTransformer
 from repro.runtime import Simulator
@@ -147,6 +149,21 @@ class TestGradUtilities:
         model.forward(ids, labels)
         model.backward()
         assert grad_norm(model.parameters()) == pytest.approx(expected, rel=1e-9)
+
+    def test_grad_norm_counts_every_row0_blockrows_block(self, rng):
+        """The classifier weight and the MoE gate: q distinct blocks on
+        mesh row 0, none of them a copy."""
+        mesh = make_mesh(2)
+        g = rng.normal(size=(4, 2))
+        p = DistParam("cls_head.weight", distribute_row0_blockrows(mesh, np.zeros((4, 2))))
+        p.add_grad(distribute_row0_blockrows(mesh, g))
+        assert grad_norm([p]) == pytest.approx(np.linalg.norm(g), rel=1e-12)
+
+    def test_grad_norm_counts_data_parallel_replicas_once(self, cfg, rng):
+        ids = rng.integers(0, cfg.vocab_size, size=(4, cfg.seq_len))
+        dp = DataParallel(Simulator.for_flat(8), cfg, init_transformer_params(cfg, seed=1), 2, 2)
+        dp.forward_backward(ids, ids)
+        assert grad_norm(dp.parameters()) == grad_norm(dp.replicas[0].parameters())
 
     def test_clip_grads(self, cfg, batch):
         ids, labels = batch
