@@ -15,7 +15,6 @@ from __future__ import annotations
 import builtins
 
 import numpy as np
-from scipy import special as _sp_special
 
 from repro.backend.dtypes import as_dtype, result_float
 from repro.backend.shape_array import ShapeArray, is_shape_array
@@ -103,8 +102,18 @@ def tanh(x):
     return _unary(x, np.tanh)
 
 
+def _sp_erf(x):
+    # scipy.special costs a few tenths of a second to import and only real
+    # arrays need it: the first numeric erf imports it and rebinds this name,
+    # so later calls pass scipy's ufunc straight to _unary
+    global _sp_erf
+    from scipy.special import erf as _sp_erf
+
+    return _sp_erf(x)
+
+
 def erf(x):
-    return _unary(x, _sp_special.erf)
+    return _unary(x, _sp_erf)
 
 
 def sqrt(x):

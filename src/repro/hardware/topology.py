@@ -1,21 +1,21 @@
-"""Cluster interconnect topology as a `networkx` graph.
+"""Cluster interconnect topology: a two-level tree of GPUs, hosts and a switch.
 
-The graph has one vertex per GPU, one per host (node), and a central switch:
+The tree has one vertex per GPU, one per host (node), and a central switch:
 
     gpu:k --(intra link)-- host:n --(inter link / NIC)-- switch
 
 This is the fat-tree abstraction the paper's Fig. 8 reasons about: all
 inter-node traffic of a node's GPUs shares the single host↔switch edge, so
 the number of concurrent multi-node collectives touching a host determines
-the contention ("crowding") factor on its cable.
+the contention ("crowding") factor on its cable.  Every path in the tree has
+a closed form: ``gpu — host — gpu`` within a node, ``gpu — host — switch —
+host — gpu`` across nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
-
-import networkx as nx
 
 from repro.hardware.arrangement import Arrangement
 from repro.hardware.specs import ClusterSpec, LinkSpec
@@ -35,34 +35,35 @@ class GroupProfile:
 
 
 class ClusterTopology:
-    """Graph view of a :class:`ClusterSpec` plus placement queries."""
+    """Path and placement queries on a :class:`ClusterSpec`'s two-level tree."""
 
     def __init__(self, cluster: ClusterSpec):
         self.cluster = cluster
-        g = nx.Graph()
-        g.add_node("switch", kind="switch")
-        for n in range(cluster.num_nodes):
-            host = f"host:{n}"
-            g.add_node(host, kind="host")
-            g.add_edge(host, "switch", link=cluster.inter_link)
-            for s in range(cluster.gpus_per_node):
-                gid = n * cluster.gpus_per_node + s
-                gpu = f"gpu:{gid}"
-                g.add_node(gpu, kind="gpu", gpu_id=gid)
-                g.add_edge(gpu, host, link=cluster.intra_link)
-        self.graph = g
 
     # ------------------------------------------------------------------
     def gpu_vertex(self, gpu_id: int) -> str:
         return f"gpu:{gpu_id}"
 
     def path(self, gpu_a: int, gpu_b: int) -> List[str]:
-        """Shortest vertex path between two GPUs."""
-        return nx.shortest_path(self.graph, self.gpu_vertex(gpu_a), self.gpu_vertex(gpu_b))
+        """Vertex path between two GPUs (the tree has exactly one)."""
+        if gpu_a == gpu_b:
+            return [self.gpu_vertex(gpu_a)]
+        na, nb = self.cluster.node_of(gpu_a), self.cluster.node_of(gpu_b)
+        if na == nb:
+            hops = [f"host:{na}"]
+        else:
+            hops = [f"host:{na}", "switch", f"host:{nb}"]
+        return [self.gpu_vertex(gpu_a), *hops, self.gpu_vertex(gpu_b)]
 
     def path_links(self, gpu_a: int, gpu_b: int) -> List[LinkSpec]:
-        verts = self.path(gpu_a, gpu_b)
-        return [self.graph.edges[u, v]["link"] for u, v in zip(verts, verts[1:])]
+        """The link of each hop of :meth:`path`, in path order."""
+        if gpu_a == gpu_b:
+            return []
+        intra = self.cluster.intra_link
+        if self.cluster.node_of(gpu_a) == self.cluster.node_of(gpu_b):
+            return [intra, intra]
+        inter = self.cluster.inter_link
+        return [intra, inter, inter, intra]
 
     def p2p_time(self, gpu_a: int, gpu_b: int, nbytes: int) -> float:
         """Store-and-forward α–β time of a point-to-point transfer."""

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import optimize
-
 
 def _work(h: float, s: float) -> float:
     """Serial MACs per layer with b = h (the paper's proportionality).
@@ -63,6 +61,8 @@ def isoefficiency_hidden(
     in h for both schemes (more compute per communicated byte), so the root
     is unique.
     """
+    from scipy import optimize  # deferred: only this solve needs it
+
     eff = {"megatron": efficiency_megatron, "optimus": efficiency_optimus}[scheme]
     if p <= 1:
         return 1.0

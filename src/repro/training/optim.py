@@ -26,8 +26,15 @@ from repro.core.param import DistParam
 from repro.mesh.dtensor import DTensor, on_stacks
 
 #: layouts whose shards are copies of one another (every other layout's
-#: shards are distinct parts of the tensor)
-_COPY_LAYOUTS = {"replicated", "replicated_1d", "row_blocked", "col_blocked"}
+#: shards are distinct parts of the tensor, apart from _LINE_COPIES')
+_COPY_LAYOUTS = {"replicated", "replicated_1d"}
+
+#: layouts of q distinct blocks, each copied along one mesh axis: the ranks
+#: holding one copy of every block (mesh column 0, resp. mesh row 0)
+_LINE_COPIES = {
+    "row_blocked": lambda mesh: [mesh.rank(i, 0) for i in range(mesh.q)],
+    "col_blocked": lambda mesh: [mesh.rank(0, j) for j in range(mesh.q)],
+}
 
 #: ``_update`` scratch of the per-shard path: numpy allocates each temporary
 _TEMPORARIES = (None, None)
@@ -388,16 +395,21 @@ class SerialAdam:
 # ----------------------------------------------------------------------
 def grad_norm(params: Iterable[DistParam]) -> float:
     """Global L2 norm of all gradients, counting each scalar exactly once:
-    one copy of a replicated layout, and one parameter per name (data-parallel
-    replicas share names and gradients; the first occurrence wins)."""
+    one copy of a replicated layout, one copy of each block of a
+    ``ROW_BLOCKED`` / ``COL_BLOCKED`` one, and one parameter per name
+    (data-parallel replicas share names and gradients; the first occurrence
+    wins)."""
     total = 0.0
     seen = set()
     for p in params:
         if p.grad is None or p.name in seen:
             continue
         seen.add(p.name)
-        if p.grad.layout.kind in _COPY_LAYOUTS:
+        kind = p.grad.layout.kind
+        if kind in _COPY_LAYOUTS:
             shards = [next(iter(p.grad.shards.values()))]
+        elif kind in _LINE_COPIES:
+            shards = [p.grad.local(r) for r in _LINE_COPIES[kind](p.grad.owner)]
         else:
             shards = p.grad.shards.values()
         for s in shards:

@@ -1,6 +1,7 @@
 """Hardware model: specs, arrangements (Fig. 8 placements), topology."""
 
-import networkx as nx
+import itertools
+
 import pytest
 
 from repro.hardware import (
@@ -103,9 +104,41 @@ class TestArrangements:
 class TestTopology:
     def test_graph_structure(self):
         topo = ClusterTopology(frontera_rtx(2))
-        g = topo.graph
-        assert g.number_of_nodes() == 1 + 2 + 8  # switch + hosts + gpus
-        assert nx.is_connected(g)
+        gpus = range(topo.cluster.num_devices)
+        visited = {v for a in gpus for b in gpus for v in topo.path(a, b)}
+        hosts = {"host:0", "host:1"}
+        assert visited == {"switch"} | hosts | {f"gpu:{k}" for k in gpus}
+        # connected: every pair's path runs from one GPU to the other over
+        # tree edges (gpu-host, host-switch)
+        for a, b in itertools.product(gpus, gpus):
+            path = topo.path(a, b)
+            assert path[0] == f"gpu:{a}" and path[-1] == f"gpu:{b}"
+            for u, v in zip(path, path[1:]):
+                edge = {u.split(":")[0], v.split(":")[0]}
+                assert edge in ({"gpu", "host"}, {"host", "switch"})
+
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 4])
+    def test_paths_links_and_p2p_time_of_every_pair(self, nodes):
+        cluster = frontera_rtx(nodes)
+        topo = ClusterTopology(cluster)
+        intra, inter = cluster.intra_link, cluster.inter_link
+        nbytes = 3 * 10**6
+        for a, b in itertools.product(range(cluster.num_devices), repeat=2):
+            na, nb = a // cluster.gpus_per_node, b // cluster.gpus_per_node
+            if a == b:
+                path, links, t = [f"gpu:{a}"], [], 0.0
+            elif na == nb:
+                path = [f"gpu:{a}", f"host:{na}", f"gpu:{b}"]
+                links = [intra, intra]
+                t = (intra.alpha + intra.alpha) + intra.beta * nbytes
+            else:
+                path = [f"gpu:{a}", f"host:{na}", "switch", f"host:{nb}", f"gpu:{b}"]
+                links = [intra, inter, inter, intra]
+                alpha = intra.alpha + inter.alpha + inter.alpha + intra.alpha
+                t = alpha + max(intra.beta, inter.beta) * nbytes
+            assert topo.path(a, b) == path
+            assert topo.path_links(a, b) == links
+            assert topo.p2p_time(a, b, nbytes) == t
 
     def test_paths(self):
         topo = ClusterTopology(frontera_rtx(2))

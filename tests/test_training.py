@@ -11,7 +11,7 @@ from repro.core import OptimusModel
 from repro.core.param import DistParam
 from repro.hybrid.data_parallel import DataParallel
 from repro.megatron import MegatronModel
-from repro.mesh import assemble_blocked_2d
+from repro.mesh import COL_BLOCKED, ROW_BLOCKED, DTensor, assemble_blocked_2d
 from repro.mesh.partition import distribute_row0_blockrows
 from repro.nn import init_transformer_params
 from repro.reference import ReferenceTransformer
@@ -157,6 +157,27 @@ class TestGradUtilities:
         g = rng.normal(size=(4, 2))
         p = DistParam("cls_head.weight", distribute_row0_blockrows(mesh, np.zeros((4, 2))))
         p.add_grad(distribute_row0_blockrows(mesh, g))
+        assert grad_norm([p]) == pytest.approx(np.linalg.norm(g), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("layout", [ROW_BLOCKED, COL_BLOCKED], ids=lambda l: l.kind)
+    def test_grad_norm_counts_every_line_blocked_block(self, rng, q, layout):
+        """q distinct blocks, each copied along one mesh axis: block i on
+        mesh row i (``ROW_BLOCKED``) or on mesh column i (``COL_BLOCKED``)."""
+        mesh = make_mesh(q)
+        g = rng.normal(size=(2 * q, 3))
+
+        def blocked(a):
+            blocks = np.split(a, q)
+            shards = {
+                mesh.rank(i, j): blocks[i if layout == ROW_BLOCKED else j].copy()
+                for i in range(q)
+                for j in range(q)
+            }
+            return DTensor(mesh, layout, shards, a.shape)
+
+        p = DistParam("line_blocked", blocked(np.zeros_like(g)))
+        p.add_grad(blocked(g))
         assert grad_norm([p]) == pytest.approx(np.linalg.norm(g), rel=1e-12)
 
     def test_grad_norm_counts_data_parallel_replicas_once(self, cfg, rng):
