@@ -26,7 +26,7 @@ Two hot-path refinements (numerics-neutral, see ``docs/simulator.md``):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,32 +74,24 @@ def _copy(x):
     return x if is_shape_array(x) else np.array(x, copy=True)
 
 
-def _charge(group: ProcessGroup, kind: str, dt: float, nbytes: float, weighted: float):
-    devices = group.devices
-    if len(devices) <= 1:
-        return  # a single-rank group moves no data and costs nothing
-    sim = group.sim
-    t0 = sim.charge_collective(devices, dt, nbytes, weighted)
-    # guard before touching the tracer: when tracing is off the hot SUMMA
-    # loop must not pay for argument construction
-    if sim.tracer.enabled:
-        sim.tracer.record(
-            kind, group.ranks, t0, t0 + dt,
-            nbytes=nbytes, label=group.kind, weighted=weighted,
-        )
+def _charge(group: ProcessGroup, kind: str, precost: Precost) -> None:
+    group.sim.charge_collectives(kind, ((group, precost),))
 
 
-def charge_only(group: ProcessGroup, kind: str, precost: Precost) -> None:
-    """Charge a collective's α–β accounting without moving any data.
+def charge_only(kind: str, lines: Sequence[Tuple[ProcessGroup, Precost]]) -> None:
+    """Charge a ``kind`` collective's α–β accounting on each ``(group,
+    precost)`` of ``lines``, in order, without moving any data.
 
-    The batched SUMMA engine computes a whole stage numerically as one
-    stacked product, but must still charge clocks, byte counters, weighted
-    volumes, and trace events in the exact per-rank order of the per-rank
-    path.  This is that replay hook: the charged quantities are identical
-    to what ``broadcast``/``reduce`` with the same ``precost`` would emit
-    (including the size-1 early return, which charges nothing).
+    Stacked math (the batched SUMMA engine, :mod:`repro.comm.stacked`)
+    computes all of a mesh's lines as one NumPy expression, but must still
+    charge clocks, byte counters, weighted volumes, and trace events in the
+    exact order of the per-rank path.  This is that replay hook, one call
+    per mesh: the charged quantities are identical to what the collective
+    with the same ``precost`` would emit on each line in turn (including
+    the size-1 early return, which charges nothing).
     """
-    _charge(group, kind, *precost)
+    if lines:
+        lines[0][0].sim.charge_collectives(kind, lines)
 
 
 # ----------------------------------------------------------------------
@@ -118,9 +110,7 @@ def broadcast(
         raise ValueError(f"root {root} not in group {group.ranks}")
     if group.size == 1:
         return {root: src}  # zero-copy: nothing moves, nothing is charged
-    _charge(
-        group, "broadcast", *(precost or group.model.price("broadcast", ops.nbytes(src)))
-    )
+    _charge(group, "broadcast", precost or group.model.price("broadcast", ops.nbytes(src)))
     return {r: (src if r == root else _copy(src)) for r in group.ranks}
 
 
@@ -177,7 +167,7 @@ def reduce(
         return {root: shards[root]}  # zero-copy: the root already holds the sum
     _check_shards(group, shards)
     acc = _combine(group, shards, op)
-    _charge(group, "reduce", *(precost or group.model.price("reduce", ops.nbytes(acc))))
+    _charge(group, "reduce", precost or group.model.price("reduce", ops.nbytes(acc)))
     return {root: acc}
 
 
@@ -195,7 +185,7 @@ def all_reduce(group: ProcessGroup, shards: Shards, op: str = "sum") -> Shards:
         return dict(shards)  # zero-copy
     _check_shards(group, shards)
     acc = _combine(group, shards, op)
-    _charge(group, "all_reduce", *group.model.price("all_reduce", ops.nbytes(acc)))
+    _charge(group, "all_reduce", group.model.price("all_reduce", ops.nbytes(acc)))
     return {r: (acc if i == 0 else _copy(acc)) for i, r in enumerate(group.ranks)}
 
 
@@ -211,7 +201,7 @@ def all_gather(group: ProcessGroup, shards: Shards, axis: int = 0) -> Shards:
         return dict(shards)  # zero-copy: concatenation of one part is itself
     parts = [shards[r] for r in group.ranks]
     full = ops.concatenate(parts, axis=axis)
-    _charge(group, "all_gather", *group.model.price("all_gather", ops.nbytes(full)))
+    _charge(group, "all_gather", group.model.price("all_gather", ops.nbytes(full)))
     return {r: (full if i == 0 else _copy(full)) for i, r in enumerate(group.ranks)}
 
 
@@ -233,7 +223,7 @@ def reduce_scatter(group: ProcessGroup, shards: Shards, axis: int = 0) -> Shards
             f"not divisible by group size {g}"
         )
     pieces = ops.split(acc, g, axis=axis)
-    _charge(group, "reduce_scatter", *group.model.price("reduce_scatter", ops.nbytes(acc)))
+    _charge(group, "reduce_scatter", group.model.price("reduce_scatter", ops.nbytes(acc)))
     return {r: pieces[i] for i, r in enumerate(group.ranks)}
 
 
@@ -256,7 +246,7 @@ def scatter(group: ProcessGroup, full, root: int, axis: int = 0) -> Shards:
     # byte counters, the α–β time, and the weighted volume must all charge
     # this same moved volume or the comm-matrix reconciliation breaks
     moved = ops.nbytes(full) * (g - 1) / g
-    _charge(group, "scatter", *group.model.price("scatter", moved))
+    _charge(group, "scatter", group.model.price("scatter", moved))
     return {r: _copy(pieces[i]) for i, r in enumerate(group.ranks)}
 
 
@@ -278,7 +268,7 @@ def gather(group: ProcessGroup, shards: Shards, root: int, axis: int = 0) -> Sha
     # gather moves (g-1)/g of the result into the root; charge bytes, time,
     # and weighted volume consistently (see scatter)
     moved = ops.nbytes(full) * (g - 1) / g
-    _charge(group, "gather", *group.model.price("gather", moved))
+    _charge(group, "gather", group.model.price("gather", moved))
     return {root: full}
 
 

@@ -15,8 +15,9 @@ directly; the DTensor collectives below fall back to it.
 When :func:`~repro.mesh.dtensor.on_stacks` holds, a DTensor collective's
 data movement is one NumPy expression over the operand's stack — a fold in
 ``collectives._combine``'s order, one concatenate — and its α–β accounting
-is replayed with :func:`~repro.comm.collectives.charge_only`, line by line
-in the per-rank call order, at a price cached per owner and buffer size.
+is replayed with one :func:`~repro.comm.collectives.charge_only` over the
+lines, in the per-rank call order, at a price cached per owner and buffer
+size.
 The result is one entry the members view: a size-1 axis of the stack (on a
 flat group, read-only).  Otherwise :func:`per_line` runs, which is what the
 contract checker and a fault injector observe.
@@ -30,16 +31,16 @@ from repro.mesh.dtensor import DTensor, on_stacks
 from repro.mesh.layouts import BLOCKED_2D, COL_BLOCKED, REPLICATED_1D, ROW0_COLS
 
 
-def precosts(owner, lines, kind: str, block) -> list:
-    """``(group, precost)`` of a ``kind`` collective over ``block``-sized
+def precosts(owner, lines, kind: str, nbytes: int) -> list:
+    """``(group, precost)`` of a ``kind`` collective over ``nbytes``-sized
     buffers on each of ``owner``'s ``lines`` (a mesh's ``"row_groups"`` /
     ``"col_groups"``; None for a flat group itself), priced once per owner
     and buffer size — what the per-rank collective would price on every
-    call."""
+    call — in line order: :func:`~repro.comm.collectives.charge_only`'s
+    ``lines``."""
     cache = getattr(owner, "_line_precosts", None)
     if cache is None:
         cache = owner._line_precosts = {}
-    nbytes = ops.nbytes(block)
     costs = cache.get((lines, kind, nbytes))
     if costs is None:
         costs = cache[lines, kind, nbytes] = [
@@ -74,12 +75,10 @@ def _all_reduce(owner, lines, axis: int, x: DTensor, layout) -> DTensor:
     """Sum ``x``'s shards over each of ``owner``'s ``lines``, every member
     keeping the sum; on stacks the fold runs over stack axis ``axis``."""
     if on_stacks(owner, x):
-        block = next(iter(x.shards.values()))
-        for group, cost in precosts(owner, lines, "all_reduce", block):
-            coll.charge_only(group, "all_reduce", cost)
+        coll.charge_only("all_reduce", precosts(owner, lines, "all_reduce", x.shard_nbytes()))
         total = ops.fold_stack_sum(x.blocks, axis=axis)
         shared = total.reshape(total.shape[:axis] + (1,) + total.shape[axis:])
-        return DTensor.from_blocks(owner, layout, shared, x.global_shape, x.shards)
+        return DTensor.from_blocks(owner, layout, shared, x.global_shape, x.ranks)
     summed = per_line(_groups(owner, lines), "all_reduce", x.shards)
     return DTensor(owner, layout, {**x.shards, **summed}, x.global_shape)
 
@@ -104,8 +103,7 @@ def all_gather(group, x: DTensor, parts: dict) -> DTensor:
     and the replayed charge; otherwise the per-rank all-gather."""
     if on_stacks(group, x):
         full = ops.concatenate([parts[r] for r in group.ranks], axis=0)
-        for g, cost in precosts(group, None, "all_gather", full):
-            coll.charge_only(g, "all_gather", cost)
+        coll.charge_only("all_gather", precosts(group, None, "all_gather", ops.nbytes(full)))
         return DTensor.from_blocks(group, REPLICATED_1D, full[None], x.global_shape, group.ranks)
     return DTensor(group, REPLICATED_1D, coll.all_gather(group, parts), x.global_shape)
 
@@ -120,8 +118,8 @@ def broadcast_down_columns(mesh, param) -> DTensor:
     injector, which would, forces the per-rank path)."""
     data = param.data
     if on_stacks(mesh, data):
-        for group, cost in precosts(mesh, "col_groups", "broadcast", data.blocks[0]):
-            coll.charge_only(group, "broadcast", cost)
+        nbytes = data.shard_nbytes()
+        coll.charge_only("broadcast", precosts(mesh, "col_groups", "broadcast", nbytes))
         # the stack is updated in place, so the view stays current: it is
         # kept on the parameter and rebuilt only if ``param.data`` is replaced
         cached = getattr(param, "_column_view", None)
@@ -144,8 +142,7 @@ def reduce_up_columns(mesh, partials: DTensor, shape) -> tuple:
     stack's mesh-row axis."""
     roots = [group.ranks[0] for group in mesh.col_groups]
     if on_stacks(mesh, partials):
-        for group, cost in precosts(mesh, "col_groups", "reduce", partials.blocks[0, 0]):
-            coll.charge_only(group, "reduce", cost)
+        coll.charge_only("reduce", precosts(mesh, "col_groups", "reduce", partials.shard_nbytes()))
         total = ops.fold_stack_sum(partials.blocks, axis=0)  # [q, k, n] by column
         return tuple(
             DTensor.from_blocks(mesh, ROW0_COLS, total[:, t], shape, roots)

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.backend import ops
 from repro.comm import collectives as coll
+from repro.comm.stacked import precosts
 from repro.config import ModelConfig
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.core.summa import summa_ab, summa_abt, summa_atb
-from repro.mesh.dtensor import DTensor
+from repro.mesh.dtensor import DTensor, on_stacks
 from repro.mesh.layouts import BLOCKED_2D, ROW_BLOCKED
 from repro.mesh.mesh import Mesh
 from repro.mesh.partition import distribute_blocked_2d, zeros_stacked
@@ -61,21 +64,36 @@ class Embedding2D(DistModule):
         T_loc = (b // q) * s
         self._ids = ids
 
-        out = zeros_stacked(mesh, BLOCKED_2D, (T_loc, h_loc), self.table.data.dtype, (b * s, h))
+        table = self.table.data
+        out = zeros_stacked(mesh, BLOCKED_2D, (T_loc, h_loc), table.dtype, (b * s, h))
         charge_compute = mesh.sim.charge_compute
         stripe = ((T_loc * h_loc, "elementwise"),)
-        for l in range(q):
-            lo = l * v_loc
-            for j in range(q):
-                root = mesh.rank(l, j)
-                bcast = coll.broadcast(
-                    mesh.col_group(j), self.table.data.local(root), root
-                )
-                ranks = [mesh.rank(i, j) for i in range(q)]
-                for rank in ranks:
-                    idvec = ids.local(rank).reshape((T_loc,))
-                    stripe_lookup(out.local(rank), bcast[rank], idvec, lo, v_loc)
-                charge_compute(ranks, stripe)
+        if on_stacks(mesh, table, out):
+            # every rank's stripe gathers at once: row i's tokens, each from
+            # the table block of its stripe l in every column j — an add onto
+            # the zeros, as stripe_lookup's (a copy would keep a -0.0)
+            rows = np.stack([ids.local(mesh.rank(i, 0)) for i in range(q)]).reshape((q, T_loc))
+            i, t = np.nonzero((rows >= 0) & (rows < q * v_loc))
+            l, c = np.divmod(rows[i, t], v_loc)
+            out.blocks[i, :, t] += table.blocks[l, :, c]
+            # the per-rank loop's charges: stripe l's broadcast down column
+            # j, then that column's gather
+            columns = precosts(mesh, "col_groups", "broadcast", table.shard_nbytes())
+            for _ in range(q):
+                for line in columns:
+                    coll.charge_only("broadcast", (line,))
+                    charge_compute(line[0].ranks, stripe)
+        else:
+            for l in range(q):
+                lo = l * v_loc
+                for j in range(q):
+                    root = mesh.rank(l, j)
+                    bcast = coll.broadcast(mesh.col_group(j), table.local(root), root)
+                    ranks = [mesh.rank(i, j) for i in range(q)]
+                    for rank in ranks:
+                        idvec = ids.local(rank).reshape((T_loc,))
+                        stripe_lookup(out.local(rank), bcast[rank], idvec, lo, v_loc)
+                    charge_compute(ranks, stripe)
         hold(self.buffers, "forward", out)
         return out
 

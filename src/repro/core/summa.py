@@ -266,7 +266,7 @@ def _block_sig(x: DTensor, numeric: bool):
 
 
 def _get_plan(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor) -> _Plan:
-    numeric = not is_shape_array(next(iter(a.shards.values())))
+    numeric = a.blocks is not None or not is_shape_array(next(iter(a.shards.values())))
     cache = getattr(mesh, "_summa_plans", None)
     if cache is None:
         cache = mesh._summa_plans = {}
@@ -370,9 +370,12 @@ def _run_per_rank(mesh, algo, a, b, plan, buffers) -> dict:
 class _BatchedDesc(NamedTuple):
     """Stacking descriptor for one plan."""
 
-    #: the gemm accounting of every step: the ranks of each gemm group in
-    #: call order, and the one (flops, scratch bytes) uniform blocks give
-    lines: list
+    #: the accounting of every step, in call order: its broadcast lines (the
+    #: ``(group, precost)`` list of one ``charge_only``), then per gemm group
+    #: the ranks and the reduce line after them (``((group, precost),)``, or
+    #: None for ``ab``); uniform blocks give every gemm one (flops, scratch
+    #: bytes)
+    steps: list
     flops: float
     scratch: int
     stack_shape: tuple  # (q, q) + output block: the output's block stack
@@ -380,6 +383,7 @@ class _BatchedDesc(NamedTuple):
     #: key order (downstream charge loops iterate it): mesh order for
     #: ``ab``, the reduce roots in call order otherwise
     owners: list
+    order: list  # the owners' ranks
 
 
 def _uniform_sig(x: DTensor):
@@ -406,19 +410,31 @@ def _batched_of(plan: _Plan, mesh: Mesh, a: DTensor, b: DTensor):
             if sig_a is not None and sig_b is not None:
                 q = mesh.q
                 groups = plan.steps[0][1]
-                lines = [[gemm[0] for gemm in gemms] for gemms, _reduce in groups]
                 _rank, _dev, flops, scratch, out_shape = groups[0][0][0]
+                steps = [
+                    (
+                        [(group, cost) for _op, group, _root, cost in bcasts],
+                        [
+                            (
+                                [gemm[0] for gemm in gemms],
+                                None if reduce is None else ((reduce[0], reduce[2]),),
+                            )
+                            for gemms, reduce in step_groups
+                        ],
+                    )
+                    for bcasts, step_groups in plan.steps
+                ]
                 if groups[0][1] is None:  # ab: every block, mesh order
-                    roots = mesh.ranks
+                    order = list(mesh.ranks)
                 else:
-                    roots = [
+                    order = [
                         reduce[1]
                         for _bcasts, step_groups in plan.steps
                         for _gemms, reduce in step_groups
                     ]
                 desc = _BatchedDesc(
-                    lines, flops, scratch, (q, q) + out_shape,
-                    [(r, mesh.coords(r)) for r in roots],
+                    steps, flops, scratch, (q, q) + out_shape,
+                    [(r, mesh.coords(r)) for r in order], order,
                 )
         plan.batched = desc
     return desc or None
@@ -473,20 +489,19 @@ def _run_batched(mesh, algo, a, b, plan, buffers, desc, out) -> dict:
     tr = sim.tracer
     traced = tr.enabled
     numeric = plan.numeric
-    lines, flops, scratch, stack_shape, owners = desc
+    flops, scratch = desc.flops, desc.scratch
     stack_a, stack_b = (a.blocks, b.blocks) if numeric else (None, None)
     part = None  # one scratch partial per call, reused by every step
-    for l, (bcasts, groups) in enumerate(plan.steps):
+    for l, (bcast_lines, groups) in enumerate(desc.steps):
         with tr.span(
             "summa_step", mesh.ranks, "summa", algo=algo.name, step=l
         ) if traced else NULL_SPAN:
             # accounting replay, exact per-rank order
-            for _op, group, _root, cost in bcasts:
-                coll.charge_only(group, "broadcast", cost)
-            for ranks, (_gemms, reduce) in zip(lines, groups):
+            coll.charge_only("broadcast", bcast_lines)
+            for ranks, reduce in groups:
                 _replay_gemms(sim, ranks, flops, scratch, buffers)
                 if reduce is not None:
-                    coll.charge_only(reduce[0], "reduce", reduce[2])
+                    coll.charge_only("reduce", reduce)
             if not numeric:
                 continue  # a shape plan is its accounting
             # the step's q² rank-local products as one broadcasted matmul:
@@ -515,10 +530,8 @@ def _run_batched(mesh, algo, a, b, plan, buffers, desc, out) -> dict:
     if not numeric:
         # one immutable output placeholder for the q² ranks (downstream
         # charge loops iterate the keys)
-        return dict.fromkeys(
-            [rank for rank, _ij in owners], ShapeArray(stack_shape[2:], plan.out_dtype)
-        )
-    return {rank: out[ij] for rank, ij in owners}
+        return dict.fromkeys(desc.order, ShapeArray(desc.stack_shape[2:], plan.out_dtype))
+    return {rank: out[ij] for rank, ij in desc.owners}
 
 
 # ----------------------------------------------------------------------
@@ -548,7 +561,7 @@ def _summa(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor, buffers) -> DTensor:
         else:
             c_shards = _run_per_rank(mesh, algo, a, b, plan, buffers)
     if blocks is not None:
-        return DTensor.from_blocks(mesh, BLOCKED_2D, blocks, (M, N), c_shards)
+        return DTensor.from_blocks(mesh, BLOCKED_2D, blocks, (M, N), desc.order)
     return DTensor(mesh, BLOCKED_2D, c_shards, (M, N))
 
 

@@ -154,7 +154,7 @@ class DataParallel:
                 grads.append(g)
             stacked = [
                 DTensor.from_blocks(
-                    g.owner, g.layout, np.empty_like(g.blocks), g.global_shape, g.shards
+                    g.owner, g.layout, np.empty_like(g.blocks), g.global_shape, g.ranks
                 )
                 if on_stacks(g.owner, g)
                 else None

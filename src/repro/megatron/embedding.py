@@ -12,13 +12,15 @@ from __future__ import annotations
 from operator import matmul
 from typing import Optional
 
+import numpy as np
+
 from repro.comm import stacked
 from repro.comm.group import ProcessGroup
 from repro.config import ModelConfig
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.megatron.layers import abt, atb
-from repro.mesh.dtensor import DTensor, block_map
+from repro.mesh.dtensor import DTensor, block_map, on_stacks
 from repro.mesh.layouts import PARTIAL_1D, SHARDED_1D
 from repro.mesh.partition import distribute_sharded_1d, zeros_stacked
 from repro.nn.loss import stripe_lookup, stripe_scatter
@@ -62,9 +64,17 @@ class VocabParallelEmbedding(DistModule):
         self._ids = ids
 
         partials = zeros_stacked(group, PARTIAL_1D, (T, h), table.dtype, (T, h))
-        for k, rank in enumerate(group.ranks):
-            idvec = ids.local(rank).reshape((T,))
-            stripe_lookup(partials.local(rank), table.local(rank), idvec, k * v_loc, v_loc)
+        if on_stacks(group, table, partials):
+            # every rank's stripe at once: each token from the stripe k that
+            # holds it, an add onto the zeros as stripe_lookup's
+            idvec = ids.local(group.ranks[0]).reshape((T,))
+            (t,) = np.nonzero((idvec >= 0) & (idvec < group.size * v_loc))
+            k, c = np.divmod(idvec[t], v_loc)
+            partials.blocks[k, t] += table.blocks[k, c]
+        else:
+            for k, rank in enumerate(group.ranks):
+                idvec = ids.local(rank).reshape((T,))
+                stripe_lookup(partials.local(rank), table.local(rank), idvec, k * v_loc, v_loc)
         group.sim.charge_compute(group.ranks, ((T * h, "elementwise"),))
         out = stacked.all_reduce(group, partials)
         hold(self.buffers, "forward", out)

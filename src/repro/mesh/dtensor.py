@@ -97,10 +97,13 @@ def on_stacks(owner, *operands) -> bool:
     see :meth:`DTensor.from_blocks`) and the gate of SUMMA's batched executor
     (:func:`repro.core.summa._batched_ready`) holds.  The one test
     :func:`block_map`, the stacked collectives of :mod:`repro.comm.stacked`,
-    the optimizer and SUMMA's operand reads make.  A stack exists only for
-    uniform numeric shards on more than one rank, so placeholders, ragged or
-    mixed-dtype shards, q = 1 or p = 1, an operand owned elsewhere, an armed
-    injector and patched collectives all answer False."""
+    the optimizer, SUMMA's operand reads, both embeddings' lookup and the
+    serving step's QKV read and greedy sampler make; each then computes
+    once on the stacks and replays the per-rank charges.  A stack exists
+    only for uniform numeric shards on more than one rank, so placeholders,
+    ragged or mixed-dtype shards, q = 1 or p = 1, an operand owned
+    elsewhere, an armed injector and patched collectives all answer
+    False."""
     for op in operands:
         if op.blocks is None or op.owner is not owner:
             return False
@@ -135,16 +138,15 @@ def block_map(fn: Callable, owner, *operands, layout: Layout = None):
     first = operands[0]
     if layout is None:
         layout = first.layout
-    order = first.shards
+    order = first.ranks
     if on_stacks(owner, *operands):
         once = True
         for op in operands:
             if op.layout.kind != "replicated_1d":
                 once = False
                 break
-        if once:  # any rank's replica: the first one's shard view
-            rank = next(iter(order))
-            args = [op.shards[rank] for op in operands]
+        if once:  # any rank's replica: entry 0 of each stack
+            args = [op.blocks[0] for op in operands]
         else:
             args = [
                 op.blocks[:1] if op.layout.kind == "replicated_1d" else op.blocks
@@ -198,6 +200,26 @@ def _global_shape(owner, layout: Layout, shard) -> tuple:
     return shard  # every rank holds the whole tensor (or an addend of it)
 
 
+def _views(dt: "DTensor") -> dict:
+    """``{rank: view of its stack entry}`` in the order of a stacked
+    ``dt`` (see :meth:`DTensor.from_blocks`)."""
+    owner, blocks, order = dt.owner, dt.blocks, dt.order
+    q = getattr(owner, "q", None)
+    if q is None:  # a flat group
+        if len(blocks) == 1:
+            return dict.fromkeys(order, blocks[0])
+        local = dict(zip(owner.ranks, blocks))
+        return {r: local[r] for r in order}
+    if blocks.ndim - len(dt.global_shape) == 1:
+        a = blocks.shape[0]
+        local = [blocks[j % a] for j in range(q)]
+    else:
+        a, b = blocks.shape[:2]
+        local = [blocks[i % a, j % b] for i in range(q) for j in range(q)]
+    off = owner.rank_offset
+    return {r: local[r - off] for r in order}
+
+
 def _per_rank_result(owner, layout, shards: dict) -> "DTensor":
     if layout.kind != "blocked_2d":
         first = next(iter(shards.values()))
@@ -225,7 +247,7 @@ class DTensor:
     per mesh or group when :func:`on_stacks` says so.
     """
 
-    __slots__ = ("owner", "layout", "shards", "global_shape", "blocks")
+    __slots__ = ("owner", "layout", "shards", "global_shape", "blocks", "order")
 
     def __init__(
         self,
@@ -263,37 +285,28 @@ class DTensor:
         position (a ``(1, p) + shard`` array, one row of members, is read as
         that), or ``(1,) + shape``, one entry every rank views — marked
         read-only, since a write through one rank's handle would change all
-        p (stacks are for more than one rank).  ``order`` lists the ranks in
-        the key order of the shards — part of the output, since charges and
-        buffer holds are issued in shard order.  The invariant
+        p (stacks are for more than one rank).  ``order`` (a sequence, kept
+        as :attr:`ranks`) lists the ranks in the key order of the shards —
+        part of the output, since charges and buffer holds are issued in
+        shard order.
+
+        ``shards`` is built on first read, in ``order``: stacked math reads
+        a result through its stack, a mesh stack's :meth:`local` indexes
+        it, and most results are never read rank by rank.  The invariant
         ``shards[rank]`` *is the memory of* its entry holds by construction;
         nothing rebinds a shard afterwards (``partition.scatter_any`` writes
         through the views).
         """
-        q = getattr(owner, "q", None)
-        if q is None:  # a flat group
+        # __init__'s fields but ``shards`` (see __getattr__), without
+        # __init__'s check, which would run before the stack is set (stacked
+        # math builds a DTensor per result, so this is a hot path)
+        dt = cls.__new__(cls)
+        if getattr(owner, "q", None) is None:  # a flat group
             if blocks.ndim - len(global_shape) > 1:
                 blocks = blocks.reshape((-1,) + blocks.shape[-len(global_shape) :])
             if len(blocks) == 1:
                 blocks.setflags(write=False)
-                shards = dict.fromkeys(order, blocks[0])
-            else:
-                local = dict(zip(owner.ranks, blocks))
-                shards = {r: local[r] for r in order}
-        else:
-            if blocks.ndim - len(global_shape) == 1:
-                a = blocks.shape[0]
-                local = [blocks[j % a] for j in range(q)]
-            else:
-                a, b = blocks.shape[:2]
-                local = [blocks[i % a, j % b] for i in range(q) for j in range(q)]
-            off = owner.rank_offset
-            shards = {r: local[r - off] for r in order}
-        # __init__'s fields, without its copy of ``shards`` and its check,
-        # which would run before the stack is set (stacked math builds a
-        # DTensor per result, so this is a hot path)
-        dt = cls.__new__(cls)
-        dt.owner, dt.layout, dt.shards, dt.blocks = owner, layout, shards, blocks
+        dt.owner, dt.layout, dt.blocks, dt.order = owner, layout, blocks, order
         dt.global_shape = tuple(global_shape)
         sim = owner.sim
         if sim.is_enabled and sim.strict_invariants:
@@ -302,19 +315,81 @@ class DTensor:
             validate_dtensor(dt)
         return dt
 
+    def __getattr__(self, name):
+        # reached only for an unset slot: a stack's ``shards`` before its
+        # first read.  Anything else — any slot of a half-built copy — is
+        # missing (there, reading ``blocks`` below re-enters once, for
+        # "blocks", which raises)
+        if name == "shards":
+            try:
+                blocks = self.blocks
+            except AttributeError:
+                blocks = None
+            if blocks is not None:
+                self.shards = shards = _views(self)
+                return shards
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self):
+        # a stack's shards are views of it: a copy rebuilds them on first
+        # read, as views of the copied stack
+        state = {
+            "owner": self.owner,
+            "layout": self.layout,
+            "global_shape": self.global_shape,
+            "blocks": self.blocks,
+        }
+        if self.blocks is None:
+            state["shards"] = self.shards
+        else:
+            state["order"] = self.order
+        return state
+
+    def __setstate__(self, state) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        blocks = self.blocks
+        if blocks is not None and getattr(self.owner, "q", None) is None and len(blocks) == 1:
+            blocks.setflags(write=False)  # as from_blocks marks it
+
     # ------------------------------------------------------------------
     @property
     def ranks(self) -> Iterable[int]:
-        return self.shards.keys()
+        """The ranks in shard key order."""
+        return self.shards.keys() if self.blocks is None else self.order
 
     @property
     def dtype(self):
+        blocks = self.blocks
+        if blocks is not None:
+            return blocks.dtype
         return next(iter(self.shards.values())).dtype
 
     def local(self, rank: int):
-        return self.shards[rank]
+        """``rank``'s shard.  On a mesh's stack, a view of its entry,
+        without building ``shards``; a flat group's shards are read as one
+        object per rank (replicas handed back by rank-local math stay the
+        operand's objects, and every rank reads a ``(1,)`` stack's one
+        entry)."""
+        blocks = self.blocks
+        owner = self.owner
+        q = getattr(owner, "q", None)
+        if blocks is None or q is None:
+            return self.shards[rank]
+        k = rank - owner.rank_offset
+        if blocks.ndim - len(self.global_shape) == 1:  # row 0, by column
+            if not 0 <= k < q:
+                raise KeyError(rank)
+            return blocks[k % len(blocks)]
+        if not 0 <= k < q * q:
+            raise KeyError(rank)
+        i, j = divmod(k, q)
+        return blocks[i % blocks.shape[0], j % blocks.shape[1]]
 
     def shard_nbytes(self) -> int:
+        blocks = self.blocks
+        if blocks is not None:
+            return ops.nbytes(blocks[(0,) * (blocks.ndim - len(self.global_shape))])
         return ops.nbytes(next(iter(self.shards.values())))
 
     # ------------------------------------------------------------------
@@ -335,7 +410,8 @@ class DTensor:
                 f"layout/shape mismatch: {self.layout}/{self.global_shape} vs "
                 f"{other.layout}/{other.global_shape}"
             )
-        if self.shards.keys() != other.shards.keys():
+        mine, theirs = self.ranks, other.ranks
+        if mine is not theirs and set(mine) != set(theirs):
             raise ValueError("rank sets differ")
         return block_map(fn, self.owner, self, other)
 
@@ -370,5 +446,5 @@ class DTensor:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DTensor(layout={self.layout}, global_shape={self.global_shape}, "
-            f"ranks={len(self.shards)})"
+            f"ranks={len(self.ranks)})"
         )

@@ -181,7 +181,7 @@ class VocabStripedCrossEntropy(DistModule):
         if stack is None:
             dlogits = DTensor(self.owner, self.layout, shards, shape)
         else:
-            dlogits = DTensor.from_blocks(self.owner, self.layout, stack, shape, shards)
+            dlogits = DTensor.from_blocks(self.owner, self.layout, stack, shape, list(shards))
         if self.holds_dlogits:
             hold(self.buffers, "backward", dlogits)
         return dlogits

@@ -51,13 +51,13 @@ def _runs(dt: DTensor, measure) -> list:
     that measure the same — one run unless the shards are ragged (MoE expert
     blocks).  A block stack's shards are uniform by construction and ranks
     sharing one object (a dryrun placeholder) are measured once."""
-    shards = dt.shards
-    if dt.blocks is not None:
-        return [(measure(next(iter(shards.values()))), list(shards))]
+    blocks = dt.blocks
+    if blocks is not None:
+        return [(measure(blocks[(0,) * (blocks.ndim - len(dt.global_shape))]), dt.order)]
     runs = []
     last = value = None
     ranks: List[int] = []
-    for rank, shard in shards.items():
+    for rank, shard in dt.shards.items():
         if shard is not last:
             last, measured = shard, measure(shard)
             if ranks and measured != value:
@@ -264,7 +264,7 @@ def _gelu(pre: DTensor):
     owner = pre.owner
     if on_stacks(owner, pre):
         act, term = F.gelu_fwd(pre.blocks)
-        return DTensor.from_blocks(owner, pre.layout, act, pre.global_shape, pre.shards), term
+        return DTensor.from_blocks(owner, pre.layout, act, pre.global_shape, pre.ranks), term
     parts = rank_map(F.gelu_fwd, pre.shards, pre.shards)
     act = {rank: a for rank, (a, _) in parts.items()}
     return DTensor(owner, pre.layout, act, pre.global_shape), {
@@ -278,8 +278,8 @@ def _gelu_backward(pre: DTensor, term, d_act: DTensor) -> DTensor:
     if type(term) is not dict:  # the forward ran on pre's stack
         if on_stacks(owner, pre, d_act):
             d_pre = F.gelu_bwd_from(pre.blocks, term, d_act.blocks)
-            return DTensor.from_blocks(owner, pre.layout, d_pre, pre.global_shape, pre.shards)
-        term = DTensor.from_blocks(owner, pre.layout, term, pre.global_shape, pre.shards).shards
+            return DTensor.from_blocks(owner, pre.layout, d_pre, pre.global_shape, pre.ranks)
+        term = DTensor.from_blocks(owner, pre.layout, term, pre.global_shape, pre.ranks).shards
     shards = rank_map(F.gelu_bwd_from, pre.shards, pre.shards, term, d_act.shards)
     return DTensor(owner, pre.layout, shards, pre.global_shape)
 

@@ -179,21 +179,32 @@ class Simulator:
                         "compute", (rank,), t0, t1, label=kind, attrs={"flops": flops}
                     )
 
-    def charge_collective(
-        self, devices: Sequence[SimDevice], dt: float, nbytes: float, weighted: float
-    ) -> float:
-        """One collective over ``devices`` (a group's, see
-        :attr:`~repro.comm.group.ProcessGroup.devices`): barrier, advance by
-        ``dt`` and one ``charge_comm`` each; returns the barrier time."""
-        t0 = max([d.clock for d in devices])
-        t1 = t0 + dt
-        for d in devices:
-            d.clock = t1
-            d.comm_time += dt
-            d.bytes_comm += nbytes
-            d.weighted_comm_volume += weighted
-            d.num_collectives += 1
-        return t0
+    def charge_collectives(self, kind: str, lines: Iterable[tuple]) -> None:
+        """One ``kind`` collective on each ``(group, (dt, nbytes, weighted))``
+        of ``lines``, in order (a mesh's rows or columns, or one group):
+        barrier over the group's devices (see
+        :attr:`~repro.comm.group.ProcessGroup.devices`), advance by ``dt``,
+        one ``charge_comm`` each and the trace record.  A single-rank group
+        moves no data and is charged nothing."""
+        tr = self.tracer
+        traced = tr.enabled
+        for group, (dt, nbytes, weighted) in lines:
+            devices = group.devices
+            if len(devices) <= 1:
+                continue
+            t0 = max([d.clock for d in devices])
+            t1 = t0 + dt
+            for d in devices:
+                d.clock = t1
+                d.comm_time += dt
+                d.bytes_comm += nbytes
+                d.weighted_comm_volume += weighted
+                d.num_collectives += 1
+            if traced:
+                tr.record(
+                    kind, group.ranks, t0, t1,
+                    nbytes=nbytes, label=group.kind, weighted=weighted,
+                )
 
     def elapsed(self) -> float:
         """Simulated wall-clock of the job so far (slowest rank)."""

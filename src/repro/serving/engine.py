@@ -33,6 +33,7 @@ vocabulary index, matching a serial ``argmax``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,10 +41,11 @@ import numpy as np
 
 from repro.comm import collectives as coll
 from repro.comm.group import ProcessGroup
+from repro.comm.stacked import precosts
 from repro.config import ModelConfig
 from repro.core.model import OptimusModel
 from repro.megatron.model import MegatronModel
-from repro.mesh.dtensor import DTensor
+from repro.mesh.dtensor import DTensor, on_stacks
 from repro.mesh.mesh import Mesh
 from repro.nn.transformer import ELEMWISE_COST, TransformerModel, charge_elementwise
 from repro.reference.attention import decode_attention_fwd
@@ -345,22 +347,33 @@ class ServingEngine:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _pick_winner(gathered: np.ndarray, stripes: int) -> np.ndarray:
-        """Global argmax from per-stripe ``(max, argmax)`` pairs ``[B, 2k]``.
+    def _pick_winner(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Global argmax ``[rows, width]`` from each stripe's maxima and
+        their vocabulary indices, both ``[rows, stripes, width]``.
 
         Strictly-greater comparison walking stripes in order makes ties
         resolve to the lowest vocabulary index — identical to a serial
         ``np.argmax`` over the assembled logits row.
         """
-        best_val = gathered[:, 0].copy()
-        best_idx = gathered[:, 1].copy()
-        for c in range(1, stripes):
-            val = gathered[:, 2 * c]
-            idx = gathered[:, 2 * c + 1]
-            better = val > best_val
-            best_val = np.where(better, val, best_val)
-            best_idx = np.where(better, idx, best_idx)
+        best_val = values[:, 0]
+        best_idx = indices[:, 0]
+        for c in range(1, values.shape[1]):
+            better = values[:, c] > best_val
+            best_val = np.where(better, values[:, c], best_val)
+            best_idx = np.where(better, indices[:, c], best_idx)
         return best_idx
+
+    def _by_row(self, x: DTensor) -> Optional[np.ndarray]:
+        """``x``'s block stack as ``[rows, g] + shard``, every rank's shard
+        by shard group and group position (Optimus: the q×q stack; Megatron:
+        the one row of p), or None when ``x`` is not on a full stack."""
+        blocks = x.blocks
+        if not on_stacks(self.model.owner, x):
+            return None
+        lead = blocks.shape[: blocks.ndim - len(x.global_shape)]
+        if math.prod(lead) != len(self.all_ranks):
+            return None
+        return blocks.reshape((len(self.rows), self.rows[0].size) + blocks.shape[len(lead) :])
 
 
     # ------------------------------------------------------------------
@@ -405,15 +418,18 @@ class ServingEngine:
         for layer in model.layers:
             a = layer.ln1.forward(x)
             qkv = layer.attn.qkv_linear.forward(a)  # [rows·width, 3h]
+            qkv_rows = self._by_row(qkv)
             # every rank's context [width, n_loc·d], one array [rows, g, …]
             # in group-rank order (Optimus: the q×q block stack)
             contexts = np.empty((len(self.rows), g, width, n_loc * d), dtype=qkv.dtype)
             for gid, (row, group) in enumerate(zip(plan.rows, self.rows)):
                 ranks = group.ranks
                 # the group's head shards concatenate in group-rank order
-                fused = np.concatenate([qkv.local(r) for r in ranks], axis=1).reshape(
-                    (width, cfg.num_heads, 3, d)
-                )
+                if qkv_rows is None:
+                    fused = np.concatenate([qkv.local(r) for r in ranks], axis=1)
+                else:
+                    fused = qkv_rows[gid].transpose(1, 0, 2)
+                fused = fused.reshape((width, cfg.num_heads, 3, d))
                 real = len(row.entries)
                 # the group's contexts, filled through a lane-major view
                 ctx = contexts[gid]
@@ -457,22 +473,40 @@ class ServingEngine:
         return DTensor.from_blocks(owner, layout, contexts, global_shape, self.all_ranks)
 
     def _sample_greedy(self, logits: DTensor, rows: List[List[LaneInput]]) -> Dict[int, int]:
-        stripes = self.rows[0].size
-        v_loc = self.cfg.vocab_size // stripes
+        g = self.rows[0].size  # vocabulary stripes per row
+        v_loc = self.cfg.vocab_size // g
+        width = logits.global_shape[0] // len(self.rows)
+        charges = ((2.0 * width * v_loc, "elementwise"),)  # every stripe is [width, v_loc]
+        # each stripe's (max, argmax) pairs go out as one [width, 2] buffer
+        # of the logits' dtype; the argmax stays an integer beside it (a
+        # float16 holds integers exactly only up to 2048)
+        stripes = self._by_row(logits)  # [rows, g, width, v_loc]
+        if stripes is not None:
+            values = stripes.max(axis=-1)
+            indices = stripes.argmax(axis=-1) + np.arange(g)[:, None] * v_loc
+            owner = self.model.owner
+            lines = "row_groups" if isinstance(owner, Mesh) else None  # None: the one group
+            nbytes = width * 2 * g * logits.dtype.itemsize
+            for line in precosts(owner, lines, "all_gather", nbytes):
+                self.sim.charge_compute(line[0].ranks, charges)
+                coll.charge_only("all_gather", (line,))
+        else:
+            values = np.empty((len(self.rows), g, width), logits.dtype)
+            indices = np.empty((len(self.rows), g, width), np.int64)
+            for r, group in enumerate(self.rows):
+                shards = {}
+                for j, rank in enumerate(group.ranks):
+                    ll = np.asarray(logits.local(rank))
+                    values[r, j] = ll.max(axis=1)
+                    indices[r, j] = ll.argmax(axis=1) + j * v_loc
+                    shards[rank] = np.stack([values[r, j], indices[r, j]], axis=1).astype(ll.dtype)
+                self.sim.charge_compute(group.ranks, charges)
+                coll.all_gather(group, shards, axis=1)  # [width, 2·g]
+        best = self._pick_winner(values, indices)
         sampled: Dict[int, int] = {}
-        for row, group in zip(rows, self.rows):
-            shards = {}
-            for j, rank in enumerate(group.ranks):
-                ll = np.asarray(logits.local(rank))
-                mx = ll.max(axis=1)
-                ix = ll.argmax(axis=1).astype(ll.dtype) + j * v_loc
-                shards[rank] = np.stack([mx, ix], axis=1)  # [width, 2]
-            # every stripe is [width, v_loc]
-            self.sim.charge_compute(group.ranks, ((2.0 * ll.size, "elementwise"),))
-            gathered = coll.all_gather(group, shards, axis=1)  # [width, 2·stripes]
-            best = self._pick_winner(np.asarray(gathered[group.ranks[0]]), stripes)
+        for r, row in enumerate(rows):
             for w, e in enumerate(row):
-                sampled[e.slot] = int(best[w])
+                sampled[e.slot] = int(best[r, w])
         return sampled
 
 

@@ -79,7 +79,7 @@ class _DistOptimizerBase:
                 slots.append(
                     DTensor.from_blocks(
                         data.owner, data.layout, np.zeros_like(data.blocks),
-                        data.global_shape, data.shards,
+                        data.global_shape, data.ranks,
                     )
                 )
         if self.sim is not None and self.n_state_slots:

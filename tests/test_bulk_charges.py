@@ -1,7 +1,8 @@
 """Bulk charges ≡ the per-rank loops they replaced.
 
-``Simulator.charge_compute`` / ``charge_collective`` (through
-``collectives.charge_only``) and ``BufferManager.hold_many`` /
+``Simulator.charge_compute`` / ``charge_collectives`` (through
+``collectives.charge_only``, all of a mesh's lines in one call) and
+``BufferManager.hold_many`` /
 ``compute_in_workspace`` issue from one frame what used to be one
 ``SimDevice.compute`` / ``charge_comm`` / ``Simulator.sync`` + ``advance`` /
 ``BufferManager.hold`` / ``release`` call per rank.  Those methods stay the
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import collectives as coll
+from repro.comm.group import ProcessGroup
 from repro.core.buffers import REGIONS, BufferManager
 from repro.mesh.mesh import Mesh
 from repro.runtime import OutOfDeviceMemory, Simulator
@@ -51,6 +53,20 @@ def _program(q):
         st.tuples(st.just("trim"), _REGION),
     )
     return st.lists(op, min_size=1, max_size=25)
+
+
+def _charge_one_line(sim, group, kind, dt, nbytes, weighted):
+    """One collective's charge, device by device (a size-1 group is free)."""
+    if group.size <= 1:
+        return
+    t0 = sim.sync(group.ranks)
+    sim.advance(group.ranks, dt)
+    for r in group.ranks:
+        sim.device(r).charge_comm(dt, nbytes, weighted)
+    sim.tracer.record(
+        kind, group.ranks, t0, t0 + dt,
+        nbytes=nbytes, label=group.kind, weighted=weighted,
+    )
 
 
 def _holds(ranks, sizes):
@@ -108,7 +124,7 @@ class Bulk(_Run):
         self.sim.charge_compute(ranks, charges)
 
     def collective(self, g, dt, nbytes, weighted):
-        coll.charge_only(self.groups[g], "broadcast", (dt, nbytes, weighted))
+        coll.charge_only("broadcast", [(self.groups[g], (dt, nbytes, weighted))])
 
     def hold(self, region, ranks, sizes):
         self.buffers.hold_many(region, _holds(ranks, sizes))
@@ -126,17 +142,7 @@ class PerRank(_Run):
                 self.sim.device(r).compute(flops, kind=kind)
 
     def collective(self, g, dt, nbytes, weighted):
-        group, sim = self.groups[g], self.sim
-        if group.size <= 1:
-            return
-        t0 = sim.sync(group.ranks)
-        sim.advance(group.ranks, dt)
-        for r in group.ranks:
-            sim.device(r).charge_comm(dt, nbytes, weighted)
-        sim.tracer.record(
-            "broadcast", group.ranks, t0, t0 + dt,
-            nbytes=nbytes, label=group.kind, weighted=weighted,
-        )
+        _charge_one_line(self.sim, self.groups[g], "broadcast", dt, nbytes, weighted)
 
     def hold(self, region, ranks, sizes):
         for r, n in _holds(ranks, sizes):
@@ -216,3 +222,58 @@ def test_negative_flops_charge_nothing():
     with pytest.raises(ValueError, match="negative flops"):
         sim.charge_compute([0, 1, 2], [(5.0, "gemm"), (-1.0, "gemm")])
     assert sim.elapsed() == 0.0 and sim.total_flops() == 0.0 and not sim.tracer.events
+
+
+def _line_program(q, n_groups):
+    p = q * q
+    line = st.tuples(
+        st.integers(0, n_groups - 1), st.floats(0.0, 1e-2), st.floats(0.0, 1e9),
+        st.floats(0.0, 1e9),
+    )
+    op = st.one_of(
+        st.tuples(st.just("compute"), _ranks(p), st.lists(_CHARGE, min_size=1, max_size=2)),
+        st.tuples(
+            st.just("lines"), st.sampled_from(["broadcast", "reduce", "all_reduce", "all_gather"]),
+            st.lists(line, max_size=2 * q + 2),
+        ),
+    )
+    return st.lists(op, min_size=1, max_size=12)
+
+
+def _line_groups(sim, q):
+    """A mesh's rows, columns and world, and two single-rank groups."""
+    mesh = Mesh(sim, q)
+    solo = [ProcessGroup(sim, (r,)) for r in (0, q * q - 1)]
+    return mesh.row_groups + mesh.col_groups + [mesh.world] + solo
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_multi_line_charge_is_one_charge_per_line(q, data):
+    """``charge_only(kind, lines)`` charges each ``(group, precost)`` in turn
+    exactly as one collective per line would — clocks (the barrier sees the
+    lines before it), the four comm counters and the raw trace events — and
+    a single-rank line charges nothing."""
+    bulk, per_line = (Simulator.for_mesh(q=q, trace=True) for _ in range(2))
+    groups = {sim: _line_groups(sim, q) for sim in (bulk, per_line)}
+    for name, *args in data.draw(_line_program(q, len(groups[bulk]))):
+        if name == "compute":
+            for sim in (bulk, per_line):
+                sim.charge_compute(*args)
+            continue
+        kind, lines = args
+        coll.charge_only(
+            kind, [(groups[bulk][g], (dt, nbytes, w)) for g, dt, nbytes, w in lines]
+        )
+        for g, dt, nbytes, w in lines:
+            _charge_one_line(per_line, groups[per_line][g], kind, dt, nbytes, w)
+    seen = [
+        (
+            [(d.clock, d.comm_time, d.bytes_comm, d.weighted_comm_volume, d.num_collectives)
+             for d in sim.devices],
+            sim.tracer.events,
+        )
+        for sim in (bulk, per_line)
+    ]
+    assert seen[0] == seen[1]
