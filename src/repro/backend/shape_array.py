@@ -36,6 +36,11 @@ def _normalize_axis(axis, ndim):
 _BCAST_CACHE: dict = {}
 
 
+#: every placeholder, by ``(shape, dtype name)``; unbounded like
+#: ``_BCAST_CACHE`` (a run makes a few thousand distinct signatures at most)
+_INTERNED: dict = {}
+
+
 def _broadcast_shapes(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     if a == b:
         return a
@@ -50,18 +55,21 @@ class ShapeArray:
     """An array placeholder carrying only ``shape`` and ``dtype``.
 
     Immutable after construction, and relied on to be: every operation
-    returns a new placeholder, writes (``__setitem__`` and the scatter ops of
+    returns a placeholder, writes (``__setitem__`` and the scatter ops of
     :mod:`repro.backend.ops`) are no-ops, and nothing in ``src/`` assigns
-    ``shape`` or ``dtype`` afterwards.  That is what lets the collectives
-    pass placeholders through un-copied, and
-    :func:`repro.mesh.dtensor.rank_map` and the batched SUMMA executor hand
-    one placeholder to every rank whose result has that shape and dtype.
+    ``shape`` or ``dtype`` afterwards.  So placeholders are *interned*:
+    ``ShapeArray(shape, dtype)`` returns the one object of that ``(shape,
+    dtype)``, and an equal signature means the same object.  That is what
+    lets the collectives pass placeholders through un-copied, and
+    :func:`repro.mesh.dtensor.rank_map` recognise ranks that share one
+    evaluation by identity alone.  ``copy.copy``, ``copy.deepcopy`` and
+    pickle return the interned object too.
     """
 
     __slots__ = ("shape", "dtype")
     __array_priority__ = 100.0  # make numpy defer to our reflected operators
 
-    def __init__(self, shape, dtype=None):
+    def __new__(cls, shape, dtype=None):
         # fast path: shapes almost always arrive as tuples of plain ints
         # (propagated from an existing ShapeArray)
         if type(shape) is tuple:
@@ -71,13 +79,26 @@ class ShapeArray:
                     break
         else:
             shape = tuple(int(s) for s in shape)
-        self.shape: Tuple[int, ...] = shape
-        self.dtype: DType = (
-            dtype if type(dtype) is DType
-            else as_dtype(dtype if dtype is not None else "float32")
-        )
-        if any(s < 0 for s in shape):
-            raise ValueError(f"negative dimension in shape {shape}")
+        if type(dtype) is not DType:
+            dtype = as_dtype(dtype if dtype is not None else "float32")
+        key = (shape, dtype.name)
+        self = _INTERNED.get(key)
+        if self is None:
+            if any(s < 0 for s in shape):
+                raise ValueError(f"negative dimension in shape {shape}")
+            self = object.__new__(cls)
+            self.shape: Tuple[int, ...] = shape
+            self.dtype: DType = dtype
+            _INTERNED[key] = self
+        return self
+
+    def __init__(self, shape, dtype=None):
+        # construction is __new__'s; a def of its own keeps instrumentation
+        # that wraps ``ShapeArray.__init__`` off ``object.__init__``
+        pass
+
+    def __reduce__(self):
+        return ShapeArray, (self.shape, self.dtype.name)
 
     # ------------------------------------------------------------------
     # basic properties
@@ -157,14 +178,20 @@ class ShapeArray:
         a, b = self.shape, tuple(other.shape)
         if len(a) < 1 or len(b) < 1:
             raise ValueError("matmul operands must be at least 1-D")
-        if len(a) == 1:
+        # a 1-D operand is promoted to a matrix and the promoted axis dropped
+        # from the result, as numpy does
+        vec_a, vec_b = len(a) == 1, len(b) == 1
+        if vec_a:
             a = (1,) + a
-        if len(b) == 1:
+        if vec_b:
             b = b + (1,)
         if a[-1] != b[-2]:
             raise ValueError(f"matmul inner dims mismatch: {self.shape} @ {tuple(other.shape)}")
-        batch = _broadcast_shapes(a[:-2], b[:-2])
-        shape = batch + (a[-2], b[-1])
+        shape = _broadcast_shapes(a[:-2], b[:-2])
+        if not vec_a:
+            shape += (a[-2],)
+        if not vec_b:
+            shape += (b[-1],)
         odt = other.dtype if isinstance(other, ShapeArray) else as_dtype(other.dtype)
         return ShapeArray(shape, result_float(self.dtype, odt))
 
@@ -243,7 +270,7 @@ class ShapeArray:
                 out.append(1)
                 continue
             d = next(dims)
-            if isinstance(k, int):
+            if isinstance(k, (int, np.integer)):
                 if not -d <= k < d:
                     raise IndexError(f"index {k} out of range for axis of size {d}")
                 continue  # dimension removed

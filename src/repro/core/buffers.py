@@ -47,6 +47,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs.metrics import Gauge
 from repro.runtime.simulator import Simulator
 
 REGIONS = ("workspace", "forward", "backward", "param_grad", "conjunction", "checkpoint")
@@ -133,6 +134,8 @@ class ArrayPool:
 class _Region:
     usage: int = 0  # live bytes logically held
     capacity: int = 0  # arena size actually charged (managed mode)
+    #: the ``buffer_capacity_bytes`` gauge, taken at the first growth
+    gauge: Optional[Gauge] = None
 
 
 class BufferManager:
@@ -185,34 +188,48 @@ class BufferManager:
             if usage > st.capacity:
                 mem.alloc(usage - st.capacity, self._tag(region))
                 st.capacity = usage
-                # arena growths are rare — publish the new high-water mark
-                self.sim.metrics.gauge(
-                    "buffer_capacity_bytes", region=region, rank=rank
-                ).set(st.capacity)
+                self._capacity_gauge(st, region, rank).set(usage)
         else:
             mem.alloc(nbytes, self._tag(region))
         st.usage = usage
         return nbytes
 
+    def _capacity_gauge(self, st: _Region, region: str, rank: int) -> Gauge:
+        # arena growths are rare, so the handle is taken at the first one;
+        # it publishes each new high-water mark
+        gauge = st.gauge
+        if gauge is None:
+            gauge = st.gauge = self.sim.metrics.gauge(
+                "buffer_capacity_bytes", region=region, rank=rank
+            )
+        return gauge
+
     def hold_many(self, region: str, holds: Sequence[Tuple[int, int]]) -> None:
         """:meth:`hold` each ``(rank, nbytes)`` of ``holds`` (integer byte
-        counts), in order, from one frame.  A hold that fits its managed
-        arena only moves the usage mark; arena growth and unmanaged mode go
-        through :meth:`hold`, so allocations, gauges and a strict-capacity
-        OOM happen where a ``hold`` loop has them.  No rank is touched if any
-        entry is negative."""
+        counts), in order, from one frame.  A managed arena grows here as in
+        :meth:`hold` (allocation, then capacity, then gauge), so a
+        strict-capacity OOM leaves the region unchanged and the entries
+        before it held; unmanaged mode goes through :meth:`hold`.  No rank is
+        touched if any entry is negative."""
         for _rank, nbytes in holds:
             if nbytes < 0:
                 raise ValueError("negative allocation")
         region = self._canonical(region)
+        if not self.managed:
+            for rank, nbytes in holds:
+                self.hold(region, rank, nbytes)
+            return
         regions = self._regions[region]
-        managed = self.managed
+        devices = self.sim.devices
+        tag = self._tag(region)
         for rank, nbytes in holds:
             st = regions[rank]
-            if managed and st.usage + nbytes <= st.capacity:
-                st.usage += nbytes
-            else:
-                self.hold(region, rank, nbytes)
+            usage = st.usage + nbytes
+            if usage > st.capacity:
+                devices[rank].memory.alloc(usage - st.capacity, tag)
+                st.capacity = usage
+                self._capacity_gauge(st, region, rank).set(usage)
+            st.usage = usage
 
     def compute_in_workspace(self, ranks: Sequence[int], nbytes: int, flops: float) -> None:
         """SUMMA's workspace pattern on each of ``ranks``: hold ``nbytes`` of

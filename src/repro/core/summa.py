@@ -33,7 +33,11 @@ duration of the product.
 **Plan.**  The schedule of a product (which group broadcasts which root's
 block, the α–β price of every collective, per-rank FLOP and scratch-byte
 counts) depends only on ``(mesh, algorithm, per-rank shapes and dtypes)``.
-It is computed once per distinct key and cached on the mesh.
+It is computed once per distinct key and cached on the mesh, and keeps
+shapes and dtypes only, never an operand's data.  When each operand's
+blocks share one shape and dtype the batched descriptor is built from the
+mesh's lines and the per-rank schedule (q³ gemm entries) waits for a
+per-rank run; a ragged plan builds the per-rank schedule at once.
 
 **Executors.**  The *per-rank* executor issues every broadcast and reduce
 through :mod:`repro.comm.collectives` and multiplies one rank's blocks at a
@@ -58,7 +62,7 @@ is derived once, the charges are made p times.
 **Selection** is made per call from what the code observes, never from an
 option: the batched executor runs whenever it is bit-exact, i.e. every
 per-rank block of each operand shares one shape and dtype on a q > 1 mesh
-(:func:`_batched_of`), no fault injector is armed and the collectives are
+(the plan's ``batched``), no fault injector is armed and the collectives are
 unpatched (:func:`_batched_ready`), and numeric operands carry full block
 stacks (:func:`_takes_batched`).  Everything else — ragged MoE shards
 (numeric or dryrun), mixed per-shard dtypes, q = 1, an armed injector,
@@ -69,12 +73,13 @@ compare against.
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.backend import ops
-from repro.backend.dtypes import result_float
+from repro.backend.dtypes import as_dtype, result_float
 from repro.backend.shape_array import ShapeArray, is_shape_array
 from repro.comm import collectives as coll
 from repro.core.buffers import ArrayPool, BufferManager
@@ -133,10 +138,18 @@ def _pool_of(sim) -> ArrayPool:
 # ----------------------------------------------------------------------
 # execution plans
 # ----------------------------------------------------------------------
+class _Block(NamedTuple):
+    """What a plan keeps of an operand's block: never the block itself."""
+
+    shape: tuple
+    nbytes: int
+
+
 class _Plan:
     """The precomputed schedule of one SUMMA product on one mesh.
 
-    ``steps`` holds, per SUMMA step l, ``(bcasts, groups)``:
+    ``steps`` is the per-rank executor's schedule, per SUMMA step l
+    ``(bcasts, groups)``:
 
     * ``bcasts`` — ``(operand, group, root, precost)`` in call order;
     * ``groups`` — ``(gemms, reduce)`` in call order, ``gemms`` a list of
@@ -145,19 +158,21 @@ class _Plan:
 
     A precost is the ``(dt, nbytes, weighted)`` triple the collective would
     compute from the block's byte size, so charging is identical to
-    unplanned execution.
+    unplanned execution.  A ragged plan builds ``steps`` with the plan; a
+    uniform one keeps its operands' ``blocks`` (one :class:`_Block` each)
+    and builds ``steps`` on the first per-rank run
+    (:func:`_per_rank_steps`).  ``batched`` is the batched executor's
+    :class:`_BatchedDesc` (uniform plans on q > 1), else None.
     """
 
-    __slots__ = ("steps", "numeric", "out_dtype", "batched")
+    __slots__ = ("steps", "numeric", "out_dtype", "batched", "blocks")
 
-    def __init__(self, steps, numeric, out_dtype):
+    def __init__(self, steps, numeric, out_dtype, blocks=None, batched=None):
         self.steps = steps
         self.numeric = numeric
         self.out_dtype = out_dtype
-        #: lazily-built batched descriptor: ``None`` = not yet examined,
-        #: ``False`` = ineligible (ragged/q=1), else a
-        #: :class:`_BatchedDesc`
-        self.batched = None
+        self.blocks = blocks
+        self.batched = batched
 
 
 def _dtype_sig(mesh: Mesh, x: DTensor, numeric: bool):
@@ -182,12 +197,14 @@ def _shape_sig(mesh: Mesh, x: DTensor):
     return tuple(shards[r].shape for r in mesh.ranks)
 
 
-def _out_dtype(a: DTensor, b: DTensor, numeric: bool):
-    ablk = next(iter(a.shards.values()))
-    bblk = next(iter(b.shards.values()))
+def _out_dtype(dtype_a, dtype_b, numeric: bool):
     if numeric:
-        return np.result_type(ablk.dtype, bblk.dtype)
-    return result_float(ablk.dtype, bblk.dtype)
+        return np.result_type(dtype_a, dtype_b)
+    return result_float(dtype_a, dtype_b)
+
+
+def _itemsize(dtype, numeric: bool) -> int:
+    return np.dtype(dtype).itemsize if numeric else as_dtype(dtype).itemsize
 
 
 def _line(mesh: Mesh, axis: int, t: int, l: int):
@@ -199,12 +216,26 @@ def _line(mesh: Mesh, axis: int, t: int, l: int):
     return mesh.col_groups[t], mesh.rank(l, t)
 
 
-def _build_plan(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor, numeric: bool) -> _Plan:
+def _inner_dims(algo: _Algo, rank: int, l: int, shape_a, shape_b):
+    """``(m, k, n)`` of one local product; a bad partition raises here, since
+    :func:`_summa` compares only the global K and no executor is bound to
+    multiply the two blocks (a batched dryrun multiplies nothing)."""
+    m, k = shape_a[::-1] if algo.ta else shape_a
+    k2, n = shape_b[::-1] if algo.tb else shape_b
+    if k != k2:
+        raise ValueError(
+            f"block inner dims mismatch for {algo.name} at rank {rank}, "
+            f"step {l}: A block {shape_a}, B block {shape_b}"
+        )
+    return m, k, n
+
+
+def _schedule(mesh: Mesh, algo: _Algo, block_of, itemsize: int) -> list:
+    """The per-rank steps (see :class:`_Plan`); ``block_of(operand, rank)``
+    is that rank's block of A (0) or B (1), anything with ``shape`` and
+    ``nbytes``.  Every GEMM cell is checked."""
     q = mesh.q
-    operands = (a.shards, b.shards)
     bcast_a, bcast_b = 0 in algo.bcast, 1 in algo.bcast
-    out_dtype = _out_dtype(a, b, numeric)
-    itemsize = np.dtype(out_dtype).itemsize if numeric else out_dtype.itemsize
     if algo.reduce is None:
         cells = [[mesh.coords(rank) for rank in mesh.ranks]]
     else:  # one gemm group per reduced line, members in group-rank order
@@ -218,7 +249,7 @@ def _build_plan(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor, numeric: bool) 
         for op in algo.bcast:
             for t in range(q):
                 group, root = _line(mesh, op, t, l)
-                nb = ops.nbytes(operands[op][root])
+                nb = int(block_of(op, root).nbytes)
                 bcasts.append((op, group, root, group.model.price("broadcast", nb)))
         groups = []
         for t, cell in enumerate(cells):
@@ -226,32 +257,87 @@ def _build_plan(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor, numeric: bool) 
             m = n = 0
             for i, j in cell:
                 rank = mesh.rank(i, j)
-                ablk = operands[0][mesh.rank(i, l) if bcast_a else rank]
-                bblk = operands[1][mesh.rank(l, j) if bcast_b else rank]
-                m, k = ablk.shape[::-1] if algo.ta else ablk.shape
-                k2, n = bblk.shape[::-1] if algo.tb else bblk.shape
-                if k != k2:
-                    # _summa compares only the global K, and no executor is
-                    # bound to multiply these two blocks (a batched dryrun
-                    # multiplies nothing), so the plan is where a bad
-                    # partition is caught
-                    raise ValueError(
-                        f"block inner dims mismatch for {algo.name} at rank {rank}, "
-                        f"step {l}: A block {ablk.shape}, B block {bblk.shape}"
-                    )
+                ablk = block_of(0, mesh.rank(i, l) if bcast_a else rank)
+                bblk = block_of(1, mesh.rank(l, j) if bcast_b else rank)
+                m, k, n = _inner_dims(algo, rank, l, ablk.shape, bblk.shape)
                 # workspace holds what this rank received, not what it owns
-                scratch = (ops.nbytes(ablk) if bcast_a else 0) + (
-                    ops.nbytes(bblk) if bcast_b else 0
+                scratch = (int(ablk.nbytes) if bcast_a else 0) + (
+                    int(bblk.nbytes) if bcast_b else 0
                 )
                 gemms.append((rank, mesh.device(rank), 2.0 * m * k * n, scratch, (m, n)))
             reduce = None
             if algo.reduce is not None:
                 group, root = _line(mesh, algo.reduce, t, l)
-                nb = m * n * itemsize
-                reduce = (group, root, group.model.price("reduce", nb))
+                reduce = (group, root, group.model.price("reduce", m * n * itemsize))
             groups.append((gemms, reduce))
         steps.append((bcasts, groups))
+    return steps
+
+
+def _build_plan(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor, numeric: bool) -> _Plan:
+    """A plan with its per-rank schedule, read shard by shard (ragged
+    operands)."""
+    operands = (a.shards, b.shards)
+    out_dtype = _out_dtype(
+        next(iter(operands[0].values())).dtype, next(iter(operands[1].values())).dtype,
+        numeric,
+    )
+    steps = _schedule(
+        mesh, algo, lambda op, rank: operands[op][rank], _itemsize(out_dtype, numeric)
+    )
     return _Plan(steps, numeric, out_dtype)
+
+
+def _uniform_plan(mesh: Mesh, algo: _Algo, sig_a, sig_b, numeric: bool) -> _Plan:
+    """A plan for operands whose blocks share one ``(shape, dtype)`` each.
+
+    Every gemm is alike, and every line of a step is priced from one block
+    size, so the batched descriptor is built from the mesh's lines — O(q)
+    Python, not a per-rank pass — and the per-rank ``steps`` wait for a
+    per-rank run.  The inner dimensions are checked once, on the first cell
+    (rank (0, 0), step 0) the per-rank schedule would check."""
+    q = mesh.q
+    blocks = tuple(
+        _Block(shape, prod(shape) * _itemsize(dtype, numeric))
+        for shape, dtype in (sig_a, sig_b)
+    )
+    m, k, n = _inner_dims(algo, mesh.rank(0, 0), 0, blocks[0].shape, blocks[1].shape)
+    out_dtype = _out_dtype(sig_a[1], sig_b[1], numeric)
+    if q == 1:
+        return _Plan(None, numeric, out_dtype, blocks)
+    bcasts = [
+        (group, group.model.price("broadcast", blocks[op].nbytes))
+        for op in algo.bcast
+        for group in (mesh.row_groups if op == 0 else mesh.col_groups)
+    ]
+    if algo.reduce is None:  # ab: every block, mesh order
+        groups = [(list(mesh.ranks), None)]
+        order = list(mesh.ranks)
+    else:  # one gemm group per reduced line; the line's root on the diagonal
+        nb = m * n * _itemsize(out_dtype, numeric)
+        lines = mesh.row_groups if algo.reduce == 0 else mesh.col_groups
+        groups = [
+            (list(group.ranks), ((group, group.model.price("reduce", nb)),))
+            for group in lines
+        ]
+        order = [_line(mesh, algo.reduce, t, l)[1] for l in range(q) for t in range(q)]
+    scratch = sum(blocks[op].nbytes for op in algo.bcast)
+    desc = _BatchedDesc(
+        [(bcasts, groups)] * q, 2.0 * m * k * n, scratch, (q, q, m, n),
+        [(r, mesh.coords(r)) for r in order], order,
+    )
+    return _Plan(None, numeric, out_dtype, blocks, desc)
+
+
+def _per_rank_steps(mesh: Mesh, algo: _Algo, plan: _Plan) -> list:
+    """``plan.steps``, built on first use from a uniform plan's blocks."""
+    if plan.steps is None:
+        blocks = plan.blocks
+        plan.steps = _schedule(
+            mesh, algo, lambda op, _rank: blocks[op],
+            _itemsize(plan.out_dtype, plan.numeric),
+        )
+    return plan.steps
 
 
 def _block_sig(x: DTensor, numeric: bool):
@@ -274,18 +360,21 @@ def _get_plan(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor) -> _Plan:
     sig_b = _block_sig(b, numeric) if sig_a is not None else None
     if sig_b is not None:  # uniform blocks: one shape and dtype per operand
         key = (algo.name, a.global_shape, b.global_shape, sig_a, sig_b, numeric)
-    else:
-        key = (
-            "ragged",
-            algo.name,
-            a.global_shape,
-            b.global_shape,
-            _shape_sig(mesh, a),
-            _shape_sig(mesh, b),
-            _dtype_sig(mesh, a, numeric),
-            _dtype_sig(mesh, b, numeric),
-            numeric,
-        )
+        plan = cache.get(key)
+        if plan is None:
+            plan = cache[key] = _uniform_plan(mesh, algo, sig_a, sig_b, numeric)
+        return plan
+    key = (
+        "ragged",
+        algo.name,
+        a.global_shape,
+        b.global_shape,
+        _shape_sig(mesh, a),
+        _shape_sig(mesh, b),
+        _dtype_sig(mesh, a, numeric),
+        _dtype_sig(mesh, b, numeric),
+        numeric,
+    )
     plan = cache.get(key)
     if plan is None:
         plan = cache[key] = _build_plan(mesh, algo, a, b, numeric)
@@ -313,7 +402,7 @@ def _run_per_rank(mesh, algo, a, b, plan, buffers) -> dict:
     out_dtype = plan.out_dtype
     ta, tb = algo.ta, algo.tb
     c_shards = {}
-    for l, (bcasts, groups) in enumerate(plan.steps):
+    for l, (bcasts, groups) in enumerate(_per_rank_steps(mesh, algo, plan)):
         with tr.span(
             "summa_step", mesh.ranks, "summa", algo=algo.name, step=l
         ) if traced else NULL_SPAN:
@@ -397,47 +486,6 @@ def _uniform_sig(x: DTensor):
         if s.shape != shape or (s.dtype is not dtype and s.dtype != dtype):
             return None
     return tuple(shape), dtype
-
-
-def _batched_of(plan: _Plan, mesh: Mesh, a: DTensor, b: DTensor):
-    """The plan's batched descriptor, or None when ineligible."""
-    desc = plan.batched
-    if desc is None:
-        desc = False
-        if mesh.q > 1:
-            sig_a = _uniform_sig(a)
-            sig_b = _uniform_sig(b)
-            if sig_a is not None and sig_b is not None:
-                q = mesh.q
-                groups = plan.steps[0][1]
-                _rank, _dev, flops, scratch, out_shape = groups[0][0][0]
-                steps = [
-                    (
-                        [(group, cost) for _op, group, _root, cost in bcasts],
-                        [
-                            (
-                                [gemm[0] for gemm in gemms],
-                                None if reduce is None else ((reduce[0], reduce[2]),),
-                            )
-                            for gemms, reduce in step_groups
-                        ],
-                    )
-                    for bcasts, step_groups in plan.steps
-                ]
-                if groups[0][1] is None:  # ab: every block, mesh order
-                    order = list(mesh.ranks)
-                else:
-                    order = [
-                        reduce[1]
-                        for _bcasts, step_groups in plan.steps
-                        for _gemms, reduce in step_groups
-                    ]
-                desc = _BatchedDesc(
-                    steps, flops, scratch, (q, q) + out_shape,
-                    [(r, mesh.coords(r)) for r in order], order,
-                )
-        plan.batched = desc
-    return desc or None
 
 
 def _batched_ready(sim) -> bool:
@@ -547,9 +595,8 @@ def _summa(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor, buffers) -> DTensor:
             f"inner dims mismatch for {algo.name}: A {a.global_shape}, B {b.global_shape}"
         )
     plan = _get_plan(mesh, algo, a, b)
-    sim = mesh.sim
-    desc = _batched_of(plan, mesh, a, b)
-    tr = sim.tracer
+    desc = plan.batched
+    tr = mesh.sim.tracer
     blocks = None
     with tr.span(
         "summa_" + algo.name, mesh.ranks, "op", M=M, K=K, N=N, q=mesh.q

@@ -31,12 +31,13 @@ def rank_map(fn: Callable, ranks: Iterable[int], *shard_dicts: Dict[int, object]
     dryrun placeholders the result of rank-local math is a function of the
     arguments' (shape, dtype) alone and is immutable, so ranks whose
     arguments agree in that signature share one evaluation and one result
-    (SPMD: every rank runs the same op on a same-shaped slice; ranks that
-    all hold the *same objects* are recognised without a per-rank pass);
-    ragged shards simply produce several signatures.  Which of the two
-    applies is decided once per call, from the first rank's first argument;
-    a real array anywhere else has no signature and its rank is evaluated
-    alone.
+    (SPMD: every rank runs the same op on a same-shaped slice).  Placeholders
+    are interned, so an equal signature is the same object, and ranks that
+    all hold the same objects are recognised without a per-rank pass; ragged
+    shards (several signatures), tuples built per rank and real arrays take
+    the per-rank signature pass.  Which of the two applies is decided once
+    per call, from the first rank's first argument; a real array anywhere
+    else has no signature and its rank is evaluated alone.
 
     ``fn`` must be pure and must not close over the rank or anything derived
     from it.  Simulator charges are per-rank events and are made by the
@@ -65,9 +66,9 @@ def rank_map(fn: Callable, ranks: Iterable[int], *shard_dicts: Dict[int, object]
 
 
 def _map_sharing_placeholders(fn, ranks, shard_dicts) -> dict:
-    # every rank already holds the same objects (the batched SUMMA executor
-    # and earlier rank_maps hand all ranks one placeholder): one evaluation,
-    # without building an argument list and a signature per rank
+    # every rank already holds the same objects (interned placeholders, and
+    # the tuples the batched SUMMA executor and earlier rank_maps hand all
+    # ranks): one evaluation, without an argument list and a signature per rank
     firsts = []
     for d in shard_dicts:
         first = next(iter(d.values()))

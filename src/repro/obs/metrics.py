@@ -150,6 +150,10 @@ class MetricsRegistry:
         return [m for (n, _), m in self._metrics.items() if n == name]
 
     def clear(self) -> None:
+        """Forget every metric.  A handle taken before (such as the arena
+        gauge :class:`~repro.core.buffers.BufferManager` keeps per region and
+        rank) is detached: it still takes updates, but the registry no longer
+        lists it."""
         self._metrics.clear()
 
     def _sorted_items(self):

@@ -136,12 +136,12 @@ class TestSharedPlaceholders:
         got = rank_map(_spy(calls, fn), ranks, xs, ys)
         assert len(calls) == 1 and calls[0][0] is one and calls[0][1] is pair
         assert len(signatures) == 4  # one per argument (the pair nests two more)
-        # the per-rank pass on equal-but-distinct placeholders: same dict
-        distinct = {r: ShapeArray((4, 3), "float32") for r in range(4)}
-        want = rank_map(fn, ranks, distinct, ys)
+        # the per-rank loop itself: same keys in the same order, and (results
+        # are interned) the same placeholder on every rank
+        want = {r: fn(xs[r], ys[r]) for r in ranks}
         assert list(got) == list(want) == ranks
-        assert all(got[r] is got[2] for r in ranks) and all(want[r] is want[2] for r in ranks)
-        assert (got[2].shape, got[2].dtype) == (want[2].shape, want[2].dtype)
+        assert all(got[r] is want[r] for r in ranks)
+        assert (want[2].shape, want[2].dtype.name) == ((4, 3), "float32")
 
     def test_ranks_may_be_the_shard_dict_itself(self, calls):
         xs = dict.fromkeys([5, 1, 3], ShapeArray((2, 2)))
@@ -152,10 +152,15 @@ class TestSharedPlaceholders:
         shared = ShapeArray((2, 2))
         xs = dict.fromkeys(range(4), shared)
         ys = dict(xs)
-        ys[3] = ShapeArray((2, 2))  # equal signature, another object
+        ys[3] = ShapeArray((2, 1))  # ragged: another signature, another object
         got = rank_map(_spy(calls, lambda x, y: x + y), range(4), xs, ys)
-        assert len(calls) == 1 and len(signatures) > 4  # shared by signature instead
-        assert all(got[r] is got[0] for r in range(4))
+        assert len(calls) == 2 and len(signatures) > 4  # shared by signature instead
+        assert all(got[r] is got[0] for r in range(3)) and got[3] is got[0]
+        del calls[:], signatures[:]
+        ys[3] = ShapeArray((2, 2))  # an equal signature is the same object
+        assert ys[3] is shared
+        rank_map(_spy(calls, lambda x, y: x + y), range(4), xs, ys)
+        assert len(calls) == 1 and len(signatures) == 2
 
     def test_ragged_and_mixed_calls_do_not_take_it(self, calls):
         xs = dict.fromkeys(range(3), ShapeArray((2,), "float64"))

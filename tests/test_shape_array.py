@@ -1,5 +1,8 @@
 """ShapeArray: numpy-compatible shape/dtype propagation without data."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.backend.dtypes import bool_, float32, float64, int64
 from repro.backend.shape_array import ShapeArray
+from repro.mesh import distribute_blocked_2d
+from tests.conftest import make_mesh
 
 
 class TestConstruction:
@@ -29,6 +34,46 @@ class TestConstruction:
 
     def test_default_dtype(self):
         assert ShapeArray((1,)).dtype == float32
+
+
+class TestInterning:
+    """A placeholder is immutable, so one ``(shape, dtype)`` is one object."""
+
+    def test_one_object_per_signature(self):
+        a = ShapeArray((2, 3), "float32")
+        assert ShapeArray((2, 3), "float32") is a
+        assert ShapeArray([2, 3], float32) is a
+        assert ShapeArray((np.int64(2), 3), np.float32) is a
+        assert ShapeArray((2, 3)) is a  # the default dtype
+        assert ShapeArray((2, 3), "float64") is not a
+        assert ShapeArray((3, 2), "float32") is not a
+        assert ShapeArray((2, 3, 1), "float32") is not a
+
+    def test_negative_dims_still_raise(self):
+        ShapeArray((2, 1))
+        for shape in [(2, -1), (-2,), (0, -1)]:
+            with pytest.raises(ValueError, match="negative dimension"):
+                ShapeArray(shape)
+
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_the_interned_object(self, copier):
+        for a in (ShapeArray((4, 5), "float16"), ShapeArray((), "int64")):
+            assert copier(a) is a
+        pair = (ShapeArray((1,)), [ShapeArray((1,))])
+        got = copier(pair)
+        assert got[0] is pair[0] and got[1][0] is pair[0]
+
+    def test_a_dryrun_dtensor_deep_copies(self):
+        mesh = make_mesh(2, backend="shape")
+        dt = distribute_blocked_2d(mesh, ShapeArray((4, 6), "float32"))
+        got = copy.deepcopy(dt)
+        assert got is not dt and got.global_shape == (4, 6)
+        assert list(got.shards) == list(dt.shards)
+        assert all(got.shards[r] is ShapeArray((2, 3), "float32") for r in mesh.ranks)
 
 
 class TestArithmetic:
@@ -97,6 +142,30 @@ class TestMatmul:
         with pytest.raises(ValueError):
             _ = ShapeArray((3, 4)) @ ShapeArray((5, 6))
 
+    # the promoted axis of a 1-D operand is dropped, as numpy drops it
+    @pytest.mark.parametrize(
+        "sa, sb",
+        [((4, 5), (5,)), ((5,), (5, 3)), ((5,), (5,)), ((5,), (2, 5, 3)),
+         ((2, 4, 5), (5,)), ((3, 1, 4, 5), (2, 5, 6)), ((4, 5), (5, 3)), ((1,), (1,))],
+    )
+    @pytest.mark.parametrize("dtypes", [("float32", "float32"), ("float32", "float64")])
+    def test_matches_numpy(self, sa, sb, dtypes):
+        da, db = dtypes
+        want = np.zeros(sa, da) @ np.zeros(sb, db)
+        for got in (
+            ShapeArray(sa, da) @ ShapeArray(sb, db),
+            ShapeArray(sa, da) @ np.zeros(sb, db),
+            np.zeros(sa, da) @ ShapeArray(sb, db),
+        ):
+            assert (got.shape, got.dtype.name) == (want.shape, want.dtype.name)
+
+    @pytest.mark.parametrize("sa, sb", [((4, 5), (4,)), ((5,), (4, 3)), ((5,), (4,))])
+    def test_1d_mismatch_raises_like_numpy(self, sa, sb):
+        with pytest.raises(ValueError):
+            np.zeros(sa) @ np.zeros(sb)
+        with pytest.raises(ValueError, match="inner dims mismatch"):
+            ShapeArray(sa) @ ShapeArray(sb)
+
     def test_matmul_with_ndarray(self):
         c = ShapeArray((3, 4)) @ np.zeros((4, 2))
         assert c.shape == (3, 2)
@@ -146,6 +215,19 @@ class TestIndexing:
         a = ShapeArray((4, 5, 6))
         assert a[1].shape == (5, 6)
         assert a[1, 2].shape == (6,)
+
+    @pytest.mark.parametrize(
+        "key",
+        [np.int64(1), (np.int64(1), 2), (1, np.int32(-1)), (slice(None), np.int64(0)),
+         (np.int64(-4), Ellipsis), (None, np.int16(3))],
+    )
+    def test_numpy_integer_index_matches_numpy(self, key):
+        want = np.zeros((4, 5, 6))[key]
+        assert ShapeArray((4, 5, 6))[key].shape == want.shape
+
+    def test_numpy_integer_out_of_range(self):
+        with pytest.raises(IndexError):
+            _ = ShapeArray((3,))[np.int64(3)]
 
     def test_slices(self):
         a = ShapeArray((10, 8))

@@ -2,6 +2,9 @@
 accounting-identical to the per-rank reference, and the per-call selection
 sends every input the batched executor cannot take to the per-rank one."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -60,7 +63,7 @@ def _execute(
     outs = []
     for _ in range(calls):
         if executor == "batched":
-            desc = summa._batched_of(plan, mesh, a, b)
+            desc = plan.batched
             assert desc is not None
             out = np.empty(desc.stack_shape, plan.out_dtype) if plan.numeric else None
             shards = summa._run_batched(mesh, algo, a, b, plan, buffers, desc, out)
@@ -308,6 +311,126 @@ class TestSelection:
         assert summa.effective_flags() == {
             "plan_cache": True, "pool": True, "batched": True,
         }
+
+
+def _forced_per_rank(monkeypatch):
+    monkeypatch.setattr(summa, "_batched_ready", lambda sim: False)
+
+
+def _held_arrays(x):
+    """Every array, placeholder or DTensor reachable through a plan's
+    tuples, lists and dicts."""
+    if isinstance(x, (np.ndarray, ShapeArray, DTensor)):
+        return [x]
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (tuple, list)):
+        return [y for item in x for y in _held_arrays(item)]
+    return []
+
+
+PLAN_CASES = pytest.mark.parametrize(
+    "name, q, backend",
+    [(n, q, b) for n in sorted(ALGOS) for q in (2, 3, 8) for b in ("numpy", "shape")],
+)
+
+
+class TestPlans:
+    """A uniform plan is built from the mesh's lines: it keeps shapes and
+    dtypes only, and its per-rank schedule waits for a per-rank run."""
+
+    @staticmethod
+    def _operands(q, name, backend):
+        mesh = make_mesh(q, backend=backend)
+        a, b = _operands(mesh, ALGOS[name], np.float32)
+        if backend == "shape":
+            a, b = (x.map(lambda s: ShapeArray(s.shape, s.dtype)) for x in (a, b))
+        return mesh, a, b
+
+    @PLAN_CASES
+    def test_a_cached_plan_holds_no_operand_data(self, monkeypatch, name, q, backend):
+        mesh, a, b = self._operands(q, name, backend)
+        run = getattr(summa, "summa_" + name)
+        stacks = [weakref.ref(x.blocks) for x in (a, b) if x.blocks is not None]
+        assert len(stacks) == (2 if backend == "numpy" else 0)
+        run(mesh, a, b)
+        with monkeypatch.context() as m:
+            _forced_per_rank(m)
+            run(mesh, a, b)  # builds the per-rank schedule too
+        (plan,) = mesh._summa_plans.values()
+        assert plan.steps is not None and plan.batched is not None
+        assert _held_arrays([getattr(plan, slot) for slot in plan.__slots__]) == []
+        del a, b
+        gc.collect()
+        assert all(ref() is None for ref in stacks)
+
+    @PLAN_CASES
+    def test_the_lazy_per_rank_steps_equal_an_eager_build(self, monkeypatch, name, q, backend):
+        mesh, a, b = self._operands(q, name, backend)
+        algo = ALGOS[name]
+        plan = summa._get_plan(mesh, algo, a, b)
+        assert plan.steps is None  # not built with the plan
+        getattr(summa, "summa_" + name)(mesh, a, b)
+        assert plan.steps is None  # nor by the batched executor
+        _forced_per_rank(monkeypatch)
+        getattr(summa, "summa_" + name)(mesh, a, b)
+        assert summa._get_plan(mesh, algo, a, b) is plan
+        eager = summa._build_plan(mesh, algo, a, b, backend == "numpy")
+        assert plan.steps == eager.steps
+        assert len(plan.steps) == q and sum(
+            len(gemms) for _bcasts, groups in plan.steps for gemms, _ in groups
+        ) == q ** 3
+        assert (plan.numeric, plan.out_dtype) == (eager.numeric, eager.out_dtype)
+
+    @PLAN_CASES
+    def test_the_forced_per_rank_path_has_the_same_raw_events(
+        self, monkeypatch, name, q, backend
+    ):
+        def events():
+            mesh, a, b = self._operands(q, name, backend)
+            sim = mesh.sim
+            sim.tracer.enabled = True
+            buffers = BufferManager(sim)
+            run = getattr(summa, "summa_" + name)
+            for _ in range(2):  # the second call hits the cached plan
+                run(mesh, a, b, buffers)
+            return sim.tracer.events, sim.watermarks()
+
+        got = events()
+        _forced_per_rank(monkeypatch)
+        want = events()
+        assert got == want and len(got[0]) > q
+
+    @PLAN_CASES
+    def test_a_bad_partition_with_matching_global_k_raises(self, name, q, backend):
+        """Global K agrees, block K does not: the plan catches it, with the
+        message the per-rank schedule gives for its first cell."""
+        mesh = make_mesh(q, backend=backend)
+        mesh.disable_strict_invariants()
+        algo = ALGOS[name]
+        k = 3
+        a_block = (k + 1, 2) if algo.ta else (2, k + 1)  # K blocks of k + 1 ...
+        b_block = (5, k) if algo.tb else (k, 5)  # ... against K blocks of k
+        K = q * (k + 1)  # both operands claim A's global K
+
+        def tensor(block, global_shape):
+            make = np.zeros if backend == "numpy" else ShapeArray
+            shards = {r: make(block, "float32") for r in mesh.ranks}
+            return DTensor(mesh, BLOCKED_2D, shards, global_shape)
+
+        a = tensor(a_block, (K, 2 * q) if algo.ta else (2 * q, K))
+        b = tensor(b_block, (5 * q, K) if algo.tb else (K, 5 * q))
+        want = (
+            f"block inner dims mismatch for {name} at rank 0, step 0: "
+            f"A block {a_block}, B block {b_block}"
+        )
+        with pytest.raises(ValueError) as eager:
+            summa._build_plan(mesh, algo, a, b, backend == "numpy")
+        assert str(eager.value) == want
+        with pytest.raises(ValueError) as got:
+            getattr(summa, "summa_" + name)(mesh, a, b)
+        assert str(got.value) == want
+        assert summa.plan_cache_size(mesh) == 0
 
 
 class TestFuzzerComparesExecutors:
