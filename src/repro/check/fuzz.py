@@ -151,25 +151,17 @@ def _make_dist_optimizer(spec: TrialSpec, model):
     )
 
 
-def _run_distributed(spec: TrialSpec, cfg, ids, labels, scheme: str, strict: bool):
-    """One forward/backward/step of a distributed scheme; returns
-    (loss, assembled grads, assembled post-step params)."""
+def _run_distributed(spec: TrialSpec, cfg, ids, labels, scheme: str, p: int, strict: bool):
+    """One forward/backward/step of a distributed scheme on ``p`` devices;
+    returns (loss, assembled grads, assembled post-step params)."""
     from repro.mesh.partition import assemble_any
     from repro.nn.init import init_transformer_params
-    from repro.runtime.simulator import Simulator
+    from repro.schemes import SCHEMES
 
     params = init_transformer_params(cfg, seed=spec.param_seed, dtype=spec.dtype)
-    if scheme == "optimus":
-        from repro.core.model import OptimusModel
-        from repro.mesh.mesh import Mesh
-
-        sim = Simulator.for_mesh(q=spec.q, trace=True, strict_invariants=strict)
-        model = OptimusModel(Mesh(sim, spec.q), cfg, params)
-    else:
-        from repro.megatron.model import MegatronModel
-
-        sim = Simulator.for_flat(p=spec.p, trace=True, strict_invariants=strict)
-        model = MegatronModel(sim, cfg, params)
+    rec = SCHEMES[scheme]
+    sim = rec.simulator(p, trace=True, strict_invariants=strict)
+    model = rec.model(sim, cfg, params)
     loss = float(model.forward(ids, labels))
     model.backward()
     named = model.named_parameters()
@@ -252,17 +244,15 @@ def run_trial(
         summa._batched_ready = lambda sim: False
         if checker is not None:
             checker.install()
-        for scheme in ("optimus", "megatron"):
-            schemes[scheme] = _run_distributed(
-                spec, cfg, ids, labels, scheme, strict
-            )
+        for scheme, p in (("optimus", spec.q**2), ("megatron", spec.p)):
+            schemes[scheme] = _run_distributed(spec, cfg, ids, labels, scheme, p, strict)
     finally:
         if checker is not None:
             checker.uninstall()
         summa._batched_ready = batched_ready
 
     # --- the batched executor, outside the checker (see docstring) ---
-    batched = _run_distributed(spec, cfg, ids, labels, "optimus", strict)
+    batched = _run_distributed(spec, cfg, ids, labels, "optimus", spec.q**2, strict)
 
     # --- diff everything ---------------------------------------------
     rtol, atol = TOLERANCES[spec.dtype]

@@ -98,12 +98,9 @@ def _cmd_verify() -> None:
     import numpy as np
 
     from repro.config import tiny_config
-    from repro.core import OptimusModel
-    from repro.megatron import MegatronModel
-    from repro.mesh import Mesh
     from repro.nn import init_transformer_params
     from repro.reference import ReferenceTransformer
-    from repro.runtime import Simulator
+    from repro.schemes import SCHEMES
 
     cfg = tiny_config(num_layers=2)
     params = init_transformer_params(cfg, seed=1)
@@ -112,13 +109,13 @@ def _cmd_verify() -> None:
     labels = rng.integers(0, cfg.vocab_size, size=(6, cfg.seq_len))
 
     ref_loss = float(ReferenceTransformer(cfg, params).forward(ids, labels))
-    sim = Simulator.for_mesh(q=2)
-    opt_loss = OptimusModel(Mesh(sim, 2), cfg, params).forward(ids, labels)
-    meg_loss = MegatronModel(Simulator.for_flat(p=3), cfg, params).forward(ids, labels)
     print(f"serial reference loss : {ref_loss:.12f}")
-    print(f"Optimus (2x2)    loss : {opt_loss:.12f}  (diff {abs(opt_loss - ref_loss):.2e})")
-    print(f"Megatron (p=3)   loss : {meg_loss:.12f}  (diff {abs(meg_loss - ref_loss):.2e})")
-    ok = abs(opt_loss - ref_loss) < 1e-9 and abs(meg_loss - ref_loss) < 1e-9
+    ok = True
+    for scheme, p, name in (("optimus", 4, "Optimus (2x2)"), ("megatron", 3, "Megatron (p=3)")):
+        rec = SCHEMES[scheme]
+        loss = rec.model(rec.simulator(p), cfg, params).forward(ids, labels)
+        print(f"{name:<16} loss : {loss:.12f}  (diff {abs(loss - ref_loss):.2e})")
+        ok = ok and abs(loss - ref_loss) < 1e-9
     print("OK: all three implementations agree" if ok else "MISMATCH")
     if not ok:  # pragma: no cover
         sys.exit(1)
@@ -147,6 +144,7 @@ def main(argv=None) -> int:
         sub.add_parser(name, help=f"regenerate {name}")
 
     from repro.obs.profile import EXPERIMENTS  # cheap: no heavy imports at top level
+    from repro.schemes import SCHEMES
 
     prof = sub.add_parser(
         "profile",
@@ -162,7 +160,7 @@ def main(argv=None) -> int:
         help="sample a per-allocation memory timeline on every rank",
     )
     prof.add_argument(
-        "--scheme", choices=("optimus", "megatron"), default="optimus",
+        "--scheme", choices=SCHEMES, default="optimus",
         help="which parallelism scheme to profile (default: optimus)",
     )
     prof.add_argument(
@@ -177,7 +175,7 @@ def main(argv=None) -> int:
     )
     crit.add_argument("experiment", choices=sorted(EXPERIMENTS))
     crit.add_argument(
-        "--scheme", choices=("optimus", "megatron"), default="optimus",
+        "--scheme", choices=SCHEMES, default="optimus",
         help="which parallelism scheme to analyze (default: optimus)",
     )
     crit.add_argument(
@@ -299,7 +297,7 @@ def main(argv=None) -> int:
     )
     srv.add_argument(
         "--scheme", action="append", default=None,
-        choices=("optimus", "megatron"),
+        choices=SCHEMES,
         help="restrict to a scheme (repeatable; default: both)",
     )
     srv.add_argument(

@@ -102,10 +102,9 @@ class RunConfig:
 
     @property
     def q(self) -> int:
-        q = int(round(self.num_devices**0.5))
-        if q * q != self.num_devices:
-            raise ValueError(f"{self.num_devices} devices is not a square mesh")
-        return q
+        from repro.schemes import mesh_side
+
+        return mesh_side(self.num_devices)
 
 
 def _weak_model(h: int, n: int) -> ModelConfig:

@@ -9,16 +9,12 @@ columns of Tables 2–3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.config import ModelConfig
-from repro.core.model import OptimusModel
-from repro.megatron.model import MegatronModel
-from repro.mesh.mesh import Mesh
 from repro.nn.init import init_transformer_params
-from repro.runtime.simulator import Simulator
+from repro.schemes import lookup
 from repro.utils.tables import format_table
 
 
@@ -68,9 +64,9 @@ def _stem_params(cfg: ModelConfig, dtype: str = "float32"):
     )
 
 
-def _run_stem(model, scheme: str, batch_size: int, ledger, run_label: str, **mesh_doc):
+def _run_stem(model, scheme: str, batch_size: int, ledger, run_label: str, mesh=None):
     """Time one stem iteration of a built model; the ledger record (when a
-    ledger is given) carries ``mesh_doc`` as its mesh description."""
+    ledger is given) carries ``mesh`` as its mesh description."""
     sim, cfg = model.sim, model.cfg
     model.stem_forward(batch_size)
     fwd = sim.elapsed()
@@ -98,13 +94,46 @@ def _run_stem(model, scheme: str, batch_size: int, ledger, run_label: str, **mes
                 label=run_label,
                 scheme=scheme,
                 config=cfg,
-                mesh=mesh_doc or None,
+                mesh=mesh,
                 extra=json_safe(
                     {"workload": "stem", "batch_size": batch_size, "result": asdict(res)}
                 ),
             )
         )
     return res
+
+
+def run_stem(
+    scheme: str,
+    cfg: ModelConfig,
+    p: int,
+    batch_size: int,
+    arrangement: str = "bunched",
+    checkpoint: bool = True,
+    strict_memory: bool = False,
+    ledger=None,
+    run_label: str = "stem",
+    trace: bool = False,
+    **model_kw,
+) -> StemResult:
+    """One forward + one checkpointed backward of ``scheme``'s stem on ``p``
+    devices; ``model_kw`` goes to the model (Megatron's ``checkpoint_layout``).
+
+    ``trace=True`` records spans/events so the ledger record carries a
+    critical-path attribution summary; clocks, bytes and memory peaks are
+    bit-identical either way (the tracer is append-only bookkeeping).
+    """
+    rec = lookup(scheme)
+    sim = rec.simulator(
+        p, arrangement, backend="shape", strict_memory=strict_memory, trace=trace
+    )
+    model = rec.model(
+        sim, cfg, _stem_params(cfg), checkpoint_activations=checkpoint, stem_only=True,
+        **model_kw,
+    )
+    return _run_stem(
+        model, scheme, batch_size, ledger, run_label, rec.stem_mesh(p, arrangement)
+    )
 
 
 def run_optimus_stem(
@@ -118,24 +147,10 @@ def run_optimus_stem(
     run_label: str = "stem",
     trace: bool = False,
 ) -> StemResult:
-    """One forward + one checkpointed backward of the Optimus stem.
-
-    ``trace=True`` records spans/events so the ledger record carries a
-    critical-path attribution summary; clocks, bytes and memory peaks are
-    bit-identical either way (the tracer is append-only bookkeeping).
-    """
-    sim = Simulator.for_mesh(
-        q=q,
-        arrangement_kind=arrangement,
-        backend="shape",
-        strict_memory=strict_memory,
-        trace=trace,
-    )
-    model = OptimusModel(
-        Mesh(sim, q), cfg, _stem_params(cfg), checkpoint_activations=checkpoint, stem_only=True
-    )
-    return _run_stem(
-        model, "optimus", batch_size, ledger, run_label, q=q, arrangement=arrangement
+    """:func:`run_stem` of Optimus on a q×q mesh."""
+    return run_stem(
+        "optimus", cfg, q * q, batch_size, arrangement, checkpoint, strict_memory,
+        ledger, run_label, trace,
     )
 
 
@@ -150,32 +165,11 @@ def run_megatron_stem(
     run_label: str = "stem",
     trace: bool = False,
 ) -> StemResult:
-    """One forward + one checkpointed backward of the Megatron stem."""
-    sim = Simulator.for_flat(
-        p=p, backend="shape", strict_memory=strict_memory, trace=trace
+    """:func:`run_stem` of Megatron on ``p`` flat ranks."""
+    return run_stem(
+        "megatron", cfg, p, batch_size, None, checkpoint, strict_memory, ledger, run_label,
+        trace, checkpoint_layout=checkpoint_layout,
     )
-    model = MegatronModel(
-        sim,
-        cfg,
-        _stem_params(cfg),
-        checkpoint_activations=checkpoint,
-        checkpoint_layout=checkpoint_layout,
-        stem_only=True,
-    )
-    return _run_stem(model, "megatron", batch_size, ledger, run_label)
-
-
-def run_stem(scheme: str, cfg: ModelConfig, p: int, batch_size: int, **kw) -> StemResult:
-    """One stem iteration of ``scheme`` on ``p`` devices — the one place a
-    device count becomes a mesh side; ``kw`` goes to the scheme's runner."""
-    if scheme == "megatron":
-        return run_megatron_stem(cfg, p, batch_size, **kw)
-    if scheme != "optimus":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    q = math.isqrt(p)
-    if q * q != p:
-        raise ValueError(f"{p} devices is not a square mesh")
-    return run_optimus_stem(cfg, q, batch_size, **kw)
 
 
 def run_settings(settings: Iterable[dict]) -> Iterator[Tuple[ModelConfig, StemResult]]:

@@ -19,12 +19,9 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.config import ModelConfig
-from repro.core.model import OptimusModel
-from repro.megatron.model import MegatronModel
-from repro.mesh.mesh import Mesh
 from repro.nn.init import init_transformer_params
 from repro.perfmodel import costs
-from repro.runtime.simulator import Simulator
+from repro.schemes import SCHEMES
 from repro.utils.tables import format_table
 
 DEFAULT_CFG = ModelConfig(
@@ -49,13 +46,9 @@ def _measure(scheme: str, cfg: ModelConfig, p: int, b: int):
     params = init_transformer_params(
         cfg, backend="shape", dtype="float32", include_embedding=False
     )
-    if scheme == "optimus":
-        q = int(round(p**0.5))
-        sim = Simulator.for_mesh(q=q, backend="shape")
-        model = OptimusModel(Mesh(sim, q), cfg, params, stem_only=True)
-    else:
-        sim = Simulator.for_flat(p=p, backend="shape")
-        model = MegatronModel(sim, cfg, params, stem_only=True)
+    rec = SCHEMES[scheme]
+    sim = rec.simulator(p, backend="shape")
+    model = rec.model(sim, cfg, params, stem_only=True)
 
     elem = 4  # stems run in float32; Table 1 counts scalars
     model.stem_forward(b)

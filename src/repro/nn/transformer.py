@@ -10,7 +10,10 @@ a scheme is a family of subclasses whose class attributes name its leaves
 (``qkv_cls``, ``norm_cls``, ``embedding_cls``, …) plus the few accounting
 rules that really differ, kept as overridable methods.
 :mod:`repro.core` (Optimus 2-D) and :mod:`repro.megatron` (1-D) are the two
-families; ``docs/parallelism.md`` tabulates them.
+families; ``docs/parallelism.md`` tabulates them.  Leaves are class
+attributes here; everything above the model reads the scheme's record in
+:data:`repro.schemes.SCHEMES`, so a new scheme is one entry there plus its
+leaves.
 
 ``owner`` throughout is what :class:`~repro.mesh.dtensor.DTensor` calls its
 owner: the :class:`~repro.mesh.mesh.Mesh` or flat

@@ -20,27 +20,19 @@ from typing import Callable, Optional
 from repro.obs.comm_matrix import comm_matrix, render_comm_matrix, total as matrix_total
 from repro.obs.perfetto import write_chrome_trace
 from repro.obs.report import collective_report, memory_report, top_spans
+from repro.schemes import SCHEMES
 from repro.utils.tables import format_bytes, format_table
 
 
 def _traced_model(
     scheme: str, cfg, params, mem_timeline: bool, p: int = 4, backend: str = "numpy", **kw
 ):
-    """``(sim, model)``: Optimus on a 2×2 mesh, or Megatron on ``p`` flat ranks."""
-    from repro.core.model import OptimusModel
-    from repro.megatron.model import MegatronModel
-    from repro.mesh.mesh import Mesh
-    from repro.runtime.simulator import Simulator
-
-    if scheme == "optimus":
-        sim = Simulator.for_mesh(q=2, backend=backend, trace=True)
-    else:
-        sim = Simulator.for_flat(p=p, backend=backend, trace=True)
+    """``(sim, model)``: ``scheme`` on ``p`` devices (Optimus: a 2×2 mesh)."""
+    rec = SCHEMES[scheme]
+    sim = rec.simulator(p, backend=backend, trace=True)
     if mem_timeline:  # before the model distributes its parameters
         sim.enable_memory_timeline()
-    if scheme == "optimus":
-        return sim, OptimusModel(Mesh(sim, 2), cfg, params, **kw)
-    return sim, MegatronModel(sim, cfg, params, **kw)
+    return sim, rec.model(sim, cfg, params, **kw)
 
 
 def _stem_profile(cfg, scheme: str, batch_size: int, mem_timeline: bool):
@@ -87,9 +79,11 @@ def _train_profile(scheme: str, mem_timeline: bool):
     from repro.training.optim import SGD
     from repro.training.trainer import Trainer
 
-    cfg = tiny_config(num_layers=2)  # 6 heads: Megatron trains on p=2
+    # 6 heads split two ways: each scheme's smallest run (a 2×2 mesh, 2 ranks)
+    cfg = tiny_config(num_layers=2)
     sim, model = _traced_model(
-        scheme, cfg, init_transformer_params(cfg, seed=1), mem_timeline, p=2
+        scheme, cfg, init_transformer_params(cfg, seed=1), mem_timeline,
+        p=SCHEMES[scheme].min_devices,
     )
     opt = SGD(model.parameters(), lr=0.1, sim=sim)
     batches = (random_batch(cfg, 4, seed=i) for i in range(1000))
@@ -111,10 +105,10 @@ def _serve_profile(scheme: str, mem_timeline: bool):
         seed=0, vocab_size=cfg.vocab_size, arrival="poisson",
         rate_rps=1000.0, num_requests=6,
     ).generate()
-    blocks = 12 if scheme == "optimus" else 24  # equal per-device KV bytes
+    # 24 blocks split over the scheme's KV pools: equal per-device KV bytes
     engine = make_engine(
         scheme, cfg, params, q=2, num_slots=8, block_size=8,
-        blocks_per_group=blocks, trace=True, slo=(0.5, 0.05),
+        blocks_per_group=24 // SCHEMES[scheme].kv_pools(4), trace=True, slo=(0.5, 0.05),
     )
     if mem_timeline:
         engine.sim.enable_memory_timeline()

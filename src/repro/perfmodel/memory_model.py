@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import ModelConfig
+from repro.schemes import lookup
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,7 @@ def estimate_peak_bytes(
     optimizer_slots: int = 0,
 ) -> MemoryBreakdown:
     """Closed-form per-device peak of one checkpointed fwd+bwd iteration."""
-    if scheme not in ("optimus", "megatron"):
-        raise ValueError(f"unknown scheme {scheme!r}")
+    lookup(scheme)
     p = num_devices
     b, s, h, n, N = batch_size, cfg.seq_len, cfg.hidden_size, cfg.num_heads, cfg.num_layers
     bsh = float(b) * s * h
@@ -139,11 +139,11 @@ def max_batch_size(
 ) -> int:
     """Largest batch whose per-device peak fits in ``capacity_bytes`` (Fig 9).
 
-    Exponential probe then bisection; ``granularity`` defaults to q for
-    Optimus (its batch must divide over mesh rows) and 2 for Megatron.
+    Exponential probe then bisection; ``granularity`` defaults to the
+    scheme's batch granularity (:mod:`repro.schemes`).
     """
     if granularity <= 0:
-        granularity = int(round(num_devices**0.5)) if scheme == "optimus" else 2
+        granularity = lookup(scheme).batch_granularity(num_devices)
 
     def peak(b: int) -> float:
         if method == "measure":

@@ -36,6 +36,7 @@ from dataclasses import asdict
 import numpy as np
 
 from repro.config import tiny_config
+from repro.nn import init_transformer_params
 from repro.resilience.faults import (
     FaultSchedule,
     GradientSDC,
@@ -46,6 +47,7 @@ from repro.resilience.faults import (
 )
 from repro.resilience.injector import FaultInjector
 from repro.resilience.trainer import ResilientTrainer
+from repro.schemes import SCHEMES as SCHEME_TABLE
 from repro.training.data import BatchStream
 from repro.training.optim import Adam
 from repro.training.trainer import Trainer
@@ -59,30 +61,17 @@ _BATCH = 4  # divisible by q=2 (Optimus rows) and by R·q = 4 (hybrid)
 
 
 def _make_model(scheme: str, cfg, param_seed: int = 1, trace: bool = False):
-    if scheme == "optimus":
-        from repro.core import OptimusModel
-        from repro.mesh import Mesh
-        from repro.nn import init_transformer_params
-        from repro.runtime import Simulator
-
-        sim = Simulator.for_mesh(q=2, trace=trace)
-        return OptimusModel(
-            Mesh(sim, 2), cfg, init_transformer_params(cfg, seed=param_seed)
-        )
-    if scheme == "megatron":
-        from repro.megatron import MegatronModel
-        from repro.nn import init_transformer_params
-        from repro.runtime import Simulator
-
-        sim = Simulator.for_flat(p=2, trace=trace)
-        return MegatronModel(sim, cfg, init_transformer_params(cfg, seed=param_seed))
     if scheme == "hybrid":
         from repro.hybrid.data_parallel import DataParallel
 
         dp = DataParallel.build(num_replicas=2, q=2, cfg=cfg, seed=param_seed)
         dp.sim.tracer.enabled = trace
         return dp
-    raise ValueError(f"unknown scheme {scheme!r} (choose from {SCHEMES})")
+    if scheme not in SCHEME_TABLE:
+        raise ValueError(f"unknown scheme {scheme!r} (choose from {SCHEMES})")
+    rec = SCHEME_TABLE[scheme]
+    sim = rec.simulator(rec.min_devices, trace=trace)
+    return rec.model(sim, cfg, init_transformer_params(cfg, seed=param_seed))
 
 
 def _make_trainer(scheme, cfg, seed, resilient=False, trace=False, **kw):

@@ -38,12 +38,13 @@ from repro.resilience.faults import (
     TransientCollectiveFault,
 )
 from repro.resilience.injector import FaultInjector
+from repro.schemes import SCHEMES as SCHEME_TABLE
 from repro.serving.report import DEFAULTS, PARAM_SEED, run_arm
 from repro.serving.traffic import TrafficGenerator
 
 REPORT_SCHEMA = "repro-serve-chaos-v1"
 
-SERVE_SCHEMES = ("optimus", "megatron")
+SERVE_SCHEMES = tuple(SCHEME_TABLE)
 
 #: injector tuning for serving timescales (decode steps are ~100 µs, not
 #: the ~10 ms training steps the PR 4 defaults assume)
@@ -159,9 +160,6 @@ def run_serve_chaos(
         checks[scheme] = check
 
         if ledger is not None:
-            mesh = (
-                {"q": arm_kw["q"]} if scheme == "optimus" else {"arrangement": "flat"}
-            )
             record = record_from_sim(
                 "serve-chaos",
                 sim,
@@ -169,7 +167,7 @@ def run_serve_chaos(
                 scheme=scheme,
                 seed=seed,
                 config=cfg,
-                mesh=mesh,
+                mesh=SCHEME_TABLE[scheme].serve_mesh(arm_kw["q"] ** 2),
                 extra={
                     "arrival": knobs["arrival"],
                     "num_requests": int(knobs["requests"]),

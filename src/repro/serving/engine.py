@@ -40,18 +40,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm import collectives as coll
-from repro.comm.group import ProcessGroup
 from repro.comm.stacked import precosts
 from repro.config import ModelConfig
-from repro.core.model import OptimusModel
-from repro.megatron.model import MegatronModel
 from repro.mesh.dtensor import DTensor, on_stacks
 from repro.mesh.mesh import Mesh
-from repro.nn.transformer import ELEMWISE_COST, TransformerModel, charge_elementwise
+from repro.nn.transformer import ELEMWISE_COST, charge_elementwise
 from repro.reference.attention import decode_attention_fwd
 from repro.resilience.faults import CollectiveTimeoutError, RankCrashError
 from repro.resilience.injector import FaultInjector
 from repro.runtime.simulator import Simulator
+from repro.schemes import SCHEMES, lookup, mesh_side
 from repro.serving.kvcache import (
     HostSwapSpace,
     KVShardGroup,
@@ -126,11 +124,12 @@ class ServingResult:
 class ServingEngine:
     """The continuous-batching loop and the decode step, written once.
 
-    A scheme hands over its model and ``rows`` — the process groups along
-    which one lane's vocabulary (and KV heads) are striped.  Slots are
-    partitioned evenly over the rows: the q mesh rows for Optimus, the one
-    flat group for Megatron, which makes 1-D the one-row case of the same
-    step (no padding, one gather over p stripes).
+    A subclass names its scheme, whose record in :data:`repro.schemes.SCHEMES`
+    builds the model; ``rows`` are the groups its loss stripes one lane's
+    vocabulary (and KV heads) over.  Slots are partitioned evenly over the
+    rows: the q mesh rows for Optimus, the one flat group for Megatron,
+    which makes 1-D the one-row case of the same step (no padding, one
+    gather over p stripes).
     """
 
     scheme = "base"
@@ -139,8 +138,7 @@ class ServingEngine:
         self,
         sim: Simulator,
         cfg: ModelConfig,
-        model: TransformerModel,
-        rows: List[ProcessGroup],
+        params_global: dict,
         num_slots: int,
         block_size: int,
         blocks_per_group: int,
@@ -149,8 +147,10 @@ class ServingEngine:
     ):
         self.sim = sim
         self.cfg = cfg
+        self._validate(num_slots)
+        model = SCHEMES[self.scheme].model(sim, cfg, params_global, checkpoint_activations=False)
         self.model = model
-        self.rows = rows
+        self.rows = rows = model.loss_fn.rows
         self.slots_per_row = num_slots // len(rows)
         self.n_loc = cfg.num_heads // rows[0].size
         self.options = options if options is not None else ServingOptions()
@@ -516,27 +516,11 @@ class OptimusServingEngine(ServingEngine):
 
     scheme = "optimus"
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: ModelConfig,
-        params_global: dict,
-        q: int,
-        num_slots: int,
-        block_size: int,
-        blocks_per_group: int,
-        options: Optional[ServingOptions] = None,
-        injector: Optional[FaultInjector] = None,
-    ):
+    def _validate(self, num_slots: int) -> None:
+        q = mesh_side(self.sim.num_ranks)
         if num_slots % q:
             raise ValueError(f"num_slots {num_slots} not divisible by mesh q={q}")
-        cfg.validate_for_optimus(q, num_slots)
-        mesh = Mesh(sim, q)
-        model = OptimusModel(mesh, cfg, params_global, checkpoint_activations=False)
-        super().__init__(
-            sim, cfg, model, mesh.row_groups, num_slots, block_size, blocks_per_group,
-            options=options, injector=injector,
-        )
+        self.cfg.validate_for_optimus(q, num_slots)
 
     step = ServingEngine.step  # hostbench patches it on the scheme's class
 
@@ -547,25 +531,14 @@ class MegatronServingEngine(ServingEngine):
 
     scheme = "megatron"
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: ModelConfig,
-        params_global: dict,
-        num_slots: int,
-        block_size: int,
-        blocks_per_group: int,
-        options: Optional[ServingOptions] = None,
-        injector: Optional[FaultInjector] = None,
-    ):
-        cfg.validate_for_megatron(sim.num_ranks, num_slots)
-        model = MegatronModel(sim, cfg, params_global, checkpoint_activations=False)
-        super().__init__(
-            sim, cfg, model, [model.group], num_slots, block_size, blocks_per_group,
-            options=options, injector=injector,
-        )
+    def _validate(self, num_slots: int) -> None:
+        self.cfg.validate_for_megatron(self.sim.num_ranks, num_slots)
 
     step = ServingEngine.step  # hostbench patches it on the scheme's class
+
+
+#: each scheme's engine, keyed like :data:`repro.schemes.SCHEMES`
+ENGINES = {cls.scheme: cls for cls in (OptimusServingEngine, MegatronServingEngine)}
 
 
 # ======================================================================
@@ -586,28 +559,18 @@ def make_engine(
 ) -> ServingEngine:
     """Build a fresh simulator + engine for one serving arm.
 
-    ``q`` sizes both schemes to the same device count: a q×q mesh for
-    Optimus, a flat p = q² group for Megatron (the paper's comparison).
+    ``q`` sizes both schemes to the same p = q² devices (the paper's
+    comparison): a q×q mesh for Optimus, a flat group for Megatron.
 
     ``trace`` enables request-lifecycle tracing (see
     :mod:`repro.serving.telemetry`); ``slo`` = ``(slo_ttft, slo_tpot)``
     feeds the live goodput counters; ``counter_epoch`` is the OpenMetrics
     counter reset epoch for this arm; ``alerts`` is an optional armed
     :class:`~repro.obs.alerts.AlertEngine` evaluated at every step."""
-    if scheme == "optimus":
-        sim = Simulator.for_mesh(q, trace=trace)
-        engine: ServingEngine = OptimusServingEngine(
-            sim, cfg, params_global, q, num_slots, block_size, blocks_per_group,
-            options=options, injector=injector,
-        )
-    elif scheme == "megatron":
-        sim = Simulator.for_flat(q * q, trace=trace)
-        engine = MegatronServingEngine(
-            sim, cfg, params_global, num_slots, block_size, blocks_per_group,
-            options=options, injector=injector,
-        )
-    else:
-        raise ValueError(f"unknown serving scheme {scheme!r}")
+    sim = lookup(scheme, "serving scheme").simulator(q * q, trace=trace)
+    engine = ENGINES[scheme](
+        sim, cfg, params_global, num_slots, block_size, blocks_per_group, options, injector
+    )
     engine.slo = slo
     engine.counter_epoch = int(counter_epoch)
     engine.alerts = alerts

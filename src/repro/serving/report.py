@@ -26,6 +26,7 @@ from repro.nn.init import init_transformer_params
 from repro.obs.alerts import AlertEngine, AlertRule, default_serving_rules
 from repro.obs.ledger import RunLedger, canonical_json, record_from_sim
 from repro.resilience.injector import FaultInjector
+from repro.schemes import SCHEMES as SCHEME_TABLE
 from repro.serving.engine import ServingResult, make_engine
 from repro.serving.scheduler import ServingOptions
 from repro.serving.traffic import ARRIVAL_PROFILES, Request, TrafficGenerator
@@ -37,7 +38,7 @@ SWEEP_SCHEMA = "repro-serve-sweep-v1"
 #: deployed artifact across all arms and seeds; only traffic varies.
 PARAM_SEED = 1
 
-SCHEMES = ("optimus", "megatron")
+SCHEMES = tuple(SCHEME_TABLE)
 
 DEFAULTS = {
     "q": 2,
@@ -113,9 +114,9 @@ def run_arm(
     before the run so mid-run scrapes see it move; ``trace`` turns on
     request-lifecycle tracing.  All three are read-only over the
     simulation: the rest of the entry stays byte-identical."""
-    # equal per-device KV bytes across schemes: megatron shards heads q×
-    # thinner (p = q² ranks), so its single pool gets q× the blocks.
-    blocks_per_group = blocks if scheme == "optimus" else blocks * q
+    # equal per-device KV bytes across schemes: q·blocks blocks split over
+    # the scheme's KV pools (q mesh rows, or one group q× thinner per rank)
+    blocks_per_group = blocks * q // SCHEME_TABLE[scheme].kv_pools(q * q)
     alerts = AlertEngine(alert_rules) if alert_rules else None
     engine = make_engine(
         scheme, cfg, params, q, slots, block_size, blocks_per_group,
@@ -298,7 +299,6 @@ def run_serve(
             entry["arrival"] = arrival
             entries.append(entry)
             if ledger is not None:
-                mesh = {"q": qq} if scheme == "optimus" else {"arrangement": "flat"}
                 extra = {
                     "arrival": arrival,
                     "num_requests": int(knobs["requests"]),
@@ -326,7 +326,7 @@ def run_serve(
                     scheme=scheme,
                     seed=seed,
                     config=cfg,
-                    mesh=mesh,
+                    mesh=SCHEME_TABLE[scheme].serve_mesh(qq * qq),
                     extra=extra,
                 )
                 ledger.append(record)

@@ -1,0 +1,153 @@
+"""The scheme table: every per-scheme choice above the model is a field read.
+
+A build through :data:`repro.schemes.SCHEMES` must equal the direct build it
+replaced, a non-square device count must fail where Optimus is asked for it,
+and no module outside the table may branch on a scheme's name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from repro.config import ModelConfig, tiny_config
+from repro.core.model import OptimusModel
+from repro.experiments import runner, table1
+from repro.megatron.model import MegatronModel
+from repro.mesh.mesh import Mesh
+from repro.nn.init import init_transformer_params
+from repro.perfmodel.memory_model import max_batch_size
+from repro.runtime.simulator import Simulator
+from repro.schemes import SCHEMES, mesh_side
+from repro.serving.engine import MegatronServingEngine, OptimusServingEngine, make_engine
+from repro.serving.traffic import TrafficGenerator
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: the closed forms of the analytic memory model and Table 3's row filter
+ALLOWED = {
+    ("perfmodel/memory_model.py", "_param_scalars_per_device"),
+    ("perfmodel/memory_model.py", "estimate_peak_bytes"),
+    ("experiments/table3.py", "optimus_trend"),
+}
+
+# 16 heads and a 64-wide hidden split over a 4×4 mesh and over 16 flat ranks
+CFG = ModelConfig(vocab_size=64, hidden_size=64, num_heads=16, num_layers=1, seq_len=8)
+
+
+def _events(sim):
+    return [repr(e) for e in sim.tracer.events]
+
+
+@pytest.mark.parametrize("p", [4, 16])
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_entry_builds_its_scheme_on_p_devices(scheme, p):
+    rec = SCHEMES[scheme]
+    sim = rec.simulator(p, backend="shape")
+    params = init_transformer_params(CFG, backend="shape", include_embedding=False)
+    model = rec.model(sim, CFG, params, stem_only=True)
+    assert sim.num_ranks == p
+    assert model.scheme == scheme
+
+
+def test_keys_in_serving_order():
+    assert tuple(SCHEMES) == ("optimus", "megatron")
+
+
+@pytest.mark.parametrize("p", [2, 8, 12])
+def test_mesh_side_rejects_a_non_square_count(p):
+    with pytest.raises(ValueError, match=f"^{p} devices is not a square mesh$"):
+        mesh_side(p)
+
+
+def _direct_stem(scheme):
+    """The stem on 16 devices as it was built before the table."""
+    if scheme == "optimus":
+        sim = Simulator.for_mesh(q=4, backend="shape", trace=True)
+        model = OptimusModel(Mesh(sim, 4), CFG, runner._stem_params(CFG), stem_only=True)
+    else:
+        sim = Simulator.for_flat(p=16, backend="shape", trace=True)
+        model = MegatronModel(sim, CFG, runner._stem_params(CFG), stem_only=True)
+    return runner._run_stem(model, scheme, 4, None, "stem"), sim
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_run_stem_equals_the_direct_build(monkeypatch, scheme):
+    built = []
+    real = runner._run_stem
+
+    def spy(model, *args):
+        built.append(model.sim)
+        return real(model, *args)
+
+    monkeypatch.setattr(runner, "_run_stem", spy)
+    got = runner.run_stem(scheme, CFG, 16, 4, trace=True)
+    monkeypatch.setattr(runner, "_run_stem", real)
+    want, sim = _direct_stem(scheme)
+    assert got == want
+    assert _events(built[0]) == _events(sim)
+    assert built[0].watermarks() == sim.watermarks()
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_make_engine_equals_the_direct_build(scheme):
+    cfg = tiny_config(num_heads=4)
+    params = init_transformer_params(cfg, seed=1)
+    requests = TrafficGenerator(
+        seed=0, vocab_size=cfg.vocab_size, arrival="poisson", rate_rps=1000.0, num_requests=6
+    ).generate()
+    blocks = 24 // SCHEMES[scheme].kv_pools(4)
+    table = make_engine(scheme, cfg, params, 2, 8, 8, blocks, trace=True)
+    if scheme == "optimus":
+        direct = OptimusServingEngine(Simulator.for_mesh(2, trace=True), cfg, params, 8, 8, blocks)
+    else:
+        direct = MegatronServingEngine(Simulator.for_flat(4, trace=True), cfg, params, 8, 8, blocks)
+    got, want = table.run(requests), direct.run(requests)
+    assert [s.generated for s in got.completed] == [s.generated for s in want.completed]
+    assert _events(table.sim) == _events(direct.sim)
+    assert table.sim.watermarks() == direct.sim.watermarks()
+
+
+def test_table1_rejects_a_non_square_optimus_mesh():
+    cfg = ModelConfig(vocab_size=64, hidden_size=48, num_heads=24, num_layers=1, seq_len=8)
+    with pytest.raises(ValueError, match="^8 devices is not a square mesh$"):
+        table1.run(cfg, p=8, batch_size=24)
+
+
+def test_max_batch_size_rejects_a_non_square_optimus_mesh():
+    with pytest.raises(ValueError, match="^8 devices is not a square mesh$"):
+        max_batch_size("optimus", CFG, 8, 16e9, method="estimate")
+
+
+def _scheme_branches(path: Path):
+    """``(function, line)`` of every ==/!= against a scheme's name."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+        ):
+            for side in [node.left, *node.comparators]:
+                if isinstance(side, ast.Constant) and side.value in SCHEMES:
+                    found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_no_branch_on_a_scheme_name_outside_the_table():
+    stray = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == "schemes.py":
+            continue
+        stray += [
+            f"{rel}:{line} ({func})"
+            for func, line in _scheme_branches(path)
+            if (rel, func) not in ALLOWED
+        ]
+    assert stray == []
