@@ -33,6 +33,7 @@ import numpy as np
 from repro.backend import ops
 from repro.backend.shape_array import is_shape_array
 from repro.comm.group import ProcessGroup
+from repro.runtime.simulator import COLLECTIVES
 
 Shards = Dict[int, object]
 Precost = Tuple[float, float, float]  # (dt, nbytes, weighted volume)
@@ -75,7 +76,7 @@ def _copy(x):
 
 
 def _charge(group: ProcessGroup, kind: str, precost: Precost) -> None:
-    group.sim.charge_collectives(kind, ((group, precost),))
+    group.sim.replay(((COLLECTIVES, kind, ((group, precost),)),))
 
 
 def charge_only(kind: str, lines: Sequence[Tuple[ProcessGroup, Precost]]) -> None:
@@ -91,7 +92,7 @@ def charge_only(kind: str, lines: Sequence[Tuple[ProcessGroup, Precost]]) -> Non
     the size-1 early return, which charges nothing).
     """
     if lines:
-        lines[0][0].sim.charge_collectives(kind, lines)
+        lines[0][0].sim.replay(((COLLECTIVES, kind, lines),))
 
 
 # ----------------------------------------------------------------------

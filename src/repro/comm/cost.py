@@ -26,10 +26,6 @@ from repro.hardware.arrangement import Arrangement
 from repro.hardware.topology import ClusterTopology, GroupProfile
 
 
-def _log2_ceil(n: int) -> int:
-    return int(math.ceil(math.log2(n))) if n > 1 else 0
-
-
 def _log2_stages(n: int) -> float:
     """Continuous stage count for pipelined tree collectives.
 

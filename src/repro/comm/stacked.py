@@ -19,15 +19,19 @@ is replayed with one :func:`~repro.comm.collectives.charge_only` over the
 lines, in the per-rank call order, at a price cached per owner and buffer
 size.
 The result is one entry the members view: a size-1 axis of the stack (on a
-flat group, read-only).  Otherwise :func:`per_line` runs, which is what the
-contract checker and a fault injector observe.
+flat group, read-only).  On the dry run, a tensor whose shards are all one
+interned float placeholder (:func:`~repro.mesh.dtensor.one_placeholder`,
+under the same gate) takes that branch too: the one ``charge_only``, and
+the placeholder back on every rank, which is what the per-rank collective
+returns.  Otherwise :func:`per_line` runs, which is what the contract
+checker and a fault injector observe.
 """
 
 from __future__ import annotations
 
 from repro.backend import ops
 from repro.comm import collectives as coll
-from repro.mesh.dtensor import DTensor, on_stacks
+from repro.mesh.dtensor import DTensor, on_stacks, one_placeholder
 from repro.mesh.layouts import BLOCKED_2D, COL_BLOCKED, REPLICATED_1D, ROW0_COLS
 
 
@@ -79,6 +83,10 @@ def _all_reduce(owner, lines, axis: int, x: DTensor, layout) -> DTensor:
         total = ops.fold_stack_sum(x.blocks, axis=axis)
         shared = total.reshape(total.shape[:axis] + (1,) + total.shape[axis:])
         return DTensor.from_blocks(owner, layout, shared, x.global_shape, x.ranks)
+    ph = one_placeholder(owner, x)
+    if ph is not None:
+        coll.charge_only("all_reduce", precosts(owner, lines, "all_reduce", ph.nbytes))
+        return DTensor(owner, layout, x.shards, x.global_shape)
     summed = per_line(_groups(owner, lines), "all_reduce", x.shards)
     return DTensor(owner, layout, {**x.shards, **summed}, x.global_shape)
 
@@ -105,6 +113,10 @@ def all_gather(group, x: DTensor, parts: dict) -> DTensor:
         full = ops.concatenate([parts[r] for r in group.ranks], axis=0)
         coll.charge_only("all_gather", precosts(group, None, "all_gather", ops.nbytes(full)))
         return DTensor.from_blocks(group, REPLICATED_1D, full[None], x.global_shape, group.ranks)
+    if one_placeholder(group, x) is not None:
+        full = ops.concatenate([parts[r] for r in group.ranks], axis=0)
+        coll.charge_only("all_gather", precosts(group, None, "all_gather", full.nbytes))
+        return DTensor(group, REPLICATED_1D, dict.fromkeys(group.ranks, full), x.global_shape)
     return DTensor(group, REPLICATED_1D, coll.all_gather(group, parts), x.global_shape)
 
 
@@ -130,6 +142,11 @@ def broadcast_down_columns(mesh, param) -> DTensor:
             )
             cached = param._column_view = (data, view)
         return cached[1]
+    ph = one_placeholder(mesh, data)
+    if ph is not None:
+        coll.charge_only("broadcast", precosts(mesh, "col_groups", "broadcast", ph.nbytes))
+        order = [rank for group in mesh.col_groups for rank in group.ranks]
+        return DTensor(mesh, COL_BLOCKED, dict.fromkeys(order, ph), data.global_shape)
     local = per_line(mesh.col_groups, "broadcast", data.shards)
     return DTensor(mesh, COL_BLOCKED, local, data.global_shape)
 
@@ -147,6 +164,13 @@ def reduce_up_columns(mesh, partials: DTensor, shape) -> tuple:
         return tuple(
             DTensor.from_blocks(mesh, ROW0_COLS, total[:, t], shape, roots)
             for t in range(total.shape[1])
+        )
+    ph = one_placeholder(mesh, partials)
+    if ph is not None:
+        coll.charge_only("reduce", precosts(mesh, "col_groups", "reduce", ph.nbytes))
+        return tuple(
+            DTensor(mesh, ROW0_COLS, dict.fromkeys(roots, ph[t]), shape)
+            for t in range(ph.shape[0])
         )
     reduced = per_line(mesh.col_groups, "reduce", partials.shards)
     return tuple(

@@ -231,6 +231,20 @@ class BufferManager:
                 self._capacity_gauge(st, region, rank).set(usage)
             st.usage = usage
 
+    def fits(self, region: str, ranks: Iterable[int], nbytes: int) -> bool:
+        """Whether each of ``ranks``' managed ``region`` arenas holds
+        ``nbytes`` more without growing — then a hold and its release change
+        nothing observable.  Always False in unmanaged mode, where every
+        hold is an allocation."""
+        if not self.managed:
+            return False
+        regions = self._regions[self._canonical(region)]
+        for rank in ranks:
+            st = regions[rank]
+            if st.usage + nbytes > st.capacity:
+                return False
+        return True
+
     def compute_in_workspace(self, ranks: Sequence[int], nbytes: int, flops: float) -> None:
         """SUMMA's workspace pattern on each of ``ranks``: hold ``nbytes`` of
         workspace, charge one ``flops`` gemm, release.  When every rank's
@@ -243,15 +257,9 @@ class BufferManager:
         if flops < 0:
             raise ValueError("negative flops")
         sim = self.sim
-        if self.managed:
-            regions = self._regions["workspace"]
-            for rank in ranks:
-                st = regions[rank]
-                if st.usage + nbytes > st.capacity:
-                    break
-            else:
-                sim.charge_compute(ranks, ((flops, "gemm"),))
-                return
+        if self.fits("workspace", ranks, nbytes):
+            sim.charge_compute(ranks, ((flops, "gemm"),))
+            return
         for rank in ranks:
             self.hold("workspace", rank, nbytes)
             sim.devices[rank].compute(flops)

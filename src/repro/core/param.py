@@ -32,10 +32,6 @@ class DistParam:
     def zero_grad(self) -> None:
         self.grad = None
 
-    @property
-    def nbytes_per_shard(self) -> int:
-        return self.data.shard_nbytes()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DistParam({self.name}, {self.data.layout}, {self.data.global_shape})"
 

@@ -50,14 +50,21 @@ the blocks stacked along leading mesh axes (``ab``:
 (:meth:`~repro.mesh.dtensor.DTensor.from_blocks`) — writes the output's
 block stack (``abt``/``atb`` fold each reduced line into
 ``C[:, l]`` / ``C[l]`` as in-place adds in group-rank order), and *replays*
-the accounting from the plan in the per-rank call order (charge-only
-collectives, per-gemm compute charges and workspace holds, issued a gemm
-group at a time) — so clocks, byte counters, weighted volumes, memory peaks
-and trace events/spans are bit-identical between the two.  On a dryrun
-(``ShapeArray``) plan there is no product to compute: the batched executor
-*is* that replay, plus one output placeholder of the plan's block shape and
-dtype shared by the q² ranks (placeholders are immutable) — the shape math
-is derived once, the charges are made p times.
+the accounting in the per-rank call order — so clocks, byte counters,
+weighted volumes, memory peaks and trace events/spans are bit-identical
+between the two.  The plan compiles its q steps (charge-only broadcasts, per
+gemm group the compute charges and the reduce line, each step's span) into
+one accounting program, and a call whose workspace arenas all hold a step's
+received blocks already (or that has no buffers) is one
+:meth:`~repro.runtime.simulator.Simulator.replay` of it, checked once per
+call; otherwise (an arena must grow, unmanaged buffers) the steps are
+charged one by one, each gemm group's holds, gemms and releases through the
+buffer manager.  The products come after the accounting: numeric math reads
+no clock.  On a dryrun (``ShapeArray``) plan there is no product to
+compute: the batched executor *is* that replay, plus one output placeholder
+of the plan's block shape and dtype shared by the q² ranks (placeholders
+are immutable) — the shape math is derived once, the charges are made p
+times.
 
 **Selection** is made per call from what the code observes, never from an
 option: the batched executor runs whenever it is bit-exact, i.e. every
@@ -87,6 +94,7 @@ from repro.mesh.dtensor import DTensor, on_stacks
 from repro.mesh.layouts import BLOCKED_2D
 from repro.mesh.mesh import Mesh
 from repro.runtime.events import NULL_SPAN
+from repro.runtime.simulator import CLOSE, COLLECTIVES, OPEN
 
 #: the unpatched collectives entry points.  The batched executor bypasses
 #: per-rank broadcast/reduce calls, so whenever these module attributes have
@@ -322,8 +330,10 @@ def _uniform_plan(mesh: Mesh, algo: _Algo, sig_a, sig_b, numeric: bool) -> _Plan
         ]
         order = [_line(mesh, algo.reduce, t, l)[1] for l in range(q) for t in range(q)]
     scratch = sum(blocks[op].nbytes for op in algo.bcast)
+    steps = [(bcasts, groups)] * q
+    flops = 2.0 * m * k * n
     desc = _BatchedDesc(
-        [(bcasts, groups)] * q, 2.0 * m * k * n, scratch, (q, q, m, n),
+        steps, flops, scratch, _step_program(mesh, algo, steps, flops), (q, q, m, n),
         [(r, mesh.coords(r)) for r in order], order,
     )
     return _Plan(None, numeric, out_dtype, blocks, desc)
@@ -467,6 +477,8 @@ class _BatchedDesc(NamedTuple):
     steps: list
     flops: float
     scratch: int
+    #: ``steps`` compiled into one accounting program (:func:`_step_program`)
+    program: list
     stack_shape: tuple  # (q, q) + output block: the output's block stack
     #: ``(rank, (i, j))`` of every output block, in the per-rank executor's
     #: key order (downstream charge loops iterate it): mesh order for
@@ -505,16 +517,6 @@ def _batched_ready(sim) -> bool:
     )
 
 
-def _replay_gemms(sim, ranks, flops, scratch, buffers) -> None:
-    """Charge a group's gemm accounting in exact per-rank order: workspace
-    hold, device compute, workspace release — identical to the per-rank
-    executor minus the numeric product."""
-    if buffers is None:
-        sim.charge_compute(ranks, ((flops, "gemm"),))
-    else:
-        buffers.compute_in_workspace(ranks, scratch, flops)
-
-
 def _takes_batched(mesh: Mesh, plan: _Plan, a: DTensor, b: DTensor) -> bool:
     """Whether an eligible plan runs batched: a shape plan whenever
     :func:`_batched_ready` holds; a numeric one when
@@ -527,58 +529,86 @@ def _takes_batched(mesh: Mesh, plan: _Plan, a: DTensor, b: DTensor) -> bool:
     return on_stacks(mesh, a, b) and a.blocks.shape[:2] == full == b.blocks.shape[:2]
 
 
-def _run_batched(mesh, algo, a, b, plan, buffers, desc, out) -> dict:
-    """Numeric plans read both operands' block stacks in place (A_il over
-    rows i as ``A[:, l]``, B_lj over columns j as ``B[l]``) and write the
-    output block stack ``out`` (``desc.stack_shape`` of ``plan.out_dtype``;
-    None for a shape plan), returning its views keyed in the per-rank
-    executor's order."""
+def _step_program(mesh: Mesh, algo: _Algo, steps: list, flops: float) -> list:
+    """The accounting of a batched call's ``steps`` (see :class:`_BatchedDesc`)
+    as one :meth:`~repro.runtime.simulator.Simulator.replay` program: per step
+    its span, the broadcast lines, then per gemm group the gemm charges and
+    the reduce line — the per-rank executor's call order."""
     sim = mesh.sim
-    tr = sim.tracer
+    program = []
+    for l, (bcast_lines, groups) in enumerate(steps):
+        program.append((OPEN, "summa_step", mesh.ranks, "summa", {"algo": algo.name, "step": l}))
+        program.append((COLLECTIVES, "broadcast", bcast_lines))
+        for ranks, reduce in groups:
+            program.append(sim.compute_entry(ranks, ((flops, "gemm"),)))
+            if reduce is not None:
+                program.append((COLLECTIVES, "reduce", reduce))
+        program.append((CLOSE,))
+    return program
+
+
+def _account_steps(mesh, algo, buffers, desc) -> None:
+    """A batched call's accounting step by step, each gemm group through the
+    workspace (hold, gemm, release per rank while an arena grows or the
+    buffers are unmanaged)."""
+    tr = mesh.sim.tracer
     traced = tr.enabled
-    numeric = plan.numeric
     flops, scratch = desc.flops, desc.scratch
-    stack_a, stack_b = (a.blocks, b.blocks) if numeric else (None, None)
-    part = None  # one scratch partial per call, reused by every step
     for l, (bcast_lines, groups) in enumerate(desc.steps):
         with tr.span(
             "summa_step", mesh.ranks, "summa", algo=algo.name, step=l
         ) if traced else NULL_SPAN:
-            # accounting replay, exact per-rank order
             coll.charge_only("broadcast", bcast_lines)
             for ranks, reduce in groups:
-                _replay_gemms(sim, ranks, flops, scratch, buffers)
+                buffers.compute_in_workspace(ranks, scratch, flops)
                 if reduce is not None:
                     coll.charge_only("reduce", reduce)
-            if not numeric:
-                continue  # a shape plan is its accounting
-            # the step's q² rank-local products as one broadcasted matmul:
-            # numpy dispatches every 2-D slice to the same BLAS gemm, on the
-            # same (possibly transposed-view) operands, as the per-rank `@`.
-            # A_il is stacked over rows i (shared by all j), B_lj over columns j
-            x = stack_a[:, l, None] if 0 in algo.bcast else stack_a
-            y = stack_b[None, l] if 1 in algo.bcast else stack_b
-            if algo.ta:
-                x = x.swapaxes(-1, -2)
-            if algo.tb:
-                y = y.swapaxes(-1, -2)
-            if algo.reduce is None and l == 0:
-                np.matmul(x, y, out=out)
-                continue
-            part = np.matmul(x, y, out=part)
-            if algo.reduce is None:
-                np.add(out, part, out=out)
-            else:
-                # fold the reduced line's members (stack axis j for a row
-                # reduce, i for a column reduce) in group-rank order into the
-                # step's output line (column l of C, resp. row l): copy-then-add
-                # is exactly collectives._combine
-                line = out[:, l] if algo.reduce == 0 else out[l]
-                ops.fold_stack_sum(part, axis=1 - algo.reduce, out=line)
-    if not numeric:
+
+
+def _run_batched(mesh, algo, a, b, plan, buffers, desc, out) -> dict:
+    """The call's accounting — its program in one
+    :meth:`~repro.runtime.simulator.Simulator.replay` when every workspace
+    arena of the mesh already holds a step's received blocks (or there are no
+    buffers), else :func:`_account_steps` — then the products, which read no
+    clock.  Numeric plans read both operands' block stacks in place (A_il
+    over rows i as ``A[:, l]``, B_lj over columns j as ``B[l]``) and write
+    the output block stack ``out`` (``desc.stack_shape`` of
+    ``plan.out_dtype``; None for a shape plan), returning its views keyed in
+    the per-rank executor's order."""
+    if buffers is None or buffers.fits("workspace", mesh.ranks, desc.scratch):
+        mesh.sim.replay(desc.program)
+    else:
+        _account_steps(mesh, algo, buffers, desc)
+    if not plan.numeric:
         # one immutable output placeholder for the q² ranks (downstream
         # charge loops iterate the keys)
         return dict.fromkeys(desc.order, ShapeArray(desc.stack_shape[2:], plan.out_dtype))
+    stack_a, stack_b = a.blocks, b.blocks
+    part = None  # one scratch partial per call, reused by every step
+    for l in range(mesh.q):
+        # the step's q² rank-local products as one broadcasted matmul:
+        # numpy dispatches every 2-D slice to the same BLAS gemm, on the
+        # same (possibly transposed-view) operands, as the per-rank `@`.
+        # A_il is stacked over rows i (shared by all j), B_lj over columns j
+        x = stack_a[:, l, None] if 0 in algo.bcast else stack_a
+        y = stack_b[None, l] if 1 in algo.bcast else stack_b
+        if algo.ta:
+            x = x.swapaxes(-1, -2)
+        if algo.tb:
+            y = y.swapaxes(-1, -2)
+        if algo.reduce is None and l == 0:
+            np.matmul(x, y, out=out)
+            continue
+        part = np.matmul(x, y, out=part)
+        if algo.reduce is None:
+            np.add(out, part, out=out)
+        else:
+            # fold the reduced line's members (stack axis j for a row
+            # reduce, i for a column reduce) in group-rank order into the
+            # step's output line (column l of C, resp. row l): copy-then-add
+            # is exactly collectives._combine
+            line = out[:, l] if algo.reduce == 0 else out[l]
+            ops.fold_stack_sum(part, axis=1 - algo.reduce, out=line)
     return {rank: out[ij] for rank, ij in desc.owners}
 
 

@@ -10,7 +10,7 @@ columns of Tables 2–3.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.config import ModelConfig
 from repro.nn.init import init_transformer_params
@@ -108,7 +108,7 @@ def run_stem(
     cfg: ModelConfig,
     p: int,
     batch_size: int,
-    arrangement: str = "bunched",
+    arrangement: Optional[str] = None,
     checkpoint: bool = True,
     strict_memory: bool = False,
     ledger=None,
@@ -118,12 +118,19 @@ def run_stem(
 ) -> StemResult:
     """One forward + one checkpointed backward of ``scheme``'s stem on ``p``
     devices; ``model_kw`` goes to the model (Megatron's ``checkpoint_layout``).
+    ``arrangement`` defaults to the scheme's own; a scheme without one
+    (:attr:`~repro.schemes.Scheme.arrangement` None) raises ``TypeError`` on
+    an explicit one.
 
     ``trace=True`` records spans/events so the ledger record carries a
     critical-path attribution summary; clocks, bytes and memory peaks are
     bit-identical either way (the tracer is append-only bookkeeping).
     """
     rec = lookup(scheme)
+    if arrangement is None:
+        arrangement = rec.arrangement
+    elif rec.arrangement is None:
+        raise TypeError(f"{scheme} takes no arrangement, got {arrangement!r}")
     sim = rec.simulator(
         p, arrangement, backend="shape", strict_memory=strict_memory, trace=trace
     )

@@ -104,7 +104,8 @@ def on_stacks(owner, *operands) -> bool:
     only for uniform numeric shards on more than one rank, so placeholders,
     ragged or mixed-dtype shards, q = 1 or p = 1, an operand owned
     elsewhere, an armed injector and patched collectives all answer
-    False."""
+    False; a tensor of one shared placeholder asks :func:`one_placeholder`
+    instead, which the stacked collectives do."""
     for op in operands:
         if op.blocks is None or op.owner is not owner:
             return False
@@ -112,6 +113,26 @@ def on_stacks(owner, *operands) -> bool:
     # imports this module, and the package imports core.summa, so it is
     # loaded — found without an import statement's cost on this hot path
     return sys.modules["repro.core.summa"]._batched_ready(owner.sim)
+
+
+def one_placeholder(owner, x: "DTensor"):
+    """The dry run's :func:`on_stacks`: the one interned placeholder every
+    shard of ``x`` (a DTensor on ``owner``) is, when it is a float one (its
+    sum is itself) and the gate of :func:`on_stacks` holds; else None.  A
+    collective over such a tensor moves nothing a per-rank run could tell
+    apart, so :mod:`repro.comm.stacked` charges its lines in one call and
+    hands the same object back."""
+    if x.blocks is not None or x.owner is not owner:
+        return None
+    shards = x.shards.values()
+    for first in shards:
+        break
+    if type(first) is not ShapeArray or first.dtype.np_dtype.kind != "f":
+        return None
+    for shard in shards:
+        if shard is not first:
+            return None
+    return first if sys.modules["repro.core.summa"]._batched_ready(owner.sim) else None
 
 
 def block_map(fn: Callable, owner, *operands, layout: Layout = None):

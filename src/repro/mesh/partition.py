@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import ops
+from repro.backend.shape_array import ShapeArray, is_shape_array
 from repro.comm.group import ProcessGroup
 from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import (
@@ -68,7 +69,9 @@ def distribute_blocked_2d(mesh: Mesh, a) -> DTensor:
 
     Numeric data on a q > 1 mesh is copied into one ``(q, q, M/q, N/q)``
     block stack (the shards are its views, so in-place updates of a shard
-    are updates of the stack); otherwise the shards are copied slices."""
+    are updates of the stack); a placeholder's blocks are all the one
+    interned ``(M/q, N/q)`` placeholder; otherwise the shards are copied
+    slices."""
     if a.ndim != 2:
         raise ValueError(f"blocked_2d requires a 2-D matrix, got shape {a.shape}")
     q = mesh.q
@@ -77,6 +80,9 @@ def distribute_blocked_2d(mesh: Mesh, a) -> DTensor:
     if _stackable(mesh, ops.backend_of(a)):
         blocks = np.ascontiguousarray(a.reshape(q, m, q, n).swapaxes(1, 2))
         return DTensor.from_blocks(mesh, BLOCKED_2D, blocks, a.shape, mesh.ranks)
+    if is_shape_array(a):
+        order = [mesh.rank(i, j) for i in range(q) for j in range(q)]
+        return DTensor(mesh, BLOCKED_2D, dict.fromkeys(order, ShapeArray((m, n), a.dtype)), a.shape)
     shards = {}
     for i in range(q):
         ri = block_slice(a.shape[0], q, i)
@@ -284,6 +290,4 @@ def assemble_replicated(dt: DTensor) -> object:
 
 def _replica(x):
     """Copy so ranks never alias each other's buffers (no-op for dryrun)."""
-    from repro.backend.shape_array import is_shape_array
-
     return x if is_shape_array(x) else np.array(x, copy=True)

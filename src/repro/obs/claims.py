@@ -205,10 +205,9 @@ def ensure_claim_records(ledger: RunLedger, printer=None) -> List[str]:
         if printer:
             arr = f" ({arrangement})" if arrangement else ""
             printer(f"collecting claim evidence: {pt['scheme']} p={pt['p']}{arr} stem")
-        placement = {"arrangement": arrangement} if arrangement else {}
         run_stem(
-            pt["scheme"], pt["cfg"], pt["p"], pt["batch"], ledger=ledger,
-            run_label=CLAIM_LABEL, trace=True, **placement,
+            pt["scheme"], pt["cfg"], pt["p"], pt["batch"], arrangement,
+            ledger=ledger, run_label=CLAIM_LABEL, trace=True,
         )
         appended.append(ledger.read()[-1].run_id)
     return appended

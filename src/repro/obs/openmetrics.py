@@ -207,15 +207,6 @@ def render_export(entries: List[dict], prefix: str = "repro",
     return _render(list(families.values()))
 
 
-def write_openmetrics(text: str, path: str) -> str:
-    problems = validate_openmetrics(text)
-    if problems:
-        raise ValueError("refusing to write invalid OpenMetrics: " + "; ".join(problems))
-    with open(path, "w") as f:
-        f.write(text)
-    return path
-
-
 # ----------------------------------------------------------------------
 # grammar validation
 # ----------------------------------------------------------------------

@@ -29,7 +29,6 @@ from repro.pipeline.schedule import (
     PipeOp,
     Schedule,
     gpipe_schedule,
-    max_in_flight,
     one_f_one_b_schedule,
 )
 from repro.reference import functional as F
@@ -94,10 +93,6 @@ class PipelineModel:
         if self.schedule_name == "gpipe":
             return gpipe_schedule(self.S, self.m)
         return one_f_one_b_schedule(self.S, self.m)
-
-    def peak_micro_batches_in_flight(self) -> int:
-        """Stage-0 activation multiplier of the chosen schedule."""
-        return max_in_flight(self.schedule(), 0)
 
     def describe(self) -> dict:
         """What a ledger record says about this executor beyond its scheme."""

@@ -27,6 +27,9 @@ from repro.runtime.device import SimDevice
 from repro.runtime.events import Tracer
 from repro.runtime.memory import MemoryMeter, MemSample
 
+#: the opcodes of an accounting program's entries (see :meth:`Simulator.replay`)
+COMPUTE, COLLECTIVES, OPEN, CLOSE = range(4)
+
 
 class Simulator:
     """A simulated multi-device job."""
@@ -141,19 +144,21 @@ class Simulator:
             self.devices[r].clock += dt
 
     # ------------------------------------------------------------------
-    # bulk charges: an SPMD program issues the same charge on every rank of
-    # a group, and what that costs the host is the Python call per event, not
-    # the arithmetic — so each entry point below makes its charges from one
-    # frame.  Every charge is still a per-rank event (own clock, own
-    # counters, own trace record); ``SimDevice.compute`` / ``charge_comm``
-    # and ``sync`` + ``advance`` stay the single-device definitions, and
+    # accounting programs: an SPMD program issues the same charge on every
+    # rank of a group, and what that costs the host is the Python call per
+    # event, not the arithmetic.  A program is a sequence of entries (the
+    # opcodes below), compiled once per shape and replayed from one frame by
+    # :meth:`replay`, the one definition of the per-rank updates; every
+    # charge is still a per-rank event (own clock, own counters, own trace
+    # record).  :meth:`charge_compute` and :meth:`charge_collectives` are its
+    # one-entry forms.  ``SimDevice.compute`` / ``charge_comm`` and ``sync`` +
+    # ``advance`` stay the single-device definitions, and
     # ``tests/test_bulk_charges.py`` holds the two equal.
     # ------------------------------------------------------------------
-    def charge_compute(self, ranks: Iterable[int], charges: Iterable[Tuple[float, str]]) -> None:
-        """Charge the ``(flops, kind)`` sequence on each of ``ranks`` —
-        ``for r in ranks: for flops, kind in charges:
-        device(r).compute(flops, kind)``, rank-major, so trace events keep
-        that order.  Nothing is charged if any ``flops`` is negative."""
+    def compute_entry(self, ranks: Sequence[int], charges: Iterable[Tuple[float, str]]) -> tuple:
+        """The program entry charging the ``(flops, kind)`` sequence on each
+        of ``ranks``: ``(COMPUTE, ranks, [(flops, kind, dt), …])``.  Raises
+        if any ``flops`` is negative."""
         # every device of a simulator shares ``cluster.device``; the division
         # is SimDevice.compute's own (a reciprocal would round differently)
         effective_flops = self.cluster.device.effective_flops
@@ -162,49 +167,88 @@ class Simulator:
             if flops < 0:
                 raise ValueError("negative flops")
             timed.append((flops, kind, flops / effective_flops))
+        return (COMPUTE, ranks, timed)
+
+    def replay(self, program: Iterable[tuple]) -> None:
+        """Run an accounting program's entries in order:
+
+        * ``(COMPUTE, ranks, timed)`` (see :meth:`compute_entry`) — ``for r
+          in ranks: for flops, kind, dt in timed: device(r).compute(flops,
+          kind)``, rank-major, so trace events keep that order;
+        * ``(COLLECTIVES, kind, lines)`` — one ``kind`` collective on each
+          ``(group, (dt, nbytes, weighted))`` of ``lines``, in order (a mesh's
+          rows or columns, or one group): barrier over the group's devices
+          (see :attr:`~repro.comm.group.ProcessGroup.devices`), advance by
+          ``dt``, one ``charge_comm`` each and the trace record.  A
+          single-rank group moves no data and is charged nothing;
+        * ``(OPEN, name, ranks, category, attrs)`` / ``(CLOSE,)`` — a trace
+          span's ``__enter__`` / ``__exit__`` (nothing when untraced).
+
+        Traced or not, the per-rank updates are the same, in the same
+        order."""
         devices = self.devices
         tr = self.tracer
         traced = tr.enabled
-        for rank in ranks:
-            d = devices[rank]
-            for flops, kind, dt in timed:
-                d.flops += flops
-                if kind == "gemm":
-                    d.flops_gemm += flops
-                d.compute_time += dt
-                t0 = d.clock
-                d.clock = t1 = t0 + dt
-                if traced:
-                    tr.record(
-                        "compute", (rank,), t0, t1, label=kind, attrs={"flops": flops}
-                    )
+        spans = []
+        for entry in program:
+            op = entry[0]
+            if op == COLLECTIVES:
+                kind = entry[1]
+                for group, (dt, nbytes, weighted) in entry[2]:
+                    members = group.devices
+                    if len(members) <= 1:
+                        continue
+                    t0 = members[0].clock  # the barrier: the latest clock
+                    for d in members:
+                        if d.clock > t0:
+                            t0 = d.clock
+                    t1 = t0 + dt
+                    for d in members:
+                        d.clock = t1
+                        d.comm_time += dt
+                        d.bytes_comm += nbytes
+                        d.weighted_comm_volume += weighted
+                        d.num_collectives += 1
+                    if traced:
+                        tr.record(
+                            kind, group.ranks, t0, t1,
+                            nbytes=nbytes, label=group.kind, weighted=weighted,
+                        )
+            elif op == COMPUTE:
+                timed = entry[2]
+                for rank in entry[1]:
+                    d = devices[rank]
+                    for flops, kind, dt in timed:
+                        d.flops += flops
+                        if kind == "gemm":
+                            d.flops_gemm += flops
+                        d.compute_time += dt
+                        t0 = d.clock
+                        d.clock = t1 = t0 + dt
+                        if traced:
+                            tr.record(
+                                "compute", (rank,), t0, t1, label=kind, attrs={"flops": flops}
+                            )
+            elif not traced:
+                continue
+            elif op == OPEN:
+                _, name, ranks, category, attrs = entry
+                span = tr.span(name, ranks, category, **attrs)
+                span.__enter__()
+                spans.append(span)
+            else:
+                spans.pop().__exit__(None, None, None)
+
+    def charge_compute(self, ranks: Iterable[int], charges: Iterable[Tuple[float, str]]) -> None:
+        """Charge the ``(flops, kind)`` sequence on each of ``ranks`` (a
+        one-entry :meth:`replay`).  Nothing is charged if any ``flops`` is
+        negative."""
+        self.replay((self.compute_entry(ranks, charges),))
 
     def charge_collectives(self, kind: str, lines: Iterable[tuple]) -> None:
         """One ``kind`` collective on each ``(group, (dt, nbytes, weighted))``
-        of ``lines``, in order (a mesh's rows or columns, or one group):
-        barrier over the group's devices (see
-        :attr:`~repro.comm.group.ProcessGroup.devices`), advance by ``dt``,
-        one ``charge_comm`` each and the trace record.  A single-rank group
-        moves no data and is charged nothing."""
-        tr = self.tracer
-        traced = tr.enabled
-        for group, (dt, nbytes, weighted) in lines:
-            devices = group.devices
-            if len(devices) <= 1:
-                continue
-            t0 = max([d.clock for d in devices])
-            t1 = t0 + dt
-            for d in devices:
-                d.clock = t1
-                d.comm_time += dt
-                d.bytes_comm += nbytes
-                d.weighted_comm_volume += weighted
-                d.num_collectives += 1
-            if traced:
-                tr.record(
-                    kind, group.ranks, t0, t1,
-                    nbytes=nbytes, label=group.kind, weighted=weighted,
-                )
+        of ``lines``, in order (a one-entry :meth:`replay`)."""
+        self.replay(((COLLECTIVES, kind, lines),))
 
     def elapsed(self) -> float:
         """Simulated wall-clock of the job so far (slowest rank)."""

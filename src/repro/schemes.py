@@ -42,6 +42,9 @@ class Scheme:
     stem_mesh: Callable[[int, str], Optional[dict]]  # ledger mesh of a stem
     serve_mesh: Callable[[int], dict]  # ledger mesh of a serving arm
     min_devices: int  # the smallest parallel run
+    #: the default GPU arrangement of a run; None: the scheme has one
+    #: placement and takes no arrangement
+    arrangement: Optional[str]
 
 
 SCHEMES = {
@@ -53,6 +56,7 @@ SCHEMES = {
         stem_mesh=lambda p, arrangement: {"q": mesh_side(p), "arrangement": arrangement},
         serve_mesh=lambda p: {"q": mesh_side(p)},
         min_devices=4,
+        arrangement="bunched",
     ),
     "megatron": Scheme(
         # a flat group has one placement, so ``arrangement`` is not read
@@ -63,6 +67,7 @@ SCHEMES = {
         stem_mesh=lambda p, arrangement: None,
         serve_mesh=lambda p: {"arrangement": "flat"},
         min_devices=2,
+        arrangement=None,
     ),
 }
 

@@ -68,10 +68,6 @@ class Request:
         return len(self.prompt)
 
     @property
-    def total_tokens(self) -> int:
-        return self.prompt_len + self.max_new
-
-    @property
     def kv_positions(self) -> int:
         """KV-cache positions the request occupies: every token except the
         final sampled one is appended to the cache."""

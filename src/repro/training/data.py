@@ -86,14 +86,6 @@ class BatchStream:
     def copy_task(cls, cfg: ModelConfig, batch_size: int, seed: int = 0) -> "BatchStream":
         return cls(lambda s, k: copy_task_batch(cfg, batch_size, seed=s + k), seed=seed)
 
-    @classmethod
-    def from_corpus(
-        cls, corpus: "CharCorpus", batch_size: int, seq_len: int, seed: int = 0
-    ) -> "BatchStream":
-        return cls(
-            lambda s, k: corpus.batch(batch_size, seq_len, seed=s + k), seed=seed
-        )
-
 
 class CharCorpus:
     """Byte-level next-character language modelling on a fixed text.

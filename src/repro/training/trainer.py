@@ -70,10 +70,6 @@ class TrainLog:
     step_times: List[float] = field(default_factory=list)  # simulated seconds
     comm_fractions: List[float] = field(default_factory=list)
 
-    @property
-    def last_loss(self) -> float:
-        return self.losses[-1]
-
     def truncate(self, num_steps: int) -> None:
         """Drop log entries beyond ``num_steps`` (checkpoint rollback)."""
         for lst in (

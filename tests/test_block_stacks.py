@@ -5,11 +5,15 @@ buffer peaks and the raw trace event list — equals the per-rank path."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.backend.shape_array import ShapeArray
 from repro.check.invariants import InvariantViolation, validate_dtensor
+from repro.comm import collectives as coll
+from repro.comm import stacked
 from repro.comm.group import ProcessGroup
 from repro.comm.stacked import broadcast_down_columns
 from repro.config import tiny_config
@@ -334,6 +338,107 @@ class TestGate:
         x = _blocked(mine)
         y = _blocked(other)
         assert self._per_rank(mine, x, y)
+
+
+def _spy_per_rank(m):
+    """Record the kind of every per-rank collective the stacked module runs
+    (``per_line``, and the real all-gather it falls back to)."""
+    kinds = []
+    per_line, all_gather = stacked.per_line, coll.all_gather
+    m.setattr(stacked, "per_line", lambda *a, **k: kinds.append(a[1]) or per_line(*a, **k))
+    m.setattr(coll, "all_gather", lambda *a, **k: kinds.append("all_gather") or all_gather(*a, **k))
+    return kinds
+
+
+PER_RANK_KINDS = ["all_reduce", "broadcast", "reduce", "all_reduce", "all_gather"]
+
+
+class TestPlaceholderCollectives:
+    """On the dry run a tensor whose shards are all one interned placeholder
+    takes the stacked branch of the four DTensor collectives of
+    :mod:`repro.comm.stacked`: one replayed charge, the same placeholder
+    back.  Everything observable equals the per-rank path on the same input:
+    the shard objects, their key order, the raw trace events and the
+    watermarks."""
+
+    Q, P = 3, 4
+
+    def _calls(self):
+        """Fresh owners (a 3×3 mesh, a 4-rank group) and the five calls."""
+        q = self.Q
+        mesh = make_mesh(q, backend="shape", trace=True)
+        group = ProcessGroup(
+            Simulator.for_flat(self.P, backend="shape", trace=True), tuple(range(self.P))
+        )
+
+        def blocked(block):
+            shards = dict.fromkeys(mesh.ranks, ShapeArray(block))
+            return DTensor(mesh, BLOCKED_2D, shards, (q * block[0], q * block[1]))
+
+        x, sums = blocked((4, 6)), blocked((2, 6))
+        bias = SimpleNamespace(data=distribute_row0_cols(mesh, ShapeArray((6 * q,))))
+        shards = dict.fromkeys(group.ranks, ShapeArray((5, 8)))
+        partials = DTensor(group, REPLICATED_1D, shards, (5, 8))
+        # a checkpoint's uneven row slices of the 5 rows
+        parts = {r: ShapeArray((rows, 8)) for r, rows in zip(group.ranks, (2, 1, 1, 1))}
+        calls = [
+            lambda: (stacked.all_reduce_rows(mesh, x),),
+            lambda: (stacked.broadcast_down_columns(mesh, bias),),
+            lambda: stacked.reduce_up_columns(mesh, sums, (6 * q,)),
+            lambda: (stacked.all_reduce(group, partials),),
+            lambda: (stacked.all_gather(group, partials, parts),),
+        ]
+        return (mesh.sim, group.sim), calls
+
+    def _run(self, monkeypatch, forced):
+        with monkeypatch.context() as m:
+            kinds = _spy_per_rank(m)
+            if forced:
+                _force_per_rank(m)
+            sims, calls = self._calls()
+            out = [
+                [(dt.layout, dt.global_shape, [(r, id(s)) for r, s in dt.shards.items()])
+                 for dt in call()]
+                for call in calls
+            ]
+        return out, [(sim.tracer.events, sim.watermarks()) for sim in sims], kinds
+
+    def test_equal_to_the_per_rank_path(self, monkeypatch):
+        got, got_charges, got_kinds = self._run(monkeypatch, forced=False)
+        want, want_charges, want_kinds = self._run(monkeypatch, forced=True)
+        assert got == want and got_charges == want_charges
+        assert all(events for events, _marks in got_charges)
+        assert got_kinds == [] and want_kinds == PER_RANK_KINDS
+        # the row all-reduce hands every rank the operand's own placeholder
+        ((_layout, _shape, shards),) = got[0]
+        assert {obj for _r, obj in shards} == {id(ShapeArray((4, 6)))}
+
+    def test_an_armed_injector_takes_the_per_rank_path(self, monkeypatch):
+        from repro.resilience import FaultInjector
+        from repro.resilience.faults import FaultSchedule
+
+        kinds = _spy_per_rank(monkeypatch)
+        sims, calls = self._calls()
+        injectors = [FaultInjector(FaultSchedule()).install(sim) for sim in sims]
+        try:
+            for call in calls:
+                call()
+        finally:
+            for inj in injectors:
+                inj.uninstall()
+        # the injector runs the real all-gather through its module name again
+        assert kinds[:4] == PER_RANK_KINDS[:4] and set(kinds[4:]) == {"all_gather"}
+
+    def test_a_non_float_placeholder_takes_per_line(self, monkeypatch):
+        """Summing an integer placeholder promotes it, so it is not its own
+        sum: the row all-reduce runs per line."""
+        mesh = make_mesh(2, backend="shape")
+        shards = dict.fromkeys(mesh.ranks, ShapeArray((2, 3), "int32"))
+        x = DTensor(mesh, BLOCKED_2D, shards, (4, 6))
+        kinds = _spy_per_rank(monkeypatch)
+        out = stacked.all_reduce_rows(mesh, x)
+        assert kinds == ["all_reduce"]
+        assert out.local(0).dtype.name == "float64"
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Bulk charges ≡ the per-rank loops they replaced.
 
-``Simulator.charge_compute`` / ``charge_collectives`` (through
+``Simulator.replay`` (an accounting program's entries from one frame),
+its one-entry forms ``charge_compute`` / ``charge_collectives`` (through
 ``collectives.charge_only``, all of a mesh's lines in one call) and
 ``BufferManager.hold_many`` /
 ``compute_in_workspace`` issue from one frame what used to be one
@@ -24,6 +25,8 @@ from repro.comm.group import ProcessGroup
 from repro.core.buffers import REGIONS, BufferManager
 from repro.mesh.mesh import Mesh
 from repro.runtime import OutOfDeviceMemory, Simulator
+from repro.runtime.events import NULL_SPAN
+from repro.runtime.simulator import CLOSE, COLLECTIVES, OPEN
 
 _REGION = st.sampled_from(REGIONS)
 _BYTES = st.integers(0, 5_000)
@@ -263,9 +266,9 @@ def test_a_multi_line_charge_is_one_charge_per_line(q, data):
                 sim.charge_compute(*args)
             continue
         kind, lines = args
-        coll.charge_only(
-            kind, [(groups[bulk][g], (dt, nbytes, w)) for g, dt, nbytes, w in lines]
-        )
+        # the collectives' entry point, or the simulator's own one-entry form
+        charge = coll.charge_only if data.draw(st.booleans()) else bulk.charge_collectives
+        charge(kind, [(groups[bulk][g], (dt, nbytes, w)) for g, dt, nbytes, w in lines])
         for g, dt, nbytes, w in lines:
             _charge_one_line(per_line, groups[per_line][g], kind, dt, nbytes, w)
     seen = [
@@ -277,3 +280,46 @@ def test_a_multi_line_charge_is_one_charge_per_line(q, data):
         for sim in (bulk, per_line)
     ]
     assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("q", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_program_is_its_entries_in_order(q, traced, data):
+    """One ``Simulator.replay`` of a program — compute entries, line
+    entries, some wrapped in a span — charges what the per-rank calls and
+    the span's context manager do one after the other: clocks, every
+    counter, the raw events and the spans."""
+    replayed, oracle = (Simulator.for_mesh(q=q, trace=traced) for _ in range(2))
+    groups = {sim: _line_groups(sim, q) for sim in (replayed, oracle)}
+    ops = data.draw(_line_program(q, len(groups[replayed])))
+    spanned = data.draw(st.lists(st.booleans(), min_size=len(ops), max_size=len(ops)))
+    program = []
+    for i, ((name, *args), span) in enumerate(zip(ops, spanned)):
+        if span:
+            program.append((OPEN, f"op{i}", range(q * q), "test", {"i": i}))
+        if name == "compute":
+            program.append(replayed.compute_entry(*args))
+        else:
+            kind, lines = args
+            program.append(
+                (COLLECTIVES, kind,
+                 [(groups[replayed][g], (dt, nbytes, w)) for g, dt, nbytes, w in lines])
+            )
+        if span:
+            program.append((CLOSE,))
+        with oracle.tracer.span(f"op{i}", range(q * q), "test", i=i) if span else NULL_SPAN:
+            if name == "compute":
+                ranks, charges = args
+                for r in ranks:
+                    for flops, kind in charges:
+                        oracle.device(r).compute(flops, kind=kind)
+            else:
+                for g, dt, nbytes, w in lines:
+                    _charge_one_line(oracle, groups[oracle][g], kind, dt, nbytes, w)
+    replayed.replay(program)
+    assert replayed.watermarks() == oracle.watermarks()
+    assert replayed.tracer.events == oracle.tracer.events
+    assert replayed.tracer.spans == oracle.tracer.spans
+    assert replayed.tracer.open_span_count == 0

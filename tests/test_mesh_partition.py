@@ -93,6 +93,14 @@ class TestBlocked2D:
         assert dt.local(0).shape == (4, 4)
         assert assemble_blocked_2d(dt).shape == (8, 8)
 
+    def test_dryrun_blocks_are_one_placeholder_in_mesh_order(self):
+        mesh = make_mesh(3, backend="shape")
+        dt = distribute_blocked_2d(mesh, ShapeArray((12, 6), "float16"))
+        block = ShapeArray((4, 2), "float16")
+        want = [(mesh.rank(i, j), id(block)) for i in range(3) for j in range(3)]
+        assert [(r, id(s)) for r, s in dt.shards.items()] == want
+        assert assemble_blocked_2d(dt).shape == (12, 6)
+
 
 class TestRowBlockedAndReplicated:
     def test_row_blocked(self, rng):

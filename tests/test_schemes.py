@@ -89,6 +89,22 @@ def test_run_stem_equals_the_direct_build(monkeypatch, scheme):
     assert built[0].watermarks() == sim.watermarks()
 
 
+def test_megatron_refuses_an_arrangement():
+    """A flat group has one placement: an explicit arrangement is an error,
+    not silently ignored."""
+    assert SCHEMES["megatron"].arrangement is None
+    with pytest.raises(TypeError, match="^megatron takes no arrangement, got 'linear'$"):
+        runner.run_stem("megatron", CFG, 16, 4, arrangement="linear")
+
+
+def test_run_stem_defaults_to_the_schemes_arrangement():
+    rec = SCHEMES["optimus"]
+    assert rec.arrangement == "bunched"
+    default = runner.run_stem("optimus", CFG, 16, 4)
+    assert default == runner.run_stem("optimus", CFG, 16, 4, arrangement=rec.arrangement)
+    assert default != runner.run_stem("optimus", CFG, 16, 4, arrangement="naive")
+
+
 @pytest.mark.parametrize("scheme", list(SCHEMES))
 def test_make_engine_equals_the_direct_build(scheme):
     cfg = tiny_config(num_heads=4)

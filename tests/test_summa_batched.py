@@ -15,6 +15,7 @@ from repro.core.buffers import BufferManager
 from repro.mesh import assemble_blocked_2d, distribute_blocked_2d
 from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import BLOCKED_2D
+from repro.runtime import OutOfDeviceMemory
 from tests.conftest import make_mesh
 
 DEV_FIELDS = (
@@ -431,6 +432,108 @@ class TestPlans:
             getattr(summa, "summa_" + name)(mesh, a, b)
         assert str(got.value) == want
         assert summa.plan_cache_size(mesh) == 0
+
+
+#: how a call meets its workspace: no buffers; managed arenas that must grow
+#: on the first call; arenas grown beforehand; unmanaged buffers; strict
+#: device memory one allocation short of the run's peak
+ARENAS = ("none", "cold", "warm", "unmanaged", "short")
+
+
+class TestReplay:
+    """A uniform plan's call replays its compiled accounting program from
+    one :meth:`Simulator.replay` frame when no workspace arena has to grow,
+    and otherwise runs the step loop; either way everything observable equals
+    the forced per-rank path's, traced or not."""
+
+    @staticmethod
+    def _run(name, q, backend, traced, arena, capacity=None):
+        """Two calls of ``summa_<name>`` (the second on the cached plan and
+        the grown arenas) on a fresh mesh; everything observable."""
+        mesh = make_mesh(q, backend=backend, strict_memory=capacity is not None)
+        sim = mesh.sim
+        sim.tracer.enabled = traced
+        if capacity is not None:
+            for d in sim.devices:
+                d.memory.capacity = capacity
+        a, b = _operands(mesh, ALGOS[name], np.float32)
+        if backend == "shape":
+            a, b = (x.map(lambda s: ShapeArray(s.shape, s.dtype)) for x in (a, b))
+        buffers = None
+        if arena != "none":
+            buffers = BufferManager(sim, managed=arena != "unmanaged")
+        if arena == "warm":  # every workspace arena already holds a step's blocks
+            big = 10 * (a.shard_nbytes() + b.shard_nbytes())
+            buffers.hold_many("workspace", [(r, big) for r in mesh.ranks])
+            buffers.reset_region("workspace")
+        outs, oom = [], None
+        try:
+            for _ in range(2):
+                c = getattr(summa, "summa_" + name)(mesh, a, b, buffers)
+                outs.append(
+                    [(r, id(s)) for r, s in c.shards.items()] if backend == "shape"
+                    else {r: np.array(s) for r, s in c.shards.items()}
+                )
+        except OutOfDeviceMemory as e:
+            oom = (e.rank, e.requested, e.current, e.capacity)
+        if backend == "numpy":
+            outs = [{r: x.tobytes() for r, x in out.items()} for out in outs]
+        return {
+            "outs": outs,
+            "oom": oom,
+            "events": sim.tracer.events,
+            "spans": sim.tracer.spans,
+            "watermarks": sim.watermarks(),
+            "memory": [
+                (dict(d.memory.by_tag), d.memory.num_allocs, d.memory.peak)
+                for d in sim.devices
+            ],
+        }
+
+    @pytest.mark.parametrize("arena", ARENAS)
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("backend", ["numpy", "shape"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 8])
+    @pytest.mark.parametrize("name", sorted(ALGOS))
+    def test_replay_equals_the_forced_per_rank_path(
+        self, monkeypatch, name, q, backend, traced, arena
+    ):
+        capacity = None
+        if arena == "short":  # one byte short of the managed run's peak
+            full = self._run(name, q, backend, traced, "cold")
+            capacity = max(peak for _tags, _allocs, peak in full["memory"]) - 1
+        stepped = []
+        real = summa._account_steps
+        monkeypatch.setattr(
+            summa, "_account_steps", lambda *args: stepped.append(1) or real(*args)
+        )
+        kind = "cold" if arena == "short" else arena
+        got = self._run(name, q, backend, traced, kind, capacity)
+        with monkeypatch.context() as m:
+            _forced_per_rank(m)
+            want = self._run(name, q, backend, traced, kind, capacity)
+        assert got == want
+        assert (got["oom"] is not None) == (arena == "short")
+        if traced and arena != "short":
+            assert got["events"] and got["spans"]
+        # which calls ran the step loop: none on q = 1 (the per-rank executor)
+        # and where no arena grows; the first where arenas grow (the strict
+        # run stops in it); both when unmanaged
+        calls = {"none": 0, "cold": 1, "warm": 0, "unmanaged": 2, "short": 1}[arena]
+        assert len(stepped) == (0 if q == 1 else calls)
+
+    def test_a_plan_compiles_one_program(self):
+        """The program holds the q steps' entries in the executor's call
+        order, spans included, and is built with the plan."""
+        from repro.runtime.simulator import CLOSE, COLLECTIVES, COMPUTE, OPEN
+
+        mesh = make_mesh(3)
+        a, b = _operands(mesh, summa._ABT, np.float32)
+        desc = summa._get_plan(mesh, summa._ABT, a, b).batched
+        ops = [entry[0] for entry in desc.program]
+        step = [OPEN, COLLECTIVES] + [COMPUTE, COLLECTIVES] * 3 + [CLOSE]
+        assert ops == step * 3
+        assert [e[4]["step"] for e in desc.program if e[0] == OPEN] == [0, 1, 2]
 
 
 class TestFuzzerComparesExecutors:
