@@ -205,12 +205,16 @@ class BufferManager:
         return gauge
 
     def hold_many(self, region: str, holds: Sequence[Tuple[int, int]]) -> None:
-        """:meth:`hold` each ``(rank, nbytes)`` of ``holds`` (integer byte
-        counts), in order, from one frame.  A managed arena grows here as in
-        :meth:`hold` (allocation, then capacity, then gauge), so a
-        strict-capacity OOM leaves the region unchanged and the entries
-        before it held; unmanaged mode goes through :meth:`hold`.  No rank is
-        touched if any entry is negative."""
+        """:meth:`hold` each ``(rank, nbytes)`` of ``holds``, in order, from
+        one frame (byte counts go through ``int`` as in :meth:`hold`).  A
+        managed arena grows here as in :meth:`hold` (allocation, then
+        capacity, then gauge), so a strict-capacity OOM leaves the region
+        unchanged and the entries before it held; unmanaged mode goes through
+        :meth:`hold`.  No rank is touched if any entry is negative."""
+        for _rank, nbytes in holds:
+            if nbytes.__class__ is not int:  # a float or NumPy count: convert all
+                holds = [(rank, int(nbytes)) for rank, nbytes in holds]
+                break
         for _rank, nbytes in holds:
             if nbytes < 0:
                 raise ValueError("negative allocation")

@@ -57,14 +57,16 @@ gemm group the compute charges and the reduce line, each step's span) into
 one accounting program, and a call whose workspace arenas all hold a step's
 received blocks already (or that has no buffers) is one
 :meth:`~repro.runtime.simulator.Simulator.replay` of it, checked once per
-call; otherwise (an arena must grow, unmanaged buffers) the steps are
-charged one by one, each gemm group's holds, gemms and releases through the
-buffer manager.  The products come after the accounting: numeric math reads
-no clock.  On a dryrun (``ShapeArray``) plan there is no product to
-compute: the batched executor *is* that replay, plus one output placeholder
-of the plan's block shape and dtype shared by the q² ranks (placeholders
-are immutable) — the shape math is derived once, the charges are made p
-times.
+call — run in lockstep (one rank's updates, copied to the mesh) when the plan
+proved the program rank-symmetric and the ranks' counters start equal
+(:meth:`~repro.runtime.simulator.Simulator.lockstep`); otherwise (an arena
+must grow, unmanaged buffers) the steps are charged one by one, each gemm
+group's holds, gemms and releases through the buffer manager.  The products
+come after the accounting: numeric math reads no clock.  On a dryrun
+(``ShapeArray``) plan there is no product to compute: the batched executor
+*is* that replay, plus one output placeholder of the plan's block shape and
+dtype shared by the q² ranks (placeholders are immutable) — the shape math is
+derived once, the charges are made p times.
 
 **Selection** is made per call from what the code observes, never from an
 option: the batched executor runs whenever it is bit-exact, i.e. every
@@ -332,9 +334,10 @@ def _uniform_plan(mesh: Mesh, algo: _Algo, sig_a, sig_b, numeric: bool) -> _Plan
     scratch = sum(blocks[op].nbytes for op in algo.bcast)
     steps = [(bcasts, groups)] * q
     flops = 2.0 * m * k * n
+    program = _step_program(mesh, algo, steps, flops)
     desc = _BatchedDesc(
-        steps, flops, scratch, _step_program(mesh, algo, steps, flops), (q, q, m, n),
-        [(r, mesh.coords(r)) for r in order], order,
+        steps, flops, scratch, program, mesh.sim.lockstep(program, mesh.ranks),
+        (q, q, m, n), [(r, mesh.coords(r)) for r in order], order,
     )
     return _Plan(None, numeric, out_dtype, blocks, desc)
 
@@ -479,6 +482,9 @@ class _BatchedDesc(NamedTuple):
     scratch: int
     #: ``steps`` compiled into one accounting program (:func:`_step_program`)
     program: list
+    #: the program's lockstep form over the mesh, or None where the mesh's
+    #: lines are priced apart (:meth:`~repro.runtime.simulator.Simulator.lockstep`)
+    lockstep: Optional[tuple]
     stack_shape: tuple  # (q, q) + output block: the output's block stack
     #: ``(rank, (i, j))`` of every output block, in the per-rank executor's
     #: key order (downstream charge loops iterate it): mesh order for
@@ -576,7 +582,7 @@ def _run_batched(mesh, algo, a, b, plan, buffers, desc, out) -> dict:
     ``plan.out_dtype``; None for a shape plan), returning its views keyed in
     the per-rank executor's order."""
     if buffers is None or buffers.fits("workspace", mesh.ranks, desc.scratch):
-        mesh.sim.replay(desc.program)
+        mesh.sim.replay(desc.program, desc.lockstep)
     else:
         _account_steps(mesh, algo, buffers, desc)
     if not plan.numeric:

@@ -13,6 +13,7 @@ from typing import Dict, List, Tuple
 
 from repro.config import table3_strong_scaling
 from repro.experiments.runner import ScalingRow, render_scaling, run_scaling
+from repro.schemes import SCHEMES
 
 #: The paper's Table 3 values: p -> (fwd/seq, bwd/seq, throughput, inference)
 PAPER_MEGATRON: Dict[int, Tuple[float, float, float, float]] = {
@@ -45,7 +46,10 @@ def render(rows: List[Table3Row]) -> str:
 
 def optimus_trend(rows: List[Table3Row]) -> List[float]:
     """Optimus throughput by p — the paper's 'increasing trend' claim."""
-    return [r.result.throughput for r in rows if r.result.scheme == "optimus"]
+    trend = {scheme: [] for scheme in SCHEMES}
+    for r in rows:
+        trend[r.result.scheme].append(r.result.throughput)
+    return trend["optimus"]
 
 
 def main() -> str:  # pragma: no cover - exercised via benchmarks

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 from repro.hardware.specs import DeviceSpec
@@ -46,8 +47,8 @@ class SimDevice:
         layernorm), which is charged to the clock but excluded from
         ``flops_gemm``.
         """
-        if flops < 0:
-            raise ValueError("negative flops")
+        if not 0 <= flops < inf:
+            raise ValueError(f"non-finite or negative flops: {flops!r}")
         dt = flops / self.spec.effective_flops
         self.flops += flops
         if kind == "gemm":

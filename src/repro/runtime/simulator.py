@@ -17,6 +17,11 @@ execute numerically.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
+from functools import reduce
+from itertools import count, repeat
+from math import inf
+from operator import add, attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.hardware.arrangement import Arrangement, linear_arrangement, make_arrangement
@@ -29,6 +34,14 @@ from repro.runtime.memory import MemoryMeter, MemSample
 
 #: the opcodes of an accounting program's entries (see :meth:`Simulator.replay`)
 COMPUTE, COLLECTIVES, OPEN, CLOSE = range(4)
+
+#: the per-rank counters an accounting program updates, in the order of a
+#: lockstep form's increment chains (see :meth:`Simulator.lockstep`)
+COUNTERS = (
+    "clock", "flops", "flops_gemm", "compute_time",
+    "comm_time", "bytes_comm", "weighted_comm_volume", "num_collectives",
+)
+_counters = attrgetter(*COUNTERS)
 
 
 class Simulator:
@@ -150,26 +163,124 @@ class Simulator:
     # opcodes below), compiled once per shape and replayed from one frame by
     # :meth:`replay`, the one definition of the per-rank updates; every
     # charge is still a per-rank event (own clock, own counters, own trace
-    # record).  :meth:`charge_compute` and :meth:`charge_collectives` are its
-    # one-entry forms.  ``SimDevice.compute`` / ``charge_comm`` and ``sync`` +
-    # ``advance`` stay the single-device definitions, and
-    # ``tests/test_bulk_charges.py`` holds the two equal.
+    # record).  A rank-symmetric program may also be compiled to a lockstep
+    # form (:meth:`lockstep`), which an untraced replay runs once and copies
+    # to the scope when the scope's counters start equal.
+    # :meth:`charge_compute` and :meth:`charge_collectives` are
+    # :meth:`replay`'s one-entry forms.  ``SimDevice.compute`` /
+    # ``charge_comm`` and ``sync`` + ``advance`` stay the single-device
+    # definitions, and ``tests/test_bulk_charges.py`` holds the two equal.
     # ------------------------------------------------------------------
     def compute_entry(self, ranks: Sequence[int], charges: Iterable[Tuple[float, str]]) -> tuple:
         """The program entry charging the ``(flops, kind)`` sequence on each
         of ``ranks``: ``(COMPUTE, ranks, [(flops, kind, dt), …])``.  Raises
-        if any ``flops`` is negative."""
+        if any ``flops`` is negative, NaN or infinite."""
         # every device of a simulator shares ``cluster.device``; the division
         # is SimDevice.compute's own (a reciprocal would round differently)
         effective_flops = self.cluster.device.effective_flops
         timed = []
         for flops, kind in charges:
-            if flops < 0:
-                raise ValueError("negative flops")
+            if not 0 <= flops < inf:
+                raise ValueError(f"non-finite or negative flops: {flops!r}")
             timed.append((flops, kind, flops / effective_flops))
         return (COMPUTE, ranks, timed)
 
-    def replay(self, program: Iterable[tuple]) -> None:
+    def lockstep(self, program: Sequence[tuple], scope: Iterable[int]) -> Optional[tuple]:
+        """``program``'s lockstep form over the ranks of ``scope`` — the
+        scope's devices and, per counter of :data:`COUNTERS`, the tuple of
+        increments one rank's replay adds to it, in program order — or None
+        when the program is not rank-symmetric over ``scope``.
+
+        The proof: each rank carries the id of the increment sequence it has
+        applied so far, hash-consed (an id and an entry's increments map to
+        one new id), so ranks with equal ids applied equal sequences.  The
+        program is rank-symmetric when the members of every charged line
+        hold one id at its barrier — started equal, they meet with equal
+        clocks, and the barrier adds ``dt`` to that clock — and every rank of
+        ``scope`` ends with one id.  A rank charged outside ``scope``
+        refutes it."""
+        scope = list(scope)
+        if not scope:
+            return None
+        ids = [None] * self.num_ranks  # rank -> seq id; None: out of scope
+        for r in scope:
+            ids[r] = 0
+        # increments -> key id, and (seq id, key id) -> the next seq id,
+        # each a fresh id on first sight
+        keys, table = defaultdict(count().__next__), defaultdict(count(1).__next__)
+        rep = scope[0]
+        chains = clock, flops, gemm, compute_time, comm_time, nbytes, weighted, num = (
+            [], [], [], [], [], [], [], []
+        )
+        for entry in program:
+            op = entry[0]
+            if op == COMPUTE:
+                ranks, timed = entry[1], entry[2]
+                key = keys[COMPUTE, tuple(timed)]
+                for r in ranks:
+                    old = ids[r]
+                    if old is None:
+                        return None
+                    ids[r] = table[old, key]
+                for _ in range(ranks.count(rep)):  # as often as rep is listed
+                    for f, kind, dt in timed:
+                        flops.append(f)
+                        if kind == "gemm":
+                            gemm.append(f)
+                        compute_time.append(dt)
+                        clock.append(dt)
+            elif op == COLLECTIVES:
+                for group, cost in entry[2]:
+                    ranks = group.ranks
+                    if len(ranks) <= 1:
+                        continue
+                    old = ids[ranks[0]]
+                    if old is None:
+                        return None
+                    new = table[old, keys[COLLECTIVES, cost]]
+                    for r in ranks:
+                        if ids[r] != old:  # a member out of step at the barrier
+                            return None
+                        ids[r] = new
+                    if rep in ranks:
+                        dt, nb, w = cost
+                        clock.append(dt)
+                        comm_time.append(dt)
+                        nbytes.append(nb)
+                        weighted.append(w)
+                        num.append(1)
+        last = ids[rep]
+        for r in scope:
+            if ids[r] != last:
+                return None
+        return [self.devices[r] for r in scope], tuple(map(tuple, chains))
+
+    @staticmethod
+    def _lockstep(devices: Sequence[SimDevice], chains: Tuple[tuple, ...]) -> bool:
+        """Run a lockstep form (see :meth:`lockstep`) if the eight counters
+        of ``devices`` are equal: each counter's increments added in order to
+        the common value — the float-add chain every rank would run — and the
+        results written to every device.  False, having changed nothing, at
+        the first device that differs."""
+        state = _counters(devices[0])
+        for d in devices:
+            if _counters(d) != state:
+                return False
+        clock, flops, gemm, compute_time, comm_time, nbytes, weighted, num = map(
+            reduce, repeat(add), chains, state
+        )
+        for d in devices:
+            d.clock = clock
+            d.flops = flops
+            d.flops_gemm = gemm
+            d.compute_time = compute_time
+            d.comm_time = comm_time
+            d.bytes_comm = nbytes
+            d.weighted_comm_volume = weighted
+            d.num_collectives = num
+        return True
+
+    def replay(self, program: Iterable[tuple], lockstep: Optional[tuple] = None) -> None:
         """Run an accounting program's entries in order:
 
         * ``(COMPUTE, ranks, timed)`` (see :meth:`compute_entry`) — ``for r
@@ -185,10 +296,17 @@ class Simulator:
           span's ``__enter__`` / ``__exit__`` (nothing when untraced).
 
         Traced or not, the per-rank updates are the same, in the same
-        order."""
-        devices = self.devices
+        order, and this loop stays their one definition.  ``lockstep`` is the
+        program's lockstep form (see :meth:`lockstep`); an untraced replay
+        whose scope starts with equal counters runs it instead — one rank's
+        float-add chain, copied to the scope — and every other replay runs
+        the loop.  ``tests/test_bulk_charges.py`` holds the two equal on
+        random programs and start states."""
         tr = self.tracer
         traced = tr.enabled
+        if lockstep is not None and not traced and self._lockstep(*lockstep):
+            return
+        devices = self.devices
         spans = []
         for entry in program:
             op = entry[0]
@@ -242,7 +360,7 @@ class Simulator:
     def charge_compute(self, ranks: Iterable[int], charges: Iterable[Tuple[float, str]]) -> None:
         """Charge the ``(flops, kind)`` sequence on each of ``ranks`` (a
         one-entry :meth:`replay`).  Nothing is charged if any ``flops`` is
-        negative."""
+        negative, NaN or infinite."""
         self.replay((self.compute_entry(ranks, charges),))
 
     def charge_collectives(self, kind: str, lines: Iterable[tuple]) -> None:

@@ -16,6 +16,8 @@ strict capacity, the rank an overflow is raised on and the state it leaves.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from repro.core.buffers import REGIONS, BufferManager
 from repro.mesh.mesh import Mesh
 from repro.runtime import OutOfDeviceMemory, Simulator
 from repro.runtime.events import NULL_SPAN
-from repro.runtime.simulator import CLOSE, COLLECTIVES, OPEN
+from repro.runtime.simulator import CLOSE, COLLECTIVES, COUNTERS, OPEN
 
 _REGION = st.sampled_from(REGIONS)
 _BYTES = st.integers(0, 5_000)
@@ -220,10 +222,32 @@ def test_an_overflowing_hold_leaves_its_region_unchanged(managed):
     assert seen["by tag"][0]["buffer:workspace"] == (7898 if managed else 0)
 
 
+@pytest.mark.parametrize("managed", [True, False], ids=["managed", "unmanaged"])
+def test_a_fractional_hold_is_held_as_hold_holds_it(managed):
+    """``hold`` truncates a byte count with ``int``; ``hold_many`` must too,
+    or the arena would count 1.5 B against the meter's 1 B."""
+    program = [("hold", "forward", [0, 1], ("ragged", [1.5, 2.9, 0, 0]))]
+    seen = _assert_equivalent(2, managed, None, program)
+    assert {("forward", 0, 1, 1), ("forward", 1, 2, 2)} <= set(seen["regions"])
+    assert [w["current_bytes"] for w in seen["watermarks"]][:2] == [1, 2]
+
+
 def test_negative_flops_charge_nothing():
     sim = Simulator.for_flat(p=3, trace=True)
     with pytest.raises(ValueError, match="negative flops"):
         sim.charge_compute([0, 1, 2], [(5.0, "gemm"), (-1.0, "gemm")])
+    assert sim.elapsed() == 0.0 and sim.total_flops() == 0.0 and not sim.tracer.events
+
+
+@pytest.mark.parametrize("flops", [math.nan, math.inf, -math.inf])
+def test_non_finite_flops_charge_nothing(flops):
+    """A NaN or infinite charge would leave a clock that ``elapsed()`` turns
+    into NaN; both definitions refuse it before touching a counter."""
+    sim = Simulator.for_flat(p=2, trace=True)
+    with pytest.raises(ValueError, match="non-finite"):
+        sim.charge_compute([0, 1], [(5.0, "gemm"), (flops, "gemm")])
+    with pytest.raises(ValueError, match="non-finite"):
+        sim.device(0).compute(flops)
     assert sim.elapsed() == 0.0 and sim.total_flops() == 0.0 and not sim.tracer.events
 
 
@@ -323,3 +347,185 @@ def test_a_program_is_its_entries_in_order(q, traced, data):
     assert replayed.tracer.events == oracle.tracer.events
     assert replayed.tracer.spans == oracle.tracer.spans
     assert replayed.tracer.open_span_count == 0
+
+
+# ----------------------------------------------------------------------
+# lockstep: a rank-symmetric program run once and copied to its scope
+# ----------------------------------------------------------------------
+def _counters(sim):
+    return [tuple(getattr(d, name) for name in COUNTERS) for d in sim.devices]
+
+
+_PRICE = st.tuples(st.floats(0.0, 1e-2), st.floats(0.0, 1e9), st.floats(0.0, 1e9))
+_START = st.tuples(
+    *[st.one_of(st.just(0.0), st.floats(0.0, 1e3)) for _ in COUNTERS[:-1]],
+    st.integers(0, 50),
+)
+
+
+@st.composite
+def _lockstep_case(draw, q):
+    """A scope and a program over a mesh's lines (see :func:`_line_groups`:
+    rows, columns, world, two single-rank groups), as indices, biased to
+    rank-symmetric programs: compute on the whole scope, one price for every
+    line of a partition.  The rest draws ranks, groups and prices freely."""
+    p, n_groups = q * q, 2 * q + 3
+    rows, cols = list(range(q)), list(range(q, 2 * q))
+    scope = draw(st.one_of(
+        st.just(("group", 2 * q)),  # the world
+        st.tuples(st.just("group"), st.integers(0, 2 * q - 1)),  # a row or a column
+        st.tuples(st.just("group"), st.sampled_from([2 * q + 1, 2 * q + 2])),  # one rank
+        st.tuples(st.just("ranks"), _ranks(p)),
+    ))
+    lines = st.one_of(
+        st.sampled_from([rows, cols, [2 * q], [2 * q + 1, 2 * q + 2]]),
+        st.lists(st.integers(0, n_groups - 1), min_size=1, max_size=2 * q + 2),
+    )
+    entry = st.one_of(
+        st.tuples(
+            st.just("compute"), st.one_of(st.just(None), _ranks(p)),
+            st.lists(_CHARGE, min_size=1, max_size=3),
+        ),
+        st.tuples(
+            st.just("lines"), st.sampled_from(["broadcast", "reduce"]), lines,
+            st.one_of(  # uniform: one price for every line; mixed: one each
+                _PRICE, st.lists(_PRICE, min_size=2 * q + 2, max_size=2 * q + 2)
+            ),
+        ),
+        st.just(("span",)),
+    )
+    return scope, draw(st.lists(entry, max_size=10))
+
+
+def _lockstep_program(sim, q, case):
+    """``case`` built on ``sim``: the scope's ranks and the program."""
+    (kind, where), entries = case
+    groups = _line_groups(sim, q)
+    scope = list(groups[where].ranks) if kind == "group" else where
+    program = []
+    for i, (name, *args) in enumerate(entries):
+        if name == "compute":
+            ranks, charges = args
+            program.append(sim.compute_entry(scope if ranks is None else ranks, charges))
+        elif name == "lines":
+            kind_, picks, price = args
+            program.append((COLLECTIVES, kind_, [
+                (groups[g], price if isinstance(price, tuple) else tuple(price[n]))
+                for n, g in enumerate(picks)
+            ]))
+        else:
+            program += [(OPEN, f"op{i}", scope, "test", {}), (CLOSE,)]
+    return scope, program
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("q", [1, 2, 3, 8])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_lockstep_replay_is_the_per_rank_replay(q, traced, data):
+    """A replay given the program's lockstep form leaves every counter of
+    every device ``==`` a plain replay's, from equal start states (where a
+    rank-symmetric program takes the lockstep path) and from states one ulp
+    apart in one counter of one device (where it must not)."""
+    case = data.draw(_lockstep_case(q))
+    start = data.draw(_START)
+    skew = data.draw(st.one_of(
+        st.none(), st.tuples(st.integers(0, q * q - 1), st.sampled_from(COUNTERS))
+    ))
+    sims = [Simulator.for_mesh(q=q, trace=traced) for _ in range(2)]
+    for sim in sims:
+        for d in sim.devices:
+            for name, value in zip(COUNTERS, start):
+                setattr(d, name, value)
+        if skew is not None:
+            rank, name = skew
+            d, value = sim.device(rank), getattr(sim.device(rank), name)
+            setattr(d, name, value + 1 if name == "num_collectives" else math.nextafter(value, 1.0))
+    (scope, fast), (_, plain) = (_lockstep_program(sim, q, case) for sim in sims)
+    sims[0].replay(fast, sims[0].lockstep(fast, scope))
+    sims[1].replay(plain)
+    assert _counters(sims[0]) == _counters(sims[1])
+    assert sims[0].tracer.events == sims[1].tracer.events
+
+
+def _mesh_sim(q):
+    sim = Simulator.for_mesh(q=q)
+    return sim, Mesh(sim, q)
+
+
+def test_a_symmetric_program_runs_once_and_is_copied(monkeypatch):
+    """The property above is not vacuous: a mesh-wide program compiles, an
+    untraced replay from equal states takes the lockstep path, and one that
+    does not start equal or is traced runs the loop."""
+    sim, mesh = _mesh_sim(3)
+    price = (1e-3, 4096, 8192.0)
+    program = [
+        sim.compute_entry(mesh.ranks, [(6.0e9, "gemm"), (1.0e6, "elementwise")]),
+        (COLLECTIVES, "broadcast", [(g, price) for g in mesh.row_groups]),
+        (COLLECTIVES, "reduce", [(g, price) for g in mesh.col_groups]),
+    ]
+    form = sim.lockstep(program, mesh.ranks)
+    assert form is not None
+    devices, chains = form
+    assert devices == sim.devices
+    assert dict(zip(COUNTERS, chains)) == {
+        "clock": (6.0e9 / sim.cluster.device.effective_flops,
+                  1.0e6 / sim.cluster.device.effective_flops, 1e-3, 1e-3),
+        "flops": (6.0e9, 1.0e6), "flops_gemm": (6.0e9,),
+        "compute_time": chains[0][:2], "comm_time": (1e-3, 1e-3),
+        "bytes_comm": (4096, 4096), "weighted_comm_volume": (8192.0, 8192.0),
+        "num_collectives": (1, 1),
+    }
+    ran = []
+    real = Simulator._lockstep
+    monkeypatch.setattr(
+        Simulator, "_lockstep", staticmethod(lambda *a: ran.append(real(*a)) or ran[-1])
+    )
+    sim.replay(program, form)
+    assert ran == [True]
+    sim.device(4).flops += 1.0
+    sim.replay(program, form)
+    assert ran == [True, False]
+    sim.tracer.enabled = True
+    sim.replay(program, form)
+    assert ran == [True, False]
+
+
+def test_a_non_uniform_program_has_no_lockstep_form():
+    sim, mesh = _mesh_sim(2)
+    price = (1e-3, 64, 64.0)
+    rows = [(g, price) for g in mesh.row_groups]
+    every = sim.compute_entry(mesh.ranks, [(1e9, "gemm")])
+    part = sim.compute_entry([0], [(1e9, "gemm")])
+    refuted = {
+        # rank 0 alone computes: the scope ends in two states
+        "partial compute": [every, part],
+        # rank 0 reaches its row's barrier late
+        "barrier out of step": [part, (COLLECTIVES, "broadcast", rows)],
+        # the rows pay different prices
+        "mixed prices": [(COLLECTIVES, "reduce", [(mesh.row_groups[0], price),
+                                                   (mesh.row_groups[1], (2e-3, 64, 64.0))])],
+        # one row pays, the other does not
+        "one line": [(COLLECTIVES, "broadcast", rows[:1])],
+        # "gemm" and "elementwise" flops land in different counters
+        "mixed kinds": [sim.compute_entry([0, 1], [(1e9, "gemm")]),
+                        sim.compute_entry([2, 3], [(1e9, "elementwise")])],
+    }
+    for why, program in refuted.items():
+        assert sim.lockstep(program, mesh.ranks) is None, why
+    # a charge outside the scope, and an empty scope
+    assert sim.lockstep([every], mesh.row_groups[0].ranks) is None
+    assert sim.lockstep([], []) is None
+    # what holds: the same compute on a row, on that row's scope
+    assert sim.lockstep([part, sim.compute_entry([1], [(1e9, "gemm")])], [0, 1]) is not None
+
+
+def test_a_rank_listed_twice_is_charged_twice_in_lockstep():
+    sims = [_mesh_sim(2)[0] for _ in range(2)]
+    programs = [[sim.compute_entry([0, 1, 0, 1], [(1e9, "gemm")])] for sim in sims]
+    form = sims[0].lockstep(programs[0], [0, 1])
+    assert form is not None and form[1][1] == (1e9, 1e9)
+    sims[0].replay(programs[0], form)
+    sims[1].replay(programs[1])
+    assert _counters(sims[0]) == _counters(sims[1])
+    assert sims[0].device(0).flops == 2e9

@@ -24,11 +24,10 @@ from repro.serving.traffic import TrafficGenerator
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: the closed forms of the analytic memory model and Table 3's row filter
+#: the closed forms of the analytic memory model
 ALLOWED = {
     ("perfmodel/memory_model.py", "_param_scalars_per_device"),
     ("perfmodel/memory_model.py", "estimate_peak_bytes"),
-    ("experiments/table3.py", "optimus_trend"),
 }
 
 # 16 heads and a 64-wide hidden split over a 4×4 mesh and over 16 flat ranks

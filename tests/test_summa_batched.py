@@ -15,7 +15,7 @@ from repro.core.buffers import BufferManager
 from repro.mesh import assemble_blocked_2d, distribute_blocked_2d
 from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import BLOCKED_2D
-from repro.runtime import OutOfDeviceMemory
+from repro.runtime import OutOfDeviceMemory, Simulator
 from tests.conftest import make_mesh
 
 DEV_FIELDS = (
@@ -502,13 +502,18 @@ class TestReplay:
         if arena == "short":  # one byte short of the managed run's peak
             full = self._run(name, q, backend, traced, "cold")
             capacity = max(peak for _tags, _allocs, peak in full["memory"]) - 1
-        stepped = []
+        stepped, lockstep = [], []
         real = summa._account_steps
         monkeypatch.setattr(
             summa, "_account_steps", lambda *args: stepped.append(1) or real(*args)
         )
+        real_lockstep = Simulator._lockstep
+        monkeypatch.setattr(Simulator, "_lockstep", staticmethod(
+            lambda *args: lockstep.append(real_lockstep(*args)) or lockstep[-1]
+        ))
         kind = "cold" if arena == "short" else arena
         got = self._run(name, q, backend, traced, kind, capacity)
+        ran_lockstep = list(lockstep)
         with monkeypatch.context() as m:
             _forced_per_rank(m)
             want = self._run(name, q, backend, traced, kind, capacity)
@@ -521,6 +526,27 @@ class TestReplay:
         # run stops in it); both when unmanaged
         calls = {"none": 0, "cold": 1, "warm": 0, "unmanaged": 2, "short": 1}[arena]
         assert len(stepped) == (0 if q == 1 else calls)
+        # every untraced replay ran in lockstep (a fresh mesh starts equal);
+        # a traced one, the forced per-rank path and q = 3, whose plans have
+        # no lockstep form (see below), never try
+        replays = 0 if traced or q in (1, 3) else {"short": 0, "unmanaged": 0}.get(
+            arena, 2 - calls
+        )
+        assert ran_lockstep == [True] * replays
+        assert lockstep == ran_lockstep
+
+    @pytest.mark.parametrize("q", [2, 3, 8])
+    @pytest.mark.parametrize("name", sorted(ALGOS))
+    def test_a_plan_has_a_lockstep_form_where_its_lines_are_priced_alike(self, name, q):
+        """q = 3 puts 9 ranks on 4-GPU nodes, so rows and columns straddle
+        node boundaries and pay different prices: its ranks do not run in
+        step, and the plan carries no lockstep form."""
+        mesh = make_mesh(q)
+        a, b = _operands(mesh, ALGOS[name], np.float32)
+        desc = summa._get_plan(mesh, ALGOS[name], a, b).batched
+        assert (desc.lockstep is None) == (q == 3)
+        if desc.lockstep is not None:
+            assert desc.lockstep[0] == mesh.sim.devices
 
     def test_a_plan_compiles_one_program(self):
         """The program holds the q steps' entries in the executor's call
