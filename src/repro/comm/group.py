@@ -35,6 +35,9 @@ class ProcessGroup:
         #: iterates (``Simulator.devices`` is never rebound)
         self.devices = tuple(sim.devices[r] for r in ranks)
         self.kind = kind
+        #: the group's one axis as a layout owner (:mod:`repro.mesh.layouts`)
+        self.shape = (len(ranks),)
+        self.axes = (ranks,)
         self.model = GroupCommModel.build(
             sim.topology, sim.arrangement, ranks, siblings=siblings
         )

@@ -172,7 +172,7 @@ class RowParallelLinear(_ParallelLinear):
     distribute_bias = staticmethod(distribute_replicated_1d)
 
     def forward(self, x: DTensor) -> DTensor:
-        if x.layout.kind != "sharded_1d" or x.layout.axis != 1:
+        if x.layout != SHARDED_1D(1):
             raise ValueError(f"{self.name}: input must be column-sharded, got {x.layout}")
         self._x = x
         weight = self.weight.data

@@ -4,8 +4,10 @@ Optimus arranges ``p = q²`` devices into a ``q × q`` mesh (§2.4).  A
 :class:`Mesh` owns the row, column and world process groups (with sibling
 information so the cost model prices the q concurrent row/column collectives
 of a SUMMA step correctly).  A :class:`DTensor` is a layout descriptor plus
-one local shard per rank; :mod:`repro.mesh.partition` converts between global
-numpy arrays and shards for tests and I/O.
+one local shard per rank; the layout is a :class:`Layout` record
+(:mod:`repro.mesh.layouts`) whose queries every reader derives from, and
+:mod:`repro.mesh.partition` converts between global numpy arrays and shards
+for tests and I/O.
 """
 
 from repro.mesh import partition
@@ -25,6 +27,7 @@ from repro.mesh.partition import (
     assemble_blocked_2d,
     assemble_row_blocked,
     assemble_sharded_1d,
+    distribute,
     distribute_blocked_2d,
     distribute_replicated,
     distribute_replicated_1d,
@@ -46,6 +49,7 @@ __all__ = [
     "rank_map",
     "block_map",
     "partition",
+    "distribute",
     "distribute_blocked_2d",
     "assemble_blocked_2d",
     "distribute_row_blocked",

@@ -143,13 +143,13 @@ def block_map(fn: Callable, owner, *operands, layout: Layout = None):
     global shape derived from the result shard's.
 
     When :func:`on_stacks` holds, ``fn`` runs **once**.  If every operand is
-    ``REPLICATED_1D`` it runs on one replica (entry 0 of each stack) — the
-    operands are equal by layout, so one evaluation is every rank's — and
-    each result is a ``(1,)`` stack all ranks view, read-only.  Otherwise it
-    runs on the stacks, a replicated operand as its ``(1,)`` entry: the mesh
-    or group axes are leading axes, so ``fn`` must address shards by
-    trailing axes (``axis=-1``, ``st[..., 0:1]``, a vector as
-    ``v[..., None, :]``, ``swapaxes(-1, -2)``) and the same body serves a
+    replicated (``REPLICATED_1D``) it runs on one replica (the first entry
+    of each stack) — the operands are equal by layout, so one evaluation is
+    every rank's — and each result is a ``(1,)`` stack all ranks view,
+    read-only.  Otherwise it runs on the stacks, a replicated operand as its
+    ``(1,)`` entry: the mesh or group axes are leading axes, so ``fn`` must
+    address shards by trailing axes (``axis=-1``, ``st[..., 0:1]``, a vector
+    as ``v[..., None, :]``, ``swapaxes(-1, -2)``) and the same body serves a
     shard and a stack.  Elementwise ops act per element, a reduction over a
     stack's contiguous last axes equals the per-shard one and a batched
     ``matmul`` hands each slice to the same BLAS gemm, so the results equal
@@ -164,25 +164,26 @@ def block_map(fn: Callable, owner, *operands, layout: Layout = None):
     if on_stacks(owner, *operands):
         once = True
         for op in operands:
-            if op.layout.kind != "replicated_1d":
+            if not op.layout.replicated:
                 once = False
                 break
-        if once:  # any rank's replica: entry 0 of each stack
-            args = [op.blocks[0] for op in operands]
+        if once:  # any rank's replica: the first entry of each stack
+            args = [op.blocks[op.layout.origin] for op in operands]
         else:
             args = [
-                op.blocks[:1] if op.layout.kind == "replicated_1d" else op.blocks
+                op.blocks[op.layout.head] if op.layout.replicated else op.blocks
                 for op in operands
             ]
         result = fn(*args)
         parts = result if type(result) is tuple else (result,)
         if _stackable_results(parts, args if once else ()):
-            lead = first.blocks.ndim - len(first.global_shape)
+            expand = first.layout.expand
+            lead = len(expand)
             out = []
             for part in parts:
                 if once:
-                    part = part[None]
-                shape = _global_shape(owner, layout, part.shape[lead:])
+                    part = part[expand]
+                shape = layout.global_shape(owner, part.shape[lead:])
                 out.append(DTensor.from_blocks(owner, layout, part, shape, order))
             return tuple(out) if type(result) is tuple else out[0]
     per_rank = rank_map(fn, order, *[op.shards for op in operands])
@@ -209,19 +210,6 @@ def _stackable_results(parts, replicas) -> bool:
     return True
 
 
-def _global_shape(owner, layout: Layout, shard) -> tuple:
-    """The global shape of a ``layout`` tensor whose shards are ``shard``-shaped."""
-    kind = layout.kind
-    if kind == "blocked_2d":
-        return (owner.q * shard[0], owner.q * shard[1])
-    if kind == "sharded_1d":
-        axis = layout.axis % len(shard)
-        return shard[:axis] + (len(owner.ranks) * shard[axis],) + shard[axis + 1 :]
-    if kind in ("row_blocked", "col_blocked", "row0_cols", "row0_blockrows"):
-        return (owner.q * shard[0],) + shard[1:]
-    return shard  # every rank holds the whole tensor (or an addend of it)
-
-
 def _views(dt: "DTensor") -> dict:
     """``{rank: view of its stack entry}`` in the order of a stacked
     ``dt`` (see :meth:`DTensor.from_blocks`)."""
@@ -232,7 +220,7 @@ def _views(dt: "DTensor") -> dict:
             return dict.fromkeys(order, blocks[0])
         local = dict(zip(owner.ranks, blocks))
         return {r: local[r] for r in order}
-    if blocks.ndim - len(dt.global_shape) == 1:
+    if len(dt.layout.stack_axes) == 1:  # mesh row 0, by column
         a = blocks.shape[0]
         local = [blocks[j % a] for j in range(q)]
     else:
@@ -243,16 +231,18 @@ def _views(dt: "DTensor") -> dict:
 
 
 def _per_rank_result(owner, layout, shards: dict) -> "DTensor":
-    if layout.kind != "blocked_2d":
-        first = next(iter(shards.values()))
-        return DTensor(owner, layout, shards, _global_shape(owner, layout, tuple(first.shape)))
-    # rows: the row blocks' heights down mesh column 0 (ragged MoE blocks
-    # included); columns: q equal column blocks
-    column0 = owner.col_groups[0].ranks
-    rows = 0
-    for rank in column0:
-        rows += shards[rank].shape[0]
-    return DTensor(owner, layout, shards, (rows, owner.q * shards[column0[0]].shape[1]))
+    """A DTensor of the per-rank results ``shards``, its global shape the
+    shards' extents summed along each split axis (ragged MoE row blocks
+    included), through the owner's first rank."""
+    for first in shards.values():
+        break
+    shape = list(first.shape)
+    for axis, dim in layout.splits:
+        extent = 0
+        for rank in owner.axes[axis]:
+            extent += shards[rank].shape[dim]
+        shape[dim] = extent
+    return DTensor(owner, layout, shards, shape)
 
 
 class DTensor:
@@ -298,10 +288,12 @@ class DTensor:
     def from_blocks(cls, owner, layout: Layout, blocks, global_shape, order) -> "DTensor":
         """A DTensor on ``owner`` whose shards are views of one array.
 
-        ``blocks`` is the **stack**.  On a mesh: ``(q, q) + block`` indexed
-        by mesh coordinate for a mesh-wide layout, ``(q,) + block`` indexed
-        by column for a row-0 layout (``ROW0_COLS``); a leading axis of size
-        1 is a block shared along that mesh axis (a broadcast view: row
+        ``blocks`` is the **stack**: its leading axes are the layout's
+        stack axes (:meth:`~repro.mesh.layouts.Layout.stack_shape`).  On a
+        mesh: ``(q, q) + block`` indexed by mesh coordinate for a mesh-wide
+        layout, ``(q,) + block`` indexed by column for a row-0 layout
+        (``ROW0_*``); a leading axis of size 1 is a block shared along that
+        mesh axis (a broadcast view: row
         statistics after a row all-reduce, a row-0 vector sent down the
         columns).  On a flat group: ``(p,) + shard`` indexed by group
         position (a ``(1, p) + shard`` array, one row of members, is read as
@@ -399,7 +391,7 @@ class DTensor:
         if blocks is None or q is None:
             return self.shards[rank]
         k = rank - owner.rank_offset
-        if blocks.ndim - len(self.global_shape) == 1:  # row 0, by column
+        if len(self.layout.stack_axes) == 1:  # row 0, by column
             if not 0 <= k < q:
                 raise KeyError(rank)
             return blocks[k % len(blocks)]
@@ -411,7 +403,7 @@ class DTensor:
     def shard_nbytes(self) -> int:
         blocks = self.blocks
         if blocks is not None:
-            return ops.nbytes(blocks[(0,) * (blocks.ndim - len(self.global_shape))])
+            return ops.nbytes(blocks[self.layout.origin])
         return ops.nbytes(next(iter(self.shards.values())))
 
     # ------------------------------------------------------------------

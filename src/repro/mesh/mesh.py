@@ -46,6 +46,10 @@ class Mesh:
         self.world = ProcessGroup(
             sim, range(rank_offset, rank_offset + self.p), kind="world"
         )
+        #: the mesh's axes as a layout owner (:mod:`repro.mesh.layouts`):
+        #: their sizes, and the ranks along each through rank (0, 0)
+        self.shape = (q, q)
+        self.axes = (all_cols[0], all_rows[0])
 
     # ------------------------------------------------------------------
     def _row_ranks(self, i: int) -> List[int]:

@@ -30,8 +30,6 @@ from repro.resilience.faults import (
     RankCrashError,
 )
 
-_UNIQUE_GRAD_LAYOUTS = ("blocked_2d", "sharded_1d", "row0_cols")
-
 
 def _flip_high_bit(arr: np.ndarray, flat_index: int, bit: int) -> bool:
     """OR a high exponent bit into one element, in place.
@@ -241,18 +239,19 @@ class FaultInjector:
             return
         fault.consumed = True
         p = candidates[int(self.rng.integers(len(candidates)))]
-        shard_ranks = sorted(p.grad.shards)
-        if p.grad.layout.kind in _UNIQUE_GRAD_LAYOUTS:
-            targets = [shard_ranks[int(self.rng.integers(len(shard_ranks)))]]
-        else:
-            targets = shard_ranks  # replicated layouts: corrupt consistently
-        first = p.grad.shards[targets[0]]
+        # one distinct block, flipped on every rank holding a copy of it, so
+        # copies stay consistent and one scalar of the gradient changes
+        grad = p.grad
+        blocks = sorted(grad.layout.distinct(grad.owner))
+        block = blocks[int(self.rng.integers(len(blocks)))]
+        targets = sorted(grad.layout.copies(grad.owner, block))
+        first = grad.shards[targets[0]]
         if is_shape_array(first):
             return
         index = int(self.rng.integers(max(np.asarray(first).size, 1)))
         flipped = False
         for r in targets:
-            flipped = _flip_high_bit(np.asarray(p.grad.shards[r]), index, fault.bit)
+            flipped = _flip_high_bit(np.asarray(grad.shards[r]), index, fault.bit)
         if not flipped:
             return
         self.stats["sdc_injected"] += 1

@@ -1,12 +1,13 @@
 """Optimizers for distributed and serial parameters.
 
 Distributed optimizers update each :class:`DistParam` shard in place on its
-owning device.  Because every layout either owns each scalar exactly once
-(BLOCKED_2D, SHARDED_1D, ROW0_COLS, ROW0_BLOCKROWS, RANK0) or replicates
-both parameter and gradient identically (REPLICATED_1D, LN/bias in
-Megatron), a purely local update preserves consistency — no parameter
-synchronization collective is ever needed, exactly as in the paper's design
-where "a same parameter is hosted and updated in a single device" (§3.2.2).
+owning device.  A parameter and its gradient share one layout
+(:mod:`repro.mesh.layouts`): each distinct block lives on its copies' ranks
+only, and the copies of a block (Megatron's replicated LayerNorm and bias)
+receive bit-identical gradients, so a purely local update preserves
+consistency — no parameter synchronization collective is ever needed,
+exactly as in the paper's design where "a same parameter is hosted and
+updated in a single device" (§3.2.2).
 
 In dryrun mode the arithmetic is skipped (placeholders carry no data) but
 optimizer-state memory is still charged, so the Fig. 9 memory search sees
@@ -24,17 +25,6 @@ from repro.backend import ops
 from repro.backend.shape_array import is_shape_array
 from repro.core.param import DistParam
 from repro.mesh.dtensor import DTensor, on_stacks
-
-#: layouts whose shards are copies of one another (every other layout's
-#: shards are distinct parts of the tensor, apart from _LINE_COPIES')
-_COPY_LAYOUTS = {"replicated", "replicated_1d"}
-
-#: layouts of q distinct blocks, each copied along one mesh axis: the ranks
-#: holding one copy of every block (mesh column 0, resp. mesh row 0)
-_LINE_COPIES = {
-    "row_blocked": lambda mesh: [mesh.rank(i, 0) for i in range(mesh.q)],
-    "col_blocked": lambda mesh: [mesh.rank(0, j) for j in range(mesh.q)],
-}
 
 #: ``_update`` scratch of the per-shard path: numpy allocates each temporary
 _TEMPORARIES = (None, None)
@@ -395,24 +385,21 @@ class SerialAdam:
 # ----------------------------------------------------------------------
 def grad_norm(params: Iterable[DistParam]) -> float:
     """Global L2 norm of all gradients, counting each scalar exactly once:
-    one copy of a replicated layout, one copy of each block of a
-    ``ROW_BLOCKED`` / ``COL_BLOCKED`` one, and one parameter per name
-    (data-parallel replicas share names and gradients; the first occurrence
-    wins)."""
+    one copy of each distinct block (:meth:`~repro.mesh.layouts.Layout.distinct`),
+    summed in shard order, and one parameter per name (data-parallel
+    replicas share names and gradients; the first occurrence wins)."""
     total = 0.0
     seen = set()
     for p in params:
-        if p.grad is None or p.name in seen:
+        grad = p.grad
+        if grad is None or p.name in seen:
             continue
         seen.add(p.name)
-        kind = p.grad.layout.kind
-        if kind in _COPY_LAYOUTS:
-            shards = [next(iter(p.grad.shards.values()))]
-        elif kind in _LINE_COPIES:
-            shards = [p.grad.local(r) for r in _LINE_COPIES[kind](p.grad.owner)]
-        else:
-            shards = p.grad.shards.values()
-        for s in shards:
+        distinct = set(grad.layout.distinct(grad.owner))
+        for rank in grad.ranks:
+            if rank not in distinct:
+                continue
+            s = grad.local(rank)
             if is_shape_array(s):
                 return float("nan")
             total += float(np.sum(np.asarray(s) ** 2))

@@ -119,15 +119,24 @@ class TestViolations:
         with pytest.raises(InvariantViolation, match="dtype"):
             validate_dtensor(dt)
 
-    def test_unknown_layout(self, mesh2, rng):
+    def _misfit(self, mesh2, rng, split):
         from repro.mesh.layouts import Layout
 
         dt = DTensor.__new__(DTensor)
         dt.owner, dt.layout, dt.shards, dt.global_shape = (
-            mesh2, Layout("diagonal"), {0: rng.normal(size=(2,))}, (2,),
+            mesh2, Layout("diagonal", split), {0: rng.normal(size=(2,))}, (2,),
         )
-        with pytest.raises(InvariantViolation, match="unknown layout"):
+        with pytest.raises(InvariantViolation, match="cannot carry"):
             validate_dtensor(dt)
+
+    def test_unknown_layout(self, mesh2, rng):
+        """A layout the owner cannot carry: a split onto a mesh axis the
+        owner lacks (a flat one-axis layout on a 2-axis mesh)."""
+        self._misfit(mesh2, rng, (0,))
+
+    def test_layout_dim_past_the_rank(self, mesh2, rng):
+        """A split onto a tensor dim past the global rank."""
+        self._misfit(mesh2, rng, (None, 1))
 
 
 class TestStrictMode:

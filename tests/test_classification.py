@@ -7,8 +7,7 @@ import pytest
 from repro.check import contract_checks
 from repro.core import OptimusModel
 from repro.megatron import MegatronModel
-from repro.mesh import assemble_blocked_2d
-from repro.mesh.partition import assemble_row0_blockrows, distribute_row0_blockrows
+from repro.mesh.partition import assemble_any, assemble_row0_blockrows, distribute_row0_blockrows
 from repro.nn import init_transformer_params
 from repro.reference import ReferenceTransformer
 from repro.runtime import Simulator
@@ -78,27 +77,7 @@ class TestReferenceClassification:
 
 class TestDistributedClassification:
     def _grads(self, model):
-        from repro.mesh.layouts import BLOCKED_2D
-        from repro.mesh.partition import assemble_row0_cols, assemble_sharded_1d
-
-        out = {}
-        for p in model.parameters():
-            if p.grad is None:
-                continue
-            lay = p.data.layout
-            if lay == BLOCKED_2D:
-                out[p.name] = assemble_blocked_2d(p.grad)
-            elif lay.kind == "row0_blockrows":
-                out[p.name] = assemble_row0_blockrows(p.grad)
-            elif lay.kind == "rank0":
-                out[p.name] = p.grad.local(0)
-            elif lay.kind == "sharded_1d":
-                out[p.name] = assemble_sharded_1d(p.grad)
-            elif lay.kind == "row0_cols":
-                out[p.name] = assemble_row0_cols(p.grad)
-            else:
-                out[p.name] = p.grad.local(next(iter(p.grad.shards)))
-        return out
+        return {p.name: assemble_any(p.grad) for p in model.parameters() if p.grad is not None}
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_optimus_matches_reference(self, cfg, cls_setup, q):

@@ -8,9 +8,7 @@ import pytest
 from repro.config import tiny_config
 from repro.core import OptimusModel
 from repro.megatron import MegatronModel
-from repro.mesh import assemble_blocked_2d
-from repro.mesh.layouts import BLOCKED_2D
-from repro.mesh.partition import assemble_row0_cols, assemble_sharded_1d
+from repro.mesh.partition import assemble_any
 from repro.nn import init_transformer_params
 from repro.reference import ReferenceTransformer
 from repro.runtime import Simulator
@@ -19,17 +17,7 @@ from tests.conftest import make_mesh
 
 
 def _grads_of(model):
-    out = {}
-    for p in model.parameters():
-        if p.data.layout == BLOCKED_2D:
-            out[p.name] = assemble_blocked_2d(p.grad)
-        elif p.data.layout.kind == "sharded_1d":
-            out[p.name] = assemble_sharded_1d(p.grad)
-        elif p.data.layout.kind == "row0_cols":
-            out[p.name] = assemble_row0_cols(p.grad)
-        else:
-            out[p.name] = p.grad.local(next(iter(p.grad.shards)))
-    return out
+    return {p.name: assemble_any(p.grad) for p in model.parameters()}
 
 
 def test_three_implementations_agree(cfg, params, batch):

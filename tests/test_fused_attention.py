@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from repro.backend.shape_array import ShapeArray
 from repro.core import OptimusModel
 from repro.megatron import MegatronModel
-from repro.mesh import assemble_blocked_2d
-from repro.mesh.layouts import BLOCKED_2D
-from repro.mesh.partition import assemble_row0_cols
+from repro.mesh.partition import assemble_any
 from repro.nn import init_transformer_params
 from repro.reference.attention import (
     attention_bwd,
@@ -84,15 +82,7 @@ class TestFusedKernels:
 
 class TestFusedInModels:
     def _assemble(self, p):
-        if p.data.layout == BLOCKED_2D:
-            return assemble_blocked_2d(p.grad)
-        if p.data.layout.kind == "sharded_1d":
-            from repro.mesh.partition import assemble_sharded_1d
-
-            return assemble_sharded_1d(p.grad)
-        if p.data.layout.kind == "row0_cols":
-            return assemble_row0_cols(p.grad)
-        return p.grad.local(next(iter(p.grad.shards)))
+        return assemble_any(p.grad)
 
     def test_optimus_fused_equals_unfused(self, cfg, batch):
         ids, labels = batch

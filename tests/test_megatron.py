@@ -14,6 +14,7 @@ from repro.megatron import (
     RowParallelLinear,
 )
 from repro.mesh.partition import (
+    assemble_any,
     assemble_sharded_1d,
     distribute_replicated_1d,
     distribute_sharded_1d,
@@ -29,9 +30,7 @@ def _group(p):
 
 
 def _assemble(p):
-    if p.data.layout.kind == "sharded_1d":
-        return assemble_sharded_1d(p.grad)
-    return p.grad.local(next(iter(p.grad.shards)))  # replicated
+    return assemble_any(p.grad)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -10,8 +10,7 @@ from repro.backend.shape_array import ShapeArray
 from repro.check import contract_checks
 from repro.core.moe import MoE2D, _balanced_counts
 from repro.mesh import Mesh, assemble_blocked_2d, distribute_blocked_2d
-from repro.mesh.layouts import BLOCKED_2D
-from repro.mesh.partition import assemble_row0_blockrows, assemble_row0_cols
+from repro.mesh.partition import assemble_any, assemble_row0_blockrows
 from repro.reference.moe import ReferenceMoE, init_moe_params
 from repro.runtime import Simulator
 from repro.training import SGD
@@ -108,17 +107,7 @@ class TestReferenceMoE:
 
 class TestMoE2D:
     def _grads(self, moe):
-        out = {}
-        for p in moe.parameters():
-            if p.grad is None:
-                continue
-            if p.data.layout == BLOCKED_2D:
-                out[p.name] = assemble_blocked_2d(p.grad)
-            elif p.data.layout.kind == "row0_blockrows":
-                out[p.name] = assemble_row0_blockrows(p.grad)
-            else:
-                out[p.name] = assemble_row0_cols(p.grad)
-        return out
+        return {p.name: assemble_any(p.grad) for p in moe.parameters() if p.grad is not None}
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_matches_reference(self, moe_setup, q):
