@@ -470,8 +470,8 @@ def main(argv=None) -> int:
         )
     if args.command == "chaos":
         if args.serve:
-            from repro.serving.chaos import SERVE_SCHEMES
             from repro.serving.chaos import main as serve_chaos_main
+            from repro.serving.report import SCHEMES as SERVE_SCHEMES
 
             return serve_chaos_main(
                 seed=args.seed,

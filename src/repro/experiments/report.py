@@ -10,6 +10,8 @@ from __future__ import annotations
 import pathlib
 from typing import Dict, List, Optional
 
+from repro.utils import write_text
+
 #: display order and titles of the persisted result files
 SECTIONS: List[tuple] = [
     ("table1", "Table 1 — per-layer communication & computation costs"),
@@ -78,6 +80,6 @@ def render(results: Dict[str, str]) -> str:
 def main(results_dir: Optional[pathlib.Path] = None, output: Optional[pathlib.Path] = None) -> str:
     text = render(collect(results_dir))
     if output is not None:
-        pathlib.Path(output).write_text(text)
+        write_text(str(output), text)
     print(text)
     return text

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.runtime.events import COLLECTIVE_KINDS, busy_intervals, to_ns
+from repro.utils import write_text
 
 CRITPATH_SCHEMA = "repro-critpath-v1"
 
@@ -766,9 +767,7 @@ def main(
             printer(f"calibration suggestion appended to ledger {ledger}")
     text = canonical_json(doc)
     if out:
-        with open(out, "w") as f:
-            f.write(text)
-            f.write("\n")
+        write_text(out, text + "\n")
         if not as_json:
             printer(f"critpath JSON written to {out}")
     if folded:

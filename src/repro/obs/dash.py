@@ -30,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.obs.critpath import CATEGORIES
 from repro.obs.ledger import RunLedger, RunRecord
+from repro.utils import write_text
 
 DEFAULT_HTML = "dash.html"
 DEFAULT_OPENMETRICS = "metrics.txt"
@@ -868,9 +869,7 @@ def main(
     openmetrics_out = openmetrics_out or os.path.join(ledger_dir, DEFAULT_OPENMETRICS)
 
     html_text = render_html(records, card)
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    with open(out, "w") as f:
-        f.write(html_text)
+    write_text(out, html_text)
     printer(f"dashboard written to {out}")
 
     om_text = render_openmetrics_for_records(records)
@@ -878,9 +877,7 @@ def main(
     if problems:
         printer("OpenMetrics validation FAILED: " + "; ".join(problems))
         return 1
-    os.makedirs(os.path.dirname(openmetrics_out) or ".", exist_ok=True)
-    with open(openmetrics_out, "w") as f:
-        f.write(om_text)
+    write_text(openmetrics_out, om_text)
     printer(f"OpenMetrics written to {openmetrics_out}")
     printer(f"claims: {card['num_pass']} pass, {card['num_fail']} fail, "
             f"{card['num_no_evidence']} without evidence")

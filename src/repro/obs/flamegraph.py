@@ -26,6 +26,7 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.runtime.events import busy_intervals, to_ns
+from repro.utils import write_text
 
 _FRAME_BAD = re.compile(r"[;\s]+")
 
@@ -104,8 +105,7 @@ def render_folded(sim) -> str:
 def write_folded(sim, path: str) -> int:
     """Write the folded flamegraph; returns the number of stack lines."""
     text = render_folded(sim)
-    with open(path, "w") as f:
-        f.write(text)
+    write_text(path, text)
     return text.count("\n")
 
 

@@ -26,6 +26,7 @@ import json
 from typing import Dict, List
 
 from repro.runtime.events import OVERHEAD_KINDS
+from repro.utils import write_text
 
 _US = 1e6  # seconds → trace_event microseconds
 
@@ -171,6 +172,5 @@ def chrome_trace(sim) -> Dict[str, object]:
 def write_chrome_trace(sim, path: str) -> Dict[str, object]:
     """Serialize :func:`chrome_trace` to ``path``; returns the trace dict."""
     trace = chrome_trace(sim)
-    with open(path, "w") as f:
-        json.dump(trace, f)
+    write_text(path, json.dumps(trace))
     return trace

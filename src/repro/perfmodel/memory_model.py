@@ -7,10 +7,11 @@ stems are extrapolated exactly).  :func:`estimate_peak_bytes` is the
 closed-form companion whose coefficients mirror what the implementation
 actually buffers; the test suite keeps the two within tolerance.
 
-The asymmetry the paper exploits is visible directly in the formulas: every
-working-set term of Optimus carries ``1/p``, while Megatron's replicated
-activations contribute ``O(bsh)`` per device no matter how many devices are
-added (§3.1.1).
+The asymmetry the paper exploits is visible directly in the formulas (the
+per-scheme terms are the ``param_vectors`` / ``working_scalars`` fields of
+:data:`repro.schemes.SCHEMES`): every working-set term of Optimus carries
+``1/p``, while Megatron's replicated activations contribute ``O(bsh)`` per
+device no matter how many devices are added (§3.1.1).
 """
 
 from __future__ import annotations
@@ -39,11 +40,7 @@ class MemoryBreakdown:
 def _param_scalars_per_device(cfg: ModelConfig, p: int, scheme: str) -> float:
     h = cfg.hidden_size
     weights = 12.0 * h * h / p  # qkv + proj + fc1 + fc2, both schemes shard all
-    if scheme == "optimus":
-        vectors = 13.0 * h / p  # biases + LN affine, all split over the mesh row
-    else:  # megatron replicates LN affine and the row-parallel biases
-        vectors = 9.0 * h / p + 6.0 * h
-    return cfg.num_layers * (weights + vectors)
+    return cfg.num_layers * (weights + lookup(scheme).param_vectors(h, p))
 
 
 def estimate_peak_bytes(
@@ -55,7 +52,7 @@ def estimate_peak_bytes(
     optimizer_slots: int = 0,
 ) -> MemoryBreakdown:
     """Closed-form per-device peak of one checkpointed fwd+bwd iteration."""
-    lookup(scheme)
+    rec = lookup(scheme)
     p = num_devices
     b, s, h, n, N = batch_size, cfg.seq_len, cfg.hidden_size, cfg.num_heads, cfg.num_layers
     bsh = float(b) * s * h
@@ -66,30 +63,12 @@ def estimate_peak_bytes(
     optimizer = optimizer_slots * params
     checkpoints = N * bsh / p * elem_size
 
-    if scheme == "optimus":
-        # all activation terms are distributed; coefficients mirror what the
-        # modules hold in the forward/backward/workspace/conjunction regions
-        working_scalars = (
-            20.0 * bsh / p  # forward region of one layer
-            + probs / p
-            + 12.0 * bsh / p  # backward region
-            + bsh / p  # conjunction hand-off
-            + (4.0 * bsh + 4.0 * h * h) / p  # SUMMA workspace (largest blocks)
-        )
-    else:
-        # replicated activations: the O(bsh) per-device wall of §3.1.1
-        working_scalars = (
-            6.0 * bsh  # replicated forward tensors of one layer
-            + (12.0 * bsh + probs) / p  # column-sharded forward tensors
-            + 2.0 * bsh  # replicated backward tensors (f-operator outputs)
-            + 5.0 * bsh / p  # column-sharded backward tensors
-        )
     return MemoryBreakdown(
         params=params,
         grads=grads,
         optimizer=optimizer,
         checkpoints=checkpoints,
-        working=working_scalars * elem_size,
+        working=rec.working_scalars(bsh, probs, h, p) * elem_size,
     )
 
 

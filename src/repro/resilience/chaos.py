@@ -51,6 +51,7 @@ from repro.schemes import SCHEMES as SCHEME_TABLE
 from repro.training.data import BatchStream
 from repro.training.optim import Adam
 from repro.training.trainer import Trainer
+from repro.utils import write_text
 
 SCHEMES = ("optimus", "megatron", "hybrid")
 
@@ -279,8 +280,6 @@ def main(
         return 2
     print(render(report))
     if out:
-        with open(out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out}")
     return 0 if report["ok"] else 1

@@ -166,7 +166,7 @@ class Simulator:
     # record).  A rank-symmetric program may also be compiled to a lockstep
     # form (:meth:`lockstep`), which an untraced replay runs once and copies
     # to the scope when the scope's counters start equal.
-    # :meth:`charge_compute` and :meth:`charge_collectives` are
+    # :meth:`charge_compute` and ``collectives.charge_only`` are
     # :meth:`replay`'s one-entry forms.  ``SimDevice.compute`` /
     # ``charge_comm`` and ``sync`` + ``advance`` stay the single-device
     # definitions, and ``tests/test_bulk_charges.py`` holds the two equal.
@@ -362,11 +362,6 @@ class Simulator:
         one-entry :meth:`replay`).  Nothing is charged if any ``flops`` is
         negative, NaN or infinite."""
         self.replay((self.compute_entry(ranks, charges),))
-
-    def charge_collectives(self, kind: str, lines: Iterable[tuple]) -> None:
-        """One ``kind`` collective on each ``(group, (dt, nbytes, weighted))``
-        of ``lines``, in order (a one-entry :meth:`replay`)."""
-        self.replay(((COLLECTIVES, kind, lines),))
 
     def elapsed(self) -> float:
         """Simulated wall-clock of the job so far (slowest rank)."""

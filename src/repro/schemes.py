@@ -42,6 +42,11 @@ class Scheme:
     stem_mesh: Callable[[int, str], Optional[dict]]  # ledger mesh of a stem
     serve_mesh: Callable[[int], dict]  # ledger mesh of a serving arm
     min_devices: int  # the smallest parallel run
+    #: the analytic memory model's per-device scalars of one layer
+    #: (:mod:`repro.perfmodel.memory_model`): the bias and LayerNorm vectors
+    #: on (h, p), and the working set on (bsh, probs, h, p)
+    param_vectors: Callable[[int, int], float]
+    working_scalars: Callable[[float, float, int, int], float]
     #: the default GPU arrangement of a run; None: the scheme has one
     #: placement and takes no arrangement
     arrangement: Optional[str]
@@ -56,6 +61,17 @@ SCHEMES = {
         stem_mesh=lambda p, arrangement: {"q": mesh_side(p), "arrangement": arrangement},
         serve_mesh=lambda p: {"q": mesh_side(p)},
         min_devices=4,
+        # biases + LN affine, all split over the mesh row
+        param_vectors=lambda h, p: 13.0 * h / p,
+        # all activation terms are distributed; coefficients mirror what the
+        # modules hold in the forward/backward/workspace/conjunction regions
+        working_scalars=lambda bsh, probs, h, p: (
+            20.0 * bsh / p  # forward region of one layer
+            + probs / p
+            + 12.0 * bsh / p  # backward region
+            + bsh / p  # conjunction hand-off
+            + (4.0 * bsh + 4.0 * h * h) / p  # SUMMA workspace (largest blocks)
+        ),
         arrangement="bunched",
     ),
     "megatron": Scheme(
@@ -67,6 +83,15 @@ SCHEMES = {
         stem_mesh=lambda p, arrangement: None,
         serve_mesh=lambda p: {"arrangement": "flat"},
         min_devices=2,
+        # LN affine and the row-parallel biases are replicated
+        param_vectors=lambda h, p: 9.0 * h / p + 6.0 * h,
+        # replicated activations: the O(bsh) per-device wall of §3.1.1
+        working_scalars=lambda bsh, probs, h, p: (
+            6.0 * bsh  # replicated forward tensors of one layer
+            + (12.0 * bsh + probs) / p  # column-sharded forward tensors
+            + 2.0 * bsh  # replicated backward tensors (f-operator outputs)
+            + 5.0 * bsh / p  # column-sharded backward tensors
+        ),
         arrangement=None,
     ),
 }

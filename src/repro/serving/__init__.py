@@ -7,7 +7,7 @@ token-identical recovery, preemption with KV swap-out/recompute, and a
 deadline/retry/backpressure request lifecycle.
 """
 
-from repro.serving.chaos import SERVE_SCHEMES, run_serve_chaos
+from repro.serving.chaos import run_serve_chaos
 from repro.serving.engine import (
     MegatronServingEngine,
     OptimusServingEngine,
@@ -52,7 +52,6 @@ __all__ = [
     "POLICIES",
     "REPORT_SCHEMA",
     "Request",
-    "SERVE_SCHEMES",
     "ServingEngine",
     "ServingOptions",
     "ServingResult",

@@ -24,13 +24,9 @@ and straggler skew all show up in the ``recovery`` phase and in
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Optional, Sequence
 
-from repro.config import tiny_config
-from repro.nn.init import init_transformer_params
-from repro.obs.ledger import RunLedger, record_from_sim
+from repro.obs.ledger import RunLedger
 from repro.resilience.faults import (
     FaultSchedule,
     RankCrash,
@@ -38,13 +34,9 @@ from repro.resilience.faults import (
     TransientCollectiveFault,
 )
 from repro.resilience.injector import FaultInjector
-from repro.schemes import SCHEMES as SCHEME_TABLE
-from repro.serving.report import DEFAULTS, PARAM_SEED, run_arm
-from repro.serving.traffic import TrafficGenerator
+from repro.serving.report import DEFAULTS, SCHEMES, Harness, write_report
 
 REPORT_SCHEMA = "repro-serve-chaos-v1"
-
-SERVE_SCHEMES = tuple(SCHEME_TABLE)
 
 #: injector tuning for serving timescales (decode steps are ~100 µs, not
 #: the ~10 ms training steps the PR 4 defaults assume)
@@ -54,6 +46,8 @@ CAMPAIGN = {"requests": 16, "rate_rps": 1000.0, "arrival": "poisson"}
 QUICK = {"requests": 8}
 
 TELESCOPE_TOL = 1e-9
+#: the per-scheme checks a ``serve-chaos`` ledger record carries
+LEDGER_CHECKS = ("token_identical", "crashes", "retries", "recovered_steps", "recovery_s", "ok")
 
 
 def default_serving_schedule(seed: int, baseline_steps: int) -> FaultSchedule:
@@ -83,59 +77,34 @@ def run_serve_chaos(
     seed: int = 0,
     *,
     quick: bool = False,
-    schemes: Sequence[str] = SERVE_SCHEMES,
+    schemes: Sequence[str] = SCHEMES,
     ledger: Optional[RunLedger] = None,
 ) -> dict:
     """Run the fault-free and chaos arms for every scheme; returns the
     campaign document (``ok`` is True only if every check passed)."""
-    for s in schemes:
-        if s not in SERVE_SCHEMES:
-            raise ValueError(
-                f"unknown serving chaos scheme {s!r} (choose from {SERVE_SCHEMES})"
-            )
+    h = Harness(seed, DEFAULTS, schemes, what="serving chaos scheme")
     knobs = dict(CAMPAIGN)
     if quick:
         knobs.update(QUICK)
-    cfg = tiny_config(num_heads=4)
-    params = init_transformer_params(cfg, seed=PARAM_SEED)
-    arm_kw = dict(
-        q=int(DEFAULTS["q"]),
-        slots=int(DEFAULTS["slots"]),
-        block_size=int(DEFAULTS["block_size"]),
-        blocks=int(DEFAULTS["blocks"]),
-        slo_ttft=float(DEFAULTS["slo_ttft"]),
-        slo_tpot=float(DEFAULTS["slo_tpot"]),
-    )
-    gen = TrafficGenerator(
-        seed=seed,
-        vocab_size=cfg.vocab_size,
-        arrival=knobs["arrival"],
-        rate_rps=float(knobs["rate_rps"]),
-        num_requests=int(knobs["requests"]),
-    )
+    arrival = knobs["arrival"]
+    gen = h.traffic(arrival, knobs["rate_rps"], knobs["requests"])
     trace = gen.generate()
 
     arms = []
     checks = {}
     for scheme in schemes:
-        baseline, _sim = run_arm(scheme, cfg, params, trace, **arm_kw)
+        baseline, _sim = h.arm(scheme, trace, arrival)
         schedule = default_serving_schedule(seed, baseline["steps"])
         injector = FaultInjector(schedule, seed=seed, **INJECTOR_KW)
         # counter_epoch distinguishes the arms for a long-lived scraper:
         # OpenMetrics counter-restart semantics across same-named series
-        chaos, sim = run_arm(
-            scheme, cfg, params, trace, **arm_kw, injector=injector,
-            counter_epoch=1,
-        )
+        chaos, sim = h.arm(scheme, trace, arrival, injector=injector, counter_epoch=1)
         for entry, arm in ((baseline, "baseline"), (chaos, "chaos")):
             entry["arm"] = arm
-            entry["arrival"] = knobs["arrival"]
             arms.append(entry)
 
         lifecycle = chaos["lifecycle"]
-        telescope_err = abs(
-            sum(chaos["phases_s"].values()) - chaos["makespan_s"]
-        )
+        telescope_err = abs(sum(chaos["phases_s"].values()) - chaos["makespan_s"])
         check = {
             "token_identical": chaos["tokens_sha256"] == baseline["tokens_sha256"],
             "all_completed": chaos["completed"] == len(trace),
@@ -160,29 +129,8 @@ def run_serve_chaos(
         checks[scheme] = check
 
         if ledger is not None:
-            record = record_from_sim(
-                "serve-chaos",
-                sim,
-                label=f"serve-chaos/{scheme}/{knobs['arrival']}",
-                scheme=scheme,
-                seed=seed,
-                config=cfg,
-                mesh=SCHEME_TABLE[scheme].serve_mesh(arm_kw["q"] ** 2),
-                extra={
-                    "arrival": knobs["arrival"],
-                    "num_requests": int(knobs["requests"]),
-                    "traffic_seed": seed,
-                    "tokens_sha256": chaos["tokens_sha256"],
-                    "token_identical": check["token_identical"],
-                    "crashes": check["crashes"],
-                    "retries": check["retries"],
-                    "recovered_steps": check["recovered_steps"],
-                    "recovery_s": check["recovery_s"],
-                    "goodput_tokens_per_s": chaos["goodput_tokens_per_s"],
-                    "ok": check["ok"],
-                },
-            )
-            ledger.append(record)
+            checked = {k: check[k] for k in LEDGER_CHECKS}
+            ledger.append(h.record("serve-chaos", sim, chaos, **checked))
 
     return {
         "report": REPORT_SCHEMA,
@@ -227,7 +175,7 @@ def render(report: dict) -> str:
 def main(
     seed: int = 0,
     quick: bool = False,
-    schemes: Sequence[str] = SERVE_SCHEMES,
+    schemes: Sequence[str] = SCHEMES,
     out: Optional[str] = None,
     ledger_dir: Optional[str] = None,
 ) -> int:
@@ -240,10 +188,5 @@ def main(
         return 2
     print(render(report))
     if out:
-        parent = os.path.dirname(out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_report(report, out)
     return 0 if report["ok"] else 1

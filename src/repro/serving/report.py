@@ -8,6 +8,14 @@ the result into a byte-deterministic JSON document: latency percentiles
 host-dependent goes in — no wall-clock, no paths, no git state — so two
 runs with the same seed produce byte-identical files (CI diffs them).
 
+Every serving campaign — :func:`run_serve` (and :func:`run_sweep` through
+it), :func:`run_preempt_ab` and :func:`repro.serving.chaos.run_serve_chaos`
+— is the same four steps: a :class:`Harness` (the scheme check, the model,
+the engine keywords and the seeded traffic), its arms (:meth:`Harness.arm`,
+one :func:`run_arm` each, with :meth:`Harness.record` as the arm's ledger
+record), the campaign's report document, then render and
+:func:`write_report`.
+
 The same module carries the SLO regression gate
 (:func:`compare_reports`, used by ``repro serve --compare``).
 """
@@ -16,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import sys
 from dataclasses import asdict
 from typing import List, Optional, Sequence, Tuple
 
@@ -24,12 +32,13 @@ from repro.config import ModelConfig, tiny_config
 from repro.core import summa
 from repro.nn.init import init_transformer_params
 from repro.obs.alerts import AlertEngine, AlertRule, default_serving_rules
-from repro.obs.ledger import RunLedger, canonical_json, record_from_sim
+from repro.obs.ledger import RunLedger, RunRecord, canonical_json, record_from_sim
 from repro.resilience.injector import FaultInjector
 from repro.schemes import SCHEMES as SCHEME_TABLE
 from repro.serving.engine import ServingResult, make_engine
 from repro.serving.scheduler import ServingOptions
 from repro.serving.traffic import ARRIVAL_PROFILES, Request, TrafficGenerator
+from repro.utils import write_text
 
 REPORT_SCHEMA = "repro-serve-v1"
 SWEEP_SCHEMA = "repro-serve-sweep-v1"
@@ -51,6 +60,15 @@ DEFAULTS = {
     "slo_tpot": 0.0005,
 }
 QUICK = {"requests": 10}
+#: :func:`run_arm`'s engine keywords, each with the type it is read as
+ENGINE_KEYS = (
+    ("q", int),
+    ("slots", int),
+    ("block_size", int),
+    ("blocks", int),
+    ("slo_ttft", float),
+    ("slo_tpot", float),
+)
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +191,68 @@ def run_arm(
 
 
 # ----------------------------------------------------------------------
+# the campaign harness
+# ----------------------------------------------------------------------
+class Harness:
+    """One serving campaign's setup: the scheme check, the deployed model
+    (parameters drawn at :data:`PARAM_SEED` whatever the traffic seed), the
+    engine keywords every arm runs with (read from ``knobs`` by
+    :data:`ENGINE_KEYS`) and the seeded traffic.  ``what`` names a scheme
+    in the unknown-scheme error."""
+
+    def __init__(self, seed: int, knobs: dict, schemes: Sequence[str], what: str = "scheme"):
+        for s in schemes:
+            if s not in SCHEMES:
+                raise ValueError(f"unknown {what} {s!r} (choose from {SCHEMES})")
+        self.seed = seed
+        self.cfg = tiny_config(num_heads=4)
+        self.params = init_transformer_params(self.cfg, seed=PARAM_SEED)
+        self.engine = {key: cast(knobs[key]) for key, cast in ENGINE_KEYS}
+        self.model_doc = {**asdict(self.cfg), "param_seed": PARAM_SEED}
+
+    def traffic(self, arrival: str, rate_rps, requests, **kw) -> TrafficGenerator:
+        """The campaign's request stream (``kw``: burst size, deadline)."""
+        return TrafficGenerator(
+            seed=self.seed,
+            vocab_size=self.cfg.vocab_size,
+            arrival=arrival,
+            rate_rps=float(rate_rps),
+            num_requests=int(requests),
+            **kw,
+        )
+
+    def arm(self, scheme: str, trace: List[Request], arrival: str, **kw) -> Tuple[dict, object]:
+        """One :func:`run_arm` on the campaign's model and engine keywords;
+        the entry is stamped with its ``arrival``."""
+        entry, sim = run_arm(scheme, self.cfg, self.params, trace, **self.engine, **kw)
+        entry["arrival"] = arrival
+        return entry, sim
+
+    def record(self, kind: str, sim, entry: dict, **extra) -> RunRecord:
+        """The ledger record of one arm: what every serving kind carries
+        (label, mesh, config, traffic, ``tokens_sha256``, goodput), plus
+        ``extra``."""
+        scheme, arrival = entry["scheme"], entry["arrival"]
+        return record_from_sim(
+            kind,
+            sim,
+            label=f"{kind}/{scheme}/{arrival}",
+            scheme=scheme,
+            seed=self.seed,
+            config=self.cfg,
+            mesh=SCHEME_TABLE[scheme].serve_mesh(self.engine["q"] ** 2),
+            extra={
+                "arrival": arrival,
+                "num_requests": entry["requests"],
+                "traffic_seed": self.seed,
+                "tokens_sha256": entry["tokens_sha256"],
+                "goodput_tokens_per_s": entry["goodput_tokens_per_s"],
+                **extra,
+            },
+        )
+
+
+# ----------------------------------------------------------------------
 # full report
 # ----------------------------------------------------------------------
 def run_serve(
@@ -214,150 +294,93 @@ def run_serve(
     if quick:
         knobs.update(QUICK)
         arrivals = tuple(a for a in arrivals if a == "poisson") or ("poisson",)
-    overrides = (
-        ("requests", requests),
-        ("rate_rps", rate_rps),
-        ("q", q),
-        ("slots", slots),
-        ("block_size", block_size),
-        ("blocks", blocks),
-        ("slo_ttft", slo_ttft),
-        ("slo_tpot", slo_tpot),
+    overrides = dict(
+        requests=requests,
+        rate_rps=rate_rps,
+        q=q,
+        slots=slots,
+        block_size=block_size,
+        blocks=blocks,
+        slo_ttft=slo_ttft,
+        slo_tpot=slo_tpot,
     )
-    for name, val in overrides:
-        if val is not None:
-            knobs[name] = val
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ValueError(f"unknown scheme {s!r} (choose from {SCHEMES})")
-    if float(knobs["slo_ttft"]) <= 0:
-        raise ValueError(f"--slo-ttft: must be positive, got {knobs['slo_ttft']}")
-    if float(knobs["slo_tpot"]) <= 0:
-        raise ValueError(f"--slo-tpot: must be positive, got {knobs['slo_tpot']}")
+    knobs.update((name, val) for name, val in overrides.items() if val is not None)
+    h = Harness(seed, knobs, schemes)
+    for name in ("slo_ttft", "slo_tpot"):
+        if h.engine[name] <= 0:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag}: must be positive, got {knobs[name]}")
     # ServingOptions.__post_init__ validates the lifecycle knobs, naming
     # the offending CLI flag (--policy/--swap-blocks/--swap-bw/--deadline/
     # --retries/--max-queue-depth)
-    opt_kw = {}
-    if policy is not None:
-        opt_kw["policy"] = policy
-    if swap_blocks is not None:
-        opt_kw["swap_blocks"] = swap_blocks
-    if swap_gbps is not None:
-        opt_kw["swap_gbps"] = swap_gbps
-    if deadline is not None:
-        opt_kw["deadline_s"] = deadline
-    if retries is not None:
-        opt_kw["max_retries"] = retries
-    if max_queue_depth is not None:
-        opt_kw["max_queue_depth"] = max_queue_depth
-    options = ServingOptions(**opt_kw)
-
-    cfg = tiny_config(num_heads=4)
-    params = init_transformer_params(cfg, seed=PARAM_SEED)
-    qq = int(knobs["q"])
+    opt_kw = dict(
+        policy=policy,
+        swap_blocks=swap_blocks,
+        swap_gbps=swap_gbps,
+        deadline_s=deadline,
+        max_retries=retries,
+        max_queue_depth=max_queue_depth,
+    )
+    options = ServingOptions(**{k: v for k, v in opt_kw.items() if v is not None})
 
     if alert_rules:
         rules: Optional[List[AlertRule]] = list(alert_rules)
     elif alerts:
-        rules = default_serving_rules(
-            float(knobs["slo_ttft"]), float(knobs["slo_tpot"]), int(knobs["slots"])
-        )
+        rules = default_serving_rules(h.engine["slo_ttft"], h.engine["slo_tpot"], h.engine["slots"])
     else:
         rules = None
 
     traffic_docs = []
     entries = []
-    arm_index = 0
     for arrival in arrivals:
-        gen = TrafficGenerator(
-            seed=seed,
-            vocab_size=cfg.vocab_size,
-            arrival=arrival,
-            rate_rps=float(knobs["rate_rps"]),
-            num_requests=int(knobs["requests"]),
-        )
+        gen = h.traffic(arrival, knobs["rate_rps"], knobs["requests"])
         traffic_docs.append(gen.describe())
         trace = gen.generate()
         for scheme in schemes:
-            entry, sim = run_arm(
+            entry, sim = h.arm(
                 scheme,
-                cfg,
-                params,
                 trace,
-                q=qq,
-                slots=int(knobs["slots"]),
-                block_size=int(knobs["block_size"]),
-                blocks=int(knobs["blocks"]),
-                slo_ttft=float(knobs["slo_ttft"]),
-                slo_tpot=float(knobs["slo_tpot"]),
+                arrival,
                 options=options,
                 alert_rules=rules,
                 metrics_server=metrics_server,
-                counter_epoch=arm_index,
+                counter_epoch=len(entries),
             )
-            arm_index += 1
-            entry["arrival"] = arrival
             entries.append(entry)
             if ledger is not None:
                 extra = {
-                    "arrival": arrival,
-                    "num_requests": int(knobs["requests"]),
-                    "traffic_seed": seed,
                     "rate_rps": float(knobs["rate_rps"]),
                     "generated_tokens": entry["generated_tokens"],
-                    "goodput_tokens_per_s": entry["goodput_tokens_per_s"],
                     "slo_attainment": entry["slo_attainment"],
                     "p99_e2e_s": entry["e2e_s"]["p99"],
-                    "tokens_sha256": entry["tokens_sha256"],
                 }
                 if "alerts" in entry:  # only when alerting was armed
                     extra["alerts"] = {
                         "fired": entry["alerts"]["fired_total"],
                         "resolved": entry["alerts"]["resolved_total"],
                         "rules_fired": sorted(
-                            {e["rule"] for e in entry["alerts"]["events"]
-                             if e["state"] == "firing"}
+                            {e["rule"] for e in entry["alerts"]["events"] if e["state"] == "firing"}
                         ),
                     }
-                record = record_from_sim(
-                    "serve",
-                    sim,
-                    label=f"serve/{scheme}/{arrival}",
-                    scheme=scheme,
-                    seed=seed,
-                    config=cfg,
-                    mesh=SCHEME_TABLE[scheme].serve_mesh(qq * qq),
-                    extra=extra,
-                )
-                ledger.append(record)
+                ledger.append(h.record("serve", sim, entry, **extra))
 
-    serving_doc = {
-        "q": qq,
-        "slots": int(knobs["slots"]),
-        "block_size": int(knobs["block_size"]),
-        "blocks": int(knobs["blocks"]),
-        "rate_rps": float(knobs["rate_rps"]),
-    }
+    serving_doc = {key: h.engine[key] for key in ("q", "slots", "block_size", "blocks")}
+    serving_doc["rate_rps"] = float(knobs["rate_rps"])
     # lifecycle knobs appear only when switched on: default-path reports
     # stay byte-identical to PR 8
     if options.enabled:
-        serving_doc["lifecycle"] = {
-            "policy": options.policy,
-            "swap_blocks": options.swap_blocks,
-            "swap_gbps": options.swap_gbps,
-            "deadline_s": options.deadline_s,
-            "max_retries": options.max_retries,
-            "max_queue_depth": options.max_queue_depth,
-        }
+        lifecycle = asdict(options)
+        del lifecycle["restart_cost_s"]  # no flag sets it; the report never carried it
+        serving_doc["lifecycle"] = lifecycle
     if rules is not None:  # same conditional-section discipline as lifecycle
         serving_doc["alerts"] = {"rules": [r.to_dict() for r in rules]}
     return {
         "report": REPORT_SCHEMA,
         "seed": seed,
         "quick": bool(quick),
-        "model": {**asdict(cfg), "param_seed": PARAM_SEED},
+        "model": h.model_doc,
         "serving": serving_doc,
-        "slo": {"ttft_s": float(knobs["slo_ttft"]), "tpot_s": float(knobs["slo_tpot"])},
+        "slo": {"ttft_s": h.engine["slo_ttft"], "tpot_s": h.engine["slo_tpot"]},
         "summa_flags": summa.effective_flags(),
         "traffic": traffic_docs,
         "schemes": entries,
@@ -460,21 +483,14 @@ def run_preempt_ab(seed: int = 0, quick: bool = False, schemes: Sequence[str] = 
     scheme — conservative ``reserve``, ``preempt`` with host swap, and
     ``preempt`` with the recompute fallback — and gate on preemption
     admitting what reservation rejects, at strictly higher goodput."""
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ValueError(f"unknown scheme {s!r} (choose from {SCHEMES})")
     prof = dict(PREEMPT_AB_PROFILE)
     if quick:
         prof["requests"] = 12
-    cfg = tiny_config(num_heads=4)
-    params = init_transformer_params(cfg, seed=PARAM_SEED)
-    qq = int(DEFAULTS["q"])
-    gen = TrafficGenerator(
-        seed=seed,
-        vocab_size=cfg.vocab_size,
-        arrival=prof["arrival"],
-        rate_rps=prof["rate_rps"],
-        num_requests=prof["requests"],
+    h = Harness(seed, {**DEFAULTS, **prof}, schemes)
+    gen = h.traffic(
+        prof["arrival"],
+        prof["rate_rps"],
+        prof["requests"],
         burst_size=prof["burst_size"],
         deadline_s=prof["deadline_s"],
     )
@@ -494,20 +510,7 @@ def run_preempt_ab(seed: int = 0, quick: bool = False, schemes: Sequence[str] = 
     for scheme in schemes:
         per_policy = {}
         for name, options in arms.items():
-            entry, _sim = run_arm(
-                scheme,
-                cfg,
-                params,
-                trace,
-                q=qq,
-                slots=prof["slots"],
-                block_size=prof["block_size"],
-                blocks=prof["blocks"],
-                slo_ttft=prof["slo_ttft"],
-                slo_tpot=prof["slo_tpot"],
-                options=options,
-            )
-            entry["arrival"] = prof["arrival"]
+            entry, _sim = h.arm(scheme, trace, prof["arrival"], options=options)
             entry["policy"] = name
             entries.append(entry)
             per_policy[name] = entry
@@ -539,7 +542,7 @@ def run_preempt_ab(seed: int = 0, quick: bool = False, schemes: Sequence[str] = 
         "quick": bool(quick),
         "profile": prof,
         "traffic": gen.describe(),
-        "model": {**asdict(cfg), "param_seed": PARAM_SEED},
+        "model": h.model_doc,
         "arms": entries,
         "gate": gate,
         "ok": ok,
@@ -559,6 +562,16 @@ def render_preempt_ab(report: dict) -> str:
             f"{e['completed']:>3}/{e['requests']:<2} "
             f"{e['goodput_tokens_per_s']:>10.1f} "
             f"{lc.get('preempted', 0):>9} {lc.get('timed_out', 0):>9}"
+        )
+    if report["ok"]:
+        rows.append(
+            "ok: preemption admits what reservation rejects, at strictly "
+            "higher goodput (both swap and recompute arms)"
+        )
+    else:
+        rows.append(
+            "FAIL: preemption did not beat conservative reservation "
+            "(see the 'gate' section of the report)"
         )
     return "\n".join(rows)
 
@@ -625,16 +638,22 @@ def render_text(report: dict) -> str:
             f"{e['goodput_tokens_per_s']:>10.1f} {e['slo_attainment']:>6.2f} "
             f"{e['steps']:>6}"
         )
+    for e in report["schemes"]:
+        alert_doc = e.get("alerts")
+        if alert_doc and alert_doc["events"]:
+            firing = alert_doc["firing"]
+            rows.append(
+                f"alerts [{e['scheme']}/{e['arrival']}]: "
+                f"{alert_doc['fired_total']} fired, "
+                f"{alert_doc['resolved_total']} resolved"
+                + (f", still firing: {', '.join(firing)}" if firing else "")
+            )
     return "\n".join(rows)
 
 
 def write_report(report: dict, path: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    """Write a campaign's report document as sorted, indented JSON."""
+    write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def load_baseline(path: str) -> dict:
@@ -681,52 +700,63 @@ def _load_alert_rules(path: str) -> List[AlertRule]:
         raise SystemExit(f"error: alert-rules file {path!r}: {exc}")
 
 
+#: the flags (argparse dests) ``--preempt-ab`` reads: it runs a fixed
+#: overload profile, so any other flag given with it would be dropped
+#: (``--threshold`` always has a value; ``--compare`` is the flag checked)
+PREEMPT_AB_FLAGS = ("command", "seed", "quick", "scheme", "out", "preempt_ab", "threshold")
+#: the flags a ``--sweep`` would drop: it sets the offered load itself and
+#: has no baseline to gate
+SWEEP_DROPS = ("rate", "compare")
+
+
+def _dropped_flag(args) -> Optional[str]:
+    """The first flag given that the chosen campaign would not read."""
+    if args.preempt_ab:
+        dests = [k for k in vars(args) if k not in PREEMPT_AB_FLAGS]
+    else:
+        dests = SWEEP_DROPS if args.sweep else ()
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and value is not False:
+            return "--" + dest.replace("_", "-")
+    return None
+
+
 def cmd_serve(args) -> int:
-    """Driver for ``python -m repro serve`` (returns the exit code)."""
-    ledger = RunLedger(args.ledger) if getattr(args, "ledger", None) else None
+    """Driver for ``python -m repro serve``: maps the flags onto one
+    campaign, then prints its rendering, writes its report and returns the
+    exit code (2 for a flag the campaign would drop)."""
+    dropped = _dropped_flag(args)
+    if dropped is not None:
+        mode = "--preempt-ab" if args.preempt_ab else "--sweep"
+        print(f"error: {dropped} cannot be combined with {mode}", file=sys.stderr)
+        return 2
     schemes = tuple(args.scheme) if args.scheme else SCHEMES
-
-    if getattr(args, "preempt_ab", False):
-        ab = run_preempt_ab(args.seed, quick=args.quick, schemes=schemes)
-        if args.out:
-            write_report(ab, args.out)
-        print(render_preempt_ab(ab))
-        if not ab["ok"]:
-            print(
-                "FAIL: preemption did not beat conservative reservation "
-                "(see the 'gate' section of the report)"
-            )
-            return 1
-        print(
-            "ok: preemption admits what reservation rejects, at strictly "
-            "higher goodput (both swap and recompute arms)"
-        )
-        return 0
-
+    arrivals = tuple(args.arrival) if args.arrival else None
+    baseline = load_baseline(args.compare) if args.compare else None
     kw = dict(
+        quick=args.quick,
         schemes=schemes,
-        arrivals=tuple(args.arrival) if args.arrival else ARRIVAL_PROFILES,
         requests=args.requests,
-        rate_rps=args.rate,
         q=args.q,
         slots=args.slots,
         block_size=args.block_size,
         blocks=args.blocks,
         slo_ttft=args.slo_ttft,
         slo_tpot=args.slo_tpot,
-        policy=getattr(args, "policy", None),
-        swap_blocks=getattr(args, "swap_blocks", None),
-        swap_gbps=getattr(args, "swap_bw", None),
-        deadline=getattr(args, "deadline", None),
-        retries=getattr(args, "retries", None),
-        max_queue_depth=getattr(args, "max_queue_depth", None),
+        policy=args.policy,
+        swap_blocks=args.swap_blocks,
+        swap_gbps=args.swap_bw,
+        deadline=args.deadline,
+        retries=args.retries,
+        max_queue_depth=args.max_queue_depth,
+        ledger=RunLedger(args.ledger) if args.ledger else None,
+        alerts=args.alerts,
+        alert_rules=_load_alert_rules(args.alert_rules) if args.alert_rules else None,
     )
-    if getattr(args, "alert_rules", None):
-        kw["alert_rules"] = _load_alert_rules(args.alert_rules)
-    kw["alerts"] = bool(getattr(args, "alerts", False))
 
     server = None
-    if getattr(args, "metrics_port", None) is not None:
+    if args.metrics_port is not None:
         from repro.obs.live import MetricsServer
 
         server = MetricsServer(port=args.metrics_port).start()
@@ -734,52 +764,32 @@ def cmd_serve(args) -> int:
         kw["metrics_server"] = server
 
     try:
-        if getattr(args, "sweep", None):
+        if args.preempt_ab:
+            report = run_preempt_ab(args.seed, quick=args.quick, schemes=schemes)
+            ok, text = report["ok"], render_preempt_ab(report)
+        elif args.sweep:
             try:
                 rates = [float(r) for r in args.sweep.split(",") if r.strip()]
             except ValueError:
                 raise SystemExit(
                     f"error: --sweep expects comma-separated rates, got {args.sweep!r}"
                 )
-            arrivals = kw.pop("arrivals")
-            kw.pop("rate_rps", None)  # the sweep owns the offered load
-            sweep = run_sweep(
-                args.seed, rates=rates, quick=args.quick, ledger=ledger,
-                arrivals=arrivals if args.arrival else ("poisson",), **kw,
-            )
-            if args.out:
-                write_report(sweep, args.out)
-            print(render_sweep(sweep))
-            if server is not None and getattr(args, "metrics_hold", None):
-                server.hold(args.metrics_hold)
-            return 0
-
-        report = run_serve(args.seed, quick=args.quick, ledger=ledger, **kw)
+            report = run_sweep(args.seed, rates=rates, arrivals=arrivals or ("poisson",), **kw)
+            ok, text = True, render_sweep(report)
+        else:
+            arrivals = arrivals or ARRIVAL_PROFILES
+            report = run_serve(args.seed, arrivals=arrivals, rate_rps=args.rate, **kw)
+            ok, text = True, render_text(report)
+            if baseline is not None:
+                ok, gate = compare_reports(report, baseline, threshold=args.threshold)
+                head = f"SLO gate vs {args.compare} (threshold {args.threshold:.0%}):"
+                text = "\n".join([text, "", head] + ["  " + line for line in gate])
         if args.out:
             write_report(report, args.out)
-        print(render_text(report))
-        for entry in report["schemes"]:
-            alert_doc = entry.get("alerts")
-            if alert_doc and alert_doc["events"]:
-                print(
-                    f"alerts [{entry['scheme']}/{entry['arrival']}]: "
-                    f"{alert_doc['fired_total']} fired, "
-                    f"{alert_doc['resolved_total']} resolved"
-                    + (f", still firing: {', '.join(alert_doc['firing'])}"
-                       if alert_doc["firing"] else "")
-                )
-        if args.compare:
-            baseline = load_baseline(args.compare)
-            ok, lines = compare_reports(report, baseline, threshold=args.threshold)
-            print()
-            print(f"SLO gate vs {args.compare} (threshold {args.threshold:.0%}):")
-            for line in lines:
-                print("  " + line)
-            if not ok:
-                return 1
-        if server is not None and getattr(args, "metrics_hold", None):
+        print(text)
+        if ok and server is not None and args.metrics_hold:
             server.hold(args.metrics_hold)
-        return 0
+        return 0 if ok else 1
     finally:
         if server is not None:
             server.stop()

@@ -1,6 +1,19 @@
-"""Small shared utilities (text tables, byte formatting, ASCII plots)."""
+"""Small shared utilities (text tables, byte formatting, ASCII plots, the
+output-file writer)."""
+
+import os
 
 from repro.utils.asciiplot import line_plot
 from repro.utils.tables import format_bytes, format_table
 
-__all__ = ["format_table", "format_bytes", "line_plot"]
+__all__ = ["format_table", "format_bytes", "line_plot", "write_text"]
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, creating the parent directory first: the
+    one writer of every file a ``repro`` command emits."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w") as f:
+        f.write(text)

@@ -1,8 +1,8 @@
 """Bulk charges ≡ the per-rank loops they replaced.
 
 ``Simulator.replay`` (an accounting program's entries from one frame),
-its one-entry forms ``charge_compute`` / ``charge_collectives`` (through
-``collectives.charge_only``, all of a mesh's lines in one call) and
+its one-entry forms ``charge_compute`` and ``collectives.charge_only`` (all
+of a mesh's lines in one call) and
 ``BufferManager.hold_many`` /
 ``compute_in_workspace`` issue from one frame what used to be one
 ``SimDevice.compute`` / ``charge_comm`` / ``Simulator.sync`` + ``advance`` /
@@ -290,9 +290,7 @@ def test_a_multi_line_charge_is_one_charge_per_line(q, data):
                 sim.charge_compute(*args)
             continue
         kind, lines = args
-        # the collectives' entry point, or the simulator's own one-entry form
-        charge = coll.charge_only if data.draw(st.booleans()) else bulk.charge_collectives
-        charge(kind, [(groups[bulk][g], (dt, nbytes, w)) for g, dt, nbytes, w in lines])
+        coll.charge_only(kind, [(groups[bulk][g], (dt, nbytes, w)) for g, dt, nbytes, w in lines])
         for g, dt, nbytes, w in lines:
             _charge_one_line(per_line, groups[per_line][g], kind, dt, nbytes, w)
     seen = [

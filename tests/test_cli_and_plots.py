@@ -1,6 +1,7 @@
 """CLI entry points and the ASCII plotting utility."""
 
 import importlib
+import json
 
 import pytest
 
@@ -80,6 +81,45 @@ class TestCLI:
             "table1", "table2", "table3", "fig7", "fig8", "fig9",
             "isoefficiency", "report", "verify",
         }
+
+
+class TestOutputFiles:
+    """Every file a command writes goes through ``repro.utils.write_text``,
+    which creates a missing parent directory: the command runs its whole
+    workload first, so failing at the write threw the run away."""
+
+    def test_chaos_out(self, tmp_path, capsys):
+        out = tmp_path / "new" / "chaos.json"
+        argv = ["chaos", "--quick", "--scheme", "optimus", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["ok"] is True
+        assert f"wrote {out}" in capsys.readouterr().out
+
+    def test_chaos_trace_out(self, tmp_path, capsys):
+        trace = tmp_path / "traces" / "chaos.json"
+        argv = ["chaos", "--quick", "--scheme", "optimus", "--trace-out", str(trace)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "traces" / "chaos-optimus.json").read_text())
+        assert doc["traceEvents"]
+
+    def test_critpath_out(self, tmp_path, capsys):
+        out = tmp_path / "new" / "cp.json"
+        assert main(["critpath", "tiny", "--json", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert out.read_text() == printed  # the printed document, newline included
+
+    def test_critpath_folded(self, tmp_path, capsys):
+        folded = tmp_path / "new" / "cp.folded"
+        assert main(["critpath", "tiny", "--folded", str(folded)]) == 0
+        assert f"folded flamegraph written to {folded}" in capsys.readouterr().out
+        assert folded.read_text().endswith("\n")
+
+    def test_profile_trace_out(self, tmp_path, capsys):
+        trace = tmp_path / "new" / "t.json"
+        assert main(["profile", "tiny", "--trace-out", str(trace)]) == 0
+        assert f"wrote {trace}" in capsys.readouterr().out
+        assert json.loads(trace.read_text())["traceEvents"]
 
 
 class TestPackageSurface:

@@ -24,11 +24,9 @@ from repro.serving.traffic import TrafficGenerator
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: the closed forms of the analytic memory model
-ALLOWED = {
-    ("perfmodel/memory_model.py", "_param_scalars_per_device"),
-    ("perfmodel/memory_model.py", "estimate_peak_bytes"),
-}
+#: (module, function) pairs that may branch on a scheme name: none (the
+#: analytic memory model's per-scheme terms are ``Scheme`` fields)
+ALLOWED: set = set()
 
 # 16 heads and a 64-wide hidden split over a 4×4 mesh and over 16 flat ranks
 CFG = ModelConfig(vocab_size=64, hidden_size=64, num_heads=16, num_layers=1, seq_len=8)

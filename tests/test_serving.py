@@ -606,14 +606,16 @@ class TestReport:
 class TestLedgerServe:
     def test_serve_kind_accepted_with_extras(self, tmp_path):
         led = RunLedger(str(tmp_path / "ledger.jsonl"))
-        run_serve(0, quick=True, requests=6, ledger=led)
+        report = run_serve(0, quick=True, requests=6, ledger=led)
         records = led.read()
         assert {r.kind for r in records} == {"serve"}
         assert {r.scheme for r in records} == {"optimus", "megatron"}
-        for r in records:
+        for r, entry in zip(records, report["schemes"]):
             assert r.extra["num_requests"] == 6
             assert r.extra["traffic_seed"] == 0
-            assert r.label.startswith("serve/")
+            assert r.extra["arrival"] == entry["arrival"] == "poisson"
+            assert r.extra["tokens_sha256"] == entry["tokens_sha256"]
+            assert r.label == f"serve/{entry['scheme']}/poisson"
             assert r.counters["total_bytes_comm"] > 0
 
     def test_scheme_of_uses_engine_attribute(self):
@@ -681,6 +683,39 @@ class TestServeCLI:
             json.dump(doc, f)
         assert main(argv + [out1, "--compare", out2]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--sweep", "500,8000", "--compare", "BASE.json"], "--compare"),
+            (["--sweep", "500", "--rate", "2000"], "--rate"),
+            (["--preempt-ab", "--compare", "BASE.json"], "--compare"),
+            (["--preempt-ab", "--ledger", "ledger"], "--ledger"),
+            (["--preempt-ab", "--metrics-port", "0"], "--metrics-port"),
+        ],
+        ids=[
+            "sweep-compare",
+            "sweep-rate",
+            "preempt-ab-compare",
+            "preempt-ab-ledger",
+            "preempt-ab-metrics-port",
+        ],
+    )
+    def test_a_flag_the_campaign_would_drop_is_a_usage_error(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        """The sweep has no baseline to gate (its SLO gate passed without
+        reading one, even a missing file) and sets its own load; the
+        preemption A/B runs a fixed profile and reads neither a baseline,
+        a ledger nor a metrics endpoint."""
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["serve", "--quick", "--scheme", "optimus", *argv]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag} cannot be combined with" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # nothing ran, nothing written
 
     @pytest.mark.parametrize(
         "argv", [["serve", "--quick", "--ab"], ["check", "--trials", "1", "--no-batched"]]

@@ -29,8 +29,13 @@ PARAMS = init_transformer_params(CFG, seed=PARAM_SEED)
 
 
 @pytest.fixture(scope="module")
-def quick_campaign():
-    return run_serve_chaos(0, quick=True)
+def quick_ledger(tmp_path_factory):
+    return RunLedger(str(tmp_path_factory.mktemp("serve-chaos") / "ledger.jsonl"))
+
+
+@pytest.fixture(scope="module")
+def quick_campaign(quick_ledger):
+    return run_serve_chaos(0, quick=True, ledger=quick_ledger)
 
 
 class TestServeChaos:
@@ -108,6 +113,21 @@ class TestServeChaos:
         assert rec.extra["token_identical"] is True
         assert rec.extra["recovered_steps"] >= 2
         assert rec.label.startswith("serve-chaos/")
+
+    def test_ledger_records_carry_every_check(self, quick_campaign, quick_ledger):
+        """One ``serve-chaos`` record per scheme, carrying the chaos arm's
+        tokens and every ledger check of the campaign's report."""
+        keys = ("token_identical", "crashes", "retries", "recovered_steps", "recovery_s", "ok")
+        records = quick_ledger.read()
+        assert [r.scheme for r in records] == ["optimus", "megatron"]
+        for r in records:
+            check = quick_campaign["checks"][r.scheme]
+            assert {k: r.extra[k] for k in keys} == {k: check[k] for k in keys}
+            assert r.extra["token_identical"] is True
+            (chaos,) = [
+                e for e in quick_campaign["arms"] if (e["scheme"], e["arm"]) == (r.scheme, "chaos")
+            ]
+            assert r.extra["tokens_sha256"] == chaos["tokens_sha256"]
 
     def test_dash_serve_chaos_section(self, tmp_path):
         from repro.obs.claims import scorecard
