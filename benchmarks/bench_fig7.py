@@ -32,18 +32,12 @@ def _eff(points, mode):
 
 def test_benchmark_fig7_weak(benchmark, weak_points):
     benchmark.pedantic(fig7.run_weak, rounds=1, iterations=1)
-    save_result(
-        "fig7_weak",
-        fig7.render(weak_points) + "\n\n" + fig7.plot(weak_points, "weak"),
-    )
+    save_result("fig7_weak", fig7.report(weak_points))
 
 
 def test_benchmark_fig7_strong(benchmark, strong_points):
     benchmark.pedantic(fig7.run_strong, rounds=1, iterations=1)
-    save_result(
-        "fig7_strong",
-        fig7.render(strong_points) + "\n\n" + fig7.plot(strong_points, "strong"),
-    )
+    save_result("fig7_strong", fig7.report(strong_points))
 
 
 def test_weak_efficiency_decays(weak_points):

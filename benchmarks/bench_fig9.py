@@ -32,11 +32,7 @@ def test_benchmark_fig9(benchmark, rows):
         return measure_peak_bytes("optimus", cfg, 4, 96)
 
     benchmark.pedantic(_small_probe, rounds=1, iterations=1)
-    out = fig9.render(rows) + (
-        f"\nOptimus/Megatron max-batch ratio at p=64: "
-        f"{fig9.ratio_at(rows, 64):.2f}x (paper: 8x)\n\n"
-    ) + fig9.plot(rows)
-    save_result("fig9", out)
+    save_result("fig9", fig9.report(rows))
 
 
 def test_megatron_limit_decreases(rows):

@@ -9,41 +9,24 @@ each device count, and checking the growth tracks the asymptotic laws.
 import pytest
 
 from benchmarks.conftest import save_result
+from repro.experiments import isoefficiency
 from repro.perfmodel import (
     asymptotic_work_megatron,
     asymptotic_work_optimus,
     efficiency_megatron,
     efficiency_optimus,
-    isoefficiency_hidden,
     isoefficiency_work,
 )
-from repro.utils.tables import format_table
-
-PS = [4, 16, 64, 256, 1024, 4096]
 
 
 @pytest.fixture(scope="module")
 def curve():
-    rows = []
-    for p in PS:
-        hm = isoefficiency_hidden("megatron", p)
-        ho = isoefficiency_hidden("optimus", p)
-        rows.append(
-            [p, hm, ho, isoefficiency_work("megatron", p), isoefficiency_work("optimus", p)]
-        )
-    return rows
+    return isoefficiency.run()
 
 
 def test_benchmark_isoefficiency(benchmark, curve):
     benchmark.pedantic(lambda: isoefficiency_work("optimus", 4096), rounds=3, iterations=1)
-    save_result(
-        "isoefficiency",
-        format_table(
-            ["p", "h (Megatron)", "h (Optimus)", "W (Megatron)", "W (Optimus)"],
-            curve,
-            title="Isoefficiency at E=0.8 — problem size needed to stay efficient",
-        ),
-    )
+    save_result("isoefficiency", isoefficiency.report(curve))
 
 
 def test_optimus_needs_vastly_smaller_problems(curve):

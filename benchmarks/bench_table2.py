@@ -23,19 +23,9 @@ def _by(rows):
 
 def test_benchmark_table2(benchmark, rows):
     benchmark.pedantic(table2.run, rounds=1, iterations=1)
-    tr, inf = table2.speedup_at(rows, 64)
-    split = split_metrics([r.result for r in rows])
-    out = table2.render(rows) + (
-        f"\nOptimus speedup over Megatron on 64 GPUs: {tr:.2f}x training, "
-        f"{inf:.2f}x inference (paper: 1.48x / 1.79x)\n"
-        + "\n".join(
-            f"  {m['scheme']:>8} p={m['num_devices']:<3} "
-            f"compute {m['compute_time']:.3f}s  comm {m['comm_time']:.3f}s "
-            f"({m['comm_fraction']:.1%} comm)"
-            for m in split
-        )
+    save_result(
+        "table2", table2.report(rows), metrics={"rows": split_metrics([r.result for r in rows])}
     )
-    save_result("table2", out, metrics={"rows": split})
 
 
 def test_megatron_wins_on_one_node(rows):

@@ -23,20 +23,8 @@ def _by(rows):
 
 def test_benchmark_table3(benchmark, rows):
     benchmark.pedantic(table3.run, rounds=1, iterations=1)
-    by = _by(rows)
-    ratio = by[("optimus", 64)].throughput / by[("megatron", 64)].throughput
-    split = split_metrics([r.result for r in rows])
     save_result(
-        "table3",
-        table3.render(rows)
-        + f"\nOptimus/Megatron throughput at p=64: {ratio:.2f}x (paper: 1.11x)\n"
-        + "\n".join(
-            f"  {m['scheme']:>8} p={m['num_devices']:<3} "
-            f"compute {m['compute_time']:.3f}s  comm {m['comm_time']:.3f}s "
-            f"({m['comm_fraction']:.1%} comm)"
-            for m in split
-        ),
-        metrics={"rows": split},
+        "table3", table3.report(rows), metrics={"rows": split_metrics([r.result for r in rows])}
     )
 
 

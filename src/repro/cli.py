@@ -11,8 +11,9 @@ Usage::
     python -m repro critpath table1 --folded stem.folded
     python -m repro ledger compact --dry-run
 
-Each experiment command prints the same rows/series the paper reports, side
-by side with the paper's measured values.  ``profile`` runs a small traced
+Each experiment command prints the rows/series the paper reports, side by
+side with the paper's measured values: the bytes ``pytest benchmarks``
+persists under ``benchmarks/results/``.  ``profile`` runs a small traced
 instance of an experiment workload and emits span/communication/memory
 reports plus a Perfetto-loadable ``trace.json`` (see docs/simulator.md,
 "Profiling and tracing").
@@ -24,73 +25,7 @@ import argparse
 import sys
 from typing import Callable, Dict
 
-
-def _cmd_table1() -> None:
-    from repro.experiments import table1
-
-    table1.main()
-
-
-def _cmd_table2() -> None:
-    from repro.experiments import table2
-
-    table2.main()
-
-
-def _cmd_table3() -> None:
-    from repro.experiments import table3
-
-    table3.main()
-
-
-def _cmd_fig7() -> None:
-    from repro.experiments import fig7
-
-    weak, strong = fig7.run_weak(), fig7.run_strong()
-    print(fig7.render(weak + strong))
-    print()
-    print(fig7.plot(weak, "weak"))
-    print()
-    print(fig7.plot(strong, "strong"))
-
-
-def _cmd_fig8() -> None:
-    from repro.experiments import fig8
-
-    fig8.main()
-
-
-def _cmd_fig9() -> None:
-    from repro.experiments import fig9
-
-    rows = fig9.run()
-    print(fig9.render(rows))
-    print(f"Optimus/Megatron ratio at p=64: {fig9.ratio_at(rows, 64):.2f}x (paper: 8x)")
-    print()
-    print(fig9.plot(rows))
-
-
-def _cmd_isoefficiency() -> None:
-    from repro.perfmodel import isoefficiency_work
-    from repro.utils import format_table
-
-    rows = [
-        [p, isoefficiency_work("megatron", p), isoefficiency_work("optimus", p)]
-        for p in (4, 16, 64, 256, 1024, 4096)
-    ]
-    print(
-        format_table(
-            ["p", "W needed (Megatron)", "W needed (Optimus)"],
-            rows,
-            title="Isoefficiency at E=0.8 (W~p³ vs W~(√p·log p)³, §3.1.2)",
-        )
-    )
-
-
-def _cmd_report() -> None:
-    from repro.experiments import report
-
-    report.main()
+from repro.experiments import fig7, fig8, fig9, isoefficiency, report, table1, table2, table3
 
 
 def _cmd_verify() -> None:
@@ -121,16 +56,13 @@ def _cmd_verify() -> None:
         sys.exit(1)
 
 
-COMMANDS: Dict[str, Callable[[], None]] = {
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "table3": _cmd_table3,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "fig9": _cmd_fig9,
-    "isoefficiency": _cmd_isoefficiency,
-    "report": _cmd_report,
-    "verify": _cmd_verify,
+#: the paper results in ``all``'s order; each prints its module's one text
+PAPER_RESULTS: Dict[str, Callable[[], None]] = {
+    m.__name__.rpartition(".")[2]: m.main
+    for m in (table1, table2, table3, fig7, fig8, fig9, isoefficiency)
+}
+COMMANDS: Dict[str, Callable[[], object]] = {
+    **PAPER_RESULTS, "report": report.main, "verify": _cmd_verify
 }
 
 
@@ -524,9 +456,9 @@ def main(argv=None) -> int:
             top=args.top,
         )
     if args.command == "all":
-        for name in ("table1", "table2", "table3", "fig7", "fig8", "fig9", "isoefficiency"):
+        for name, command in PAPER_RESULTS.items():
             print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-            COMMANDS[name]()
+            command()
     else:
         COMMANDS[args.command]()
     return 0

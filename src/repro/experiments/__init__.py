@@ -7,7 +7,7 @@ come from strict-capacity dryrun searches.  See EXPERIMENTS.md for
 paper-vs-measured values.
 """
 
-from repro.experiments import fig7, fig8, fig9, report, table1, table2, table3
+from repro.experiments import fig7, fig8, fig9, isoefficiency, report, table1, table2, table3
 from repro.experiments.runner import StemResult, run_megatron_stem, run_optimus_stem
 
 __all__ = [
@@ -20,5 +20,6 @@ __all__ = [
     "fig7",
     "fig8",
     "fig9",
+    "isoefficiency",
     "report",
 ]

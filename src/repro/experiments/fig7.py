@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, List
 
 from repro.config import ModelConfig, table2_weak_scaling, table3_strong_scaling
-from repro.experiments.runner import run_optimus_stem, run_settings
+from repro.experiments.runner import run_optimus_stem, run_settings, scheme_plot
 from repro.utils.tables import format_table
 
 
@@ -61,21 +61,6 @@ def run_strong() -> List[EfficiencyPoint]:
     return _run("strong", table3_strong_scaling())
 
 
-def plot(points: List[EfficiencyPoint], mode: str) -> str:
-    """ASCII rendering of one Fig. 7 panel."""
-    from repro.utils import line_plot
-
-    pts = [p for p in points if p.mode == mode]
-    ps = sorted({p.num_devices for p in pts})
-    series = {}
-    for scheme in ("megatron", "optimus"):
-        by_p = {p.num_devices: p.efficiency for p in pts if p.scheme == scheme}
-        series[scheme] = [by_p[p] for p in ps]
-    return line_plot(
-        series, ps, title=f"Figure 7 ({mode} scaling efficiency)", ylabel="E"
-    )
-
-
 def render(points: List[EfficiencyPoint]) -> str:
     return format_table(
         ["mode", "scheme", "p", "T_p (s)", "T_serial (s)", "efficiency"],
@@ -87,10 +72,16 @@ def render(points: List[EfficiencyPoint]) -> str:
     )
 
 
-def main() -> str:  # pragma: no cover - exercised via benchmarks
-    out = render(run_weak() + run_strong())
-    print(out)
-    return out
+def report(points: List[EfficiencyPoint]) -> str:
+    """One panel (``points`` of one mode): ``results/fig7_<mode>.txt``."""
+    title = f"Figure 7 ({points[0].mode} scaling efficiency)"
+    return f"{render(points)}\n\n{scheme_plot(points, lambda pt: pt.efficiency, title, 'E')}"
+
+
+def main() -> None:  # pragma: no cover - exercised via benchmarks
+    """``repro fig7``: the weak panel, then the strong one."""
+    print(report(run_weak()))
+    print(report(run_strong()))
 
 
 if __name__ == "__main__":  # pragma: no cover

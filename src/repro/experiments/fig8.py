@@ -78,10 +78,8 @@ def render(rows: List[Fig8Row]) -> str:
     )
 
 
-def main() -> str:  # pragma: no cover - exercised via benchmarks
-    out = render(run())
-    print(out)
-    return out
+def main() -> None:
+    print(render(run()))
 
 
 if __name__ == "__main__":  # pragma: no cover

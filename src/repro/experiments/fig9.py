@@ -17,18 +17,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.config import table2_weak_scaling
+from repro.experiments.runner import scheme_plot
 from repro.hardware.specs import RTX5000
 from repro.perfmodel.memory_model import max_batch_size
 from repro.utils.tables import format_table
 
 #: Fig. 9 anchors stated in the paper text (§5.3): Optimus runs b=480 on 64
 #: GPUs, 8× Megatron's limit (i.e. Megatron ≈ 60).
-PAPER_LIMITS: Dict[int, Dict[str, Optional[int]]] = {
-    4: {"megatron": None, "optimus": None},
-    16: {"megatron": None, "optimus": None},
-    36: {"megatron": None, "optimus": None},
-    64: {"megatron": 60, "optimus": 480},
-}
+PAPER_LIMITS: Dict[int, Dict[str, int]] = {64: {"megatron": 60, "optimus": 480}}
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,7 @@ def run(
                 optimizer_slots=optimizer_slots,
             )
             rows.append(
-                Fig9Row(p, scheme, cfg.hidden_size, limit, PAPER_LIMITS[p][scheme])
+                Fig9Row(p, scheme, cfg.hidden_size, limit, PAPER_LIMITS.get(p, {}).get(scheme))
             )
     return rows
 
@@ -75,31 +71,23 @@ def render(rows: List[Fig9Row]) -> str:
     )
 
 
-def plot(rows: List[Fig9Row]) -> str:
-    """ASCII rendering of the Fig. 9 max-batch curves."""
-    from repro.utils import line_plot
-
-    ps = sorted({r.num_devices for r in rows})
-    series = {}
-    for scheme in ("megatron", "optimus"):
-        by_p = {r.num_devices: r.max_batch for r in rows if r.scheme == scheme}
-        series[scheme] = [by_p[p] for p in ps]
-    return line_plot(
-        series, ps, title="Figure 9 (maximum batch size)", ylabel="max b"
-    )
-
-
 def ratio_at(rows: List[Fig9Row], p: int) -> float:
     by = {(r.scheme, r.num_devices): r for r in rows}
     return by[("optimus", p)].max_batch / by[("megatron", p)].max_batch
 
 
-def main() -> str:  # pragma: no cover - exercised via benchmarks
-    rows = run()
-    out = render(rows)
-    out += f"\nOptimus/Megatron max-batch ratio at p=64: {ratio_at(rows, 64):.1f}x (paper: 8x)"
-    print(out)
-    return out
+def report(rows: List[Fig9Row]) -> str:
+    """Table, p = 64 ratio vs the paper's, plot: ``results/fig9.txt``."""
+    paper = PAPER_LIMITS[64]["optimus"] / PAPER_LIMITS[64]["megatron"]
+    plot = scheme_plot(rows, lambda r: r.max_batch, "Figure 9 (maximum batch size)", "max b")
+    return (
+        f"{render(rows)}\nOptimus/Megatron max-batch ratio at p=64: "
+        f"{ratio_at(rows, 64):.2f}x (paper: {paper:g}x)\n\n{plot}"
+    )
+
+
+def main() -> None:  # pragma: no cover - exercised via benchmarks
+    print(report(run()))
 
 
 if __name__ == "__main__":  # pragma: no cover

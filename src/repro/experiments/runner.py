@@ -10,11 +10,12 @@ columns of Tables 2–3.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.config import ModelConfig
 from repro.nn.init import init_transformer_params
 from repro.schemes import lookup
+from repro.utils.asciiplot import line_plot
 from repro.utils.tables import format_table
 
 
@@ -226,3 +227,23 @@ def render_scaling(rows: List[ScalingRow], title: str) -> str:
         [r.as_list() for r in rows],
         title=title,
     )
+
+
+def split_lines(rows: List[ScalingRow]) -> str:
+    """Per row: the busiest device's compute and comm time, and comm share."""
+    return "\n".join(
+        f"  {r.scheme:>8} p={r.num_devices:<3} "
+        f"compute {r.compute_time:.3f}s  comm {r.comm_time:.3f}s "
+        f"({r.comm_fraction:.1%} comm)"
+        for r in (row.result for row in rows)
+    )
+
+
+def scheme_plot(rows, value: Callable, title: str, ylabel: str) -> str:
+    """ASCII plot of ``value(row)`` against p, one series per scheme."""
+    ps = sorted({r.num_devices for r in rows})
+    series = {}
+    for scheme in ("megatron", "optimus"):
+        by_p = {r.num_devices: value(r) for r in rows if r.scheme == scheme}
+        series[scheme] = [by_p[p] for p in ps]
+    return line_plot(series, ps, title=title, ylabel=ylabel)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.config import table2_weak_scaling
-from repro.experiments.runner import ScalingRow, render_scaling, run_scaling
+from repro.experiments.runner import ScalingRow, render_scaling, run_scaling, split_lines
 
 #: The paper's Table 2 values: p -> (fwd/seq, bwd/seq, throughput, inference)
 PAPER_MEGATRON: Dict[int, Tuple[float, float, float, float]] = {
@@ -49,14 +49,19 @@ def speedup_at(rows: List[Table2Row], p: int) -> Tuple[float, float]:
     return opt.throughput / meg.throughput, opt.inference / meg.inference
 
 
-def main() -> str:  # pragma: no cover - exercised via benchmarks
-    rows = run()
-    out = render(rows)
+def report(rows: List[Table2Row]) -> str:
+    """Table, p = 64 speedups vs the paper's, splits: ``results/table2.txt``."""
     tr, inf = speedup_at(rows, 64)
-    out += f"\nOptimus speedup over Megatron on 64 GPUs: {tr:.2f}x training, {inf:.2f}x inference"
-    out += "\n(paper: 1.48x training, 1.79x inference)"
-    print(out)
-    return out
+    meg, opt = PAPER_MEGATRON[64], PAPER_OPTIMUS[64]
+    return (
+        f"{render(rows)}\nOptimus speedup over Megatron on 64 GPUs: {tr:.2f}x training, "
+        f"{inf:.2f}x inference (paper: {opt[2] / meg[2]:.2f}x / {opt[3] / meg[3]:.2f}x)\n"
+        f"{split_lines(rows)}"
+    )
+
+
+def main() -> None:  # pragma: no cover - exercised via benchmarks
+    print(report(run()))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.config import table3_strong_scaling
-from repro.experiments.runner import ScalingRow, render_scaling, run_scaling
+from repro.experiments.runner import ScalingRow, render_scaling, run_scaling, split_lines
 from repro.schemes import SCHEMES
 
 #: The paper's Table 3 values: p -> (fwd/seq, bwd/seq, throughput, inference)
@@ -52,14 +52,19 @@ def optimus_trend(rows: List[Table3Row]) -> List[float]:
     return trend["optimus"]
 
 
-def main() -> str:  # pragma: no cover - exercised via benchmarks
-    rows = run()
-    out = render(rows)
+def report(rows: List[Table3Row]) -> str:
+    """Table, p = 64 ratio vs the paper's, splits: ``results/table3.txt``."""
     by = {(r.result.scheme, r.result.num_devices): r.result for r in rows}
     ratio = by[("optimus", 64)].throughput / by[("megatron", 64)].throughput
-    out += f"\nOptimus/Megatron throughput at p=64: {ratio:.2f}x (paper: 1.11x)"
-    print(out)
-    return out
+    paper = PAPER_OPTIMUS[64][2] / PAPER_MEGATRON[64][2]
+    return (
+        f"{render(rows)}\nOptimus/Megatron throughput at p=64: {ratio:.2f}x "
+        f"(paper: {paper:.2f}x)\n{split_lines(rows)}"
+    )
+
+
+def main() -> None:  # pragma: no cover - exercised via benchmarks
+    print(report(run()))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -78,8 +78,6 @@ ISOEFFICIENCY_RATIO_BAND = (0.5, 2.0)
 # Speedup: measured ≈ 1.35×/1.60× vs paper 1.48×/1.78× (ratio ≈ 0.9).
 SPEEDUP_RATIO_BAND = (0.7, 1.4)
 
-#: paper's Table-3 (strong scaling) p=64 throughputs, seq/s
-PAPER_TABLE3_THROUGHPUT = {"megatron": 1.8180, "optimus": 2.0123}
 # Strong scaling: measured speedup ≈ 1.11× vs paper 1.107× (ratio ≈ 1.00).
 STRONG_SCALING_RATIO_BAND = (0.8, 1.25)
 
@@ -359,12 +357,14 @@ def speedup_verdicts(records: List[RunRecord]) -> List[ClaimVerdict]:
 
 def strong_scaling_verdict(records: List[RunRecord]) -> ClaimVerdict:
     """Table-3: Optimus out-throughputs Megatron at p=64, fixed problem."""
+    from repro.experiments.table3 import PAPER_MEGATRON, PAPER_OPTIMUS
+
     title = "strong scaling (Table 3): Optimus speedup at p=64, fixed h≈3072"
     pts = {pt["scheme"]: pt for pt in strong_scaling_points()}
     recs = {
         s: find_stem(records, s, pt["p"], pt["cfg"]) for s, pt in pts.items()
     }
-    paper = PAPER_TABLE3_THROUGHPUT["optimus"] / PAPER_TABLE3_THROUGHPUT["megatron"]
+    paper = PAPER_OPTIMUS[64][2] / PAPER_MEGATRON[64][2]  # throughputs, seq/s
     if any(r is None for r in recs.values()):
         return ClaimVerdict(
             claim="strong-scaling", title=title, status="no-evidence",

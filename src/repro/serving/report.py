@@ -253,6 +253,46 @@ class Harness:
 
 
 # ----------------------------------------------------------------------
+# value checks: ValueError naming the flag (cmd_serve runs them up front)
+# ----------------------------------------------------------------------
+def check_slos(slo_ttft, slo_tpot) -> None:
+    """SLO bounds given must be positive (``None`` keeps the default)."""
+    for flag, value in (("--slo-ttft", slo_ttft), ("--slo-tpot", slo_tpot)):
+        if value is not None and value <= 0:
+            raise ValueError(f"{flag}: must be positive, got {value}")
+
+
+def lifecycle_options(
+    policy, swap_blocks, swap_gbps, deadline, retries, max_queue_depth
+) -> ServingOptions:
+    """The lifecycle knobs given (``None`` keeps the default), checked."""
+    kw = dict(
+        policy=policy,
+        swap_blocks=swap_blocks,
+        swap_gbps=swap_gbps,
+        deadline_s=deadline,
+        max_retries=retries,
+        max_queue_depth=max_queue_depth,
+    )
+    return ServingOptions(**{k: v for k, v in kw.items() if v is not None})
+
+
+def sweep_rates(rates: Sequence) -> List[float]:
+    """A sweep's offered loads (numbers, or ``--sweep``'s comma-separated
+    strings) as floats: at least one, all positive."""
+    try:
+        rates = [float(r) for r in rates if str(r).strip()]
+    except ValueError:
+        text = ",".join(map(str, rates))
+        raise ValueError(f"--sweep expects comma-separated rates, got {text!r}") from None
+    if not rates:
+        raise ValueError("--sweep: need at least one rate")
+    if any(r <= 0 for r in rates):
+        raise ValueError(f"--sweep: rates must be positive, got {rates}")
+    return rates
+
+
+# ----------------------------------------------------------------------
 # full report
 # ----------------------------------------------------------------------
 def run_serve(
@@ -306,22 +346,8 @@ def run_serve(
     )
     knobs.update((name, val) for name, val in overrides.items() if val is not None)
     h = Harness(seed, knobs, schemes)
-    for name in ("slo_ttft", "slo_tpot"):
-        if h.engine[name] <= 0:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag}: must be positive, got {knobs[name]}")
-    # ServingOptions.__post_init__ validates the lifecycle knobs, naming
-    # the offending CLI flag (--policy/--swap-blocks/--swap-bw/--deadline/
-    # --retries/--max-queue-depth)
-    opt_kw = dict(
-        policy=policy,
-        swap_blocks=swap_blocks,
-        swap_gbps=swap_gbps,
-        deadline_s=deadline,
-        max_retries=retries,
-        max_queue_depth=max_queue_depth,
-    )
-    options = ServingOptions(**{k: v for k, v in opt_kw.items() if v is not None})
+    check_slos(knobs["slo_ttft"], knobs["slo_tpot"])
+    options = lifecycle_options(policy, swap_blocks, swap_gbps, deadline, retries, max_queue_depth)
 
     if alert_rules:
         rules: Optional[List[AlertRule]] = list(alert_rules)
@@ -406,11 +432,7 @@ def run_sweep(
     record per arm when a ledger is given — the dashboard groups those by
     (scheme, arrival) across ``rate_rps`` into the latency-vs-load curve),
     distilled here into one row per (rate, scheme, arrival)."""
-    rates = [float(r) for r in rates]
-    if not rates:
-        raise ValueError("--sweep: need at least one rate")
-    if any(r <= 0 for r in rates):
-        raise ValueError(f"--sweep: rates must be positive, got {rates}")
+    rates = sweep_rates(rates)
     points = []
     for rate in rates:
         report = run_serve(
@@ -709,27 +731,37 @@ PREEMPT_AB_FLAGS = ("command", "seed", "quick", "scheme", "out", "preempt_ab", "
 SWEEP_DROPS = ("rate", "compare")
 
 
-def _dropped_flag(args) -> Optional[str]:
-    """The first flag given that the chosen campaign would not read."""
+def _check_dropped(args) -> None:
+    """ValueError on the first flag given that the campaign would not read."""
     if args.preempt_ab:
-        dests = [k for k in vars(args) if k not in PREEMPT_AB_FLAGS]
+        mode, dests = "--preempt-ab", [k for k in vars(args) if k not in PREEMPT_AB_FLAGS]
     else:
-        dests = SWEEP_DROPS if args.sweep else ()
+        mode, dests = "--sweep", SWEEP_DROPS if args.sweep else ()
     for dest in dests:
         value = getattr(args, dest)
         if value is not None and value is not False:
-            return "--" + dest.replace("_", "-")
-    return None
+            raise ValueError(f"--{dest.replace('_', '-')} cannot be combined with {mode}")
 
 
 def cmd_serve(args) -> int:
     """Driver for ``python -m repro serve``: maps the flags onto one
     campaign, then prints its rendering, writes its report and returns the
-    exit code (2 for a flag the campaign would drop)."""
-    dropped = _dropped_flag(args)
-    if dropped is not None:
-        mode = "--preempt-ab" if args.preempt_ab else "--sweep"
-        print(f"error: {dropped} cannot be combined with {mode}", file=sys.stderr)
+    exit code (2, before anything runs, for a dropped flag or a bad value)."""
+    lifecycle = dict(
+        policy=args.policy,
+        swap_blocks=args.swap_blocks,
+        swap_gbps=args.swap_bw,
+        deadline=args.deadline,
+        retries=args.retries,
+        max_queue_depth=args.max_queue_depth,
+    )
+    try:
+        _check_dropped(args)
+        check_slos(args.slo_ttft, args.slo_tpot)
+        lifecycle_options(**lifecycle)
+        rates = sweep_rates(args.sweep.split(",")) if args.sweep else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     schemes = tuple(args.scheme) if args.scheme else SCHEMES
     arrivals = tuple(args.arrival) if args.arrival else None
@@ -744,12 +776,7 @@ def cmd_serve(args) -> int:
         blocks=args.blocks,
         slo_ttft=args.slo_ttft,
         slo_tpot=args.slo_tpot,
-        policy=args.policy,
-        swap_blocks=args.swap_blocks,
-        swap_gbps=args.swap_bw,
-        deadline=args.deadline,
-        retries=args.retries,
-        max_queue_depth=args.max_queue_depth,
+        **lifecycle,
         ledger=RunLedger(args.ledger) if args.ledger else None,
         alerts=args.alerts,
         alert_rules=_load_alert_rules(args.alert_rules) if args.alert_rules else None,
@@ -768,12 +795,6 @@ def cmd_serve(args) -> int:
             report = run_preempt_ab(args.seed, quick=args.quick, schemes=schemes)
             ok, text = report["ok"], render_preempt_ab(report)
         elif args.sweep:
-            try:
-                rates = [float(r) for r in args.sweep.split(",") if r.strip()]
-            except ValueError:
-                raise SystemExit(
-                    f"error: --sweep expects comma-separated rates, got {args.sweep!r}"
-                )
             report = run_sweep(args.seed, rates=rates, arrivals=arrivals or ("poisson",), **kw)
             ok, text = True, render_sweep(report)
         else:

@@ -2,11 +2,16 @@
 
 import importlib
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import COMMANDS, main
+from repro.experiments import report
 from repro.utils.asciiplot import line_plot
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+RESULTS = ROOT / "benchmarks" / "results"
 
 
 class TestLinePlot:
@@ -55,11 +60,19 @@ class TestCLI:
 
     def test_isoefficiency_command(self, capsys):
         assert main(["isoefficiency"]) == 0
-        assert "Isoefficiency" in capsys.readouterr().out
+        assert capsys.readouterr().out == (RESULTS / "isoefficiency.txt").read_text()
+
+    @pytest.mark.parametrize("command", ["table1", "fig8"])
+    def test_paper_command_prints_the_persisted_text(self, command, capsys):
+        """``repro <x>`` and ``pytest benchmarks`` print one text (the
+        slower commands are byte-compared in CI's paper-tables job)."""
+        assert main([command]) == 0
+        assert capsys.readouterr().out == (RESULTS / f"{command}.txt").read_text()
+
+    def test_committed_report_is_the_report_of_the_persisted_results(self):
+        assert (ROOT / "REPORT.md").read_text() == report.render(report.collect())
 
     def test_report_command(self, capsys, tmp_path):
-        from repro.experiments import report
-
         (tmp_path / "table2.txt").write_text("TABLE2 CONTENT")
         text = report.render(report.collect(tmp_path))
         assert "TABLE2 CONTENT" in text

@@ -451,6 +451,8 @@ class TestDash:
         assert kinds.get("train", 0) >= 1
         assert kinds.get("chaos", 0) >= 1
         assert kinds.get("experiment", 0) >= 4
+        assert kinds.get("serve", 0) >= 1
+        assert kinds.get("serve-chaos", 0) >= 1
         schedules = {
             r.extra["pipeline"]["schedule"]
             for r in evidence_ledger.read()
@@ -472,14 +474,32 @@ class TestDash:
         )
         assert rc == 0
         html = out.read_text()
-        assert "Paper-claims scorecard" in html
-        assert "Trends across ledger records" in html
-        assert "Run ledger" in html
+        for section in (
+            "Paper-claims scorecard",
+            "Attribution (critical path)",
+            "Serving",
+            "Serving latency vs offered load",
+            "Alerts",
+            "Serving under chaos",
+            "Trends across ledger records",
+            "Run ledger",
+        ):
+            assert section in html, section
         assert "<svg " in html  # inline charts, no JS
         assert "<script" not in html
         for rec in evidence_ledger.read():
             assert rec.run_id in html
         assert validate_openmetrics(om.read_text()) == []
+
+    def test_collected_ledger_fills_the_row_sections(self, evidence_ledger):
+        from repro.obs.dash import attribution_rows, serve_chaos_rows, serving_rows
+
+        records = evidence_ledger.read()
+        att = attribution_rows(records)
+        assert att and all(r["conservation_ok"] for r in att)
+        assert serving_rows(records)
+        chaos = serve_chaos_rows(records)
+        assert chaos and all(r["token_identical"] for r in chaos)
 
     def test_dash_refuses_empty_ledger_without_collect(self, tmp_path):
         from repro.obs.dash import main as dash_main

@@ -718,6 +718,44 @@ class TestServeCLI:
         assert list(tmp_path.iterdir()) == []  # nothing ran, nothing written
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--slo-ttft", "-1"], "--slo-ttft: must be positive, got -1.0"),
+            (["--slo-tpot", "0"], "--slo-tpot: must be positive, got 0.0"),
+            (["--retries", "-2"], "--retries: must be >= 0, got -2"),
+            (["--swap-blocks", "-1"], "--swap-blocks: must be >= 0, got -1"),
+            (["--swap-bw", "0"], "--swap-bw: must be positive, got 0.0"),
+            (["--deadline", "-0.5"], "--deadline: must be positive, got -0.5"),
+            (["--max-queue-depth", "0"], "--max-queue-depth: must be >= 1, got 0"),
+            (["--sweep", "5,-3"], "--sweep: rates must be positive, got [5.0, -3.0]"),
+            (["--sweep", "abc"], "--sweep expects comma-separated rates, got 'abc'"),
+        ],
+        ids=[
+            "slo-ttft",
+            "slo-tpot",
+            "retries",
+            "swap-blocks",
+            "swap-bw",
+            "deadline",
+            "max-queue-depth",
+            "sweep-negative",
+            "sweep-malformed",
+        ],
+    )
+    def test_a_bad_value_is_a_usage_error(self, argv, message, tmp_path, monkeypatch, capsys):
+        """Checked before the metrics endpoint starts or any arm runs: no
+        traceback, nothing printed to stdout, nothing written."""
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["serve", "--quick", "--metrics-port", "0", "--out", "out.json", *argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv", [["serve", "--quick", "--ab"], ["check", "--trials", "1", "--no-batched"]]
     )
     def test_retired_executor_switches_are_rejected(self, argv, capsys):
