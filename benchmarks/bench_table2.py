@@ -10,6 +10,7 @@ import pytest
 
 from benchmarks.conftest import save_result, split_metrics
 from repro.experiments import table2
+from repro.experiments.runner import speedup_at
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,7 @@ def test_optimus_margin_grows_with_p(rows):
 def test_speedup_at_64_matches_paper_band(rows):
     """Paper: 1.48× training, 1.79× inference.  The simulator is an α–β
     model, so we accept the right direction and a generous band."""
-    tr, inf = table2.speedup_at(rows, 64)
+    tr, inf = speedup_at([r.result for r in rows], 64)
     assert 1.15 <= tr <= 1.9
     assert 1.2 <= inf <= 2.2
 

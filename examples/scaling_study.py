@@ -14,7 +14,7 @@ import argparse
 
 from repro.config import ModelConfig
 from repro.experiments import table2, table3
-from repro.experiments.runner import run_megatron_stem, run_optimus_stem
+from repro.experiments.runner import run_megatron_stem, run_optimus_stem, speedup_at
 from repro.perfmodel import isoefficiency_work
 from repro.utils import format_table
 
@@ -66,7 +66,7 @@ def main() -> None:
     print("Regenerating Table 2 (weak scaling)...\n")
     rows2 = table2.run()
     print(table2.render(rows2))
-    tr, inf = table2.speedup_at(rows2, 64)
+    tr, inf = speedup_at([r.result for r in rows2], 64)
     print(f"\nOptimus speedup at 64 GPUs: {tr:.2f}x training / {inf:.2f}x "
           f"inference   (paper: 1.48x / 1.79x)\n")
 

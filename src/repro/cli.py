@@ -76,7 +76,10 @@ def main(argv=None) -> int:
         sub.add_parser(name, help=f"regenerate {name}")
 
     from repro.obs.profile import EXPERIMENTS  # cheap: no heavy imports at top level
+    from repro.resilience.chaos import SCHEMES as CHAOS_SCHEMES
     from repro.schemes import SCHEMES
+    from repro.serving.scheduler import POLICIES
+    from repro.serving.traffic import ARRIVAL_PROFILES
 
     prof = sub.add_parser(
         "profile",
@@ -179,7 +182,7 @@ def main(argv=None) -> int:
     )
     chaos.add_argument(
         "--scheme", action="append", default=None, dest="schemes",
-        choices=("optimus", "megatron", "hybrid"),
+        choices=CHAOS_SCHEMES,
         help="restrict to a scheme (repeatable; default: all three)",
     )
     chaos.add_argument(
@@ -234,7 +237,7 @@ def main(argv=None) -> int:
     )
     srv.add_argument(
         "--arrival", action="append", default=None,
-        choices=("poisson", "bursty"),
+        choices=ARRIVAL_PROFILES,
         help="restrict to an arrival profile (repeatable; default: both)",
     )
     srv.add_argument("--requests", type=int, default=None, help="request count")
@@ -277,7 +280,7 @@ def main(argv=None) -> int:
         help="relative SLO regression threshold (default 0.20)",
     )
     srv.add_argument(
-        "--policy", default=None, choices=("reserve", "preempt"),
+        "--policy", default=None, choices=POLICIES,
         help="admission policy: conservative whole-footprint reservation "
         "(default) or prompt-footprint admission with preemption",
     )

@@ -17,7 +17,7 @@ from typing import List
 
 from repro.comm.cost import GroupCommModel
 from repro.config import ModelConfig
-from repro.experiments.runner import run_optimus_stem
+from repro.experiments.runner import StemResult, run_optimus_stem
 from repro.hardware import (
     ClusterTopology,
     bunched_arrangement,
@@ -29,6 +29,9 @@ from repro.utils.tables import format_table
 DEFAULT_CFG = ModelConfig(
     vocab_size=51200, hidden_size=4096, num_heads=64, num_layers=24, seq_len=512
 )
+#: the paper's setting: a 4×4 mesh over 4 nodes × 4 GPUs, stems of batch 64
+Q = 4
+BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,7 @@ class Fig8Row:
         return self.naive_time / self.bunched_time
 
 
-def broadcast_comparison(q: int = 4, nbytes: int = 64 * 2**20) -> Fig8Row:
+def broadcast_comparison(q: int = Q, nbytes: int = 64 * 2**20) -> Fig8Row:
     """One column broadcast of ``nbytes``, all q columns concurrent."""
     cluster = frontera_rtx(num_nodes=q * q // 4)
     topo = ClusterTopology(cluster)
@@ -57,13 +60,16 @@ def broadcast_comparison(q: int = 4, nbytes: int = 64 * 2**20) -> Fig8Row:
     return Fig8Row("column broadcast", times["naive"], times["bunched"])
 
 
-def stem_comparison(cfg: ModelConfig = DEFAULT_CFG, q: int = 4, batch_size: int = 64) -> Fig8Row:
+def stem_row(naive: StemResult, bunched: StemResult) -> Fig8Row:
+    """The end-to-end row: iteration times of two otherwise-identical stems."""
+    return Fig8Row("stem iteration", *(r.forward_time + r.backward_time for r in (naive, bunched)))
+
+
+def stem_comparison(
+    cfg: ModelConfig = DEFAULT_CFG, q: int = Q, batch_size: int = BATCH_SIZE
+) -> Fig8Row:
     """Full 24-layer iteration time under each arrangement."""
-    times = {}
-    for name in ("naive", "bunched"):
-        res = run_optimus_stem(cfg, q, batch_size, arrangement=name)
-        times[name] = res.forward_time + res.backward_time
-    return Fig8Row("stem iteration", times["naive"], times["bunched"])
+    return stem_row(*(run_optimus_stem(cfg, q, batch_size, arr) for arr in ("naive", "bunched")))
 
 
 def run() -> List[Fig8Row]:

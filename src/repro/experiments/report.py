@@ -30,16 +30,19 @@ SECTIONS: List[tuple] = [
 HEADER = """# Reproduction report
 
 Generated from the rendered outputs of the benchmark suite
-(`pytest benchmarks/`).  Headline claims:
+(`pytest benchmarks/`).  Headline claims, each with the paper's figure and
+the line that prints the measured one:
 
 * Optimus overtakes Megatron in weak-scaling throughput from 16 GPUs on,
-  reaching ~1.35× training / ~1.6× inference at 64 GPUs (paper: 1.48×/1.79×).
+  and at 64 GPUs is faster in training and in inference (paper:
+  1.48×/1.79×; measured: the speedup line under Table 2).
 * In strong scaling Optimus's throughput rises with p and passes Megatron at
-  64 GPUs (measured ratio 1.11×, the paper's exact value).
+  64 GPUs (paper: 1.11×; measured: the throughput line under Table 3).
 * The maximum batch size within 16 GB grows with p for Optimus and shrinks
-  for Megatron — 8.1× apart at 64 GPUs (paper: 8×).
-* Simulator counters match the paper's Table 1 cost formulas to ≤0.1%
-  (plus only the documented small terms).
+  for Megatron (paper: 8× apart at 64 GPUs; measured: the max-batch ratio
+  line under Figure 9).
+* Simulator counters match the paper's Table 1 cost formulas, plus only the
+  documented small terms (measured: the ratio column of Table 1).
 """
 
 
@@ -81,5 +84,5 @@ def main(results_dir: Optional[pathlib.Path] = None, output: Optional[pathlib.Pa
     text = render(collect(results_dir))
     if output is not None:
         write_text(str(output), text)
-    print(text)
+    print(text, end="")
     return text

@@ -217,6 +217,13 @@ def run_scaling(settings: Iterable[dict], paper: Dict[str, dict]) -> List[Scalin
     ]
 
 
+def speedup_at(results: Iterable[StemResult], p: int) -> Tuple[float, float]:
+    """(training, inference) throughput ratios of Optimus over Megatron at p."""
+    by = {(r.scheme, r.num_devices): r for r in results}
+    meg, opt = by[("megatron", p)], by[("optimus", p)]
+    return opt.throughput / meg.throughput, opt.inference / meg.inference
+
+
 def render_scaling(rows: List[ScalingRow], title: str) -> str:
     return format_table(
         [

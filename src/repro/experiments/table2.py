@@ -12,7 +12,13 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.config import table2_weak_scaling
-from repro.experiments.runner import ScalingRow, render_scaling, run_scaling, split_lines
+from repro.experiments.runner import (
+    ScalingRow,
+    render_scaling,
+    run_scaling,
+    speedup_at,
+    split_lines,
+)
 
 #: The paper's Table 2 values: p -> (fwd/seq, bwd/seq, throughput, inference)
 PAPER_MEGATRON: Dict[int, Tuple[float, float, float, float]] = {
@@ -42,16 +48,9 @@ def render(rows: List[Table2Row]) -> str:
     return render_scaling(rows, "Table 2 — weak scaling (simulated vs paper-measured)")
 
 
-def speedup_at(rows: List[Table2Row], p: int) -> Tuple[float, float]:
-    """(training speedup, inference speedup) of Optimus over Megatron at p."""
-    by = {(r.result.scheme, r.result.num_devices): r.result for r in rows}
-    meg, opt = by[("megatron", p)], by[("optimus", p)]
-    return opt.throughput / meg.throughput, opt.inference / meg.inference
-
-
 def report(rows: List[Table2Row]) -> str:
     """Table, p = 64 speedups vs the paper's, splits: ``results/table2.txt``."""
-    tr, inf = speedup_at(rows, 64)
+    tr, inf = speedup_at([r.result for r in rows], 64)
     meg, opt = PAPER_MEGATRON[64], PAPER_OPTIMUS[64]
     return (
         f"{render(rows)}\nOptimus speedup over Megatron on 64 GPUs: {tr:.2f}x training, "

@@ -12,7 +12,13 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.config import table3_strong_scaling
-from repro.experiments.runner import ScalingRow, render_scaling, run_scaling, split_lines
+from repro.experiments.runner import (
+    ScalingRow,
+    render_scaling,
+    run_scaling,
+    speedup_at,
+    split_lines,
+)
 from repro.schemes import SCHEMES
 
 #: The paper's Table 3 values: p -> (fwd/seq, bwd/seq, throughput, inference)
@@ -30,6 +36,8 @@ PAPER_OPTIMUS: Dict[int, Tuple[float, float, float, float]] = {
     36: (0.1625, 0.4764, 1.5653, 6.1542),
     64: (0.1253, 0.3716, 2.0123, 7.9808),
 }
+#: the paper's Optimus/Megatron throughput ratio at p = 64 (≈ 1.107)
+PAPER_SPEEDUP = PAPER_OPTIMUS[64][2] / PAPER_MEGATRON[64][2]
 
 Table3Row = ScalingRow
 
@@ -54,12 +62,10 @@ def optimus_trend(rows: List[Table3Row]) -> List[float]:
 
 def report(rows: List[Table3Row]) -> str:
     """Table, p = 64 ratio vs the paper's, splits: ``results/table3.txt``."""
-    by = {(r.result.scheme, r.result.num_devices): r.result for r in rows}
-    ratio = by[("optimus", 64)].throughput / by[("megatron", 64)].throughput
-    paper = PAPER_OPTIMUS[64][2] / PAPER_MEGATRON[64][2]
+    ratio = speedup_at([r.result for r in rows], 64)[0]
     return (
         f"{render(rows)}\nOptimus/Megatron throughput at p=64: {ratio:.2f}x "
-        f"(paper: {paper:.2f}x)\n{split_lines(rows)}"
+        f"(paper: {PAPER_SPEEDUP:.2f}x)\n{split_lines(rows)}"
     )
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+from repro.perfmodel.costs import megatron_comm_forward, optimus_comm_forward
+
 
 def _work(h: float, s: float) -> float:
     """Serial MACs per layer with b = h (the paper's proportionality).
@@ -27,25 +29,18 @@ def _work(h: float, s: float) -> float:
     return 12.0 * h * s * h * h
 
 
-def _comm_megatron(h: float, s: float, p: float) -> float:
-    return 4.0 * (p - 1) / p * h * s * h  # b = h
-
-
-def _comm_optimus(h: float, s: float, p: float) -> float:
-    return math.log2(p) / (2.0 * math.sqrt(p)) * (7.0 * h * s * h + 12.0 * h * h)
-
-
 def efficiency_megatron(h: float, p: int, s: float = 512.0, beta_over_mac: float = 1.0) -> float:
-    """E = 1/(1 + p·T_comm/W) with T_comm in β-weighted scalars."""
+    """E = 1/(1 + p·T_comm/W), T_comm Table 1's forward row (β-weighted
+    scalars) at b = h."""
     if p <= 1:
         return 1.0
-    return 1.0 / (1.0 + p * beta_over_mac * _comm_megatron(h, s, p) / _work(h, s))
+    return 1.0 / (1.0 + p * beta_over_mac * megatron_comm_forward(h, s, h, p) / _work(h, s))
 
 
 def efficiency_optimus(h: float, p: int, s: float = 512.0, beta_over_mac: float = 1.0) -> float:
     if p <= 1:
         return 1.0
-    return 1.0 / (1.0 + p * beta_over_mac * _comm_optimus(h, s, p) / _work(h, s))
+    return 1.0 / (1.0 + p * beta_over_mac * optimus_comm_forward(h, s, h, p) / _work(h, s))
 
 
 def isoefficiency_hidden(

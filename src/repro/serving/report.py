@@ -100,12 +100,6 @@ def summarize(values: Sequence[float]) -> dict:
 # ----------------------------------------------------------------------
 # one (scheme, arrival) arm
 # ----------------------------------------------------------------------
-def _tpot(state) -> float:
-    """Time-per-output-token over the decode stretch (0.0 for max_new == 1)."""
-    n = state.request.max_new
-    return (state.finish_time - state.first_token_time) / (n - 1) if n > 1 else 0.0
-
-
 def run_arm(
     scheme: str,
     cfg: ModelConfig,
@@ -152,7 +146,7 @@ def run_arm(
     by_rid = sorted(result.completed, key=lambda s: s.request.rid)
     ttft = [s.first_token_time - s.request.arrival for s in by_rid]
     e2e = [s.finish_time - s.request.arrival for s in by_rid]
-    tpot = [_tpot(s) for s in by_rid]
+    tpot = [s.tpot for s in by_rid]
     ok = [t <= slo_ttft and tp <= slo_tpot for t, tp in zip(ttft, tpot)]
     makespan = result.clock
     good_tokens = sum(len(s.generated) for s, o in zip(by_rid, ok) if o)
@@ -679,47 +673,42 @@ def write_report(report: dict, path: str) -> None:
 
 
 def load_baseline(path: str) -> dict:
-    """Read an SLO baseline report, failing with actionable errors: a
-    missing or corrupt file names the path and the regeneration command
-    instead of surfacing a bare traceback."""
+    """Read an SLO baseline report; ValueError on a missing or corrupt
+    file, naming the path and the regeneration command."""
     regen = f"python -m repro serve --seed 0 --out {path}"
     try:
         with open(path) as f:
             baseline = json.load(f)
     except FileNotFoundError:
-        raise SystemExit(
-            f"error: serving baseline {path!r} not found — regenerate it with: {regen}"
-        )
+        raise ValueError(f"serving baseline {path!r} not found — regenerate it with: {regen}")
     except json.JSONDecodeError as exc:
-        raise SystemExit(
-            f"error: serving baseline {path!r} is not valid JSON ({exc}) — "
-            f"regenerate it with: {regen}"
+        raise ValueError(
+            f"serving baseline {path!r} is not valid JSON ({exc}) — regenerate it with: {regen}"
         )
     if not isinstance(baseline, dict) or "schemes" not in baseline:
-        raise SystemExit(
-            f"error: serving baseline {path!r} has no 'schemes' section "
+        raise ValueError(
+            f"serving baseline {path!r} has no 'schemes' section "
             f"(not a {REPORT_SCHEMA} report?) — regenerate it with: {regen}"
         )
     return baseline
 
 
 def _load_alert_rules(path: str) -> List[AlertRule]:
-    """Parse a JSON alert-rule file (a list of AlertRule dicts)."""
+    """Parse a JSON alert-rule file (a list of AlertRule dicts); ValueError
+    naming the path on a missing or malformed file."""
     try:
         with open(path) as f:
             docs = json.load(f)
     except FileNotFoundError:
-        raise SystemExit(f"error: alert-rules file {path!r} not found")
+        raise ValueError(f"alert-rules file {path!r} not found")
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"error: alert-rules file {path!r} is not valid JSON ({exc})")
+        raise ValueError(f"alert-rules file {path!r} is not valid JSON ({exc})")
     if not isinstance(docs, list) or not docs:
-        raise SystemExit(
-            f"error: alert-rules file {path!r} must be a non-empty JSON list of rules"
-        )
+        raise ValueError(f"alert-rules file {path!r} must be a non-empty JSON list of rules")
     try:
         return [AlertRule.from_dict(d) for d in docs]
     except (TypeError, ValueError) as exc:
-        raise SystemExit(f"error: alert-rules file {path!r}: {exc}")
+        raise ValueError(f"alert-rules file {path!r}: {exc}")
 
 
 #: the flags (argparse dests) ``--preempt-ab`` reads: it runs a fixed
@@ -746,7 +735,8 @@ def _check_dropped(args) -> None:
 def cmd_serve(args) -> int:
     """Driver for ``python -m repro serve``: maps the flags onto one
     campaign, then prints its rendering, writes its report and returns the
-    exit code (2, before anything runs, for a dropped flag or a bad value)."""
+    exit code (2, before anything runs, for a dropped flag, a bad value or
+    an unreadable ``--compare`` / ``--alert-rules`` file)."""
     lifecycle = dict(
         policy=args.policy,
         swap_blocks=args.swap_blocks,
@@ -760,12 +750,13 @@ def cmd_serve(args) -> int:
         check_slos(args.slo_ttft, args.slo_tpot)
         lifecycle_options(**lifecycle)
         rates = sweep_rates(args.sweep.split(",")) if args.sweep else None
+        baseline = load_baseline(args.compare) if args.compare else None
+        rules = _load_alert_rules(args.alert_rules) if args.alert_rules else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     schemes = tuple(args.scheme) if args.scheme else SCHEMES
     arrivals = tuple(args.arrival) if args.arrival else None
-    baseline = load_baseline(args.compare) if args.compare else None
     kw = dict(
         quick=args.quick,
         schemes=schemes,
@@ -779,7 +770,7 @@ def cmd_serve(args) -> int:
         **lifecycle,
         ledger=RunLedger(args.ledger) if args.ledger else None,
         alerts=args.alerts,
-        alert_rules=_load_alert_rules(args.alert_rules) if args.alert_rules else None,
+        alert_rules=rules,
     )
 
     server = None

@@ -129,6 +129,14 @@ class SlotState:
     def remaining(self) -> int:
         return self.request.max_new - len(self.generated)
 
+    @property
+    def tpot(self) -> float:
+        """Time-per-output-token of a finished request over its decode
+        stretch (0.0 for max_new == 1): the report's and the live
+        telemetry's one definition."""
+        n = self.request.max_new
+        return (self.finish_time - self.first_token_time) / (n - 1) if n > 1 else 0.0
+
 
 @dataclass
 class PausedSeq:

@@ -30,14 +30,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
-def _finished_tpot(state) -> float:
-    """Time-per-output-token over the decode stretch (0.0 for max_new == 1);
-    mirrors :func:`repro.serving.report._tpot` so the live good-token
-    counter agrees with the post-hoc report's goodput accounting."""
-    n = state.request.max_new
-    return (state.finish_time - state.first_token_time) / (n - 1) if n > 1 else 0.0
-
-
 class ServingTelemetry:
     """Per-run metrics publisher and request-lifecycle trace emitter."""
 
@@ -178,7 +170,7 @@ class ServingTelemetry:
         """A request completed: latency histograms, goodput, root event."""
         r = state.request
         e2e = now - r.arrival
-        tpot = _finished_tpot(state)
+        tpot = state.tpot
         self._hist("serving/e2e_s").observe(e2e)
         self._hist("serving/tpot_s").observe(tpot)
         self._counter("serving/finished").inc()

@@ -72,6 +72,11 @@ class TestCLI:
     def test_committed_report_is_the_report_of_the_persisted_results(self):
         assert (ROOT / "REPORT.md").read_text() == report.render(report.collect())
 
+    def test_report_command_prints_the_committed_report(self, capsys):
+        """``python -m repro report > REPORT.md`` reproduces the file."""
+        assert main(["report"]) == 0
+        assert capsys.readouterr().out == (ROOT / "REPORT.md").read_text()
+
     def test_report_command(self, capsys, tmp_path):
         (tmp_path / "table2.txt").write_text("TABLE2 CONTENT")
         text = report.render(report.collect(tmp_path))

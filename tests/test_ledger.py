@@ -9,9 +9,11 @@ comm-matrix reconciliation under fault injection with retries).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -433,6 +435,25 @@ class TestClaims:
         assert by["strong-scaling"]["measured"] > 1.0
         assert by["arrangement"]["measured"] > 1.0
         assert "scorecard" in render(card).lower()
+
+    def test_committed_ledger_scorecard_is_pinned(self):
+        """Every byte of the committed evidence's scorecard: claim order,
+        titles, details, float values and evidence order."""
+        from repro.obs.claims import render, scorecard
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        card = scorecard(RunLedger(str(root / "benchmarks" / "ledger")).read())
+        assert card["num_pass"] == 9
+
+        def sha(text: str) -> str:
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert sha(canonical_json(card)) == (
+            "e4abfcbde77c0073b5628fdc98b90c7e0885b4212b6f2656b194f8a737de254a"
+        )
+        assert sha(render(card)) == (
+            "46efddb42e30bd1a225d6c5fab4052f8344b09fac3ea5531cd9cfeee8100cb36"
+        )
 
     def test_ensure_claim_records_is_idempotent(self, evidence_ledger):
         from repro.obs.claims import ensure_claim_records

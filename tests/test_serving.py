@@ -756,6 +756,36 @@ class TestServeCLI:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "flag, content, message",
+        [
+            ("--alert-rules", None, "alert-rules file {path!r} not found"),
+            ("--alert-rules", "[{", "alert-rules file {path!r} is not valid JSON"),
+            ("--alert-rules", '[{"name": "x", "nmetric": "y"}]', "alert-rules file {path!r}: "),
+            ("--compare", '{"report": "other"}', "serving baseline {path!r} has no 'schemes'"),
+        ],
+        ids=["missing-file", "invalid-json", "bad-rule", "baseline-without-schemes"],
+    )
+    def test_an_unreadable_input_file_is_a_usage_error(
+        self, flag, content, message, tmp_path, monkeypatch, capsys
+    ):
+        """Loaded before anything runs, like a bad value: exit 2 and an
+        ``error:`` line, so exit 1 stays the SLO gate's verdict."""
+        from repro.cli import main
+
+        path = tmp_path / "file.json"
+        if content is not None:
+            path.write_text(content)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        argv = ["serve", "--quick", "--metrics-port", "0", "--out", "out.json"]
+        assert main([*argv, flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: " + message.format(path=str(path)))
+        assert captured.out == ""
+        assert list(run_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv", [["serve", "--quick", "--ab"], ["check", "--trials", "1", "--no-batched"]]
     )
     def test_retired_executor_switches_are_rejected(self, argv, capsys):

@@ -204,7 +204,7 @@ class TestPreemptAB:
 class TestFriendlyErrors:
     def test_missing_baseline_names_path_and_regen_command(self, tmp_path):
         path = str(tmp_path / "missing.json")
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(ValueError) as exc:
             load_baseline(path)
         msg = str(exc.value)
         assert path in msg
@@ -214,7 +214,7 @@ class TestFriendlyErrors:
         path = str(tmp_path / "corrupt.json")
         with open(path, "w") as f:
             f.write("{not json")
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(ValueError) as exc:
             load_baseline(path)
         assert path in str(exc.value)
 
@@ -222,7 +222,7 @@ class TestFriendlyErrors:
         path = str(tmp_path / "other.json")
         with open(path, "w") as f:
             json.dump({"report": "something-else"}, f)
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(ValueError) as exc:
             load_baseline(path)
         assert path in str(exc.value)
 
@@ -230,14 +230,10 @@ class TestFriendlyErrors:
         from repro.cli import main
 
         missing = str(tmp_path / "nope.json")
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "serve", "--quick", "--seed", "0", "--requests", "4",
-                "--compare", missing,
-            ])
-        msg = str(exc.value)
+        rc = main(["serve", "--quick", "--seed", "0", "--requests", "4", "--compare", missing])
+        assert rc == 2
+        msg = capsys.readouterr().err
         assert missing in msg and "repro serve" in msg
-        capsys.readouterr()
 
     def test_cli_chaos_unknown_scheme_is_friendly(self, capsys):
         from repro.cli import main
