@@ -102,13 +102,46 @@ def tanh(x):
     return _unary(x, np.tanh)
 
 
-def _sp_erf(x):
-    # scipy.special costs a few tenths of a second to import and only real
-    # arrays need it: the first numeric erf imports it and rebinds this name,
-    # so later calls pass scipy's ufunc straight to _unary
-    global _sp_erf
-    from scipy.special import erf as _sp_erf
+#: the scipy extension that defines the ``erf`` ufunc (older releases have none)
+_ERF_EXTENSION = "scipy.special._special_ufuncs"
 
+
+def _scipy_erf():
+    """``scipy.special.erf``, loaded without running ``scipy.special``'s
+    ``__init__``: that import costs about 0.3 s and 24 MiB (its array-API
+    backends pull in ``numpy.testing``, ``numpy.f2py``, ``email``…) to reach
+    one ufunc.  The extension is registered under its own name, so a later
+    ``import scipy.special`` reuses it and its ``erf`` is this object.  A
+    scipy without the extension takes the package import."""
+    import sys
+    from importlib.machinery import PathFinder
+    from importlib.util import module_from_spec
+
+    import scipy
+
+    module = sys.modules.get(_ERF_EXTENSION)
+    if module is None:
+        path = [f"{p}/special" for p in scipy.__path__]
+        spec = PathFinder.find_spec(_ERF_EXTENSION, path)
+        if spec is not None:
+            module = module_from_spec(spec)
+            sys.modules[_ERF_EXTENSION] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[_ERF_EXTENSION]
+                raise
+    erf = getattr(module, "erf", None)
+    if erf is None:
+        from scipy.special import erf
+    return erf
+
+
+def _sp_erf(x):
+    # only real arrays need scipy: the first numeric erf loads its ufunc and
+    # rebinds this name, so later calls pass it straight to _unary
+    global _sp_erf
+    _sp_erf = _scipy_erf()
     return _sp_erf(x)
 
 

@@ -122,9 +122,7 @@ class Point(NamedTuple):
 def _pair(settings: List[dict], p: int) -> Tuple[Point, ...]:
     """The (Megatron, Optimus) points of a scaling table's row at p."""
     row = {r["num_devices"]: r for r in settings}[p]
-    return tuple(
-        Point(s, row[f"model_{s}"], p, row[f"batch_{s}"]) for s in ("megatron", "optimus")
-    )
+    return tuple(Point(s, row[f"model_{s}"], p, row[f"batch_{s}"]) for s in ("megatron", "optimus"))
 
 
 MEG4, OPT4 = _pair(table2_weak_scaling(), 4)

@@ -15,7 +15,9 @@ retry machinery:
   after every backward the gradients are checked for non-finite values and
   an implausible global norm; a trip discards the step's gradients and
   re-runs the same batch (the injected fault is one-shot, so the re-run is
-  clean — exactly the semantics of a transient memory/link SDC);
+  clean — exactly the semantics of a transient memory/link SDC); in strict
+  mode the invariant validator may see a corrupted replica copy first,
+  which is the same detection;
 * **simulated-time accounting of all downtime** — checkpoint writes,
   restart latency and re-executed compute all advance the BSP clock, so
   MTTR and recovery overhead are measurable in ``sim.elapsed()``, the
@@ -33,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.check.invariants import InvariantViolation
 from repro.resilience.faults import (
     CollectiveTimeoutError,
     RankCrashError,
@@ -97,7 +100,12 @@ class ResilientTrainer(Trainer):
         for attempt in range(MAX_STEP_RETRIES + 1):
             try:
                 return self._run_step(ids, labels)
-            except (SDCDetectedError, TrainingDivergedError):
+            except (SDCDetectedError, TrainingDivergedError, InvariantViolation) as e:
+                if isinstance(e, InvariantViolation):
+                    if self.injector is None:
+                        raise  # nothing was injected: a broken layout is a bug
+                    # strict mode saw a corrupted copy before the guards did
+                    self.metrics.counter("resilience/sdc_detected").inc()
                 if attempt >= MAX_STEP_RETRIES:
                     raise
                 # discard the poisoned step and re-run the same batch; the

@@ -550,8 +550,10 @@ def run_preempt_ab(seed: int = 0, quick: bool = False, schemes: Sequence[str] = 
                 for p in ("preempt-swap", "preempt-recompute")
             ),
         }
-    ok = all(g["admits_more"] and g["goodput_higher"] and g["reserve_rejected"] > 0
-             for g in gate.values())
+    ok = all(
+        g["admits_more"] and g["goodput_higher"] and g["reserve_rejected"] > 0
+        for g in gate.values()
+    )
     return {
         "report": "repro-serve-preempt-ab-v1",
         "seed": seed,

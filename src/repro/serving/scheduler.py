@@ -60,9 +60,7 @@ class ServingOptions:
 
     def __post_init__(self):
         if self.policy not in POLICIES:
-            raise ValueError(
-                f"--policy: unknown policy {self.policy!r} (choose from {POLICIES})"
-            )
+            raise ValueError(f"--policy: unknown policy {self.policy!r} (choose from {POLICIES})")
         if self.swap_blocks < 0:
             raise ValueError(f"--swap-blocks: must be >= 0, got {self.swap_blocks}")
         if self.swap_gbps <= 0:
@@ -301,9 +299,7 @@ class ContinuousBatchingScheduler:
             return False
         self._retries_left[req.rid] = left - 1
         retry = dataclasses.replace(req, arrival=now)
-        self.queue = deque(
-            sorted([*self.queue, retry], key=lambda r: (r.arrival, r.rid))
-        )
+        self.queue = deque(sorted([*self.queue, retry], key=lambda r: (r.arrival, r.rid)))
         self.lifecycle["retried"] += 1
         return True
 
@@ -409,9 +405,7 @@ class ContinuousBatchingScheduler:
     def _pick_victim(self, requester_slot: int) -> Optional[int]:
         """Lowest priority first, then longest remaining, then highest rid."""
         group = self.cache.group_of(requester_slot)
-        candidates = [
-            s for s in group.slots if s in self.active and s != requester_slot
-        ]
+        candidates = [s for s in group.slots if s in self.active and s != requester_slot]
         if not candidates:
             return None
         return min(

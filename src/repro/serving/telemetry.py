@@ -146,25 +146,32 @@ class ServingTelemetry:
         rid = state.request.rid
         ranks = self._ranks_of(state.slot)
         mode = "swap" if swapped else "recompute"
-        self._event("preempted", ranks, now, now, rid=rid, slot=state.slot,
-                    mode=mode, phase="preempted")
+        self._event(
+            "preempted", ranks, now, now, rid=rid, slot=state.slot, mode=mode, phase="preempted"
+        )
         if swapped:
-            self._event("swap-out", ranks, now, now, rid=rid, slot=state.slot,
-                        phase="swap-out")
+            self._event("swap-out", ranks, now, now, rid=rid, slot=state.slot, phase="swap-out")
 
     def on_resume(self, state, now: float, swapped: bool) -> None:
         phase = "swap-in" if swapped else "resume-recompute"
-        self._event(phase, self._ranks_of(state.slot), now, now,
-                    rid=state.request.rid, slot=state.slot, phase=phase)
+        self._event(
+            phase,
+            self._ranks_of(state.slot),
+            now,
+            now,
+            rid=state.request.rid,
+            slot=state.slot,
+            phase=phase,
+        )
 
     def on_shed(self, request, now: float) -> None:
-        self._event("abort", self.engine.all_ranks, now, now,
-                    rid=request.rid, phase="shed")
+        self._event("abort", self.engine.all_ranks, now, now, rid=request.rid, phase="shed")
 
     def on_timeout(self, request, now: float, where: str, retried: bool) -> None:
         label = "retry" if retried else "abort"
-        self._event(label, self.engine.all_ranks, now, now,
-                    rid=request.rid, phase=f"timeout-{where}")
+        self._event(
+            label, self.engine.all_ranks, now, now, rid=request.rid, phase=f"timeout-{where}"
+        )
 
     def on_finish(self, state, now: float) -> None:
         """A request completed: latency histograms, goodput, root event."""
@@ -182,8 +189,15 @@ class ServingTelemetry:
                 self.good_total += good
                 self._counter("serving/good_tokens").inc(good)
         ranks = self._ranks_of(state.slot)
-        self._event("request", ranks, r.arrival, now,
-                    rid=r.rid, generated=len(state.generated), phase="request")
+        self._event(
+            "request",
+            ranks,
+            r.arrival,
+            now,
+            rid=r.rid,
+            generated=len(state.generated),
+            phase="request",
+        )
         self._event("complete", ranks, now, now, rid=r.rid, phase="complete")
 
     # ==================================================================
@@ -207,9 +221,7 @@ class ServingTelemetry:
         self._gauge("serving/kv_used_frac").set(used / cap if cap else 0.0)
         swap = self.engine.swap
         if swap is not None:
-            frac = (
-                swap.blocks_held / swap.capacity_blocks if swap.capacity_blocks else 0.0
-            )
+            frac = swap.blocks_held / swap.capacity_blocks if swap.capacity_blocks else 0.0
             self._gauge("serving/swap_used_frac").set(frac)
         if now > 0:
             self._gauge("serving/goodput_tokens_per_s").set(self.good_total / now)

@@ -53,9 +53,7 @@ class Request:
 
     def __post_init__(self):
         if len(self.prompt) < 1:
-            raise ValueError(
-                f"request {self.rid}: zero-length prompt (prompts need >= 1 token)"
-            )
+            raise ValueError(f"request {self.rid}: zero-length prompt (prompts need >= 1 token)")
         if self.max_new < 1:
             raise ValueError(f"request {self.rid}: max_new must be >= 1, got {self.max_new}")
         if self.deadline_s is not None and self.deadline_s <= 0:

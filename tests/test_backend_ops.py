@@ -79,8 +79,18 @@ class TestElementwise:
     def test_erf(self):
         from scipy.special import erf
 
-        x = np.linspace(-2, 2, 9)
-        np.testing.assert_allclose(ops.erf(x), erf(x))
+        for dtype in (np.float64, np.float32):
+            tiny = np.finfo(dtype).smallest_subnormal
+            edges = np.array([1.0, 8.0], dtype)
+            x = np.concatenate([
+                np.array([np.nan, np.inf, 0.0, tiny, 2 * tiny, 0.5, 2.0], dtype),
+                edges, np.nextafter(edges, dtype(0)), np.nextafter(edges, dtype(np.inf)),
+                np.linspace(-4, 4, 33, dtype=dtype),
+            ])
+            x = np.concatenate([x, -x])  # -0.0, -inf and the negative edges
+            got = ops.erf(x)
+            assert got.dtype == dtype
+            assert got.tobytes() == erf(x).tobytes()
 
     def test_dryrun_shapes(self):
         s = ShapeArray((3, 4), "float32")

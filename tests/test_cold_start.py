@@ -1,10 +1,12 @@
 """Cold start: ``import repro`` and a dry run load no third-party package
 but NumPy.
 
-scipy.special is only needed by a numeric ``ops.erf`` and scipy.optimize only
-by ``isoefficiency_hidden``; both import on first use, and the cluster
-topology needs no graph library.  The check runs in a fresh interpreter,
-since this test session has imported scipy already.
+scipy's ``erf`` is only needed by a numeric ``ops.erf`` and scipy.optimize
+only by ``isoefficiency_hidden``; both load on first use, and the cluster
+topology needs no graph library.  ``ops.erf`` loads ``scipy`` and the one
+extension defining the ufunc, not the ``scipy.special`` package.  The checks
+run in a fresh interpreter, since this test session has imported scipy
+already.
 """
 
 import os
@@ -45,8 +47,11 @@ _SCRIPT = textwrap.dedent(
 
     x = np.linspace(-4.0, 4.0, 101)
     got = ops.erf(x)
-    from scipy.special import erf
-    assert got.tobytes() == erf(x).tobytes()
+    assert loaded() == ["scipy"], ("numeric erf", loaded())
+    assert "scipy.special" not in sys.modules
+    import scipy.special
+    assert ops._sp_erf is scipy.special.erf
+    assert got.tobytes() == scipy.special.erf(x).tobytes()
     assert ops.erf(x).tobytes() == got.tobytes()
 
     # the values the solve gave with scipy.optimize imported at module level
@@ -57,9 +62,32 @@ _SCRIPT = textwrap.dedent(
 )
 
 
-def test_import_and_dry_run_load_no_third_party_package_but_numpy():
+# a scipy without the extension: the lookup misses and erf comes from the
+# scipy.special package import, the same ufunc
+_FALLBACK_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    import numpy as np
+
+    from repro.backend import ops
+
+    ops._ERF_EXTENSION = "scipy.special._no_such_extension"
+    x = np.linspace(-4.0, 4.0, 101)
+    got = ops.erf(x)
+    assert "scipy.special" in sys.modules
+    assert ops._ERF_EXTENSION not in sys.modules
+    import scipy.special
+    assert ops._sp_erf is scipy.special.erf
+    assert got.tobytes() == scipy.special.erf(x).tobytes()
+    print("ok")
+    """
+)
+
+
+def _run_fresh(script):
     out = subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": _SRC},
         capture_output=True,
         text=True,
@@ -67,3 +95,11 @@ def test_import_and_dry_run_load_no_third_party_package_but_numpy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+def test_import_and_dry_run_load_no_third_party_package_but_numpy():
+    _run_fresh(_SCRIPT)
+
+
+def test_numeric_erf_falls_back_to_the_scipy_special_import():
+    _run_fresh(_FALLBACK_SCRIPT)

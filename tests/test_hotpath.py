@@ -51,8 +51,16 @@ class TestPlanCache:
                 call(summa.summa_atb, a, c)
             sim = mesh.sim
             state = [
-                (d.clock, d.flops, d.bytes_comm, d.weighted_comm_volume,
-                 d.compute_time, d.comm_time, d.num_collectives, d.memory.peak)
+                (
+                    d.clock,
+                    d.flops,
+                    d.bytes_comm,
+                    d.weighted_comm_volume,
+                    d.compute_time,
+                    d.comm_time,
+                    d.num_collectives,
+                    d.memory.peak,
+                )
                 for d in sim.devices
             ]
             return outs, state, summa.plan_cache_size(mesh)
@@ -92,16 +100,12 @@ class TestPlanCache:
                 for j in range(2):
                     nrows = rows[i]
                     ncols = 6
-                    shards[mesh.rank(i, j)] = rng.standard_normal(
-                        (nrows, ncols)
-                    ).astype(np.float32)
+                    shards[mesh.rank(i, j)] = rng.standard_normal((nrows, ncols)).astype(np.float32)
                     c0 += ncols
                 r0 += rows[i]
             return DTensor(mesh, BLOCKED_2D, shards, (sum(rows), 12))
 
-        b = distribute_blocked_2d(
-            mesh, rng.standard_normal((12, 6)).astype(np.float32)
-        )
+        b = distribute_blocked_2d(mesh, rng.standard_normal((12, 6)).astype(np.float32))
         c1 = summa.summa_ab(mesh, ragged([3, 9]), b)
         c2 = summa.summa_ab(mesh, ragged([9, 3]), b)  # would crash on stale plan
         assert c1.shards[mesh.rank(0, 0)].shape[0] == 3
@@ -351,15 +355,11 @@ def test_decode_step_attends_once_per_shard_group_and_charges_per_lane(monkeypat
         serving_engine, "decode_attention_fwd",
         _counted(calls, "kernel", serving_engine.decode_attention_fwd),
     )
-    monkeypatch.setattr(
-        ShardedKVCache, "gather", _counted(calls, "gather", ShardedKVCache.gather)
-    )
+    monkeypatch.setattr(ShardedKVCache, "gather", _counted(calls, "gather", ShardedKVCache.gather))
     monkeypatch.setattr(F, "layernorm_fwd", _counted(calls, "layernorm", F.layernorm_fwd))
 
     cfg = tiny_config(num_heads=4)
-    eng = serving_engine.make_engine(
-        scheme, cfg, init_transformer_params(cfg, seed=1), 2, 8, 8, 16
-    )
+    eng = serving_engine.make_engine(scheme, cfg, init_transformer_params(cfg, seed=1), 2, 8, 8, 16)
     eng.sim.tracer.enabled = True
     per_step = []
     step = type(eng).step

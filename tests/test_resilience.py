@@ -3,6 +3,8 @@ SDC guards, crash checkpoint/restart, straggler pricing, chaos campaigns."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core import OptimusModel
@@ -19,7 +21,7 @@ from repro.resilience import (
     Straggler,
     TransientCollectiveFault,
 )
-from repro.resilience.chaos import run_campaign
+from repro.resilience.chaos import run_campaign, run_scheme
 from repro.training import Adam, BatchStream, Trainer
 from tests.conftest import make_mesh
 
@@ -178,3 +180,32 @@ class TestChaosCampaign:
         assert result["loss_match"] and result["faults_fired"]
         assert result["recovery_overhead_s"] > 0
         assert result["mttr_s"]
+
+
+class TestStrictChaos:
+    """Strict mode validates each DTensor as it is built, so on Megatron it
+    sees the corrupted replica copy before the gradient guards do: that is
+    the same detection, and the step is re-run."""
+
+    @pytest.mark.parametrize("scheme", ["optimus", "megatron"])
+    def test_strict_run_recovers_like_the_plain_run(
+        self, scheme, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        runs = {}
+        for strict in ("0", "1"):
+            monkeypatch.setenv("REPRO_STRICT_INVARIANTS", strict)
+            result, sim = run_scheme(scheme, 0, 6, 2, str(tmp_path))
+            runs[strict] = (result, sim.metrics)
+        (plain, plain_metrics), (checked, checked_metrics) = runs["0"], runs["1"]
+        assert checked["ok"] and checked["loss_match"]
+        assert checked["final_loss"] == plain["final_loss"]
+        assert checked["stats"] == plain["stats"]
+        for name in ("resilience/sdc_detected", "resilience/step_retries"):
+            assert checked_metrics.counter(name).value == plain_metrics.counter(name).value
+
+        out = tmp_path / "strict.json"
+        assert main(["chaos", "--quick", "--scheme", scheme, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ok"] is True
+        capsys.readouterr()

@@ -851,9 +851,7 @@ class TestTrafficEdgeCases:
 
     def test_generator_rejects_zero_prompt_lengths(self):
         with pytest.raises(ValueError, match="zero-length"):
-            TrafficGenerator(
-                0, CFG.vocab_size, prompt_lengths=((0, 4), (0.5, 0.5))
-            )
+            TrafficGenerator(0, CFG.vocab_size, prompt_lengths=((0, 4), (0.5, 0.5)))
 
     def test_nonpositive_deadline_rejected(self):
         with pytest.raises(ValueError, match="deadline"):
@@ -879,9 +877,7 @@ class TestTrafficEdgeCases:
             engine.run([req])
 
     def test_burst_beyond_queue_bound_sheds_deterministically(self):
-        gen = TrafficGenerator(
-            0, CFG.vocab_size, arrival="bursty", burst_size=8, num_requests=16
-        )
+        gen = TrafficGenerator(0, CFG.vocab_size, arrival="bursty", burst_size=8, num_requests=16)
         opts = ServingOptions(max_queue_depth=3)
 
         def shed():
@@ -902,14 +898,16 @@ class TestTrafficEdgeCases:
 class TestPreemption:
     # 6 requests whose full footprints cannot all be reserved up front:
     # conservative reservation serializes, preemption overlaps them
-    REQS = _requests([
-        (0.0, (5, 11, 23, 8), 6),
-        (0.0, (40, 1, 3), 7),
-        (0.0, (7, 9, 13), 6),
-        (0.0, (2, 30, 19), 7),
-        (0.0, (22, 4), 6),
-        (0.0, (17, 6, 2), 6),
-    ])
+    REQS = _requests(
+        [
+            (0.0, (5, 11, 23, 8), 6),
+            (0.0, (40, 1, 3), 7),
+            (0.0, (7, 9, 13), 6),
+            (0.0, (2, 30, 19), 7),
+            (0.0, (22, 4), 6),
+            (0.0, (17, 6, 2), 6),
+        ]
+    )
 
     def _run(self, options):
         engine = make_engine("optimus", CFG, PARAMS, 2, 6, 4, 4, options=options)
@@ -954,9 +952,7 @@ class TestPreemption:
         for swap_blocks in (0, 16):
             opts = ServingOptions(policy="preempt", swap_blocks=swap_blocks)
             _, result = self._run(opts)
-            assert sum(result.attribution.values()) == pytest.approx(
-                result.clock, rel=1e-9
-            )
+            assert sum(result.attribution.values()) == pytest.approx(result.clock, rel=1e-9)
 
     def test_swap_meters_drain(self):
         opts = ServingOptions(policy="preempt", swap_blocks=16)
@@ -1021,6 +1017,5 @@ class TestDeadlinesAndRetries:
         assert rep["serving"]["lifecycle"]["swap_blocks"] == 8
         for e in rep["schemes"]:
             lc = e["lifecycle"]
-            for key in ("rejected_shed", "rejected_deadline", "retried",
-                        "preempted", "timed_out"):
+            for key in ("rejected_shed", "rejected_deadline", "retried", "preempted", "timed_out"):
                 assert key in lc

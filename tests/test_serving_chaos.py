@@ -61,9 +61,7 @@ class TestServeChaos:
 
     def test_campaign_is_deterministic(self, quick_campaign):
         again = run_serve_chaos(0, quick=True)
-        assert json.dumps(again, sort_keys=True) == json.dumps(
-            quick_campaign, sort_keys=True
-        )
+        assert json.dumps(again, sort_keys=True) == json.dumps(quick_campaign, sort_keys=True)
 
     def test_chaos_costs_simulated_time(self, quick_campaign):
         by = {}
@@ -93,10 +91,7 @@ class TestServeChaos:
 
     def test_schedule_varies_with_seed_but_stays_in_range(self):
         def steps(schedule):
-            return [
-                getattr(f, "step", None) or f.start_step
-                for f in schedule.all_faults()
-            ]
+            return [getattr(f, "step", None) or f.start_step for f in schedule.all_faults()]
 
         a = default_serving_schedule(0, baseline_steps=20)
         b = default_serving_schedule(1, baseline_steps=20)
@@ -249,8 +244,7 @@ class TestChaosCLI:
 
         out1 = str(tmp_path / "a.json")
         out2 = str(tmp_path / "b.json")
-        argv = ["chaos", "--serve", "--quick", "--seed", "0",
-                "--scheme", "optimus", "--out"]
+        argv = ["chaos", "--serve", "--quick", "--seed", "0", "--scheme", "optimus", "--out"]
         assert main(argv + [out1]) == 0
         assert main(argv + [out2]) == 0
         with open(out1) as f1, open(out2) as f2:

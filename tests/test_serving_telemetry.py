@@ -164,8 +164,14 @@ class TestDeterminism:
 
         def lifecycle(sim):
             return [
-                (e.kind, e.label, e.t_start, e.t_end, tuple(e.ranks),
-                 tuple(sorted((e.attrs or {}).items())))
+                (
+                    e.kind,
+                    e.label,
+                    e.t_start,
+                    e.t_end,
+                    tuple(e.ranks),
+                    tuple(sorted((e.attrs or {}).items())),
+                )
                 for e in sim.tracer.events
                 if e.kind in ("request", "alert")
             ]
@@ -174,8 +180,7 @@ class TestDeterminism:
         b = lifecycle(run_profile("serve"))
         assert a == b
         labels = {label for _, label, *_ in a}
-        assert {"queued", "admitted", "prefill", "decode",
-                "complete", "request"} <= labels
+        assert {"queued", "admitted", "prefill", "decode", "complete", "request"} <= labels
 
 
 # ----------------------------------------------------------------------
@@ -200,8 +205,7 @@ class TestLiveEndpoint:
         t = threading.Thread(target=scraper)
         t.start()
         try:
-            run_serve(0, quick=True, schemes=("optimus",),
-                      metrics_server=server)
+            run_serve(0, quick=True, schemes=("optimus",), metrics_server=server)
         finally:
             stop.set()
             t.join()
@@ -244,9 +248,7 @@ class TestLiveEndpoint:
         from repro.obs.dash import render_openmetrics_for_records
 
         server = MetricsServer(port=0).start()
-        server.attach_renderer(
-            lambda: render_openmetrics_for_records(led.read())
-        )
+        server.attach_renderer(lambda: render_openmetrics_for_records(led.read()))
         try:
             status, body = _scrape(f"http://127.0.0.1:{server.port}/metrics")
             assert status == 200
@@ -323,13 +325,9 @@ class TestServeTraceExports:
         for phases in per_id.values():
             assert phases.count("s") == 1 and phases.count("f") == 1
         # the requests thread exists on every rank; absent for non-serve runs
-        assert any(
-            e["ph"] == "M" and e.get("tid") == 2 for e in evs
-        )
+        assert any(e["ph"] == "M" and e.get("tid") == 2 for e in evs)
         tiny = chrome_trace(run_profile("tiny"))
-        assert not any(
-            e["ph"] == "M" and e.get("tid") == 2 for e in tiny["traceEvents"]
-        )
+        assert not any(e["ph"] == "M" and e.get("tid") == 2 for e in tiny["traceEvents"])
 
     def test_critpath_ignores_request_events(self):
         from repro.obs.critpath import critpath_report
