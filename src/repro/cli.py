@@ -22,6 +22,7 @@ reports plus a Perfetto-loadable ``trace.json`` (see docs/simulator.md,
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import Callable, Dict
 
@@ -63,6 +64,21 @@ PAPER_RESULTS: Dict[str, Callable[[], None]] = {
 }
 COMMANDS: Dict[str, Callable[[], object]] = {
     **PAPER_RESULTS, "report": report.main, "verify": _cmd_verify
+}
+#: the other subcommands' drivers as ``module:function`` (imported when
+#: run), each called with the parsed arguments as keywords; ``chaos
+#: --serve`` and ``serve --preempt-ab`` name the campaigns those flags select
+DRIVERS: Dict[str, str] = {
+    "check": "repro.check.fuzz:main",
+    "chaos": "repro.resilience.chaos:main",
+    "chaos --serve": "repro.serving.chaos:main",
+    "critpath": "repro.obs.critpath:main",
+    "dash": "repro.obs.dash:main",
+    "ledger": "repro.obs.ledger:compact_main",
+    "metrics": "repro.obs.live:serve_ledger_metrics",
+    "profile": "repro.obs.profile:main",
+    "serve": "repro.serving.report:cmd_serve",
+    "serve --preempt-ab": "repro.serving.report:cmd_preempt_ab",
 }
 
 
@@ -142,9 +158,7 @@ def main(argv=None) -> int:
     led = sub.add_parser(
         "ledger", help="run-ledger maintenance (see subcommands)"
     )
-    led_sub = led.add_subparsers(
-        dest="ledger_command", required=True, metavar="subcommand"
-    )
+    led_sub = led.add_subparsers(required=True, metavar="subcommand")
     led_compact = led_sub.add_parser(
         "compact",
         help="rewrite the ledger keeping the latest record per "
@@ -172,8 +186,9 @@ def main(argv=None) -> int:
     chaos.add_argument(
         "--quick", action="store_true", help="short campaign (CI smoke job)"
     )
-    chaos.add_argument(
-        "--serve", action="store_true",
+    chaos.add_argument(  # selects the "chaos --serve" driver
+        "--serve", action="store_const", dest="command", const="chaos --serve",
+        default="chaos",
         help="serving campaign instead of training: crash/flaky-link/straggler "
         "faults inside the decode loop, recovery must be token-identical",
     )
@@ -211,7 +226,7 @@ def main(argv=None) -> int:
         help="dashboard HTML path (default: <ledger dir>/dash.html)",
     )
     dash.add_argument(
-        "--openmetrics", default=None, metavar="PATH",
+        "--openmetrics", default=None, metavar="PATH", dest="openmetrics_out",
         help="OpenMetrics text path (default: <ledger dir>/metrics.txt)",
     )
     dash.add_argument(
@@ -305,8 +320,9 @@ def main(argv=None) -> int:
         "--max-queue-depth", type=int, default=None, metavar="N",
         help="overload backpressure: shed arrivals beyond this waiting-room depth",
     )
-    srv.add_argument(
-        "--preempt-ab", action="store_true",
+    srv.add_argument(  # selects the "serve --preempt-ab" driver
+        "--preempt-ab", action="store_const", dest="command", const="serve --preempt-ab",
+        default="serve",
         help="run reserve vs preempt(swap) vs preempt(recompute) arms on an "
         "overload profile and gate on preemption winning",
     )
@@ -345,11 +361,11 @@ def main(argv=None) -> int:
     chk.add_argument("--seed", type=int, default=0, help="fuzzing seed")
     chk.add_argument("--trials", type=int, default=5, help="number of trials")
     chk.add_argument(
-        "--no-strict", action="store_true",
+        "--no-strict", action="store_false", dest="strict",
         help="skip DTensor layout-invariant validation",
     )
     chk.add_argument(
-        "--no-contracts", action="store_true",
+        "--no-contracts", action="store_false", dest="contracts",
         help="skip collective contract checking",
     )
 
@@ -357,9 +373,7 @@ def main(argv=None) -> int:
         "metrics",
         help="live OpenMetrics endpoints (see subcommands)",
     )
-    met_sub = met.add_subparsers(
-        dest="metrics_command", required=True, metavar="subcommand"
-    )
+    met_sub = met.add_subparsers(required=True, metavar="subcommand")
     met_serve = met_sub.add_parser(
         "serve",
         help="serve the run ledger's newest per-kind metrics over HTTP "
@@ -379,91 +393,17 @@ def main(argv=None) -> int:
         "/quitquitquit)",
     )
 
-    args = parser.parse_args(argv)
-    if args.command == "critpath":
-        from repro.obs.critpath import main as critpath_main
-
-        return critpath_main(
-            args.experiment,
-            scheme=args.scheme,
-            out=args.out,
-            folded=args.folded,
-            top=args.top,
-            as_json=args.as_json,
-            calibrate=args.calibrate,
-            ledger=args.ledger,
-        )
-    if args.command == "metrics":
-        from repro.obs.live import serve_ledger_metrics
-
-        return serve_ledger_metrics(args.ledger, port=args.port, hold=args.hold)
-    if args.command == "ledger":
-        from repro.obs.ledger import compact_main
-
-        return compact_main(
-            ledger=args.ledger, out=args.out, dry_run=args.dry_run
-        )
-    if args.command == "chaos":
-        if args.serve:
-            from repro.serving.chaos import main as serve_chaos_main
-            from repro.serving.report import SCHEMES as SERVE_SCHEMES
-
-            return serve_chaos_main(
-                seed=args.seed,
-                quick=args.quick,
-                schemes=args.schemes or SERVE_SCHEMES,
-                out=args.out,
-                ledger_dir=args.ledger,
-            )
-        from repro.resilience.chaos import main as chaos_main
-
-        return chaos_main(
-            seed=args.seed,
-            quick=args.quick,
-            steps=args.steps,
-            schemes=args.schemes,
-            out=args.out,
-            trace_out=args.trace_out,
-            ledger=args.ledger,
-        )
-    if args.command == "dash":
-        from repro.obs.dash import main as dash_main
-
-        return dash_main(
-            ledger=args.ledger,
-            out=args.out,
-            openmetrics_out=args.openmetrics,
-            no_collect=args.no_collect,
-        )
-    if args.command == "serve":
-        from repro.serving.report import cmd_serve
-
-        return cmd_serve(args)
-    if args.command == "check":
-        from repro.check.fuzz import main as check_main
-
-        return check_main(
-            seed=args.seed,
-            trials=args.trials,
-            strict=not args.no_strict,
-            contracts=not args.no_contracts,
-        )
-    if args.command == "profile":
-        from repro.obs.profile import main as profile_main
-
-        return profile_main(
-            args.experiment,
-            trace_out=args.trace_out,
-            mem_timeline=args.mem_timeline,
-            scheme=args.scheme,
-            top=args.top,
-        )
-    if args.command == "all":
-        for name, command in PAPER_RESULTS.items():
+    args = vars(parser.parse_args(argv))
+    command = args.pop("command")
+    if command in DRIVERS:
+        module, _, name = DRIVERS[command].partition(":")
+        return getattr(importlib.import_module(module), name)(**args)
+    if command == "all":
+        for name, result in PAPER_RESULTS.items():
             print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-            command()
+            result()
     else:
-        COMMANDS[args.command]()
+        COMMANDS[command]()
     return 0
 
 

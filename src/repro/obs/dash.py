@@ -10,15 +10,20 @@ plus an OpenMetrics text file:
 * **attribution** — the :mod:`repro.obs.critpath` summary carried by
   traced ledger records: compute/comm/stall/overhead split per run, the
   exact-conservation verdict and the top critical-path bottleneck;
+* **serving**, **alerts** and **serving under chaos** — the newest serve /
+  alert-bearing serve / serve-chaos record per arm, and the serving
+  latency and goodput curves over swept offered loads;
 * **trends** — simulated clock, peak memory and communication volume per
   ledger record in append order, plus per-metric sparklines keyed on git
   revision (newest value per revision);
 * **run table** — every ledger record with its content-hash ``run_id``.
 
-Unless ``--no-collect`` is passed, missing evidence is collected first
-(a tiny training run, a quick single-scheme chaos campaign, the claim
-stems), so a bare ``python -m repro dash`` on a fresh checkout produces a
-complete dashboard.
+Each table is one :class:`Section` row of :data:`SECTIONS`.  Unless
+``--no-collect`` is passed, missing evidence is collected first (a tiny
+training run, two pipeline runs, a quick chaos campaign, a quick serving
+run, a quick serving chaos campaign, the claim stems), so a bare
+``python -m repro dash`` on a fresh checkout produces a complete
+dashboard.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from __future__ import annotations
 import html
 import os
 from collections import Counter
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs.critpath import CATEGORIES
 from repro.obs.ledger import RunLedger, RunRecord
@@ -166,102 +172,49 @@ def _record_label(r: RunRecord) -> str:
     return "/".join(bits)
 
 
-def _trend_values(r: RunRecord) -> dict:
-    """The record's trended metrics that have a value: clock / memory / comm."""
-    c = r.counters or {}
-    values = {
-        "clock": r.clock,
-        "memory": c.get("peak_memory_bytes") or None,
-        "comm": c.get("total_bytes_comm") or None,
-    }
-    return {name: float(v) for name, v in values.items() if v is not None}
+def trend_series(records: Sequence[RunRecord]) -> Tuple[dict, dict]:
+    """The clock / memory / comm trends, in one pass over the records.
 
-
-def trend_series(records: Sequence[RunRecord]) -> dict:
-    """(label, value) series for the clock / memory / comm trend charts."""
-    series: dict = {"clock": [], "memory": [], "comm": []}
-    for r in records:
-        for name, value in _trend_values(r).items():
-            series[name].append((_record_label(r), value))
-    return series
-
-
-def sparkline_series(records: Sequence[RunRecord]) -> dict:
-    """Per-metric (git_rev, value) points — newest value per revision.
-
-    Revisions keep first-appearance order, so the sparkline reads left to
-    right as the ledger's revision history.
+    Returns ``(bars, sparks)``: per metric, the ``(label, value)`` bars in
+    append order, and the sparkline's ``(git_rev, value)`` points, the newest
+    value per revision, revisions in first-appearance order (so the sparkline
+    reads left to right as the ledger's revision history).
     """
-    per_metric: dict = {"clock": {}, "memory": {}, "comm": {}}
-    revs: List[str] = []
+    bars: dict = {"clock": [], "memory": [], "comm": []}
+    per_rev: dict = {name: {} for name in bars}
+    revs: dict = {}  # first-appearance order
     for r in records:
         rev = r.git or "unknown"
-        if rev not in revs:
-            revs.append(rev)
-        for name, value in _trend_values(r).items():
-            per_metric[name][rev] = value
-    return {
-        name: [(rev, vals[rev]) for rev in revs if rev in vals]
-        for name, vals in per_metric.items()
+        revs.setdefault(rev)
+        c = r.counters or {}
+        for name, value in (
+            ("clock", r.clock),
+            ("memory", c.get("peak_memory_bytes") or None),
+            ("comm", c.get("total_bytes_comm") or None),
+        ):
+            if value is not None:
+                bars[name].append((_record_label(r), float(value)))
+                per_rev[name][rev] = float(value)
+    sparks = {
+        name: [(rev, vals[rev]) for rev in revs if rev in vals] for name, vals in per_rev.items()
     }
-
-
-def attribution_rows(records: Sequence[RunRecord]) -> List[dict]:
-    """One row per ledger record that carries a critpath attribution."""
-    rows = []
-    for r in records:
-        a = r.attribution
-        if not a or not a.get("per_rank_sum"):
-            continue
-        top = (a.get("top_bottlenecks") or [{}])[0]
-        rows.append({
-            "record": _record_label(r),
-            "run_id": r.run_id,
-            "wall_clock_ns": a.get("wall_clock_ns", 0),
-            "split": a["per_rank_sum"],
-            "conservation_ok": bool(a.get("conservation_ok")),
-            "top_key": top.get("key", "—"),
-            "top_ratio": top.get("ratio"),
-        })
-    return rows
+    return bars, sparks
 
 
 def _arm(r: RunRecord) -> Tuple[str, str]:
     return r.scheme or "?", (r.extra or {}).get("arrival") or "?"
 
 
-def _newest_by(records: Sequence[RunRecord], kind: Optional[str], key_fn) -> List[Tuple]:
-    """``(key, record)`` for the newest record of ``kind`` (``None``: any) per
-    ``key_fn(record)``, in key order; a ``None`` key leaves the record out."""
+def _newest_by(records: Sequence[RunRecord], kind: Optional[str], key_fn) -> List[RunRecord]:
+    """The newest record of ``kind`` (``None``: any) per ``key_fn(record)``, in
+    key order; a ``None`` key leaves the record out."""
     newest: dict = {}
     for r in records:
         if kind in (None, r.kind):
             key = key_fn(r)
             if key is not None:
                 newest[key] = r
-    return sorted(newest.items())
-
-
-def serving_rows(records: Sequence[RunRecord]) -> List[dict]:
-    """Newest serve record per (scheme, arrival) arm, in label order."""
-    rows = []
-    for (scheme, arrival), r in _newest_by(records, "serve", _arm):
-        e = r.extra or {}
-        rows.append({
-            "record": _record_label(r),
-            "run_id": r.run_id,
-            "scheme": scheme,
-            "arrival": arrival,
-            "ranks": (r.mesh or {}).get("ranks"),
-            "requests": e.get("num_requests"),
-            "rate_rps": e.get("rate_rps"),
-            "generated_tokens": e.get("generated_tokens"),
-            "goodput": e.get("goodput_tokens_per_s"),
-            "slo_attainment": e.get("slo_attainment"),
-            "p99_e2e_s": e.get("p99_e2e_s"),
-            "clock": r.clock,
-        })
-    return rows
+    return [newest[key] for key in sorted(newest)]
 
 
 def sweep_series(records: Sequence[RunRecord]) -> dict:
@@ -279,8 +232,9 @@ def sweep_series(records: Sequence[RunRecord]) -> dict:
         return None if rate is None else (*_arm(r), float(rate))
 
     out: dict = {"p99_e2e_s": {}, "goodput": {}}
-    for (scheme, arrival, rate), r in _newest_by(records, "serve", arm_at_rate):
-        e = r.extra or {}
+    for r in _newest_by(records, "serve", arm_at_rate):
+        scheme, arrival, rate = arm_at_rate(r)
+        e = r.extra
         label = f"{scheme}/{arrival}"
         if e.get("p99_e2e_s") is not None:
             out["p99_e2e_s"].setdefault(label, []).append((rate, float(e["p99_e2e_s"])))
@@ -294,48 +248,6 @@ def sweep_series(records: Sequence[RunRecord]) -> dict:
             if len({p[0] for p in pts}) >= 2
         }
     return out
-
-
-def alerts_rows(records: Sequence[RunRecord]) -> List[dict]:
-    """Newest serve record per (scheme, arrival) that carries alert totals."""
-    rows = []
-    for (scheme, arrival), r in _newest_by(
-        records, "serve", lambda r: _arm(r) if "alerts" in (r.extra or {}) else None
-    ):
-        a = r.extra["alerts"]
-        rows.append({
-            "record": _record_label(r),
-            "run_id": r.run_id,
-            "scheme": scheme,
-            "arrival": arrival,
-            "fired": a.get("fired", 0),
-            "resolved": a.get("resolved", 0),
-            "rules_fired": list(a.get("rules_fired") or []),
-        })
-    return rows
-
-
-def serve_chaos_rows(records: Sequence[RunRecord]) -> List[dict]:
-    """Newest serve-chaos record per scheme, in scheme order."""
-    rows = []
-    for scheme, r in _newest_by(records, "serve-chaos", lambda r: r.scheme or "?"):
-        e = r.extra or {}
-        rows.append({
-            "record": _record_label(r),
-            "run_id": r.run_id,
-            "scheme": scheme,
-            "arrival": e.get("arrival"),
-            "requests": e.get("num_requests"),
-            "token_identical": e.get("token_identical"),
-            "crashes": e.get("crashes"),
-            "retries": e.get("retries"),
-            "recovered_steps": e.get("recovered_steps"),
-            "recovery_s": e.get("recovery_s"),
-            "goodput": e.get("goodput_tokens_per_s"),
-            "ok": e.get("ok"),
-            "clock": r.clock,
-        })
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -574,139 +486,96 @@ def _status_cell(status: str) -> str:
     return f'<span class="{cls}">{icon}&nbsp;{label}</span>'
 
 
-def _table_section(title, intro, empty_hint, headers, row_cells, after="") -> str:
-    """One dashboard ``<section>``: heading, muted intro, one table, ``after``.
+@dataclass(frozen=True)
+class Section:
+    """One dashboard table.
 
-    ``row_cells`` holds one list of cell HTML strings per row (a
-    ``(html, css_class)`` pair styles its ``<td>``).  With no rows and an
-    ``empty_hint``, the hint stands in for intro and table.
+    ``rows(records, card)`` selects its rows (ledger records; the scorecard's
+    claims for the scorecard table); each ``(header, cell)`` column renders
+    one ``<td>`` of a row from the row alone, a ``(html, css_class)`` pair
+    styling it.  ``intro`` is formatted with the scorecard's fields.  With
+    no rows and an ``empty`` hint, the hint stands in for intro and table;
+    ``after(rows)`` follows the table.
     """
-    if not row_cells and empty_hint:
-        return f"<section><h2>{title}</h2><p class='muted'>{empty_hint}</p></section>"
 
-    def td(cell) -> str:
-        if isinstance(cell, tuple):
-            return f"<td class='{cell[1]}'>{cell[0]}</td>"
-        return f"<td>{cell}</td>"
+    title: str
+    intro: str
+    empty: Optional[str]
+    rows: Callable[[Sequence[RunRecord], dict], Sequence]
+    columns: Tuple[Tuple[str, Callable], ...]
+    after: Callable[[Sequence], str] = lambda rows: ""
 
-    return (
-        f"<section><h2>{title}</h2>"
-        + (f"<p class='muted'>{intro}</p>" if intro else "")
-        + "<table><tr>" + "".join(f"<th>{h}</th>" for h in headers) + "</tr>"
-        + "".join("<tr>" + "".join(map(td, cells)) + "</tr>" for cells in row_cells)
-        + f"</table>{after}</section>"
-    )
+    def __call__(self, records: Sequence[RunRecord], card: dict) -> str:
+        rows = self.rows(records, card)
+        if not rows and self.empty:
+            return f"<section><h2>{self.title}</h2><p class='muted'>{self.empty}</p></section>"
 
+        def td(cell) -> str:
+            if isinstance(cell, tuple):
+                return f"<td class='{cell[1]}'>{cell[0]}</td>"
+            return f"<td>{cell}</td>"
 
-def _claims_section(card: dict) -> str:
-    return _table_section(
-        "Paper-claims scorecard",
-        f"{card['num_pass']} pass · {card['num_fail']} fail · "
-        f"{card['num_no_evidence']} without evidence",
-        None,
-        ["claim", "verdict", "measured", "predicted", "measured/predicted", "band",
-         "detail"],
-        [
-            [
-                html.escape(c["title"]), _status_cell(c["status"]),
-                _num(c["measured"]), _num(c["predicted"]), _num(c["ratio"], ".3f"),
-                "" if not c["band"] else f"[{c['band'][0]:g}, {c['band'][1]:g}]",
-                (html.escape(c["detail"]), "muted"),
-            ]
-            for c in card["claims"]
-        ],
-    )
-
-
-def _attribution_section(rows: List[dict]) -> str:
-    def cells(row: dict) -> list:
-        split = row["split"]
-        total = split.get("total_ns") or 1
-        top = html.escape(row["top_key"])
-        if row["top_ratio"] is not None:
-            top += f" ({row['top_ratio']:.2f}× predicted)"
-        return [
-            html.escape(row["record"]), f"{row['wall_clock_ns'] / 1e9:.6f} s",
-            *(f"{100.0 * split.get(f'{cat}_ns', 0) / total:.1f}%"
-              for cat in CATEGORIES),
-            _att_bar(split),
-            _status_cell("pass" if row["conservation_ok"] else "fail"),
-            f"<code>{top}</code>",
-        ]
-
-    return _table_section(
-        "Attribution (critical path)",
-        "per-rank nanosecond attribution from <code>repro.obs.critpath</code>; "
-        "conservation means attributed time equals wall-clock on every rank, exactly",
-        "no traced records yet (run <code>repro critpath …</code> or any stem with "
-        "tracing to attach attribution summaries to the ledger)",
-        ["record", "wall clock", *CATEGORIES, "split", "conservation",
-         "top bottleneck"],
-        [cells(row) for row in rows],
-    )
-
-
-def _trends_section(series: dict, sparks: dict) -> str:
-    spark_rows = "".join(
-        f"<tr><td>{label}</td><td>{_sparkline(sparks[key], fmt=fmt)}</td>"
-        f"<td>{html.escape(fmt(sparks[key][-1][1])) if sparks[key] else '—'}"
-        f"</td><td class='muted'>{len(sparks[key])} revision"
-        f"{'s' if len(sparks[key]) != 1 else ''}</td></tr>"
-        for key, label, fmt in (
-            ("clock", "sim clock", lambda v: f"{v:.3f} s"),
-            ("memory", "peak memory", _fmt_bytes),
-            ("comm", "comm volume", _fmt_bytes),
+        intro = self.intro.format(**card)
+        return (
+            f"<section><h2>{self.title}</h2>"
+            + (f"<p class='muted'>{intro}</p>" if intro else "")
+            + "<table><tr>" + "".join(f"<th>{h}</th>" for h, _ in self.columns) + "</tr>"
+            + "".join(
+                "<tr>" + "".join(td(cell(row)) for _, cell in self.columns) + "</tr>"
+                for row in rows
+            )
+            + f"</table>{self.after(rows)}</section>"
         )
-    )
-    return (
-        "<section><h2>Trends across ledger records</h2>"
-        "<h3 class='muted'>By git revision (newest value per revision)</h3>"
-        "<table><tr><th>metric</th><th>trend</th><th>latest</th>"
-        "<th></th></tr>" + spark_rows + "</table>"
-        "<h3 class='muted'>Simulated clock (slowest rank, seconds)</h3>"
-        + _bar_chart(series["clock"], fmt=lambda v: f"{v:.3f} s")
-        + "<h3 class='muted'>Peak device memory</h3>"
-        + _bar_chart(series["memory"], fmt=_fmt_bytes)
-        + "<h3 class='muted'>Total communication volume</h3>"
-        + _bar_chart(series["comm"], fmt=_fmt_bytes)
-        + "</section>"
-    )
 
 
-def _serving_section(rows: List[dict]) -> str:
-    chart = _bar_chart(
-        [
-            (f"{row['scheme']}/{row['arrival']}", float(row["goodput"]))
-            for row in rows
-            if row["goodput"]
-        ],
-        fmt=lambda v: f"{v:.0f} tok/s",
-    )
-    return _table_section(
-        "Serving",
-        "continuous-batching decode over the 2-D and 1-D stacks "
-        "(<code>repro serve</code>): SLO-gated goodput per scheme × arrival "
-        "profile, newest record per arm",
-        "no serve records yet (run <code>repro serve --quick --ledger …</code> to "
-        "play a seeded traffic trace through the decode engines)",
-        ["scheme", "arrival", "ranks", "requests", "rate (req/s)", "p99 e2e",
-         "goodput (tok/s)", "SLO attainment", "run_id"],
-        [
-            [
-                html.escape(row["scheme"]), html.escape(row["arrival"]),
-                _num(row["ranks"], ""), _num(row["requests"], "d"),
-                _num(row["rate_rps"], ".0f"), _fmt_ms(row["p99_e2e_s"]),
-                _num(row["goodput"], ".1f"), _num(row["slo_attainment"], ".2f"),
-                f"<code>{row['run_id']}</code>",
-            ]
-            for row in rows
-        ],
-        after="<h3 class='muted'>Goodput (SLO-compliant tokens per simulated "
-        "second)</h3>" + chart,
-    )
+def _newest(kind: str, key_fn):
+    """A row selector: the newest ``kind`` record per ``key_fn(record)``."""
+    return lambda records, card: _newest_by(records, kind, key_fn)
 
 
-def _sweep_section(series: dict) -> str:
+def _extra(key: str, spec: str):
+    """A cell: the record's ``extra[key]``, formatted with ``spec``."""
+    return lambda r: _num((r.extra or {}).get(key), spec)
+
+
+def _verdict(key: str):
+    """A cell: PASS when the record's ``extra[key]`` holds, else FAIL."""
+    return lambda r: _status_cell("pass" if (r.extra or {}).get(key) else "fail")
+
+
+def _top_bottleneck(a: dict) -> str:
+    top = (a.get("top_bottlenecks") or [{}])[0]
+    text = html.escape(top.get("key", "—"))
+    if top.get("ratio") is not None:
+        text += f" ({top['ratio']:.2f}× predicted)"
+    return f"<code>{text}</code>"
+
+
+def _share(cat: str):
+    """A cell: category ``cat``'s share of an attributed record's time."""
+    def cell(r: RunRecord) -> str:
+        split = r.attribution["per_rank_sum"]
+        return f"{100.0 * split.get(f'{cat}_ns', 0) / (split.get('total_ns') or 1):.1f}%"
+
+    return cell
+
+
+_SCHEME = ("scheme", lambda r: html.escape(_arm(r)[0]))
+_ARRIVAL = ("arrival", lambda r: html.escape(_arm(r)[1]))
+_RUN_ID = ("run_id", lambda r: f"<code>{r.run_id}</code>")
+_GOODPUT = ("goodput (tok/s)", _extra("goodput_tokens_per_s", ".1f"))
+
+
+def _goodput_chart(rows: Sequence[RunRecord]) -> str:
+    bars = [("/".join(_arm(r)), float(r.extra["goodput_tokens_per_s"]))
+            for r in rows if (r.extra or {}).get("goodput_tokens_per_s")]
+    return ("<h3 class='muted'>Goodput (SLO-compliant tokens per simulated second)</h3>"
+            + _bar_chart(bars, fmt=lambda v: f"{v:.0f} tok/s"))
+
+
+def sweep_section(records: Sequence[RunRecord], card: Optional[dict] = None) -> str:
+    """The latency-vs-offered-load curves of :func:`sweep_series`."""
+    series = sweep_series(records)
     if not series["p99_e2e_s"] and not series["goodput"]:
         body = ("<p class='muted'>no sweep points yet (run <code>repro serve "
                 "--sweep RATE1,RATE2,… --ledger …</code> to record one serve "
@@ -733,30 +602,123 @@ def _sweep_section(series: dict) -> str:
     )
 
 
-def _alerts_section(rows: List[dict]) -> str:
-    return _table_section(
+def trends_section(records: Sequence[RunRecord], card: Optional[dict] = None) -> str:
+    """Sparklines per git revision and bar charts per record of :func:`trend_series`."""
+    series, sparks = trend_series(records)
+    spark_rows = "".join(
+        f"<tr><td>{label}</td><td>{_sparkline(sparks[key], fmt=fmt)}</td>"
+        f"<td>{html.escape(fmt(sparks[key][-1][1])) if sparks[key] else '—'}"
+        f"</td><td class='muted'>{len(sparks[key])} revision"
+        f"{'s' if len(sparks[key]) != 1 else ''}</td></tr>"
+        for key, label, fmt in (
+            ("clock", "sim clock", lambda v: f"{v:.3f} s"),
+            ("memory", "peak memory", _fmt_bytes),
+            ("comm", "comm volume", _fmt_bytes),
+        )
+    )
+    return (
+        "<section><h2>Trends across ledger records</h2>"
+        "<h3 class='muted'>By git revision (newest value per revision)</h3>"
+        "<table><tr><th>metric</th><th>trend</th><th>latest</th>"
+        "<th></th></tr>" + spark_rows + "</table>"
+        "<h3 class='muted'>Simulated clock (slowest rank, seconds)</h3>"
+        + _bar_chart(series["clock"], fmt=lambda v: f"{v:.3f} s")
+        + "<h3 class='muted'>Peak device memory</h3>"
+        + _bar_chart(series["memory"], fmt=_fmt_bytes)
+        + "<h3 class='muted'>Total communication volume</h3>"
+        + _bar_chart(series["comm"], fmt=_fmt_bytes)
+        + "</section>"
+    )
+
+
+#: the page, top to bottom: the tables are ``Section`` rows; the two
+#: chart-bearing sections are functions of the same ``(records, card)``
+SECTIONS = (
+    Section(
+        "Paper-claims scorecard",
+        "{num_pass} pass · {num_fail} fail · {num_no_evidence} without evidence",
+        None,
+        lambda records, card: card["claims"],
+        (
+            ("claim", lambda c: html.escape(c["title"])),
+            ("verdict", lambda c: _status_cell(c["status"])),
+            ("measured", lambda c: _num(c["measured"])),
+            ("predicted", lambda c: _num(c["predicted"])),
+            ("measured/predicted", lambda c: _num(c["ratio"], ".3f")),
+            ("band", lambda c: f"[{c['band'][0]:g}, {c['band'][1]:g}]" if c["band"] else ""),
+            ("detail", lambda c: (html.escape(c["detail"]), "muted")),
+        ),
+    ),
+    Section(
+        "Attribution (critical path)",
+        "per-rank nanosecond attribution from <code>repro.obs.critpath</code>; "
+        "conservation means attributed time equals wall-clock on every rank, exactly",
+        "no traced records yet (run <code>repro critpath …</code> or any stem with "
+        "tracing to attach attribution summaries to the ledger)",
+        lambda records, card: [
+            r for r in records if r.attribution and r.attribution.get("per_rank_sum")
+        ],
+        (
+            ("record", lambda r: html.escape(_record_label(r))),
+            ("wall clock", lambda r: f"{r.attribution.get('wall_clock_ns', 0) / 1e9:.6f} s"),
+            *((cat, _share(cat)) for cat in CATEGORIES),
+            ("split", lambda r: _att_bar(r.attribution["per_rank_sum"])),
+            (
+                "conservation",
+                lambda r: _status_cell("pass" if r.attribution.get("conservation_ok") else "fail"),
+            ),
+            ("top bottleneck", lambda r: _top_bottleneck(r.attribution)),
+        ),
+    ),
+    Section(
+        "Serving",
+        "continuous-batching decode over the 2-D and 1-D stacks "
+        "(<code>repro serve</code>): SLO-gated goodput per scheme × arrival "
+        "profile, newest record per arm",
+        "no serve records yet (run <code>repro serve --quick --ledger …</code> to "
+        "play a seeded traffic trace through the decode engines)",
+        _newest("serve", _arm),
+        (
+            _SCHEME,
+            _ARRIVAL,
+            ("ranks", lambda r: _num((r.mesh or {}).get("ranks"), "")),
+            ("requests", _extra("num_requests", "d")),
+            ("rate (req/s)", _extra("rate_rps", ".0f")),
+            ("p99 e2e", lambda r: _fmt_ms((r.extra or {}).get("p99_e2e_s"))),
+            _GOODPUT,
+            ("SLO attainment", _extra("slo_attainment", ".2f")),
+            _RUN_ID,
+        ),
+        after=_goodput_chart,
+    ),
+    sweep_section,
+    Section(
         "Alerts",
         "deterministic SLO alerting evaluated inline on the simulated clock "
         "(<code>repro serve --alerts</code>): firing totals per arm, newest "
         "alert-bearing record per scheme × arrival",
         "no alert-bearing serve records yet (run <code>repro serve --alerts "
         "--ledger …</code> to evaluate the stock SLO rules inline)",
-        ["scheme", "arrival", "verdict", "fired", "resolved", "rules fired", "run_id"],
-        [
-            [
-                html.escape(row["scheme"]), html.escape(row["arrival"]),
-                _status_cell("fired" if row["fired"] else "quiet"),
-                row["fired"], row["resolved"],
-                f"<code>{html.escape(', '.join(row['rules_fired']) or '—')}</code>",
-                f"<code>{row['run_id']}</code>",
-            ]
-            for row in rows
-        ],
-    )
-
-
-def _serve_chaos_section(rows: List[dict]) -> str:
-    return _table_section(
+        _newest("serve", lambda r: _arm(r) if "alerts" in (r.extra or {}) else None),
+        (
+            _SCHEME,
+            _ARRIVAL,
+            (
+                "verdict",
+                lambda r: _status_cell("fired" if r.extra["alerts"].get("fired") else "quiet"),
+            ),
+            ("fired", lambda r: r.extra["alerts"].get("fired", 0)),
+            ("resolved", lambda r: r.extra["alerts"].get("resolved", 0)),
+            (
+                "rules fired",
+                lambda r: "<code>{}</code>".format(
+                    html.escape(", ".join(r.extra["alerts"].get("rules_fired") or []) or "—")
+                ),
+            ),
+            _RUN_ID,
+        ),
+    ),
+    Section(
         "Serving under chaos",
         "fault-injected decode (<code>repro chaos --serve</code>): rank crashes, "
         "flaky links and stragglers recovered by step re-execution; "
@@ -765,41 +727,40 @@ def _serve_chaos_section(rows: List[dict]) -> str:
         "no serve-chaos records yet (run <code>repro chaos --serve --quick "
         "--ledger …</code> to replay seeded traffic through a fault-injected "
         "decode loop)",
-        ["scheme", "arrival", "requests", "token-identical", "crashes", "retries",
-         "recovered steps", "recovery time", "goodput (tok/s)", "verdict", "run_id"],
-        [
-            [
-                html.escape(row["scheme"]), html.escape(row["arrival"] or "—"),
-                _num(row["requests"], "d"),
-                _status_cell("pass" if row["token_identical"] else "fail"),
-                _num(row["crashes"], "d"), _num(row["retries"], "d"),
-                _num(row["recovered_steps"], "d"), _fmt_ms(row["recovery_s"]),
-                _num(row["goodput"], ".1f"),
-                _status_cell("pass" if row["ok"] else "fail"),
-                f"<code>{row['run_id']}</code>",
-            ]
-            for row in rows
-        ],
-    )
-
-
-def _runs_section(records: Sequence[RunRecord]) -> str:
-    return _table_section(
-        "Run ledger", "", None,
-        ["run_id", "kind", "scheme", "label", "ranks", "sim clock", "peak mem",
-         "comm", "git"],
-        [
-            [
-                f"<code>{r.run_id}</code>", html.escape(r.kind), html.escape(r.scheme or "—"),
-                html.escape(r.label or "—"), (r.mesh or {}).get("ranks", "—"),
-                _fmt_secs(r.clock),
-                _fmt_bytes((r.counters or {}).get("peak_memory_bytes")),
-                _fmt_bytes((r.counters or {}).get("total_bytes_comm")),
-                f"<code>{html.escape(r.git)}</code>",
-            ]
-            for r in records
-        ],
-    )
+        _newest("serve-chaos", lambda r: r.scheme or "?"),
+        (
+            _SCHEME,
+            ("arrival", lambda r: html.escape((r.extra or {}).get("arrival") or "—")),
+            ("requests", _extra("num_requests", "d")),
+            ("token-identical", _verdict("token_identical")),
+            ("crashes", _extra("crashes", "d")),
+            ("retries", _extra("retries", "d")),
+            ("recovered steps", _extra("recovered_steps", "d")),
+            ("recovery time", lambda r: _fmt_ms((r.extra or {}).get("recovery_s"))),
+            _GOODPUT,
+            ("verdict", _verdict("ok")),
+            _RUN_ID,
+        ),
+    ),
+    trends_section,
+    Section(
+        "Run ledger",
+        "",
+        None,
+        lambda records, card: records,
+        (
+            _RUN_ID,
+            ("kind", lambda r: html.escape(r.kind)),
+            ("scheme", lambda r: html.escape(r.scheme or "—")),
+            ("label", lambda r: html.escape(r.label or "—")),
+            ("ranks", lambda r: (r.mesh or {}).get("ranks", "—")),
+            ("sim clock", lambda r: _fmt_secs(r.clock)),
+            ("peak mem", lambda r: _fmt_bytes((r.counters or {}).get("peak_memory_bytes"))),
+            ("comm", lambda r: _fmt_bytes((r.counters or {}).get("total_bytes_comm"))),
+            ("git", lambda r: f"<code>{html.escape(r.git)}</code>"),
+        ),
+    ),
+)
 
 
 def render_html(records: Sequence[RunRecord], card: dict) -> str:
@@ -815,14 +776,7 @@ def render_html(records: Sequence[RunRecord], card: dict) -> str:
         "<h1>Optimus reproduction — run dashboard</h1>"
         f"<p class='muted'>{len(records)} ledger records ({counts}) · "
         f"git <code>{html.escape(git_revision())}</code></p>"
-        + _claims_section(card)
-        + _attribution_section(attribution_rows(records))
-        + _serving_section(serving_rows(records))
-        + _sweep_section(sweep_series(records))
-        + _alerts_section(alerts_rows(records))
-        + _serve_chaos_section(serve_chaos_rows(records))
-        + _trends_section(trend_series(records), sparkline_series(records))
-        + _runs_section(records)
+        + "".join(section(records, card) for section in SECTIONS)
         + "</body></html>"
     )
 
@@ -833,7 +787,7 @@ def render_openmetrics_for_records(records: Sequence[RunRecord]) -> str:
 
     # merge all kinds into one exposition; kind/run_id labels keep series distinct
     merged: List[dict] = []
-    for _kind, r in _newest_by(records, None, lambda r: r.kind if r.metrics else None):
+    for r in _newest_by(records, None, lambda r: r.kind if r.metrics else None):
         for e in r.metrics:
             e = dict(e)
             e["labels"] = dict(e.get("labels") or {})

@@ -144,7 +144,7 @@ class MetricsServer(ThreadingHTTPServer):
 # repro metrics serve <ledger>
 # ----------------------------------------------------------------------
 def serve_ledger_metrics(
-    ledger_dir: str,
+    ledger: str,
     port: int = 9464,
     hold: Optional[float] = None,
     printer=print,
@@ -155,17 +155,17 @@ def serve_ledger_metrics(
     from repro.obs.dash import render_openmetrics_for_records
     from repro.obs.ledger import RunLedger
 
-    ledger = RunLedger(ledger_dir)
+    led = RunLedger(ledger)
 
     def render() -> str:
-        return render_openmetrics_for_records(ledger.read())
+        return render_openmetrics_for_records(led.read())
 
     render()  # fail fast on an unreadable ledger before binding the port
     server = MetricsServer(port=port)
     server.attach_renderer(render)
     server.start()
     printer(
-        f"serving ledger metrics from {ledger_dir} on "
+        f"serving ledger metrics from {ledger} on "
         f"http://127.0.0.1:{server.port}/metrics"
         + (f" for {hold:g}s" if hold is not None else " (ctrl-c to stop)")
     )

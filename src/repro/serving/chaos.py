@@ -24,6 +24,7 @@ and straggler skew all show up in the ``recovery`` phase and in
 
 from __future__ import annotations
 
+import sys
 from typing import Optional, Sequence
 
 from repro.obs.ledger import RunLedger
@@ -34,7 +35,7 @@ from repro.resilience.faults import (
     TransientCollectiveFault,
 )
 from repro.resilience.injector import FaultInjector
-from repro.serving.report import DEFAULTS, SCHEMES, Harness, write_report
+from repro.serving.report import DEFAULTS, SCHEMES, Harness, reject_dropped, write_report
 
 REPORT_SCHEMA = "repro-serve-chaos-v1"
 
@@ -66,7 +67,9 @@ def default_serving_schedule(seed: int, baseline_steps: int) -> FaultSchedule:
         # a link that keeps timing out past the budget: the step is abandoned
         # and re-executed (the recovery path)
         TransientCollectiveFault(
-            step=at(8 + off), index=0, fails=INJECTOR_KW["max_retries"] + 1,
+            step=at(8 + off),
+            index=0,
+            fails=INJECTOR_KW["max_retries"] + 1,
             mode="timeout",
         ),
         Straggler(rank=1, start_step=at(11 + off), num_steps=3, factor=3.0),
@@ -175,14 +178,24 @@ def render(report: dict) -> str:
 def main(
     seed: int = 0,
     quick: bool = False,
-    schemes: Sequence[str] = SCHEMES,
+    schemes: Optional[Sequence[str]] = None,
     out: Optional[str] = None,
-    ledger_dir: Optional[str] = None,
+    ledger: Optional[str] = None,
+    **dropped,
 ) -> int:
-    """Driver for ``python -m repro chaos --serve`` (returns exit code)."""
+    """Driver for ``python -m repro chaos --serve`` (returns exit code).
+
+    ``dropped`` takes the training campaign's flags (``--steps``,
+    ``--trace-out``); one given is a usage error, exit 2 before anything runs.
+    """
     try:
-        ledger = RunLedger(ledger_dir) if ledger_dir else None
-        report = run_serve_chaos(seed, quick=quick, schemes=tuple(schemes), ledger=ledger)
+        reject_dropped("--serve", dropped)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    schemes, ledger = tuple(schemes or SCHEMES), RunLedger(ledger) if ledger else None
+    try:
+        report = run_serve_chaos(seed, quick=quick, schemes=schemes, ledger=ledger)
     except ValueError as exc:
         print(f"error: {exc}")
         return 2

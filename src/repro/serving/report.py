@@ -131,9 +131,18 @@ def run_arm(
     blocks_per_group = blocks * q // SCHEME_TABLE[scheme].kv_pools(q * q)
     alerts = AlertEngine(alert_rules) if alert_rules else None
     engine = make_engine(
-        scheme, cfg, params, q, slots, block_size, blocks_per_group,
-        options=options, injector=injector,
-        trace=trace, slo=(slo_ttft, slo_tpot), counter_epoch=counter_epoch,
+        scheme,
+        cfg,
+        params,
+        q,
+        slots,
+        block_size,
+        blocks_per_group,
+        options=options,
+        injector=injector,
+        trace=trace,
+        slo=(slo_ttft, slo_tpot),
+        counter_epoch=counter_epoch,
         alerts=alerts,
     )
     if metrics_server is not None:
@@ -430,8 +439,13 @@ def run_sweep(
     points = []
     for rate in rates:
         report = run_serve(
-            seed, quick=quick, schemes=schemes, arrivals=arrivals,
-            rate_rps=rate, ledger=ledger, **kw,
+            seed,
+            quick=quick,
+            schemes=schemes,
+            arrivals=arrivals,
+            rate_rps=rate,
+            ledger=ledger,
+            **kw,
         )
         for entry in report["schemes"]:
             points.append(
@@ -713,96 +727,124 @@ def _load_alert_rules(path: str) -> List[AlertRule]:
         raise ValueError(f"alert-rules file {path!r}: {exc}")
 
 
-#: the flags (argparse dests) ``--preempt-ab`` reads: it runs a fixed
-#: overload profile, so any other flag given with it would be dropped
-#: (``--threshold`` always has a value; ``--compare`` is the flag checked)
-PREEMPT_AB_FLAGS = ("command", "seed", "quick", "scheme", "out", "preempt_ab", "threshold")
-#: the flags a ``--sweep`` would drop: it sets the offered load itself and
-#: has no baseline to gate
-SWEEP_DROPS = ("rate", "compare")
-
-
-def _check_dropped(args) -> None:
-    """ValueError on the first flag given that the campaign would not read."""
-    if args.preempt_ab:
-        mode, dests = "--preempt-ab", [k for k in vars(args) if k not in PREEMPT_AB_FLAGS]
-    else:
-        mode, dests = "--sweep", SWEEP_DROPS if args.sweep else ()
-    for dest in dests:
-        value = getattr(args, dest)
+def reject_dropped(mode: str, dropped: dict) -> None:
+    """ValueError on the first flag given (argparse dest → value other than
+    ``None`` / ``False``) that the ``mode`` campaign would not read."""
+    for dest, value in dropped.items():
         if value is not None and value is not False:
             raise ValueError(f"--{dest.replace('_', '-')} cannot be combined with {mode}")
 
 
-def cmd_serve(args) -> int:
-    """Driver for ``python -m repro serve``: maps the flags onto one
-    campaign, then prints its rendering, writes its report and returns the
-    exit code (2, before anything runs, for a dropped flag, a bad value or
-    an unreadable ``--compare`` / ``--alert-rules`` file)."""
-    lifecycle = dict(
-        policy=args.policy,
-        swap_blocks=args.swap_blocks,
-        swap_gbps=args.swap_bw,
-        deadline=args.deadline,
-        retries=args.retries,
-        max_queue_depth=args.max_queue_depth,
-    )
+def cmd_preempt_ab(seed, quick, scheme, out, threshold, **dropped) -> int:
+    """Driver for ``python -m repro serve --preempt-ab``: it runs a fixed
+    overload profile, so any other flag given is a usage error (exit 2,
+    before anything runs); ``--threshold`` always has a value."""
     try:
-        _check_dropped(args)
-        check_slos(args.slo_ttft, args.slo_tpot)
-        lifecycle_options(**lifecycle)
-        rates = sweep_rates(args.sweep.split(",")) if args.sweep else None
-        baseline = load_baseline(args.compare) if args.compare else None
-        rules = _load_alert_rules(args.alert_rules) if args.alert_rules else None
+        reject_dropped("--preempt-ab", dropped)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    schemes = tuple(args.scheme) if args.scheme else SCHEMES
-    arrivals = tuple(args.arrival) if args.arrival else None
+    report = run_preempt_ab(seed, quick=quick, schemes=tuple(scheme) if scheme else SCHEMES)
+    if out:
+        write_report(report, out)
+    print(render_preempt_ab(report))
+    return 0 if report["ok"] else 1
+
+
+def cmd_serve(
+    seed,
+    quick,
+    scheme,
+    arrival,
+    requests,
+    rate,
+    q,
+    slots,
+    block_size,
+    blocks,
+    slo_ttft,
+    slo_tpot,
+    out,
+    ledger,
+    compare,
+    threshold,
+    policy,
+    swap_blocks,
+    swap_bw,
+    deadline,
+    retries,
+    max_queue_depth,
+    metrics_port,
+    metrics_hold,
+    alerts,
+    alert_rules,
+    sweep,
+) -> int:
+    """Driver for ``python -m repro serve``, called with its flags (argparse
+    dests): checks them, runs the serve or ``--sweep`` campaign, then prints
+    its rendering, writes its report and returns the exit code (2, before
+    anything runs, for a flag the sweep would drop, a bad value or an
+    unreadable ``--compare`` / ``--alert-rules`` file)."""
+    lifecycle = dict(
+        policy=policy,
+        swap_blocks=swap_blocks,
+        swap_gbps=swap_bw,
+        deadline=deadline,
+        retries=retries,
+        max_queue_depth=max_queue_depth,
+    )
+    try:
+        if sweep:  # the sweep sets the offered load itself and has no baseline to gate
+            reject_dropped("--sweep", dict(rate=rate, compare=compare))
+        check_slos(slo_ttft, slo_tpot)
+        lifecycle_options(**lifecycle)
+        rates = sweep_rates(sweep.split(",")) if sweep else None
+        baseline = load_baseline(compare) if compare else None
+        rules = _load_alert_rules(alert_rules) if alert_rules else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     kw = dict(
-        quick=args.quick,
-        schemes=schemes,
-        requests=args.requests,
-        q=args.q,
-        slots=args.slots,
-        block_size=args.block_size,
-        blocks=args.blocks,
-        slo_ttft=args.slo_ttft,
-        slo_tpot=args.slo_tpot,
+        quick=quick,
+        schemes=tuple(scheme) if scheme else SCHEMES,
+        requests=requests,
+        q=q,
+        slots=slots,
+        block_size=block_size,
+        blocks=blocks,
+        slo_ttft=slo_ttft,
+        slo_tpot=slo_tpot,
         **lifecycle,
-        ledger=RunLedger(args.ledger) if args.ledger else None,
-        alerts=args.alerts,
+        ledger=RunLedger(ledger) if ledger else None,
+        alerts=alerts,
         alert_rules=rules,
     )
 
     server = None
-    if args.metrics_port is not None:
+    if metrics_port is not None:
         from repro.obs.live import MetricsServer
 
-        server = MetricsServer(port=args.metrics_port).start()
+        server = MetricsServer(port=metrics_port).start()
         print(f"metrics endpoint: http://127.0.0.1:{server.port}/metrics")
         kw["metrics_server"] = server
 
+    arrivals = tuple(arrival) if arrival else None
     try:
-        if args.preempt_ab:
-            report = run_preempt_ab(args.seed, quick=args.quick, schemes=schemes)
-            ok, text = report["ok"], render_preempt_ab(report)
-        elif args.sweep:
-            report = run_sweep(args.seed, rates=rates, arrivals=arrivals or ("poisson",), **kw)
+        if sweep:
+            report = run_sweep(seed, rates=rates, arrivals=arrivals or ("poisson",), **kw)
             ok, text = True, render_sweep(report)
         else:
-            arrivals = arrivals or ARRIVAL_PROFILES
-            report = run_serve(args.seed, arrivals=arrivals, rate_rps=args.rate, **kw)
+            report = run_serve(seed, arrivals=arrivals or ARRIVAL_PROFILES, rate_rps=rate, **kw)
             ok, text = True, render_text(report)
             if baseline is not None:
-                ok, gate = compare_reports(report, baseline, threshold=args.threshold)
-                head = f"SLO gate vs {args.compare} (threshold {args.threshold:.0%}):"
+                ok, gate = compare_reports(report, baseline, threshold=threshold)
+                head = f"SLO gate vs {compare} (threshold {threshold:.0%}):"
                 text = "\n".join([text, "", head] + ["  " + line for line in gate])
-        if args.out:
-            write_report(report, args.out)
+        if out:
+            write_report(report, out)
         print(text)
-        if ok and server is not None and args.metrics_hold:
-            server.hold(args.metrics_hold)
+        if ok and server is not None and metrics_hold:
+            server.hold(metrics_hold)
         return 0 if ok else 1
     finally:
         if server is not None:

@@ -95,8 +95,15 @@ class ServingTelemetry:
                 continue
             phase = "prefill" if st.prefill_lane else "decode"
             self._event(
-                phase, self._ranks_of(e.slot), t0, t1,
-                rid=st.request.rid, step=step, slot=e.slot, pos=e.pos, phase=phase,
+                phase,
+                self._ranks_of(e.slot),
+                t0,
+                t1,
+                rid=st.request.rid,
+                step=step,
+                slot=e.slot,
+                pos=e.pos,
+                phase=phase,
             )
 
     def on_first_token(self, state, t: float) -> None:
@@ -105,8 +112,12 @@ class ServingTelemetry:
     def on_recovery(self, t0: float, t1: float, step: int) -> None:
         if self.tracing:
             self.sim.tracer.record(
-                "request", self.engine.all_ranks, t0, t1,
-                label="recovery", attrs={"step": step, "phase": "recovery"},
+                "request",
+                self.engine.all_ranks,
+                t0,
+                t1,
+                label="recovery",
+                attrs={"step": step, "phase": "recovery"},
             )
 
     def on_step(self, step: int, now: float, prompt_delta: int, gen_delta: int) -> None:
@@ -130,11 +141,16 @@ class ServingTelemetry:
         """An alert transition: point event in the trace (metrics untouched)."""
         if self.tracing:
             self.sim.tracer.record(
-                "alert", self.engine.all_ranks, event.t, event.t,
+                "alert",
+                self.engine.all_ranks,
+                event.t,
+                event.t,
                 label=f"{event.rule}:{event.state}",
                 attrs={
-                    "rule": event.rule, "state": event.state,
-                    "severity": event.severity, "step": event.step,
+                    "rule": event.rule,
+                    "state": event.state,
+                    "severity": event.severity,
+                    "step": event.step,
                     "value": event.value,
                 },
             )

@@ -438,26 +438,26 @@ class TestCounterRestart:
 class TestDashIntegration:
     def test_attribution_rows_and_section_render(self, tmp_path):
         from repro.experiments.runner import run_optimus_stem
-        from repro.obs.dash import _attribution_section, attribution_rows
+        from repro.obs.dash import SECTIONS
         from repro.obs.ledger import RunLedger
 
         led = RunLedger(str(tmp_path / "ledger.jsonl"))
         run_optimus_stem(tiny_config(num_layers=2), 2, 2, ledger=led, trace=True)
-        rows = attribution_rows(led.read())
-        assert len(rows) == 1 and rows[0]["conservation_ok"]
-        html_text = _attribution_section(rows)
+        (att,) = [s for s in SECTIONS if getattr(s, "title", None) == "Attribution (critical path)"]
+        rows = att.rows(led.read(), {})
+        assert len(rows) == 1 and rows[0].attribution["conservation_ok"]
+        html_text = att(led.read(), {})
         assert "Attribution" in html_text and "PASS" in html_text
 
     def test_sparkline_series_keyed_on_git_rev(self):
-        from repro.obs.dash import _sparkline, sparkline_series
+        from repro.obs.dash import _sparkline, trend_series
         from repro.obs.ledger import RunRecord
 
         def rec(git, clock):
             return RunRecord(kind="train", scheme="optimus", label="t",
                              clock=clock, git=git)
 
-        series = sparkline_series([rec("aaa", 1.0), rec("aaa", 2.0),
-                                   rec("bbb", 3.0)])
+        _, series = trend_series([rec("aaa", 1.0), rec("aaa", 2.0), rec("bbb", 3.0)])
         # newest value per revision, in first-appearance order
         assert series["clock"] == [("aaa", 2.0), ("bbb", 3.0)]
         svg = _sparkline(series["clock"])

@@ -352,7 +352,8 @@ def test_decode_step_attends_once_per_shard_group_and_charges_per_lane(monkeypat
 
     calls = {"kernel": 0, "gather": 0, "layernorm": 0}
     monkeypatch.setattr(
-        serving_engine, "decode_attention_fwd",
+        serving_engine,
+        "decode_attention_fwd",
         _counted(calls, "kernel", serving_engine.decode_attention_fwd),
     )
     monkeypatch.setattr(ShardedKVCache, "gather", _counted(calls, "gather", ShardedKVCache.gather))
@@ -397,7 +398,11 @@ def test_megatron_replicated_layernorm_runs_once_per_group_not_per_rank(monkeypa
     from repro.training import Adam
 
     cfg = ModelConfig(
-        vocab_size=3200, hidden_size=128, num_heads=16, num_layers=4, seq_len=32,
+        vocab_size=3200,
+        hidden_size=128,
+        num_heads=16,
+        num_layers=4,
+        seq_len=32,
         dtype="float64",
     )
     params = init_transformer_params(cfg, seed=0, dtype="float64")

@@ -513,14 +513,73 @@ class TestDash:
         assert validate_openmetrics(om.read_text()) == []
 
     def test_collected_ledger_fills_the_row_sections(self, evidence_ledger):
-        from repro.obs.dash import attribution_rows, serve_chaos_rows, serving_rows
+        from repro.obs.dash import SECTIONS
 
         records = evidence_ledger.read()
-        att = attribution_rows(records)
-        assert att and all(r["conservation_ok"] for r in att)
-        assert serving_rows(records)
-        chaos = serve_chaos_rows(records)
-        assert chaos and all(r["token_identical"] for r in chaos)
+        tables = {s.title: s for s in SECTIONS if hasattr(s, "title")}
+        att = tables["Attribution (critical path)"].rows(records, {})
+        assert att and all(r.attribution["conservation_ok"] for r in att)
+        assert tables["Serving"].rows(records, {})
+        chaos = tables["Serving under chaos"].rows(records, {})
+        assert chaos and all(r.extra["token_identical"] for r in chaos)
+
+    def test_committed_dashboard_is_the_render_of_the_committed_ledger(self, monkeypatch):
+        """``benchmarks/ledger/dash.html`` and ``metrics.txt`` are the
+        dashboard of ``ledger.jsonl``, byte for byte, at the revision the
+        page names."""
+        import repro.obs.ledger as ledger_mod
+        from repro.obs.claims import scorecard
+        from repro.obs.dash import render_html, render_openmetrics_for_records
+
+        root = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "ledger"
+        monkeypatch.setattr(ledger_mod, "git_revision", lambda cwd=None: "9e860b5d725a")
+        records = RunLedger(str(root)).read()
+        assert render_html(records, scorecard(records)) == (root / "dash.html").read_text()
+        assert render_openmetrics_for_records(records) == (root / "metrics.txt").read_text()
+
+    def test_a_ledger_with_every_section_renders_pinned_bytes(self, tmp_path, monkeypatch):
+        """A traced stem, a quick serve, a two-rate sweep, the alerting
+        overload run and a serving chaos campaign fill every table and
+        chart; the page and the OpenMetrics text are pinned (records at two
+        revisions, so the sparklines have two points).  A change to any of
+        those runs' records moves the pins too."""
+        import dataclasses
+
+        import repro.obs.ledger as ledger_mod
+        from repro.experiments.runner import run_optimus_stem
+        from repro.obs.claims import scorecard
+        from repro.obs.dash import render_html, render_openmetrics_for_records
+        from repro.serving.chaos import run_serve_chaos
+        from repro.serving.report import run_serve, run_sweep
+
+        led = RunLedger(str(tmp_path / "ledger.jsonl"))
+        run_optimus_stem(tiny_config(num_layers=2), 2, 2, ledger=led, trace=True)
+        run_serve(0, quick=True, requests=6, ledger=led)
+        run_sweep(
+            0, rates=(500.0, 4000.0), quick=True, requests=6, schemes=("optimus",), ledger=led
+        )
+        overload = dict(quick=True, rate_rps=8000.0, requests=24, schemes=("optimus",))
+        run_serve(0, alerts=True, ledger=led, **overload)
+        run_serve_chaos(0, quick=True, schemes=("optimus",), ledger=led)
+        records = led.read()
+        half = len(records) // 2
+        records = [
+            dataclasses.replace(r, git="aaaaaaaaaaaa" if i < half else "bbbbbbbbbbbb")
+            for i, r in enumerate(records)
+        ]
+        monkeypatch.setattr(ledger_mod, "git_revision", lambda cwd=None: "cccccccccccc")
+
+        def sha(text: str) -> str:
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        page = render_html(records, scorecard(records))
+        for title in ("Attribution (critical path)", "Serving", "Alerts", "Serving under chaos"):
+            assert f"<h2>{title}</h2><p class='muted'>no " not in page, title
+        assert "no sweep points yet" not in page
+        assert sha(page) == "2f79f5d3c4d9b42cc6fb700d6595092b5ac9d227ced35e1ce9583bd6f558d73e"
+        assert sha(render_openmetrics_for_records(records)) == (
+            "66957f9bccc7323c42122279bbec16d70c938083f91fd69c4b7b2e312290692c"
+        )
 
     def test_dash_refuses_empty_ledger_without_collect(self, tmp_path):
         from repro.obs.dash import main as dash_main

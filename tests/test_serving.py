@@ -643,13 +643,14 @@ class TestLedgerServe:
 
     def test_dash_serving_section(self, tmp_path):
         from repro.obs.claims import scorecard
-        from repro.obs.dash import render_html, serving_rows
+        from repro.obs.dash import SECTIONS, render_html
 
         led = RunLedger(str(tmp_path / "ledger.jsonl"))
         run_serve(0, quick=True, requests=6, ledger=led)
         records = led.read()
-        rows = serving_rows(records)
-        arms = {(r["scheme"], r["arrival"]) for r in rows}
+        (serving,) = [s for s in SECTIONS if getattr(s, "title", None) == "Serving"]
+        rows = serving.rows(records, {})
+        arms = {(r.scheme, r.extra["arrival"]) for r in rows}
         assert arms == {("optimus", "poisson"), ("megatron", "poisson")}
         html_text = render_html(records, scorecard(records))
         assert "<h2>Serving</h2>" in html_text
@@ -1010,8 +1011,14 @@ class TestDeadlinesAndRetries:
 
     def test_lifecycle_report_sections_appear_when_enabled(self):
         rep = run_serve(
-            0, quick=True, requests=4, policy="preempt", swap_blocks=8,
-            deadline=5.0, retries=1, max_queue_depth=8,
+            0,
+            quick=True,
+            requests=4,
+            policy="preempt",
+            swap_blocks=8,
+            deadline=5.0,
+            retries=1,
+            max_queue_depth=8,
         )
         assert rep["serving"]["lifecycle"]["policy"] == "preempt"
         assert rep["serving"]["lifecycle"]["swap_blocks"] == 8

@@ -126,14 +126,15 @@ class TestServeChaos:
 
     def test_dash_serve_chaos_section(self, tmp_path):
         from repro.obs.claims import scorecard
-        from repro.obs.dash import render_html, serve_chaos_rows
+        from repro.obs.dash import SECTIONS, render_html
 
         led = RunLedger(str(tmp_path / "ledger.jsonl"))
         run_serve_chaos(0, quick=True, schemes=("optimus",), ledger=led)
         records = led.read()
-        rows = serve_chaos_rows(records)
-        assert [r["scheme"] for r in rows] == ["optimus"]
-        assert rows[0]["token_identical"] is True
+        (chaos,) = [s for s in SECTIONS if getattr(s, "title", None) == "Serving under chaos"]
+        rows = chaos.rows(records, {})
+        assert [r.scheme for r in rows] == ["optimus"]
+        assert rows[0].extra["token_identical"] is True
         html_text = render_html(records, scorecard(records))
         assert "<h2>Serving under chaos</h2>" in html_text
 
@@ -254,6 +255,25 @@ class TestChaosCLI:
         assert doc["report"] == "repro-serve-chaos-v1"
         assert doc["ok"] is True
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["--steps", "7"], "--steps"), (["--trace-out", "t.json"], "--trace-out")],
+        ids=["steps", "trace-out"],
+    )
+    def test_a_training_flag_with_serve_is_a_usage_error(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        """The serving campaign reads neither flag: it used to exit 0 without
+        writing the trace it was asked for."""
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["chaos", "--serve", "--quick", "--scheme", "optimus", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} cannot be combined with --serve\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # nothing ran, nothing written
 
 
 class TestTrafficDeadlines:

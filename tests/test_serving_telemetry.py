@@ -41,8 +41,13 @@ def _scrape(url, timeout=2.0):
 class TestAlertRules:
     def test_rule_roundtrip(self):
         r = AlertRule(
-            "q", "serving/queue_depth", ">=", 8.0, for_s=1e-3,
-            severity="critical", labels=(("scheme", "optimus"),),
+            "q",
+            "serving/queue_depth",
+            ">=",
+            8.0,
+            for_s=1e-3,
+            severity="critical",
+            labels=(("scheme", "optimus"),),
         )
         d = r.to_dict()
         assert d["expr"].startswith("serving/queue_depth")
@@ -107,8 +112,11 @@ class TestAlertRules:
     def test_default_rules_cover_slo_and_capacity(self):
         names = {r.name for r in default_serving_rules(0.5, 0.05, 8)}
         assert names == {
-            "ttft-p99-burn", "tpot-p99-burn", "queue-depth-ceiling",
-            "kv-occupancy-high", "goodput-floor",
+            "ttft-p99-burn",
+            "tpot-p99-burn",
+            "queue-depth-ceiling",
+            "kv-occupancy-high",
+            "goodput-floor",
         }
 
 
@@ -268,19 +276,22 @@ class TestSweepAndDash:
     def test_sweep_report_and_dash_curve(self, tmp_path):
         led = RunLedger(str(tmp_path / "ledger.jsonl"))
         doc = run_sweep(
-            0, rates=(500.0, 4000.0), quick=True, schemes=("optimus",),
+            0,
+            rates=(500.0, 4000.0),
+            quick=True,
+            schemes=("optimus",),
             ledger=led,
         )
         assert doc["report"] == "repro-serve-sweep-v1"
         assert [p["rate_rps"] for p in doc["points"]] == [500.0, 4000.0]
         assert all(p["p99_e2e_s"] > 0 for p in doc["points"])
 
-        from repro.obs.dash import _sweep_section, sweep_series
+        from repro.obs.dash import sweep_section, sweep_series
 
         series = sweep_series(led.read())
         assert "optimus/poisson" in series["p99_e2e_s"]
         assert len(series["p99_e2e_s"]["optimus/poisson"]) == 2
-        html_text = _sweep_section(series)
+        html_text = sweep_section(led.read())
         assert "<svg" in html_text and "<script" not in html_text
 
     def test_sweep_rejects_bad_rates(self):
@@ -295,11 +306,12 @@ class TestSweepAndDash:
         (rec,) = [r for r in led.read() if r.kind == "serve"]
         assert rec.extra["alerts"]["fired"] >= 1
 
-        from repro.obs.dash import _alerts_section, alerts_rows
+        from repro.obs.dash import SECTIONS
 
-        rows = alerts_rows(led.read())
-        assert rows and rows[0]["fired"] >= 1
-        html_text = _alerts_section(rows)
+        (alerts,) = [s for s in SECTIONS if getattr(s, "title", None) == "Alerts"]
+        rows = alerts.rows(led.read(), {})
+        assert rows and rows[0].extra["alerts"]["fired"] >= 1
+        html_text = alerts(led.read(), {})
         assert "FIRED" in html_text and "<script" not in html_text
 
 
