@@ -32,6 +32,7 @@ from typing import Callable, List
 import numpy as np
 
 from repro.config import ModelConfig
+from repro.utils import UsageError
 
 #: (rtol, atol) per parameter dtype
 TOLERANCES = {
@@ -321,6 +322,8 @@ def run_check(
     printer: Callable[[str], None] = print,
 ) -> bool:
     """Run ``trials`` fuzzed equivalence trials; True when all pass."""
+    if trials < 1:  # zero trials would pass with nothing checked
+        raise UsageError(f"--trials: must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     all_ok = True
     for t in range(trials):

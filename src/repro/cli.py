@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 from repro.experiments import fig7, fig8, fig9, isoefficiency, report, table1, table2, table3
+from repro.utils import UsageError
 
 
 def _cmd_verify() -> None:
@@ -80,6 +82,43 @@ DRIVERS: Dict[str, str] = {
     "serve": "repro.serving.report:cmd_serve",
     "serve --preempt-ab": "repro.serving.report:cmd_preempt_ab",
 }
+#: per driver row, what its signature cannot say (argparse dests): a flag
+#: that only qualifies another, which must be given with it ...
+NEEDS: Dict[str, Dict[str, str]] = {
+    "critpath": {"ledger": "calibrate"},
+    "serve": {"threshold": "compare", "metrics_hold": "metrics_port"},
+}
+#: ... and a flag that selects a mode, with the flags that mode leaves unread
+EXCLUDES: Dict[str, Dict[str, Tuple[str, ...]]] = {
+    "serve": {"sweep": ("rate_rps", "compare")},
+}
+
+
+def driver_kwargs(command: str, driver, args: dict, parser: argparse.ArgumentParser) -> dict:
+    """The parsed ``args`` (dest → value) that ``driver``, the ``command``
+    row's function, takes.  A flag given (its value is not the default)
+    that the campaign would not read is a :class:`UsageError` naming its
+    option string: one ``driver`` has no parameter for, one :data:`EXCLUDES`
+    lists for a mode given, or one :data:`NEEDS` ties to a flag not given."""
+    flag = {a.dest: a.option_strings[0] for a in parser._actions if a.option_strings}
+    params = inspect.signature(driver).parameters
+    takes_all = any(p.kind is p.VAR_KEYWORD for p in params.values())
+
+    def given(dest: str) -> bool:
+        return args[dest] != parser.get_default(dest)
+
+    mode = command.partition(" ")[2] or command
+    for dest in args:
+        if not (takes_all or dest in params) and given(dest):
+            raise UsageError(f"{flag[dest]} cannot be combined with {mode}")
+    for mode_dest, unread in EXCLUDES.get(command, {}).items():
+        for dest in unread:
+            if given(mode_dest) and given(dest):
+                raise UsageError(f"{flag[dest]} cannot be combined with {flag[mode_dest]}")
+    for dest, needed in NEEDS.get(command, {}).items():
+        if given(dest) and not given(needed):
+            raise UsageError(f"{flag[dest]} requires {flag[needed]}")
+    return {dest: value for dest, value in args.items() if takes_all or dest in params}
 
 
 def main(argv=None) -> int:
@@ -246,18 +285,19 @@ def main(argv=None) -> int:
         help="short poisson-only run (CI smoke job)",
     )
     srv.add_argument(
-        "--scheme", action="append", default=None,
+        "--scheme", action="append", default=None, dest="schemes",
         choices=SCHEMES,
         help="restrict to a scheme (repeatable; default: both)",
     )
     srv.add_argument(
-        "--arrival", action="append", default=None,
+        "--arrival", action="append", default=None, dest="arrivals",
         choices=ARRIVAL_PROFILES,
         help="restrict to an arrival profile (repeatable; default: both)",
     )
     srv.add_argument("--requests", type=int, default=None, help="request count")
     srv.add_argument(
-        "--rate", type=float, default=None, help="mean offered load (requests/s)"
+        "--rate", type=float, default=None, dest="rate_rps", metavar="RATE",
+        help="mean offered load (requests/s)",
     )
     srv.add_argument("--q", type=int, default=None, help="mesh side (devices = q²)")
     srv.add_argument(
@@ -291,7 +331,7 @@ def main(argv=None) -> int:
         help="SLO regression gate: exit 1 if p99 latency or goodput regresses",
     )
     srv.add_argument(
-        "--threshold", type=float, default=0.20,
+        "--threshold", type=float, default=None,
         help="relative SLO regression threshold (default 0.20)",
     )
     srv.add_argument(
@@ -305,7 +345,7 @@ def main(argv=None) -> int:
         "(0 = recompute fallback only)",
     )
     srv.add_argument(
-        "--swap-bw", type=float, default=None, metavar="GBPS",
+        "--swap-bw", type=float, default=None, dest="swap_gbps", metavar="GBPS",
         help="host swap link bandwidth per rank (GB/s, default 16)",
     )
     srv.add_argument(
@@ -397,7 +437,12 @@ def main(argv=None) -> int:
     command = args.pop("command")
     if command in DRIVERS:
         module, _, name = DRIVERS[command].partition(":")
-        return getattr(importlib.import_module(module), name)(**args)
+        driver = getattr(importlib.import_module(module), name)
+        try:  # a UsageError is raised before the driver does any work
+            return driver(**driver_kwargs(command, driver, args, sub.choices[command.split()[0]]))
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if command == "all":
         for name, result in PAPER_RESULTS.items():
             print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")

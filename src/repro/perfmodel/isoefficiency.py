@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from repro.perfmodel.costs import megatron_comm_forward, optimus_comm_forward
+from repro.perfmodel.costs import TABLE1
 
 
 def _work(h: float, s: float) -> float:
@@ -29,18 +29,21 @@ def _work(h: float, s: float) -> float:
     return 12.0 * h * s * h * h
 
 
-def efficiency_megatron(h: float, p: int, s: float = 512.0, beta_over_mac: float = 1.0) -> float:
-    """E = 1/(1 + p·T_comm/W), T_comm Table 1's forward row (β-weighted
-    scalars) at b = h."""
+def _efficiency(scheme: str, h: float, p: int, s: float, beta_over_mac: float) -> float:
+    """E = 1/(1 + p·T_comm/W), T_comm the scheme's Table 1 forward row
+    (β-weighted scalars) at b = h."""
     if p <= 1:
         return 1.0
-    return 1.0 / (1.0 + p * beta_over_mac * megatron_comm_forward(h, s, h, p) / _work(h, s))
+    comm = TABLE1[scheme].forward_comm(h, s, h, p)
+    return 1.0 / (1.0 + p * beta_over_mac * comm / _work(h, s))
+
+
+def efficiency_megatron(h: float, p: int, s: float = 512.0, beta_over_mac: float = 1.0) -> float:
+    return _efficiency("megatron", h, p, s, beta_over_mac)
 
 
 def efficiency_optimus(h: float, p: int, s: float = 512.0, beta_over_mac: float = 1.0) -> float:
-    if p <= 1:
-        return 1.0
-    return 1.0 / (1.0 + p * beta_over_mac * optimus_comm_forward(h, s, h, p) / _work(h, s))
+    return _efficiency("optimus", h, p, s, beta_over_mac)
 
 
 def isoefficiency_hidden(
@@ -58,12 +61,11 @@ def isoefficiency_hidden(
     """
     from scipy import optimize  # deferred: only this solve needs it
 
-    eff = {"megatron": efficiency_megatron, "optimus": efficiency_optimus}[scheme]
     if p <= 1:
         return 1.0
 
     def f(log_h):
-        return eff(math.exp(log_h), p, s, beta_over_mac) - target_efficiency
+        return _efficiency(scheme, math.exp(log_h), p, s, beta_over_mac) - target_efficiency
 
     lo, hi = math.log(1e-3), math.log(1e15)
     if f(hi) < 0:  # pragma: no cover - unreachable for sane targets

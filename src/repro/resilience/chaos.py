@@ -51,7 +51,7 @@ from repro.schemes import SCHEMES as SCHEME_TABLE
 from repro.training.data import BatchStream
 from repro.training.optim import Adam
 from repro.training.trainer import Trainer
-from repro.utils import write_text
+from repro.utils import UsageError, write_text
 
 SCHEMES = ("optimus", "megatron", "hybrid")
 
@@ -185,12 +185,12 @@ def run_campaign(
     """Run the full campaign; returns the (JSON-serializable) report."""
     num_steps = steps or (6 if quick else 10)
     if num_steps < 5:
-        raise ValueError("chaos campaigns need at least 5 steps")
+        raise UsageError("chaos campaigns need at least 5 steps")
     checkpoint_every = 2 if quick else 3
     schemes = tuple(schemes) if schemes else SCHEMES
     for s in schemes:
         if s not in SCHEMES:
-            raise ValueError(f"unknown chaos scheme {s!r} (choose from {SCHEMES})")
+            raise UsageError(f"unknown chaos scheme {s!r} (choose from {SCHEMES})")
     results = []
     ckpt_dir = tempfile.mkdtemp(prefix="repro-chaos-")
     try:
@@ -270,14 +270,10 @@ def main(
         from repro.obs.ledger import RunLedger
 
         ledger = RunLedger(ledger)
-    try:
-        report = run_campaign(
-            seed=seed, quick=quick, steps=steps, schemes=schemes,
-            trace_out=trace_out, ledger=ledger,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
+    report = run_campaign(
+        seed=seed, quick=quick, steps=steps, schemes=schemes,
+        trace_out=trace_out, ledger=ledger,
+    )
     print(render(report))
     if out:
         write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -24,7 +24,6 @@ and straggler skew all show up in the ``recovery`` phase and in
 
 from __future__ import annotations
 
-import sys
 from typing import Optional, Sequence
 
 from repro.obs.ledger import RunLedger
@@ -35,7 +34,7 @@ from repro.resilience.faults import (
     TransientCollectiveFault,
 )
 from repro.resilience.injector import FaultInjector
-from repro.serving.report import DEFAULTS, SCHEMES, Harness, reject_dropped, write_report
+from repro.serving.report import DEFAULTS, Harness, write_report
 
 REPORT_SCHEMA = "repro-serve-chaos-v1"
 
@@ -80,11 +79,12 @@ def run_serve_chaos(
     seed: int = 0,
     *,
     quick: bool = False,
-    schemes: Sequence[str] = SCHEMES,
+    schemes: Optional[Sequence[str]] = None,
     ledger: Optional[RunLedger] = None,
 ) -> dict:
-    """Run the fault-free and chaos arms for every scheme; returns the
-    campaign document (``ok`` is True only if every check passed)."""
+    """Run the fault-free and chaos arms for every scheme (``None``: both);
+    returns the campaign document (``ok`` is True only if every check
+    passed)."""
     h = Harness(seed, DEFAULTS, schemes, what="serving chaos scheme")
     knobs = dict(CAMPAIGN)
     if quick:
@@ -95,7 +95,7 @@ def run_serve_chaos(
 
     arms = []
     checks = {}
-    for scheme in schemes:
+    for scheme in h.schemes:
         baseline, _sim = h.arm(scheme, trace, arrival)
         schedule = default_serving_schedule(seed, baseline["steps"])
         injector = FaultInjector(schedule, seed=seed, **INJECTOR_KW)
@@ -181,24 +181,10 @@ def main(
     schemes: Optional[Sequence[str]] = None,
     out: Optional[str] = None,
     ledger: Optional[str] = None,
-    **dropped,
 ) -> int:
-    """Driver for ``python -m repro chaos --serve`` (returns exit code).
-
-    ``dropped`` takes the training campaign's flags (``--steps``,
-    ``--trace-out``); one given is a usage error, exit 2 before anything runs.
-    """
-    try:
-        reject_dropped("--serve", dropped)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    schemes, ledger = tuple(schemes or SCHEMES), RunLedger(ledger) if ledger else None
-    try:
-        report = run_serve_chaos(seed, quick=quick, schemes=schemes, ledger=ledger)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
+    """Driver for ``python -m repro chaos --serve`` (returns exit code)."""
+    ledger = RunLedger(ledger) if ledger else None
+    report = run_serve_chaos(seed, quick=quick, schemes=schemes, ledger=ledger)
     print(render(report))
     if out:
         write_report(report, out)

@@ -64,6 +64,9 @@ from repro.serving.scheduler import (
 from repro.serving.telemetry import ServingTelemetry
 from repro.serving.traffic import Request
 
+#: the cluster restart charge per recovered decode step (simulated seconds)
+RESTART_COST_S = 0.005
+
 
 @dataclass(frozen=True)
 class LaneInput:
@@ -196,7 +199,7 @@ class ServingEngine:
         self.model.drop_caches()
         self.model.buffers.reset_region("forward")
         self.sim.sync(self.all_ranks)
-        self.sim.advance(self.all_ranks, self.options.restart_cost_s)
+        self.sim.advance(self.all_ranks, RESTART_COST_S)
 
     def run(self, requests: List[Request]) -> ServingResult:
         sched = self.scheduler

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import asdict
 from typing import List, Optional, Sequence, Tuple
 
@@ -38,7 +37,7 @@ from repro.schemes import SCHEMES as SCHEME_TABLE
 from repro.serving.engine import ServingResult, make_engine
 from repro.serving.scheduler import ServingOptions
 from repro.serving.traffic import ARRIVAL_PROFILES, Request, TrafficGenerator
-from repro.utils import write_text
+from repro.utils import UsageError, write_text
 
 REPORT_SCHEMA = "repro-serve-v1"
 SWEEP_SCHEMA = "repro-serve-sweep-v1"
@@ -200,13 +199,17 @@ class Harness:
     """One serving campaign's setup: the scheme check, the deployed model
     (parameters drawn at :data:`PARAM_SEED` whatever the traffic seed), the
     engine keywords every arm runs with (read from ``knobs`` by
-    :data:`ENGINE_KEYS`) and the seeded traffic.  ``what`` names a scheme
-    in the unknown-scheme error."""
+    :data:`ENGINE_KEYS`) and the seeded traffic.  ``schemes`` are the arms'
+    schemes (``None``: all of them); ``what`` names a scheme in the
+    unknown-scheme error."""
 
-    def __init__(self, seed: int, knobs: dict, schemes: Sequence[str], what: str = "scheme"):
-        for s in schemes:
+    def __init__(
+        self, seed: int, knobs: dict, schemes: Optional[Sequence[str]], what: str = "scheme"
+    ):
+        self.schemes = tuple(schemes or SCHEMES)
+        for s in self.schemes:
             if s not in SCHEMES:
-                raise ValueError(f"unknown {what} {s!r} (choose from {SCHEMES})")
+                raise UsageError(f"unknown {what} {s!r} (choose from {SCHEMES})")
         self.seed = seed
         self.cfg = tiny_config(num_heads=4)
         self.params = init_transformer_params(self.cfg, seed=PARAM_SEED)
@@ -256,13 +259,17 @@ class Harness:
 
 
 # ----------------------------------------------------------------------
-# value checks: ValueError naming the flag (cmd_serve runs them up front)
+# value checks: UsageError naming the flag (cmd_serve runs them up front)
 # ----------------------------------------------------------------------
 def check_slos(slo_ttft, slo_tpot) -> None:
     """SLO bounds given must be positive (``None`` keeps the default)."""
     for flag, value in (("--slo-ttft", slo_ttft), ("--slo-tpot", slo_tpot)):
         if value is not None and value <= 0:
-            raise ValueError(f"{flag}: must be positive, got {value}")
+            raise UsageError(f"{flag}: must be positive, got {value}")
+
+
+#: :func:`run_serve`'s lifecycle keywords, in :func:`lifecycle_options`' order
+LIFECYCLE_KEYS = ("policy", "swap_blocks", "swap_gbps", "deadline", "retries", "max_queue_depth")
 
 
 def lifecycle_options(
@@ -287,11 +294,11 @@ def sweep_rates(rates: Sequence) -> List[float]:
         rates = [float(r) for r in rates if str(r).strip()]
     except ValueError:
         text = ",".join(map(str, rates))
-        raise ValueError(f"--sweep expects comma-separated rates, got {text!r}") from None
+        raise UsageError(f"--sweep expects comma-separated rates, got {text!r}") from None
     if not rates:
-        raise ValueError("--sweep: need at least one rate")
+        raise UsageError("--sweep: need at least one rate")
     if any(r <= 0 for r in rates):
-        raise ValueError(f"--sweep: rates must be positive, got {rates}")
+        raise UsageError(f"--sweep: rates must be positive, got {rates}")
     return rates
 
 
@@ -302,8 +309,8 @@ def run_serve(
     seed: int = 0,
     *,
     quick: bool = False,
-    schemes: Sequence[str] = SCHEMES,
-    arrivals: Sequence[str] = ARRIVAL_PROFILES,
+    schemes: Optional[Sequence[str]] = None,
+    arrivals: Optional[Sequence[str]] = None,
     requests: Optional[int] = None,
     rate_rps: Optional[float] = None,
     q: Optional[int] = None,
@@ -323,7 +330,8 @@ def run_serve(
     alert_rules: Optional[Sequence[AlertRule]] = None,
     metrics_server=None,
 ) -> dict:
-    """Run every (scheme × arrival) arm and assemble the report document.
+    """Run every (scheme × arrival) arm and assemble the report document
+    (``schemes`` / ``arrivals`` ``None``: all of them).
 
     ``alerts=True`` arms the stock SLO rule set (see
     :func:`repro.obs.alerts.default_serving_rules`); ``alert_rules``
@@ -334,6 +342,7 @@ def run_serve(
     arm starts; successive arms bump the counter reset epoch so scrapers
     see OpenMetrics counter-restart semantics, not silent resets."""
     knobs = dict(DEFAULTS)
+    arrivals = arrivals or ARRIVAL_PROFILES
     if quick:
         knobs.update(QUICK)
         arrivals = tuple(a for a in arrivals if a == "poisson") or ("poisson",)
@@ -365,7 +374,7 @@ def run_serve(
         gen = h.traffic(arrival, knobs["rate_rps"], knobs["requests"])
         traffic_docs.append(gen.describe())
         trace = gen.generate()
-        for scheme in schemes:
+        for scheme in h.schemes:
             entry, sim = h.arm(
                 scheme,
                 trace,
@@ -398,9 +407,7 @@ def run_serve(
     # lifecycle knobs appear only when switched on: default-path reports
     # stay byte-identical to PR 8
     if options.enabled:
-        lifecycle = asdict(options)
-        del lifecycle["restart_cost_s"]  # no flag sets it; the report never carried it
-        serving_doc["lifecycle"] = lifecycle
+        serving_doc["lifecycle"] = asdict(options)
     if rules is not None:  # same conditional-section discipline as lifecycle
         serving_doc["alerts"] = {"rules": [r.to_dict() for r in rules]}
     return {
@@ -424,12 +431,12 @@ def run_sweep(
     *,
     rates: Sequence[float],
     quick: bool = False,
-    schemes: Sequence[str] = SCHEMES,
-    arrivals: Sequence[str] = ("poisson",),
-    ledger: Optional[RunLedger] = None,
+    arrivals: Optional[Sequence[str]] = None,
     **kw,
 ) -> dict:
-    """Replay the seeded traffic generator at each offered load.
+    """Replay the seeded traffic generator at each offered load
+    (``arrivals`` ``None``: poisson only; ``kw``: :func:`run_serve`'s other
+    keywords but ``rate_rps``).
 
     Each rate point is a full :func:`run_serve` pass (one ``serve`` ledger
     record per arm when a ledger is given — the dashboard groups those by
@@ -439,13 +446,7 @@ def run_sweep(
     points = []
     for rate in rates:
         report = run_serve(
-            seed,
-            quick=quick,
-            schemes=schemes,
-            arrivals=arrivals,
-            rate_rps=rate,
-            ledger=ledger,
-            **kw,
+            seed, quick=quick, arrivals=arrivals or ("poisson",), rate_rps=rate, **kw
         )
         for entry in report["schemes"]:
             points.append(
@@ -508,11 +509,14 @@ PREEMPT_AB_PROFILE = {
 }
 
 
-def run_preempt_ab(seed: int = 0, quick: bool = False, schemes: Sequence[str] = SCHEMES) -> dict:
+def run_preempt_ab(
+    seed: int = 0, quick: bool = False, schemes: Optional[Sequence[str]] = None
+) -> dict:
     """Same overload traffic through three scheduler configurations per
-    scheme — conservative ``reserve``, ``preempt`` with host swap, and
-    ``preempt`` with the recompute fallback — and gate on preemption
-    admitting what reservation rejects, at strictly higher goodput."""
+    scheme (``None``: both) — conservative ``reserve``, ``preempt`` with
+    host swap, and ``preempt`` with the recompute fallback — and gate on
+    preemption admitting what reservation rejects, at strictly higher
+    goodput."""
     prof = dict(PREEMPT_AB_PROFILE)
     if quick:
         prof["requests"] = 12
@@ -537,7 +541,7 @@ def run_preempt_ab(seed: int = 0, quick: bool = False, schemes: Sequence[str] = 
     }
     entries = []
     gate = {}
-    for scheme in schemes:
+    for scheme in h.schemes:
         per_policy = {}
         for name, options in arms.items():
             entry, _sim = h.arm(scheme, trace, prof["arrival"], options=options)
@@ -611,7 +615,11 @@ def render_preempt_ab(report: dict) -> str:
 # ----------------------------------------------------------------------
 # SLO regression gate (--compare)
 # ----------------------------------------------------------------------
-def compare_reports(current: dict, baseline: dict, threshold: float = 0.20):
+#: the gate's relative regression threshold (``--threshold``'s default)
+SLO_THRESHOLD = 0.20
+
+
+def compare_reports(current: dict, baseline: dict, threshold: float = SLO_THRESHOLD):
     """Gate ``current`` against ``baseline``: per (scheme, arrival) arm,
     p99 end-to-end latency must not grow and goodput must not shrink by
     more than ``threshold`` (relative).  Returns ``(ok, lines)``.
@@ -689,20 +697,20 @@ def write_report(report: dict, path: str) -> None:
 
 
 def load_baseline(path: str) -> dict:
-    """Read an SLO baseline report; ValueError on a missing or corrupt
+    """Read an SLO baseline report; UsageError on a missing or corrupt
     file, naming the path and the regeneration command."""
     regen = f"python -m repro serve --seed 0 --out {path}"
     try:
         with open(path) as f:
             baseline = json.load(f)
     except FileNotFoundError:
-        raise ValueError(f"serving baseline {path!r} not found — regenerate it with: {regen}")
+        raise UsageError(f"serving baseline {path!r} not found — regenerate it with: {regen}")
     except json.JSONDecodeError as exc:
-        raise ValueError(
+        raise UsageError(
             f"serving baseline {path!r} is not valid JSON ({exc}) — regenerate it with: {regen}"
         )
     if not isinstance(baseline, dict) or "schemes" not in baseline:
-        raise ValueError(
+        raise UsageError(
             f"serving baseline {path!r} has no 'schemes' section "
             f"(not a {REPORT_SCHEMA} report?) — regenerate it with: {regen}"
         )
@@ -710,41 +718,27 @@ def load_baseline(path: str) -> dict:
 
 
 def _load_alert_rules(path: str) -> List[AlertRule]:
-    """Parse a JSON alert-rule file (a list of AlertRule dicts); ValueError
+    """Parse a JSON alert-rule file (a list of AlertRule dicts); UsageError
     naming the path on a missing or malformed file."""
     try:
         with open(path) as f:
             docs = json.load(f)
     except FileNotFoundError:
-        raise ValueError(f"alert-rules file {path!r} not found")
+        raise UsageError(f"alert-rules file {path!r} not found")
     except json.JSONDecodeError as exc:
-        raise ValueError(f"alert-rules file {path!r} is not valid JSON ({exc})")
+        raise UsageError(f"alert-rules file {path!r} is not valid JSON ({exc})")
     if not isinstance(docs, list) or not docs:
-        raise ValueError(f"alert-rules file {path!r} must be a non-empty JSON list of rules")
+        raise UsageError(f"alert-rules file {path!r} must be a non-empty JSON list of rules")
     try:
         return [AlertRule.from_dict(d) for d in docs]
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"alert-rules file {path!r}: {exc}")
+        raise UsageError(f"alert-rules file {path!r}: {exc}")
 
 
-def reject_dropped(mode: str, dropped: dict) -> None:
-    """ValueError on the first flag given (argparse dest → value other than
-    ``None`` / ``False``) that the ``mode`` campaign would not read."""
-    for dest, value in dropped.items():
-        if value is not None and value is not False:
-            raise ValueError(f"--{dest.replace('_', '-')} cannot be combined with {mode}")
-
-
-def cmd_preempt_ab(seed, quick, scheme, out, threshold, **dropped) -> int:
-    """Driver for ``python -m repro serve --preempt-ab``: it runs a fixed
-    overload profile, so any other flag given is a usage error (exit 2,
-    before anything runs); ``--threshold`` always has a value."""
-    try:
-        reject_dropped("--preempt-ab", dropped)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_preempt_ab(seed, quick=quick, schemes=tuple(scheme) if scheme else SCHEMES)
+def cmd_preempt_ab(seed, quick, schemes, out) -> int:
+    """Driver for ``python -m repro serve --preempt-ab``: a fixed overload
+    profile, so it takes no other serve flag."""
+    report = run_preempt_ab(seed, quick=quick, schemes=schemes)
     if out:
         write_report(report, out)
     print(render_preempt_ab(report))
@@ -753,97 +747,53 @@ def cmd_preempt_ab(seed, quick, scheme, out, threshold, **dropped) -> int:
 
 def cmd_serve(
     seed,
-    quick,
-    scheme,
-    arrival,
-    requests,
-    rate,
-    q,
-    slots,
-    block_size,
-    blocks,
-    slo_ttft,
-    slo_tpot,
+    rate_rps,
     out,
     ledger,
     compare,
     threshold,
-    policy,
-    swap_blocks,
-    swap_bw,
-    deadline,
-    retries,
-    max_queue_depth,
     metrics_port,
     metrics_hold,
-    alerts,
     alert_rules,
     sweep,
+    **knobs,
 ) -> int:
     """Driver for ``python -m repro serve``, called with its flags (argparse
-    dests): checks them, runs the serve or ``--sweep`` campaign, then prints
-    its rendering, writes its report and returns the exit code (2, before
-    anything runs, for a flag the sweep would drop, a bad value or an
-    unreadable ``--compare`` / ``--alert-rules`` file)."""
-    lifecycle = dict(
-        policy=policy,
-        swap_blocks=swap_blocks,
-        swap_gbps=swap_bw,
-        deadline=deadline,
-        retries=retries,
-        max_queue_depth=max_queue_depth,
-    )
-    try:
-        if sweep:  # the sweep sets the offered load itself and has no baseline to gate
-            reject_dropped("--sweep", dict(rate=rate, compare=compare))
-        check_slos(slo_ttft, slo_tpot)
-        lifecycle_options(**lifecycle)
-        rates = sweep_rates(sweep.split(",")) if sweep else None
-        baseline = load_baseline(compare) if compare else None
-        rules = _load_alert_rules(alert_rules) if alert_rules else None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    kw = dict(
-        quick=quick,
-        schemes=tuple(scheme) if scheme else SCHEMES,
-        requests=requests,
-        q=q,
-        slots=slots,
-        block_size=block_size,
-        blocks=blocks,
-        slo_ttft=slo_ttft,
-        slo_tpot=slo_tpot,
-        **lifecycle,
-        ledger=RunLedger(ledger) if ledger else None,
-        alerts=alerts,
-        alert_rules=rules,
-    )
+    dests; ``knobs`` are :func:`run_serve`'s keywords of the same names):
+    checks every value and reads every input file (a :class:`UsageError`
+    before anything runs), runs the serve or ``--sweep`` campaign, then
+    prints its rendering, writes its report and returns the exit code
+    (1: the ``--compare`` SLO gate failed)."""
+    check_slos(knobs["slo_ttft"], knobs["slo_tpot"])
+    lifecycle_options(*(knobs[key] for key in LIFECYCLE_KEYS))
+    rates = sweep_rates(sweep.split(",")) if sweep else None
+    baseline = load_baseline(compare) if compare else None
+    knobs["alert_rules"] = _load_alert_rules(alert_rules) if alert_rules else None
+    knobs["ledger"] = RunLedger(ledger) if ledger else None
 
     server = None
     if metrics_port is not None:
         from repro.obs.live import MetricsServer
 
-        server = MetricsServer(port=metrics_port).start()
+        server = knobs["metrics_server"] = MetricsServer(port=metrics_port).start()
         print(f"metrics endpoint: http://127.0.0.1:{server.port}/metrics")
-        kw["metrics_server"] = server
 
-    arrivals = tuple(arrival) if arrival else None
     try:
         if sweep:
-            report = run_sweep(seed, rates=rates, arrivals=arrivals or ("poisson",), **kw)
+            report = run_sweep(seed, rates=rates, **knobs)
             ok, text = True, render_sweep(report)
         else:
-            report = run_serve(seed, arrivals=arrivals or ARRIVAL_PROFILES, rate_rps=rate, **kw)
+            report = run_serve(seed, rate_rps=rate_rps, **knobs)
             ok, text = True, render_text(report)
             if baseline is not None:
+                threshold = SLO_THRESHOLD if threshold is None else threshold
                 ok, gate = compare_reports(report, baseline, threshold=threshold)
                 head = f"SLO gate vs {compare} (threshold {threshold:.0%}):"
                 text = "\n".join([text, "", head] + ["  " + line for line in gate])
         if out:
             write_report(report, out)
         print(text)
-        if ok and server is not None and metrics_hold:
+        if ok and metrics_hold:
             server.hold(metrics_hold)
         return 0 if ok else 1
     finally:

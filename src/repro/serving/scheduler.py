@@ -42,6 +42,7 @@ from typing import Deque, Dict, List, Optional
 
 from repro.serving.kvcache import HostSwapSpace, ShardedKVCache, SwapTicket
 from repro.serving.traffic import Request
+from repro.utils import UsageError
 
 POLICIES = ("reserve", "preempt")
 
@@ -56,23 +57,20 @@ class ServingOptions:
     deadline_s: Optional[float] = None  # default e2e deadline for every request
     max_retries: int = 0  # retry budget per request after a timeout
     max_queue_depth: Optional[int] = None  # waiting-room bound (None = unbounded)
-    restart_cost_s: float = 0.005  # cluster restart charge per recovered step
 
     def __post_init__(self):
         if self.policy not in POLICIES:
-            raise ValueError(f"--policy: unknown policy {self.policy!r} (choose from {POLICIES})")
+            raise UsageError(f"--policy: unknown policy {self.policy!r} (choose from {POLICIES})")
         if self.swap_blocks < 0:
-            raise ValueError(f"--swap-blocks: must be >= 0, got {self.swap_blocks}")
+            raise UsageError(f"--swap-blocks: must be >= 0, got {self.swap_blocks}")
         if self.swap_gbps <= 0:
-            raise ValueError(f"--swap-bw: must be positive, got {self.swap_gbps}")
+            raise UsageError(f"--swap-bw: must be positive, got {self.swap_gbps}")
         if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(f"--deadline: must be positive, got {self.deadline_s}")
+            raise UsageError(f"--deadline: must be positive, got {self.deadline_s}")
         if self.max_retries < 0:
-            raise ValueError(f"--retries: must be >= 0, got {self.max_retries}")
+            raise UsageError(f"--retries: must be >= 0, got {self.max_retries}")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError(f"--max-queue-depth: must be >= 1, got {self.max_queue_depth}")
-        if self.restart_cost_s < 0:
-            raise ValueError(f"restart_cost_s must be >= 0, got {self.restart_cost_s}")
+            raise UsageError(f"--max-queue-depth: must be >= 1, got {self.max_queue_depth}")
 
     @property
     def enabled(self) -> bool:

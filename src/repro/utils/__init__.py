@@ -1,12 +1,12 @@
 """Small shared utilities (text tables, byte formatting, ASCII plots, the
-output-file writer)."""
+output-file writer, the usage-error type)."""
 
 import os
 
 from repro.utils.asciiplot import line_plot
 from repro.utils.tables import format_bytes, format_table
 
-__all__ = ["format_table", "format_bytes", "line_plot", "write_text"]
+__all__ = ["format_table", "format_bytes", "line_plot", "write_text", "UsageError"]
 
 
 def write_text(path: str, text: str) -> None:
@@ -17,3 +17,9 @@ def write_text(path: str, text: str) -> None:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w") as f:
         f.write(text)
+
+
+class UsageError(ValueError):
+    """Bad input to a command, named as the user gave it (a flag, a value,
+    an input file), raised before any work: ``python -m repro`` prints it
+    as ``error: …`` on stderr and exits 2."""

@@ -1,6 +1,7 @@
 """The seeded shape-fuzzing equivalence runner."""
 
 import numpy as np
+import pytest
 
 from repro.check.fuzz import TOLERANCES, TrialSpec, draw_spec, run_check, run_trial
 
@@ -53,3 +54,13 @@ class TestTrials:
         lines = []
         assert run_check(seed=0, trials=1, printer=lines.append)
         assert any("all trials passed" in ln for ln in lines)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_is_a_usage_error(self, trials, capsys):
+        """Zero trials used to print "all trials passed" with nothing checked."""
+        from repro.cli import main
+
+        assert main(["check", "--trials", str(trials)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --trials: must be >= 1, got {trials}\n"
+        assert captured.out == ""

@@ -140,6 +140,38 @@ class TestOutputFiles:
         assert json.loads(trace.read_text())["traceEvents"]
 
 
+class TestUsageErrors:
+    """Bad input is ``error: …`` on stderr and exit 2 from ``cli.main``
+    alone, before the driver does any work; any other exception of a run
+    stays a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("chaos --steps 3", "chaos campaigns need at least 5 steps"),
+            ("critpath tiny --ledger L", "--ledger requires --calibrate"),
+        ],
+        ids=["chaos-steps", "critpath-ledger"],
+    )
+    def test_bad_input_is_a_usage_error(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_value_error_while_running_is_not_a_usage_error(self, monkeypatch):
+        from repro.check import fuzz
+
+        def fail(**kw):
+            raise ValueError("not the user's input")
+
+        monkeypatch.setattr(fuzz, "run_check", fail)
+        with pytest.raises(ValueError, match="not the user's input"):
+            main(["check"])
+
+
 class TestPackageSurface:
     def test_top_level_exports(self):
         import repro

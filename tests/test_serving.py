@@ -686,13 +686,21 @@ class TestServeCLI:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "argv, flag",
+        "argv, message",
         [
-            (["--sweep", "500,8000", "--compare", "BASE.json"], "--compare"),
-            (["--sweep", "500", "--rate", "2000"], "--rate"),
-            (["--preempt-ab", "--compare", "BASE.json"], "--compare"),
-            (["--preempt-ab", "--ledger", "ledger"], "--ledger"),
-            (["--preempt-ab", "--metrics-port", "0"], "--metrics-port"),
+            ("--sweep 500,8000 --compare B.json", "--compare cannot be combined with --sweep"),
+            ("--sweep 500 --rate 2000", "--rate cannot be combined with --sweep"),
+            ("--preempt-ab --compare B.json", "--compare cannot be combined with --preempt-ab"),
+            ("--preempt-ab --ledger ledger", "--ledger cannot be combined with --preempt-ab"),
+            (
+                "--preempt-ab --metrics-port 0",
+                "--metrics-port cannot be combined with --preempt-ab",
+            ),
+            ("--preempt-ab --threshold 0.5", "--threshold cannot be combined with --preempt-ab"),
+            ("--sweep 500 --threshold 0.5", "--threshold requires --compare"),
+            ("--threshold 0.5", "--threshold requires --compare"),
+            ("--threshold 0.2", "--threshold requires --compare"),
+            ("--metrics-hold 5", "--metrics-hold requires --metrics-port"),
         ],
         ids=[
             "sweep-compare",
@@ -700,21 +708,27 @@ class TestServeCLI:
             "preempt-ab-compare",
             "preempt-ab-ledger",
             "preempt-ab-metrics-port",
+            "preempt-ab-threshold",
+            "sweep-threshold",
+            "threshold-without-compare",
+            "default-threshold-without-compare",
+            "metrics-hold-without-port",
         ],
     )
     def test_a_flag_the_campaign_would_drop_is_a_usage_error(
-        self, argv, flag, tmp_path, monkeypatch, capsys
+        self, argv, message, tmp_path, monkeypatch, capsys
     ):
         """The sweep has no baseline to gate (its SLO gate passed without
         reading one, even a missing file) and sets its own load; the
         preemption A/B runs a fixed profile and reads neither a baseline,
-        a ledger nor a metrics endpoint."""
+        a ledger nor a metrics endpoint; ``--threshold`` tunes only the
+        ``--compare`` gate and ``--metrics-hold`` only the endpoint."""
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)
-        assert main(["serve", "--quick", "--scheme", "optimus", *argv]) == 2
+        assert main(["serve", "--quick", "--scheme", "optimus", *argv.split()]) == 2
         captured = capsys.readouterr()
-        assert f"error: {flag} cannot be combined with" in captured.err
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []  # nothing ran, nothing written
 

@@ -77,17 +77,31 @@ class TestServeChaos:
         with pytest.raises(ValueError, match="unknown serving chaos scheme"):
             run_serve_chaos(0, quick=True, schemes=("bogus",))
 
-    def test_serve_chaos_main_reports_bad_scheme(self, capsys):
-        from repro.serving.chaos import main
+    @staticmethod
+    def _cli_with_schemes(monkeypatch, argv, schemes):
+        """``cli.main(argv)`` with the driver handed ``schemes``, as an API
+        caller could pass them (``--scheme`` choices let none through)."""
+        from repro import cli
 
-        assert main(schemes=("bogus",)) == 2
-        assert "unknown serving chaos scheme" in capsys.readouterr().out
+        parsed = cli.driver_kwargs
+        monkeypatch.setattr(cli, "driver_kwargs", lambda *a: {**parsed(*a), "schemes": schemes})
+        return cli.main(argv)
 
-    def test_training_chaos_main_reports_bad_scheme(self, capsys):
-        from repro.resilience.chaos import main
+    def test_serve_chaos_main_reports_bad_scheme(self, monkeypatch, capsys):
+        """A usage error: the driver raises it before anything runs, and the
+        CLI prints it on stderr with exit 2."""
+        argv = ["chaos", "--serve", "--quick"]
+        assert self._cli_with_schemes(monkeypatch, argv, ("bogus",)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown serving chaos scheme 'bogus'")
+        assert captured.out == ""
 
-        assert main(schemes=("bogus",)) == 2
-        assert "unknown chaos scheme" in capsys.readouterr().out
+    def test_training_chaos_main_reports_bad_scheme(self, monkeypatch, capsys):
+        argv = ["chaos", "--quick"]
+        assert self._cli_with_schemes(monkeypatch, argv, ("bogus",)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown chaos scheme 'bogus'")
+        assert captured.out == ""
 
     def test_schedule_varies_with_seed_but_stays_in_range(self):
         def steps(schedule):
@@ -236,7 +250,10 @@ class TestFriendlyErrors:
 
         rc = main(["chaos", "--serve", "--quick", "--scheme", "hybrid"])
         assert rc == 2
-        assert "unknown serving chaos scheme" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown serving chaos scheme 'hybrid'")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestChaosCLI:
@@ -258,14 +275,19 @@ class TestChaosCLI:
 
     @pytest.mark.parametrize(
         "argv, flag",
-        [(["--steps", "7"], "--steps"), (["--trace-out", "t.json"], "--trace-out")],
-        ids=["steps", "trace-out"],
+        [
+            (["--steps", "7"], "--steps"),
+            (["--trace-out", "t.json"], "--trace-out"),
+            (["--trace-out", "t.json", "--steps", "3"], "--steps"),
+        ],
+        ids=["steps", "trace-out", "steps-and-trace-out"],
     )
     def test_a_training_flag_with_serve_is_a_usage_error(
         self, argv, flag, tmp_path, monkeypatch, capsys
     ):
         """The serving campaign reads neither flag: it used to exit 0 without
-        writing the trace it was asked for."""
+        writing the trace it was asked for.  Given both, the first in the
+        parser's order is named."""
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)
