@@ -90,8 +90,19 @@ NEEDS: Dict[str, Dict[str, str]] = {
 }
 #: ... and a flag that selects a mode, with the flags that mode leaves unread
 EXCLUDES: Dict[str, Dict[str, Tuple[str, ...]]] = {
+    "critpath": {"as_json": ("top",)},
+    "ledger": {"dry_run": ("out",)},
     "serve": {"sweep": ("rate_rps", "compare")},
 }
+
+
+def _options(parser: argparse.ArgumentParser) -> list:
+    """The option actions of ``parser`` and its nested subcommands' (``ledger compact``)."""
+    out = [a for a in parser._actions if a.option_strings]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            out += [o for nested in action.choices.values() for o in _options(nested)]
+    return out
 
 
 def driver_kwargs(command: str, driver, args: dict, parser: argparse.ArgumentParser) -> dict:
@@ -100,12 +111,14 @@ def driver_kwargs(command: str, driver, args: dict, parser: argparse.ArgumentPar
     that the campaign would not read is a :class:`UsageError` naming its
     option string: one ``driver`` has no parameter for, one :data:`EXCLUDES`
     lists for a mode given, or one :data:`NEEDS` ties to a flag not given."""
-    flag = {a.dest: a.option_strings[0] for a in parser._actions if a.option_strings}
+    options = _options(parser)
+    flag = {a.dest: a.option_strings[0] for a in options}
+    default = {a.dest: a.default for a in options}
     params = inspect.signature(driver).parameters
     takes_all = any(p.kind is p.VAR_KEYWORD for p in params.values())
 
     def given(dest: str) -> bool:
-        return args[dest] != parser.get_default(dest)
+        return args[dest] != default.get(dest)
 
     mode = command.partition(" ")[2] or command
     for dest in args:

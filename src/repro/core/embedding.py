@@ -6,65 +6,44 @@ hold the b/q sequences of batch block i.  The lookup is the paper's
 "one-hot × table" product executed in SUMMA pattern — at step l the table
 block ``E_{l,j}`` is broadcast down column j and each device gathers the
 rows whose token ids fall in vocabulary stripe l.  The LM head reuses the
-same table via Algorithm 2 (``logits = X·Eᵀ``).
+same table via Algorithm 2 (``logits = X·Eᵀ``).  The bodies are
+:mod:`repro.nn.leaves`'; these classes supply the products.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.backend import ops
 from repro.comm import collectives as coll
 from repro.comm.stacked import precosts
-from repro.config import ModelConfig
-from repro.core.buffers import BufferManager
-from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.core.summa import summa_ab, summa_abt, summa_atb
 from repro.mesh.dtensor import DTensor, on_stacks
 from repro.mesh.layouts import BLOCKED_2D, ROW_BLOCKED
-from repro.mesh.mesh import Mesh
-from repro.mesh.partition import distribute_blocked_2d, zeros_stacked
+from repro.mesh.partition import zeros_stacked
+from repro.nn.leaves import Embedding, LMHead
 from repro.nn.loss import stripe_lookup, stripe_scatter
 from repro.nn.transformer import hold
 
 
-class Embedding2D(DistModule):
-    """Token embedding with a 2-D blocked table."""
+class Embedding2D(Embedding):
+    """Token embedding with a 2-D blocked table: ids ROW_BLOCKED ``[b, s]``
+    → activations BLOCKED_2D ``[b·s, h]``."""
 
-    _cache_attrs = ("_ids",)
+    table_layout = BLOCKED_2D
+    ids_layout = ROW_BLOCKED
+    # hostbench patches these on the class that defines them
+    forward = Embedding.forward
+    backward = Embedding.backward
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        cfg: ModelConfig,
-        table_global,
-        buffers: Optional[BufferManager] = None,
-    ):
-        super().__init__()
-        self.mesh = mesh
-        self.cfg = cfg
-        self.buffers = buffers
-        self.table = self.register_param(
-            DistParam("embedding.table", distribute_blocked_2d(mesh, table_global))
-        )
-        charge_param_memory(self.table, mesh.sim)
-        self._ids: Optional[DTensor] = None
-
-    # ------------------------------------------------------------------
-    def forward(self, ids: DTensor) -> DTensor:
-        """ids ROW_BLOCKED [b, s] → activations BLOCKED_2D [b·s, h]."""
-        if ids.layout != ROW_BLOCKED:
-            raise ValueError(f"ids must be ROW_BLOCKED, got {ids.layout}")
-        mesh, q = self.mesh, self.mesh.q
-        v, h = self.table.data.global_shape
+    def _lookup(self, ids: DTensor) -> DTensor:
+        mesh, q = self.owner, self.owner.q
+        table = self.table.data
+        v, h = table.global_shape
         b, s = ids.global_shape
         v_loc, h_loc = v // q, h // q
         T_loc = (b // q) * s
-        self._ids = ids
 
-        table = self.table.data
         out = zeros_stacked(mesh, BLOCKED_2D, (T_loc, h_loc), table.dtype, (b * s, h))
         charge_compute = mesh.sim.charge_compute
         stripe = ((T_loc * h_loc, "elementwise"),)
@@ -94,17 +73,13 @@ class Embedding2D(DistModule):
                         idvec = ids.local(rank).reshape((T_loc,))
                         stripe_lookup(out.local(rank), bcast[rank], idvec, lo, v_loc)
                     charge_compute(ranks, stripe)
-        hold(self.buffers, "forward", out)
         return out
 
-    # ------------------------------------------------------------------
-    def backward(self, d_out: DTensor) -> None:
+    def _scatter(self, ids: DTensor, d_out: DTensor) -> DTensor:
         """Scatter-add token gradients into the table (column reductions)."""
-        if self._ids is None:
-            raise RuntimeError("embedding backward before forward")
-        mesh, q = self.mesh, self.mesh.q
+        mesh, q = self.owner, self.owner.q
         v, h = self.table.data.global_shape
-        b, s = self._ids.global_shape
+        b, s = ids.global_shape
         v_loc, h_loc = v // q, h // q
         T_loc = (b // q) * s
         charge_compute = mesh.sim.charge_compute
@@ -117,47 +92,31 @@ class Embedding2D(DistModule):
                 partials = {}
                 for rank in ranks:
                     d = d_out.local(rank)
-                    idvec = self._ids.local(rank).reshape((T_loc,))
+                    idvec = ids.local(rank).reshape((T_loc,))
                     partials[rank] = ops.zeros((v_loc, h_loc), dtype=d.dtype, backend=mesh.backend)
                     stripe_scatter(partials[rank], d, idvec, lo, v_loc)
                 charge_compute(ranks, stripe)
                 root = mesh.rank(l, j)
                 reduced = coll.reduce(mesh.col_group(j), partials, root)
                 grad_shards[root] = reduced[root]
-        self.table.add_grad(DTensor(mesh, BLOCKED_2D, grad_shards, (v, h)))
-        self._ids = None
+        return DTensor(mesh, BLOCKED_2D, grad_shards, (v, h))
 
 
-class LMHead2D(DistModule):
+class LMHead2D(LMHead):
     """Weight-tied language-model head: ``logits = X·Eᵀ`` (Algorithm 2)."""
 
-    _cache_attrs = ("_x",)
+    x_layout = BLOCKED_2D
+    # hostbench patches these on the class that defines them
+    forward = LMHead.forward
+    backward = LMHead.backward
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        embedding: Embedding2D,
-        buffers: Optional[BufferManager] = None,
-    ):
-        super().__init__()
-        self.mesh = mesh
-        self.embedding = embedding  # not registered: the table is shared
-        self.buffers = buffers
-        self._x: Optional[DTensor] = None
+    def _logits(self, x: DTensor) -> DTensor:
+        return summa_abt(self.owner, x, self.embedding.table.data, self.buffers)
 
-    def forward(self, x: DTensor) -> DTensor:
-        self._x = x
-        logits = summa_abt(self.mesh, x, self.embedding.table.data, self.buffers)
-        hold(self.buffers, "forward", logits)
-        return logits
-
-    def backward(self, dlogits: DTensor) -> DTensor:
-        if self._x is None:
-            raise RuntimeError("lm-head backward before forward")
+    def _backward(self, x: DTensor, dlogits: DTensor):
         # C = A·Bᵀ (Eq. 3): dA = dC·B, dB = dCᵀ·A
-        dx = summa_ab(self.mesh, dlogits, self.embedding.table.data, self.buffers)
-        d_table = summa_atb(self.mesh, dlogits, self._x, self.buffers)
-        self.embedding.table.add_grad(d_table)
+        mesh, table = self.owner, self.embedding.table.data
+        dx = summa_ab(mesh, dlogits, table, self.buffers)
+        d_table = summa_atb(mesh, dlogits, x, self.buffers)
         hold(self.buffers, "backward", dx)
-        self._x = None
-        return dx
+        return dx, d_table

@@ -6,22 +6,18 @@ whole sequences, since T/q = (b/q)·s), mesh column j owns feature block j.
 Parameters of SUMMA-style matmuls are ``BLOCKED_2D``; vector parameters
 (biases, LN affine) live on mesh row 0 in ``ROW0_COLS`` layout and move via
 column broadcasts / reductions (Fig. 5), which with the row all-reduces
-are :mod:`repro.comm.stacked`'s.
+are :mod:`repro.comm.stacked`'s.  The leaf bodies are :mod:`repro.nn.leaves`';
+the classes here declare the layouts and supply those products.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.backend import ops
 from repro.comm.stacked import all_reduce_rows, broadcast_down_columns, reduce_up_columns
-from repro.core.buffers import BufferManager
-from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.core.summa import grads_of_ab, summa_ab
 from repro.mesh.dtensor import DTensor, block_map
-from repro.mesh.layouts import BLOCKED_2D
-from repro.mesh.mesh import Mesh
-from repro.mesh.partition import distribute_blocked_2d, distribute_row0_cols
+from repro.mesh.layouts import BLOCKED_2D, ROW0_COLS
+from repro.nn.leaves import LayerNorm, Linear
 from repro.nn.transformer import (
     MLP,
     SelfAttention,
@@ -42,93 +38,55 @@ def _add_bias(bias, y):
 # ======================================================================
 # Linear2D — SUMMA matmul + row-0-hosted bias
 # ======================================================================
-class Linear2D(DistModule):
+class Linear2D(Linear):
     """``y = x·W + bias`` with W 2-D blocked and bias on mesh row 0."""
 
-    _cache_attrs = ("_x",)
+    weight_layout = x_layout = y_layout = BLOCKED_2D
+    bias_layout = ROW0_COLS
+    # hostbench patches these on the class that defines them
+    forward = Linear.forward
+    backward = Linear.backward
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        name: str,
-        weight_global,
-        bias_global=None,
-        buffers: Optional[BufferManager] = None,
-        weight_name: Optional[str] = None,
-        bias_name: Optional[str] = None,
-    ):
-        super().__init__()
-        self.mesh = mesh
-        self.name = name
-        self.buffers = buffers
-        self.weight = self.register_param(
-            DistParam(
-                weight_name or f"{name}.weight",
-                distribute_blocked_2d(mesh, weight_global),
-            )
-        )
-        charge_param_memory(self.weight, mesh.sim)
-        self.bias: Optional[DistParam] = None
-        if bias_global is not None:
-            self.bias = self.register_param(
-                DistParam(
-                    bias_name or f"{name}.bias",
-                    distribute_row0_cols(mesh, bias_global),
-                )
-            )
-            charge_param_memory(self.bias, mesh.sim)
-        self._x: Optional[DTensor] = None
-
-    # ------------------------------------------------------------------
-    def forward(self, x: DTensor) -> DTensor:
-        self._x = x
-        y = summa_ab(self.mesh, x, self.weight.data, self.buffers)
+    def _forward(self, x: DTensor) -> DTensor:
+        buffers = self.buffers
+        y = summa_ab(self.owner, x, self.weight.data, buffers)
         if self.bias is not None:
             y = self._bias_add(y)
         # §3.2.3 option 3: a matmul's output is never needed for its own
         # backward, so during checkpoint recomputation it need not be
         # re-buffered (downstream ops that do need their inputs — GELU,
         # LayerNorm, attention — hold their own copies).
-        if not (
-            self.buffers is not None
-            and self.buffers.skip_matmul_outputs
-            and self.buffers.in_recompute
-        ):
-            hold(self.buffers, "forward", y)
+        if not (buffers is not None and buffers.skip_matmul_outputs and buffers.in_recompute):
+            hold(buffers, "forward", y)
         return y
 
     def _bias_add(self, y: DTensor) -> DTensor:
         """Broadcast each bias block down its column and add (Fig. 5a); the
         sum is keyed like the broadcast, column by column."""
-        bias = broadcast_down_columns(self.mesh, self.bias)
-        out = block_map(_add_bias, self.mesh, bias, y, layout=BLOCKED_2D)
+        mesh = self.owner
+        bias = broadcast_down_columns(mesh, self.bias)
+        out = block_map(_add_bias, mesh, bias, y, layout=BLOCKED_2D)
         charge_elementwise(out, "add")
         return out
 
-    # ------------------------------------------------------------------
-    def backward(self, dy: DTensor) -> DTensor:
-        if self._x is None:
-            raise RuntimeError(f"{self.name}: backward before forward")
-        if self.bias is not None:
-            self._bias_backward(dy)
-        dx, dw = grads_of_ab(self.mesh, self._x, self.weight.data, dy, self.buffers)
-        self.weight.add_grad(dw)
-        hold(self.buffers, "backward", dx)
-        hold(self.buffers, "param_grad", dw)
-        self._x = None
-        return dx
-
     def _bias_backward(self, dy: DTensor) -> None:
         """Column-reduce the local bias gradients to row 0 (Fig. 5b)."""
-        partials = block_map(_column_sums, self.mesh, dy)
-        (grad,) = reduce_up_columns(self.mesh, partials, self.bias.data.global_shape)
+        mesh = self.owner
+        partials = block_map(_column_sums, mesh, dy)
+        (grad,) = reduce_up_columns(mesh, partials, self.bias.data.global_shape)
         self.bias.add_grad(grad)
+
+    def _backward(self, x: DTensor, dy: DTensor):
+        dx, dw = grads_of_ab(self.owner, x, self.weight.data, dy, self.buffers)
+        hold(self.buffers, "backward", dx)
+        hold(self.buffers, "param_grad", dw)
+        return dx, dw
 
 
 # ======================================================================
 # LayerNorm2D — paper §3.2.2
 # ======================================================================
-class LayerNorm2D(DistModule):
+class LayerNorm2D(LayerNorm):
     """Layer normalization over the feature axis split across mesh columns.
 
     Forward: Σx and Σx² are computed locally and all-reduced along each mesh
@@ -138,35 +96,14 @@ class LayerNorm2D(DistModule):
     dγ/dβ.
     """
 
-    _cache_attrs = ("_saved",)
+    param_layout = ROW0_COLS
+    x_layout = BLOCKED_2D
+    # hostbench patches these on the class that defines them
+    forward = LayerNorm.forward
+    backward = LayerNorm.backward
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        name: str,
-        gamma_global,
-        beta_global,
-        eps: float = 1e-5,
-        buffers: Optional[BufferManager] = None,
-    ):
-        super().__init__()
-        self.mesh = mesh
-        self.name = name
-        self.eps = eps
-        self.buffers = buffers
-        self.gamma = self.register_param(
-            DistParam(f"{name}.gamma", distribute_row0_cols(mesh, gamma_global))
-        )
-        self.beta = self.register_param(
-            DistParam(f"{name}.beta", distribute_row0_cols(mesh, beta_global))
-        )
-        charge_param_memory(self.gamma, mesh.sim)
-        charge_param_memory(self.beta, mesh.sim)
-        self._saved = None
-
-    # ------------------------------------------------------------------
-    def forward(self, x: DTensor) -> DTensor:
-        mesh = self.mesh
+    def _forward(self, x: DTensor):
+        mesh = self.owner
         h = x.global_shape[1]
         eps = self.eps
 
@@ -189,20 +126,16 @@ class LayerNorm2D(DistModule):
         beta = broadcast_down_columns(mesh, self.beta)
         out, x_hat, inv_std = block_map(normalize, mesh, x, stats, gamma, beta)
         charge_elementwise(out, "layernorm")
+        hold(self.buffers, "forward", x_hat)
+        hold(self.buffers, "forward", out)
         # the saved γ may be the parameter's own memory: no optimizer step
         # falls between a layer's forward and its backward (immediate
         # updates and checkpoint recompute included)
-        self._saved = (x_hat, inv_std, gamma)
-        hold(self.buffers, "forward", x_hat)
-        hold(self.buffers, "forward", out)
-        return out
+        return out, (x_hat, inv_std, gamma)
 
-    # ------------------------------------------------------------------
-    def backward(self, dy: DTensor) -> DTensor:
-        if self._saved is None:
-            raise RuntimeError(f"{self.name}: backward before forward")
-        mesh = self.mesh
-        x_hat, inv_std, gamma = self._saved
+    def _backward(self, saved, dy: DTensor):
+        mesh = self.owner
+        x_hat, inv_std, gamma = saved
         h = dy.global_shape[1]
 
         # trailing axes only, as in forward; ``x_hat`` leads each call so every
@@ -231,10 +164,7 @@ class LayerNorm2D(DistModule):
         # dγ, dβ: fuse into one [2, h/q] column reduction to row 0
         partials = block_map(param_grads, mesh, x_hat, dy)
         dg, db = reduce_up_columns(mesh, partials, self.gamma.data.global_shape)
-        self.gamma.add_grad(dg)
-        self.beta.add_grad(db)
-        self._saved = None
-        return dx
+        return dx, dg, db
 
 
 # ======================================================================

@@ -7,6 +7,8 @@ transformer layer costs two ring all-reduces of ``bsh`` (one after
 attention, one after the MLP); backward costs two more (at the column-
 parallel inputs), and activation recomputation under checkpointing doubles
 it again — the ``4(p−1)/p·bsh`` vs ``8(p−1)/p·bsh`` rows of Table 1.
+The leaves are :mod:`repro.nn.leaves`' bodies over 1-D layouts, with local
+GEMMs and the f / g line all-reduces as their product cells.
 """
 
 from repro.megatron.embedding import LMHead1D, VocabParallelEmbedding

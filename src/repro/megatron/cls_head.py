@@ -16,9 +16,10 @@ from repro.comm.group import ProcessGroup
 from repro.config import ModelConfig
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
-from repro.megatron.layers import require_replicated
 from repro.mesh.dtensor import DTensor, block_map
+from repro.mesh.layouts import REPLICATED_1D
 from repro.mesh.partition import distribute_replicated_1d
+from repro.nn.leaves import require
 from repro.nn.transformer import hold
 from repro.reference import functional as F
 
@@ -52,9 +53,9 @@ class ClassificationHead1D(DistModule):
         self._saved = None
 
     def forward(self, ln_out: DTensor, cls_labels: Optional[DTensor] = None):
-        require_replicated("cls_head", "input", ln_out)
+        require("cls_head", "input", ln_out, REPLICATED_1D)
         if cls_labels is not None:
-            require_replicated("cls_head", "labels", cls_labels)
+            require("cls_head", "labels", cls_labels, REPLICATED_1D)
         group, s = self.group, self.cfg.seq_len
         b, h = ln_out.global_shape[0] // s, ln_out.global_shape[1]
 

@@ -4,64 +4,44 @@ The table ``[v, h]`` is sharded along the vocabulary axis.  Forward gathers
 each device's stripe locally (zeros elsewhere) and all-reduces the partial
 embeddings into the replicated activation — Megatron-LM's standard scheme.
 The tied head produces column-sharded logits ``[T, v/p]`` that feed the
-vocab-parallel cross-entropy without any gather of the full logits.
+vocab-parallel cross-entropy without any gather of the full logits.  The
+bodies are :mod:`repro.nn.leaves`'; these classes supply the products.
 """
 
 from __future__ import annotations
 
 from operator import matmul
-from typing import Optional
 
 import numpy as np
 
 from repro.comm import stacked
-from repro.comm.group import ProcessGroup
-from repro.config import ModelConfig
-from repro.core.buffers import BufferManager
-from repro.core.param import DistModule, DistParam, charge_param_memory
 from repro.megatron.layers import abt, atb
 from repro.mesh.dtensor import DTensor, block_map, on_stacks
-from repro.mesh.layouts import PARTIAL_1D, SHARDED_1D
-from repro.mesh.partition import distribute_sharded_1d, zeros_stacked
+from repro.mesh.layouts import PARTIAL_1D, REPLICATED_1D, SHARDED_1D
+from repro.mesh.partition import zeros_stacked
+from repro.nn.leaves import Embedding, LMHead
 from repro.nn.loss import stripe_lookup, stripe_scatter
-from repro.nn.transformer import hold
 
 
-class VocabParallelEmbedding(DistModule):
-    """Embedding with the table sharded over the vocabulary axis."""
+class VocabParallelEmbedding(Embedding):
+    """Embedding with the table sharded over the vocabulary axis: ids
+    REPLICATED_1D ``[b, s]`` → replicated activations ``[b·s, h]``."""
 
-    _cache_attrs = ("_ids",)
+    table_layout = SHARDED_1D(0)
+    ids_layout = REPLICATED_1D
+    # hostbench patches these on the class that defines them
+    forward = Embedding.forward
+    backward = Embedding.backward
 
-    def __init__(
-        self,
-        group: ProcessGroup,
-        cfg: ModelConfig,
-        table_global,
-        buffers: Optional[BufferManager] = None,
-    ):
-        super().__init__()
-        self.group = group
-        self.cfg = cfg
-        self.buffers = buffers
-        self.table = self.register_param(
-            DistParam(
-                "embedding.table", distribute_sharded_1d(group, table_global, axis=0)
-            )
-        )
-        charge_param_memory(self.table, group.sim)
-        self._ids: Optional[DTensor] = None
-
-    def forward(self, ids: DTensor) -> DTensor:
-        """ids REPLICATED_1D [b, s] → replicated activations [b·s, h]: each
-        rank gathers its stripe into its slot of the partial sums, which an
-        all-reduce adds up."""
-        group = self.group
+    def _lookup(self, ids: DTensor) -> DTensor:
+        """Each rank gathers its stripe into its slot of the partial sums,
+        which an all-reduce adds up."""
+        group = self.owner
         table = self.table.data
         v, h = table.global_shape
         v_loc = v // group.size
         b, s = ids.global_shape
         T = b * s
-        self._ids = ids
 
         partials = zeros_stacked(group, PARTIAL_1D, (T, h), table.dtype, (T, h))
         if on_stacks(group, table, partials):
@@ -76,64 +56,46 @@ class VocabParallelEmbedding(DistModule):
                 idvec = ids.local(rank).reshape((T,))
                 stripe_lookup(partials.local(rank), table.local(rank), idvec, k * v_loc, v_loc)
         group.sim.charge_compute(group.ranks, ((T * h, "elementwise"),))
-        out = stacked.all_reduce(group, partials)
-        hold(self.buffers, "forward", out)
-        return out
+        return stacked.all_reduce(group, partials)
 
-    def backward(self, d_out: DTensor) -> None:
+    def _scatter(self, ids: DTensor, d_out: DTensor) -> DTensor:
         """Each device scatter-adds only its own vocabulary stripe (no comm)."""
-        if self._ids is None:
-            raise RuntimeError("embedding backward before forward")
-        group = self.group
+        group = self.owner
         v, h = self.table.data.global_shape
         v_loc = v // group.size
         T = d_out.global_shape[0]
         grads = zeros_stacked(group, SHARDED_1D(0), (v_loc, h), d_out.dtype, (v, h))
         for k, rank in enumerate(group.ranks):
-            idvec = self._ids.local(rank).reshape((T,))
+            idvec = ids.local(rank).reshape((T,))
             stripe_scatter(grads.local(rank), d_out.local(rank), idvec, k * v_loc, v_loc)
         group.sim.charge_compute(group.ranks, ((T * h, "elementwise"),))
-        self.table.add_grad(grads)
-        self._ids = None
+        return grads
 
 
-class LMHead1D(DistModule):
+class LMHead1D(LMHead):
     """Tied head: ``logits_k = X·E_kᵀ`` — output stays vocabulary-sharded."""
 
-    _cache_attrs = ("_x",)
+    x_layout = REPLICATED_1D
+    # hostbench patches these on the class that defines them
+    forward = LMHead.forward
+    backward = LMHead.backward
 
-    def __init__(
-        self,
-        group: ProcessGroup,
-        embedding: VocabParallelEmbedding,
-        buffers: Optional[BufferManager] = None,
-    ):
-        super().__init__()
-        self.group = group
-        self.embedding = embedding  # shared table, not re-registered
-        self.buffers = buffers
-        self._x: Optional[DTensor] = None
-
-    def forward(self, x: DTensor) -> DTensor:
-        group = self.group
-        self._x = x
+    def _logits(self, x: DTensor) -> DTensor:
+        group = self.owner
         table = self.embedding.table.data
         h = table.global_shape[1]
         out = block_map(abt, group, x, table, layout=SHARDED_1D(1))
         xl, tl = x.local(group.ranks[0]), table.local(group.ranks[0])
         group.sim.charge_compute(group.ranks, ((2.0 * xl.shape[0] * h * tl.shape[0], "gemm"),))
-        hold(self.buffers, "forward", out)
         return out
 
-    def backward(self, dlogits: DTensor) -> DTensor:
-        if self._x is None:
-            raise RuntimeError("lm-head backward before forward")
-        group = self.group
+    def _backward(self, x: DTensor, dlogits: DTensor):
+        group = self.owner
         table = self.embedding.table.data
         dx_partials = block_map(matmul, group, dlogits, table, layout=PARTIAL_1D)
-        d_table = block_map(atb, group, dlogits, self._x, layout=table.layout)
+        d_table = block_map(atb, group, dlogits, x, layout=table.layout)
         rank = group.ranks[0]
-        dl, tl, xl = dlogits.local(rank), table.local(rank), self._x.local(rank)
+        dl, tl, xl = dlogits.local(rank), table.local(rank), x.local(rank)
         group.sim.charge_compute(
             group.ranks,
             (
@@ -141,7 +103,4 @@ class LMHead1D(DistModule):
                 (2.0 * dl.shape[1] * dl.shape[0] * xl.shape[1], "gemm"),
             ),
         )
-        dx = stacked.all_reduce(group, dx_partials)
-        self.embedding.table.add_grad(d_table)
-        self._x = None
-        return dx
+        return stacked.all_reduce(group, dx_partials), d_table

@@ -91,6 +91,9 @@ class Layout:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Layout({self.kind})"
 
+    def __str__(self) -> str:
+        return self.kind
+
     # ------------------------------------------------------------------
     def misfit(self, owner, ndim: int) -> Optional[str]:
         """Why ``owner`` cannot carry an ``ndim``-D tensor in this layout,

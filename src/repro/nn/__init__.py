@@ -3,8 +3,9 @@ checking.  Both parallel schemes and the serial reference consume the *same*
 globally-initialized parameter dict, which is what makes bit-level
 equivalence testing between the three implementations possible.
 
-:mod:`repro.nn.transformer` holds the transformer stack both parallel
-schemes subclass; import it by its full name (it builds on ``repro.core``'s
+:mod:`repro.nn.transformer` holds the transformer stack and
+:mod:`repro.nn.leaves` its leaves, both of which the parallel schemes
+subclass; import them by their full names (they build on ``repro.core``'s
 parameter and buffer classes, which this package must not pull in).
 """
 

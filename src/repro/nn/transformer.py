@@ -8,7 +8,9 @@ pre-LN layer, the model with its one checkpointed forward loop and one
 backward loop, shared by the LM, classification and stem entry points — and
 a scheme is a family of subclasses whose class attributes name its leaves
 (``qkv_cls``, ``norm_cls``, ``embedding_cls``, …) plus the few accounting
-rules that really differ, kept as overridable methods.
+rules that really differ, kept as overridable methods.  The leaves are
+written once too (:mod:`repro.nn.leaves`), each scheme supplying their
+products.
 :mod:`repro.core` (Optimus 2-D) and :mod:`repro.megatron` (1-D) are the two
 families; ``docs/parallelism.md`` tabulates them.  Leaves are class
 attributes here; everything above the model reads the scheme's record in

@@ -1,6 +1,7 @@
 """OpenMetrics / Prometheus text exposition for the metrics registry.
 
-Two render paths cover the two places metrics live:
+Two render paths cover the two places metrics live, both through one
+family builder (counters and gauges alike):
 
 * :func:`render_registry` serializes a live
   :class:`~repro.obs.metrics.MetricsRegistry` — histograms get real
@@ -117,15 +118,16 @@ def _render(families: List[_Family]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _histogram_family(fam: _Family, labels: dict, samples: List[float],
-                      count: int, total: float) -> None:
-    """Cumulative ``_bucket`` lines from retained samples.
+def _histogram_family(fam: _Family, labels: dict, entry: dict) -> None:
+    """Cumulative ``_bucket`` lines from a live histogram's retained
+    ``samples``.
 
     Retention may have truncated (``count > len(samples)``): finite buckets
     count retained samples only, while ``+Inf`` carries the true count —
     still monotone, since ``count >= len(samples)``.
     """
-    ordered = sorted(samples)
+    ordered = sorted(entry["samples"])
+    count = entry["count"]
     if ordered:
         for le in bucket_bounds(ordered[0], ordered[-1]):
             cum = sum(1 for s in ordered if s <= le)
@@ -135,7 +137,7 @@ def _histogram_family(fam: _Family, labels: dict, samples: List[float],
     fam.lines.append(
         f"{fam.name}_bucket{_labelstr(labels, [('le', '+Inf')])} {count}"
     )
-    fam.lines.append(f"{fam.name}_sum{_labelstr(labels)} {_fmt(total)}")
+    fam.lines.append(f"{fam.name}_sum{_labelstr(labels)} {_fmt(entry['sum'])}")
     fam.lines.append(f"{fam.name}_count{_labelstr(labels)} {count}")
 
 
@@ -149,31 +151,14 @@ def _summary_family(fam: _Family, labels: dict, entry: dict) -> None:
 
 
 def render_registry(registry, prefix: str = "repro") -> str:
-    """OpenMetrics text for a live :class:`MetricsRegistry`."""
-    from repro.obs.metrics import Counter, Histogram
-
-    families: Dict[str, _Family] = {}
-    for (name, label_key), m in registry._sorted_items():
-        labels = dict(label_key)
-        if isinstance(m, Histogram):
-            fam = families.setdefault(
-                metric_name(name, prefix), _Family(metric_name(name, prefix), "histogram")
-            )
-            _histogram_family(fam, labels, m.samples, m.count, m.total)
-        elif isinstance(m, Counter):
-            fam = families.setdefault(
-                metric_name(name, prefix), _Family(metric_name(name, prefix), "counter")
-            )
-            fam.lines.append(f"{fam.name}_total{_labelstr(labels)} {_fmt(m.value)}")
-            fam.lines.append(
-                f"{fam.name}_created{_labelstr(labels)} {_fmt(m.created)}"
-            )
-        else:
-            fam = families.setdefault(
-                metric_name(name, prefix), _Family(metric_name(name, prefix), "gauge")
-            )
-            fam.lines.append(f"{fam.name}{_labelstr(labels)} {_fmt(m.value)}")
-    return _render(list(families.values()))
+    """OpenMetrics text for a live :class:`MetricsRegistry`: its
+    ``export()`` entries, each histogram with its retained samples for real
+    ``_bucket`` lines."""
+    entries = registry.export()
+    for entry, (_, m) in zip(entries, registry._sorted_items()):
+        if entry["type"] == "histogram":
+            entry["samples"] = m.samples
+    return _render_entries(entries, prefix, None, ("histogram", _histogram_family))
 
 
 def render_export(entries: List[dict], prefix: str = "repro",
@@ -185,6 +170,14 @@ def render_export(entries: List[dict], prefix: str = "repro",
     (e.g. ``run_id``/``kind`` from a ledger record) are merged into every
     sample's label set.
     """
+    return _render_entries(entries, prefix, extra_labels, ("summary", _summary_family))
+
+
+def _render_entries(entries: List[dict], prefix: str,
+                    extra_labels: Optional[Dict[str, object]], histograms) -> str:
+    """The one family builder: counters and gauges alike for both paths;
+    ``histograms`` is the ``(family type, line writer)`` of a histogram."""
+    hist_type, hist_lines = histograms
     families: Dict[str, _Family] = {}
     for entry in entries:
         labels = dict(entry.get("labels") or {})
@@ -192,8 +185,8 @@ def render_export(entries: List[dict], prefix: str = "repro",
         name = metric_name(entry["name"], prefix)
         kind = entry.get("type", "gauge")
         if kind == "histogram":
-            fam = families.setdefault(name, _Family(name, "summary"))
-            _summary_family(fam, labels, entry)
+            fam = families.setdefault(name, _Family(name, hist_type))
+            hist_lines(fam, labels, entry)
         elif kind == "counter":
             fam = families.setdefault(name, _Family(name, "counter"))
             fam.lines.append(f"{name}_total{_labelstr(labels)} {_fmt(entry['value'])}")

@@ -21,6 +21,7 @@ from repro.obs.comm_matrix import comm_matrix, render_comm_matrix, total as matr
 from repro.obs.perfetto import write_chrome_trace
 from repro.obs.report import collective_report, memory_report, top_spans
 from repro.schemes import SCHEMES
+from repro.utils import require_writable
 from repro.utils.tables import format_bytes, format_table
 
 
@@ -212,6 +213,8 @@ def main(
     top: int = 12,
     printer: Callable[[str], None] = print,
 ) -> int:
+    if trace_out:
+        require_writable("--trace-out", trace_out)
     sim = run_profile(experiment, scheme=scheme, mem_timeline=mem_timeline)
     printer(
         f"profiled {experiment} [{scheme}]: {sim.num_ranks} ranks, "
@@ -221,11 +224,7 @@ def main(
     printer("")
     render_profile(sim, top=top, mem_timeline=mem_timeline, printer=printer)
     if trace_out:
-        try:
-            trace = write_chrome_trace(sim, trace_out)
-        except OSError as exc:
-            printer(f"error: cannot write trace to {trace_out}: {exc}")
-            return 1
+        trace = write_chrome_trace(sim, trace_out)
         printer(
             f"wrote {trace_out}: {len(trace['traceEvents'])} trace events "
             "(open in https://ui.perfetto.dev)"

@@ -10,9 +10,9 @@ happen at every step boundary on the simulated clock (Orca-style
 iteration-level scheduling).
 
 The decode forward is one :meth:`ServingEngine.step` for both schemes (1-D
-is its one-row case) and reuses the training modules unchanged
-(``Embedding2D``/``Linear2D``/``LayerNorm2D``/``MLP2D`` and their 1-D
-twins) — SUMMA and the Megatron conjugate all-reduces accept any token
+is its one-row case) and reuses the training modules unchanged (the
+shared leaves of :mod:`repro.nn.leaves` with each scheme's cells, and the
+shared ``MLP``) — SUMMA and the Megatron conjugate all-reduces accept any token
 count, so the decode path exercises the exact communication/compute
 accounting of training, including the batched SUMMA executor, which stays
 bit-exact here (``tests/test_serving.py`` compares a whole report with it
@@ -43,7 +43,6 @@ from repro.comm import collectives as coll
 from repro.comm.stacked import precosts
 from repro.config import ModelConfig
 from repro.mesh.dtensor import DTensor, on_stacks
-from repro.mesh.mesh import Mesh
 from repro.nn.transformer import ELEMWISE_COST, charge_elementwise
 from repro.reference.attention import decode_attention_fwd
 from repro.resilience.faults import CollectiveTimeoutError, RankCrashError
@@ -487,12 +486,10 @@ class ServingEngine:
         if stripes is not None:
             values = stripes.max(axis=-1)
             indices = stripes.argmax(axis=-1) + np.arange(g)[:, None] * v_loc
-            owner = self.model.owner
-            lines = "row_groups" if isinstance(owner, Mesh) else None  # None: the one group
             nbytes = width * 2 * g * logits.dtype.itemsize
-            for line in precosts(owner, lines, "all_gather", nbytes):
-                self.sim.charge_compute(line[0].ranks, charges)
-                coll.charge_only("all_gather", (line,))
+            for row in self.rows:  # each stripe row is its own line
+                self.sim.charge_compute(row.ranks, charges)
+                coll.charge_only("all_gather", precosts(row, None, "all_gather", nbytes))
         else:
             values = np.empty((len(self.rows), g, width), logits.dtype)
             indices = np.empty((len(self.rows), g, width), np.int64)

@@ -342,10 +342,10 @@ def run_serve(
     arm starts; successive arms bump the counter reset epoch so scrapers
     see OpenMetrics counter-restart semantics, not silent resets."""
     knobs = dict(DEFAULTS)
-    arrivals = arrivals or ARRIVAL_PROFILES
     if quick:
         knobs.update(QUICK)
-        arrivals = tuple(a for a in arrivals if a == "poisson") or ("poisson",)
+    # --quick narrows only the default set: an arrival asked for is run
+    arrivals = arrivals or (("poisson",) if quick else ARRIVAL_PROFILES)
     overrides = dict(
         requests=requests,
         rate_rps=rate_rps,

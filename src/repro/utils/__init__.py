@@ -6,7 +6,9 @@ import os
 from repro.utils.asciiplot import line_plot
 from repro.utils.tables import format_bytes, format_table
 
-__all__ = ["format_table", "format_bytes", "line_plot", "write_text", "UsageError"]
+__all__ = [
+    "format_table", "format_bytes", "line_plot", "write_text", "require_writable", "UsageError"
+]
 
 
 def write_text(path: str, text: str) -> None:
@@ -23,3 +25,13 @@ class UsageError(ValueError):
     """Bad input to a command, named as the user gave it (a flag, a value,
     an input file), raised before any work: ``python -m repro`` prints it
     as ``error: …`` on stderr and exits 2."""
+
+
+def require_writable(flag: str, path: str) -> None:
+    """Raise :class:`UsageError` before any work unless :func:`write_text`
+    can create ``path``, ``flag``'s value, in its nearest existing folder."""
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise UsageError(f"{flag}: cannot write {path}")

@@ -150,8 +150,17 @@ class TestUsageErrors:
         [
             ("chaos --steps 3", "chaos campaigns need at least 5 steps"),
             ("critpath tiny --ledger L", "--ledger requires --calibrate"),
+            ("critpath tiny --json --top 3", "--top cannot be combined with --json"),
+            ("ledger compact --dry-run --out X", "--out cannot be combined with --dry-run"),
+            (
+                "profile tiny --trace-out /dev/null/t.json",
+                "--trace-out: cannot write /dev/null/t.json",
+            ),
         ],
-        ids=["chaos-steps", "critpath-ledger"],
+        ids=[
+            "chaos-steps", "critpath-ledger", "critpath-json-top", "ledger-dry-run-out",
+            "profile-trace-out-under-a-file",
+        ],
     )
     def test_bad_input_is_a_usage_error(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -2,7 +2,8 @@
 
 A build through :data:`repro.schemes.SCHEMES` must equal the direct build it
 replaced, a non-square device count must fail where Optimus is asked for it,
-and no module outside the table may branch on a scheme's name.
+and no module outside the table may branch on a scheme's name (nor, outside
+``mesh/`` and ``comm/``, on an owner's class).
 """
 
 import ast
@@ -132,8 +133,14 @@ def test_max_batch_size_rejects_a_non_square_optimus_mesh():
         max_batch_size("optimus", CFG, 8, 16e9, method="estimate")
 
 
+#: the layout owners' classes: only the mesh and comm packages may test for them
+OWNER_TYPES = {"Mesh", "ProcessGroup"}
+
+
 def _scheme_branches(path: Path):
-    """``(function, line)`` of every ==/!= against a scheme's name."""
+    """``(function, line, what)`` of every ==/!= against a scheme's name
+    (``what`` "name") and every ``isinstance`` test for an owner's class
+    (``what`` "owner")."""
     found = []
 
     def visit(node, func):
@@ -144,7 +151,15 @@ def _scheme_branches(path: Path):
         ):
             for side in [node.left, *node.comparators]:
                 if isinstance(side, ast.Constant) and side.value in SCHEMES:
-                    found.append((func, node.lineno))
+                    found.append((func, node.lineno, "name"))
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+        ):
+            named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+            if named & OWNER_TYPES:
+                found.append((func, node.lineno, "owner"))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -153,14 +168,15 @@ def _scheme_branches(path: Path):
 
 
 def test_no_branch_on_a_scheme_name_outside_the_table():
+    """Nor on which owner a tensor lives on: a scheme is its layouts, so
+    code outside ``mesh/`` and ``comm/`` asks the owner for its lines and
+    ranks, never for its class."""
     stray = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
-        if rel == "schemes.py":
-            continue
-        stray += [
-            f"{rel}:{line} ({func})"
-            for func, line in _scheme_branches(path)
-            if (rel, func) not in ALLOWED
-        ]
+        for func, line, what in _scheme_branches(path):
+            if what == "name" and rel != "schemes.py" and (rel, func) not in ALLOWED:
+                stray.append(f"{rel}:{line} ({func})")
+            if what == "owner" and not rel.startswith(("mesh/", "comm/")):
+                stray.append(f"{rel}:{line} ({func}): isinstance of an owner")
     assert stray == []

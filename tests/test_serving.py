@@ -662,6 +662,20 @@ class TestLedgerServe:
 # CLI
 # ----------------------------------------------------------------------
 class TestServeCLI:
+    def test_quick_narrows_only_the_default_arrivals(self, tmp_path, capsys):
+        """``--quick`` runs poisson when no arrival is named, and the
+        arrival asked for when one is."""
+        from repro.cli import main
+
+        out = tmp_path / "s.json"
+        argv = ["serve", "--quick", "--requests", "4", "--scheme", "optimus", "--out", str(out)]
+        for arrival, ran in ([], ["poisson"]), (["--arrival", "bursty"], ["bursty"]):
+            assert main(argv + arrival + ["--rate", "3000"]) == 0
+            doc = json.loads(out.read_text())
+            assert [t["arrival"] for t in doc["traffic"]] == ran
+            assert [e["arrival"] for e in doc["schemes"]] == ran
+        capsys.readouterr()
+
     def test_serve_writes_report_and_exit_codes(self, tmp_path, capsys):
         from repro.cli import main
 
