@@ -15,11 +15,12 @@ import pytest
 
 from benchmarks.conftest import save_result
 from repro.config import ModelConfig
-from repro.core import BufferManager, OptimusModel
-from repro.megatron import MegatronModel
-from repro.mesh import Mesh
-from repro.nn import init_transformer_params
-from repro.runtime import Simulator
+from repro.core.buffers import BufferManager
+from repro.core.model import OptimusModel
+from repro.megatron.model import MegatronModel
+from repro.mesh.mesh import Mesh
+from repro.nn.init import init_transformer_params
+from repro.runtime.simulator import Simulator
 from repro.utils.tables import format_bytes, format_table
 
 CFG = ModelConfig(

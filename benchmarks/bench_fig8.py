@@ -37,7 +37,9 @@ def test_bunched_never_slower_end_to_end(rows):
 
 def test_bunched_profile():
     """Direct check of the Fig. 8 geometry claims."""
-    from repro.hardware import ClusterTopology, bunched_arrangement, frontera_rtx
+    from repro.hardware.arrangement import bunched_arrangement
+    from repro.hardware.specs import frontera_rtx
+    from repro.hardware.topology import ClusterTopology
 
     cl = frontera_rtx(4)
     topo = ClusterTopology(cl)

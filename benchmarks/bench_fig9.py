@@ -26,7 +26,7 @@ def test_benchmark_fig9(benchmark, rows):
     def _small_probe():
         # keep the timed section light; the full sweep runs once via fixture
         from repro.config import table2_weak_scaling
-        from repro.perfmodel import measure_peak_bytes
+        from repro.perfmodel.memory_model import measure_peak_bytes
 
         cfg = table2_weak_scaling()[0]["model_optimus"]
         return measure_peak_bytes("optimus", cfg, 4, 96)

@@ -13,8 +13,8 @@ import pytest
 from benchmarks.conftest import save_result
 from repro.backend.shape_array import ShapeArray
 from repro.config import ModelConfig
-from repro.hybrid import DataParallel
-from repro.utils import format_table
+from repro.hybrid.data_parallel import DataParallel
+from repro.utils.tables import format_table
 
 CFG = ModelConfig(
     vocab_size=25600, hidden_size=1024, num_heads=16, num_layers=6, seq_len=256

@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks.conftest import save_result
 from repro.experiments import isoefficiency
-from repro.perfmodel import (
+from repro.perfmodel.isoefficiency import (
     asymptotic_work_megatron,
     asymptotic_work_optimus,
     efficiency_megatron,

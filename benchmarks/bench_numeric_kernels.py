@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from repro.config import tiny_config
-from repro.core import OptimusModel
+from repro.core.model import OptimusModel
 from repro.core.summa import summa_ab
-from repro.megatron import MegatronModel
-from repro.mesh import Mesh, distribute_blocked_2d
-from repro.nn import init_transformer_params
-from repro.runtime import Simulator
-from repro.training import SGD
+from repro.megatron.model import MegatronModel
+from repro.mesh.mesh import Mesh
+from repro.mesh.partition import distribute_blocked_2d
+from repro.nn.init import init_transformer_params
+from repro.runtime.simulator import Simulator
+from repro.training.optim import SGD
 
 
 @pytest.fixture(scope="module")

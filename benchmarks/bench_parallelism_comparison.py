@@ -17,13 +17,14 @@ import pytest
 from benchmarks.conftest import save_result
 from repro.backend.shape_array import ShapeArray
 from repro.config import ModelConfig
-from repro.core import OptimusModel
-from repro.megatron import MegatronModel
-from repro.mesh import Mesh
-from repro.nn import init_transformer_params
-from repro.pipeline import PipelineModel, bubble_fraction
-from repro.runtime import Simulator
-from repro.utils import format_bytes, format_table
+from repro.core.model import OptimusModel
+from repro.megatron.model import MegatronModel
+from repro.mesh.mesh import Mesh
+from repro.nn.init import init_transformer_params
+from repro.pipeline.engine import PipelineModel
+from repro.pipeline.schedule import bubble_fraction
+from repro.runtime.simulator import Simulator
+from repro.utils.tables import format_bytes, format_table
 
 CFG = ModelConfig(
     vocab_size=51200, hidden_size=2048, num_heads=32, num_layers=8, seq_len=512

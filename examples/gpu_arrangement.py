@@ -20,13 +20,10 @@ Run:  python examples/gpu_arrangement.py
 """
 
 from repro.experiments import fig8
-from repro.hardware import (
-    ClusterTopology,
-    bunched_arrangement,
-    frontera_rtx,
-    naive_arrangement,
-)
-from repro.utils import format_table
+from repro.hardware.arrangement import bunched_arrangement, naive_arrangement
+from repro.hardware.specs import frontera_rtx
+from repro.hardware.topology import ClusterTopology
+from repro.utils.tables import format_table
 
 
 def geometry_table() -> str:

@@ -14,12 +14,12 @@ Run:  python examples/hybrid_data_parallel.py
 import numpy as np
 
 from repro.config import ModelConfig
-from repro.hybrid import DataParallel
+from repro.hybrid.data_parallel import DataParallel
 from repro.mesh.partition import assemble_any
-from repro.nn import init_transformer_params
-from repro.reference import ReferenceTransformer
+from repro.nn.init import init_transformer_params
+from repro.reference.model import ReferenceTransformer
 from repro.runtime.analysis import collective_stats, format_breakdown
-from repro.training import SGD, SerialSGD
+from repro.training.optim import SGD, SerialSGD
 
 
 def main() -> None:

@@ -14,8 +14,8 @@ import argparse
 
 from repro.config import table2_weak_scaling
 from repro.experiments import fig9
-from repro.perfmodel import estimate_peak_bytes, max_batch_size
-from repro.utils import format_bytes, format_table
+from repro.perfmodel.memory_model import estimate_peak_bytes, max_batch_size
+from repro.utils.tables import format_bytes, format_table
 
 
 def breakdown_at_limit(capacity: float, optimizer_slots: int) -> str:

@@ -17,13 +17,14 @@ Run:  python examples/moe_and_classification.py
 import numpy as np
 
 from repro.config import ModelConfig
-from repro.core import MoE2D, OptimusModel
-from repro.core.moe import _balanced_counts  # noqa: F401 (doc pointer)
-from repro.mesh import Mesh, assemble_blocked_2d, distribute_blocked_2d
-from repro.nn import init_transformer_params
-from repro.reference import ReferenceMoE, init_moe_params
-from repro.runtime import Simulator
-from repro.training import SGD
+from repro.core.model import OptimusModel
+from repro.core.moe import MoE2D
+from repro.mesh.mesh import Mesh
+from repro.mesh.partition import assemble_blocked_2d, distribute_blocked_2d
+from repro.nn.init import init_transformer_params
+from repro.reference.moe import ReferenceMoE, init_moe_params
+from repro.runtime.simulator import Simulator
+from repro.training.optim import SGD
 
 
 def moe_demo() -> None:

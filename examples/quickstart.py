@@ -16,13 +16,13 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.config import ModelConfig
-from repro.core import OptimusModel
-from repro.megatron import MegatronModel
-from repro.mesh import Mesh
-from repro.nn import init_transformer_params
-from repro.reference import ReferenceTransformer
-from repro.runtime import Simulator
-from repro.utils import format_bytes, format_table
+from repro.core.model import OptimusModel
+from repro.megatron.model import MegatronModel
+from repro.mesh.mesh import Mesh
+from repro.nn.init import init_transformer_params
+from repro.reference.model import ReferenceTransformer
+from repro.runtime.simulator import Simulator
+from repro.utils.tables import format_bytes, format_table
 
 
 def main() -> None:
@@ -65,7 +65,7 @@ def main() -> None:
           f"(diff vs serial: {abs(meg_loss - ref_loss):.2e})")
 
     # gradients agree too — spot-check one weight matrix
-    from repro.mesh import assemble_blocked_2d
+    from repro.mesh.partition import assemble_blocked_2d
 
     g2d = assemble_blocked_2d(optimus.named_parameters()["layer0.mlp.w1"].grad)
     err = np.max(np.abs(g2d - ref_grads["layer0.mlp.w1"]))

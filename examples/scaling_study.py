@@ -15,8 +15,8 @@ import argparse
 from repro.config import ModelConfig
 from repro.experiments import table2, table3
 from repro.experiments.runner import run_megatron_stem, run_optimus_stem, speedup_at
-from repro.perfmodel import isoefficiency_work
-from repro.utils import format_table
+from repro.perfmodel.isoefficiency import isoefficiency_work
+from repro.utils.tables import format_table
 
 
 def extended_weak_scaling() -> str:

@@ -15,11 +15,15 @@ import argparse
 import numpy as np
 
 from repro.config import ModelConfig
-from repro.core import OptimusModel
-from repro.mesh import Mesh, assemble_blocked_2d
-from repro.nn import init_transformer_params
-from repro.runtime import Simulator
-from repro.training import Adam, CharCorpus, Trainer, warmup_cosine
+from repro.core.model import OptimusModel
+from repro.mesh.mesh import Mesh
+from repro.mesh.partition import assemble_blocked_2d
+from repro.nn.init import init_transformer_params
+from repro.runtime.simulator import Simulator
+from repro.training.data import CharCorpus
+from repro.training.optim import Adam
+from repro.training.schedule import warmup_cosine
+from repro.training.trainer import Trainer
 
 
 def sample(model: OptimusModel, corpus: CharCorpus, prompt: str, length: int) -> str:

@@ -24,47 +24,40 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured results.
 """
 
-from repro.config import ModelConfig, RunConfig, tiny_config
-from repro.core import BufferManager, MoE2D, OptimusModel
-from repro.hybrid import DataParallel
-from repro.megatron import MegatronModel
-from repro.mesh import Mesh
-from repro.nn import init_transformer_params
-from repro.pipeline import PipelineModel
-from repro.reference import ReferenceTransformer
-from repro.resilience import FaultInjector, FaultSchedule, ResilientTrainer
-from repro.runtime import Simulator
-from repro.serialization import (
-    CheckpointCorruptError,
-    load_checkpoint,
-    load_training_checkpoint,
-    save_checkpoint,
-    save_training_checkpoint,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ModelConfig",
-    "RunConfig",
-    "tiny_config",
-    "BufferManager",
-    "MoE2D",
-    "OptimusModel",
-    "DataParallel",
-    "MegatronModel",
-    "Mesh",
-    "init_transformer_params",
-    "PipelineModel",
-    "ReferenceTransformer",
-    "Simulator",
-    "save_checkpoint",
-    "load_checkpoint",
-    "save_training_checkpoint",
-    "load_training_checkpoint",
-    "CheckpointCorruptError",
-    "FaultSchedule",
-    "FaultInjector",
-    "ResilientTrainer",
-    "__version__",
-]
+#: each public name -> its defining module, imported on first read (PEP 562),
+#: so ``import repro`` loads this module alone
+_EXPORTS = {
+    "ModelConfig": "repro.config",
+    "RunConfig": "repro.config",
+    "tiny_config": "repro.config",
+    "BufferManager": "repro.core.buffers",
+    "MoE2D": "repro.core.moe",
+    "OptimusModel": "repro.core.model",
+    "DataParallel": "repro.hybrid.data_parallel",
+    "MegatronModel": "repro.megatron.model",
+    "Mesh": "repro.mesh.mesh",
+    "init_transformer_params": "repro.nn.init",
+    "PipelineModel": "repro.pipeline.engine",
+    "ReferenceTransformer": "repro.reference.model",
+    "Simulator": "repro.runtime.simulator",
+    "save_checkpoint": "repro.serialization",
+    "load_checkpoint": "repro.serialization",
+    "save_training_checkpoint": "repro.serialization",
+    "load_training_checkpoint": "repro.serialization",
+    "CheckpointCorruptError": "repro.serialization",
+    "FaultSchedule": "repro.resilience.faults",
+    "FaultInjector": "repro.resilience.injector",
+    "ResilientTrainer": "repro.resilience.trainer",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(_EXPORTS[name]), name)

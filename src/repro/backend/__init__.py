@@ -13,19 +13,3 @@ Two interchangeable backends execute the same module code:
 All module code goes through :mod:`repro.backend.ops`, which dispatches on
 array type.
 """
-
-from repro.backend import ops
-from repro.backend.dtypes import DType, bool_, dtype_size, float32, float64, int64
-from repro.backend.shape_array import ShapeArray, is_shape_array
-
-__all__ = [
-    "DType",
-    "float32",
-    "float64",
-    "int64",
-    "bool_",
-    "dtype_size",
-    "ShapeArray",
-    "is_shape_array",
-    "ops",
-]

@@ -7,43 +7,7 @@ Three layers, each usable on its own:
   oracle plus byte/clock conservation laws after every call;
 * :mod:`repro.check.invariants` — validate any DTensor against its layout
   contract (tiling, ownership partition, replica bit-identity); installed
-  as the simulator's *strict mode*;
+  as the simulator's *strict mode* (``strict_mode``);
 * :mod:`repro.check.fuzz` — the ``python -m repro check`` seeded
   shape-fuzzing equivalence runner (Optimus vs Megatron vs serial).
 """
-
-from __future__ import annotations
-
-from contextlib import contextmanager
-
-from repro.check.contracts import (
-    CollectiveContractChecker,
-    ContractViolation,
-    contract_checks,
-)
-from repro.check.fuzz import TrialSpec, draw_spec, run_check, run_trial
-from repro.check.invariants import InvariantViolation, validate_dtensor
-
-__all__ = [
-    "CollectiveContractChecker",
-    "ContractViolation",
-    "contract_checks",
-    "InvariantViolation",
-    "validate_dtensor",
-    "strict_mode",
-    "TrialSpec",
-    "draw_spec",
-    "run_check",
-    "run_trial",
-]
-
-
-@contextmanager
-def strict_mode(sim):
-    """Temporarily enable strict DTensor invariant checking on ``sim``."""
-    prev = sim.strict_invariants
-    sim.strict_invariants = True
-    try:
-        yield sim
-    finally:
-        sim.strict_invariants = prev

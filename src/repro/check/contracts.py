@@ -26,10 +26,9 @@ On the dryrun (ShapeArray) backend the oracle degrades to shape checking;
 conservation and synchronization are still enforced.
 
 The checker monkey-patches the module-level functions of
-``repro.comm.collectives`` (and the re-exports in ``repro.comm``), which
-covers every call site in the repo — all distributed modules call
-``coll.<op>(...)`` through the module namespace.  Install it as a context
-manager::
+``repro.comm.collectives``, which covers every call site in the repo — all
+distributed modules call ``coll.<op>(...)`` through the module namespace.
+Install it as a context manager::
 
     with CollectiveContractChecker():
         model.forward(ids, labels)
@@ -167,17 +166,13 @@ class CollectiveContractChecker:
             raise RuntimeError("contract checker already installed")
         if _installed is not None:
             raise RuntimeError("another contract checker is already installed")
-        from repro import comm as comm_pkg
         from repro.comm import collectives as coll_mod
 
         self._originals = {}
         for name in COLLECTIVE_KINDS:  # each kind is the function of that name
             original = getattr(coll_mod, name)
-            wrapper = self._wrap(name, original)
             self._originals[name] = original
-            setattr(coll_mod, name, wrapper)
-            if getattr(comm_pkg, name, None) is original:
-                setattr(comm_pkg, name, wrapper)
+            setattr(coll_mod, name, self._wrap(name, original))
         _installed = self
         return self
 
@@ -185,13 +180,10 @@ class CollectiveContractChecker:
         global _installed
         if self._originals is None:
             return
-        from repro import comm as comm_pkg
         from repro.comm import collectives as coll_mod
 
         for name, original in self._originals.items():
             setattr(coll_mod, name, original)
-            if hasattr(comm_pkg, name):
-                setattr(comm_pkg, name, original)
         self._originals = None
         if _installed is self:
             _installed = None

@@ -10,7 +10,8 @@ This module makes those contracts executable.
 message on the first breach.  It is the engine behind the simulator's
 *strict mode* (``Simulator(strict_invariants=True)`` or
 ``REPRO_STRICT_INVARIANTS=1``), which validates every DTensor at
-construction time — and it can be called directly on any DTensor in tests.
+construction time (:func:`strict_mode` turns it on for a block) — and it
+can be called directly on any DTensor in tests.
 
 The contract is one rule, read off the layout's record
 (:mod:`repro.mesh.layouts`): the owner can carry the layout (one entry per
@@ -32,6 +33,8 @@ ownership checking there.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -140,3 +143,14 @@ def _validate_blocks(dt, name, coords) -> None:
             )
         if not np.shares_memory(shard, entry):
             _fail(dt, name, f"rank {rank} shard is not a view of its block-stack entry")
+
+
+@contextmanager
+def strict_mode(sim):
+    """Temporarily enable strict DTensor invariant checking on ``sim``."""
+    prev = sim.strict_invariants
+    sim.strict_invariants = True
+    try:
+        yield sim
+    finally:
+        sim.strict_invariants = prev

@@ -27,7 +27,6 @@ import inspect
 import sys
 from typing import Callable, Dict, Tuple
 
-from repro.experiments import fig7, fig8, fig9, isoefficiency, report, table1, table2, table3
 from repro.utils import UsageError
 
 
@@ -36,8 +35,8 @@ def _cmd_verify() -> None:
     import numpy as np
 
     from repro.config import tiny_config
-    from repro.nn import init_transformer_params
-    from repro.reference import ReferenceTransformer
+    from repro.nn.init import init_transformer_params
+    from repro.reference.model import ReferenceTransformer
     from repro.schemes import SCHEMES
 
     cfg = tiny_config(num_layers=2)
@@ -59,17 +58,18 @@ def _cmd_verify() -> None:
         sys.exit(1)
 
 
-#: the paper results in ``all``'s order; each prints its module's one text
-PAPER_RESULTS: Dict[str, Callable[[], None]] = {
-    m.__name__.rpartition(".")[2]: m.main
-    for m in (table1, table2, table3, fig7, fig8, fig9, isoefficiency)
+#: every command's function as ``module:function``, imported when run.  The
+#: paper results, in ``all``'s order, each print their module's one text
+PAPER_RESULTS: Dict[str, str] = {
+    name: f"repro.experiments.{name}:main"
+    for name in ("table1", "table2", "table3", "fig7", "fig8", "fig9", "isoefficiency")
 }
-COMMANDS: Dict[str, Callable[[], object]] = {
-    **PAPER_RESULTS, "report": report.main, "verify": _cmd_verify
+COMMANDS: Dict[str, str] = {
+    **PAPER_RESULTS, "report": "repro.experiments.report:main", "verify": "repro.cli:_cmd_verify"
 }
-#: the other subcommands' drivers as ``module:function`` (imported when
-#: run), each called with the parsed arguments as keywords; ``chaos
-#: --serve`` and ``serve --preempt-ab`` name the campaigns those flags select
+#: the other subcommands' drivers, each called with the parsed arguments as
+#: keywords; ``chaos --serve`` and ``serve --preempt-ab`` name the campaigns
+#: those flags select
 DRIVERS: Dict[str, str] = {
     "check": "repro.check.fuzz:main",
     "chaos": "repro.resilience.chaos:main",
@@ -94,6 +94,12 @@ EXCLUDES: Dict[str, Dict[str, Tuple[str, ...]]] = {
     "ledger": {"dry_run": ("out",)},
     "serve": {"sweep": ("rate_rps", "compare")},
 }
+
+
+def resolve(spec: str) -> Callable:
+    """The function a ``module:function`` row names, importing its module."""
+    module, _, name = spec.partition(":")
+    return getattr(importlib.import_module(module), name)
 
 
 def _options(parser: argparse.ArgumentParser) -> list:
@@ -449,19 +455,18 @@ def main(argv=None) -> int:
     args = vars(parser.parse_args(argv))
     command = args.pop("command")
     if command in DRIVERS:
-        module, _, name = DRIVERS[command].partition(":")
-        driver = getattr(importlib.import_module(module), name)
+        driver = resolve(DRIVERS[command])
         try:  # a UsageError is raised before the driver does any work
             return driver(**driver_kwargs(command, driver, args, sub.choices[command.split()[0]]))
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     if command == "all":
-        for name, result in PAPER_RESULTS.items():
+        for name, spec in PAPER_RESULTS.items():
             print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-            result()
+            resolve(spec)()
     else:
-        COMMANDS[command]()
+        resolve(COMMANDS[command])()
     return 0
 
 

@@ -7,30 +7,3 @@ operating on real per-rank numpy shards (or dryrun placeholders) while
 charging α–β time, byte counters, and the paper's ``log(g)·B`` /
 ``2(g−1)B/g`` weighted volumes used by Table 1.
 """
-
-from repro.comm import collectives
-from repro.comm.collectives import (
-    all_gather,
-    all_reduce,
-    broadcast,
-    gather,
-    reduce,
-    reduce_scatter,
-    scatter,
-)
-from repro.comm.cost import GroupCommModel
-from repro.comm.group import ProcessGroup, make_group
-
-__all__ = [
-    "GroupCommModel",
-    "ProcessGroup",
-    "make_group",
-    "collectives",
-    "broadcast",
-    "reduce",
-    "all_reduce",
-    "all_gather",
-    "reduce_scatter",
-    "scatter",
-    "gather",
-]

@@ -14,30 +14,3 @@ Everything here operates on ``q × q`` meshes of simulated devices:
 * :mod:`repro.core.model` — the full :class:`OptimusModel` with distributed
   activation checkpointing.
 """
-
-from repro.core.buffers import BufferManager
-from repro.core.cls_head import ClassificationHead2D
-from repro.core.embedding import Embedding2D, LMHead2D
-from repro.core.layers import MLP2D, LayerNorm2D, Linear2D, SelfAttention2D, TransformerLayer2D
-from repro.core.loss import CrossEntropy2D
-from repro.core.model import OptimusModel
-from repro.core.moe import MoE2D
-from repro.core.summa import summa_ab, summa_abt, summa_atb
-
-__all__ = [
-    "ClassificationHead2D",
-    "MoE2D",
-    "BufferManager",
-    "summa_ab",
-    "summa_abt",
-    "summa_atb",
-    "Linear2D",
-    "LayerNorm2D",
-    "SelfAttention2D",
-    "MLP2D",
-    "TransformerLayer2D",
-    "Embedding2D",
-    "LMHead2D",
-    "CrossEntropy2D",
-    "OptimusModel",
-]

@@ -18,12 +18,9 @@ from typing import List
 from repro.comm.cost import GroupCommModel
 from repro.config import ModelConfig
 from repro.experiments.runner import StemResult, run_optimus_stem
-from repro.hardware import (
-    ClusterTopology,
-    bunched_arrangement,
-    frontera_rtx,
-    naive_arrangement,
-)
+from repro.hardware.arrangement import bunched_arrangement, naive_arrangement
+from repro.hardware.specs import frontera_rtx
+from repro.hardware.topology import ClusterTopology
 from repro.utils.tables import format_table
 
 DEFAULT_CFG = ModelConfig(

@@ -15,8 +15,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.config import ModelConfig
 from repro.nn.init import init_transformer_params
 from repro.schemes import lookup
-from repro.utils.asciiplot import line_plot
-from repro.utils.tables import format_table
 
 
 @dataclass(frozen=True)
@@ -225,6 +223,8 @@ def speedup_at(results: Iterable[StemResult], p: int) -> Tuple[float, float]:
 
 
 def render_scaling(rows: List[ScalingRow], title: str) -> str:
+    from repro.utils.tables import format_table
+
     return format_table(
         [
             "p", "scheme", "b", "h", "heads",
@@ -248,6 +248,8 @@ def split_lines(rows: List[ScalingRow]) -> str:
 
 def scheme_plot(rows, value: Callable, title: str, ylabel: str) -> str:
     """ASCII plot of ``value(row)`` against p, one series per scheme."""
+    from repro.utils.asciiplot import line_plot
+
     ps = sorted({r.num_devices for r in rows})
     series = {}
     for scheme in ("megatron", "optimus"):

@@ -116,7 +116,7 @@ def bunched_arrangement(cluster: ClusterSpec, q: int) -> Arrangement:
 
 
 def make_arrangement(cluster: ClusterSpec, q: int, kind: str = "bunched") -> Arrangement:
-    """Factory used by :class:`repro.mesh.Mesh`."""
+    """Factory used by :class:`repro.mesh.mesh.Mesh`."""
     if kind == "bunched":
         try:
             return bunched_arrangement(cluster, q)

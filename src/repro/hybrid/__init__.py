@@ -7,7 +7,3 @@ parameter gradients are all-reduced shard-by-shard across replicas before
 the (purely local) optimizer step.  :class:`DataParallel` provides exactly
 that composition over this library's tensor-parallel models.
 """
-
-from repro.hybrid.data_parallel import DataParallel
-
-__all__ = ["DataParallel"]

@@ -10,28 +10,3 @@ it again — the ``4(p−1)/p·bsh`` vs ``8(p−1)/p·bsh`` rows of Table 1.
 The leaves are :mod:`repro.nn.leaves`' bodies over 1-D layouts, with local
 GEMMs and the f / g line all-reduces as their product cells.
 """
-
-from repro.megatron.embedding import LMHead1D, VocabParallelEmbedding
-from repro.megatron.layers import (
-    MLP1D,
-    ColumnParallelLinear,
-    LayerNorm1D,
-    RowParallelLinear,
-    SelfAttention1D,
-    TransformerLayer1D,
-)
-from repro.megatron.loss import VocabParallelCrossEntropy
-from repro.megatron.model import MegatronModel
-
-__all__ = [
-    "ColumnParallelLinear",
-    "RowParallelLinear",
-    "LayerNorm1D",
-    "SelfAttention1D",
-    "MLP1D",
-    "TransformerLayer1D",
-    "VocabParallelEmbedding",
-    "LMHead1D",
-    "VocabParallelCrossEntropy",
-    "MegatronModel",
-]

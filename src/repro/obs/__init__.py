@@ -28,35 +28,3 @@ artifacts performance work is judged against:
 * :mod:`repro.obs.flamegraph` — collapsed-stack (folded) flamegraph
   export for speedscope / flamegraph.pl.
 """
-
-from repro.obs.comm_matrix import comm_matrix, render_comm_matrix
-from repro.obs.critpath import attribution_summary, critpath_report
-from repro.obs.flamegraph import render_folded, validate_folded, write_folded
-from repro.obs.ledger import RunLedger, RunRecord, record_from_sim
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.openmetrics import render_registry, validate_openmetrics
-from repro.obs.perfetto import chrome_trace, write_chrome_trace
-from repro.obs.report import memory_report, top_spans
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "RunLedger",
-    "RunRecord",
-    "record_from_sim",
-    "render_registry",
-    "validate_openmetrics",
-    "chrome_trace",
-    "write_chrome_trace",
-    "comm_matrix",
-    "render_comm_matrix",
-    "top_spans",
-    "memory_report",
-    "critpath_report",
-    "attribution_summary",
-    "render_folded",
-    "write_folded",
-    "validate_folded",
-]

@@ -55,10 +55,10 @@ _STATUS = {  # icon + label: color never carries a verdict alone
 # ----------------------------------------------------------------------
 def _collect_train(ledger: RunLedger, printer) -> None:
     from repro.config import tiny_config
-    from repro.core import OptimusModel
-    from repro.mesh import Mesh
-    from repro.nn import init_transformer_params
-    from repro.runtime import Simulator
+    from repro.core.model import OptimusModel
+    from repro.mesh.mesh import Mesh
+    from repro.nn.init import init_transformer_params
+    from repro.runtime.simulator import Simulator
     from repro.training.data import BatchStream
     from repro.training.optim import Adam
     from repro.training.trainer import Trainer

@@ -225,7 +225,7 @@ class MetricsRegistry:
 
         Only counters are captured: gauges and histograms describe the
         live process, but counters carry campaign-cumulative totals that
-        must survive a :class:`~repro.resilience.ResilientTrainer`
+        must survive a :class:`~repro.resilience.trainer.ResilientTrainer`
         restart without appearing to move backwards.
         """
         return [

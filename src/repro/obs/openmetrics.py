@@ -18,7 +18,7 @@ key, fixed float formatting, a single ``# EOF`` terminator.
 Counters additionally emit a ``_created`` sample carrying the counter's
 reset epoch (0 at birth, bumped on every checkpoint restore) — the
 OpenMetrics mechanism that lets scrapers tell a counter restart from a
-missed increment across :class:`~repro.resilience.ResilientTrainer`
+missed increment across :class:`~repro.resilience.trainer.ResilientTrainer`
 resumes.
 
 :func:`validate_openmetrics` checks the grammar rules the exporters

@@ -6,57 +6,3 @@ the simulator's measured per-device communication volumes and GEMM MACs
 match these formulas exactly, and the memory model is cross-checked against
 the dryrun allocator in the test suite.
 """
-
-from repro.perfmodel.costs import (
-    TABLE1,
-    layer_macs_backward,
-    layer_macs_forward,
-    megatron_comm_backward,
-    megatron_comm_forward,
-    optimus_comm_backward,
-    optimus_comm_forward,
-)
-from repro.perfmodel.isoefficiency import (
-    asymptotic_work_megatron,
-    asymptotic_work_optimus,
-    efficiency_megatron,
-    efficiency_optimus,
-    isoefficiency_hidden,
-    isoefficiency_work,
-)
-from repro.perfmodel.memory_model import (
-    MemoryBreakdown,
-    estimate_peak_bytes,
-    max_batch_size,
-    measure_peak_bytes,
-)
-from repro.perfmodel.scaling import (
-    amdahl_speedup,
-    gustafson_speedup,
-    strong_scaling_efficiency,
-    weak_scaling_efficiency,
-)
-
-__all__ = [
-    "megatron_comm_forward",
-    "megatron_comm_backward",
-    "optimus_comm_forward",
-    "optimus_comm_backward",
-    "layer_macs_forward",
-    "layer_macs_backward",
-    "TABLE1",
-    "efficiency_megatron",
-    "efficiency_optimus",
-    "isoefficiency_hidden",
-    "isoefficiency_work",
-    "asymptotic_work_megatron",
-    "asymptotic_work_optimus",
-    "MemoryBreakdown",
-    "estimate_peak_bytes",
-    "measure_peak_bytes",
-    "max_batch_size",
-    "amdahl_speedup",
-    "gustafson_speedup",
-    "weak_scaling_efficiency",
-    "strong_scaling_efficiency",
-]

@@ -20,13 +20,3 @@ Numerics are exact (the loss and gradients equal full-batch serial
 training); the test suite checks both that and the schedule properties
 (bubble fraction, memory ordering).
 """
-
-from repro.pipeline.engine import PipelineModel
-from repro.pipeline.schedule import bubble_fraction, gpipe_schedule, one_f_one_b_schedule
-
-__all__ = [
-    "PipelineModel",
-    "gpipe_schedule",
-    "one_f_one_b_schedule",
-    "bubble_fraction",
-]

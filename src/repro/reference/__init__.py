@@ -6,15 +6,3 @@ gradients exactly (up to float round-off) when given the same global
 parameters.  Gradients are analytic, verified by finite differences in the
 test suite.
 """
-
-from repro.reference import attention, functional
-from repro.reference.model import ReferenceTransformer
-from repro.reference.moe import ReferenceMoE, init_moe_params
-
-__all__ = [
-    "attention",
-    "functional",
-    "ReferenceTransformer",
-    "ReferenceMoE",
-    "init_moe_params",
-]

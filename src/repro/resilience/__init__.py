@@ -11,31 +11,3 @@ as ``python -m repro chaos``).  With no injector installed the whole
 machinery costs one attribute read per collective — the same
 zero-overhead-when-off bar as ``repro.check``.
 """
-
-from repro.resilience.faults import (
-    CollectiveTimeoutError,
-    FaultSchedule,
-    GradientSDC,
-    MessageCorruption,
-    RankCrash,
-    RankCrashError,
-    SDCDetectedError,
-    Straggler,
-    TransientCollectiveFault,
-)
-from repro.resilience.injector import FaultInjector
-from repro.resilience.trainer import ResilientTrainer
-
-__all__ = [
-    "FaultSchedule",
-    "FaultInjector",
-    "ResilientTrainer",
-    "RankCrash",
-    "TransientCollectiveFault",
-    "MessageCorruption",
-    "Straggler",
-    "GradientSDC",
-    "RankCrashError",
-    "CollectiveTimeoutError",
-    "SDCDetectedError",
-]

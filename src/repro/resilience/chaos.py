@@ -36,7 +36,7 @@ from dataclasses import asdict
 import numpy as np
 
 from repro.config import tiny_config
-from repro.nn import init_transformer_params
+from repro.nn.init import init_transformer_params
 from repro.resilience.faults import (
     FaultSchedule,
     GradientSDC,

@@ -10,20 +10,3 @@ The same runtime backs both execution modes: in numeric mode device shards
 hold real numpy data, in dryrun mode they hold ShapeArray placeholders — the
 accounting is identical because it is driven by shapes, not data.
 """
-
-from repro.runtime.device import SimDevice
-from repro.runtime.events import NULL_SPAN, Span, TraceEvent, Tracer
-from repro.runtime.memory import MemoryMeter, MemSample, OutOfDeviceMemory
-from repro.runtime.simulator import Simulator
-
-__all__ = [
-    "MemoryMeter",
-    "MemSample",
-    "OutOfDeviceMemory",
-    "SimDevice",
-    "Simulator",
-    "NULL_SPAN",
-    "Span",
-    "TraceEvent",
-    "Tracer",
-]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +45,6 @@ from repro.config import ModelConfig
 from repro.mesh.dtensor import DTensor, on_stacks
 from repro.nn.transformer import ELEMWISE_COST, charge_elementwise
 from repro.reference.attention import decode_attention_fwd
-from repro.resilience.faults import CollectiveTimeoutError, RankCrashError
-from repro.resilience.injector import FaultInjector
 from repro.runtime.simulator import Simulator
 from repro.schemes import SCHEMES, lookup, mesh_side
 from repro.serving.kvcache import (
@@ -62,6 +60,9 @@ from repro.serving.scheduler import (
 )
 from repro.serving.telemetry import ServingTelemetry
 from repro.serving.traffic import Request
+
+if TYPE_CHECKING:
+    from repro.resilience.injector import FaultInjector
 
 #: the cluster restart charge per recovered decode step (simulated seconds)
 RESTART_COST_S = 0.005
@@ -211,6 +212,8 @@ class ServingEngine:
         self.telemetry = tel
         sched.observer = tel
         if inj is not None:
+            from repro.resilience.faults import CollectiveTimeoutError, RankCrashError
+
             inj.install(self.sim)
         sched.load(requests)
         attribution = {"prefill": 0.0, "decode": 0.0, "padding": 0.0, "idle": 0.0}

@@ -25,19 +25,21 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.config import ModelConfig, tiny_config
 from repro.core import summa
 from repro.nn.init import init_transformer_params
 from repro.obs.alerts import AlertEngine, AlertRule, default_serving_rules
 from repro.obs.ledger import RunLedger, RunRecord, canonical_json, record_from_sim
-from repro.resilience.injector import FaultInjector
 from repro.schemes import SCHEMES as SCHEME_TABLE
 from repro.serving.engine import ServingResult, make_engine
 from repro.serving.scheduler import ServingOptions
 from repro.serving.traffic import ARRIVAL_PROFILES, Request, TrafficGenerator
 from repro.utils import UsageError, write_text
+
+if TYPE_CHECKING:
+    from repro.resilience.injector import FaultInjector
 
 REPORT_SCHEMA = "repro-serve-v1"
 SWEEP_SCHEMA = "repro-serve-sweep-v1"

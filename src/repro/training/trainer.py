@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.events import NULL_SPAN
-from repro.training.amp import scale_grads
 from repro.training.optim import clip_grads
 
 
@@ -162,6 +161,8 @@ class Trainer:
         if self.lr_schedule is not None:
             self.optimizer.lr = self.lr_schedule(self.step)
         if self.scaler is not None:
+            from repro.training.amp import scale_grads
+
             # the scale is a power of two, so scale→unscale is bit-exact and
             # the trajectory matches unscaled training when nothing overflows
             scale_grads(self.optimizer.params, self.scaler.scale)
@@ -354,8 +355,8 @@ class GlobalGradOptimizer:
 def make_serial_trainer(cfg, batches, optimizer=None, params=None, seed=1, **kw):
     """A :class:`Trainer` over the serial reference model, built from
     ``params`` (or a fresh seeded init)."""
-    from repro.nn import init_transformer_params
-    from repro.reference import ReferenceTransformer
+    from repro.nn.init import init_transformer_params
+    from repro.reference.model import ReferenceTransformer
     from repro.training.optim import SerialAdam
 
     if params is None:
@@ -384,9 +385,9 @@ def make_pipeline_trainer(
     and — like every trainer — appends a ``train`` ledger record per
     :meth:`Trainer.train_steps` call whenever a ledger is passed or
     ``REPRO_LEDGER`` is set."""
-    from repro.nn import init_transformer_params
-    from repro.pipeline import PipelineModel
-    from repro.runtime import Simulator
+    from repro.nn.init import init_transformer_params
+    from repro.pipeline.engine import PipelineModel
+    from repro.runtime.simulator import Simulator
     from repro.training.optim import SerialAdam
 
     if params is None:

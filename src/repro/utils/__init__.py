@@ -1,14 +1,8 @@
-"""Small shared utilities (text tables, byte formatting, ASCII plots, the
-output-file writer, the usage-error type)."""
+"""Small shared utilities: the output-file writer and the usage-error type
+here, text tables and byte formatting in :mod:`repro.utils.tables`, ASCII
+plots in :mod:`repro.utils.asciiplot`."""
 
 import os
-
-from repro.utils.asciiplot import line_plot
-from repro.utils.tables import format_bytes, format_table
-
-__all__ = [
-    "format_table", "format_bytes", "line_plot", "write_text", "require_writable", "UsageError"
-]
 
 
 def write_text(path: str, text: str) -> None:

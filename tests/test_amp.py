@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import OptimusModel
+from repro.core.model import OptimusModel
 from repro.mesh.partition import assemble_any
-from repro.nn import init_transformer_params
-from repro.training import SGD, DynamicLossScaler, grads_finite, scale_grads
+from repro.nn.init import init_transformer_params
+from repro.training.amp import DynamicLossScaler, grads_finite, scale_grads
+from repro.training.optim import SGD
 from tests.conftest import make_mesh
 
 

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.config import tiny_config
-from repro.core import OptimusModel
-from repro.nn import init_transformer_params
-from repro.pipeline import PipelineModel
-from repro.runtime import Simulator
+from repro.core.model import OptimusModel
+from repro.nn.init import init_transformer_params
+from repro.pipeline.engine import PipelineModel
 from repro.runtime.analysis import (
     collective_stats,
     comm_fraction,
@@ -15,6 +14,7 @@ from repro.runtime.analysis import (
     load_imbalance,
     utilization,
 )
+from repro.runtime.simulator import Simulator
 from tests.conftest import make_mesh
 
 

@@ -19,11 +19,10 @@ from repro.comm.stacked import broadcast_down_columns
 from repro.config import tiny_config
 from repro.core import layers, summa
 from repro.core.model import OptimusModel
-from repro.hybrid import DataParallel
+from repro.hybrid.data_parallel import DataParallel
 from repro.megatron.layers import RowParallelLinear
 from repro.megatron.model import MegatronModel
-from repro.mesh import block_map, rank_map
-from repro.mesh.dtensor import DTensor
+from repro.mesh.dtensor import DTensor, block_map, rank_map
 from repro.mesh.layouts import BLOCKED_2D, REPLICATED_1D, SHARDED_1D
 from repro.mesh.mesh import Mesh
 from repro.mesh.partition import (
@@ -39,7 +38,10 @@ from repro.runtime.simulator import Simulator
 from repro.serving import report as serving_report
 from repro.serving.scheduler import ServingOptions
 from repro.serving.traffic import TrafficGenerator
-from repro.training import SGD, BatchStream, DynamicLossScaler, Trainer
+from repro.training.amp import DynamicLossScaler
+from repro.training.data import BatchStream
+from repro.training.optim import SGD
+from repro.training.trainer import Trainer
 from tests.conftest import make_mesh
 
 
@@ -278,8 +280,8 @@ class TestGate:
         assert not self._per_rank(mesh, x)  # uninstalled: stacked again
 
     def test_armed_injector(self):
-        from repro.resilience import FaultInjector
         from repro.resilience.faults import FaultSchedule
+        from repro.resilience.injector import FaultInjector
 
         mesh = make_mesh(2)
         x = _blocked(mesh)
@@ -414,8 +416,8 @@ class TestPlaceholderCollectives:
         assert {obj for _r, obj in shards} == {id(ShapeArray((4, 6)))}
 
     def test_an_armed_injector_takes_the_per_rank_path(self, monkeypatch):
-        from repro.resilience import FaultInjector
         from repro.resilience.faults import FaultSchedule
+        from repro.resilience.injector import FaultInjector
 
         kinds = _spy_per_rank(monkeypatch)
         sims, calls = self._calls()
@@ -615,7 +617,7 @@ def _train_combo(q, optimizer, checkpoint=True, fused=False, immediate=False,
     from contextlib import nullcontext
 
     from repro.check.contracts import contract_checks
-    from repro.training import Adam, make_immediate_updater
+    from repro.training.optim import Adam, make_immediate_updater
 
     cfg = tiny_config(hidden_size=24, num_heads=4 if megatron else 6, vocab_size=24)
     params = init_transformer_params(cfg, seed=3)
@@ -749,7 +751,7 @@ def test_megatron_serving_is_identical_to_the_per_rank_path(policy, monkeypatch)
 def test_training_leaves_the_callers_arrays_alone(scheme, n):
     """A model owns copies of the global parameters it was built from: a
     training step writes its shards, never ``params_global``."""
-    from repro.training import Adam
+    from repro.training.optim import Adam
 
     cfg = tiny_config(num_layers=1)
     params = init_transformer_params(cfg, seed=1)
@@ -770,7 +772,7 @@ def test_optimizer_state_round_trips_through_stacked_slots(monkeypatch):
     """Adam's moments live on the parameters' stacks; ``state_slots`` reads
     the same global arrays as the per-rank slots, and ``load_state_slots``
     writes back through the shards into the stacks."""
-    from repro.training import Adam
+    from repro.training.optim import Adam
 
     def trained():
         cfg = tiny_config(hidden_size=24, num_heads=6, vocab_size=24)

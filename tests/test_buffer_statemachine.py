@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.buffers import REGIONS, BufferManager
-from repro.runtime import Simulator
+from repro.runtime.simulator import Simulator
 
 _REGION = st.sampled_from([r for r in REGIONS if r != "backward"])
 _BYTES = st.integers(1, 10_000)

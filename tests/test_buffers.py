@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.buffers import REGIONS, ArrayPool, BufferManager
-from repro.runtime import Simulator
+from repro.runtime.simulator import Simulator
 
 
 def _mgr(**kw):

@@ -26,9 +26,9 @@ from repro.comm import collectives as coll
 from repro.comm.group import ProcessGroup
 from repro.core.buffers import REGIONS, BufferManager
 from repro.mesh.mesh import Mesh
-from repro.runtime import OutOfDeviceMemory, Simulator
 from repro.runtime.events import NULL_SPAN
-from repro.runtime.simulator import CLOSE, COLLECTIVES, COUNTERS, OPEN
+from repro.runtime.memory import OutOfDeviceMemory
+from repro.runtime.simulator import CLOSE, COLLECTIVES, COUNTERS, OPEN, Simulator
 
 _REGION = st.sampled_from(REGIONS)
 _BYTES = st.integers(0, 5_000)

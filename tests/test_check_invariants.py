@@ -3,21 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.check import InvariantViolation, strict_mode, validate_dtensor
+from repro.check.invariants import InvariantViolation, strict_mode, validate_dtensor
 from repro.comm.group import ProcessGroup
-from repro.core import OptimusModel
-from repro.megatron import MegatronModel
+from repro.core.model import OptimusModel
+from repro.megatron.model import MegatronModel
 from repro.mesh.dtensor import DTensor
-from repro.mesh.layouts import (
-    BLOCKED_2D,
-    RANK0,
-    REPLICATED,
-    ROW0_COLS,
-    ROW_BLOCKED,
-    SHARDED_1D,
-)
-from repro.nn import init_transformer_params
-from repro.runtime import Simulator
+from repro.mesh.layouts import BLOCKED_2D, RANK0, REPLICATED, ROW0_COLS, ROW_BLOCKED, SHARDED_1D
+from repro.nn.init import init_transformer_params
+from repro.runtime.simulator import Simulator
 from tests.conftest import make_mesh
 
 
@@ -161,9 +154,9 @@ class TestStrictMode:
         stack entry: replication by construction for the validator.  The
         contract checker closes the stacked path's gate, so under it every
         rank owns its buffers and no shared entry is a collective *output*."""
-        from repro.check import contract_checks
-        from repro.megatron import MegatronModel
-        from repro.runtime import Simulator
+        from repro.check.contracts import contract_checks
+        from repro.megatron.model import MegatronModel
+        from repro.runtime.simulator import Simulator
 
         ids, labels = batch
         params = init_transformer_params(cfg, seed=1)
@@ -185,7 +178,7 @@ class TestStrictMode:
     def test_replica_compare_is_kept_for_distinct_buffers(self, rng):
         from repro.comm.group import ProcessGroup
         from repro.mesh.layouts import REPLICATED_1D
-        from repro.runtime import Simulator
+        from repro.runtime.simulator import Simulator
 
         group = ProcessGroup(Simulator.for_flat(p=2), (0, 1))
         a = rng.normal(size=(3,))

@@ -8,19 +8,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import tiny_config
-from repro.core import OptimusModel
-from repro.megatron import MegatronModel
-from repro.nn import init_transformer_params
-from repro.runtime import Simulator
+from repro.core.model import OptimusModel
+from repro.megatron.model import MegatronModel
+from repro.nn.init import init_transformer_params
+from repro.runtime.simulator import Simulator
 from repro.serialization import gather_parameters, load_training_checkpoint
-from repro.training import (
-    Adam,
-    BatchStream,
-    DynamicLossScaler,
-    Trainer,
-    make_serial_trainer,
-    warmup_cosine,
-)
+from repro.training.amp import DynamicLossScaler
+from repro.training.data import BatchStream
+from repro.training.optim import Adam
+from repro.training.schedule import warmup_cosine
+from repro.training.trainer import Trainer, make_serial_trainer
 from tests.conftest import make_mesh
 
 _SEED = 11

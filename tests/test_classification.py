@@ -4,14 +4,14 @@ equivalence (serial / Optimus 2D / Megatron 1D)."""
 import numpy as np
 import pytest
 
-from repro.check import contract_checks
-from repro.core import OptimusModel
-from repro.megatron import MegatronModel
+from repro.check.contracts import contract_checks
+from repro.core.model import OptimusModel
+from repro.megatron.model import MegatronModel
 from repro.mesh.partition import assemble_any, assemble_row0_blockrows, distribute_row0_blockrows
-from repro.nn import init_transformer_params
-from repro.reference import ReferenceTransformer
-from repro.runtime import Simulator
-from repro.training import SGD
+from repro.nn.init import init_transformer_params
+from repro.reference.model import ReferenceTransformer
+from repro.runtime.simulator import Simulator
+from repro.training.optim import SGD
 from tests.conftest import make_mesh
 
 NUM_CLASSES = 2

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from repro.cli import COMMANDS, main
+from repro.cli import COMMANDS, DRIVERS, PAPER_RESULTS, main, resolve
 from repro.experiments import report
 from repro.utils.asciiplot import line_plot
 
@@ -99,6 +99,11 @@ class TestCLI:
             "table1", "table2", "table3", "fig7", "fig8", "fig9",
             "isoefficiency", "report", "verify",
         }
+        assert list(PAPER_RESULTS) == [
+            "table1", "table2", "table3", "fig7", "fig8", "fig9", "isoefficiency"
+        ]
+        for spec in [*COMMANDS.values(), *DRIVERS.values()]:
+            assert callable(resolve(spec)), spec
 
 
 class TestOutputFiles:
@@ -188,3 +193,21 @@ class TestPackageSurface:
         for name in repro.__all__:
             assert hasattr(repro, name), name
         assert repro.__version__
+
+    def test_each_export_is_its_defining_modules_object(self):
+        import repro
+
+        for name in repro.__all__[:-1]:
+            obj = getattr(repro, name)
+            assert obj.__name__ == name
+            assert repro._EXPORTS[name] == obj.__module__, name  # not a re-exporter
+            assert getattr(importlib.import_module(obj.__module__), name) is obj
+        assert repro.__all__[-1] == "__version__"
+        assert repro.OptimusModel is importlib.import_module("repro.core.model").OptimusModel
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        import repro
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
+        assert not hasattr(repro, "OptimusModel2D")

@@ -1,19 +1,25 @@
 """Cold start: ``import repro`` and a dry run load no third-party package
-but NumPy.
+but NumPy, and each entry point loads only the ``repro`` modules it runs.
 
 scipy's ``erf`` is only needed by a numeric ``ops.erf`` and scipy.optimize
 only by ``isoefficiency_hidden``; both load on first use, and the cluster
 topology needs no graph library.  ``ops.erf`` loads ``scipy`` and the one
-extension defining the ufunc, not the ``scipy.special`` package.  The checks
-run in a fresh interpreter, since this test session has imported scipy
-already.
+extension defining the ufunc, not the ``scipy.special`` package.
+
+A package ``__init__`` imports no submodule a caller did not ask for, so
+the ``repro`` modules an import loads are pinned exactly: a new eager edge
+fails here.  The checks run in a fresh interpreter, since this test session
+has imported scipy and most of ``repro`` already.
 """
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -94,12 +100,85 @@ def _run_fresh(script):
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+    return out.stdout.strip()
 
 
 def test_import_and_dry_run_load_no_third_party_package_but_numpy():
-    _run_fresh(_SCRIPT)
+    assert _run_fresh(_SCRIPT) == "ok"
 
 
 def test_numeric_erf_falls_back_to_the_scipy_special_import():
-    _run_fresh(_FALLBACK_SCRIPT)
+    assert _run_fresh(_FALLBACK_SCRIPT) == "ok"
+
+
+#: the ``repro`` imports of ``hostbench/workloads.py``, which every hostbench
+#: child makes before its first pass
+_HOSTBENCH_IMPORTS = """
+from repro import config
+from repro.core import model as core_model
+from repro.experiments import runner
+from repro.megatron import model as megatron_model
+from repro.mesh import mesh as mesh_mod
+from repro.nn import init as nn_init
+from repro.runtime.simulator import Simulator
+from repro.serving import report as serving_report
+from repro.serving import scheduler as serving_scheduler
+from repro.serving import traffic as serving_traffic
+from repro.training import data as training_data
+from repro.training import optim as training_optim
+from repro.training import trainer as training_trainer
+"""
+
+#: the simulator and both schemes' models and leaves (``repro.schemes``),
+#: as ``repro.``-relative names
+_STEM = {
+    *"backend backend.dtypes backend.ops backend.shape_array".split(),
+    *"comm comm.collectives comm.cost comm.group comm.stacked config schemes".split(),
+    *"core core.buffers core.cls_head core.embedding core.layers core.loss".split(),
+    *"core.model core.param core.summa".split(),
+    *"hardware hardware.arrangement hardware.specs hardware.topology".split(),
+    *"megatron megatron.cls_head megatron.embedding megatron.layers".split(),
+    *"megatron.loss megatron.model".split(),
+    *"mesh mesh.dtensor mesh.layouts mesh.mesh mesh.partition".split(),
+    *"nn nn.leaves nn.loss nn.transformer obs obs.metrics".split(),
+    *"reference reference.attention reference.functional".split(),
+    *"runtime runtime.device runtime.events runtime.memory runtime.simulator".split(),
+}
+_RUNNER = _STEM | {"experiments", "experiments.runner", "nn.init"}
+_ENGINE = _STEM | {
+    *"serving serving.engine serving.kvcache serving.scheduler".split(),
+    *"serving.telemetry serving.traffic utils".split(),
+}
+_GRAPH = [
+    pytest.param("import repro", set(), id="repro"),
+    pytest.param("import repro.runtime", {"runtime"}, id="runtime"),
+    pytest.param("import repro.experiments.runner", _RUNNER, id="experiments.runner"),
+    pytest.param("import repro.serving.engine", _ENGINE, id="serving.engine"),
+    pytest.param(
+        _HOSTBENCH_IMPORTS,
+        _RUNNER | _ENGINE | {
+            *"obs.alerts obs.ledger serving.report".split(),
+            *"training training.data training.optim training.trainer".split(),
+        },
+        id="hostbench.workloads",
+    ),
+]
+
+
+@pytest.mark.parametrize("imports, modules", _GRAPH)
+def test_an_import_loads_exactly_its_pinned_repro_modules(imports, modules):
+    script = imports + textwrap.dedent(
+        """
+        import json, sys
+
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
+        """
+    )
+    loaded = json.loads(_run_fresh(script))
+    assert loaded == sorted({"repro"} | {f"repro.{m}" for m in modules})
+
+
+def test_the_hostbench_imports_are_those_of_workloads_py():
+    text = (Path(_SRC).parent / "hostbench" / "workloads.py").read_text()
+    lines = [line for line in text.splitlines() if line.startswith("from repro")]
+    assert lines == _HOSTBENCH_IMPORTS.strip().splitlines()

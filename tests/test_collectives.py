@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend.shape_array import ShapeArray
-from repro.comm import ProcessGroup, collectives as coll
-from repro.runtime import Simulator
+from repro.comm import collectives as coll
+from repro.comm.group import ProcessGroup
+from repro.runtime.simulator import Simulator
 
 
 def _group(p=4, **kw):

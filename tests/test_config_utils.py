@@ -9,7 +9,7 @@ from repro.config import (
     table3_strong_scaling,
     tiny_config,
 )
-from repro.utils import format_bytes, format_table
+from repro.utils.tables import format_bytes, format_table
 
 
 class TestModelConfig:

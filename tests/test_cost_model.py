@@ -13,13 +13,9 @@ from repro.comm.cost import (
     GroupCommModel,
     _log2_stages,
 )
-from repro.hardware import (
-    ClusterTopology,
-    bunched_arrangement,
-    frontera_rtx,
-    linear_arrangement,
-    naive_arrangement,
-)
+from repro.hardware.arrangement import bunched_arrangement, linear_arrangement, naive_arrangement
+from repro.hardware.specs import frontera_rtx
+from repro.hardware.topology import ClusterTopology
 
 
 def _model(ranks, num_nodes=4, arrangement=None, siblings=None):

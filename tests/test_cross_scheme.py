@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.config import tiny_config
-from repro.core import OptimusModel
-from repro.megatron import MegatronModel
+from repro.core.model import OptimusModel
+from repro.megatron.model import MegatronModel
 from repro.mesh.partition import assemble_any
-from repro.nn import init_transformer_params
-from repro.reference import ReferenceTransformer
-from repro.runtime import Simulator
-from repro.training import SGD, SerialSGD
+from repro.nn.init import init_transformer_params
+from repro.reference.model import ReferenceTransformer
+from repro.runtime.simulator import Simulator
+from repro.training.optim import SGD, SerialSGD
 from tests.conftest import make_mesh
 
 

@@ -4,13 +4,12 @@ stability constructions (max-subtracted softmax/CE) under extreme inputs."""
 import numpy as np
 import pytest
 
-from repro.core import OptimusModel
-from repro.megatron import MegatronModel
-from repro.mesh import distribute_blocked_2d, distribute_row_blocked
-from repro.mesh.partition import assemble_any
-from repro.nn import init_transformer_params
-from repro.reference import ReferenceTransformer
-from repro.runtime import Simulator
+from repro.core.model import OptimusModel
+from repro.megatron.model import MegatronModel
+from repro.mesh.partition import assemble_any, distribute_blocked_2d, distribute_row_blocked
+from repro.nn.init import init_transformer_params
+from repro.reference.model import ReferenceTransformer
+from repro.runtime.simulator import Simulator
 from tests.conftest import make_mesh
 
 

@@ -126,7 +126,7 @@ class TestFig9Reduced:
             return ModelConfig(vocab_size=51200, hidden_size=h, num_heads=n,
                                num_layers=4, seq_len=128)
 
-        from repro.perfmodel import max_batch_size
+        from repro.perfmodel.memory_model import max_batch_size
 
         meg4 = max_batch_size("megatron", weak(512, 8), 4, cap)
         meg16 = max_batch_size("megatron", weak(1024, 16), 16, cap)

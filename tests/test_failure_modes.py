@@ -6,12 +6,14 @@ import pytest
 
 from repro.backend.shape_array import ShapeArray
 from repro.config import tiny_config
-from repro.core import OptimusModel
+from repro.core.model import OptimusModel
 from repro.core.summa import summa_ab
-from repro.megatron import MegatronModel
-from repro.mesh import Mesh, distribute_blocked_2d
-from repro.nn import init_transformer_params
-from repro.runtime import OutOfDeviceMemory, Simulator
+from repro.megatron.model import MegatronModel
+from repro.mesh.mesh import Mesh
+from repro.mesh.partition import distribute_blocked_2d
+from repro.nn.init import init_transformer_params
+from repro.runtime.memory import OutOfDeviceMemory
+from repro.runtime.simulator import Simulator
 from tests.conftest import make_mesh
 
 

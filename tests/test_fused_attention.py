@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend.shape_array import ShapeArray
-from repro.core import OptimusModel
-from repro.megatron import MegatronModel
+from repro.core.model import OptimusModel
+from repro.megatron.model import MegatronModel
 from repro.mesh.partition import assemble_any
-from repro.nn import init_transformer_params
+from repro.nn.init import init_transformer_params
 from repro.reference.attention import (
     attention_bwd,
     attention_fwd,
@@ -19,7 +19,7 @@ from repro.reference.attention import (
     fused_attention_flops,
     fused_attention_fwd,
 )
-from repro.runtime import Simulator
+from repro.runtime.simulator import Simulator
 from tests.conftest import make_mesh
 
 
@@ -123,7 +123,7 @@ class TestFusedInModels:
         peaks = {}
         for fused in (False, True):
             sim = Simulator.for_mesh(q=2, backend="shape")
-            from repro.mesh import Mesh
+            from repro.mesh.mesh import Mesh
 
             params = init_transformer_params(
                 cfg, backend="shape", dtype="float32", include_embedding=False

@@ -4,17 +4,16 @@ import itertools
 
 import pytest
 
-from repro.hardware import (
-    RTX5000,
-    ClusterTopology,
+from repro.hardware.arrangement import (
+    Arrangement,
+    _tile_dims,
     bunched_arrangement,
-    frontera_rtx,
     linear_arrangement,
     make_arrangement,
     naive_arrangement,
 )
-from repro.hardware.arrangement import Arrangement, _tile_dims
-from repro.hardware.specs import DeviceSpec, LinkSpec
+from repro.hardware.specs import RTX5000, DeviceSpec, LinkSpec, frontera_rtx
+from repro.hardware.topology import ClusterTopology
 
 
 class TestSpecs:

@@ -12,12 +12,14 @@ from repro.config import ModelConfig, tiny_config
 from repro.core import summa
 from repro.core.model import OptimusModel
 from repro.experiments.runner import run_megatron_stem, run_optimus_stem
-from repro.hybrid import DataParallel
+from repro.hybrid.data_parallel import DataParallel
 from repro.megatron.model import MegatronModel
 from repro.mesh.partition import assemble_blocked_2d, distribute_blocked_2d
 from repro.nn.init import init_transformer_params
 from repro.runtime.simulator import Simulator
-from repro.training import SGD, BatchStream, Trainer
+from repro.training.data import BatchStream
+from repro.training.optim import SGD
+from repro.training.trainer import Trainer
 from tests.conftest import make_mesh
 
 
@@ -395,7 +397,7 @@ def test_megatron_replicated_layernorm_runs_once_per_group_not_per_rank(monkeypa
     checkpoint recompute) + the final norm = 17 forward kernels and 9
     backward, whatever p is (per rank it was 272 / 144 at p = 16)."""
     from repro.reference import functional as F
-    from repro.training import Adam
+    from repro.training.optim import Adam
 
     cfg = ModelConfig(
         vocab_size=3200,

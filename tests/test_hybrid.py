@@ -6,15 +6,15 @@ import pytest
 
 from repro.backend.shape_array import ShapeArray
 from repro.config import tiny_config
-from repro.core import OptimusModel
+from repro.core.model import OptimusModel
 from repro.hardware.specs import frontera_rtx
-from repro.hybrid import DataParallel
-from repro.mesh import Mesh, assemble_blocked_2d, distribute_blocked_2d
-from repro.mesh.partition import assemble_any
-from repro.nn import init_transformer_params
-from repro.reference import ReferenceTransformer
-from repro.runtime import Simulator
-from repro.training import SGD
+from repro.hybrid.data_parallel import DataParallel
+from repro.mesh.mesh import Mesh
+from repro.mesh.partition import assemble_any, assemble_blocked_2d, distribute_blocked_2d
+from repro.nn.init import init_transformer_params
+from repro.reference.model import ReferenceTransformer
+from repro.runtime.simulator import Simulator
+from repro.training.optim import SGD
 
 
 def _sim(total_ranks, backend="numpy"):
@@ -94,7 +94,7 @@ class TestDataParallelEquivalence:
         np.testing.assert_array_equal(w0, w1)
 
     def test_training_matches_serial(self, cfg, rng):
-        from repro.training import SerialSGD
+        from repro.training.optim import SerialSGD
 
         ids = rng.integers(0, cfg.vocab_size, size=(8, cfg.seq_len))
         labels = rng.integers(0, cfg.vocab_size, size=(8, cfg.seq_len))

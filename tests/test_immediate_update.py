@@ -9,12 +9,12 @@ stack, so every test walks both (in-test, keeping the test ids stable).
 
 import numpy as np
 
-from repro.core import OptimusModel
-from repro.megatron import MegatronModel
+from repro.core.model import OptimusModel
+from repro.megatron.model import MegatronModel
 from repro.mesh.partition import assemble_any
-from repro.nn import init_transformer_params
-from repro.runtime import Simulator
-from repro.training import SGD, Adam, make_immediate_updater
+from repro.nn.init import init_transformer_params
+from repro.runtime.simulator import Simulator
+from repro.training.optim import SGD, Adam, make_immediate_updater
 from tests.conftest import make_mesh
 
 SCHEMES = ("optimus", "megatron")

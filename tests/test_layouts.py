@@ -23,13 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend.shape_array import ShapeArray
-from repro.check import InvariantViolation, validate_dtensor
+from repro.check.invariants import InvariantViolation, validate_dtensor
 from repro.comm.group import ProcessGroup
 from repro.config import tiny_config
-from repro.core import OptimusModel, summa
+from repro.core import summa
+from repro.core.model import OptimusModel
 from repro.core.moe import MoE2D
 from repro.core.param import DistParam
-from repro.mesh import Mesh, layouts
+from repro.mesh import layouts
 from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import (
     BLOCKED_2D,
@@ -43,6 +44,7 @@ from repro.mesh.layouts import (
     ROW_BLOCKED,
     SHARDED_1D,
 )
+from repro.mesh.mesh import Mesh
 from repro.mesh.partition import (
     assemble_any,
     distribute,
@@ -50,12 +52,12 @@ from repro.mesh.partition import (
     scatter_any,
     zeros_stacked,
 )
-from repro.nn import init_transformer_params
+from repro.nn.init import init_transformer_params
 from repro.reference.moe import init_moe_params
 from repro.resilience.faults import FaultSchedule, GradientSDC
 from repro.resilience.injector import FaultInjector
-from repro.runtime import Simulator
-from repro.training import SGD, grad_norm
+from repro.runtime.simulator import Simulator
+from repro.training.optim import SGD, grad_norm
 
 MESH_LAYOUTS = [BLOCKED_2D, ROW_BLOCKED, COL_BLOCKED, REPLICATED, ROW0_COLS, ROW0_BLOCKROWS, RANK0]
 FLAT_LAYOUTS = [SHARDED_1D(0), SHARDED_1D(1), SHARDED_1D(-1), REPLICATED_1D, PARTIAL_1D]

@@ -38,10 +38,10 @@ from repro.obs.openmetrics import (
 
 
 def _tiny_trainer(ledger=None, steps_seed=0):
-    from repro.core import OptimusModel
-    from repro.mesh import Mesh
-    from repro.nn import init_transformer_params
-    from repro.runtime import Simulator
+    from repro.core.model import OptimusModel
+    from repro.mesh.mesh import Mesh
+    from repro.nn.init import init_transformer_params
+    from repro.runtime.simulator import Simulator
     from repro.training.data import BatchStream
     from repro.training.optim import Adam
     from repro.training.trainer import Trainer

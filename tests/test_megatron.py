@@ -7,21 +7,18 @@ import pytest
 from repro.backend.shape_array import ShapeArray
 from repro.comm.group import ProcessGroup
 from repro.config import tiny_config
-from repro.megatron import (
-    ColumnParallelLinear,
-    LayerNorm1D,
-    MegatronModel,
-    RowParallelLinear,
-)
+from repro.megatron.layers import ColumnParallelLinear, LayerNorm1D, RowParallelLinear
+from repro.megatron.model import MegatronModel
 from repro.mesh.partition import (
     assemble_any,
     assemble_sharded_1d,
     distribute_replicated_1d,
     distribute_sharded_1d,
 )
-from repro.nn import init_transformer_params
-from repro.reference import ReferenceTransformer, functional as F
-from repro.runtime import Simulator
+from repro.nn.init import init_transformer_params
+from repro.reference import functional as F
+from repro.reference.model import ReferenceTransformer
+from repro.runtime.simulator import Simulator
 
 
 def _group(p):

@@ -7,23 +7,22 @@ from hypothesis import strategies as st
 
 from repro.backend.shape_array import ShapeArray
 from repro.comm.group import ProcessGroup
-from repro.mesh import (
-    BLOCKED_2D,
-    REPLICATED,
-    ROW_BLOCKED,
-    Mesh,
+from repro.mesh.layouts import BLOCKED_2D, REPLICATED, ROW_BLOCKED, SHARDED_1D
+from repro.mesh.mesh import Mesh
+from repro.mesh.partition import (
     assemble_blocked_2d,
+    assemble_row0_cols,
     assemble_row_blocked,
     assemble_sharded_1d,
+    block_slice,
     distribute_blocked_2d,
     distribute_replicated,
     distribute_replicated_1d,
+    distribute_row0_cols,
     distribute_row_blocked,
     distribute_sharded_1d,
 )
-from repro.mesh.layouts import SHARDED_1D
-from repro.mesh.partition import assemble_row0_cols, block_slice, distribute_row0_cols
-from repro.runtime import Simulator
+from repro.runtime.simulator import Simulator
 from tests.conftest import make_mesh
 
 

@@ -7,13 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend.shape_array import ShapeArray
-from repro.check import contract_checks
+from repro.check.contracts import contract_checks
 from repro.core.moe import MoE2D, _balanced_counts
-from repro.mesh import Mesh, assemble_blocked_2d, distribute_blocked_2d
-from repro.mesh.partition import assemble_any, assemble_row0_blockrows
+from repro.mesh.mesh import Mesh
+from repro.mesh.partition import (
+    assemble_any,
+    assemble_blocked_2d,
+    assemble_row0_blockrows,
+    distribute_blocked_2d,
+)
 from repro.reference.moe import ReferenceMoE, init_moe_params
-from repro.runtime import Simulator
-from repro.training import SGD
+from repro.runtime.simulator import Simulator
+from repro.training.optim import SGD
 from tests.conftest import make_mesh
 
 H, E, T = 12, 3, 24

@@ -207,7 +207,8 @@ class TestCommMatrix:
     def test_row_sums_reconcile_after_scatter_gather(self):
         """Regression: scatter/gather used to charge counters and trace
         events inconsistently, breaking row-sum reconciliation."""
-        from repro.comm import ProcessGroup, collectives as coll
+        from repro.comm import collectives as coll
+        from repro.comm.group import ProcessGroup
 
         sim = Simulator.for_flat(p=4, trace=True)
         g = ProcessGroup(sim, range(4), kind="test")

@@ -7,8 +7,12 @@ from repro.config import tiny_config
 from repro.core.embedding import Embedding2D, LMHead2D
 from repro.core.layers import MLP2D, LayerNorm2D, Linear2D, SelfAttention2D
 from repro.core.loss import CrossEntropy2D
-from repro.mesh import assemble_blocked_2d, distribute_blocked_2d, distribute_row_blocked
-from repro.mesh.partition import assemble_row0_cols
+from repro.mesh.partition import (
+    assemble_blocked_2d,
+    assemble_row0_cols,
+    distribute_blocked_2d,
+    distribute_row_blocked,
+)
 from repro.reference import functional as F
 from tests.conftest import make_mesh
 

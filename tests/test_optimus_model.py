@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from repro.backend.shape_array import ShapeArray
-from repro.core import OptimusModel
-from repro.mesh import assemble_blocked_2d
+from repro.core.model import OptimusModel
 from repro.mesh.layouts import BLOCKED_2D
-from repro.mesh.partition import assemble_row0_cols
-from repro.nn import init_transformer_params
-from repro.reference import ReferenceTransformer
+from repro.mesh.partition import assemble_blocked_2d, assemble_row0_cols
+from repro.nn.init import init_transformer_params
+from repro.reference.model import ReferenceTransformer
 from tests.conftest import make_mesh
 
 

@@ -8,24 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ModelConfig
-from repro.perfmodel import (
-    amdahl_speedup,
-    asymptotic_work_megatron,
-    asymptotic_work_optimus,
-    efficiency_megatron,
-    efficiency_optimus,
-    estimate_peak_bytes,
-    gustafson_speedup,
-    isoefficiency_hidden,
-    isoefficiency_work,
+from repro.perfmodel.costs import (
     layer_macs_backward,
     layer_macs_forward,
-    max_batch_size,
-    measure_peak_bytes,
     megatron_comm_backward,
     megatron_comm_forward,
     optimus_comm_backward,
     optimus_comm_forward,
+)
+from repro.perfmodel.isoefficiency import (
+    asymptotic_work_megatron,
+    asymptotic_work_optimus,
+    efficiency_megatron,
+    efficiency_optimus,
+    isoefficiency_hidden,
+    isoefficiency_work,
+)
+from repro.perfmodel.memory_model import estimate_peak_bytes, max_batch_size, measure_peak_bytes
+from repro.perfmodel.scaling import (
+    amdahl_speedup,
+    gustafson_speedup,
     strong_scaling_efficiency,
     weak_scaling_efficiency,
 )

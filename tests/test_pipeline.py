@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 
 from repro.backend.shape_array import ShapeArray
 from repro.config import ModelConfig, tiny_config
-from repro.nn import init_transformer_params
-from repro.pipeline import PipelineModel, bubble_fraction, gpipe_schedule, one_f_one_b_schedule
-from repro.pipeline.schedule import max_in_flight
-from repro.reference import ReferenceTransformer
+from repro.nn.init import init_transformer_params
+from repro.pipeline.engine import PipelineModel
+from repro.pipeline.schedule import (
+    bubble_fraction,
+    gpipe_schedule,
+    max_in_flight,
+    one_f_one_b_schedule,
+)
+from repro.reference.model import ReferenceTransformer
 from repro.reference.stack import LayerStack
-from repro.runtime import Simulator
-from repro.training import SerialSGD
+from repro.runtime.simulator import Simulator
+from repro.training.optim import SerialSGD
 
 
 @pytest.fixture

@@ -11,7 +11,9 @@ from repro.core import summa
 from repro.core.model import OptimusModel
 from repro.experiments import runner
 from repro.megatron.model import MegatronModel
-from repro.mesh import Mesh, dtensor, rank_map
+from repro.mesh import dtensor
+from repro.mesh.dtensor import rank_map
+from repro.mesh.mesh import Mesh
 from repro.nn import transformer
 from repro.runtime.simulator import Simulator
 

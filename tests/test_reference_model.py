@@ -5,8 +5,8 @@ import pytest
 
 from repro.backend.shape_array import ShapeArray
 from repro.config import tiny_config
-from repro.nn import init_transformer_params
-from repro.reference import ReferenceTransformer
+from repro.nn.init import init_transformer_params
+from repro.reference.model import ReferenceTransformer
 from repro.reference.stack import LayerStack
 
 

@@ -12,8 +12,7 @@ from repro.comm.group import ProcessGroup
 from repro.config import tiny_config
 from repro.core import summa
 from repro.megatron.model import MegatronModel
-from repro.mesh import block_map
-from repro.mesh.dtensor import DTensor
+from repro.mesh.dtensor import DTensor, block_map
 from repro.mesh.layouts import REPLICATED_1D
 from repro.mesh.partition import distribute_replicated_1d
 from repro.nn.init import init_transformer_params
@@ -22,7 +21,9 @@ from repro.resilience.injector import FaultInjector
 from repro.runtime.simulator import Simulator
 from repro.serving.report import DEFAULTS, PARAM_SEED, run_arm
 from repro.serving.traffic import TrafficGenerator
-from repro.training import SGD, BatchStream, Trainer
+from repro.training.data import BatchStream
+from repro.training.optim import SGD
+from repro.training.trainer import Trainer
 
 
 def _force_per_rank(monkeypatch):

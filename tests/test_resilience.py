@@ -7,22 +7,24 @@ import json
 
 import pytest
 
-from repro.core import OptimusModel
-from repro.nn import init_transformer_params
-from repro.resilience import (
+from repro.core.model import OptimusModel
+from repro.nn.init import init_transformer_params
+from repro.resilience.chaos import run_campaign, run_scheme
+from repro.resilience.faults import (
     CollectiveTimeoutError,
-    FaultInjector,
     FaultSchedule,
     GradientSDC,
     MessageCorruption,
     RankCrash,
     RankCrashError,
-    ResilientTrainer,
     Straggler,
     TransientCollectiveFault,
 )
-from repro.resilience.chaos import run_campaign, run_scheme
-from repro.training import Adam, BatchStream, Trainer
+from repro.resilience.injector import FaultInjector
+from repro.resilience.trainer import ResilientTrainer
+from repro.training.data import BatchStream
+from repro.training.optim import Adam
+from repro.training.trainer import Trainer
 from tests.conftest import make_mesh
 
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.hardware.specs import RTX5000, frontera_rtx
-from repro.runtime import MemoryMeter, OutOfDeviceMemory, SimDevice, Simulator
+from repro.runtime.device import SimDevice
+from repro.runtime.memory import MemoryMeter, OutOfDeviceMemory
+from repro.runtime.simulator import Simulator
 
 
 class TestMemoryMeter:

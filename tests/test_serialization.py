@@ -7,19 +7,19 @@ import numpy as np
 import pytest
 
 from repro.config import tiny_config
-from repro.core import OptimusModel
-from repro.megatron import MegatronModel
-from repro.nn import init_transformer_params
-from repro.pipeline import PipelineModel
-from repro.reference import ReferenceTransformer
-from repro.runtime import Simulator
+from repro.core.model import OptimusModel
+from repro.megatron.model import MegatronModel
+from repro.nn.init import init_transformer_params
+from repro.pipeline.engine import PipelineModel
+from repro.reference.model import ReferenceTransformer
+from repro.runtime.simulator import Simulator
 from repro.serialization import (
     CheckpointCorruptError,
     gather_parameters,
     load_checkpoint,
     save_checkpoint,
 )
-from repro.training import SGD
+from repro.training.optim import SGD
 from tests.conftest import make_mesh
 
 

@@ -158,8 +158,8 @@ class TestBatchedSummaFallback:
     (the batched engine cannot replay per-rank collective faults)."""
 
     def test_armed_injector_disables_batched(self):
-        from repro.mesh import Mesh
-        from repro.runtime import Simulator
+        from repro.mesh.mesh import Mesh
+        from repro.runtime.simulator import Simulator
 
         sim = Simulator.for_mesh(q=2)
         Mesh(sim, 2)

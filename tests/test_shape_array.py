@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.backend.dtypes import bool_, float32, float64, int64
 from repro.backend.shape_array import ShapeArray
-from repro.mesh import distribute_blocked_2d
+from repro.mesh.partition import distribute_blocked_2d
 from tests.conftest import make_mesh
 
 

@@ -6,15 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.buffers import BufferManager
-from repro.core.summa import (
-    grads_of_ab,
-    grads_of_abt,
-    grads_of_atb,
-    summa_ab,
-    summa_abt,
-    summa_atb,
-)
-from repro.mesh import assemble_blocked_2d, distribute_blocked_2d, distribute_replicated
+from repro.core.summa import grads_of_ab, grads_of_abt, grads_of_atb, summa_ab, summa_abt, summa_atb
+from repro.mesh.partition import assemble_blocked_2d, distribute_blocked_2d, distribute_replicated
 from tests.conftest import make_mesh
 
 
@@ -65,7 +58,8 @@ class TestForwardProducts:
         refuse — a uniform dryrun multiplies no blocks, so nothing downstream
         would notice."""
         from repro.backend import ops
-        from repro.mesh import BLOCKED_2D, DTensor
+        from repro.mesh.dtensor import DTensor
+        from repro.mesh.layouts import BLOCKED_2D
 
         mesh = make_mesh(2, backend=backend)
         mesh.sim.strict_invariants = False

@@ -12,10 +12,11 @@ from repro.backend.shape_array import ShapeArray
 from repro.comm import collectives as coll
 from repro.core import summa
 from repro.core.buffers import BufferManager
-from repro.mesh import assemble_blocked_2d, distribute_blocked_2d
 from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import BLOCKED_2D
-from repro.runtime import OutOfDeviceMemory, Simulator
+from repro.mesh.partition import assemble_blocked_2d, distribute_blocked_2d
+from repro.runtime.memory import OutOfDeviceMemory
+from repro.runtime.simulator import Simulator
 from tests.conftest import make_mesh
 
 DEV_FIELDS = (
@@ -294,8 +295,8 @@ class TestSelection:
         np.testing.assert_allclose(assemble_blocked_2d(c), ref, rtol=1e-5)
 
     def test_armed_fault_injector_forces_per_rank(self, taken, rng):
-        from repro.resilience import FaultInjector
         from repro.resilience.faults import FaultSchedule
+        from repro.resilience.injector import FaultInjector
 
         mesh = make_mesh(2)
         a = self._f32(mesh, rng)
@@ -600,9 +601,9 @@ class TestHybridEquivalence:
         """2 replicas x 2x2 meshes: the batched executor matches per-rank on
         the full hybrid forward/backward, numerics and accounting."""
         from repro.hardware.specs import frontera_rtx
-        from repro.hybrid import DataParallel
+        from repro.hybrid.data_parallel import DataParallel
         from repro.mesh.partition import assemble_any
-        from repro.runtime import Simulator
+        from repro.runtime.simulator import Simulator
 
         b = 8  # per-replica batch 4, divisible by q=2
         ids = rng.integers(0, cfg.vocab_size, size=(b, cfg.seq_len))

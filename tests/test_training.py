@@ -7,32 +7,24 @@ import numpy as np
 import pytest
 
 from repro.config import tiny_config
-from repro.core import OptimusModel
+from repro.core.model import OptimusModel
 from repro.core.param import DistParam
 from repro.hybrid.data_parallel import DataParallel
-from repro.megatron import MegatronModel
-from repro.mesh import COL_BLOCKED, ROW_BLOCKED, DTensor, assemble_blocked_2d
-from repro.mesh.partition import distribute_row0_blockrows
-from repro.nn import init_transformer_params
-from repro.reference import ReferenceTransformer
-from repro.runtime import Simulator
-from repro.training import (
-    SGD,
-    Adam,
-    BatchStream,
-    CharCorpus,
-    SerialAdam,
-    SerialSGD,
+from repro.megatron.model import MegatronModel
+from repro.mesh.dtensor import DTensor
+from repro.mesh.layouts import COL_BLOCKED, ROW_BLOCKED
+from repro.mesh.partition import assemble_blocked_2d, distribute_row0_blockrows
+from repro.nn.init import init_transformer_params
+from repro.reference.model import ReferenceTransformer
+from repro.runtime.simulator import Simulator
+from repro.training.data import BatchStream, CharCorpus, copy_task_batch, random_batch
+from repro.training.optim import SGD, Adam, SerialAdam, SerialSGD, clip_grads, grad_norm
+from repro.training.schedule import constant_lr, warmup_cosine
+from repro.training.trainer import (
     Trainer,
     TrainingDivergedError,
-    clip_grads,
-    constant_lr,
-    copy_task_batch,
-    grad_norm,
     make_pipeline_trainer,
     make_serial_trainer,
-    random_batch,
-    warmup_cosine,
 )
 from tests.conftest import make_mesh
 
