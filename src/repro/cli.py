@@ -82,6 +82,14 @@ DRIVERS: Dict[str, str] = {
     "serve": "repro.serving.report:cmd_serve",
     "serve --preempt-ab": "repro.serving.report:cmd_preempt_ab",
 }
+#: the choices of ``--scheme`` (:data:`repro.schemes.SCHEMES`' keys), of
+#: ``chaos --scheme`` (:data:`repro.resilience.chaos.SCHEMES`) and of the
+#: ``profile`` / ``critpath`` experiment (:data:`repro.obs.profile.EXPERIMENTS`),
+#: named here so that building the parser imports none of those modules;
+#: ``tests/test_cli_options.py`` holds each equal to the table it mirrors
+SCHEMES = ("optimus", "megatron")
+CHAOS_SCHEMES = ("optimus", "megatron", "hybrid")
+EXPERIMENTS = ("table1", "table2", "table3", "fig7", "fig8", "fig9", "tiny", "train", "serve")
 #: per driver row, what its signature cannot say (argparse dests): a flag
 #: that only qualifies another, which must be given with it ...
 NEEDS: Dict[str, Dict[str, str]] = {
@@ -149,9 +157,6 @@ def main(argv=None) -> int:
     for name in sorted(COMMANDS) + ["all"]:
         sub.add_parser(name, help=f"regenerate {name}")
 
-    from repro.obs.profile import EXPERIMENTS  # cheap: no heavy imports at top level
-    from repro.resilience.chaos import SCHEMES as CHAOS_SCHEMES
-    from repro.schemes import SCHEMES
     from repro.serving.scheduler import POLICIES
     from repro.serving.traffic import ARRIVAL_PROFILES
 

@@ -177,6 +177,7 @@ class BufferManager:
     def hold(self, region: str, rank: int, nbytes: int) -> int:
         """Logically place ``nbytes`` in a region; returns bytes held.  A
         strict-capacity OOM leaves the region as it was."""
+        self._poison()
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("negative allocation")
@@ -194,6 +195,13 @@ class BufferManager:
         st.usage = usage
         return nbytes
 
+    def _poison(self) -> None:
+        """A mutator other than :meth:`hold_many` ran: a dry-run layer tape
+        recording now cannot replay the pass (``runtime.simulator.Tape``)."""
+        tape = self.sim.tape
+        if tape is not None:
+            tape.poisoned = True
+
     def _capacity_gauge(self, st: _Region, region: str, rank: int) -> Gauge:
         # arena growths are rare, so the handle is taken at the first one;
         # it publishes each new high-water mark
@@ -210,7 +218,12 @@ class BufferManager:
         managed arena grows here as in :meth:`hold` (allocation, then
         capacity, then gauge), so a strict-capacity OOM leaves the region
         unchanged and the entries before it held; unmanaged mode goes through
-        :meth:`hold`.  No rank is touched if any entry is negative."""
+        :meth:`hold`.  No rank is touched if any entry is negative.  A
+        recording dry-run layer tape records the call
+        (``runtime.simulator.Tape``)."""
+        tape = self.sim.tape
+        if tape is not None:
+            return tape.call(self.hold_many, region, holds)
         for _rank, nbytes in holds:
             if nbytes.__class__ is not int:  # a float or NumPy count: convert all
                 holds = [(rank, int(nbytes)) for rank, nbytes in holds]
@@ -260,6 +273,7 @@ class BufferManager:
             raise ValueError("negative allocation")
         if flops < 0:
             raise ValueError("negative flops")
+        self._poison()
         sim = self.sim
         if self.fits("workspace", ranks, nbytes):
             sim.charge_compute(ranks, ((flops, "gemm"),))
@@ -271,6 +285,7 @@ class BufferManager:
 
     def release(self, region: str, rank: int, nbytes: int) -> None:
         """Logically release ``nbytes``; frees real memory in unmanaged mode."""
+        self._poison()
         nbytes = int(nbytes)
         region = self._canonical(region)
         st = self._regions[region][rank]
@@ -285,6 +300,7 @@ class BufferManager:
 
     def reset_region(self, region: str, rank: Optional[int] = None) -> None:
         """Drop all logical holdings of a region (arena retained if managed)."""
+        self._poison()
         region = self._canonical(region)
         targets = self.ranks if rank is None else [rank]
         for r in targets:
@@ -300,6 +316,7 @@ class BufferManager:
         used by §3.2.3 option 3 to re-size the forward buffer for the
         recompute phase, where matmul outputs are no longer buffered.
         """
+        self._poison()
         region = self._canonical(region)
         targets = self.ranks if rank is None else [rank]
         for r in targets:
@@ -332,6 +349,7 @@ class BufferManager:
 
     def release_all(self) -> None:
         """Free every region's real memory (model teardown)."""
+        self._poison()
         for name in REGIONS:
             for r in self.ranks:
                 st = self._regions[name][r]

@@ -58,14 +58,12 @@ class OptimusModel(TransformerModel):
         """A BLOCKED_2D [b·s, h] activation on the simulator's backend."""
         mesh, cfg = self.mesh, self.cfg
         T, h = batch_size * cfg.seq_len, cfg.hidden_size
-        q = mesh.q
-        shards = {}
-        rng = np.random.default_rng(0)
-        for rank in mesh.ranks:
-            if mesh.backend == "shape":
-                shards[rank] = ShapeArray((T // q, h // q), "float32")
-            else:
-                shards[rank] = rng.normal(size=(T // q, h // q))
+        shape = (T // mesh.q, h // mesh.q)
+        if mesh.backend == "shape":
+            shards = dict.fromkeys(mesh.ranks, ShapeArray(shape, "float32"))
+        else:
+            rng = np.random.default_rng(0)
+            shards = {rank: rng.normal(size=shape) for rank in mesh.ranks}
         return DTensor(mesh, BLOCKED_2D, shards, (T, h))
 
     # ------------------------------------------------------------------

@@ -22,6 +22,12 @@ class DistParam:
         self.grad: Optional[DTensor] = None
 
     def add_grad(self, g: DTensor) -> None:
+        """Accumulate ``g``; a recording dry-run layer tape records the
+        call by this parameter's position in the layer
+        (``runtime.simulator.Tape``)."""
+        tape = g.owner.sim.tape
+        if tape is not None:
+            return tape.add_grad(self, g)
         if g.layout != self.data.layout or g.global_shape != self.data.global_shape:
             raise ValueError(
                 f"{self.name}: gradient layout {g.layout}/{g.global_shape} does not "
@@ -57,6 +63,25 @@ class DistModule:
             setattr(self, attr, None)
         for m in self._submodules:
             m.drop_caches()
+
+    def cache_state(self) -> list:
+        """The saved activations of this module and its submodules, in
+        :meth:`drop_caches` order: what :meth:`restore_caches` sets on a
+        module of the same structure."""
+        state = [getattr(self, attr) for attr in self._cache_attrs]
+        for m in self._submodules:
+            state += m.cache_state()
+        return state
+
+    def restore_caches(self, state: list, start: int = 0) -> int:
+        """Set the saved activations from :meth:`cache_state`'s ``state``,
+        read from ``start``; returns the index after the last one read."""
+        for attr in self._cache_attrs:
+            setattr(self, attr, state[start])
+            start += 1
+        for m in self._submodules:
+            start = m.restore_caches(state, start)
+        return start
 
     def register_param(self, p: DistParam) -> DistParam:
         self._params.append(p)

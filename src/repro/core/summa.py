@@ -571,20 +571,30 @@ def _account_steps(mesh, algo, buffers, desc) -> None:
                     coll.charge_only("reduce", reduce)
 
 
-def _run_batched(mesh, algo, a, b, plan, buffers, desc, out) -> dict:
-    """The call's accounting — its program in one
+def _account(mesh, algo, buffers, desc) -> None:
+    """A batched call's accounting: its program in one
     :meth:`~repro.runtime.simulator.Simulator.replay` when every workspace
     arena of the mesh already holds a step's received blocks (or there are no
-    buffers), else :func:`_account_steps` — then the products, which read no
-    clock.  Numeric plans read both operands' block stacks in place (A_il
-    over rows i as ``A[:, l]``, B_lj over columns j as ``B[l]``) and write
-    the output block stack ``out`` (``desc.stack_shape`` of
-    ``plan.out_dtype``; None for a shape plan), returning its views keyed in
-    the per-rank executor's order."""
+    buffers), else :func:`_account_steps`.  A recording dry-run layer tape
+    records the call, so its replay decides again against the live arenas
+    (:class:`~repro.runtime.simulator.Tape`)."""
+    sim = mesh.sim
+    if sim.tape is not None:
+        return sim.tape.call(_account, mesh, algo, buffers, desc)
     if buffers is None or buffers.fits("workspace", mesh.ranks, desc.scratch):
-        mesh.sim.replay(desc.program, desc.lockstep)
+        sim.replay(desc.program, desc.lockstep)
     else:
         _account_steps(mesh, algo, buffers, desc)
+
+
+def _run_batched(mesh, algo, a, b, plan, buffers, desc, out) -> dict:
+    """The call's accounting (:func:`_account`), then the products, which
+    read no clock.  Numeric plans read both operands' block stacks in place
+    (A_il over rows i as ``A[:, l]``, B_lj over columns j as ``B[l]``) and
+    write the output block stack ``out`` (``desc.stack_shape`` of
+    ``plan.out_dtype``; None for a shape plan), returning its views keyed in
+    the per-rank executor's order."""
+    _account(mesh, algo, buffers, desc)
     if not plan.numeric:
         # one immutable output placeholder for the q² ranks (downstream
         # charge loops iterate the keys)

@@ -46,7 +46,8 @@ def init_transformer_params(
     * ``cls_head.weight`` / ``cls_head.bias``   [h, C] / [C] (when
       ``num_classes`` > 0 — the paper's Fig. 1 classification branch)
     """
-    rng = np.random.default_rng(seed)
+    # a dry run draws nothing, and does not load numpy.random
+    rng = None if backend == "shape" else np.random.default_rng(seed)
     h, f, v = cfg.hidden_size, cfg.ffn_hidden, cfg.vocab_size
     resid_scale = 1.0 / math.sqrt(2.0 * cfg.num_layers)
 

@@ -35,7 +35,7 @@ from repro.backend.shape_array import ShapeArray
 from repro.config import ModelConfig
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule
-from repro.mesh.dtensor import DTensor, on_stacks, rank_map
+from repro.mesh.dtensor import DTensor, on_stacks, one_placeholder, rank_map
 from repro.reference import functional as F
 from repro.reference.attention import (
     attention_bwd,
@@ -44,6 +44,7 @@ from repro.reference.attention import (
     fused_attention_fwd,
 )
 from repro.runtime.events import NULL_SPAN
+from repro.runtime.simulator import Tape
 
 #: clock-model cost (FLOPs per element) of fused elementwise kernels
 ELEMWISE_COST = {"add": 1.0, "gelu": 10.0, "softmax": 8.0, "layernorm": 8.0}
@@ -427,6 +428,10 @@ class TransformerModel(DistModule):
     region after every layer; the backward recomputes each layer from its
     checkpoint before running its backward — the recompute re-pays the
     layer's communication, which is where Table 1's backward rows come from.
+
+    On a dry run the layer passes of one iteration are taped
+    (:meth:`_layer_pass`): identical layers and every checkpoint recompute
+    replay the first pass's accounting instead of re-running the layer.
     """
 
     layer_cls = norm_cls = None  #: the blocks
@@ -496,6 +501,8 @@ class TransformerModel(DistModule):
         self._ckpt_inputs: List[object] = []
         self._batch_size: Optional[int] = None
         self._stem_out: Optional[DTensor] = None
+        #: this iteration's layer tapes (see :meth:`_layer_pass`), or None
+        self._tapes: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # per-scheme rules
@@ -540,6 +547,54 @@ class TransformerModel(DistModule):
         # §3.2.3: the param_grad region is reused every iteration, not grown
         self.buffers.reset_region("param_grad")
         self._batch_size = batch_size
+        self._tapes = {} if self.sim.backend == "shape" else None
+
+    def _layer_pass(
+        self, layer: TransformerLayer, x: DTensor, batch_size: Optional[int]
+    ) -> DTensor:
+        """``layer.forward(x, batch_size)``, or ``layer.backward(x)`` when
+        ``batch_size`` is None — from this iteration's tape of an identical
+        pass when there is one.
+
+        A dry-run pass changes simulated state only through the recorded
+        entry points of :class:`~repro.runtime.simulator.Tape`, so on an
+        untraced, unchecked shape run whose ``x`` is one interned
+        placeholder (:func:`~repro.mesh.dtensor.one_placeholder`, under the
+        batched-execution gate) the first pass per key is recorded: the
+        layer's class and parameter signature, ``x``'s layout, global shape
+        and placeholder, the recompute flag and the direction.  A later pass
+        with the same key replays the tape onto its own parameters, then
+        takes the recorded saved activations (forward) or drops its own
+        (backward), and returns the recorded result.  A poisoned tape is
+        not kept."""
+        backward = batch_size is None
+        tapes, sim = self._tapes, self.sim
+        ph = None if tapes is None or sim.is_enabled else one_placeholder(self.owner, x)
+        if ph is None:
+            return layer.backward(x) if backward else layer.forward(x, batch_size)
+        params = layer.parameters()
+        key = (
+            type(layer),
+            tuple((p.data.layout, p.data.global_shape, p.data.dtype) for p in params),
+            x.layout, x.global_shape, ph, self.buffers.in_recompute, backward,
+        )
+        taped = tapes.get(key)
+        if taped is not None:
+            tape, out, caches = taped
+            tape.replay(params)
+            if backward:
+                layer.drop_caches()
+            else:
+                layer.restore_caches(caches)
+            return out
+        tape = sim.tape = Tape(sim, params)
+        try:
+            out = layer.backward(x) if backward else layer.forward(x, batch_size)
+        finally:
+            sim.tape = None
+        if not tape.poisoned:
+            tapes[key] = (tape, out, None if backward else layer.cache_state())
+        return out
 
     def _layers_forward(self, x: DTensor) -> DTensor:
         b = self._batch_size
@@ -550,7 +605,7 @@ class TransformerModel(DistModule):
                 self._ckpt_inputs.append(self._store_checkpoint(x))
             with tr.span("layer", self.owner.ranks, "layer", index=layer.index,
                          phase="forward") if tr.enabled else NULL_SPAN:
-                x = layer.forward(x, b)
+                x = self._layer_pass(layer, x, b)
             if self.checkpoint:
                 layer.drop_caches()
                 self.buffers.reset_region("forward")
@@ -565,9 +620,9 @@ class TransformerModel(DistModule):
                 if self.checkpoint:
                     x_in = self._restore_checkpoint(self._ckpt_inputs.pop())
                     self.buffers.in_recompute = True
-                    layer.forward(x_in, b)  # recompute (paper's 3× backward cost)
+                    self._layer_pass(layer, x_in, b)  # recompute (paper's 3× backward cost)
                     self.buffers.in_recompute = False
-                dx = self._between_layers(layer.backward(dx))
+                dx = self._between_layers(self._layer_pass(layer, dx, None))
             if on_layer_backward is not None:
                 on_layer_backward(layer)
             if self.checkpoint:
@@ -579,6 +634,7 @@ class TransformerModel(DistModule):
         if self.checkpoint:
             self._release_checkpoints()
         self._batch_size = None
+        self._tapes = None
 
     # ------------------------------------------------------------------
     # language modelling

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf
-from typing import Optional
+from typing import Any, Optional
 
 from repro.hardware.specs import DeviceSpec
 from repro.runtime.events import Tracer
@@ -38,6 +38,9 @@ class SimDevice:
     comm_time: float = 0.0
     num_collectives: int = 0
     tracer: Optional[Tracer] = None  # wired by the Simulator
+    #: the owning Simulator (wired by it): a charge made here while a dry-run
+    #: layer tape records poisons the tape (see ``runtime.simulator.Tape``)
+    sim: Any = field(default=None, repr=False, compare=False)
 
     def compute(self, flops: float, kind: str = "gemm") -> float:
         """Charge a local computation; returns the simulated duration.
@@ -49,6 +52,9 @@ class SimDevice:
         """
         if not 0 <= flops < inf:
             raise ValueError(f"non-finite or negative flops: {flops!r}")
+        sim = self.sim
+        if sim is not None and sim.tape is not None:
+            sim.tape.poisoned = True
         dt = flops / self.spec.effective_flops
         self.flops += flops
         if kind == "gemm":
@@ -66,6 +72,9 @@ class SimDevice:
 
     def charge_comm(self, dt: float, nbytes: float, weighted_volume: float) -> None:
         """Record one collective's contribution (clock advance is separate)."""
+        sim = self.sim
+        if sim is not None and sim.tape is not None:
+            sim.tape.poisoned = True
         self.comm_time += dt
         self.bytes_comm += nbytes
         self.weighted_comm_volume += weighted_volume

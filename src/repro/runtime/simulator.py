@@ -44,6 +44,67 @@ COUNTERS = (
 _counters = attrgetter(*COUNTERS)
 
 
+class Tape:
+    """The accounting calls of one dry-run layer pass, to replay for an
+    identical layer instead of re-running it.
+
+    While a tape records (it is its simulator's :attr:`Simulator.tape`), the
+    four recorded entry points — :meth:`Simulator.replay`,
+    ``BufferManager.hold_many``, SUMMA's ``_account`` and
+    ``DistParam.add_grad`` — append their call to :attr:`ops` and run with
+    the tape detached (:meth:`call`), so the calls one makes inside are part
+    of it.  Any other mutator of simulated state reached while recording
+    (``SimDevice.compute`` / ``charge_comm``, ``sync`` / ``advance``, the
+    other ``BufferManager`` mutators) sets :attr:`poisoned`: such a tape
+    does not hold the pass's whole effect and is never replayed.  A
+    gradient is recorded against the parameter's position in the recorded
+    layer's ``parameters()`` (:attr:`params`), so :meth:`replay` adds it to
+    the parameter at that position of the layer replayed."""
+
+    __slots__ = ("sim", "ops", "params", "poisoned")
+
+    def __init__(self, sim: "Simulator", params: Sequence[object] = ()):
+        self.sim = sim
+        self.ops: List[tuple] = []
+        self.params = {id(p): i for i, p in enumerate(params)}
+        self.poisoned = False
+
+    def call(self, fn, *args):
+        """Record ``fn(*args)`` and make it."""
+        self.ops.append((fn, args))
+        return self._detached(fn, args)
+
+    def add_grad(self, param, grad) -> None:
+        """Record ``param.add_grad(grad)`` by the parameter's position and
+        make it; a parameter outside the recorded layer poisons the tape."""
+        index = self.params.get(id(param))
+        if index is None:
+            self.poisoned = True
+        else:
+            self.ops.append((None, (index, grad)))
+        self._detached(param.add_grad, (grad,))
+
+    def _detached(self, fn, args):
+        """``fn(*args)`` with recording detached: what it calls is part of
+        the one recorded call."""
+        sim = self.sim
+        sim.tape = None
+        try:
+            return fn(*args)
+        finally:
+            sim.tape = self
+
+    def replay(self, params: Sequence[object]) -> None:
+        """Make the recorded calls again, in order; ``params`` is the
+        replayed layer's ``parameters()``."""
+        for fn, args in self.ops:
+            if fn is None:
+                index, grad = args
+                params[index].add_grad(grad)
+            else:
+                fn(*args)
+
+
 class Simulator:
     """A simulated multi-device job."""
 
@@ -95,6 +156,8 @@ class Simulator:
         #: machinery costs one attribute read and contributes nothing to
         #: numerics, clocks, byte counters or traces.
         self.fault_injector = None
+        #: the :class:`Tape` recording a dry-run layer pass, or None
+        self.tape: Optional[Tape] = None
         self.devices: List[SimDevice] = [
             SimDevice(
                 rank=r,
@@ -103,6 +166,7 @@ class Simulator:
                     rank=r, capacity=cluster.device.memory_bytes, strict=strict_memory
                 ),
                 tracer=self.tracer,
+                sim=self,
             )
             for r in range(self.num_ranks)
         ]
@@ -147,12 +211,16 @@ class Simulator:
 
     def sync(self, ranks: Sequence[int]) -> float:
         """Barrier over a rank set; returns the synchronized time."""
+        if self.tape is not None:
+            self.tape.poisoned = True
         t = max(self.devices[r].clock for r in ranks)
         for r in ranks:
             self.devices[r].clock = t
         return t
 
     def advance(self, ranks: Sequence[int], dt: float) -> None:
+        if self.tape is not None:
+            self.tape.poisoned = True
         for r in ranks:
             self.devices[r].clock += dt
 
@@ -301,7 +369,10 @@ class Simulator:
         whose scope starts with equal counters runs it instead — one rank's
         float-add chain, copied to the scope — and every other replay runs
         the loop.  ``tests/test_bulk_charges.py`` holds the two equal on
-        random programs and start states."""
+        random programs and start states.  A recording dry-run layer tape
+        records the call (:class:`Tape`)."""
+        if self.tape is not None:
+            return self.tape.call(self.replay, program, lockstep)
         tr = self.tracer
         traced = tr.enabled
         if lockstep is not None and not traced and self._lockstep(*lockstep):

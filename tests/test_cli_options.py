@@ -81,5 +81,17 @@ def test_every_option_table_is_pinned():
         assert got[command] == want[command], command
 
 
+def test_the_choice_constants_mirror_their_tables():
+    """The parser names these choices itself, so ``--help`` imports none of
+    the modules that define them."""
+    from repro.obs.profile import EXPERIMENTS
+    from repro.resilience.chaos import SCHEMES as CHAOS_SCHEMES
+    from repro.schemes import SCHEMES
+
+    assert cli.SCHEMES == tuple(SCHEMES)
+    assert cli.CHAOS_SCHEMES == CHAOS_SCHEMES
+    assert cli.EXPERIMENTS == EXPERIMENTS
+
+
 if __name__ == "__main__":
     print(json.dumps(option_tables(repro_parser()), indent=1, sort_keys=True))

@@ -178,6 +178,52 @@ def test_an_import_loads_exactly_its_pinned_repro_modules(imports, modules):
     assert loaded == sorted({"repro"} | {f"repro.{m}" for m in modules})
 
 
+#: what ``python -m repro --help`` loads: the CLI names every choice itself,
+#: and the serving campaign's policy and arrival tables come from their
+#: light modules
+_HELP = {
+    *"cli runtime runtime.memory utils".split(),
+    *"serving serving.kvcache serving.scheduler serving.traffic".split(),
+}
+
+
+def test_help_loads_exactly_its_pinned_repro_modules():
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+
+        from repro import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                cli.main(["--help"])
+            except SystemExit:
+                pass
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
+        """
+    )
+    loaded = json.loads(_run_fresh(script))
+    assert loaded == sorted({"repro"} | {f"repro.{m}" for m in _HELP})
+
+
+def test_a_dry_run_does_not_load_numpy_random():
+    """Dry-run parameters and stem inputs are placeholders: no generator is
+    built, so ``numpy.random`` stays unloaded."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        from repro.config import tiny_config
+        from repro.experiments.runner import run_megatron_stem, run_optimus_stem
+
+        run_optimus_stem(tiny_config(num_layers=2), 2, 2)
+        run_megatron_stem(tiny_config(num_layers=2), 2, 2)
+        print("numpy.random" in sys.modules)
+        """
+    )
+    assert _run_fresh(script) == "False"
+
+
 def test_the_hostbench_imports_are_those_of_workloads_py():
     text = (Path(_SRC).parent / "hostbench" / "workloads.py").read_text()
     lines = [line for line in text.splitlines() if line.startswith("from repro")]

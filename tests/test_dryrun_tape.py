@@ -1,0 +1,279 @@
+"""Dry-run layer tapes (``repro.runtime.simulator.Tape``).
+
+On an untraced shape run the first pass of each distinct layer is recorded
+as a tape of its accounting calls, and identical layers and every
+checkpoint recompute replay it.  Monkeypatching ``core.summa._batched_ready``
+to return False turns every batched path off, the tape included, so each
+case below runs twice — taped and forced per rank — and compares every
+device counter, every ``MemoryMeter`` field, every buffer region and the
+metrics registry with ``==``.
+"""
+
+import pytest
+
+from repro.backend.shape_array import ShapeArray
+from repro.config import ModelConfig
+from repro.core import summa
+from repro.core.buffers import REGIONS, BufferManager
+from repro.core.layers import TransformerLayer2D
+from repro.core.model import OptimusModel
+from repro.core.moe import MoE2D
+from repro.experiments.runner import _run_stem
+from repro.mesh.mesh import Mesh
+from repro.nn.init import init_transformer_params
+from repro.reference.moe import init_moe_params
+from repro.runtime.memory import OutOfDeviceMemory
+from repro.runtime.simulator import Tape
+from repro.schemes import SCHEMES, mesh_side
+from repro.training.optim import SGD, make_immediate_updater
+
+CFG = ModelConfig(vocab_size=64, hidden_size=64, num_heads=16, num_layers=3, seq_len=8)
+BATCH = 4
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """How many tape replays a run makes."""
+    count = [0]
+    replay = Tape.replay
+
+    def counted(self, params):
+        count[0] += 1
+        return replay(self, params)
+
+    monkeypatch.setattr(Tape, "replay", counted)
+    return count
+
+
+def _forced(monkeypatch):
+    monkeypatch.setattr(summa, "_batched_ready", lambda sim: False)
+
+
+def _state(model) -> tuple:
+    sim, buffers = model.sim, model.buffers
+    devices = [
+        (
+            d.clock, d.flops, d.flops_gemm, d.bytes_comm, d.weighted_comm_volume,
+            d.compute_time, d.comm_time, d.num_collectives,
+            d.memory.current, d.memory.peak, d.memory.num_allocs, dict(d.memory.by_tag),
+        )
+        for d in sim.devices
+    ]
+    regions = {
+        (name, r): (buffers.usage(name, r), buffers.capacity(name, r))
+        for name in REGIONS
+        for r in buffers.ranks
+    }
+    return devices, regions, sim.metrics.snapshot()
+
+
+def _model(scheme, p, *, checkpoint=True, buffers=None, stem_only=True, strict=False,
+           checked=False, layer_cls=None, **model_kw):
+    """A shape-backend model, its layout checks on only when ``checked``;
+    ``layer_cls`` (Optimus only) replaces the layers'."""
+    rec = SCHEMES[scheme]
+    sim = rec.simulator(p, backend="shape", strict_memory=strict, strict_invariants=checked)
+    if buffers is not None:
+        buffers = BufferManager(sim, **buffers)
+    params = init_transformer_params(
+        CFG, backend="shape", dtype="float32", include_embedding=not stem_only
+    )
+    make = rec.model
+    if layer_cls is not None:
+        model_cls = type("TestModel", (OptimusModel,), {"layer_cls": layer_cls})
+
+        def make(sim, *args, **kw):
+            return model_cls(Mesh(sim, mesh_side(p)), *args, **kw)
+
+    return make(
+        sim, CFG, params, checkpoint_activations=checkpoint, buffers=buffers,
+        stem_only=stem_only, **model_kw,
+    )
+
+
+def _stem(scheme, p, batches=(BATCH,), **kw) -> tuple:
+    model = _model(scheme, p, **kw)
+    results = [_run_stem(model, scheme, b, None, "stem") for b in batches]
+    return results, _state(model)
+
+
+def _both(monkeypatch, run):
+    """``run()`` taped, then forced per rank; both outcomes."""
+    taped = run()
+    with monkeypatch.context() as mp:
+        _forced(mp)
+        forced = run()
+    return taped, forced
+
+
+SIZES = [("optimus", 4), ("optimus", 16), ("megatron", 4), ("megatron", 16)]
+VARIANTS = {
+    "default": {},
+    "no-checkpoint": {"checkpoint": False},
+    "skip-matmul-outputs": {"buffers": {"skip_matmul_outputs": True}},
+    "unmanaged": {"buffers": {"managed": False}},
+    "merge-fwd-bwd": {"buffers": {"merge_fwd_bwd": True}},
+    "fused-attention": {"fused_attention": True, "attention_chunk": 4},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("scheme, p", SIZES)
+def test_a_taped_stem_is_the_forced_per_rank_stem(monkeypatch, replays, scheme, p, variant):
+    taped, forced = _both(monkeypatch, lambda: _stem(scheme, p, **VARIANTS[variant]))
+    assert taped == forced
+    # three layers: two forward, two recompute and two backward replays
+    # (no recompute without checkpointing)
+    assert replays[0] == (4 if variant == "no-checkpoint" else 6)
+
+
+@pytest.mark.parametrize("layout", ["distributed", "replicated"])
+def test_megatron_checkpoint_layouts(monkeypatch, replays, layout):
+    taped, forced = _both(
+        monkeypatch, lambda: _stem("megatron", 4, checkpoint_layout=layout)
+    )
+    assert taped == forced
+    assert replays[0] == 6
+
+
+@pytest.mark.parametrize("scheme, p", [("optimus", 4), ("megatron", 4)])
+def test_two_batch_sizes_on_one_model(monkeypatch, replays, scheme, p):
+    """The tapes last one iteration: a second iteration at another batch
+    size records its own."""
+    taped, forced = _both(monkeypatch, lambda: _stem(scheme, p, batches=(BATCH, 2 * BATCH)))
+    assert taped == forced
+    assert replays[0] == 12
+
+
+def test_an_option_changed_between_iterations_is_seen(monkeypatch, replays):
+    """The tapes last one iteration, so one recorded before a buffer option
+    changed is not replayed after it."""
+
+    def run():
+        model = _model("optimus", 4)
+        _run_stem(model, "optimus", BATCH, None, "stem")
+        model.buffers.skip_matmul_outputs = True
+        return _run_stem(model, "optimus", BATCH, None, "stem"), _state(model)
+
+    taped, forced = _both(monkeypatch, run)
+    assert taped == forced
+    assert replays[0] == 12
+
+
+@pytest.mark.parametrize("scheme, p", [("optimus", 4), ("megatron", 4)])
+def test_a_full_model_with_the_immediate_updater(monkeypatch, replays, scheme, p):
+    def run():
+        model = _model(scheme, p, stem_only=False)
+        hook = make_immediate_updater(SGD(model.parameters(), lr=0.1), model.buffers)
+        model.forward(*model.synthetic_batch(BATCH))
+        model.backward(on_layer_backward=hook)
+        grads = [p.grad for p in model.parameters()]
+        return _state(model), grads
+
+    (taped, taped_grads), (forced, forced_grads) = _both(monkeypatch, run)
+    assert taped == forced
+    # the updater cleared every layer gradient on both paths
+    assert [g is None for g in taped_grads] == [g is None for g in forced_grads]
+    assert replays[0] == 6
+
+
+def test_gradients_land_on_each_layers_own_parameters(replays):
+    """Without an updater every layer's parameters hold a gradient of their
+    own layout and shape after a taped backward."""
+    model = _model("optimus", 4)
+    model.stem_forward(BATCH)
+    model.stem_backward()
+    assert replays[0] == 6
+    for p in model.parameters():
+        assert p.grad is not None
+        assert (p.grad.layout, p.grad.global_shape) == (p.data.layout, p.data.global_shape)
+
+
+@pytest.mark.parametrize("scheme, p", [("optimus", 4), ("megatron", 4)])
+def test_a_strict_memory_oom_raises_at_the_same_hold(monkeypatch, replays, scheme, p):
+    """One byte short of the peak, which the gradient arena reaches in the
+    last layer's backward: a replayed pass."""
+    probe = _model(scheme, p)
+    _run_stem(probe, scheme, BATCH, None, "stem")
+    peaks = [d.memory.peak for d in probe.sim.devices]
+    replays[0] = 0
+
+    def run():
+        model = _model(scheme, p, strict=True)
+        for d, peak in zip(model.sim.devices, peaks):
+            d.memory.capacity = peak - 1
+        with pytest.raises(OutOfDeviceMemory) as err:
+            _run_stem(model, scheme, BATCH, None, "stem")
+        return str(err.value), _state(model)
+
+    taped, forced = _both(monkeypatch, run)
+    assert taped == forced
+    assert replays[0] == 6
+
+
+class _ComputeLayer(TransformerLayer2D):
+    """A layer charging one more gemm through ``SimDevice.compute`` itself."""
+
+    def forward(self, x, batch_size):
+        for r in self.owner.ranks:
+            self.owner.sim.devices[r].compute(1.0e6)
+        return super().forward(x, batch_size)
+
+
+def test_a_layer_charging_a_device_directly_is_never_replayed(monkeypatch, replays):
+    taped, forced = _both(monkeypatch, lambda: _stem("optimus", 4, layer_cls=_ComputeLayer))
+    assert taped == forced
+    # only the backward (which charges nothing itself) is replayed
+    assert replays[0] == 2
+
+
+E = 2  # experts
+
+
+class _MoELayer(TransformerLayer2D):
+    """A dense layer followed by a routed expert MLP (:class:`MoE2D`, load
+    balanced on the dry run).  Its per-line gate all-reduce charges through
+    ``Simulator.replay`` too, so the layer tapes like a dense one."""
+
+    def __init__(self, owner, cfg, index, params, buffers=None, **kw):
+        super().__init__(owner, cfg, index, params, buffers, **kw)
+        moe = init_moe_params(cfg.hidden_size, E, prefix=f"layer{index}.moe")
+        moe = {k: ShapeArray(v.shape, "float32") for k, v in moe.items()}
+        self.moe = self.register_module(
+            MoE2D(owner, moe, E, prefix=f"layer{index}.moe", buffers=buffers)
+        )
+
+    def forward(self, x, batch_size):
+        y, _aux = self.moe.forward(super().forward(x, batch_size))
+        return y
+
+    def backward(self, dy):
+        return super().backward(self.moe.backward(dy))
+
+
+def test_a_moe_layer_tapes_as_forced(monkeypatch, replays):
+    taped, forced = _both(monkeypatch, lambda: _stem("optimus", 4, layer_cls=_MoELayer))
+    assert taped == forced
+    assert replays[0] == 6
+
+
+@pytest.mark.parametrize("scheme, p", [("optimus", 4), ("megatron", 4)])
+def test_a_checked_stem_never_tapes(monkeypatch, replays, scheme, p):
+    taped, forced = _both(monkeypatch, lambda: _stem(scheme, p, checked=True))
+    assert taped == forced
+    assert replays[0] == 0
+
+
+@pytest.mark.parametrize("scheme, p", [("optimus", 4), ("megatron", 4)])
+def test_a_traced_stem_never_tapes(monkeypatch, replays, scheme, p):
+    def run():
+        model = _model(scheme, p)
+        model.sim.tracer.enabled = True
+        res = _run_stem(model, scheme, BATCH, None, "stem")
+        return res, _state(model), list(model.sim.tracer.events)
+
+    (res, state, events), (res_f, state_f, events_f) = _both(monkeypatch, run)
+    assert replays[0] == 0
+    assert (res, state) == (res_f, state_f)
+    assert events == events_f
+
