@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend.shape_array import ShapeArray
-from repro.core.cls_head import ClassificationHead2D
-from repro.core.embedding import Embedding2D, LMHead2D
+from repro.core.embedding import ClassificationHead2D, Embedding2D, LMHead2D
 from repro.core.layers import LayerNorm2D, TransformerLayer2D
 from repro.core.loss import CrossEntropy2D
 from repro.mesh.dtensor import DTensor

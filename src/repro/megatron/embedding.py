@@ -4,8 +4,14 @@ The table ``[v, h]`` is sharded along the vocabulary axis.  Forward gathers
 each device's stripe locally (zeros elsewhere) and all-reduces the partial
 embeddings into the replicated activation — Megatron-LM's standard scheme.
 The tied head produces column-sharded logits ``[T, v/p]`` that feed the
-vocab-parallel cross-entropy without any gather of the full logits.  The
-bodies are :mod:`repro.nn.leaves`'; these classes supply the products.
+vocab-parallel cross-entropy without any gather of the full logits.
+
+The classification head's weight ``[h, C]`` is tiny (C is 2 in the paper's
+Fig. 1), so Megatron-LM keeps it replicated and computes the head
+redundantly on every device: the activations are already replicated, so it
+communicates nothing, and its gradients come out identical on every rank.
+
+The bodies are :mod:`repro.nn.leaves`'; these classes supply the products.
 """
 
 from __future__ import annotations
@@ -14,12 +20,13 @@ from operator import matmul
 
 import numpy as np
 
+from repro.backend import ops
 from repro.comm import stacked
 from repro.megatron.layers import abt, atb
 from repro.mesh.dtensor import DTensor, block_map, on_stacks
 from repro.mesh.layouts import PARTIAL_1D, REPLICATED_1D, SHARDED_1D
 from repro.mesh.partition import zeros_stacked
-from repro.nn.leaves import Embedding, LMHead
+from repro.nn.leaves import ClassificationHead, Embedding, LMHead
 from repro.nn.loss import stripe_lookup, stripe_scatter
 
 
@@ -104,3 +111,39 @@ class LMHead1D(LMHead):
             ),
         )
         return stacked.all_reduce(group, dx_partials), d_table
+
+
+class ClassificationHead1D(ClassificationHead):
+    """Token-0 pooling → replicated dense [h, C] → cross-entropy, all
+    computed alike on every rank."""
+
+    weight_layout = bias_layout = x_layout = labels_layout = REPLICATED_1D
+
+    def _logits(self, x: DTensor):
+        group, s = self.owner, self.cfg.seq_len
+        b, h = x.global_shape[0] // s, x.global_shape[1]
+
+        def pooled_logits(xl, w, bias):
+            x0l = xl[::s]  # [b, h]
+            return x0l, x0l @ w + bias
+
+        x0, logits = block_map(pooled_logits, group, x, self.weight.data, self.bias.data)
+        group.sim.charge_compute(group.ranks, ((2.0 * b * h * self.num_classes, "gemm"),))
+        return logits, x0
+
+    def _loss_sum(self, losses: DTensor):
+        return ops.sum(losses.local(self.owner.ranks[0]))
+
+    def _backward(self, x0: DTensor, dlogits: DTensor, x: DTensor):
+        group, s = self.owner, self.cfg.seq_len
+        b, h = dlogits.global_shape[0], x.global_shape[1]
+
+        def grads(dl, x0l, w, xl):
+            d_out = ops.zeros_like(xl)
+            d_out[::s] = dl @ ops.transpose(w)
+            return d_out, ops.transpose(x0l) @ dl, ops.sum(dl, axis=0)
+
+        dx, dw, db = block_map(grads, group, dlogits, x0, self.weight.data, x)
+        gemm = (2.0 * h * b * self.num_classes, "gemm")  # dW and dx0 cost the same
+        group.sim.charge_compute(group.ranks, (gemm, gemm))
+        return dx, dw, db

@@ -31,8 +31,7 @@ from repro.backend.shape_array import ShapeArray
 from repro.comm import stacked
 from repro.comm.group import ProcessGroup
 from repro.config import ModelConfig
-from repro.megatron.cls_head import ClassificationHead1D
-from repro.megatron.embedding import LMHead1D, VocabParallelEmbedding
+from repro.megatron.embedding import ClassificationHead1D, LMHead1D, VocabParallelEmbedding
 from repro.megatron.layers import LayerNorm1D, TransformerLayer1D
 from repro.megatron.loss import VocabParallelCrossEntropy
 from repro.mesh.dtensor import DTensor

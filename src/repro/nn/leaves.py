@@ -1,5 +1,5 @@
 """The transformer's leaves — linear, layer norm, token embedding, tied LM
-head — written once for every tensor-parallel scheme.
+head, classification head — written once for every tensor-parallel scheme.
 
 Optimus (§3.2) and Megatron (§2.2) differ only in how these are sharded.
 A body here owns what both do alike: placing the parameters from the
@@ -19,12 +19,15 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.backend import ops
+from repro.backend.shape_array import ShapeArray, is_shape_array
 from repro.config import ModelConfig
 from repro.core.buffers import BufferManager
 from repro.core.param import DistModule, DistParam, charge_param_memory
-from repro.mesh.dtensor import DTensor
+from repro.mesh.dtensor import DTensor, block_map
 from repro.mesh.partition import distribute
 from repro.nn.transformer import hold
+from repro.reference import functional as F
 
 
 def require(name: str, what: str, x: DTensor, layout) -> None:
@@ -202,4 +205,67 @@ class LMHead(DistModule):
         dx, d_table = self._backward(x, dlogits)
         self.embedding.table.add_grad(d_table)
         self._x = None
+        return dx
+
+
+class ClassificationHead(DistModule):
+    """The paper's Fig. 1 classification branch: token-0 pooling → dense
+    ``[h, C]`` → softmax cross-entropy.  W in ``weight_layout``, the bias in
+    ``bias_layout``, the final LayerNorm's output ``[b·s, h]`` and its
+    gradient in ``x_layout``, labels ``[b]`` and the logits ``[b, C]`` in
+    ``labels_layout``.  Cells: ``_logits(x)`` returns ``(logits, pooled)``;
+    ``_loss_sum(losses)`` the sum of the per-sequence losses;
+    ``_backward(pooled, dlogits, x)`` returns ``(dx, dW, dbias)``."""
+
+    name = "cls_head"
+    weight_layout = bias_layout = x_layout = labels_layout = None
+
+    _cache_attrs = ("_saved",)
+
+    def __init__(self, owner, cfg: ModelConfig, weight_global, bias_global,
+                 buffers: Optional[BufferManager] = None):
+        super().__init__()
+        self.owner = owner
+        self.cfg = cfg
+        self.buffers = buffers
+        self.num_classes = weight_global.shape[1]
+        self.weight = place(self, "cls_head.weight", self.weight_layout, weight_global)
+        self.bias = place(self, "cls_head.bias", self.bias_layout, bias_global)
+        self._saved = None
+
+    def forward(self, x: DTensor, labels: Optional[DTensor] = None):
+        """The mean loss over the batch, or the logits when ``labels`` is None."""
+        if x.layout is not self.x_layout:
+            require(self.name, "input", x, self.x_layout)
+        if labels is not None and labels.layout is not self.labels_layout:
+            require(self.name, "labels", labels, self.labels_layout)
+        self._saved = None
+        logits, pooled = self._logits(x)
+        if labels is None:
+            return logits
+        losses, probs = block_map(F.cross_entropy_fwd, self.owner, logits, labels)
+        hold(self.buffers, "forward", probs)
+        total = self._loss_sum(losses)
+        b = labels.global_shape[0]
+        self._saved = (pooled, probs, labels, b, x)
+        if is_shape_array(total):
+            return ShapeArray((), total.dtype)
+        return float(total) / b
+
+    def backward(self) -> DTensor:
+        saved = self._saved
+        if saved is None:
+            raise RuntimeError("classification backward before forward with labels")
+        pooled, probs, labels, b, x = saved
+        scale = 1.0 / b
+
+        def dlogits_of(p, lab):
+            dl = ops.full((lab.shape[0],), scale, dtype=p.dtype, backend=ops.backend_of(p))
+            return F.cross_entropy_bwd(p, lab, dl)
+
+        dlogits = block_map(dlogits_of, self.owner, probs, labels)
+        dx, dw, db = self._backward(pooled, dlogits, x)
+        self.weight.add_grad(dw)
+        self.bias.add_grad(db)
+        self._saved = None
         return dx

@@ -650,12 +650,24 @@ class TransformerModel(DistModule):
             rng.integers(0, v, size=(b, s)),
         )
 
-    def _embed_and_run_layers(self, ids) -> DTensor:
+    def _trunk(self, ids) -> DTensor:
+        """Embedding → the N layers → final LN: what both heads read."""
         b, s = ids.shape
         if s != self.cfg.seq_len:
             raise ValueError(f"sequence length {s} != config seq_len {self.cfg.seq_len}")
         self._begin_iteration(b)
-        return self._layers_forward(self.embedding.forward(self.distribute_tokens(ids)))
+        x = self._layers_forward(self.embedding.forward(self.distribute_tokens(ids)))
+        return self.final_ln.forward(x)
+
+    def _backward_from(self, head_backward, on_layer_backward=None) -> None:
+        """The one backward tail: the head's gradient (``head_backward()``)
+        through the final LN, the layer loop and the embedding."""
+        if self._batch_size is None:
+            raise RuntimeError("backward before forward")
+        dx = self.final_ln.backward(head_backward())
+        self._before_backward()
+        self.embedding.backward(self._layers_backward(dx, on_layer_backward))
+        self._end_iteration()
 
     def forward(self, ids, labels=None):
         """ids/labels are global [b, s] arrays (numeric or ShapeArray).
@@ -663,8 +675,7 @@ class TransformerModel(DistModule):
         Returns the scalar mean loss when labels are given, else the logits
         DTensor.
         """
-        out = self.final_ln.forward(self._embed_and_run_layers(ids))
-        logits = self.lm_head.forward(out)
+        logits = self.lm_head.forward(self._trunk(ids))
         if labels is None:
             return logits
         return self.loss_fn.forward(logits, self.distribute_tokens(labels))
@@ -678,12 +689,9 @@ class TransformerModel(DistModule):
         parameter-gradient buffer be reset layer by layer instead of
         accumulating all N layers' gradients).
         """
-        if self._batch_size is None:
-            raise RuntimeError("backward before forward")
-        dx = self.final_ln.backward(self.lm_head.backward(self.loss_fn.backward()))
-        self._before_backward()
-        self.embedding.backward(self._layers_backward(dx, on_layer_backward))
-        self._end_iteration()
+        self._backward_from(
+            lambda: self.lm_head.backward(self.loss_fn.backward()), on_layer_backward
+        )
 
     def loss_and_grads(self, ids, labels):
         """Convenience: one forward+backward; returns (loss, named grads)."""
@@ -705,17 +713,13 @@ class TransformerModel(DistModule):
                 "model built without cls_head.* parameters "
                 "(init_transformer_params(num_classes=...))"
             )
-        out = self.final_ln.forward(self._embed_and_run_layers(ids))
+        out = self._trunk(ids)
         if cls_labels is None:
             return self.cls_head.forward(out)
         return self.cls_head.forward(out, self.distribute_tokens(cls_labels))
 
     def backward_classification(self) -> None:
-        if self._batch_size is None:
-            raise RuntimeError("backward before forward")
-        dx = self.final_ln.backward(self.cls_head.backward())
-        self.embedding.backward(self._layers_backward(dx))
-        self._end_iteration()
+        self._backward_from(self.cls_head.backward)
 
     # ------------------------------------------------------------------
     # stem-only execution (the paper's §5 measurement workload)

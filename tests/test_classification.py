@@ -1,13 +1,25 @@
 """The Fig. 1 classification branch: reference gradcheck + three-way
 equivalence (serial / Optimus 2D / Megatron 1D)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.check.contracts import contract_checks
+from repro.config import tiny_config
+from repro.core.buffers import BufferManager
 from repro.core.model import OptimusModel
 from repro.megatron.model import MegatronModel
-from repro.mesh.partition import assemble_any, assemble_row0_blockrows, distribute_row0_blockrows
+from repro.mesh.layouts import BLOCKED_2D, COL_BLOCKED, REPLICATED
+from repro.mesh.mesh import Mesh
+from repro.mesh.partition import (
+    assemble_any,
+    assemble_row0_blockrows,
+    distribute,
+    distribute_row0_blockrows,
+    distribute_sharded_1d,
+)
 from repro.nn.init import init_transformer_params
 from repro.reference.model import ReferenceTransformer
 from repro.runtime.simulator import Simulator
@@ -175,22 +187,135 @@ def test_float32_head_keeps_gradient_dtypes(cfg, rng, scheme):
         assert p.grad.dtype == p.data.dtype == np.float32, p.name
 
 
-def test_megatron_head_needs_replicated_input(cfg, cls_setup, rng):
-    from repro.mesh.partition import distribute_sharded_1d
-
+@pytest.mark.parametrize("scheme", ["optimus", "megatron"])
+def test_training_the_head_leaves_the_callers_parameters_alone(cfg, cls_setup, scheme):
+    """Placement copies: an optimizer step on the model writes its own
+    shards, never the global arrays it was built from."""
     params, ids, labels = cls_setup
+    before = {name: a.copy() for name, a in params.items()}
+    if scheme == "optimus":
+        model = OptimusModel(make_mesh(2), cfg, params)
+    else:
+        model = MegatronModel(Simulator.for_flat(p=2), cfg, params)
+    model.forward_classification(ids, labels)
+    model.backward_classification()
+    SGD(model.parameters(), lr=0.1).step()
+    for name, a in before.items():
+        np.testing.assert_array_equal(params[name], a, err_msg=name)
+
+
+def _misplaced_operands(scheme, cfg, params, labels, rng):
+    """A model of ``scheme`` and, per refused operand, the input and
+    labels of a call its head must refuse, with the message it gives."""
+    T, h = labels.size * cfg.seq_len, cfg.hidden_size
+    if scheme == "optimus":
+        mesh = make_mesh(2)
+        model = OptimusModel(mesh, cfg, params)
+        good = distribute(mesh, BLOCKED_2D, rng.normal(size=(T, h)))
+        return model, [
+            (distribute(mesh, REPLICATED, rng.normal(size=(T, h))), None,
+             r"cls_head: input must be blocked_2d, got replicated"),
+            (distribute(mesh, COL_BLOCKED, rng.normal(size=(T, h))), None,
+             r"cls_head: input must be blocked_2d, got col_blocked"),
+            (good, distribute(mesh, REPLICATED, labels),
+             r"cls_head: labels must be row_blocked, got replicated"),
+        ]
     model = MegatronModel(Simulator.for_flat(p=2), cfg, params)
-    T = ids.size
-    sliced = distribute_sharded_1d(
-        model.group, rng.normal(size=(T, 2 * cfg.hidden_size)), axis=1
-    )
-    with pytest.raises(ValueError, match=r"cls_head: input must be replicated.*sharded_1d"):
-        model.cls_head.forward(sliced)
-    replicated = model.distribute_tokens(rng.normal(size=(T, cfg.hidden_size)))
-    with pytest.raises(ValueError, match=r"cls_head: labels must be replicated"):
-        model.cls_head.forward(
-            replicated, distribute_sharded_1d(model.group, labels, axis=0)
-        )
+    good = model.distribute_tokens(rng.normal(size=(T, h)))
+    return model, [
+        (distribute_sharded_1d(model.group, rng.normal(size=(T, 2 * h)), axis=1), None,
+         r"cls_head: input must be replicated_1d, got sharded_1d"),
+        (good, distribute_sharded_1d(model.group, labels, axis=0),
+         r"cls_head: labels must be replicated_1d, got sharded_1d"),
+    ]
+
+
+@pytest.mark.parametrize("scheme", ["optimus", "megatron"])
+def test_head_refuses_misplaced_operands(cfg, cls_setup, rng, scheme):
+    """The head checks where its input and labels live before it charges
+    anything: a refused call leaves every device's counters as they were."""
+    params, _, labels = cls_setup
+    model, calls = _misplaced_operands(scheme, cfg, params, labels, rng)
+    before = model.sim.watermarks()
+    for x, cls_labels, message in calls:
+        with pytest.raises(ValueError, match=message):
+            model.cls_head.forward(x, cls_labels)
+        assert model.sim.watermarks() == before
+
+
+def _step_buffers(head):
+    """Rank 0's forward arena and peak bytes after one Optimus q = 2 step
+    on the LM or the classification head, §3.2.3 option 3 on."""
+    cfg = tiny_config()
+    params = init_transformer_params(cfg, seed=1, num_classes=NUM_CLASSES)
+    rng = np.random.default_rng(0)
+    sim = Simulator.for_mesh(q=2)
+    buffers = BufferManager(sim, ranks=sim.ranks, skip_matmul_outputs=True)
+    model = OptimusModel(Mesh(sim, 2), cfg, params, buffers=buffers)
+    ids = rng.integers(0, cfg.vocab_size, size=(4, cfg.seq_len))
+    if head == "lm":
+        model.forward(ids, rng.integers(0, cfg.vocab_size, size=(4, cfg.seq_len)))
+        model.backward()
+    else:
+        model.forward_classification(ids, rng.integers(0, NUM_CLASSES, size=4))
+        model.backward_classification()
+    return buffers.capacity("forward", 0), sim.devices[0].memory.peak
+
+
+def test_classification_step_trims_the_forward_arena_for_the_recompute():
+    """§3.2.3 option 3 re-sizes the forward region for the leaner
+    recompute between the head's backward and the layer loop, whichever
+    head the step ends in."""
+    lm_arena, _ = _step_buffers("lm")
+    cls_arena, cls_peak = _step_buffers("cls")
+    assert cls_arena == lm_arena == 19968
+    assert cls_peak == 117328
+
+
+def _sha(x) -> str:
+    return hashlib.sha256(repr(x).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "scheme, events, watermarks, by_tag",
+    [
+        (
+            "optimus",
+            "a667db2153874ba91dfd0ed6cbaa27f850fb90b38c0708c4ab9dd67fc543965f",
+            "6522e68da6e20515910fd7d906f796920da986b499bc6bf0987cf2274e777445",
+            "8559468e06715ee0072f214e79ce55d07b60636647e5823a3d86792beda5f35d",
+        ),
+        (
+            "megatron",
+            "d1b2308f493974227ffa56ffa17d7a190cb34ff039a1f6bbd10e025a417cfba8",
+            "2f343dd5facd1856b402dc1fd6eae1669e7c763ceea14b836a71ce18d72caf04",
+            "bb18e4e6aa94f159b9014fbd3ea388a5a490d8986555befe799a608477ee6369",
+        ),
+    ],
+)
+def test_pinned_head_accounting(scheme, events, watermarks, by_tag):
+    """One traced float64 classification step, default buffers: the raw
+    trace events, the watermarks and every rank's bytes per memory tag.  A
+    change to the head's charges, collectives or buffer holds, or to their
+    order, moves one of these digests and has to say so."""
+    cfg = tiny_config(num_heads=4)  # n divisible by p = 4
+    params = init_transformer_params(cfg, seed=1, num_classes=NUM_CLASSES)
+    rng = np.random.default_rng(0)
+    ids = rng.integers(0, cfg.vocab_size, size=(4, cfg.seq_len))
+    labels = rng.integers(0, NUM_CLASSES, size=4)
+    if scheme == "optimus":
+        sim = Simulator.for_mesh(q=2, trace=True)
+        model = OptimusModel(Mesh(sim, 2), cfg, params)
+    else:
+        sim = Simulator.for_flat(p=4, trace=True)
+        model = MegatronModel(sim, cfg, params)
+    model.forward_classification(ids, labels)
+    model.backward_classification()
+    assert (
+        _sha(sim.tracer.events),
+        _sha(sim.watermarks()),
+        _sha([d.memory.by_tag for d in sim.devices]),
+    ) == (events, watermarks, by_tag)
 
 
 class TestRow0BlockrowsLayout:

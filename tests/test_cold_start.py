@@ -134,10 +134,10 @@ from repro.training import trainer as training_trainer
 _STEM = {
     *"backend backend.dtypes backend.ops backend.shape_array".split(),
     *"comm comm.collectives comm.cost comm.group comm.stacked config schemes".split(),
-    *"core core.buffers core.cls_head core.embedding core.layers core.loss".split(),
+    *"core core.buffers core.embedding core.layers core.loss".split(),
     *"core.model core.param core.summa".split(),
     *"hardware hardware.arrangement hardware.specs hardware.topology".split(),
-    *"megatron megatron.cls_head megatron.embedding megatron.layers".split(),
+    *"megatron megatron.embedding megatron.layers".split(),
     *"megatron.loss megatron.model".split(),
     *"mesh mesh.dtensor mesh.layouts mesh.mesh mesh.partition".split(),
     *"nn nn.leaves nn.loss nn.transformer obs obs.metrics".split(),
