@@ -48,6 +48,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs.metrics import Gauge
+from repro.runtime.memory import alloc_many
 from repro.runtime.simulator import Simulator
 
 REGIONS = ("workspace", "forward", "backward", "param_grad", "conjunction", "checkpoint")
@@ -130,6 +131,18 @@ class ArrayPool:
         self._backing.clear()
 
 
+def _byte_runs(runs):
+    """``runs`` (see :meth:`BufferManager.hold_many`) with every size made
+    an ``int``, as :meth:`BufferManager.hold` takes it; a negative size
+    raises."""
+    runs = [(ranks, [int(nbytes) for nbytes in sizes]) for ranks, sizes in runs]
+    for _ranks, sizes in runs:
+        for nbytes in sizes:
+            if nbytes < 0:
+                raise ValueError("negative allocation")
+    return runs
+
+
 @dataclass
 class _Region:
     usage: int = 0  # live bytes logically held
@@ -176,23 +189,14 @@ class BufferManager:
 
     def hold(self, region: str, rank: int, nbytes: int) -> int:
         """Logically place ``nbytes`` in a region; returns bytes held.  A
-        strict-capacity OOM leaves the region as it was."""
+        strict-capacity OOM leaves the region as it was.  The one-entry form
+        of :meth:`hold_many`, except that it poisons a recording dry-run
+        layer tape."""
         self._poison()
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("negative allocation")
-        region = self._canonical(region)
-        st = self._regions[region][rank]
-        mem = self.sim.device(rank).memory
-        usage = st.usage + nbytes
-        if self.managed:
-            if usage > st.capacity:
-                mem.alloc(usage - st.capacity, self._tag(region))
-                st.capacity = usage
-                self._capacity_gauge(st, region, rank).set(usage)
-        else:
-            mem.alloc(nbytes, self._tag(region))
-        st.usage = usage
+        self.hold_many(region, (((rank,), (nbytes,)),))
         return nbytes
 
     def _poison(self) -> None:
@@ -202,51 +206,70 @@ class BufferManager:
         if tape is not None:
             tape.poisoned = True
 
-    def _capacity_gauge(self, st: _Region, region: str, rank: int) -> Gauge:
-        # arena growths are rare, so the handle is taken at the first one;
-        # it publishes each new high-water mark
-        gauge = st.gauge
-        if gauge is None:
-            gauge = st.gauge = self.sim.metrics.gauge(
-                "buffer_capacity_bytes", region=region, rank=rank
-            )
-        return gauge
+    def hold_many(
+        self, region: str, runs: Sequence[Tuple[Sequence[int], Sequence[int]]]
+    ) -> None:
+        """For each ``(ranks, sizes)`` run of ``runs``, hold every size of
+        ``sizes`` in order on each of ``ranks`` in turn — :meth:`hold` per
+        ``(rank, size)``, rank-major — from one frame.  The sizes are checked
+        once, before any rank is touched: each goes through ``int`` as in
+        :meth:`hold`, and a negative one raises.  A recording dry-run layer
+        tape records the call (``runtime.simulator.Tape``).
 
-    def hold_many(self, region: str, holds: Sequence[Tuple[int, int]]) -> None:
-        """:meth:`hold` each ``(rank, nbytes)`` of ``holds``, in order, from
-        one frame (byte counts go through ``int`` as in :meth:`hold`).  A
-        managed arena grows here as in :meth:`hold` (allocation, then
-        capacity, then gauge), so a strict-capacity OOM leaves the region
-        unchanged and the entries before it held; unmanaged mode goes through
-        :meth:`hold`.  No rank is touched if any entry is negative.  A
-        recording dry-run layer tape records the call
-        (``runtime.simulator.Tape``)."""
+        Unmanaged, every hold is an allocation.  A managed arena grows when
+        a hold takes its usage past its capacity: the growth is one
+        allocation, the capacity becomes the usage and the
+        ``buffer_capacity_bytes`` gauge (taken at the arena's first growth)
+        is written.  The growths go to the meters in one
+        :func:`~repro.runtime.memory.alloc_many` after the loop, a growth on
+        a strict meter (with those before it) at once, so that an overflow
+        raises before its hold applies: its region is left unchanged and
+        the holds before it held."""
         tape = self.sim.tape
         if tape is not None:
-            return tape.call(self.hold_many, region, holds)
-        for _rank, nbytes in holds:
-            if nbytes.__class__ is not int:  # a float or NumPy count: convert all
-                holds = [(rank, int(nbytes)) for rank, nbytes in holds]
-                break
-        for _rank, nbytes in holds:
-            if nbytes < 0:
-                raise ValueError("negative allocation")
+            return tape.call(self.hold_many, region, runs)
+        for _ranks, sizes in runs:
+            for nbytes in sizes:
+                if nbytes.__class__ is not int or nbytes < 0:
+                    break
+            else:
+                continue
+            runs = _byte_runs(runs)  # a float or NumPy count, or a negative one
+            break
         region = self._canonical(region)
-        if not self.managed:
-            for rank, nbytes in holds:
-                self.hold(region, rank, nbytes)
-            return
         regions = self._regions[region]
         devices = self.sim.devices
         tag = self._tag(region)
-        for rank, nbytes in holds:
-            st = regions[rank]
-            usage = st.usage + nbytes
-            if usage > st.capacity:
-                devices[rank].memory.alloc(usage - st.capacity, tag)
-                st.capacity = usage
-                self._capacity_gauge(st, region, rank).set(usage)
-            st.usage = usage
+        if not self.managed:
+            for ranks, sizes in runs:
+                for rank in ranks:
+                    st = regions[rank]
+                    for nbytes in sizes:
+                        devices[rank].memory.alloc(nbytes, tag)
+                        st.usage += nbytes
+            return
+        grown = []
+        for ranks, sizes in runs:
+            for rank in ranks:
+                st = regions[rank]
+                for nbytes in sizes:
+                    usage = st.usage + nbytes
+                    if usage > st.capacity:
+                        meter = devices[rank].memory
+                        grown.append((meter, usage - st.capacity))
+                        if meter.strict:
+                            alloc_many(grown, tag)
+                            grown = []
+                        st.capacity = usage
+                        gauge = st.gauge
+                        if gauge is None:
+                            gauge = st.gauge = self.sim.metrics.gauge(
+                                "buffer_capacity_bytes", region=region, rank=rank
+                            )
+                        gauge.value = float(usage)
+                    st.usage = usage
+        if grown:
+            alloc_many(grown, tag)
 
     def fits(self, region: str, ranks: Iterable[int], nbytes: int) -> bool:
         """Whether each of ``ranks``' managed ``region`` arenas holds

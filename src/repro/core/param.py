@@ -6,6 +6,7 @@ from typing import Dict, List, Optional
 
 from repro.backend import ops
 from repro.mesh.dtensor import DTensor
+from repro.runtime.memory import alloc_many
 
 
 class DistParam:
@@ -121,6 +122,14 @@ class DistModule:
 
 
 def charge_param_memory(param: DistParam, sim, tag: str = "params") -> None:
-    """Account a parameter's shard bytes on each hosting device."""
-    for rank, shard in param.data.shards.items():
-        sim.device(rank).memory.alloc(ops.nbytes(shard), tag)
+    """Account a parameter's shard bytes on each hosting device, in shard
+    order, as one bulk allocation (a run of equal shards measured once)."""
+    devices = sim.devices
+    alloc_many(
+        [
+            (devices[rank].memory, nbytes)
+            for nbytes, ranks in param.data.runs(ops.nbytes)
+            for rank in ranks
+        ],
+        tag,
+    )

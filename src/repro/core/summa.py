@@ -305,7 +305,20 @@ def _uniform_plan(mesh: Mesh, algo: _Algo, sig_a, sig_b, numeric: bool) -> _Plan
     size, so the batched descriptor is built from the mesh's lines — O(q)
     Python, not a per-rank pass — and the per-rank ``steps`` wait for a
     per-rank run.  The inner dimensions are checked once, on the first cell
-    (rank (0, 0), step 0) the per-rank schedule would check."""
+    (rank (0, 0), step 0) the per-rank schedule would check.
+
+    The q steps are one step's accounting q times over, so the lockstep
+    form is proved on one step and its chains tiled q times.  That is the
+    full proof (:meth:`~repro.runtime.simulator.Simulator.lockstep` of the
+    whole program), ``None`` included: the proof's ids are hash-consed
+    histories, so two ranks hold one id exactly when they applied equal
+    increment sequences, whatever id they started from.  A step therefore
+    meets every barrier and ends rank-symmetric from any common start id,
+    or from none; the first step starts the scope equal, so if it ends
+    equal each later step starts equal and repeats it, and if it fails
+    (a barrier out of step, a rank outside the mesh, a split end) the full
+    proof fails at the same point or, since histories that differ never
+    merge, at its end."""
     q = mesh.q
     blocks = tuple(
         _Block(shape, prod(shape) * _itemsize(dtype, numeric))
@@ -332,11 +345,14 @@ def _uniform_plan(mesh: Mesh, algo: _Algo, sig_a, sig_b, numeric: bool) -> _Plan
         ]
         order = [_line(mesh, algo.reduce, t, l)[1] for l in range(q) for t in range(q)]
     scratch = sum(blocks[op].nbytes for op in algo.bcast)
-    steps = [(bcasts, groups)] * q
     flops = 2.0 * m * k * n
-    program = _step_program(mesh, algo, steps, flops)
+    body = _step_body(mesh, bcasts, groups, flops)
+    lockstep = mesh.sim.lockstep(body, mesh.ranks)
+    if lockstep is not None:
+        devices, chains = lockstep
+        lockstep = devices, tuple(chain * q for chain in chains)
     desc = _BatchedDesc(
-        steps, flops, scratch, program, mesh.sim.lockstep(program, mesh.ranks),
+        [(bcasts, groups)] * q, flops, scratch, _step_program(mesh, algo, body), lockstep,
         (q, q, m, n), [(r, mesh.coords(r)) for r in order], order,
     )
     return _Plan(None, numeric, out_dtype, blocks, desc)
@@ -535,20 +551,26 @@ def _takes_batched(mesh: Mesh, plan: _Plan, a: DTensor, b: DTensor) -> bool:
     return on_stacks(mesh, a, b) and a.blocks.shape[:2] == full == b.blocks.shape[:2]
 
 
-def _step_program(mesh: Mesh, algo: _Algo, steps: list, flops: float) -> list:
-    """The accounting of a batched call's ``steps`` (see :class:`_BatchedDesc`)
-    as one :meth:`~repro.runtime.simulator.Simulator.replay` program: per step
-    its span, the broadcast lines, then per gemm group the gemm charges and
+def _step_body(mesh: Mesh, bcast_lines: list, groups: list, flops: float) -> list:
+    """One step of a batched call (see :class:`_BatchedDesc`) as program
+    entries: the broadcast lines, then per gemm group the gemm charges and
     the reduce line — the per-rank executor's call order."""
-    sim = mesh.sim
+    body = [(COLLECTIVES, "broadcast", bcast_lines)]
+    for ranks, reduce in groups:
+        body.append(mesh.sim.compute_entry(ranks, ((flops, "gemm"),)))
+        if reduce is not None:
+            body.append((COLLECTIVES, "reduce", reduce))
+    return body
+
+
+def _step_program(mesh: Mesh, algo: _Algo, body: list) -> list:
+    """The accounting of a batched call's q identical steps as one
+    :meth:`~repro.runtime.simulator.Simulator.replay` program: per step its
+    span around the step's ``body`` (:func:`_step_body`)."""
     program = []
-    for l, (bcast_lines, groups) in enumerate(steps):
+    for l in range(mesh.q):
         program.append((OPEN, "summa_step", mesh.ranks, "summa", {"algo": algo.name, "step": l}))
-        program.append((COLLECTIVES, "broadcast", bcast_lines))
-        for ranks, reduce in groups:
-            program.append(sim.compute_entry(ranks, ((flops, "gemm"),)))
-            if reduce is not None:
-                program.append((COLLECTIVES, "reduce", reduce))
+        program += body
         program.append((CLOSE,))
     return program
 

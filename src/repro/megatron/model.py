@@ -34,7 +34,7 @@ from repro.config import ModelConfig
 from repro.megatron.embedding import ClassificationHead1D, LMHead1D, VocabParallelEmbedding
 from repro.megatron.layers import LayerNorm1D, TransformerLayer1D
 from repro.megatron.loss import VocabParallelCrossEntropy
-from repro.mesh.dtensor import DTensor
+from repro.mesh.dtensor import DTensor, shard_runs
 from repro.mesh.layouts import REPLICATED_1D
 from repro.mesh.partition import distribute_replicated_1d
 from repro.nn.transformer import TransformerModel
@@ -104,7 +104,8 @@ class MegatronModel(TransformerModel):
             slices[rank] = x.local(rank)[start : start + count]
             start += count
         self.buffers.hold_many(
-            "checkpoint", [(rank, ops.nbytes(s)) for rank, s in slices.items()]
+            "checkpoint",
+            [(ranks, (nbytes,)) for nbytes, ranks in shard_runs(slices, ops.nbytes)],
         )
         # the slices are views of x: keeping x holds no more host memory, and
         # tells the gather whether x was on a stack

@@ -230,6 +230,26 @@ def _views(dt: "DTensor") -> dict:
     return {r: local[r - off] for r in order}
 
 
+def shard_runs(shards: Dict[int, object], measure) -> list:
+    """``(measure(shard), ranks)`` for each maximal run of consecutive
+    entries of ``shards`` that measure the same; entries sharing one object
+    (a dry-run placeholder) are measured once."""
+    runs = []
+    ranks = list(shards)
+    start = 0
+    last = value = None
+    for i, shard in enumerate(shards.values()):
+        if shard is not last:
+            last, measured = shard, measure(shard)
+            if i and measured != value:
+                runs.append((value, ranks[start:i]))
+                start = i
+            value = measured
+    if ranks:
+        runs.append((value, ranks[start:]))
+    return runs
+
+
 def _per_rank_result(owner, layout, shards: dict) -> "DTensor":
     """A DTensor of the per-rank results ``shards``, its global shape the
     shards' extents summed along each split axis (ragged MoE row blocks
@@ -399,6 +419,15 @@ class DTensor:
             raise KeyError(rank)
         i, j = divmod(k, q)
         return blocks[i % blocks.shape[0], j % blocks.shape[1]]
+
+    def runs(self, measure) -> list:
+        """:func:`shard_runs` of the shards: one run unless they are ragged
+        (MoE expert blocks).  A block stack's shards are uniform by
+        construction, so it is measured once."""
+        blocks = self.blocks
+        if blocks is not None:
+            return [(measure(blocks[(0,) * (blocks.ndim - len(self.global_shape))]), self.order)]
+        return shard_runs(self.shards, measure)
 
     def shard_nbytes(self) -> int:
         blocks = self.blocks

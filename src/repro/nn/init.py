@@ -54,7 +54,8 @@ def init_transformer_params(
     def w(shape, scale):
         if backend == "shape":
             return ShapeArray(shape, dtype)
-        return rng.normal(0.0, scale, size=shape).astype(dtype)
+        # float64 draws are the dtype already: no full-size copy
+        return rng.normal(0.0, scale, size=shape).astype(dtype, copy=False)
 
     def zeros(shape):
         return ops.zeros(shape, dtype=dtype, backend=backend)

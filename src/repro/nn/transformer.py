@@ -52,43 +52,18 @@ ELEMWISE_COST = {"add": 1.0, "gelu": 10.0, "softmax": 8.0, "layernorm": 8.0}
 _size = attrgetter("size")
 
 
-def _runs(dt: DTensor, measure) -> list:
-    """``(measure(shard), ranks)`` for each maximal run of consecutive shards
-    that measure the same — one run unless the shards are ragged (MoE expert
-    blocks).  A block stack's shards are uniform by construction and ranks
-    sharing one object (a dryrun placeholder) are measured once."""
-    blocks = dt.blocks
-    if blocks is not None:
-        return [(measure(blocks[(0,) * (blocks.ndim - len(dt.global_shape))]), dt.order)]
-    runs = []
-    last = value = None
-    ranks: List[int] = []
-    for rank, shard in dt.shards.items():
-        if shard is not last:
-            last, measured = shard, measure(shard)
-            if ranks and measured != value:
-                runs.append((value, ranks))
-                ranks = []
-            value = measured
-        ranks.append(rank)
-    if ranks:
-        runs.append((value, ranks))
-    return runs
-
-
 def hold(buffers: Optional[BufferManager], region: str, dt: DTensor) -> None:
     """Account every shard of ``dt`` in a buffer region."""
     if buffers is None:
         return
-    for nbytes, ranks in _runs(dt, ops.nbytes):
-        buffers.hold_many(region, [(rank, nbytes) for rank in ranks])
+    buffers.hold_many(region, [(ranks, (nbytes,)) for nbytes, ranks in dt.runs(ops.nbytes)])
 
 
 def charge_elementwise(dt: DTensor, kind: str) -> None:
     """Charge one fused elementwise kernel over ``dt`` to each owning device."""
     cost = ELEMWISE_COST[kind]
     charge_compute = dt.owner.sim.charge_compute
-    for size, ranks in _runs(dt, _size):
+    for size, ranks in dt.runs(_size):
         charge_compute(ranks, ((cost * size, "elementwise"),))
 
 
@@ -213,9 +188,7 @@ class SelfAttention(DistModule):
         self.owner.sim.charge_compute(ranks, charges)
         if self.buffers is not None:
             ctx_bytes = ops.nbytes(ctx_shards[ranks[0]])
-            self.buffers.hold_many(
-                "forward", [(rank, n) for rank in ranks for n in (held, ctx_bytes)]
-            )
+            self.buffers.hold_many("forward", [(ranks, (held, ctx_bytes))])
         self._saved = (saved, b_loc, s, n_loc, d)
         if out is None:
             out = DTensor(self.owner, self.layout, ctx_shards, (T, h))
@@ -431,7 +404,7 @@ class TransformerModel(DistModule):
 
     On a dry run the layer passes of one iteration are taped
     (:meth:`_layer_pass`): identical layers and every checkpoint recompute
-    replay the first pass's accounting instead of re-running the layer.
+    replay the first forward's accounting instead of re-running the layer.
     """
 
     layer_cls = norm_cls = None  #: the blocks
@@ -562,21 +535,26 @@ class TransformerModel(DistModule):
         placeholder (:func:`~repro.mesh.dtensor.one_placeholder`, under the
         batched-execution gate) the first pass per key is recorded: the
         layer's class and parameter signature, ``x``'s layout, global shape
-        and placeholder, the recompute flag and the direction.  A later pass
-        with the same key replays the tape onto its own parameters, then
-        takes the recorded saved activations (forward) or drops its own
-        (backward), and returns the recorded result.  A poisoned tape is
-        not kept."""
+        and placeholder, whether the pass skips the matmul outputs (§3.2.3
+        option 3: a recompute with ``skip_matmul_outputs`` on, the one
+        reading of the recompute flag, in ``Linear2D``) and the direction.
+        Any other checkpoint recompute is its layer's forward again and
+        replays the forward's tape.  A later pass with the same key replays
+        the tape onto its own parameters, then takes the recorded saved
+        activations (forward) or drops its own (backward), and returns the
+        recorded result.  A poisoned tape is not kept."""
         backward = batch_size is None
         tapes, sim = self._tapes, self.sim
         ph = None if tapes is None or sim.is_enabled else one_placeholder(self.owner, x)
         if ph is None:
             return layer.backward(x) if backward else layer.forward(x, batch_size)
         params = layer.parameters()
+        buffers = self.buffers
         key = (
             type(layer),
             tuple((p.data.layout, p.data.global_shape, p.data.dtype) for p in params),
-            x.layout, x.global_shape, ph, self.buffers.in_recompute, backward,
+            x.layout, x.global_shape, ph,
+            buffers.in_recompute and buffers.skip_matmul_outputs, backward,
         )
         taped = tapes.get(key)
         if taped is not None:

@@ -11,7 +11,7 @@ Fig. 9 max-batch-size search can detect out-of-memory exactly where a real
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 
 class MemSample(NamedTuple):
@@ -69,19 +69,12 @@ class MemoryMeter:
         )
 
     def alloc(self, nbytes: int, tag: str = "untagged") -> int:
-        """Charge an allocation; returns the byte count for convenience."""
+        """Charge an allocation (a one-entry :func:`alloc_many`); returns
+        the byte count for convenience."""
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("negative allocation")
-        if self.strict and self.capacity is not None and self.current + nbytes > self.capacity:
-            raise OutOfDeviceMemory(self.rank, nbytes, self.current, self.capacity)
-        self.current += nbytes
-        self.num_allocs += 1
-        self.by_tag[tag] = self.by_tag.get(tag, 0) + nbytes
-        if self.current > self.peak:
-            self.peak = self.current
-        if self.timeline is not None:
-            self._sample(tag)
+        alloc_many(((self, nbytes),), tag)
         return nbytes
 
     def free(self, nbytes: int, tag: str = "untagged") -> None:
@@ -118,3 +111,25 @@ class MemoryMeter:
         if self.capacity is None:
             return None
         return self.capacity - self.current
+
+
+def alloc_many(charges: Iterable[Tuple[MemoryMeter, int]], tag: str) -> None:
+    """Charge each ``(meter, nbytes)`` of ``charges`` as one allocation
+    under ``tag``, in order: the one definition of an allocation's
+    bookkeeping (:meth:`MemoryMeter.alloc` is its one-entry form).  The
+    caller has made each byte count a non-negative int.  A strict-capacity
+    overflow raises at the entry it binds, the entries before it charged
+    and the rest not; a timeline sample is taken per entry, so a meter's
+    samples keep their order."""
+    for meter, nbytes in charges:
+        current = meter.current + nbytes
+        if meter.strict and meter.capacity is not None and current > meter.capacity:
+            raise OutOfDeviceMemory(meter.rank, nbytes, meter.current, meter.capacity)
+        meter.current = current
+        meter.num_allocs += 1
+        by_tag = meter.by_tag
+        by_tag[tag] = by_tag.get(tag, 0) + nbytes
+        if current > meter.peak:
+            meter.peak = current
+        if meter.timeline is not None:
+            meter._sample(tag)

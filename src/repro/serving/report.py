@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 from repro.config import ModelConfig, tiny_config
 from repro.core import summa
 from repro.nn.init import init_transformer_params
-from repro.obs.alerts import AlertEngine, AlertRule, default_serving_rules
 from repro.obs.ledger import RunLedger, RunRecord, canonical_json, record_from_sim
 from repro.schemes import SCHEMES as SCHEME_TABLE
 from repro.serving.engine import ServingResult, make_engine
@@ -39,6 +38,7 @@ from repro.serving.traffic import ARRIVAL_PROFILES, Request, TrafficGenerator
 from repro.utils import UsageError, write_text
 
 if TYPE_CHECKING:
+    from repro.obs.alerts import AlertRule
     from repro.resilience.injector import FaultInjector
 
 REPORT_SCHEMA = "repro-serve-v1"
@@ -130,7 +130,11 @@ def run_arm(
     # equal per-device KV bytes across schemes: q·blocks blocks split over
     # the scheme's KV pools (q mesh rows, or one group q× thinner per rank)
     blocks_per_group = blocks * q // SCHEME_TABLE[scheme].kv_pools(q * q)
-    alerts = AlertEngine(alert_rules) if alert_rules else None
+    alerts = None
+    if alert_rules:
+        from repro.obs.alerts import AlertEngine
+
+        alerts = AlertEngine(alert_rules)
     engine = make_engine(
         scheme,
         cfg,
@@ -366,6 +370,8 @@ def run_serve(
     if alert_rules:
         rules: Optional[List[AlertRule]] = list(alert_rules)
     elif alerts:
+        from repro.obs.alerts import default_serving_rules
+
         rules = default_serving_rules(h.engine["slo_ttft"], h.engine["slo_tpot"], h.engine["slots"])
     else:
         rules = None
@@ -722,6 +728,8 @@ def load_baseline(path: str) -> dict:
 def _load_alert_rules(path: str) -> List[AlertRule]:
     """Parse a JSON alert-rule file (a list of AlertRule dicts); UsageError
     naming the path on a missing or malformed file."""
+    from repro.obs.alerts import AlertRule
+
     try:
         with open(path) as f:
             docs = json.load(f)

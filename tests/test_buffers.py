@@ -120,7 +120,7 @@ class TestValidation:
     def test_bulk_hold_validates_before_touching_any_rank(self, managed):
         sim, m = _mgr(managed=managed)
         with pytest.raises(ValueError, match="negative allocation"):
-            m.hold_many("forward", [(0, 100), (1, -1)])
+            m.hold_many("forward", [([0], (100,)), ([1], (-1,))])
         with pytest.raises(ValueError, match="negative allocation"):
             m.compute_in_workspace([0, 1], -8, 1.0)
         with pytest.raises(ValueError, match="negative flops"):

@@ -2,32 +2,40 @@
 
 ``Simulator.replay`` (an accounting program's entries from one frame),
 its one-entry forms ``charge_compute`` and ``collectives.charge_only`` (all
-of a mesh's lines in one call) and
-``BufferManager.hold_many`` /
-``compute_in_workspace`` issue from one frame what used to be one
+of a mesh's lines in one call),
+``BufferManager.hold_many`` (runs of ranks each holding a list of sizes) /
+``compute_in_workspace`` and ``runtime.memory.alloc_many`` (parameter
+placement, arena growth) issue from one frame what used to be one
 ``SimDevice.compute`` / ``charge_comm`` / ``Simulator.sync`` + ``advance`` /
-``BufferManager.hold`` / ``release`` call per rank.  Those methods stay the
-single-device definitions; here a random program runs once through each on two
-fresh simulators and everything observable must agree: per-rank counters and
-clocks, the trace (order included), the memory timeline, the metrics registry
-(creation order included), every region's usage and capacity — and, under a
-strict capacity, the rank an overflow is raised on and the state it leaves.
+``BufferManager.hold`` / ``release`` / ``MemoryMeter.alloc`` call per rank.
+Those methods stay the single-device definitions; here a random program runs
+once through each on two fresh simulators and everything observable must
+agree: per-rank counters and clocks, the trace (order included), the memory
+timeline, the metrics registry (creation order included), every region's
+usage and capacity — and, under a strict capacity, the rank an overflow is
+raised on and the state it leaves.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import ops
+from repro.backend.shape_array import ShapeArray
 from repro.comm import collectives as coll
 from repro.comm.group import ProcessGroup
 from repro.core.buffers import REGIONS, BufferManager
 from repro.mesh.mesh import Mesh
 from repro.runtime.events import NULL_SPAN
-from repro.runtime.memory import OutOfDeviceMemory
+from repro.core.param import DistParam, charge_param_memory
+from repro.mesh.dtensor import DTensor
+from repro.mesh.layouts import BLOCKED_2D
+from repro.runtime.memory import OutOfDeviceMemory, alloc_many
 from repro.runtime.simulator import CLOSE, COLLECTIVES, COUNTERS, OPEN, Simulator
 
 _REGION = st.sampled_from(REGIONS)
@@ -53,6 +61,11 @@ def _program(q):
             st.floats(0.0, 1e9), st.floats(0.0, 1e9),
         ),
         st.tuples(st.just("hold"), _REGION, _ranks(p), sizes),
+        st.tuples(
+            st.just("runs"), _REGION,
+            st.lists(st.tuples(_ranks(p), st.lists(_BYTES, max_size=3)), max_size=3),
+        ),
+        st.tuples(st.just("alloc"), _ranks(p), sizes, st.sampled_from(["params", "x"])),
         st.tuples(st.just("workspace"), _ranks(p), _BYTES, _FLOPS),
         st.tuples(st.just("reset"), _REGION),
         st.tuples(st.just("trim"), _REGION),
@@ -77,6 +90,15 @@ def _charge_one_line(sim, group, kind, dt, nbytes, weighted):
 def _holds(ranks, sizes):
     mode, n = sizes
     return [(r, n if mode == "uniform" else n[r]) for r in ranks]
+
+
+def _runs(ranks, sizes):
+    """:func:`_holds` as ``hold_many`` runs: one run for a uniform size, one
+    per rank for ragged ones."""
+    mode, n = sizes
+    if mode == "uniform":
+        return [(ranks, (n,))]
+    return [([r], (n[r],)) for r in ranks]
 
 
 class _Run:
@@ -132,7 +154,14 @@ class Bulk(_Run):
         coll.charge_only("broadcast", [(self.groups[g], (dt, nbytes, weighted))])
 
     def hold(self, region, ranks, sizes):
-        self.buffers.hold_many(region, _holds(ranks, sizes))
+        self.buffers.hold_many(region, _runs(ranks, sizes))
+
+    def runs(self, region, runs):
+        self.buffers.hold_many(region, runs)
+
+    def alloc(self, ranks, sizes, tag):
+        devices = self.sim.devices
+        alloc_many([(devices[r].memory, n) for r, n in _holds(ranks, sizes)], tag)
 
     def workspace(self, ranks, nbytes, flops):
         self.buffers.compute_in_workspace(ranks, nbytes, flops)
@@ -152,6 +181,16 @@ class PerRank(_Run):
     def hold(self, region, ranks, sizes):
         for r, n in _holds(ranks, sizes):
             self.buffers.hold(region, r, n)
+
+    def runs(self, region, runs):
+        for ranks, sizes in runs:
+            for r in ranks:
+                for n in sizes:
+                    self.buffers.hold(region, r, n)
+
+    def alloc(self, ranks, sizes, tag):
+        for r, n in _holds(ranks, sizes):
+            self.sim.device(r).memory.alloc(n, tag)
 
     def workspace(self, ranks, nbytes, flops):
         for r in ranks:
@@ -204,6 +243,73 @@ def test_an_overflow_stops_the_bulk_call_at_the_binding_rank(managed):
     assert [w["current_bytes"] for w in seen["watermarks"]] == (
         [70, 80, 90, 90] if managed else [70, 80, 0, 0]
     )
+
+
+@pytest.mark.parametrize("managed", [True, False], ids=["managed", "unmanaged"])
+def test_an_overflow_stops_a_run_at_the_binding_size(managed):
+    """A run holds each of its sizes on a rank before the next rank: an
+    overflow at a rank's second size leaves its first held and the ranks
+    after it untouched, and a bulk allocation stops at its binding rank."""
+    program = [
+        ("alloc", [1], ("uniform", 50), "x"),
+        ("runs", "forward", [([0, 1, 2], [30, 40])]),
+        ("alloc", [0, 1, 2, 3], ("ragged", [10, 30, 5, 5]), "params"),
+    ]
+    seen = _assert_equivalent(2, managed, 100, program)
+    assert seen["ooms"] == [("runs", 1, 40, 80), ("alloc", 1, 30, 80)]
+    assert [w["current_bytes"] for w in seen["watermarks"]] == [80, 80, 0, 0]
+    assert {("forward", 0, 70, 70), ("forward", 1, 30, 30), ("forward", 2, 0, 0)} <= set(
+        seen["regions"]
+    )
+
+
+def _param(sim, kind):
+    """A 2×2 mesh parameter: one placeholder for every rank, a block stack,
+    or uneven blocks, each rank's of another byte count."""
+    mesh = Mesh(sim, 2)
+    if kind == "stack":
+        blocks = np.zeros((2, 2, 3, 5))
+        return DistParam("w", DTensor.from_blocks(mesh, BLOCKED_2D, blocks, (6, 10), mesh.ranks))
+    if kind == "placeholders":
+        shards = dict.fromkeys(mesh.ranks, ShapeArray((3, 5), "float32"))
+    else:
+        shards = {r: np.zeros(((1, 2)[r // 2], (5, 3)[r % 2])) for r in mesh.ranks}
+        return DistParam("w", DTensor(mesh, BLOCKED_2D, shards, (3, 8)))
+    return DistParam("w", DTensor(mesh, BLOCKED_2D, shards, (6, 10)))
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["unlimited", "strict"])
+@pytest.mark.parametrize("kind", ["placeholders", "stack", "ragged"])
+def test_a_parameter_charge_is_one_alloc_per_shard(kind, strict):
+    """``charge_param_memory`` (one ``alloc_many``) charges what
+    ``MemoryMeter.alloc`` per shard, in shard order, did: every meter field
+    and the timeline — and, with rank 2 full under a strict capacity, the
+    overflow binds there, ranks 0 and 1 charged and rank 3 not."""
+    seen = []
+    for bulk in (True, False):
+        sim = Simulator.for_mesh(q=2, strict_memory=strict)
+        sim.enable_memory_timeline()
+        for d in sim.devices:
+            d.memory.capacity = 1000
+        sim.device(2).memory.alloc(1000, "other")
+        param, oom = _param(sim, kind), None
+        try:
+            if bulk:
+                charge_param_memory(param, sim)
+            else:
+                for r, shard in param.data.shards.items():
+                    sim.device(r).memory.alloc(ops.nbytes(shard), "params")
+        except OutOfDeviceMemory as e:
+            oom = (e.rank, e.requested, e.current)
+        seen.append((
+            oom,
+            [(m.current, m.peak, m.num_allocs, m.by_tag)
+             for m in (d.memory for d in sim.devices)],
+            sim.memory_timeline(),
+        ))
+    assert seen[0] == seen[1]
+    assert (seen[0][0] is not None) == strict
+    assert (seen[0][1][3][0] == 0) == strict
 
 
 @pytest.mark.parametrize("managed", [True, False], ids=["managed", "unmanaged"])

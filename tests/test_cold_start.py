@@ -157,7 +157,7 @@ _GRAPH = [
     pytest.param(
         _HOSTBENCH_IMPORTS,
         _RUNNER | _ENGINE | {
-            *"obs.alerts obs.ledger serving.report".split(),
+            *"obs.ledger serving.report".split(),
             *"training training.data training.optim training.trainer".split(),
         },
         id="hostbench.workloads",

@@ -122,9 +122,39 @@ VARIANTS = {
 def test_a_taped_stem_is_the_forced_per_rank_stem(monkeypatch, replays, scheme, p, variant):
     taped, forced = _both(monkeypatch, lambda: _stem(scheme, p, **VARIANTS[variant]))
     assert taped == forced
-    # three layers: two forward, two recompute and two backward replays
-    # (no recompute without checkpointing)
-    assert replays[0] == (4 if variant == "no-checkpoint" else 6)
+    # three layers: two forward and two backward replays, and three
+    # recomputes replaying the forward's tape — or two replaying their own
+    # when the recompute skips the matmul outputs (none without checkpointing)
+    want = {"no-checkpoint": 4, "skip-matmul-outputs": 6}.get(variant, 7)
+    assert replays[0] == want
+
+
+@pytest.mark.parametrize("skip", [False, True], ids=["default", "skip-matmul-outputs"])
+@pytest.mark.parametrize("scheme, p", [("optimus", 4), ("megatron", 4)])
+def test_the_recompute_replays_the_forward_tape(monkeypatch, replays, scheme, p, skip):
+    """A checkpoint recompute is its layer's forward again, so it replays
+    the forward's tape — unless §3.2.3 option 3 has it skip the matmul
+    outputs, when the first recompute records a tape of its own."""
+
+    def run():
+        model = _model(scheme, p, buffers={"skip_matmul_outputs": skip})
+        passes = []  # per recompute pass: did it replay a tape?
+        layer_pass = model._layer_pass
+
+        def spied(layer, x, batch_size):
+            recompute, before = model.buffers.in_recompute, replays[0]
+            out = layer_pass(layer, x, batch_size)
+            if recompute:
+                passes.append(replays[0] > before)
+            return out
+
+        model._layer_pass = spied
+        res = _run_stem(model, scheme, BATCH, None, "stem")
+        return passes, res, _state(model)
+
+    (passes, *taped), (_, *forced) = _both(monkeypatch, run)
+    assert taped == forced
+    assert passes == ([False, True, True] if skip else [True, True, True])
 
 
 @pytest.mark.parametrize("layout", ["distributed", "replicated"])
@@ -133,7 +163,7 @@ def test_megatron_checkpoint_layouts(monkeypatch, replays, layout):
         monkeypatch, lambda: _stem("megatron", 4, checkpoint_layout=layout)
     )
     assert taped == forced
-    assert replays[0] == 6
+    assert replays[0] == 7
 
 
 @pytest.mark.parametrize("scheme, p", [("optimus", 4), ("megatron", 4)])
@@ -142,7 +172,7 @@ def test_two_batch_sizes_on_one_model(monkeypatch, replays, scheme, p):
     size records its own."""
     taped, forced = _both(monkeypatch, lambda: _stem(scheme, p, batches=(BATCH, 2 * BATCH)))
     assert taped == forced
-    assert replays[0] == 12
+    assert replays[0] == 14
 
 
 def test_an_option_changed_between_iterations_is_seen(monkeypatch, replays):
@@ -157,7 +187,8 @@ def test_an_option_changed_between_iterations_is_seen(monkeypatch, replays):
 
     taped, forced = _both(monkeypatch, run)
     assert taped == forced
-    assert replays[0] == 12
+    # 7 before the change, 6 after it (the recompute records its own tape)
+    assert replays[0] == 13
 
 
 @pytest.mark.parametrize("scheme, p", [("optimus", 4), ("megatron", 4)])
@@ -174,7 +205,7 @@ def test_a_full_model_with_the_immediate_updater(monkeypatch, replays, scheme, p
     assert taped == forced
     # the updater cleared every layer gradient on both paths
     assert [g is None for g in taped_grads] == [g is None for g in forced_grads]
-    assert replays[0] == 6
+    assert replays[0] == 7
 
 
 def test_gradients_land_on_each_layers_own_parameters(replays):
@@ -183,7 +214,7 @@ def test_gradients_land_on_each_layers_own_parameters(replays):
     model = _model("optimus", 4)
     model.stem_forward(BATCH)
     model.stem_backward()
-    assert replays[0] == 6
+    assert replays[0] == 7
     for p in model.parameters():
         assert p.grad is not None
         assert (p.grad.layout, p.grad.global_shape) == (p.data.layout, p.data.global_shape)
@@ -208,7 +239,7 @@ def test_a_strict_memory_oom_raises_at_the_same_hold(monkeypatch, replays, schem
 
     taped, forced = _both(monkeypatch, run)
     assert taped == forced
-    assert replays[0] == 6
+    assert replays[0] == 7
 
 
 class _ComputeLayer(TransformerLayer2D):
@@ -254,7 +285,7 @@ class _MoELayer(TransformerLayer2D):
 def test_a_moe_layer_tapes_as_forced(monkeypatch, replays):
     taped, forced = _both(monkeypatch, lambda: _stem("optimus", 4, layer_cls=_MoELayer))
     assert taped == forced
-    assert replays[0] == 6
+    assert replays[0] == 7
 
 
 @pytest.mark.parametrize("scheme, p", [("optimus", 4), ("megatron", 4)])

@@ -14,6 +14,7 @@ from repro.core import summa
 from repro.core.buffers import BufferManager
 from repro.mesh.dtensor import DTensor
 from repro.mesh.layouts import BLOCKED_2D
+from repro.mesh.mesh import Mesh
 from repro.mesh.partition import assemble_blocked_2d, distribute_blocked_2d
 from repro.runtime.memory import OutOfDeviceMemory
 from repro.runtime.simulator import Simulator
@@ -465,7 +466,7 @@ class TestReplay:
             buffers = BufferManager(sim, managed=arena != "unmanaged")
         if arena == "warm":  # every workspace arena already holds a step's blocks
             big = 10 * (a.shard_nbytes() + b.shard_nbytes())
-            buffers.hold_many("workspace", [(r, big) for r in mesh.ranks])
+            buffers.hold_many("workspace", [(mesh.ranks, (big,))])
             buffers.reset_region("workspace")
         outs, oom = [], None
         try:
@@ -561,6 +562,43 @@ class TestReplay:
         step = [OPEN, COLLECTIVES] + [COMPUTE, COLLECTIVES] * 3 + [CLOSE]
         assert ops == step * 3
         assert [e[4]["step"] for e in desc.program if e[0] == OPEN] == [0, 1, 2]
+
+    @pytest.mark.parametrize("arrangement", ["bunched", "naive", "linear"])
+    @pytest.mark.parametrize("backend", ["numpy", "shape"])
+    @pytest.mark.parametrize("q", [2, 3, 4, 8])
+    def test_the_one_step_proof_is_the_full_proof(self, q, backend, arrangement):
+        """A plan proves lockstep on one of its q identical steps and tiles
+        the chains; that equals the proof over the whole program, ``None``
+        included, for every uniform plan the three products and their
+        gradients build (mixed dtypes too), on a whole mesh and on a mesh at
+        a rank offset whose other ranks are out of scope."""
+        sims = [
+            (Simulator.for_mesh(q=q, arrangement_kind=arrangement, backend=backend), 0),
+            (Simulator.for_flat(p=q * q + 2, backend=backend), 2),
+        ]
+        forms = []
+        for sim, offset in sims:
+            mesh = Mesh(sim, q, rank_offset=offset)
+            for name, algo in ALGOS.items():
+                for dtypes in ((np.float32, np.float32), (np.float32, np.float64)):
+                    a, b = (
+                        x.map(lambda s, dt=dt: ShapeArray(s.shape, dt)) if backend == "shape"
+                        else x.map(lambda s, dt=dt: s.astype(dt))
+                        for x, dt in zip(_operands(mesh, algo, np.float64), dtypes)
+                    )
+                    c = getattr(summa, f"summa_{name}")(mesh, a, b)
+                    getattr(summa, f"grads_of_{name}")(mesh, a, b, c)
+            for plan in mesh._summa_plans.values():
+                full = sim.lockstep(plan.batched.program, mesh.ranks)
+                assert plan.batched.lockstep == full
+                forms.append(full is not None)
+        assert len(forms) > 2 * len(ALGOS)
+        # q = 3 on 4-GPU nodes prices its lines apart (no form); a bunched
+        # whole mesh of any other q runs in step
+        if arrangement == "bunched":
+            assert forms[0] == (q != 3)
+        if q == 3:
+            assert not any(forms)
 
 
 class TestFuzzerComparesExecutors:
