@@ -55,12 +55,3 @@ class ProcessGroup:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessGroup(kind={self.kind!r}, ranks={self.ranks})"
 
-
-def make_group(
-    sim: Simulator,
-    ranks: Sequence[int],
-    kind: str = "group",
-    siblings: Optional[Sequence[Sequence[int]]] = None,
-) -> ProcessGroup:
-    """Convenience constructor mirroring ``torch.distributed.new_group``."""
-    return ProcessGroup(sim, ranks, kind=kind, siblings=siblings)

@@ -104,19 +104,23 @@ def all_reduce(group, partials: DTensor) -> DTensor:
     return _all_reduce(group, None, 0, partials, REPLICATED_1D)
 
 
-def all_gather(group, x: DTensor, parts: dict) -> DTensor:
+def all_gather(group, x: DTensor, parts) -> DTensor:
     """Rebuild the replicated ``x`` from ``parts`` (``{rank: row slice of
     x}``): every member receives their group-order concatenation.
     When ``x`` was on a stack, one concatenate into a shared ``(1,)`` entry
-    and the replayed charge; otherwise the per-rank all-gather."""
+    and the replayed charge.  When ``x`` is one dry-run placeholder
+    (:func:`one_placeholder`; ``parts`` None says it held when ``x`` was
+    sliced, and no slices were made) the concatenation is that placeholder:
+    its bytes are charged and the same object handed back.  Otherwise the
+    per-rank all-gather."""
     if on_stacks(group, x):
         full = ops.concatenate([parts[r] for r in group.ranks], axis=0)
         coll.charge_only("all_gather", precosts(group, None, "all_gather", ops.nbytes(full)))
         return DTensor.from_blocks(group, REPLICATED_1D, full[None], x.global_shape, group.ranks)
-    if one_placeholder(group, x) is not None:
-        full = ops.concatenate([parts[r] for r in group.ranks], axis=0)
-        coll.charge_only("all_gather", precosts(group, None, "all_gather", full.nbytes))
-        return DTensor(group, REPLICATED_1D, dict.fromkeys(group.ranks, full), x.global_shape)
+    ph = x.local(group.ranks[0]) if parts is None else one_placeholder(group, x)
+    if ph is not None:
+        coll.charge_only("all_gather", precosts(group, None, "all_gather", ph.nbytes))
+        return DTensor(group, REPLICATED_1D, dict.fromkeys(group.ranks, ph), x.global_shape)
     return DTensor(group, REPLICATED_1D, coll.all_gather(group, parts), x.global_shape)
 
 

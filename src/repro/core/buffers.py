@@ -201,10 +201,10 @@ class BufferManager:
 
     def _poison(self) -> None:
         """A mutator other than :meth:`hold_many` ran: a dry-run layer tape
-        recording now cannot replay the pass (``runtime.simulator.Tape``)."""
+        recording now cannot replay the pass (``runtime.tape.Tape``)."""
         tape = self.sim.tape
         if tape is not None:
-            tape.poisoned = True
+            tape.poison()
 
     def hold_many(
         self, region: str, runs: Sequence[Tuple[Sequence[int], Sequence[int]]]
@@ -214,7 +214,7 @@ class BufferManager:
         ``(rank, size)``, rank-major — from one frame.  The sizes are checked
         once, before any rank is touched: each goes through ``int`` as in
         :meth:`hold`, and a negative one raises.  A recording dry-run layer
-        tape records the call (``runtime.simulator.Tape``).
+        tape records the call (``runtime.tape.Tape``).
 
         Unmanaged, every hold is an allocation.  A managed arena grows when
         a hold takes its usage past its capacity: the growth is one
@@ -225,9 +225,6 @@ class BufferManager:
         a strict meter (with those before it) at once, so that an overflow
         raises before its hold applies: its region is left unchanged and
         the holds before it held."""
-        tape = self.sim.tape
-        if tape is not None:
-            return tape.call(self.hold_many, region, runs)
         for _ranks, sizes in runs:
             for nbytes in sizes:
                 if nbytes.__class__ is not int or nbytes < 0:
@@ -237,6 +234,9 @@ class BufferManager:
             runs = _byte_runs(runs)  # a float or NumPy count, or a negative one
             break
         region = self._canonical(region)
+        tape = self.sim.tape
+        if tape is not None:
+            return tape.hold(self, region, runs)
         regions = self._regions[region]
         devices = self.sim.devices
         tag = self._tag(region)
@@ -261,15 +261,23 @@ class BufferManager:
                             alloc_many(grown, tag)
                             grown = []
                         st.capacity = usage
-                        gauge = st.gauge
-                        if gauge is None:
-                            gauge = st.gauge = self.sim.metrics.gauge(
-                                "buffer_capacity_bytes", region=region, rank=rank
-                            )
-                        gauge.value = float(usage)
+                        (st.gauge or self.gauge(region, rank)).value = float(usage)
                     st.usage = usage
         if grown:
             alloc_many(grown, tag)
+
+    def gauge(self, region: str, rank: int) -> Gauge:
+        """``rank``'s ``buffer_capacity_bytes`` gauge of the canonical
+        ``region``, registered at the arena's first growth."""
+        st = self._regions[region][rank]
+        if st.gauge is None:
+            st.gauge = self.sim.metrics.gauge("buffer_capacity_bytes", region=region, rank=rank)
+        return st.gauge
+
+    def arenas(self, region: str) -> Dict[int, _Region]:
+        """``region``'s per-rank arena records (usage, capacity, gauge), by
+        rank: what a dry-run layer tape compares and copies."""
+        return self._regions[self._canonical(region)]
 
     def fits(self, region: str, ranks: Iterable[int], nbytes: int) -> bool:
         """Whether each of ``ranks``' managed ``region`` arenas holds

@@ -25,7 +25,7 @@ class DistParam:
     def add_grad(self, g: DTensor) -> None:
         """Accumulate ``g``; a recording dry-run layer tape records the
         call by this parameter's position in the layer
-        (``runtime.simulator.Tape``)."""
+        (``runtime.tape.Tape``)."""
         tape = g.owner.sim.tape
         if tape is not None:
             return tape.add_grad(self, g)

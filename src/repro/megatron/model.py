@@ -34,7 +34,7 @@ from repro.config import ModelConfig
 from repro.megatron.embedding import ClassificationHead1D, LMHead1D, VocabParallelEmbedding
 from repro.megatron.layers import LayerNorm1D, TransformerLayer1D
 from repro.megatron.loss import VocabParallelCrossEntropy
-from repro.mesh.dtensor import DTensor, shard_runs
+from repro.mesh.dtensor import DTensor, one_placeholder, shard_runs
 from repro.mesh.layouts import REPLICATED_1D
 from repro.mesh.partition import distribute_replicated_1d
 from repro.nn.transformer import TransformerModel
@@ -93,10 +93,23 @@ class MegatronModel(TransformerModel):
     def _store_checkpoint(self, x: DTensor):
         if self.checkpoint_layout == "replicated":
             return super()._store_checkpoint(x)
-        # distributed: rank k keeps a ~T/p row slice (uneven when p ∤ T)
+        # distributed: rank k keeps a ~T/p row slice (uneven when p ∤ T):
+        # the first ``extra`` ranks base + 1 rows, the rest base rows
         group = self.group
         T = x.global_shape[0]
         base, extra = divmod(T, group.size)
+        ph = one_placeholder(group, x)
+        if ph is not None:
+            # a dry run: the two slice sizes as two runs (one when they
+            # agree), as the per-rank slices measure
+            ranks = list(group.ranks)
+            row = ph.nbytes // T if T else 0
+            if extra and row:
+                runs = [(ranks[:extra], ((base + 1) * row,)), (ranks[extra:], (base * row,))]
+            else:
+                runs = [(ranks, (base * row,))]
+            self.buffers.hold_many("checkpoint", runs)
+            return x, None
         slices = {}
         start = 0
         for k, rank in enumerate(group.ranks):

@@ -44,7 +44,7 @@ from repro.reference.attention import (
     fused_attention_fwd,
 )
 from repro.runtime.events import NULL_SPAN
-from repro.runtime.simulator import Tape
+from repro.runtime.tape import Tape
 
 #: clock-model cost (FLOPs per element) of fused elementwise kernels
 ELEMWISE_COST = {"add": 1.0, "gelu": 10.0, "softmax": 8.0, "layernorm": 8.0}
@@ -530,7 +530,7 @@ class TransformerModel(DistModule):
         pass when there is one.
 
         A dry-run pass changes simulated state only through the recorded
-        entry points of :class:`~repro.runtime.simulator.Tape`, so on an
+        entry points of :class:`~repro.runtime.tape.Tape`, so on an
         untraced, unchecked shape run whose ``x`` is one interned
         placeholder (:func:`~repro.mesh.dtensor.one_placeholder`, under the
         batched-execution gate) the first pass per key is recorded: the
@@ -568,9 +568,14 @@ class TransformerModel(DistModule):
         tape = sim.tape = Tape(sim, params)
         try:
             out = layer.backward(x) if backward else layer.forward(x, batch_size)
+        except BaseException:
+            if not tape.poisoned:
+                tape.poison()  # make what the pass recorded before it raised
+            raise
         finally:
             sim.tape = None
         if not tape.poisoned:
+            tape.apply(params)
             tapes[key] = (tape, out, None if backward else layer.cache_state())
         return out
 

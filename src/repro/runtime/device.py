@@ -39,7 +39,7 @@ class SimDevice:
     num_collectives: int = 0
     tracer: Optional[Tracer] = None  # wired by the Simulator
     #: the owning Simulator (wired by it): a charge made here while a dry-run
-    #: layer tape records poisons the tape (see ``runtime.simulator.Tape``)
+    #: layer tape records poisons the tape (see ``runtime.tape.Tape``)
     sim: Any = field(default=None, repr=False, compare=False)
 
     def compute(self, flops: float, kind: str = "gemm") -> float:
@@ -54,7 +54,7 @@ class SimDevice:
             raise ValueError(f"non-finite or negative flops: {flops!r}")
         sim = self.sim
         if sim is not None and sim.tape is not None:
-            sim.tape.poisoned = True
+            sim.tape.poison()
         dt = flops / self.spec.effective_flops
         self.flops += flops
         if kind == "gemm":
@@ -74,7 +74,7 @@ class SimDevice:
         """Record one collective's contribution (clock advance is separate)."""
         sim = self.sim
         if sim is not None and sim.tape is not None:
-            sim.tape.poisoned = True
+            sim.tape.poison()
         self.comm_time += dt
         self.bytes_comm += nbytes
         self.weighted_comm_volume += weighted_volume

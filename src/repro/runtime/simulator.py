@@ -22,7 +22,7 @@ from functools import reduce
 from itertools import count, repeat
 from math import inf
 from operator import add, attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.hardware.arrangement import Arrangement, linear_arrangement, make_arrangement
 from repro.hardware.specs import ClusterSpec, frontera_rtx
@@ -31,6 +31,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime.device import SimDevice
 from repro.runtime.events import Tracer
 from repro.runtime.memory import MemoryMeter, MemSample
+
+if TYPE_CHECKING:
+    from repro.runtime.tape import Tape
 
 #: the opcodes of an accounting program's entries (see :meth:`Simulator.replay`)
 COMPUTE, COLLECTIVES, OPEN, CLOSE = range(4)
@@ -42,67 +45,6 @@ COUNTERS = (
     "comm_time", "bytes_comm", "weighted_comm_volume", "num_collectives",
 )
 _counters = attrgetter(*COUNTERS)
-
-
-class Tape:
-    """The accounting calls of one dry-run layer pass, to replay for an
-    identical layer instead of re-running it.
-
-    While a tape records (it is its simulator's :attr:`Simulator.tape`), the
-    four recorded entry points — :meth:`Simulator.replay`,
-    ``BufferManager.hold_many``, SUMMA's ``_account`` and
-    ``DistParam.add_grad`` — append their call to :attr:`ops` and run with
-    the tape detached (:meth:`call`), so the calls one makes inside are part
-    of it.  Any other mutator of simulated state reached while recording
-    (``SimDevice.compute`` / ``charge_comm``, ``sync`` / ``advance``, the
-    other ``BufferManager`` mutators) sets :attr:`poisoned`: such a tape
-    does not hold the pass's whole effect and is never replayed.  A
-    gradient is recorded against the parameter's position in the recorded
-    layer's ``parameters()`` (:attr:`params`), so :meth:`replay` adds it to
-    the parameter at that position of the layer replayed."""
-
-    __slots__ = ("sim", "ops", "params", "poisoned")
-
-    def __init__(self, sim: "Simulator", params: Sequence[object] = ()):
-        self.sim = sim
-        self.ops: List[tuple] = []
-        self.params = {id(p): i for i, p in enumerate(params)}
-        self.poisoned = False
-
-    def call(self, fn, *args):
-        """Record ``fn(*args)`` and make it."""
-        self.ops.append((fn, args))
-        return self._detached(fn, args)
-
-    def add_grad(self, param, grad) -> None:
-        """Record ``param.add_grad(grad)`` by the parameter's position and
-        make it; a parameter outside the recorded layer poisons the tape."""
-        index = self.params.get(id(param))
-        if index is None:
-            self.poisoned = True
-        else:
-            self.ops.append((None, (index, grad)))
-        self._detached(param.add_grad, (grad,))
-
-    def _detached(self, fn, args):
-        """``fn(*args)`` with recording detached: what it calls is part of
-        the one recorded call."""
-        sim = self.sim
-        sim.tape = None
-        try:
-            return fn(*args)
-        finally:
-            sim.tape = self
-
-    def replay(self, params: Sequence[object]) -> None:
-        """Make the recorded calls again, in order; ``params`` is the
-        replayed layer's ``parameters()``."""
-        for fn, args in self.ops:
-            if fn is None:
-                index, grad = args
-                params[index].add_grad(grad)
-            else:
-                fn(*args)
 
 
 class Simulator:
@@ -156,7 +98,7 @@ class Simulator:
         #: machinery costs one attribute read and contributes nothing to
         #: numerics, clocks, byte counters or traces.
         self.fault_injector = None
-        #: the :class:`Tape` recording a dry-run layer pass, or None
+        #: the :class:`~repro.runtime.tape.Tape` recording a dry-run layer pass, or None
         self.tape: Optional[Tape] = None
         self.devices: List[SimDevice] = [
             SimDevice(
@@ -212,7 +154,7 @@ class Simulator:
     def sync(self, ranks: Sequence[int]) -> float:
         """Barrier over a rank set; returns the synchronized time."""
         if self.tape is not None:
-            self.tape.poisoned = True
+            self.tape.poison()
         t = max(self.devices[r].clock for r in ranks)
         for r in ranks:
             self.devices[r].clock = t
@@ -220,7 +162,7 @@ class Simulator:
 
     def advance(self, ranks: Sequence[int], dt: float) -> None:
         if self.tape is not None:
-            self.tape.poisoned = True
+            self.tape.poison()
         for r in ranks:
             self.devices[r].clock += dt
 
@@ -357,9 +299,10 @@ class Simulator:
         * ``(COLLECTIVES, kind, lines)`` — one ``kind`` collective on each
           ``(group, (dt, nbytes, weighted))`` of ``lines``, in order (a mesh's
           rows or columns, or one group): barrier over the group's devices
-          (see :attr:`~repro.comm.group.ProcessGroup.devices`), advance by
-          ``dt``, one ``charge_comm`` each and the trace record.  A
-          single-rank group moves no data and is charged nothing;
+          (see :attr:`~repro.comm.group.ProcessGroup.devices`; a tape's
+          class plan lists only its representatives'), advance by ``dt``,
+          one ``charge_comm`` each and the trace record.  A single-rank
+          group moves no data and is charged nothing;
         * ``(OPEN, name, ranks, category, attrs)`` / ``(CLOSE,)`` — a trace
           span's ``__enter__`` / ``__exit__`` (nothing when untraced).
 
@@ -370,9 +313,9 @@ class Simulator:
         float-add chain, copied to the scope — and every other replay runs
         the loop.  ``tests/test_bulk_charges.py`` holds the two equal on
         random programs and start states.  A recording dry-run layer tape
-        records the call (:class:`Tape`)."""
+        records the call (:class:`~repro.runtime.tape.Tape`)."""
         if self.tape is not None:
-            return self.tape.call(self.replay, program, lockstep)
+            return self.tape.program(program, lockstep)
         tr = self.tracer
         traced = tr.enabled
         if lockstep is not None and not traced and self._lockstep(*lockstep):
@@ -384,9 +327,9 @@ class Simulator:
             if op == COLLECTIVES:
                 kind = entry[1]
                 for group, (dt, nbytes, weighted) in entry[2]:
-                    members = group.devices
-                    if len(members) <= 1:
+                    if len(group.ranks) <= 1:
                         continue
+                    members = group.devices
                     t0 = members[0].clock  # the barrier: the latest clock
                     for d in members:
                         if d.clock > t0:

@@ -143,6 +143,7 @@ _STEM = {
     *"nn nn.leaves nn.loss nn.transformer obs obs.metrics".split(),
     *"reference reference.attention reference.functional".split(),
     *"runtime runtime.device runtime.events runtime.memory runtime.simulator".split(),
+    "runtime.tape",
 }
 _RUNNER = _STEM | {"experiments", "experiments.runner", "nn.init"}
 _ENGINE = _STEM | {

@@ -2,15 +2,21 @@
 
 On an untraced shape run the first pass of each distinct layer is recorded
 as a tape of its accounting calls, and identical layers and every
-checkpoint recompute replay it.  Monkeypatching ``core.summa._batched_ready``
-to return False turns every batched path off, the tape included, so each
-case below runs twice — taped and forced per rank — and compares every
-device counter, every ``MemoryMeter`` field, every buffer region and the
-metrics registry with ``==``.
+checkpoint recompute replay it; every pass applies its tape once per rank
+class and copies each representative's end state to its class.
+Monkeypatching ``core.summa._batched_ready`` to return False turns every
+batched path off, the tape included, so each case below runs twice — taped
+and forced per rank — and compares every device counter, every
+``MemoryMeter`` field, every buffer region, the watermarks and the metrics
+registry (values and registration order) with ``==``.
 """
+
+import dataclasses
+import math
 
 import pytest
 
+from repro import config
 from repro.backend.shape_array import ShapeArray
 from repro.config import ModelConfig
 from repro.core import summa
@@ -18,17 +24,21 @@ from repro.core.buffers import REGIONS, BufferManager
 from repro.core.layers import TransformerLayer2D
 from repro.core.model import OptimusModel
 from repro.core.moe import MoE2D
+from repro.experiments import runner
 from repro.experiments.runner import _run_stem
 from repro.mesh.mesh import Mesh
 from repro.nn.init import init_transformer_params
 from repro.reference.moe import init_moe_params
 from repro.runtime.memory import OutOfDeviceMemory
-from repro.runtime.simulator import Tape
+from repro.runtime.simulator import Simulator
+from repro.runtime.tape import Tape
 from repro.schemes import SCHEMES, mesh_side
 from repro.training.optim import SGD, make_immediate_updater
 
 CFG = ModelConfig(vocab_size=64, hidden_size=64, num_heads=16, num_layers=3, seq_len=8)
 BATCH = 4
+#: a config both schemes can run on 64 ranks (a batch of 8 for the 8×8 mesh)
+CFG64 = ModelConfig(vocab_size=64, hidden_size=128, num_heads=64, num_layers=3, seq_len=8)
 
 
 @pytest.fixture
@@ -49,8 +59,7 @@ def _forced(monkeypatch):
     monkeypatch.setattr(summa, "_batched_ready", lambda sim: False)
 
 
-def _state(model) -> tuple:
-    sim, buffers = model.sim, model.buffers
+def _sim_state(sim) -> tuple:
     devices = [
         (
             d.clock, d.flops, d.flops_gemm, d.bytes_comm, d.weighted_comm_volume,
@@ -59,16 +68,23 @@ def _state(model) -> tuple:
         )
         for d in sim.devices
     ]
+    # the snapshot is sorted, so the registration order is compared apart
+    metrics = sim.metrics.snapshot(), [(m.name, m.labels) for m in sim.metrics]
+    return devices, sim.watermarks(), metrics
+
+
+def _state(model) -> tuple:
+    buffers = model.buffers
     regions = {
         (name, r): (buffers.usage(name, r), buffers.capacity(name, r))
         for name in REGIONS
         for r in buffers.ranks
     }
-    return devices, regions, sim.metrics.snapshot()
+    return _sim_state(model.sim), regions
 
 
 def _model(scheme, p, *, checkpoint=True, buffers=None, stem_only=True, strict=False,
-           checked=False, layer_cls=None, **model_kw):
+           checked=False, layer_cls=None, cfg=CFG, **model_kw):
     """A shape-backend model, its layout checks on only when ``checked``;
     ``layer_cls`` (Optimus only) replaces the layers'."""
     rec = SCHEMES[scheme]
@@ -76,7 +92,7 @@ def _model(scheme, p, *, checkpoint=True, buffers=None, stem_only=True, strict=F
     if buffers is not None:
         buffers = BufferManager(sim, **buffers)
     params = init_transformer_params(
-        CFG, backend="shape", dtype="float32", include_embedding=not stem_only
+        cfg, backend="shape", dtype="float32", include_embedding=not stem_only
     )
     make = rec.model
     if layer_cls is not None:
@@ -86,7 +102,7 @@ def _model(scheme, p, *, checkpoint=True, buffers=None, stem_only=True, strict=F
             return model_cls(Mesh(sim, mesh_side(p)), *args, **kw)
 
     return make(
-        sim, CFG, params, checkpoint_activations=checkpoint, buffers=buffers,
+        sim, cfg, params, checkpoint_activations=checkpoint, buffers=buffers,
         stem_only=stem_only, **model_kw,
     )
 
@@ -308,3 +324,156 @@ def test_a_traced_stem_never_tapes(monkeypatch, replays, scheme, p):
     assert (res, state) == (res_f, state_f)
     assert events == events_f
 
+
+
+@pytest.fixture
+def classes(monkeypatch):
+    """Per apply that copied, the sizes of the classes it copied to."""
+    seen = []
+    copy = Tape._copy
+
+    def counted(self, devices, copies, columns):
+        seen.append(sorted(len(members) + 1 for _rep, members in copies))
+        return copy(self, devices, copies, columns)
+
+    monkeypatch.setattr(Tape, "_copy", counted)
+    return seen
+
+
+@pytest.mark.parametrize("p", [4, 16, 64])
+@pytest.mark.parametrize("scheme", ["optimus", "megatron"])
+def test_class_applied_stems_are_the_forced_stems(monkeypatch, replays, classes, scheme, p):
+    cfg, batch = (CFG64, 8) if p == 64 else (CFG, BATCH)
+    taped, forced = _both(monkeypatch, lambda: _stem(scheme, p, cfg=cfg, batches=(batch,)))
+    assert taped == forced
+    assert replays[0] == 7
+    # every pass, the recording ones too, made its ops on class
+    # representatives and copied them to the other p - 1 ranks or fewer
+    assert len(classes) == 9 and all(sum(sizes) <= p for sizes in classes)
+
+
+def _built(run):
+    """``run()`` and the state of the one simulator it built."""
+    sims = []
+    init = Simulator.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sims.append(self)
+
+    Simulator.__init__ = recording
+    try:
+        result = run()
+    finally:
+        Simulator.__init__ = init
+    (sim,) = sims
+    return result, _sim_state(sim)
+
+
+@pytest.mark.parametrize("p", [16, 64])
+@pytest.mark.parametrize("scheme", ["megatron", "optimus"])
+def test_the_table2_stems_apply_by_class(monkeypatch, replays, classes, scheme, p):
+    """The benchmark's Table 2 stems (N = 4): ten replays each, the same
+    state as the forced per-rank run.  (The runner builds its simulator,
+    so the layout checks a CI run turns on everywhere are turned off here,
+    as ``_model`` does.)"""
+    monkeypatch.delenv("REPRO_STRICT_INVARIANTS", raising=False)
+    row = {r["num_devices"]: r for r in config.table2_weak_scaling()}[p]
+    cfg = dataclasses.replace(row[f"model_{scheme}"], num_layers=4)
+    width = p if scheme == "megatron" else math.isqrt(p)
+    run = getattr(runner, f"run_{scheme}_stem")
+    taped, forced = _both(
+        monkeypatch, lambda: _built(lambda: run(cfg, width, row[f"batch_{scheme}"]))
+    )
+    assert taped == forced
+    assert replays[0] == 10
+    assert classes and max(len(sizes) for sizes in classes) <= 2
+
+
+class _Row0HoldLayer(TransformerLayer2D):
+    """A layer that also holds forward bytes on mesh row 0 only, after its
+    first matmuls: the ranks of row 0 leave the others' class mid-tape, and
+    start the next pass in a state of their own."""
+
+    def forward(self, x, batch_size):
+        y = super().forward(x, batch_size)
+        row0 = list(self.owner.row_groups[0].ranks)
+        self.buffers.hold_many("forward", [(row0, (4096,))])
+        return y
+
+
+def test_a_hold_on_mesh_row_0_splits_a_class(monkeypatch, replays, classes):
+    taped, forced = _both(monkeypatch, lambda: _stem("optimus", 16, layer_cls=_Row0HoldLayer))
+    assert taped == forced
+    assert replays[0] == 7
+    # row 0 (4 ranks) and the other 12, apart
+    assert [4, 12] in classes
+
+
+def test_an_uneven_megatron_checkpoint_splits_the_start_classes(monkeypatch, replays, classes):
+    """p ∤ T: the distributed checkpoint holds base + 1 rows on the first
+    T mod p ranks and base rows on the rest — two runs on the dry run, the
+    per-rank slices on the forced path — so the layers start in two
+    classes."""
+    taped, forced = _both(
+        monkeypatch,
+        lambda: _stem("megatron", 16, batches=(5,), checkpoint_layout="distributed"),
+    )
+    assert taped == forced
+    assert replays[0] == 7
+    # T = 5·8 = 40 = 2·16 + 8
+    assert [8, 8] in classes
+
+
+@pytest.mark.parametrize("scheme, p", [("optimus", 4), ("megatron", 4)])
+def test_a_memory_timeline_run_keeps_its_samples(monkeypatch, replays, classes, scheme, p):
+    """A meter sampling a timeline applies each tape per rank, so every
+    sample keeps its time and order."""
+
+    def run():
+        model = _model(scheme, p)
+        model.sim.enable_memory_timeline()
+        res = _run_stem(model, scheme, BATCH, None, "stem")
+        return res, _state(model), model.sim.memory_timeline()
+
+    taped, forced = _both(monkeypatch, run)
+    assert taped == forced
+    assert taped[2][0]  # sampled
+    assert replays[0] == 7 and classes == []
+
+
+class _LateComputeLayer(TransformerLayer2D):
+    """A layer charging one more gemm through ``SimDevice.compute`` after
+    its recorded calls: the poisoned tape makes them first."""
+
+    def forward(self, x, batch_size):
+        y = super().forward(x, batch_size)
+        for r in self.owner.ranks:
+            self.owner.sim.devices[r].compute(1.0e6)
+        return y
+
+
+def test_a_poisoned_tape_makes_its_recorded_calls_first(monkeypatch, replays):
+    taped, forced = _both(monkeypatch, lambda: _stem("optimus", 4, layer_cls=_LateComputeLayer))
+    assert taped == forced
+    assert replays[0] == 2
+
+
+class _RaisingLayer(TransformerLayer2D):
+    """A layer whose forward raises after its recorded calls."""
+
+    def forward(self, x, batch_size):
+        super().forward(x, batch_size)
+        raise RuntimeError("layer failed")
+
+
+def test_a_pass_that_raises_makes_its_recorded_calls(monkeypatch, replays):
+    def run():
+        model = _model("optimus", 4, layer_cls=_RaisingLayer)
+        with pytest.raises(RuntimeError, match="layer failed"):
+            _run_stem(model, "optimus", BATCH, None, "stem")
+        return _state(model)
+
+    taped, forced = _both(monkeypatch, run)
+    assert taped == forced
+    assert replays[0] == 0

@@ -25,12 +25,6 @@ from repro.perfmodel.isoefficiency import (
     isoefficiency_work,
 )
 from repro.perfmodel.memory_model import estimate_peak_bytes, max_batch_size, measure_peak_bytes
-from repro.perfmodel.scaling import (
-    amdahl_speedup,
-    gustafson_speedup,
-    strong_scaling_efficiency,
-    weak_scaling_efficiency,
-)
 
 
 class TestTable1Formulas:
@@ -116,32 +110,6 @@ class TestIsoefficiency:
     def test_isoefficiency_monotone_in_p(self, k):
         p = 2**k
         assert isoefficiency_work("optimus", 2 * p) > isoefficiency_work("optimus", p)
-
-
-class TestScalingLaws:
-    def test_amdahl(self):
-        assert amdahl_speedup(0.0, 8) == pytest.approx(8.0)
-        assert amdahl_speedup(1.0, 8) == pytest.approx(1.0)
-        assert amdahl_speedup(0.1, 10**9) == pytest.approx(10.0, rel=1e-6)
-
-    def test_gustafson(self):
-        assert gustafson_speedup(0.0, 8) == pytest.approx(8.0)
-        assert gustafson_speedup(0.5, 8) == pytest.approx(4.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            amdahl_speedup(1.5, 4)
-        with pytest.raises(ValueError):
-            gustafson_speedup(0.5, 0)
-        with pytest.raises(ValueError):
-            weak_scaling_efficiency(1.0, 0.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            strong_scaling_efficiency(1.0, -1.0, 4)
-
-    def test_efficiency_definitions(self):
-        # perfect scaling → efficiency 1
-        assert strong_scaling_efficiency(8.0, 1.0, 8) == pytest.approx(1.0)
-        assert weak_scaling_efficiency(1.0, 1.0, 8.0, 8) == pytest.approx(1.0)
 
 
 class TestMemoryModel:
