@@ -29,6 +29,8 @@ checker and a fault injector observe.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.backend import ops
 from repro.comm import collectives as coll
 from repro.mesh.dtensor import DTensor, on_stacks, one_placeholder
@@ -104,20 +106,19 @@ def all_reduce(group, partials: DTensor) -> DTensor:
     return _all_reduce(group, None, 0, partials, REPLICATED_1D)
 
 
-def all_gather(group, x: DTensor, parts) -> DTensor:
+def all_gather(group, x: DTensor, parts: Optional[dict]) -> DTensor:
     """Rebuild the replicated ``x`` from ``parts`` (``{rank: row slice of
     x}``): every member receives their group-order concatenation.
     When ``x`` was on a stack, one concatenate into a shared ``(1,)`` entry
     and the replayed charge.  When ``x`` is one dry-run placeholder
-    (:func:`one_placeholder`; ``parts`` None says it held when ``x`` was
-    sliced, and no slices were made) the concatenation is that placeholder:
-    its bytes are charged and the same object handed back.  Otherwise the
-    per-rank all-gather."""
+    (:func:`one_placeholder`) the concatenation is that placeholder: its
+    bytes are charged and the same object handed back, ``parts`` unread
+    (None where no slices were made).  Otherwise the per-rank all-gather."""
     if on_stacks(group, x):
         full = ops.concatenate([parts[r] for r in group.ranks], axis=0)
         coll.charge_only("all_gather", precosts(group, None, "all_gather", ops.nbytes(full)))
         return DTensor.from_blocks(group, REPLICATED_1D, full[None], x.global_shape, group.ranks)
-    ph = x.local(group.ranks[0]) if parts is None else one_placeholder(group, x)
+    ph = one_placeholder(group, x)
     if ph is not None:
         coll.charge_only("all_gather", precosts(group, None, "all_gather", ph.nbytes))
         return DTensor(group, REPLICATED_1D, dict.fromkeys(group.ranks, ph), x.global_shape)

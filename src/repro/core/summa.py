@@ -598,14 +598,13 @@ def _account(mesh, algo, buffers, desc) -> None:
     :meth:`~repro.runtime.simulator.Simulator.replay` when every workspace
     arena of the mesh already holds a step's received blocks (or there are no
     buffers), else :func:`_account_steps`.  A recording dry-run layer tape
-    records the call with its program and the ranks in the order a cold
-    call holds their workspace, the first step's gemm groups
-    (:class:`~repro.runtime.tape.Tape`)."""
+    records the call with its program and the block its workspace must
+    hold for the program to be the call (:class:`~repro.runtime.tape.Tape`)."""
     sim = mesh.sim
     if sim.tape is not None:
         return sim.tape.account(
-            _account, (mesh, algo, buffers, desc), desc.program, desc.lockstep,
-            buffers, desc.scratch, [r for ranks, _ in desc.steps[0][1] for r in ranks],
+            desc.program, desc.lockstep, _account, (mesh, algo, buffers, desc),
+            buffers, desc.scratch,
         )
     if buffers is None or buffers.fits("workspace", mesh.ranks, desc.scratch):
         sim.replay(desc.program, desc.lockstep)

@@ -559,7 +559,7 @@ class TransformerModel(DistModule):
         taped = tapes.get(key)
         if taped is not None:
             tape, out, caches = taped
-            tape.replay(params)
+            tape.apply(params)
             if backward:
                 layer.drop_caches()
             else:

@@ -149,18 +149,6 @@ class MetricsRegistry:
         """All metric instances (any label set) registered under ``name``."""
         return [m for (n, _), m in self._metrics.items() if n == name]
 
-    def reorder_last(self, metrics: List[object]) -> None:
-        """Re-register the last ``len(metrics)`` metrics registered, which
-        are ``metrics``, in the order of ``metrics`` (iteration is in
-        registration order)."""
-        registered = self._metrics
-        last = list(registered.items())[len(registered) - len(metrics):]
-        keys = {id(metric): key for key, metric in last}
-        for key, _metric in last:
-            del registered[key]
-        for metric in metrics:
-            registered[keys[id(metric)]] = metric
-
     def clear(self) -> None:
         """Forget every metric.  A handle taken before (such as the arena
         gauge :class:`~repro.core.buffers.BufferManager` keeps per region and

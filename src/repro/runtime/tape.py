@@ -12,14 +12,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.runtime.simulator import COLLECTIVES, COMPUTE, Simulator, _counters
 
 #: the kinds of a :class:`Tape`'s ops
-_PROGRAM, _HOLD, _ACCOUNT, _GRAD, _LOCKSTEP, _RESERVE = range(6)
+_PROGRAM, _HOLD, _ACCOUNT, _GRAD, _LOCKSTEP = range(5)
 
 #: a rank's memory meter as a :class:`Tape` start state compares it
 _meter_state = attrgetter("current", "peak", "num_allocs")
 #: a buffer arena (``BufferManager.arenas``) as a :class:`Tape` start state
 #: compares it
 _arena_state = attrgetter("usage", "capacity")
-_gauge = attrgetter("gauge")
 _by_tag = attrgetter("by_tag")
 
 
@@ -37,7 +36,6 @@ class _NoArena:
     """The arena of a rank a buffer manager does not cover."""
 
     usage = capacity = None
-    gauge = False
 
 
 class Tape:
@@ -59,10 +57,10 @@ class Tape:
     layer) first calls :meth:`poison`: the calls recorded so far are made,
     in order, recording stops and the tape is never applied.
 
-    **Applying** (:meth:`replay`).  Every rank's start state is read — the
+    **Applying** (:meth:`apply`).  Every rank's start state is read — the
     eight :data:`COUNTERS`, the memory meter (``current``, ``peak``,
     ``num_allocs``, ``by_tag``) and the usage and capacity of every buffer
-    arena the ops touch — and ranks with equal states are one start class.
+    arena the ops hold in — and ranks with equal states are one start class.
     A plan per start partition (and partition of the classes' clocks) is
     derived once and kept: the hash-consed proof of :meth:`Simulator.lockstep`
     extended to every op — each rank carries the id of its history, an id
@@ -71,18 +69,16 @@ class Tape:
     into the classes of ranks that end in the same state.  The plan makes
     each op once per class, on the class's first rank (its representative),
     and then each representative's end state is copied to the other members
-    of its class; gauges of arenas grown for the first time are then
-    re-registered in the order the per-rank ops would have registered them.
-    A start state or op that splits a class only makes more classes, down
-    to one per rank, where the plan is the recorded ops themselves; so is it
-    when a meter is strict (an overflow raises at the binding hold, the
-    ranks before it charged) or samples a timeline, when a SUMMA call's
-    workspace is unmanaged or also held by the tape (the call then decides
-    per rank as it is made) and when a program's lines overlap."""
+    of its class.  A start state or op that splits a class only makes more
+    classes, down to one per rank, where the plan is the recorded ops
+    themselves; so is it when a meter is strict (an overflow raises at the
+    binding hold, the ranks before it charged) or samples a timeline, when a
+    program's lines overlap, and while a SUMMA call's workspace would grow,
+    is unmanaged or is also held by the tape: the call then decides as it is
+    made, and a cold one keeps its books step by step, rank by rank."""
 
     __slots__ = (
-        "sim", "ops", "layer", "params", "poisoned", "_plans", "_columns", "_arenas",
-        "_grown", "_classed",
+        "sim", "ops", "layer", "params", "poisoned", "_plans", "_arenas", "_workspaces",
     )
 
     def __init__(self, sim: "Simulator", params: Sequence[object] = ()):
@@ -93,10 +89,8 @@ class Tape:
         self.poisoned = False
         self._plans: Dict[tuple, tuple] = {}
         #: set on the first apply (see :meth:`_touched`)
-        self._columns: Optional[dict] = None
         self._arenas: Optional[list] = None
-        self._grown = set()  # the arenas grown on every rank (by index)
-        self._classed = False
+        self._workspaces: Optional[list] = None
 
     # ------------------------------------------------------------------
     # recording
@@ -110,12 +104,11 @@ class Tape:
         canonical, ``runs`` checked)."""
         self.ops.append((_HOLD, buffers, region, runs))
 
-    def account(self, fn, args, program, lockstep, buffers, scratch: int, ranks) -> None:
+    def account(self, program, lockstep, fn, args, buffers, scratch: int) -> None:
         """Record ``fn(*args)``, a SUMMA call's accounting: ``program`` (of
-        lockstep form ``lockstep``), and unless ``buffers`` is None, first
-        each of ``ranks`` in turn holds and releases ``scratch`` bytes of
-        workspace (a no-op where the arena already fits them)."""
-        self.ops.append((_ACCOUNT, fn, args, program, lockstep, buffers, scratch, ranks))
+        lockstep form ``lockstep``) where ``buffers`` is None or each of its
+        ranks' workspace arena already holds ``scratch`` more bytes."""
+        self.ops.append((_ACCOUNT, program, lockstep, fn, args, buffers, scratch))
 
     def add_grad(self, param, grad) -> None:
         """Record ``param.add_grad(grad)`` by the parameter's position; a
@@ -140,11 +133,6 @@ class Tape:
     # ------------------------------------------------------------------
     # applying
     # ------------------------------------------------------------------
-    def replay(self, params: Sequence[object]) -> None:
-        """Make the recorded calls again for a pass whose layer's
-        ``parameters()`` are ``params``."""
-        self.apply(params)
-
     def apply(self, params: Sequence[object]) -> None:
         """Make the recorded calls once per rank class (see the class
         notes); ``params`` is the layer's ``parameters()``."""
@@ -152,13 +140,17 @@ class Tape:
         devices = sim.devices
         if self._arenas is None:
             self._touched(len(devices))
-        if not self._classed:
+        workspaces = self._workspaces
+        if workspaces is None:
             return _make(sim, self.ops, params)
+        for buffers, nbytes in workspaces:
+            if not buffers.fits("workspace", buffers.ranks, nbytes):
+                return _make(sim, self.ops, params)
         for d in devices:
             m = d.memory
             if m.timeline is not None or (m.strict and m.capacity is not None):
                 return _make(sim, self.ops, params)
-        columns, labels, reps, fresh = self._start(devices)
+        columns, labels, reps = self._start(devices)
         clocks: Dict[float, int] = {}
         key = labels, tuple([clocks.setdefault(columns[0][r][0], len(clocks)) for r in reps])
         plan = self._plans.get(key)
@@ -168,65 +160,50 @@ class Tape:
         _make(sim, ops, params)
         if copies:
             self._copy(devices, copies, columns)
-            if fresh:
-                self._order_gauges(columns)
 
     def _touched(self, n: int) -> None:
-        """Note the buffer arenas the ops touch, each as the list of its
-        per-rank arenas in rank order, and whether the tape can be applied
-        by class: not when a SUMMA call's workspace is unmanaged (each of
-        its gemms allocates) or held by the tape too (the call then decides
-        mid-tape between the program and holding per rank)."""
-        columns: Dict[tuple, int] = {}  # (id(buffers), region) -> index
-        arenas, accounts, held = [], set(), set()
+        """Note the buffer arenas the ops hold in, each as the list of its
+        per-rank arenas in rank order, and the SUMMA workspaces with the
+        largest block each must already hold for the tape to be applied by
+        class (:attr:`_workspaces`; None for never: a workspace the ops also
+        hold in, where a call decides mid-tape)."""
+        seen = set()  # (id(buffers), region)
+        arenas, workspaces, held = [], {}, set()
         for op in self.ops:
-            if op[0] == _HOLD:
+            if op[0] == _ACCOUNT and op[5] is not None:
+                buffers = op[5]
+                most = workspaces.get(id(buffers), (None, 0))[1]
+                workspaces[id(buffers)] = buffers, max(most, op[6])
+            elif op[0] == _HOLD:
                 buffers, region = op[1], op[2]
                 if region == "workspace":
                     held.add(id(buffers))
-            elif op[0] == _ACCOUNT and op[5] is not None:
-                buffers, region = op[5], "workspace"
-                accounts.add(id(buffers))
-                if not buffers.managed:
-                    held.add(id(buffers))
-            else:
-                continue
-            if (id(buffers), region) not in columns:
-                columns[id(buffers), region] = len(arenas)
-                per_rank = buffers.arenas(region)
-                arenas.append((buffers, region, [per_rank.get(r, _NoArena) for r in range(n)]))
-        self._columns, self._arenas = columns, arenas
-        self._classed = accounts.isdisjoint(held)
+                if (id(buffers), region) not in seen:
+                    seen.add((id(buffers), region))
+                    per_rank = buffers.arenas(region)
+                    arenas.append(
+                        (buffers, region, [per_rank.get(r, _NoArena) for r in range(n)])
+                    )
+        self._arenas = arenas
+        self._workspaces = None if held & workspaces.keys() else list(workspaces.values())
 
     def _start(self, devices) -> tuple:
         """Every rank's start state (see the class notes) as columns of
         per-rank values (counters, meter, ``by_tag``, then one per arena),
         the start partition (a class label per rank, in order of first
-        appearance), each class's first rank, and whether an arena the ops
-        touch has never grown on some rank (its column then says so)."""
+        appearance) and each class's first rank."""
         meters = [d.memory for d in devices]
         columns = [
             list(map(_counters, devices)),
             list(map(_meter_state, meters)),
             list(map(_by_tag, meters)),
         ]
-        fresh = False
-        for c, (buffers, _region, arenas) in enumerate(self._arenas):
-            if c not in self._grown:
-                gauges = list(map(_gauge, arenas))
-                # (an unmanaged arena never grows; a gauge, once taken, stays)
-                if None in gauges and buffers.managed:
-                    fresh = True
-                    columns.append(
-                        [(st.usage, st.capacity, g is None) for st, g in zip(arenas, gauges)]
-                    )
-                    continue
-                self._grown.add(c)
+        for _buffers, _region, arenas in self._arenas:
             columns.append(list(map(_arena_state, arenas)))
         n = len(devices)
         varying = [column for column in columns if column.count(column[0]) != n]
         if not varying:
-            return columns, (0,) * n, [0], fresh
+            return columns, (0,) * n, [0]
         # ``by_tag`` compares as a dict (a class's members may list its tags
         # in another order, which the copy keeps: see :meth:`_copy`), and
         # is hashed only where the other columns do not already part it
@@ -238,7 +215,7 @@ class Tape:
         ):
             keyed.append([frozenset(t.items()) for t in tags])
             labels, reps = _partition(keyed)
-        return columns, labels, reps, fresh
+        return columns, labels, reps
 
     def _derive(self, labels: tuple, clock_of_label: tuple) -> tuple:
         """The plan for a start partition (``labels``, a class per rank, and
@@ -296,12 +273,7 @@ class Tape:
                 continue
             if kind == _GRAD:
                 continue
-            if kind == _ACCOUNT:
-                if op[5] is not None:  # a cold workspace grows per rank
-                    effect(op[7], (_RESERVE, id(op[5]), op[6]), False)
-                program, lockstep = op[3], op[4]
-            else:
-                program, lockstep = op[1], op[2]
+            program, lockstep = op[1], op[2]  # (a SUMMA call's workspaces fit)
             if lockstep is not None:
                 scope = lockstep[0]  # devices
                 if id(scope) not in covering:
@@ -387,12 +359,7 @@ class Tape:
                 if runs:
                     out.append((_HOLD, op[1], op[2], runs))
                 continue
-            if kind == _ACCOUNT:
-                if op[5] is not None:
-                    out.append((_RESERVE, op[5], [r for r in op[7] if r in reps], op[6]))
-                program, lockstep = op[3], op[4]
-            else:
-                program, lockstep = op[1], op[2]
+            program, lockstep = op[1], op[2]
             if i in symmetric:
                 out.append((_LOCKSTEP, [d for d in lockstep[0] if d.rank in reps], lockstep[1]))
                 continue
@@ -434,7 +401,7 @@ class Tape:
             for (buffers, region, arenas), column in zip(self._arenas, columns[3:]):
                 before = column[rep]
                 st = arenas[rep]
-                if (st.usage, st.capacity) != before[:2]:
+                if (st.usage, st.capacity) != before:
                     grew = st.capacity != before[1]
                     moved.append((buffers, region, arenas, st.usage, st.capacity,
                                   grew and st.gauge.value))
@@ -453,49 +420,6 @@ class Tape:
                     st.usage, st.capacity = usage, capacity
                     if value is not False:
                         (st.gauge or buffers.gauge(region, x)).value = value
-
-    def _order_gauges(self, columns) -> None:
-        """Re-register the gauges of the arenas the ops grew for the first
-        time — the last ones registered: representatives registered theirs
-        as they grew, the other members at the copy — in the order the ops
-        grew them, rank by rank."""
-        waiting = {}  # column -> {rank: (usage, capacity)} of arenas yet to grow
-        for c, column in enumerate(columns[3:]):
-            if len(column[0]) == 3:
-                pending = {r: state[:2] for r, state in enumerate(column) if state[2]}
-                if pending:
-                    waiting[c] = pending
-        order = []
-        for op in self.ops:
-            if op[0] == _HOLD:
-                c, runs = self._columns[id(op[1]), op[2]], op[3]
-            elif op[0] == _ACCOUNT and op[5] is not None:
-                c, runs = self._columns[id(op[5]), "workspace"], ((op[7], (op[6],)),)
-            else:
-                continue
-            pending = waiting.get(c)
-            if pending is None:
-                continue
-            for ranks, sizes in runs:
-                for r in ranks:
-                    state = pending.get(r)
-                    if state is None:
-                        continue
-                    usage, capacity = state
-                    for nbytes in sizes:
-                        usage += nbytes
-                        if usage > capacity:
-                            del pending[r]
-                            order.append(self._arenas[c][2][r].gauge)
-                            break
-                    else:
-                        if op[0] == _HOLD:  # (a SUMMA call releases its block)
-                            pending[r] = usage, capacity
-            if not pending:
-                del waiting[c]
-                if not waiting:
-                    break
-        self.sim.metrics.reorder_last(order)
 
 
 def _partition(columns: list) -> Tuple[tuple, list]:
@@ -518,15 +442,9 @@ def _make(sim: "Simulator", ops: Sequence[tuple], params: Sequence[object]) -> N
         elif kind == _HOLD:
             op[1].hold_many(op[2], op[3])
         elif kind == _ACCOUNT:
-            op[1](*op[2])
+            op[3](*op[4])
         elif kind == _GRAD:
             params[op[1]].add_grad(op[2])
-        elif kind == _RESERVE:  # grow each rank's workspace to hold a block
-            buffers, ranks, nbytes = op[1:]
-            if not buffers.fits("workspace", ranks, nbytes):
-                buffers.hold_many("workspace", ((ranks, (nbytes,)),))
-                for r in ranks:
-                    buffers.release("workspace", r, nbytes)
         elif not Simulator._lockstep(op[1], op[2]):
             for d in op[1]:
                 Simulator._lockstep((d,), op[2])
