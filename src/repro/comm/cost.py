@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.hardware.arrangement import Arrangement
 from repro.hardware.topology import ClusterTopology, GroupProfile
@@ -88,26 +88,43 @@ class GroupCommModel:
         arrangement: Arrangement,
         ranks: Sequence[int],
         siblings: Optional[Sequence[Sequence[int]]] = None,
+        crowding: Optional[int] = None,
     ) -> "GroupCommModel":
         """Construct from the group's placement.
 
         ``siblings`` is the set of rank groups that run the *same* collective
         concurrently (e.g. all q rows of a SUMMA step); it determines NIC
-        crowding.  When omitted, the group is assumed to run alone.
-        """
-        profile = topology.group_profile(ranks, arrangement)
-        siblings = siblings if siblings is not None else [list(ranks)]
-        crowding = topology.crowding(siblings, arrangement)
-        intra = topology.cluster.intra_link
-        inter = topology.cluster.inter_link
-        return cls(
-            profile=profile,
-            crowding=max(1, crowding),
-            alpha_intra=intra.alpha,
-            beta_intra=intra.beta,
-            alpha_inter=inter.alpha,
-            beta_inter=inter.beta,
+        crowding.  When omitted, the group is assumed to run alone.  A
+        caller that builds every sibling (a mesh axis) passes their
+        ``crowding`` (:meth:`ClusterTopology.crowding`) instead, computed
+        once.
+
+        The model is a pure function of frozen values — the cluster, the
+        GPUs of ``ranks`` (and the node size that places them) and the
+        crowding — so it is built once per value in a process and shared
+        (:data:`_BUILT`), and equal models are one object: a caller may
+        price a line once per distinct model."""
+        if crowding is None:
+            # a group alone shares no host with a sibling: crowding 1
+            crowding = 1 if siblings is None else topology.crowding(siblings, arrangement)
+        cluster = topology.cluster
+        key = (
+            cluster, arrangement.cluster.gpus_per_node,
+            tuple(map(arrangement.rank_to_gpu.__getitem__, ranks)), crowding,
         )
+        model = _BUILT.get(key)
+        if model is None:
+            intra, inter = cluster.intra_link, cluster.inter_link
+            model = cls(
+                profile=topology.group_profile(ranks, arrangement),
+                crowding=max(1, crowding),
+                alpha_intra=intra.alpha,
+                beta_intra=intra.beta,
+                alpha_inter=inter.alpha,
+                beta_inter=inter.beta,
+            )
+            model = _BUILT[key] = _BUILT.setdefault(model, model)
+        return model
 
     # ------------------------------------------------------------------
     @property
@@ -199,3 +216,10 @@ class GroupCommModel:
         return (g - 1) * total_nbytes / g if g > 1 else 0.0
 
     reduce_scatter_weighted_volume = all_gather_weighted_volume
+
+
+#: every model :meth:`GroupCommModel.build` has made, by its inputs' values
+#: (cluster, node size, the ranks' GPUs, crowding) and by its own value (so
+#: equal models are one object): two entries per distinct group placement in
+#: a process at most, however many simulators repeat it
+_BUILT: Dict[object, GroupCommModel] = {}

@@ -11,9 +11,12 @@ from repro.runtime.simulator import Simulator
 class ProcessGroup:
     """An ordered set of ranks that communicate collectively.
 
-    ``siblings`` — the rank sets of collectives that run concurrently with
-    this group's (e.g. all q row groups of a mesh).  They only influence the
-    priced NIC contention, never the data movement.
+    ``crowding`` — the NIC crowding of the collectives that run
+    concurrently with this group's (e.g. all q row groups of a mesh:
+    :meth:`~repro.hardware.topology.ClusterTopology.crowding` of their rank
+    sets, computed once for all of them); None for a group that runs alone.
+    It only influences the priced NIC contention, never the data movement
+    (see :meth:`~repro.comm.cost.GroupCommModel.build`).
     """
 
     def __init__(
@@ -21,7 +24,7 @@ class ProcessGroup:
         sim: Simulator,
         ranks: Sequence[int],
         kind: str = "group",
-        siblings: Optional[Sequence[Sequence[int]]] = None,
+        crowding: Optional[int] = None,
     ):
         ranks = tuple(int(r) for r in ranks)
         if len(set(ranks)) != len(ranks):
@@ -39,7 +42,7 @@ class ProcessGroup:
         self.shape = (len(ranks),)
         self.axes = (ranks,)
         self.model = GroupCommModel.build(
-            sim.topology, sim.arrangement, ranks, siblings=siblings
+            sim.topology, sim.arrangement, ranks, crowding=crowding
         )
 
     @property

@@ -123,13 +123,13 @@ class DistModule:
 
 def charge_param_memory(param: DistParam, sim, tag: str = "params") -> None:
     """Account a parameter's shard bytes on each hosting device, in shard
-    order, as one bulk allocation (a run of equal shards measured once)."""
+    order, as one bulk allocation (a run of equal shards measured once); a
+    recording dry-run tape records the call (``runtime.tape.Tape``)."""
+    runs = param.data.runs(ops.nbytes)
+    tape = sim.tape
+    if tape is not None:
+        return tape.alloc(runs, tag)
     devices = sim.devices
     alloc_many(
-        [
-            (devices[rank].memory, nbytes)
-            for nbytes, ranks in param.data.runs(ops.nbytes)
-            for rank in ranks
-        ],
-        tag,
+        [(devices[rank].memory, nbytes) for nbytes, ranks in runs for rank in ranks], tag
     )

@@ -96,7 +96,7 @@ from repro.mesh.dtensor import DTensor, on_stacks
 from repro.mesh.layouts import BLOCKED_2D
 from repro.mesh.mesh import Mesh
 from repro.runtime.events import NULL_SPAN
-from repro.runtime.simulator import CLOSE, COLLECTIVES, OPEN
+from repro.runtime.simulator import CLOSE, COLLECTIVES, COMPUTE, OPEN
 
 #: the unpatched collectives entry points.  The batched executor bypasses
 #: per-rank broadcast/reduce calls, so whenever these module attributes have
@@ -298,6 +298,28 @@ def _build_plan(mesh: Mesh, algo: _Algo, a: DTensor, b: DTensor, numeric: bool) 
     return _Plan(steps, numeric, out_dtype)
 
 
+class _Structure(NamedTuple):
+    """What a uniform plan derives in O(p) Python from its structure alone
+    — the mesh's rank offset, the algorithm and which of its lines are
+    priced alike (2q lines: the pattern gives q) — kept once per structure
+    in a process (:data:`_STRUCTURES`) for every mesh that repeats it."""
+
+    #: one step's lockstep proof held (:meth:`~repro.runtime.simulator.Simulator.in_step`)
+    symmetric: bool
+    owners: list  # see :class:`_BatchedDesc`
+    order: list
+    #: the program's entries as a dry-run layer tape reads them (its
+    #: ``form``, see :class:`~repro.runtime.tape.Tape`): per entry the
+    #: ranks and value slots, None for a span entry
+    skeleton: tuple
+    scope: tuple  # the mesh's ranks
+
+
+#: every uniform plan's structure so far: ``(rank offset, algorithm, price
+#: pattern)`` -> :class:`_Structure`
+_STRUCTURES: dict = {}
+
+
 def _uniform_plan(mesh: Mesh, algo: _Algo, sig_a, sig_b, numeric: bool) -> _Plan:
     """A plan for operands whose blocks share one ``(shape, dtype)`` each.
 
@@ -306,6 +328,15 @@ def _uniform_plan(mesh: Mesh, algo: _Algo, sig_a, sig_b, numeric: bool) -> _Plan
     Python, not a per-rank pass — and the per-rank ``steps`` wait for a
     per-rank run.  The inner dimensions are checked once, on the first cell
     (rank (0, 0), step 0) the per-rank schedule would check.
+
+    What takes O(p) Python depends on the plan's structure only: the rank
+    offset, the algorithm and the price pattern (which of the step's 2q
+    lines are priced alike, a class per line in first-appearance order).
+    That is the lockstep proof, the owners table and the reduce order,
+    taken from :data:`_STRUCTURES` or derived once there; the values — the
+    prices, the flops and their time, the representative's chains — are
+    computed per mesh in O(lines) and bound to the mesh's groups and
+    devices (``tests/test_shared_tables.py``).
 
     The q steps are one step's accounting q times over, so the lockstep
     form is proved on one step and its chains tiled q times.  That is the
@@ -328,34 +359,85 @@ def _uniform_plan(mesh: Mesh, algo: _Algo, sig_a, sig_b, numeric: bool) -> _Plan
     out_dtype = _out_dtype(sig_a[1], sig_b[1], numeric)
     if q == 1:
         return _Plan(None, numeric, out_dtype, blocks)
-    bcasts = [
-        (group, group.model.price("broadcast", blocks[op].nbytes))
-        for op in algo.bcast
-        for group in (mesh.row_groups if op == 0 else mesh.col_groups)
-    ]
+    bcasts = []
+    for op in algo.bcast:
+        bcasts += _priced(mesh.row_groups if op == 0 else mesh.col_groups, "broadcast",
+                          blocks[op].nbytes)
     if algo.reduce is None:  # ab: every block, mesh order
         groups = [(list(mesh.ranks), None)]
-        order = list(mesh.ranks)
     else:  # one gemm group per reduced line; the line's root on the diagonal
         nb = m * n * _itemsize(out_dtype, numeric)
         lines = mesh.row_groups if algo.reduce == 0 else mesh.col_groups
         groups = [
-            (list(group.ranks), ((group, group.model.price("reduce", nb)),))
-            for group in lines
+            (list(line[0].ranks), (line,)) for line in _priced(lines, "reduce", nb)
         ]
-        order = [_line(mesh, algo.reduce, t, l)[1] for l in range(q) for t in range(q)]
-    scratch = sum(blocks[op].nbytes for op in algo.bcast)
     flops = 2.0 * m * k * n
     body = _step_body(mesh, bcasts, groups, flops)
-    lockstep = mesh.sim.lockstep(body, mesh.ranks)
-    if lockstep is not None:
-        devices, chains = lockstep
-        lockstep = devices, tuple(chain * q for chain in chains)
+    classes: dict = {}  # price -> its class, in first-appearance order
+    pattern = tuple(
+        [classes.setdefault(cost, len(classes)) for _, cost in bcasts]
+        + [classes.setdefault(reduce[0][1], len(classes)) for _, reduce in groups if reduce]
+    )
+    key = (mesh.rank_offset, algo.name, pattern)
+    shape = _STRUCTURES.get(key)
+    if shape is None:
+        shape = _STRUCTURES[key] = _structure(mesh, algo, body, pattern)
+    lockstep = None
+    if shape.symmetric:
+        offset = mesh.rank_offset
+        lockstep = (
+            mesh.sim.devices[offset:offset + mesh.p],
+            tuple([chain * q for chain in mesh.sim.chains(body, offset)]),
+        )
+    values = ((COMPUTE, tuple(body[1][2])),) + tuple((COLLECTIVES, cost) for cost in classes)
     desc = _BatchedDesc(
-        [(bcasts, groups)] * q, flops, scratch, _step_program(mesh, algo, body), lockstep,
-        (q, q, m, n), [(r, mesh.coords(r)) for r in order], order,
+        [(bcasts, groups)] * q, flops, sum(blocks[op].nbytes for op in algo.bcast),
+        _step_program(mesh, algo, body), lockstep, (q, q, m, n), shape.owners, shape.order,
+        (("summa",) + key, shape.skeleton, shape.scope, values),
     )
     return _Plan(None, numeric, out_dtype, blocks, desc)
+
+
+def _priced(groups: list, kind: str, nbytes: int) -> list:
+    """``(group, price)`` of one ``kind`` collective of ``nbytes`` on each
+    of ``groups``, each distinct model priced once (equal models are one
+    object: :meth:`~repro.comm.cost.GroupCommModel.build`)."""
+    prices: dict = {}  # id(model) -> price
+    lines = []
+    for group in groups:
+        model = group.model
+        cost = prices.get(id(model))
+        if cost is None:
+            cost = prices[id(model)] = model.price(kind, nbytes)
+        lines.append((group, cost))
+    return lines
+
+
+def _structure(mesh: Mesh, algo: _Algo, body: list, pattern: tuple) -> _Structure:
+    """The :class:`_Structure` of a uniform plan on ``mesh`` whose step is
+    ``body`` (:func:`_step_body`), its lines priced in ``pattern``."""
+    q = mesh.q
+    if algo.reduce is None:
+        order = list(mesh.ranks)
+    else:
+        order = [_line(mesh, algo.reduce, t, l)[1] for l in range(q) for t in range(q)]
+    # value slot 0 is the gemm charge, slot 1 + c the lines of price class c
+    slots = iter(pattern)
+    step = []
+    for entry in body:
+        if entry[0] == COMPUTE:
+            step.append((COMPUTE, tuple(entry[1]), 0))
+        else:
+            step.append((COLLECTIVES, entry[1], tuple(
+                [(group.ranks, 1 + next(slots)) for group, _cost in entry[2]]
+            )))
+    return _Structure(
+        mesh.sim.in_step(body, mesh.ranks),
+        [(r, mesh.coords(r)) for r in order],
+        order,
+        tuple([None, *step, None] * q),
+        tuple(mesh.ranks),
+    )
 
 
 def _per_rank_steps(mesh: Mesh, algo: _Algo, plan: _Plan) -> list:
@@ -507,6 +589,11 @@ class _BatchedDesc(NamedTuple):
     #: ``ab``, the reduce roots in call order otherwise
     owners: list
     order: list  # the owners' ranks
+    #: the program as a dry-run layer tape keys it (``runtime.tape``):
+    #: ``(key, skeleton, scope, values)`` — the structure's key and
+    #: skeleton, the mesh's ranks, and per value slot the gemm charge or a
+    #: price class's price
+    form: tuple
 
 
 def _uniform_sig(x: DTensor):
@@ -603,7 +690,7 @@ def _account(mesh, algo, buffers, desc) -> None:
     sim = mesh.sim
     if sim.tape is not None:
         return sim.tape.account(
-            desc.program, desc.lockstep, _account, (mesh, algo, buffers, desc),
+            desc.program, desc.lockstep, desc.form, _account, (mesh, algo, buffers, desc),
             buffers, desc.scratch,
         )
     if buffers is None or buffers.fits("workspace", mesh.ranks, desc.scratch):

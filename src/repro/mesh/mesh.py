@@ -13,9 +13,10 @@ class Mesh:
 
     Mesh coordinate ``(i, j)`` (row i, column j) is rank ``i*q + j``.  Row
     group i contains the q ranks of row i; column group j the q ranks of
-    column j.  Each group is constructed with its siblings (the other rows,
-    resp. columns) so the α–β model prices the q *concurrent* broadcasts of a
-    SUMMA step with the correct NIC crowding (Fig. 8).
+    column j.  Each group is priced with the crowding of its siblings (the
+    other rows, resp. columns), computed once per axis, so the α–β model
+    prices the q *concurrent* broadcasts of a SUMMA step with the correct
+    NIC crowding (Fig. 8).
     """
 
     def __init__(self, sim: Simulator, q: int, rank_offset: int = 0):
@@ -35,12 +36,16 @@ class Mesh:
 
         all_rows = [self._row_ranks(i) for i in range(q)]
         all_cols = [self._col_ranks(j) for j in range(q)]
+        # one crowding per axis: every row (column) has the same siblings
+        topology, arrangement = sim.topology, sim.arrangement
+        crowding = topology.crowding(all_rows, arrangement)
         self.row_groups: List[ProcessGroup] = [
-            ProcessGroup(sim, all_rows[i], kind=f"row{i}", siblings=all_rows)
+            ProcessGroup(sim, all_rows[i], kind=f"row{i}", crowding=crowding)
             for i in range(q)
         ]
+        crowding = topology.crowding(all_cols, arrangement)
         self.col_groups: List[ProcessGroup] = [
-            ProcessGroup(sim, all_cols[j], kind=f"col{j}", siblings=all_cols)
+            ProcessGroup(sim, all_cols[j], kind=f"col{j}", crowding=crowding)
             for j in range(q)
         ]
         self.world = ProcessGroup(

@@ -431,6 +431,28 @@ class TransformerModel(DistModule):
         self.buffers = buffers if buffers is not None else BufferManager(
             self.sim, ranks=owner.ranks
         )
+        # on a dry run the leaves' parameter charges are taped and made
+        # once per rank class (``on_stacks`` of no operand: the batched gate)
+        args = cfg, params_global, fused_attention, attention_chunk
+        if self.sim.backend == "shape" and self.sim.tape is None and on_stacks(owner):
+            tape = Tape(self.sim)
+            tape.record(self._build, *args)
+            if not tape.poisoned:
+                tape.apply(())
+        else:
+            self._build(*args)
+
+        self._ckpt_inputs: List[object] = []
+        self._batch_size: Optional[int] = None
+        self._stem_out: Optional[DTensor] = None
+        #: this iteration's layer tapes (see :meth:`_layer_pass`), or None
+        self._tapes: Optional[dict] = None
+
+    def _build(self, cfg: ModelConfig, params_global: Dict[str, object],
+               fused_attention: bool, attention_chunk: int) -> None:
+        """Build the leaves and layers from the global parameters, placing
+        and charging each parameter."""
+        owner, stem_only = self.owner, self.stem_only
         self.embedding = None
         self.final_ln = None
         self.lm_head = None
@@ -470,12 +492,6 @@ class TransformerModel(DistModule):
                         params_global["cls_head.bias"], self.buffers,
                     )
                 )
-
-        self._ckpt_inputs: List[object] = []
-        self._batch_size: Optional[int] = None
-        self._stem_out: Optional[DTensor] = None
-        #: this iteration's layer tapes (see :meth:`_layer_pass`), or None
-        self._tapes: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # per-scheme rules
@@ -565,15 +581,11 @@ class TransformerModel(DistModule):
             else:
                 layer.restore_caches(caches)
             return out
-        tape = sim.tape = Tape(sim, params)
-        try:
-            out = layer.backward(x) if backward else layer.forward(x, batch_size)
-        except BaseException:
-            if not tape.poisoned:
-                tape.poison()  # make what the pass recorded before it raised
-            raise
-        finally:
-            sim.tape = None
+        tape = Tape(sim, params)
+        if backward:
+            out = tape.record(layer.backward, x)
+        else:
+            out = tape.record(layer.forward, x, batch_size)
         if not tape.poisoned:
             tape.apply(params)
             tapes[key] = (tape, out, None if backward else layer.cache_state())

@@ -198,8 +198,16 @@ class Simulator:
     def lockstep(self, program: Sequence[tuple], scope: Iterable[int]) -> Optional[tuple]:
         """``program``'s lockstep form over the ranks of ``scope`` — the
         scope's devices and, per counter of :data:`COUNTERS`, the tuple of
-        increments one rank's replay adds to it, in program order — or None
-        when the program is not rank-symmetric over ``scope``.
+        increments one rank's replay adds to it, in program order
+        (:meth:`chains`) — or None when the program is not rank-symmetric
+        over ``scope`` (:meth:`in_step`)."""
+        scope = list(scope)
+        if not scope or not self.in_step(program, scope):
+            return None
+        return [self.devices[r] for r in scope], self.chains(program, scope[0])
+
+    def in_step(self, program: Sequence[tuple], scope: Sequence[int]) -> bool:
+        """Whether ``program`` is rank-symmetric over the ranks of ``scope``.
 
         The proof: each rank carries the id of the increment sequence it has
         applied so far, hash-consed (an id and an entry's increments map to
@@ -209,36 +217,21 @@ class Simulator:
         clocks, and the barrier adds ``dt`` to that clock — and every rank of
         ``scope`` ends with one id.  A rank charged outside ``scope``
         refutes it."""
-        scope = list(scope)
-        if not scope:
-            return None
         ids = [None] * self.num_ranks  # rank -> seq id; None: out of scope
         for r in scope:
             ids[r] = 0
         # increments -> key id, and (seq id, key id) -> the next seq id,
         # each a fresh id on first sight
         keys, table = defaultdict(count().__next__), defaultdict(count(1).__next__)
-        rep = scope[0]
-        chains = clock, flops, gemm, compute_time, comm_time, nbytes, weighted, num = (
-            [], [], [], [], [], [], [], []
-        )
         for entry in program:
             op = entry[0]
             if op == COMPUTE:
-                ranks, timed = entry[1], entry[2]
-                key = keys[COMPUTE, tuple(timed)]
-                for r in ranks:
+                key = keys[COMPUTE, tuple(entry[2])]
+                for r in entry[1]:
                     old = ids[r]
                     if old is None:
-                        return None
+                        return False
                     ids[r] = table[old, key]
-                for _ in range(ranks.count(rep)):  # as often as rep is listed
-                    for f, kind, dt in timed:
-                        flops.append(f)
-                        if kind == "gemm":
-                            gemm.append(f)
-                        compute_time.append(dt)
-                        clock.append(dt)
             elif op == COLLECTIVES:
                 for group, cost in entry[2]:
                     ranks = group.ranks
@@ -246,24 +239,47 @@ class Simulator:
                         continue
                     old = ids[ranks[0]]
                     if old is None:
-                        return None
+                        return False
                     new = table[old, keys[COLLECTIVES, cost]]
                     for r in ranks:
                         if ids[r] != old:  # a member out of step at the barrier
-                            return None
+                            return False
                         ids[r] = new
-                    if rep in ranks:
-                        dt, nb, w = cost
+        last = ids[scope[0]]
+        for r in scope:
+            if ids[r] != last:
+                return False
+        return True
+
+    @staticmethod
+    def chains(program: Sequence[tuple], rank: int) -> Tuple[tuple, ...]:
+        """Per counter of :data:`COUNTERS`, the increments ``rank``'s replay
+        of ``program`` adds to it, in program order: the chains of a
+        lockstep form (see :meth:`lockstep`)."""
+        chains = clock, flops, gemm, compute_time, comm_time, nbytes, weighted, num = (
+            [], [], [], [], [], [], [], []
+        )
+        for entry in program:
+            op = entry[0]
+            if op == COMPUTE:
+                timed = entry[2]
+                for _ in range(entry[1].count(rank)):  # as often as listed
+                    for f, kind, dt in timed:
+                        flops.append(f)
+                        if kind == "gemm":
+                            gemm.append(f)
+                        compute_time.append(dt)
+                        clock.append(dt)
+            elif op == COLLECTIVES:
+                for group, (dt, nb, w) in entry[2]:
+                    ranks = group.ranks
+                    if len(ranks) > 1 and rank in ranks:
                         clock.append(dt)
                         comm_time.append(dt)
                         nbytes.append(nb)
                         weighted.append(w)
                         num.append(1)
-        last = ids[rep]
-        for r in scope:
-            if ids[r] != last:
-                return None
-        return [self.devices[r] for r in scope], tuple(map(tuple, chains))
+        return tuple(map(tuple, chains))
 
     @staticmethod
     def _lockstep(devices: Sequence[SimDevice], chains: Tuple[tuple, ...]) -> bool:

@@ -35,6 +35,19 @@ def batch(cfg, rng):
     return ids, labels
 
 
+def clear_shared_tables() -> None:
+    """Empty the process-wide tables of SUMMA plan structures, tape class
+    plans and comm models, as a fresh process has them."""
+    from repro.comm import cost
+    from repro.core import summa
+    from repro.runtime import tape
+
+    summa._STRUCTURES.clear()
+    tape._PLANS.clear()
+    tape._RANK_SETS.clear()
+    cost._BUILT.clear()
+
+
 def make_mesh(q: int, backend: str = "numpy", **kw):
     sim = Simulator.for_mesh(q=q, backend=backend, **kw)
     return Mesh(sim, q)

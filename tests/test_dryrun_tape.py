@@ -349,11 +349,11 @@ def test_class_applied_stems_are_the_forced_stems(monkeypatch, replays, classes,
     taped, forced = _both(monkeypatch, lambda: _stem(scheme, p, cfg=cfg, batches=(batch,)))
     assert taped == forced
     assert replays[0] == 7
-    # every pass, the recording ones too, made its ops on class
-    # representatives and copied them to the other p - 1 ranks or fewer —
-    # but Optimus's first, whose SUMMA workspaces are cold and grow
-    # call by call, rank by rank
-    assert len(classes) == (8 if scheme == "optimus" else 9)
+    # the parameter placement and every pass, the recording ones too, made
+    # its ops on class representatives and copied them to the other p - 1
+    # ranks or fewer — but Optimus's first pass, whose SUMMA workspaces are
+    # cold and grow call by call, rank by rank
+    assert len(classes) == (9 if scheme == "optimus" else 10)
     assert all(sum(sizes) <= p for sizes in classes)
 
 
@@ -438,6 +438,7 @@ def test_a_memory_timeline_run_keeps_its_samples(monkeypatch, replays, classes, 
     def run():
         model = _model(scheme, p)
         model.sim.enable_memory_timeline()
+        del classes[:]  # (the parameters were placed before sampling began)
         res = _run_stem(model, scheme, BATCH, None, "stem")
         return res, _state(model), model.sim.memory_timeline()
 

@@ -20,7 +20,7 @@ from repro.runtime.simulator import Simulator
 from repro.training.data import BatchStream
 from repro.training.optim import SGD
 from repro.training.trainer import Trainer
-from tests.conftest import make_mesh
+from tests.conftest import clear_shared_tables, make_mesh
 
 
 def _random_operands(mesh, m, k, n, seed=0):
@@ -33,8 +33,9 @@ def _random_operands(mesh, m, k, n, seed=0):
 class TestPlanCache:
     def test_miss_and_hit_charge_identically(self):
         """A planned call charges what building the plan afresh charges:
-        miss/hit/hit on one mesh ≡ three misses on another (its cache is
-        emptied before every call), bit for bit."""
+        miss/hit/hit on one mesh ≡ three misses on another (its cache and
+        the process-wide tables are emptied before every call), bit for
+        bit."""
 
         def run(drop_plans):
             mesh = make_mesh(2)
@@ -44,6 +45,7 @@ class TestPlanCache:
             def call(kernel, x, y):
                 if drop_plans:
                     mesh.__dict__.pop("_summa_plans", None)
+                    clear_shared_tables()
                 outs.append(kernel(mesh, x, y))
                 return outs[-1]
 
