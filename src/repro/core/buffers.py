@@ -47,8 +47,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import Gauge
-from repro.runtime.memory import alloc_many
+from repro.runtime.memory import charge
 from repro.runtime.simulator import Simulator
 
 REGIONS = ("workspace", "forward", "backward", "param_grad", "conjunction", "checkpoint")
@@ -147,8 +146,9 @@ def _byte_runs(runs):
 class _Region:
     usage: int = 0  # live bytes logically held
     capacity: int = 0  # arena size actually charged (managed mode)
-    #: the ``buffer_capacity_bytes`` gauge, taken at the first growth
-    gauge: Optional[Gauge] = None
+    #: the capacity at the arena's last growth (None before the first), what
+    #: its ``buffer_capacity_bytes`` gauge shows
+    gauge: Optional[int] = None
 
 
 class BufferManager:
@@ -175,6 +175,15 @@ class BufferManager:
         self._regions: Dict[str, Dict[int, _Region]] = {
             name: {r: _Region() for r in self.ranks} for name in REGIONS
         }
+        sim.metrics.view("buffer_capacity_bytes", self._gauges)
+
+    def _gauges(self):
+        """Each grown arena's ``buffer_capacity_bytes`` gauge: its labels and
+        value (see :meth:`~repro.obs.metrics.MetricsRegistry.view`)."""
+        for region, arenas in self._regions.items():
+            for rank, st in arenas.items():
+                if st.gauge is not None:
+                    yield {"region": region, "rank": rank}, float(st.gauge)
 
     # ------------------------------------------------------------------
     def _canonical(self, region: str) -> str:
@@ -199,12 +208,18 @@ class BufferManager:
         self.hold_many(region, (((rank,), (nbytes,)),))
         return nbytes
 
-    def _poison(self) -> None:
+    def _poison(self, alike: bool = False) -> None:
         """A mutator other than :meth:`hold_many` ran: a dry-run layer tape
-        recording now cannot replay the pass (``runtime.tape.Tape``)."""
-        tape = self.sim.tape
-        if tape is not None:
-            tape.poison()
+        recording now cannot replay the pass (``runtime.tape.Tape``), and
+        the simulator's carried rank classes are dropped unless the mutator
+        is ``alike`` (it acts on every rank of this manager) and they cover
+        this manager's arenas (``Simulator.partition``)."""
+        sim = self.sim
+        part = sim.partition
+        if part is not None and not (alike and self in part.managers):
+            sim.partition = None
+        if sim.tape is not None:
+            sim.tape.poison()
 
     def hold_many(
         self, region: str, runs: Sequence[Tuple[Sequence[int], Sequence[int]]]
@@ -218,13 +233,13 @@ class BufferManager:
 
         Unmanaged, every hold is an allocation.  A managed arena grows when
         a hold takes its usage past its capacity: the growth is one
-        allocation, the capacity becomes the usage and the
-        ``buffer_capacity_bytes`` gauge (taken at the arena's first growth)
-        is written.  The growths go to the meters in one
-        :func:`~repro.runtime.memory.alloc_many` after the loop, a growth on
+        allocation, and the capacity and the arena's gauge value become the
+        usage.  The growths go to the meters in one
+        :func:`~repro.runtime.memory.charge` after the loop, a growth on
         a strict meter (with those before it) at once, so that an overflow
         raises before its hold applies: its region is left unchanged and
-        the holds before it held."""
+        the holds before it held.  Runs other than over whole carried rank
+        classes drop them (``Simulator.partition``)."""
         for _ranks, sizes in runs:
             for nbytes in sizes:
                 if nbytes.__class__ is not int or nbytes < 0:
@@ -234,11 +249,13 @@ class BufferManager:
             runs = _byte_runs(runs)  # a float or NumPy count, or a negative one
             break
         region = self._canonical(region)
-        tape = self.sim.tape
-        if tape is not None:
-            return tape.hold(self, region, runs)
+        sim = self.sim
+        if sim.tape is not None:
+            return sim.tape.hold(self, region, runs)
+        if sim.partition is not None and not sim.partition.holds(self, runs):
+            sim.partition = None
         regions = self._regions[region]
-        devices = self.sim.devices
+        devices = sim.devices
         tag = self._tag(region)
         if not self.managed:
             for ranks, sizes in runs:
@@ -258,21 +275,12 @@ class BufferManager:
                         meter = devices[rank].memory
                         grown.append((meter, usage - st.capacity))
                         if meter.strict:
-                            alloc_many(grown, tag)
+                            charge(grown, tag)
                             grown = []
-                        st.capacity = usage
-                        (st.gauge or self.gauge(region, rank)).value = float(usage)
+                        st.capacity = st.gauge = usage
                     st.usage = usage
         if grown:
-            alloc_many(grown, tag)
-
-    def gauge(self, region: str, rank: int) -> Gauge:
-        """``rank``'s ``buffer_capacity_bytes`` gauge of the canonical
-        ``region``, registered at the arena's first growth."""
-        st = self._regions[region][rank]
-        if st.gauge is None:
-            st.gauge = self.sim.metrics.gauge("buffer_capacity_bytes", region=region, rank=rank)
-        return st.gauge
+            charge(grown, tag)
 
     def arenas(self, region: str) -> Dict[int, _Region]:
         """``region``'s per-rank arena records (usage, capacity, gauge), by
@@ -331,7 +339,8 @@ class BufferManager:
 
     def reset_region(self, region: str, rank: Optional[int] = None) -> None:
         """Drop all logical holdings of a region (arena retained if managed)."""
-        self._poison()
+        self._poison(rank is None)
+        part = self.sim.partition  # (kept: every member frees alike)
         region = self._canonical(region)
         targets = self.ranks if rank is None else [rank]
         for r in targets:
@@ -339,6 +348,7 @@ class BufferManager:
             if not self.managed and st.usage:
                 self.sim.device(r).memory.free(st.usage, self._tag(region))
             st.usage = 0
+        self.sim.partition = part
 
     def trim_region(self, region: str, rank: Optional[int] = None) -> None:
         """Shrink a managed arena's capacity to its current usage.
@@ -347,7 +357,8 @@ class BufferManager:
         used by §3.2.3 option 3 to re-size the forward buffer for the
         recompute phase, where matmul outputs are no longer buffered.
         """
-        self._poison()
+        self._poison(rank is None)
+        part = self.sim.partition  # (kept: every member frees alike)
         region = self._canonical(region)
         targets = self.ranks if rank is None else [rank]
         for r in targets:
@@ -357,6 +368,7 @@ class BufferManager:
                     st.capacity - st.usage, self._tag(region)
                 )
                 st.capacity = st.usage
+        self.sim.partition = part
 
     @contextmanager
     def scratch(self, rank: int, nbytes: int):

@@ -13,7 +13,7 @@ this file imported from the package would cycle.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 LabelKey = Tuple[str, Tuple[Tuple[str, object], ...]]
 
@@ -112,12 +112,45 @@ def _key(name: str, labels: dict) -> LabelKey:
 
 
 class MetricsRegistry:
-    """Get-or-create store for labeled metrics."""
+    """Get-or-create store for labeled metrics.
+
+    A gauge whose value its owner keeps as a plain field (such as a buffer
+    arena's capacity at its last growth) is registered as a *view*
+    (:meth:`view`) instead of being written on every change: the registry
+    renders the view's gauges whenever it is read, so every read sees them
+    as if each had been set at each change."""
 
     def __init__(self):
         self._metrics: Dict[LabelKey, object] = {}
+        #: name -> the views rendering gauges of that name (see :meth:`view`)
+        self._views: Dict[str, List[Callable[[], Iterable[Tuple[dict, float]]]]] = {}
+        #: the keys of view gauges forgotten by :meth:`clear`
+        self._cleared: set = set()
+
+    def view(self, name: str, gauges: Callable[[], Iterable[Tuple[dict, float]]]) -> None:
+        """Register ``gauges``, a callable yielding ``(labels, value)`` per
+        gauge of ``name`` now set: each read of the registry sets those
+        gauges first (registering each on its first sight)."""
+        self._views.setdefault(name, []).append(gauges)
+
+    def _render(self, name=None) -> None:
+        """Set the gauges of every view (of ``name`` only, if given)."""
+        for view_name, views in self._views.items():
+            if name is not None and view_name != name:
+                continue
+            for gauges in views:
+                for labels, value in gauges():
+                    key = _key(view_name, labels)
+                    if key in self._cleared:
+                        continue
+                    m = self._metrics.get(key)
+                    if m is None:
+                        m = self._metrics[key] = Gauge(view_name, labels)
+                    m.value = value
 
     def _get(self, cls, name: str, labels: dict):
+        if name in self._views:
+            self._render(name)
         key = _key(name, labels)
         m = self._metrics.get(key)
         if m is None:
@@ -140,20 +173,25 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
+        self._render()
         return len(self._metrics)
 
     def __iter__(self) -> Iterable[object]:
+        self._render()
         return iter(self._metrics.values())
 
     def find(self, name: str) -> List[object]:
         """All metric instances (any label set) registered under ``name``."""
+        self._render(name)
         return [m for (n, _), m in self._metrics.items() if n == name]
 
     def clear(self) -> None:
-        """Forget every metric.  A handle taken before (such as the arena
-        gauge :class:`~repro.core.buffers.BufferManager` keeps per region and
-        rank) is detached: it still takes updates, but the registry no longer
-        lists it."""
+        """Forget every metric.  A handle taken before is detached: it still
+        takes updates, but the registry no longer lists it; so are the
+        gauges a view renders now (a view's gauge first set later is
+        listed)."""
+        self._render()
+        self._cleared.update(key for key, m in self._metrics.items() if key[0] in self._views)
         self._metrics.clear()
 
     def _sorted_items(self):
@@ -161,6 +199,7 @@ class MetricsRegistry:
         orders *and* mixed-type label values (``rank=0`` next to
         ``rank="all"`` must not raise on comparison), so snapshots, ledger
         records and OpenMetrics output are byte-stable."""
+        self._render()
         return sorted(
             self._metrics.items(),
             key=lambda kv: (kv[0][0], tuple((k, str(v)) for k, v in kv[0][1])),

@@ -222,6 +222,7 @@ class FaultInjector:
                 self.sim.metrics.counter("resilience/straggler_time").inc(
                     (s.factor - 1.0) * done
                 )
+                self.sim.partition = None
                 dev.clock += (s.factor - 1.0) * done
                 self._straggler_marks[s.rank] = dev.compute_time
 

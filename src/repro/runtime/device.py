@@ -38,8 +38,9 @@ class SimDevice:
     comm_time: float = 0.0
     num_collectives: int = 0
     tracer: Optional[Tracer] = None  # wired by the Simulator
-    #: the owning Simulator (wired by it): a charge made here while a dry-run
-    #: layer tape records poisons the tape (see ``runtime.tape.Tape``)
+    #: the owning Simulator (wired by it): a charge made here drops its
+    #: carried rank classes, and poisons a recording dry-run layer tape
+    #: (see ``runtime.tape.Tape``)
     sim: Any = field(default=None, repr=False, compare=False)
 
     def compute(self, flops: float, kind: str = "gemm") -> float:
@@ -53,8 +54,10 @@ class SimDevice:
         if not 0 <= flops < inf:
             raise ValueError(f"non-finite or negative flops: {flops!r}")
         sim = self.sim
-        if sim is not None and sim.tape is not None:
-            sim.tape.poison()
+        if sim is not None:
+            sim.partition = None
+            if sim.tape is not None:
+                sim.tape.poison()
         dt = flops / self.spec.effective_flops
         self.flops += flops
         if kind == "gemm":
@@ -73,14 +76,18 @@ class SimDevice:
     def charge_comm(self, dt: float, nbytes: float, weighted_volume: float) -> None:
         """Record one collective's contribution (clock advance is separate)."""
         sim = self.sim
-        if sim is not None and sim.tape is not None:
-            sim.tape.poison()
+        if sim is not None:
+            sim.partition = None
+            if sim.tape is not None:
+                sim.tape.poison()
         self.comm_time += dt
         self.bytes_comm += nbytes
         self.weighted_comm_volume += weighted_volume
         self.num_collectives += 1
 
     def reset_counters(self, reset_clock: bool = True) -> None:
+        if self.sim is not None:
+            self.sim.partition = None
         if reset_clock:
             self.clock = 0.0
         self.flops = 0.0

@@ -11,7 +11,7 @@ Fig. 9 max-batch-size search can detect out-of-memory exactly where a real
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class MemSample(NamedTuple):
@@ -52,9 +52,17 @@ class MemoryMeter:
     clock_fn: Optional[Callable[[], float]] = None
     #: per-allocation timeline; ``None`` (the default) disables sampling
     timeline: Optional[List[MemSample]] = None
+    #: the owning Simulator (wired by it): a change made here drops its
+    #: carried rank classes (``Simulator.partition``)
+    sim: Any = field(default=None, repr=False, compare=False)
+
+    def _drop(self) -> None:
+        if self.sim is not None:
+            self.sim.partition = None
 
     def enable_timeline(self) -> None:
         """Start recording a (time, tag, bytes) sample per alloc/free."""
+        self._drop()
         if self.timeline is None:
             self.timeline = []
 
@@ -81,6 +89,7 @@ class MemoryMeter:
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("negative free")
+        self._drop()
         if nbytes > self.current:
             raise ValueError(
                 f"rank {self.rank}: freeing {nbytes} B but only {self.current} B in use"
@@ -104,6 +113,7 @@ class MemoryMeter:
         return n
 
     def reset_peak(self) -> None:
+        self._drop()
         self.peak = self.current
 
     @property
@@ -113,14 +123,24 @@ class MemoryMeter:
         return self.capacity - self.current
 
 
-def alloc_many(charges: Iterable[Tuple[MemoryMeter, int]], tag: str) -> None:
+def alloc_many(charges: Sequence[Tuple[MemoryMeter, int]], tag: str) -> None:
     """Charge each ``(meter, nbytes)`` of ``charges`` as one allocation
-    under ``tag``, in order: the one definition of an allocation's
-    bookkeeping (:meth:`MemoryMeter.alloc` is its one-entry form).  The
-    caller has made each byte count a non-negative int.  A strict-capacity
-    overflow raises at the entry it binds, the entries before it charged
-    and the rest not; a timeline sample is taken per entry, so a meter's
-    samples keep their order."""
+    under ``tag``, in order (:meth:`MemoryMeter.alloc` is its one-entry
+    form), dropping the meters' simulator's carried rank classes: the
+    :func:`charge` of a per-rank mutator."""
+    if charges:
+        charges[0][0]._drop()
+    charge(charges, tag)
+
+
+def charge(charges: Iterable[Tuple[MemoryMeter, int]], tag: str) -> None:
+    """The one definition of an allocation's bookkeeping, for
+    :func:`alloc_many` and for a caller that keeps ``Simulator.partition``
+    right itself (``BufferManager.hold_many``).  The caller has made each
+    byte count a non-negative int.  A strict-capacity overflow raises at
+    the entry it binds, the entries before it charged and the rest not; a
+    timeline sample is taken per entry, so a meter's samples keep their
+    order."""
     for meter, nbytes in charges:
         current = meter.current + nbytes
         if meter.strict and meter.capacity is not None and current > meter.capacity:

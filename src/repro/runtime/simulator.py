@@ -17,7 +17,7 @@ execute numerically.
 from __future__ import annotations
 
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import reduce
 from itertools import count, repeat
 from math import inf
@@ -45,6 +45,54 @@ COUNTERS = (
     "comm_time", "bytes_comm", "weighted_comm_volume", "num_collectives",
 )
 _counters = attrgetter(*COUNTERS)
+
+
+class Partition:
+    """Rank classes — a label per rank, in order of first appearance, and
+    each class's first rank (``reps``) — whose members are equal in every
+    counter, meter and arena of the buffer managers ``managers``: read by
+    ``Tape._start`` (``runtime.tape``), or left by a class apply and carried
+    on its simulator (:attr:`Simulator.partition`) to the next apply.  A
+    mutator that acts alike on each class's members keeps it there
+    (:meth:`alike`, :meth:`holds`, ``BufferManager.reset_region`` /
+    ``trim_region`` over every rank of a covered manager); any other drops
+    it."""
+
+    __slots__ = ("labels", "reps", "managers", "_whole")
+
+    def __init__(self, labels: tuple, reps: list, managers: tuple):
+        self.labels, self.reps, self.managers = labels, reps, managers
+        self._whole: Dict[int, tuple] = {}  # id(ranks) -> (ranks, whole?)
+
+    def whole(self, ranks) -> bool:
+        """Whether ``ranks`` lists every member of some classes once and
+        no other rank."""
+        known = self._whole.get(id(ranks))
+        if known is None:
+            labels = self.labels
+            ok = len(set(ranks)) == len(ranks)
+            if ok and len(ranks) != len(labels):
+                inside = Counter(map(labels.__getitem__, ranks))
+                ok = all([inside[label] in (0, n) for label, n in Counter(labels).items()])
+            known = self._whole[id(ranks)] = ranks, ok
+        return known[1]
+
+    def alike(self, program) -> bool:
+        """Whether ``Simulator.replay(program)`` charges whole classes only."""
+        for entry in program:
+            if entry[0] == COMPUTE:
+                if not self.whole(entry[1]):
+                    return False
+            elif entry[0] == COLLECTIVES:
+                for group, _cost in entry[2]:
+                    if len(group.ranks) > 1 and not self.whole(group.ranks):
+                        return False
+        return True
+
+    def holds(self, buffers, runs) -> bool:
+        """Whether ``buffers.hold_many(region, runs)`` holds on whole
+        classes of arenas these classes cover."""
+        return buffers in self.managers and all([self.whole(ranks) for ranks, _ in runs])
 
 
 class Simulator:
@@ -100,6 +148,10 @@ class Simulator:
         self.fault_injector = None
         #: the :class:`~repro.runtime.tape.Tape` recording a dry-run layer pass, or None
         self.tape: Optional[Tape] = None
+        #: the rank classes a dry-run layer tape's class apply left, carried
+        #: to the next apply while every change since acted alike on each
+        #: class's members (:class:`Partition`); None: read them
+        self.partition: Optional[Partition] = None
         self.devices: List[SimDevice] = [
             SimDevice(
                 rank=r,
@@ -115,6 +167,7 @@ class Simulator:
         self.tracer.clock_of = lambda r: self.devices[r].clock
         for d in self.devices:
             d.memory.clock_fn = (lambda dev=d: dev.clock)
+            d.memory.sim = self
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -153,6 +206,7 @@ class Simulator:
 
     def sync(self, ranks: Sequence[int]) -> float:
         """Barrier over a rank set; returns the synchronized time."""
+        self.partition = None
         if self.tape is not None:
             self.tape.poison()
         t = max(self.devices[r].clock for r in ranks)
@@ -161,6 +215,7 @@ class Simulator:
         return t
 
     def advance(self, ranks: Sequence[int], dt: float) -> None:
+        self.partition = None
         if self.tape is not None:
             self.tape.poison()
         for r in ranks:
@@ -329,9 +384,12 @@ class Simulator:
         float-add chain, copied to the scope — and every other replay runs
         the loop.  ``tests/test_bulk_charges.py`` holds the two equal on
         random programs and start states.  A recording dry-run layer tape
-        records the call (:class:`~repro.runtime.tape.Tape`)."""
+        records the call (:class:`~repro.runtime.tape.Tape`); one that does
+        not act alike on each class's members drops :attr:`partition`."""
         if self.tape is not None:
             return self.tape.program(program, lockstep)
+        if self.partition is not None and not self.partition.alike(program):
+            self.partition = None
         tr = self.tracer
         traced = tr.enabled
         if lockstep is not None and not traced and self._lockstep(*lockstep):

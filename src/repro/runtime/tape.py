@@ -1,8 +1,6 @@
 """Dry-run layer tapes: a layer pass's accounting calls, recorded once and
 applied once per rank class (see :class:`Tape` and ``docs/simulator.md``,
-"Dry-run layer tapes").  The class plans are derived once per tape
-structure in a process (:data:`_PLANS`) and shared by every tape of that
-structure, in any simulator."""
+"Dry-run layer tapes")."""
 
 from __future__ import annotations
 
@@ -12,10 +10,10 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.memory import alloc_many
-from repro.runtime.simulator import COLLECTIVES, COMPUTE, Simulator, _counters
+from repro.runtime.simulator import COLLECTIVES, COMPUTE, Partition, Simulator, _counters
 
 #: the kinds of a :class:`Tape`'s ops
-_PROGRAM, _HOLD, _ACCOUNT, _GRAD, _LOCKSTEP, _ALLOC = range(6)
+_PROGRAM, _HOLD, _ACCOUNT, _GRAD, _LOCKSTEP, _ALLOC, _COLD = range(7)
 
 #: the class plans of every tape structure so far: a tape's structure (see
 #: :meth:`Tape._structure`) -> {(start partition, clock classes): template}.
@@ -43,64 +41,48 @@ class _Line:
         self.ranks, self.kind, self.devices = group.ranks, group.kind, devices
 
 
-class _NoArena:
-    """The arena of a rank a buffer manager does not cover."""
-
-    usage = capacity = None
-
-
 class Tape:
     """The accounting calls of one dry-run pass — a layer's, or a model's
     parameter placement — applied once per rank class and, for a layer,
     replayed for an identical layer instead of re-running it.
 
-    **Recording.**  While a tape records (it is its simulator's
-    :attr:`Simulator.tape`), the five entry points append their call to
-    :attr:`ops` and make nothing: :meth:`Simulator.replay`
-    (:meth:`program`), ``BufferManager.hold_many`` (:meth:`hold`), SUMMA's
-    ``_account`` (:meth:`account`), ``charge_param_memory`` (:meth:`alloc`)
-    and ``DistParam.add_grad`` (:meth:`add_grad`; a gradient is recorded
-    against the parameter's position in the recorded layer's
-    ``parameters()``).  Nothing reads simulated state between those calls,
-    so the pass's code runs as if they had been made; the recording pass
-    then applies the tape like a replay.  Any other mutator of simulated
-    state reached while recording (``SimDevice.compute`` / ``charge_comm``,
-    ``sync`` / ``advance``, the other ``BufferManager`` mutators, a gradient
-    of a parameter outside the layer) first calls :meth:`poison`: the calls
-    recorded so far are made, in order, recording stops and the tape is
-    never applied.
+    **Recording.**  While a tape records (it is :attr:`Simulator.tape`), the
+    five entry points append their call to :attr:`ops` and make nothing:
+    :meth:`Simulator.replay` (:meth:`program`), ``BufferManager.hold_many``
+    (:meth:`hold`), SUMMA's ``_account`` (:meth:`account`),
+    ``charge_param_memory`` (:meth:`alloc`) and ``DistParam.add_grad``
+    (:meth:`add_grad`, by the parameter's position in the layer).  Nothing
+    reads simulated state between them, so the pass runs as if they had
+    been made, then applies the tape.  Any other mutator reached while
+    recording (``SimDevice.compute`` / ``charge_comm``, ``sync`` /
+    ``advance``, the other ``BufferManager`` mutators, a gradient of a
+    parameter outside the layer) first calls :meth:`poison`: the recorded
+    calls are made, in order, and the tape is never applied.
 
-    **Applying** (:meth:`apply`).  Every rank's start state is read — the
-    eight :data:`COUNTERS`, the memory meter (``current``, ``peak``,
-    ``num_allocs``, ``by_tag``) and the usage and capacity of every buffer
-    arena the ops hold in — and ranks with equal states are one start class.
-    A plan per start partition (and partition of the classes' clocks) is
+    **Applying** (:meth:`apply`).  The start classes are the ranks equal in
+    every counter, meter (``current``, ``peak``, ``num_allocs``,
+    ``by_tag``) and arena of the buffer managers the ops use: carried from
+    the last class apply (``Simulator.partition``) while every change since
+    acted alike on each class's members, else read (:meth:`_start`).  A plan
+    per start partition, clock classes and cold or warm SUMMA workspaces is
     derived (:meth:`_derive`): the hash-consed proof of
-    :meth:`Simulator.lockstep` extended to every op — each rank carries the
-    id of its history, an id and an op's effect on the rank (for a
-    collective line, with the set of its members' clock ids) map to one new
-    id — splits the start classes into the classes of ranks that end in the
-    same state.  The plan makes each op once per class, on the class's first
-    rank (its representative), and then each representative's end state is
-    copied to the other members of its class.  A start state or op that
-    splits a class only makes more classes, down to one per rank, where the
-    plan is the recorded ops themselves; so is it when a meter is strict (an
-    overflow raises at the binding hold, the ranks before it charged) or
-    samples a timeline, when a program's lines overlap, and while a SUMMA
-    call's workspace would grow, is unmanaged or is also held by the tape:
-    the call then decides as it is made, and a cold one keeps its books step
-    by step, rank by rank.
+    :meth:`Simulator.lockstep` extended to every op splits the start classes
+    into the classes of ranks that end in the same state.  Each op is made
+    once per class, on its first rank (its representative), whose end state
+    is then copied to the class (:meth:`_copy`); a cold SUMMA call is made
+    on the representatives entry by entry, each gemm through the workspace.
+    Where every rank is its own class the plan is the recorded ops; so is it
+    when a meter is strict or samples a timeline, and when a SUMMA
+    workspace is unmanaged or also held by the tape.
 
     **Shared plans.**  A plan reads only the tape's structure
-    (:meth:`_structure`: each op's kind and rank sets, each effect as its
-    equality class among the tape's effects, the program forms) and the
-    start partition, so it is kept once per structure in a process
-    (:data:`_PLANS`) as a template of op indices and rank numbers, and every
-    tape of that structure, in any simulator, binds the template to its own
-    ops (:meth:`_bind`) instead of deriving it again."""
+    (:meth:`_structure`) and the start partition, so it is kept once per
+    structure in a process (:data:`_PLANS`) as a template of op indices and
+    rank numbers, which every tape of that structure binds to its own ops
+    (:meth:`_bind`)."""
 
     __slots__ = (
-        "sim", "ops", "layer", "params", "poisoned", "_arenas", "_workspaces",
+        "sim", "ops", "layer", "params", "poisoned", "_managers", "_arenas", "_workspaces",
         "_row", "_steps", "_bound",
     )
 
@@ -110,11 +92,11 @@ class Tape:
         self.layer = list(params)
         self.params = {id(p): i for i, p in enumerate(self.layer)}
         self.poisoned = False
-        #: set on the first apply (see :meth:`_touched`)
+        #: set on the first apply (:meth:`_touched`)
+        self._managers: tuple = ()
         self._arenas: Optional[list] = None
         self._workspaces: Optional[list] = None
-        #: this tape's row of :data:`_PLANS` and its ops as :meth:`_derive`
-        #: reads them, set on the first class apply (:meth:`_structure`)
+        #: its row of :data:`_PLANS` and ops as read (:meth:`_structure`)
         self._row: Optional[dict] = None
         self._steps: Optional[list] = None
         #: the last template applied and its binding to :attr:`ops`
@@ -134,17 +116,14 @@ class Tape:
 
     def account(self, program, lockstep, form, fn, args, buffers, scratch: int) -> None:
         """Record ``fn(*args)``, a SUMMA call's accounting: ``program`` (of
-        lockstep form ``lockstep``, keyed as ``form``: see
-        :func:`_program_form`) where ``buffers`` is None or each of its
-        ranks' workspace arena already holds ``scratch`` more bytes."""
+        lockstep form ``lockstep``, keyed as ``form``) where ``buffers`` is
+        None or each workspace arena already holds ``scratch`` more bytes."""
         self.ops.append((_ACCOUNT, program, lockstep, fn, args, buffers, scratch, form))
 
     def alloc(self, runs, tag: str) -> None:
         """Record ``runtime.memory.alloc_many`` of ``nbytes`` on each meter
-        of ``ranks`` under ``tag``, per ``(nbytes, ranks)`` of ``runs`` in
-        order (each count a non-negative int).  Consecutive allocations
-        under one tag are one op, as one ``alloc_many`` charges what
-        consecutive ones do."""
+        of ``ranks`` under ``tag``, per ``(nbytes, ranks)`` of ``runs``;
+        consecutive allocations under one tag are one op."""
         ops = self.ops
         if ops and ops[-1][0] == _ALLOC and ops[-1][1] == tag:
             ops[-1][2].extend(runs)
@@ -195,20 +174,23 @@ class Tape:
         sim = self.sim
         devices = sim.devices
         if self._arenas is None:
-            self._touched(len(devices))
-        workspaces = self._workspaces
-        if workspaces is None:
+            self._touched()
+        part = sim.partition
+        if self._workspaces is not None and (
+            part is None or not all([b in part.managers for b in self._managers])
+        ):
+            part = self._start(devices)
+        if part is None or self._workspaces is None:
             return _make(sim, self.ops, params)
-        for buffers, nbytes in workspaces:
-            if not buffers.fits("workspace", buffers.ranks, nbytes):
-                return _make(sim, self.ops, params)
-        for d in devices:
-            m = d.memory
-            if m.timeline is not None or (m.strict and m.capacity is not None):
-                return _make(sim, self.ops, params)
-        columns, labels, reps = self._start(devices)
+        sim.partition = None  # (the ops below need not keep it)
+        reps = part.reps
+        cold = any([
+            arenas[r].usage + nbytes > arenas[r].capacity
+            for arenas, nbytes in self._workspaces for r in reps if r in arenas
+        ])
         clocks: Dict[float, int] = {}
-        key = labels, tuple([clocks.setdefault(columns[0][r][0], len(clocks)) for r in reps])
+        key = part.labels, tuple([clocks.setdefault(devices[r].clock, len(clocks)) for r in reps])
+        key += (cold,)
         row = self._row
         if row is None:
             sig, self._steps = self._structure()
@@ -220,88 +202,91 @@ class Tape:
         if bound is None or bound[0] is not template:
             bound = self._bound = template, self._bind(template)
         ops, copies = bound[1]
+        before = [  # each representative's allocations and arenas
+            (devices[rep].memory.num_allocs,
+             [_arena_state(arenas[rep]) if rep in arenas else None for arenas in self._arenas])
+            for rep, _members in copies
+        ]
         _make(sim, ops, params)
         if copies:
-            self._copy(devices, copies, columns)
+            self._copy(devices, copies, before)
+        if template is not None:
+            sim.partition = Partition(*template[2], part.managers)
 
-    def _touched(self, n: int) -> None:
-        """Note the buffer arenas the ops hold in, each as the list of its
-        per-rank arenas in rank order, and the SUMMA workspaces with the
-        largest block each must already hold for the tape to be applied by
-        class (:attr:`_workspaces`; None for never: a workspace the ops also
-        hold in, where a call decides mid-tape)."""
-        seen = set()  # (id(buffers), region)
-        arenas, workspaces, held = [], {}, set()
+    def _touched(self) -> None:
+        """Note the buffer managers the ops use, the per-rank arenas they
+        hold in (SUMMA workspaces too) and each SUMMA workspace with the
+        largest block it must hold for the calls to be warm (None: never by
+        class, a workspace being unmanaged or held by the ops)."""
+        managers, arenas, workspaces, held = {}, {}, {}, set()
         for op in self.ops:
             if op[0] == _ACCOUNT and op[5] is not None:
                 buffers = op[5]
                 most = workspaces.get(id(buffers), (None, 0))[1]
                 workspaces[id(buffers)] = buffers, max(most, op[6])
+                region = "workspace"
             elif op[0] == _HOLD:
                 buffers, region = op[1], op[2]
                 if region == "workspace":
                     held.add(id(buffers))
-                if (id(buffers), region) not in seen:
-                    seen.add((id(buffers), region))
-                    per_rank = buffers.arenas(region)
-                    arenas.append(
-                        (buffers, region, [per_rank.get(r, _NoArena) for r in range(n)])
-                    )
-        self._arenas = arenas
-        self._workspaces = None if held & workspaces.keys() else list(workspaces.values())
+            else:
+                continue
+            managers[id(buffers)] = buffers
+            if (id(buffers), region) not in arenas:
+                arenas[id(buffers), region] = buffers.arenas(region)
+        self._managers = tuple(managers.values())
+        self._arenas = list(arenas.values())
+        self._workspaces = None if held & workspaces.keys() or not all(
+            [buffers.managed for buffers, _ in workspaces.values()]
+        ) else [(buffers.arenas("workspace"), most) for buffers, most in workspaces.values()]
 
-    def _start(self, devices) -> tuple:
-        """Every rank's start state (see the class notes) as columns of
-        per-rank values (counters, meter, ``by_tag``, then one per arena),
-        the start partition (a class label per rank, in order of first
-        appearance) and each class's first rank."""
+    def _start(self, devices) -> Optional[Partition]:
+        """The start classes read from every rank's state (see the class
+        notes); None when a meter is strict or samples a timeline."""
         meters = [d.memory for d in devices]
+        for m in meters:
+            if m.timeline is not None or (m.strict and m.capacity is not None):
+                return None
+        n = len(devices)
         columns = [
             list(map(_counters, devices)),
             list(map(_meter_state, meters)),
             list(map(_by_tag, meters)),
         ]
-        for _buffers, _region, arenas in self._arenas:
-            columns.append(list(map(_arena_state, arenas)))
-        n = len(devices)
+        for buffers in self._managers:
+            for arenas in buffers._regions.values():
+                states = dict.fromkeys(range(n))  # (None outside the manager)
+                states.update(zip(arenas, map(_arena_state, arenas.values())))
+                columns.append(list(states.values()))
         varying = [column for column in columns if column.count(column[0]) != n]
         if not varying:
-            return columns, (0,) * n, [0]
-        # ``by_tag`` compares as a dict (a class's members may list its tags
-        # in another order, which the copy keeps: see :meth:`_copy`), and
-        # is hashed only where the other columns do not already part it
+            return Partition((0,) * n, [0], self._managers)
+        # (``by_tag`` compares as a dict: members may list tags in another
+        # order, which the copy keeps)
         tags = columns[2]
-        keyed = [column for column in varying if column is not tags]
-        labels, reps = _partition(keyed) if keyed else (None, None)
-        if len(keyed) < len(varying) and (
-            labels is None or not all([t == tags[reps[l]] for t, l in zip(tags, labels)])
-        ):
-            keyed.append([frozenset(t.items()) for t in tags])
-            labels, reps = _partition(keyed)
-        return columns, labels, reps
+        return Partition(*_partition([
+            [frozenset(t.items()) for t in tags] if column is tags else column
+            for column in varying
+        ]), self._managers)
 
     def _structure(self) -> Tuple[tuple, list]:
-        """The tape's structure — the key of its row of :data:`_PLANS` —
-        and its ops as :meth:`_derive` and :meth:`_restrict` read them
-        (``steps``), one entry per op:
+        """The tape's structure (its row's key in :data:`_PLANS`) and its
+        ops as :meth:`_derive` and :meth:`_restrict` read them:
 
         * ``(_GRAD,)``;
         * ``(kind, runs)`` for a hold or an allocation: per run its ranks
           and its effect's class (below);
-        * ``(_PROGRAM, lockstep?, classes, skeleton, scope, form key)`` for
-          a program or a SUMMA accounting: whether it has a lockstep form,
-          the class of each of its value slots, and its form's skeleton and
-          scope (:func:`_program_form`).
+        * ``(_PROGRAM, lockstep?, classes, skeleton, scope, form key,
+          held?)`` for a program or a SUMMA call: whether it has a lockstep
+          form, its value slots' classes, its form (:func:`_program_form`),
+          and whether it goes through a workspace.
 
-        An effect's class is its index among the distinct effects of the
-        tape in order of first appearance, an effect being by value a
-        compute entry's charges, a line's price, a hold's sizes with its
-        region and buffer manager (the managers themselves by class) or an
+        An effect's class is its index among the tape's distinct effects in
+        order of first appearance: a compute entry's charges, a line's
+        price, a hold's sizes with its region and manager (by class) or an
         allocation's tag and size.  The structure holds the same with each
-        rank set as a small id and each program as its form's key (whose
-        scope tells a lockstep form apart), never a simulator's objects: two
-        tapes of one structure make their ops on equal rank sets, with
-        effects equal exactly where the other's are."""
+        rank set as a small id and each program as its form's key, never a
+        simulator's objects."""
         effects: Dict[object, int] = {}
         managers: Dict[int, int] = {}
         sets: Dict[tuple, tuple] = {}  # a run's ranks -> one object per set
@@ -335,18 +320,22 @@ class Tape:
                 form = op[7] if kind == _ACCOUNT else _program_form(op[1], op[2])
                 form_key, skeleton, scope, values = form
                 classes = tuple([effects.setdefault(v, len(effects)) for v in values])
-                step = (_PROGRAM, op[2] is not None, classes, skeleton, scope, form_key)
-                item = (_PROGRAM, form_key, classes)
+                held = kind == _ACCOUNT and op[5] is not None  # through a workspace
+                step = (_PROGRAM, op[2] is not None, classes, skeleton, scope, form_key, held)
+                item = (_PROGRAM, form_key, classes, held)
             sig.append(item)
             steps.append(step)
         return tuple(sig), steps
 
-    def _derive(self, labels: tuple, clock_of_label: tuple) -> Optional[tuple]:
+    def _derive(self, labels: tuple, clock_of_label: tuple, cold: bool) -> Optional[tuple]:
         """The template for a start partition (``labels``, a class per rank,
-        and ``clock_of_label``, a clock id per class): ``(plan, copies)``,
-        the plan :meth:`_restrict` makes and, per class of several ranks the
-        ops reach, ``(rep, members)``; or None where every rank is its own
-        class (the recorded ops, no copies).  Reads :attr:`_steps` only."""
+        and ``clock_of_label``, a clock id per class) with the SUMMA
+        workspaces ``cold`` or not: ``(plan, copies, end)``, the plan
+        :meth:`_restrict` makes, per class of several ranks the ops reach
+        ``(rep, members)``, and the end classes (labels and first ranks);
+        or None where every rank is its own class.  Reads :attr:`_steps`
+        only.  A cold call's workspace growth depends only on the rank's
+        start class and the calls before it, so it parts no class."""
         n = len(labels)
         start = len(clock_of_label)
         ids = defaultdict(count(start).__next__)  # (id, effect) -> id
@@ -396,11 +385,13 @@ class Tape:
                 for ranks, key in step[1]:
                     effect(ranks, key, False)
                 continue
-            _, lockstep, classes, skeleton, scope, form_key = step
+            _, lockstep, classes, skeleton, scope, form_key, held = step
             if lockstep and covers(scope) and len(set(cnow.values())) == 1:
                 # rank-symmetric over every rank, which meet with one
-                # clock: one effect, the lockstep chains
-                symmetric.add(i)
+                # clock: one effect, the lockstep chains (a cold call's
+                # entries, each line made by the representatives on it)
+                if not (cold and held):
+                    symmetric.add(i)
                 effect(None, (_LOCKSTEP, form_key, classes), True)
                 continue
             for entry in skeleton:
@@ -455,15 +446,16 @@ class Tape:
             for label, members in classes.items()
             if len(members) > 1 and label >= start
         ])
-        return self._restrict(reps, symmetric, covers), copies
+        index = {label: k for k, label in enumerate(classes)}
+        end = tuple([index[label] for label in lab]), [m[0] for m in classes.values()]
+        return self._restrict(reps, symmetric, covers, cold), copies, end
 
-    def _restrict(self, reps: set, symmetric: set, covers) -> list:
+    def _restrict(self, reps: set, symmetric: set, covers, cold: bool) -> list:
         """The plan of the ops made on the representatives ``reps`` only:
-        runs, compute entries and a SUMMA call's workspace keep the ranks
-        among them, a line its representatives' positions, and an op of
-        ``symmetric`` (indices) becomes its lockstep chains on the
-        representatives in its scope.  Consecutive programs are one.  Each
-        item names its op by index (see :meth:`_bind`)."""
+        runs and compute entries keep the ranks among them, a line its
+        representatives' positions, an op of ``symmetric`` becomes its
+        lockstep chains on them.  Consecutive programs are one, but a SUMMA
+        call through a ``cold`` workspace.  Items name ops by index."""
         order = tuple(sorted(reps))
         found: Dict[int, tuple] = {}  # id(ranks) -> the representatives among them
 
@@ -511,26 +503,27 @@ class Tape:
                         entries.append((COLLECTIVES, i, e, lines))
             if not entries:
                 continue
-            if out and out[-1][0] == _PROGRAM:
+            if cold and step[6]:
+                out.append((_COLD, i, entries))
+            elif out and out[-1][0] == _PROGRAM:
                 out[-1][1].extend(entries)
             else:
                 out.append((_PROGRAM, entries))
         return out
 
     def _bind(self, template: Optional[tuple]) -> tuple:
-        """``(ops, copies)``: a template of :data:`_PLANS` (see
-        :meth:`_derive`) made of this tape's ops — the recorded ops
-        themselves for None."""
+        """``(ops, copies)``: a template (:meth:`_derive`) made of this
+        tape's ops — the recorded ops themselves for None."""
         if template is None:
             return self.ops, ()
-        plan, copies = template
+        plan, copies, _end = template
         ops = self.ops
         out: List[tuple] = []
         for item in plan:
             kind = item[0]
-            if kind == _PROGRAM:
+            if kind == _PROGRAM or kind == _COLD:
                 entries = []
-                for t in item[1]:
+                for t in item[-1]:
                     entry = ops[t[1]][1][t[2]]
                     if t[0] == COMPUTE:
                         entries.append((COMPUTE, t[3], entry[2]))
@@ -542,7 +535,11 @@ class Tape:
                         members = group.devices
                         made.append((_Line(group, [members[x] for x in where]), cost))
                     entries.append((COLLECTIVES, entry[1], made))
-                out.append((_PROGRAM, entries, None))
+                if kind == _PROGRAM:
+                    out.append((_PROGRAM, entries, None))
+                else:
+                    op = ops[item[1]]
+                    out.append((_COLD, op[5], op[6], entries))
                 continue
             op = ops[item[1]]
             if kind == _GRAD:
@@ -557,25 +554,23 @@ class Tape:
                 out.append((_LOCKSTEP, [devices[x] for x in item[2]], chains))
         return out, copies
 
-    def _copy(self, devices, copies, columns) -> None:
+    def _copy(self, devices, copies, before) -> None:
         """Copy each representative's end state to the other members of its
-        class: the counters, the meter and the arenas it moved, their gauges
-        with them."""
-        for rep, members in copies:
+        class: the counters, the meter and the arenas it moved (with the
+        gauge value of one that grew).  ``before``: per class, its
+        allocation count and arena states before the ops."""
+        for (rep, members), (allocs, states) in zip(copies, before):
             d = devices[rep]
             counters = _counters(d)
             m = d.memory
             # the meter moves only by allocations here, each one counted
-            meter = m.num_allocs != columns[1][rep][2] and (m.current, m.peak, m.num_allocs)
+            meter = m.num_allocs != allocs and (m.current, m.peak, m.num_allocs)
             by_tag = m.by_tag
             moved = []
-            for (buffers, region, arenas), column in zip(self._arenas, columns[3:]):
-                before = column[rep]
-                st = arenas[rep]
-                if (st.usage, st.capacity) != before:
-                    grew = st.capacity != before[1]
-                    moved.append((buffers, region, arenas, st.usage, st.capacity,
-                                  grew and st.gauge.value))
+            for arenas, state in zip(self._arenas, states):
+                st = arenas.get(rep)
+                if st is not None and (st.usage, st.capacity) != state:
+                    moved.append((arenas, st.usage, st.capacity, st.gauge))
             for x in members:
                 dx = devices[x]
                 (dx.clock, dx.flops, dx.flops_gemm, dx.compute_time, dx.comm_time,
@@ -586,11 +581,11 @@ class Tape:
                     # (new tags in the order the representative took them,
                     # as the member would have)
                     mx.by_tag.update(by_tag)
-                for buffers, region, arenas, usage, capacity, value in moved:
+                for arenas, usage, capacity, gauge in moved:
                     st = arenas[x]
+                    if st.capacity != capacity:  # it grew (no op shrinks it)
+                        st.gauge = gauge
                     st.usage, st.capacity = usage, capacity
-                    if value is not False:
-                        (st.gauge or buffers.gauge(region, x)).value = value
 
 
 def _partition(columns: list) -> Tuple[tuple, list]:
@@ -610,13 +605,12 @@ def _rank_set(ranks: tuple) -> int:
 
 def _program_form(program, lockstep) -> tuple:
     """A program's *form*, what a tape's structure reads of it:
-    ``(key, skeleton, scope, values)`` — per entry of the program its ranks
-    and value slots (``(COMPUTE, ranks, slot)``, ``(COLLECTIVES, kind,
-    ((ranks, slot), …))``, None for a span entry), the lockstep form's
-    ranks (None without one), per slot its value (``(COMPUTE, charges)``
-    or ``(COLLECTIVES, price)``), and a key equal only for equal skeletons
-    and scopes.  A SUMMA plan builds its own, keyed by its structure
-    (``core.summa._Structure``); every other program is read here."""
+    ``(key, skeleton, scope, values)`` — per entry its ranks and value
+    slots (``(COMPUTE, ranks, slot)``, ``(COLLECTIVES, kind, ((ranks,
+    slot), …))``, None for a span), the lockstep form's ranks (or None), per
+    slot its value (``(COMPUTE, charges)`` or ``(COLLECTIVES, price)``),
+    and a key equal only for equal skeletons and scopes.  A SUMMA plan
+    builds its own (``core.summa._Structure``)."""
     skeleton, values = [], []
     for entry in program:
         op = entry[0]
@@ -665,6 +659,13 @@ def _make(sim: "Simulator", ops: Sequence[tuple], params: Sequence[object]) -> N
                 [(devices[rank].memory, nbytes) for nbytes, ranks in op[2] for rank in ranks],
                 op[1],
             )
+        elif kind == _COLD:  # a SUMMA call's entries, each gemm through the workspace
+            buffers, scratch = op[1], op[2]
+            for entry in op[3]:
+                if entry[0] == COMPUTE:
+                    buffers.compute_in_workspace(entry[1], scratch, entry[2][0][0])
+                else:
+                    sim.replay((entry,))
         elif not Simulator._lockstep(op[1], op[2]):
             for d in op[1]:
                 Simulator._lockstep((d,), op[2])

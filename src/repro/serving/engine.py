@@ -247,6 +247,7 @@ class ServingEngine:
                 # nothing runnable: idle-advance every device to the next
                 # arrival (the simulated cluster sits empty, clock still runs)
                 target = sched.next_arrival()
+                self.sim.partition = None
                 for r in self.all_ranks:
                     dev = self.sim.device(r)
                     dev.clock = max(dev.clock, target)

@@ -48,6 +48,38 @@ def clear_shared_tables() -> None:
     cost._BUILT.clear()
 
 
+@pytest.fixture
+def checked_partitions(monkeypatch):
+    """Check every carried rank partition against a full read: before a
+    tape apply that would start from its simulator's carried classes
+    (``Simulator.partition``), read the start classes afresh
+    (``Tape._start``) and assert each carried class lies within one read
+    class.  Yields the number of applies checked."""
+    from repro.runtime.tape import Tape
+
+    checked = [0]
+    apply = Tape.apply
+
+    def oracle(self, params):
+        carried = self.sim.partition
+        if carried is not None:
+            if self._arenas is None:
+                self._touched()
+            if all(b in carried.managers for b in self._managers):
+                read = self._start(self.sim.devices)
+                assert read is not None, "classes carried to a strict or sampling meter"
+                reps = carried.reps
+                assert all(
+                    read.labels[r] == read.labels[reps[label]]
+                    for r, label in enumerate(carried.labels)
+                ), "a carried class spans ranks in different states"
+                checked[0] += 1
+        return apply(self, params)
+
+    monkeypatch.setattr(Tape, "apply", oracle)
+    yield checked
+
+
 def make_mesh(q: int, backend: str = "numpy", **kw):
     sim = Simulator.for_mesh(q=q, backend=backend, **kw)
     return Mesh(sim, q)

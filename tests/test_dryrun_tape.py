@@ -30,11 +30,14 @@ from repro.mesh.mesh import Mesh
 from repro.nn.init import init_transformer_params
 from repro.reference.moe import init_moe_params
 from repro.runtime.device import SimDevice
-from repro.runtime.memory import OutOfDeviceMemory
+from repro.runtime.memory import OutOfDeviceMemory, alloc_many
 from repro.runtime.simulator import Simulator
 from repro.runtime.tape import Tape
 from repro.schemes import SCHEMES, mesh_side
 from repro.training.optim import SGD, make_immediate_updater
+
+#: every stem here checks each carried rank partition against a full read
+pytestmark = pytest.mark.usefixtures("checked_partitions")
 
 CFG = ModelConfig(vocab_size=64, hidden_size=64, num_heads=16, num_layers=3, seq_len=8)
 BATCH = 4
@@ -349,11 +352,10 @@ def test_class_applied_stems_are_the_forced_stems(monkeypatch, replays, classes,
     taped, forced = _both(monkeypatch, lambda: _stem(scheme, p, cfg=cfg, batches=(batch,)))
     assert taped == forced
     assert replays[0] == 7
-    # the parameter placement and every pass, the recording ones too, made
-    # its ops on class representatives and copied them to the other p - 1
-    # ranks or fewer — but Optimus's first pass, whose SUMMA workspaces are
-    # cold and grow call by call, rank by rank
-    assert len(classes) == (9 if scheme == "optimus" else 10)
+    # the parameter placement and every pass, the recording ones too (and
+    # Optimus's first, whose SUMMA workspaces are cold), made its ops on
+    # class representatives and copied them to the other p - 1 ranks or fewer
+    assert len(classes) == 10
     assert all(sum(sizes) <= p for sizes in classes)
 
 
@@ -485,27 +487,157 @@ def test_a_pass_that_raises_makes_its_recorded_calls(monkeypatch, replays):
     assert replays[0] == 0
 
 
-@pytest.mark.parametrize("buffers", [{}, {"managed": False}], ids=["managed", "unmanaged"])
-def test_a_cold_summa_workspace_keeps_its_books_rank_by_rank(monkeypatch, replays, buffers):
-    """A pass whose SUMMA workspaces would grow is made as recorded: its cold
-    calls keep their books step by step, each gemm through the device."""
-    gemms = [0]
-    compute = SimDevice.compute
+@pytest.fixture
+def gemms(monkeypatch):
+    """Calls of ``SimDevice.compute`` and of ``summa._account_steps`` (a
+    cold SUMMA call made as recorded, rank by rank)."""
+    count = {"compute": 0, "steps": 0}
+    compute, account_steps = SimDevice.compute, summa._account_steps
 
     def counted(self, flops, kind="gemm"):
-        gemms[0] += 1
+        count["compute"] += 1
         return compute(self, flops, kind)
 
-    monkeypatch.setattr(SimDevice, "compute", counted)
-    model = _model("optimus", 4, buffers=buffers)
-    steps = [0]
-    account_steps = summa._account_steps
-
     def stepped(*args):
-        steps[0] += 1
+        count["steps"] += 1
         return account_steps(*args)
 
+    monkeypatch.setattr(SimDevice, "compute", counted)
     monkeypatch.setattr(summa, "_account_steps", stepped)
-    _run_stem(model, "optimus", BATCH, None, "stem")
+    return count
+
+
+def _per_entry(monkeypatch):
+    """Every apply made as recorded, each rank its own class."""
+    monkeypatch.setattr(Tape, "_start", lambda self, devices: None)
+
+
+@pytest.mark.parametrize("p", [4, 16, 64, 256])
+def test_a_cold_pass_is_made_by_class(monkeypatch, replays, classes, gemms, p):
+    """Optimus's first pass, whose SUMMA workspaces are cold, is applied
+    by class: its representatives make each cold call entry by entry, each
+    gemm through the workspace and ``SimDevice.compute``, and the members
+    take their end state — as the forced per-rank run and the per-entry
+    apply end."""
+    cfg, batch = (CFG64, 8 * (p // 64)) if p >= 64 else (CFG, BATCH)
+
+    def run():
+        return _stem("optimus", p, cfg=cfg, batches=(batch,))
+
+    taped, forced = _both(monkeypatch, run)
+    assert taped == forced
+    assert replays[0] == 7 and len(classes) == 10
+    counts = []
+    for per_entry in (False, True):
+        with monkeypatch.context() as mp:
+            if per_entry:
+                _per_entry(mp)
+            for key in gemms:
+                gemms[key] = 0
+            assert run() == taped
+            counts.append(dict(gemms))
+    by_class, per_entry = counts
+    assert by_class["steps"] == 0 < per_entry["steps"]
+    assert 0 < by_class["compute"] < per_entry["compute"]
+
+
+def test_a_workspace_grows_twice_in_one_cold_pass(monkeypatch, gemms):
+    """The first pass's SUMMA calls take ever larger blocks, so rank 0's
+    workspace grows call after call: the allocation count, ``by_tag`` and
+    peak its class takes are the per-entry apply's."""
+    growths = []
+    hold_many = BufferManager.hold_many
+
+    def watched(self, region, runs):
+        before = self.capacity(region, 0)
+        hold_many(self, region, runs)
+        if region == "workspace" and self.sim.tape is None and self.capacity(region, 0) > before:
+            growths.append(self.capacity(region, 0))
+
+    monkeypatch.setattr(BufferManager, "hold_many", watched)
+    taped = _stem("optimus", 16)
+    assert gemms["steps"] == 0
+    assert len(growths) >= 2 and growths == sorted(set(growths))
+    for other in (_forced, _per_entry):
+        with monkeypatch.context() as mp:
+            other(mp)
+            assert _stem("optimus", 16) == taped
+
+
+def test_a_row_0_workspace_hold_splits_the_cold_pass(monkeypatch, classes, gemms):
+    """Mesh row 0 starts the cold pass holding workspace bytes the others
+    do not: its grow-or-fit decisions are its own class's."""
+
+    def run():
+        model = _model("optimus", 16)
+        row0 = list(model.owner.row_groups[0].ranks)
+        model.buffers.hold_many("workspace", [(row0, (1 << 20,))])
+        del classes[:]
+        res = _run_stem(model, "optimus", BATCH, None, "stem")
+        return res, _state(model)
+
+    taped = run()
+    assert gemms["steps"] == 0 and gemms["compute"] > 0
+    assert [4, 12] in classes  # row 0, apart from the rest from the start
+    with monkeypatch.context() as mp:
+        _forced(mp)
+        assert run() == taped
+
+
+@pytest.mark.parametrize("kw", [{"buffers": {"managed": False}}, {"strict": True}],
+                         ids=["unmanaged", "strict"])
+def test_a_cold_summa_workspace_keeps_its_books_rank_by_rank(monkeypatch, replays, gemms, kw):
+    """Unmanaged buffers (every hold an allocation) and strict meters (an
+    overflow raises at its hold) keep the degenerate plan: the tape made as
+    recorded, its cold SUMMA calls step by step, each gemm through the
+    device."""
+    taped = _stem("optimus", 4, **kw)
     assert replays[0] == 7
-    assert steps[0] > 0 and gemms[0] > 0
+    assert gemms["steps"] > 0 and gemms["compute"] > 0
+    with monkeypatch.context() as mp:
+        _forced(mp)
+        assert _stem("optimus", 4, **kw) == taped
+
+
+#: a change to rank 0 by a per-rank mutator that must drop the carried
+#: classes, made between the layer passes of a backward (``sync`` is
+#: ``tests/test_shared_tables.py::test_a_barrier_across_carried_classes_drops_them``)
+CHANGES = {
+    "compute": lambda sim, buffers: sim.devices[0].compute(1.0e6),
+    "charge_comm": lambda sim, buffers: sim.devices[0].charge_comm(1e-6, 64.0, 64.0),
+    "advance": lambda sim, buffers: sim.advance([0], 1e-6),
+    "hold_many": lambda sim, buffers: buffers.hold_many("forward", [([0], (4096,))]),
+    "release": lambda sim, buffers: buffers.release("checkpoint", 0, 64),
+    "reset_region": lambda sim, buffers: buffers.reset_region("checkpoint", 0),
+    "trim_region": lambda sim, buffers: (
+        buffers.reset_region("forward"), buffers.trim_region("forward", 0)
+    ),
+    "alloc": lambda sim, buffers: sim.devices[0].memory.alloc(64, "test"),
+    "free": lambda sim, buffers: sim.devices[0].memory.free(64, "params"),
+    "alloc_many": lambda sim, buffers: alloc_many([(sim.devices[0].memory, 64)], "test"),
+}
+
+
+@pytest.mark.parametrize("change", sorted(CHANGES))
+def test_a_per_rank_change_between_passes_drops_the_carried_classes(
+    monkeypatch, checked_partitions, change
+):
+    """A per-rank change between two applies leaves rank 0 apart from its
+    class: the next apply reads the start classes afresh, and the
+    run ends as the forced per-rank run."""
+
+    def run():
+        model = _model("optimus", 16)
+        between = model._between_layers
+
+        def changed(dx):
+            CHANGES[change](model.sim, model.buffers)
+            return between(dx)
+
+        model._between_layers = changed
+        res = _run_stem(model, "optimus", BATCH, None, "stem")
+        return res, _state(model)
+
+    taped, forced = _both(monkeypatch, run)
+    assert taped == forced
+    assert checked_partitions[0] > 0

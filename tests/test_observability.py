@@ -12,14 +12,17 @@ The two load-bearing invariants, from the issue's acceptance criteria:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.comm.collectives import send_recv
-from repro.config import tiny_config
+from repro.config import ModelConfig, tiny_config
+from repro.core.buffers import BufferManager
 from repro.core.model import OptimusModel
+from repro.experiments import runner
 from repro.mesh.mesh import Mesh
 from repro.nn.init import init_transformer_params
 from repro.obs.comm_matrix import comm_matrix, row_sums
@@ -29,6 +32,42 @@ from repro.obs.perfetto import chrome_trace, write_chrome_trace
 from repro.runtime.analysis import collective_stats, rank_activity
 from repro.runtime.events import NULL_SPAN, Tracer
 from repro.runtime.simulator import Simulator
+from repro.serving import report as serving_report
+
+
+def _serve_arm() -> None:
+    knobs = dict(serving_report.DEFAULTS, **serving_report.QUICK)
+    harness = serving_report.Harness(0, knobs, None)
+    trace = harness.traffic("poisson", knobs["rate_rps"], knobs["requests"]).generate()
+    harness.arm("optimus", trace, "poisson")
+
+
+_STEM_CFG = ModelConfig(vocab_size=64, hidden_size=64, num_heads=16, num_layers=3, seq_len=8)
+#: untraced runs whose final registry is pinned
+_PINNED_RUNS = {
+    "optimus-stem": lambda: runner.run_optimus_stem(_STEM_CFG, 4, 8),
+    "megatron-stem": lambda: runner.run_megatron_stem(_STEM_CFG, 16, 4),
+    "serve-arm": _serve_arm,
+}
+#: sha256 of each run's ``snapshot()`` and ``export()`` (as JSON) and
+#: ``render()``, taken while each arena growth still wrote its gauge
+PINNED_METRICS = {
+    "optimus-stem": [
+        "c3dab10ce7013a696153273e6d06639a9052c895d169a91ef69139e0576ba4fc",
+        "42666d6d43bfbe670703f7df673df352b26ecd0298bf1da7e8a4225a39688317",
+        "57e4f796c4404395bf6ab74dace1e41e65fc343602b9eb36ffaeb4662fce1133",
+    ],
+    "megatron-stem": [
+        "72218fc32842dd4fb13d999e1ccba607eca3a6498bc2ebcd2db22ef06434d0f2",
+        "faf828f61f2f79baebe764b6ec93f8f85a6834441aebc9170d081cc3f470c593",
+        "a4bfb38d443669d9247ba5a44b60b78e7d9ab200d6170e95f4ef3bbe6ae65c92",
+    ],
+    "serve-arm": [
+        "690ccbbbeda51ada2ddd2018f4bc8afca87eb8280cfa914ba03cb59a9b6bd3c5",
+        "da661a6cf0efc3c5668ec33ad99989a58561a480067dc095595bd2c29e2a8986",
+        "2f7d53634a6d9d0b9dc7a38c383644a4aff7dcd12ae7f14afb343f68d9a22c20",
+    ],
+}
 
 
 def _traced_stem(backend: str, trace: bool = True, q: int = 2):
@@ -369,6 +408,33 @@ class TestMetrics:
         gauges = sim.metrics.find("buffer_capacity_bytes")
         assert gauges
         assert all(g.value > 0 for g in gauges)
+
+    @pytest.mark.parametrize("run", sorted(PINNED_METRICS))
+    def test_metrics_bytes_are_pinned(self, monkeypatch, run):
+        """The registry reads the same, byte for byte, as when every arena
+        growth wrote its ``buffer_capacity_bytes`` gauge."""
+        sims = []
+        init = Simulator.__init__
+
+        def built(self, *args, **kw):
+            init(self, *args, **kw)
+            sims.append(self)
+
+        monkeypatch.setattr(Simulator, "__init__", built)
+        _PINNED_RUNS[run]()
+        reg = sims[-1].metrics
+        got = [json.dumps(reg.snapshot()), json.dumps(reg.export()), reg.render()]
+        assert [hashlib.sha256(text.encode()).hexdigest() for text in got] == PINNED_METRICS[run]
+
+    def test_a_cleared_registry_lists_only_later_arena_growths(self):
+        sim = Simulator.for_mesh(q=2, backend="shape")
+        buffers = BufferManager(sim)
+        buffers.hold_many("forward", [([0, 1], (64,))])
+        sim.metrics.clear()
+        assert len(sim.metrics) == 0 and sim.metrics.find("buffer_capacity_bytes") == []
+        buffers.hold_many("forward", [([0, 2], (64,))])  # rank 0 again, rank 2 first
+        (gauge,) = sim.metrics.find("buffer_capacity_bytes")
+        assert (gauge.labels, gauge.value) == ({"region": "forward", "rank": 2}, 64.0)
 
 
 class TestMemoryTimeline:

@@ -1,8 +1,9 @@
 """Replicated math on a flat group: ``block_map`` over ``REPLICATED_1D``
 stacks evaluates once, on one replica, and hands every rank one read-only
 ``(1,)`` entry — and whole Megatron runs cannot tell it from the forced
-per-rank path, bit for bit.  The stack layouts themselves and the
-training / serving matrices are in ``tests/test_block_stacks.py``."""
+per-rank path, bit for bit.  The stack layouts themselves, one
+evaluation on a flat group (``TestOneEvaluation``) and the training /
+serving matrices are in ``tests/test_block_stacks.py``."""
 
 import numpy as np
 import pytest
@@ -19,8 +20,6 @@ from repro.nn.init import init_transformer_params
 from repro.resilience.faults import FaultSchedule
 from repro.resilience.injector import FaultInjector
 from repro.runtime.simulator import Simulator
-from repro.serving.report import DEFAULTS, PARAM_SEED, run_arm
-from repro.serving.traffic import TrafficGenerator
 from repro.training.data import BatchStream
 from repro.training.optim import SGD
 from repro.training.trainer import Trainer
@@ -47,51 +46,6 @@ def _spy(calls, fn):
 
 def _shared(dt) -> bool:
     return len({id(s) for s in dt.shards.values()}) == 1
-
-
-class TestOneEvaluation:
-    def test_fn_runs_once_on_the_first_ranks_replicas(self, group, rng):
-        xs = distribute_replicated_1d(group, rng.normal(size=(3, 2)))
-        ys = distribute_replicated_1d(group, rng.normal(size=(2,)))
-        assert xs.blocks.shape == (4, 3, 2)  # owned copies, one per rank
-        calls = []
-        got = block_map(_spy(calls, lambda x, y: x + y), group, xs, ys)
-        first = group.ranks[0]
-        assert len(calls) == 1
-        assert np.shares_memory(calls[0][0], xs.local(first))
-        assert np.shares_memory(calls[0][1], ys.local(first))
-        assert tuple(got.shards) == group.ranks
-        assert got.blocks.shape == (1, 3, 2) and _shared(got)
-        np.testing.assert_array_equal(got.local(first), xs.local(first) + ys.local(first))
-
-    def test_results_are_read_only_through_tuples_and_operands_stay_writable(self, group, rng):
-        xs = distribute_replicated_1d(group, rng.normal(size=(3, 2)))
-        before = {r: x.copy() for r, x in xs.shards.items()}
-        doubled, sums = block_map(lambda x: (x * 2, x.sum(axis=0)), group, xs)
-        for dt in (doubled, sums):
-            arr = dt.local(group.ranks[-1])
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1.0
-        for r in group.ranks:
-            assert xs.local(r).flags.writeable
-            np.testing.assert_array_equal(xs.local(r), before[r])
-
-    @pytest.mark.parametrize("fn", [lambda x: x, lambda x: (x.sum(), x)], ids=["bare", "in-tuple"])
-    def test_an_fn_that_returns_its_operand_freezes_nothing(self, group, rng, fn):
-        xs = distribute_replicated_1d(group, rng.normal(size=(3,)))
-        got = block_map(fn, group, xs)
-        out = got[1] if isinstance(got, tuple) else got
-        for r in group.ranks:
-            assert out.local(r) is xs.local(r) and out.local(r).flags.writeable
-
-    def test_a_dtensor_map_that_hands_shards_back_keeps_them_owned(self, group, rng):
-        dt = distribute_replicated_1d(group, rng.normal(size=(3,)))
-        same = dt.map(np.asarray)  # no copy: the shard itself
-        assert all(same.local(r) is dt.local(r) for r in group.ranks)
-        assert all(dt.local(r).flags.writeable for r in group.ranks)
-        cast = dt.astype("float32")
-        assert not cast.local(0).flags.writeable and cast.local(0) is cast.local(3)
 
 
 class TestPerRankCases:
@@ -195,25 +149,6 @@ def test_train_steps_are_bit_identical_to_the_per_rank_run(monkeypatch, p, check
     assert _some_grad_is_shared(shared) and not _some_grad_is_shared(naive)
     assert shared["watermarks"] == naive["watermarks"]
     assert shared["events"] == naive["events"]
-
-
-def test_serve_report_is_identical_to_the_per_rank_run(monkeypatch):
-    cfg = tiny_config(num_heads=4)
-    params = init_transformer_params(cfg, seed=PARAM_SEED)
-    knobs = {k: DEFAULTS[k] for k in ("q", "slots", "block_size", "blocks", "slo_ttft", "slo_tpot")}
-
-    def arm():
-        requests = TrafficGenerator(
-            seed=0, vocab_size=cfg.vocab_size, rate_rps=DEFAULTS["rate_rps"], num_requests=10
-        ).generate()
-        entry, _sim = run_arm("megatron", cfg, params, requests, **knobs)
-        return entry
-
-    shared = arm()
-    _force_per_rank(monkeypatch)
-    naive = arm()
-    assert shared["tokens_sha256"] == naive["tokens_sha256"]
-    assert shared == naive
 
 
 def test_classification_head_is_bit_identical_to_the_per_rank_run(monkeypatch, rng):

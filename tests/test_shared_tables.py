@@ -36,6 +36,9 @@ from repro.schemes import SCHEMES
 from tests.conftest import clear_shared_tables
 from tests.test_dryrun_tape import CFG, _model, _Row0HoldLayer, _sim_state, _state
 
+#: every stem here checks each carried rank partition against a full read
+pytestmark = pytest.mark.usefixtures("checked_partitions")
+
 #: a config for a 3×3 mesh
 CFG3 = dataclasses.replace(CFG, hidden_size=48, num_heads=12)
 
@@ -375,3 +378,30 @@ def test_a_hand_built_tape_applies_as_made_per_rank(case):
     warm = _made(run, taped=True)
     clear_shared_tables()
     assert warm == _made(run, taped=True) == _made(run, taped=False)
+
+
+def test_a_barrier_across_carried_classes_drops_them(checked_partitions):
+    """A tape leaves mesh 0 apart from mesh 1 in its clocks; a barrier on a
+    rank of each then moves rank 4 alone, so the next tape reads its start
+    classes afresh and ends where its calls made with no tape end."""
+
+    def run(taped: bool):
+        hand = _Hand()
+        for k, calls in enumerate((
+            _pair(lambda h: h.compute([0, 1, 2, 3], 1e9), lambda h: h.hold(EVERY, 8)),
+            lambda h: h.hold(EVERY, 16),
+        )):
+            if taped:
+                recording = tape.Tape(hand.sim, [hand.param])
+                recording.record(calls, hand)
+                recording.apply([hand.param])
+                if k == 0:  # (mesh 0 charged, mesh 1 not)
+                    assert hand.sim.partition.labels == (0,) * 4 + (1,) * 4
+            else:
+                calls(hand)
+            if k == 0:
+                hand.sim.sync([0, 4])
+        return hand.state()
+
+    assert run(taped=True) == run(taped=False)
+    assert checked_partitions[0] == 0  # (the barrier dropped the classes)
